@@ -40,6 +40,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
+from .density import eventual_density, get_weight
 from .exceptions import UnsupportedBackend
 from .natset import (
     APUnionSet,
@@ -91,36 +92,44 @@ def _extend_bernoulli(upto: int):
     _BERNOULLI = out
 
 
-_FAULHABER_COEFFS: dict[int, list[Fraction]] = {}
+_FAULHABER_COEFFS: dict[int, tuple[int, list[int]]] = {}
 
 _MAX_EXACT_EXPONENT = 512
 
 
-def _faulhaber_coeffs(e: int) -> list[Fraction]:
-    """Coefficients q_j with sum_{i=1}^{k} i^e = sum_j q_j k^{e+1-j}."""
+def _faulhaber_coeffs(e: int) -> tuple[int, list[int]]:
+    """(D, [c_j]) with sum_{i=1}^{k} i^e = (sum_j c_j k^{e+1-j}) / D.
+
+    The c_j = q_j D are the Bernoulli coefficients
+    q_j = C(e+1, j) B_j / (e+1) scaled by D, the lcm of their denominators.
+    """
     if e not in _FAULHABER_COEFFS:
         _extend_bernoulli(e)
-        _FAULHABER_COEFFS[e] = [
-            Fraction(math.comb(e + 1, j), e + 1) * _BERNOULLI[j] for j in range(e + 1)
-        ]
+        qs = [Fraction(math.comb(e + 1, j), e + 1) * _BERNOULLI[j] for j in range(e + 1)]
+        den = math.lcm(*(q.denominator for q in qs))
+        _FAULHABER_COEFFS[e] = (den, [q.numerator * (den // q.denominator) for q in qs])
     return _FAULHABER_COEFFS[e]
 
 
 def faulhaber(k: int, e: int) -> int:
-    """sum_{i=1}^{k} i^e, exactly (k may be huge; e capped by the exact budget)."""
+    """sum_{i=1}^{k} i^e, exactly (k may be huge; e capped by the exact budget).
+
+    Integer Horner evaluation of Faulhaber's polynomial over one common
+    denominator, followed by a single division that is checked to be exact.
+    """
     if k <= 0:
         return 0
     if e == 0:
         return k
     if e == 1:
         return k * (k + 1) // 2
-    total = Fraction(0)
-    power = k ** (e + 1)
-    for q in _faulhaber_coeffs(e):
-        total += q * power
-        power //= k
-    assert total.denominator == 1
-    return total.numerator
+    den, coeffs = _faulhaber_coeffs(e)
+    acc = 0
+    for c in coeffs:
+        acc = acc * k + c
+    total, rem = divmod(acc * k, den)
+    assert rem == 0
+    return total
 
 
 def _pow_weight(x: int, e: int) -> int:
@@ -198,7 +207,6 @@ def get_lscsm(name: str) -> LscsmDescriptor:
         return LscsmDescriptor(name, "geometric")
     if name.startswith("weighted"):
         wname = name.partition("f=")[2] or "constant"
-        from .density import get_weight
         get_weight(wname)  # validates the name
         return LscsmDescriptor(f"weighted:f={wname}", "weighted", weight=wname)
     raise KeyError(f"unknown lscsm {name!r}; have {list(LSCSM_NAMES)}")
@@ -295,7 +303,6 @@ def lscsm_eval(desc: LscsmDescriptor | str, a: NatSet, n: int,
     if desc.kind == "alpha":
         return exact(_phi_alpha_elements(a.elements_in(1, n), desc.alpha))
     if desc.kind == "weighted":
-        from .density import get_weight
         w = get_weight(desc.weight)
         members = set(a.elements_in(1, n))
         best = Fraction(0)
@@ -403,14 +410,6 @@ def _mult_order_2(m: int, cap: int) -> Optional[int]:
         if x == 1:
             return k
         x = (x * 2) % m
-    return None
-
-
-def _eventual_density(a: NatSet) -> Optional[Fraction]:
-    if isinstance(a, FiniteSet):
-        return Fraction(0)
-    if isinstance(a, (PeriodicSet, APUnionSet)):
-        return a.density()
     return None
 
 
@@ -587,6 +586,8 @@ def _block_alpha_tail(a: DyadicBlockSet, n: int, e: int, config: Config) -> ExtV
                   + [x.bit_length() for x in a.removals] + [0])
 
     def candidates_in(j_lo: int, j_hi: int) -> list[int]:
+        # exceptions x >= start lie in blocks >= cut_block, so each one is
+        # listed by exactly one range of a scan over consecutive ranges
         out = set()
         for j in range(j_lo, j_hi + 1):
             ln = a.slice_len(j)
@@ -597,17 +598,28 @@ def _block_alpha_tail(a: DyadicBlockSet, n: int, e: int, config: Config) -> ExtV
                 if (1 << j) <= start <= end:
                     out.add(start)
         for x in a.extras:
-            if x >= start and x.bit_length() - 1 <= j_hi:
+            if x >= start and j_lo <= x.bit_length() - 1 <= j_hi:
                 out.add(x)
         for x in a.removals:
-            if x - 1 >= start and x.bit_length() - 1 <= j_hi:
+            if x - 1 >= start and j_lo <= x.bit_length() - 1 <= j_hi:
                 out.add(x - 1)
         return sorted(out)
+
+    # the tail weight over [start, k], carried forward as k grows: the weight
+    # adds up over disjoint intervals, so each slice is summed only once
+    reached, weight = start - 1, 0
+
+    def weight_to(k: int) -> int:
+        nonlocal reached, weight
+        assert k >= reached
+        weight += _block_tail_weight(a, reached + 1, k, e)
+        reached = k
+        return weight
 
     def best_over(cands: Sequence[int], seed: Fraction) -> Fraction:
         best = seed
         for k in cands:
-            num = _block_tail_weight(a, start, k, e)
+            num = weight_to(k)
             den = faulhaber(k, e)
             if num > 0 and num * best.denominator > best.numerator * den:
                 best = Fraction(num, den)
@@ -627,7 +639,8 @@ def _block_alpha_tail(a: DyadicBlockSet, n: int, e: int, config: Config) -> ExtV
                 continue
             # any later ratio is at most (e+1) [ N(j)/2^{j(e+1)}
             #   + f(j) 2^{2e+1}/(2^{e+1}-1) + rounding slack ]
-            cum = _block_tail_weight(a, start, 1 << j, e)
+            # carry only to 2^j - 1: a removal at 2^j lists 2^j - 1 next
+            cum = weight_to((1 << j) - 1) + _block_tail_weight(a, 1 << j, 1 << j, e)
             f_up = fill.value(j)
             term1 = Fraction(cum, 2 ** (j * (e + 1)))
             term2 = f_up * Fraction(2 ** (2 * e + 1), 2 ** (e + 1) - 1)
@@ -658,7 +671,7 @@ def _block_alpha_tail(a: DyadicBlockSet, n: int, e: int, config: Config) -> ExtV
     scale = Q ** P / (Q ** P - 1)
     g_star = sum((g[(q_star - s) % P] / Q ** s for s in range(1, P + 1)), Fraction(0)) * scale
     phi_star = (g[q_star] + g_star) * Fraction(2 ** (m_star * (e + 1)), e + 1)
-    n_star = Fraction(_block_tail_weight(a, start, (1 << (m_star + 1)) - 1, e))
+    n_star = Fraction(weight_to((1 << (m_star + 1)) - 1))
     kcorr = abs(n_star - phi_star)
     m0 = m_star + 1
     c_e = 6 * 2 ** e
@@ -845,7 +858,7 @@ def _weighted_tail(a: NatSet, n: int, wname: str, config: Config) -> ExtValue:
     fin = _finite_part(a)
     if fin is not None and not any(x >= max(n, 1) for x in fin.elements):
         return exact(0)
-    d = _eventual_density(a)
+    d = eventual_density(a)
     if d is not None:
         return bracket(d, 1, "weighted supremum has no closed form; "
                              "bracketed by [density, 1]")
@@ -860,7 +873,7 @@ def _infty_component_tail(a: NatSet, n: int, e: int, config: Config) -> ExtValue
     certified bounds instead of exact sweeps."""
     if isinstance(a, FiniteSet) and e <= _MAX_EXACT_EXPONENT:
         return _phi_alpha_tail(a, n, e, config)
-    lo = _eventual_density(a) or Fraction(0)  # the tail supremum dominates the limit
+    lo = eventual_density(a) or Fraction(0)  # the tail supremum dominates the limit
     if isinstance(a, DyadicBlockSet) and a.fill.structure == "cycle":
         c_max = max(a.fill.cycle)
         if c_max > 0:
@@ -959,12 +972,11 @@ def _norm_value(desc: LscsmDescriptor, a: NatSet, config: Config) -> ExtValue:
         v = t.value if t.value is not None else t.upper
         return observational(v, "horizon evidence cannot certify a limit")
 
-    d = _eventual_density(a)
+    d = eventual_density(a)
 
     if kind in ("prefix", "alpha", "weighted"):
         if kind == "weighted" and desc.weight != "constant":
             if d is not None:
-                from .density import get_weight
                 if get_weight(desc.weight).slowly_varying:
                     return exact(d)  # slowly varying weights reproduce the density
             return bracket(0, 1, "no closed form for this weight on this backend")

@@ -789,7 +789,6 @@ def _ap_pair_op(a: APUnionSet, b: APUnionSet, op: str, config: Config) -> NatSet
                 merged.append(t)
         u = APUnionSet(tuple(merged))
         fix = sorted((set(a.extras) | set(b.extras)))
-        cuts = [x for x in set(a.removals) | set(b.removals) if not APUnionSet(tuple(merged), tuple(fix)).member(x) or True]
         # removals survive only where neither operand holds the element
         extras = [x for x in fix if not u._in_terms(x)]
         removals = [x for x in (set(a.removals) | set(b.removals))

@@ -55,11 +55,15 @@ def format_fraction(q: Fraction) -> str:
 
 
 def to_payload(obj: Any) -> Any:
-    """Recursively encode for JSON/CSV emission (exact rationals stay exact)."""
+    """Recursively encode for JSON/CSV emission (exact rationals stay exact).
+
+    Floats raise TypeError: every value the library reports is exact, so a
+    float reaching the encoder is a bug upstream, never a rounding to keep.
+    """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
-        return obj
+        raise TypeError(f"payloads carry exact values only, got float {obj!r}")
     if isinstance(obj, Fraction):
         return format_fraction(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

@@ -27,6 +27,11 @@ def brute_count(s, lo, hi):
     return sum(1 for n in range(max(lo, 0), hi) if s.member(n))
 
 
+def brute_power_sum(k, e):
+    """sum of i**e for i = 1..k, term by term (0 when k < 1)."""
+    return sum(i ** e for i in range(1, k + 1))
+
+
 def brute_prefix_ratios(members, hi):
     """(|A ∩ [1,n]| / n) for n = 1..hi-1, A given as a membership set."""
     out = []

@@ -15,7 +15,7 @@ from densitas.natset import (
     HorizonSet,
     PeriodicSet,
 )
-from densitas.reports import AxiomReport, CheckRecord
+from densitas.reports import AxiomReport, CheckRecord, to_payload
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +108,15 @@ def test_emit_formats_are_deterministic():
     for fmt in ("json", "csv", "text"):
         assert emit_report(rep, fmt) == emit_report(rep, fmt)
     assert b"1/3" in emit_report(rep, "json")
+
+
+def test_payload_refuses_floats():
+    # payloads are exact by contract; a float reaching the encoder is a bug
+    with pytest.raises(TypeError):
+        to_payload(CheckRecord("a", "pass", "fine", witness=0.5))
+    with pytest.raises(TypeError):
+        emit_report(AxiomReport("demo", (CheckRecord("a", "pass", witness=[1.0]),)), "json")
+    assert to_payload({"q": Fraction(2, 4), "n": 3}) == {"q": "1/2", "n": 3}
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densitas import exhaust
 from densitas.exceptions import QueryBeyondHorizon, UnsupportedBackend
 from densitas.exhaust import (
+    _MAX_EXACT_EXPONENT,
     LscsmDescriptor,
+    _block_tail_weight,
     check_lscsm_axioms,
     exh_member,
     exhaustive_norm,
@@ -30,7 +33,7 @@ from densitas.natset import (
 )
 from densitas.values import exact
 
-from conftest import random_structured_set
+from conftest import brute_members, brute_power_sum, random_structured_set
 
 
 EVENS = PeriodicSet(2, (0,))
@@ -69,12 +72,13 @@ def brute_sup_ratio(elements, weight):
 # power sums
 
 
-def test_faulhaber_matches_brute_sums():
-    rng = random.Random(7)
-    for _ in range(40):
-        e = rng.randrange(0, 9)
-        k = rng.randrange(0, 400)
-        assert faulhaber(k, e) == sum(i ** e for i in range(1, k + 1))
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.tuples(st.integers(min_value=-3, max_value=2000), st.integers(min_value=0, max_value=64)),
+    st.tuples(st.integers(min_value=-3, max_value=50), st.just(_MAX_EXACT_EXPONENT))))
+def test_faulhaber_matches_brute_sums(case):
+    k, e = case
+    assert faulhaber(k, e) == brute_power_sum(k, e)
 
 
 def test_faulhaber_large_arguments_stay_integral():
@@ -280,6 +284,53 @@ def test_block_tails_bound_brute_scans(a):
             b = brute_tail(name, a, n, 1 << 16)
             hi = t.value if t.status == "exact" else t.upper
             assert b <= hi, (name, n, t, b)
+
+
+WEIGHT_SETS = [
+    # cycled fill; extras inside gaps, removals at block starts and inside slices
+    DyadicBlockSet(FillRule.cycled([Fraction(2, 5), Fraction(1, 7)]),
+                   extras=(3, 9, 100, 5000), removals=(4, 64, 129, 4096)),
+    # thresholded cycle with a head and an empty phase
+    DyadicBlockSet(FillRule.cycled([Fraction(1, 3), Fraction(0), Fraction(3, 4)],
+                                   threshold=3, head=(1, 0, Fraction(1, 2))),
+                   extras=(6, 7, 40, 300), removals=(2, 8, 33, 1024, 1025)),
+    # vanishing fill
+    DyadicBlockSet(FillRule.vanishing(lambda n: Fraction(1, n), "1/n"),
+                   extras=(0, 3, 12, 700, 9000), removals=(4, 32, 1030, 8192)),
+]
+
+
+@pytest.mark.parametrize("a", WEIGHT_SETS)
+def test_block_tail_weight_matches_brute_members(a):
+    top = 1 << 14
+    members = sorted(x for x in brute_members(a, top + 1) if x >= 1)
+    starts = {1, 2, 5, 70, 1500, 5000, (1 << 13) + 17}  # block starts and interiors
+    starts |= set(a.extras) - {0}
+    starts |= {r + d for r in a.removals for d in (-1, 0, 1) if r + d >= 1}
+    ends = {1, 3, 63, 64, 65, 700, 1029, 4095, 4097, 9000, top}
+    ends |= {(1 << j) + a.slice_len(j) - 1 for j in range(14) if a.slice_len(j)}
+    for e in (0, 1, 2, 4):
+        for s in sorted(starts):
+            for k in sorted(ends):
+                want = sum(i ** e for i in members if s <= i <= k)
+                assert _block_tail_weight(a, s, k, e) == want, (s, k, e)
+
+
+def test_block_alpha_norm_power_sum_budget(monkeypatch):
+    # the slice-end scan carries its weight forward, so the number of power
+    # sums grows linearly with the scanned blocks, not quadratically
+    calls = 0
+    real = exhaust.faulhaber
+
+    def counted(k, e):
+        nonlocal calls
+        calls += 1
+        return real(k, e)
+
+    monkeypatch.setattr(exhaust, "faulhaber", counted)
+    est = exhaustive_norm("phi-alpha:a=2", HALF_BLOCKS)
+    assert est.exact
+    assert calls <= 2500
 
 
 def test_tails_shrink_toward_the_norm():
