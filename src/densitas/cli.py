@@ -1,9 +1,10 @@
 """Command-line frontend.
 
-Verbs: eval, dist, norm, axioms, limit, witness, probe. Set arguments use
-the literal DSL (`fin{1,2,3}`, `per m=6 R={1,3} t=0`,
-`ap a=6! h=1 j0=1 | ap a=5040 h=3 j0=1`, `blocks f(n)=2^-3`,
-`horizon H=64 bits=<hex>`). Reports embed the tool version and the resolved
+Verbs: eval, dist, norm, axioms, limit, witness, probe. Set arguments are
+literals in the grammar of `natset.parse_set`, listed in the natset module
+docstring (`fin{1,2,3}`, `per m=6 R={1,3} t=2 add={0}`,
+`ap a=6! h=1 j0=1 | ap a=5040 h=3`, `blocks f(n)=cycle{1/2,1/4}@2`,
+`horizon H=16 bits=ff00`). Reports embed the tool version and the resolved
 config; under a fixed seed and config the json and csv outputs are
 byte-identical across runs.
 
@@ -17,8 +18,6 @@ import argparse
 import dataclasses
 import io
 import json
-import math
-import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -44,17 +43,7 @@ from .metric import (
     evaluate_measure,
     metric_equivalence_probe,
 )
-from .natset import (
-    APTerm,
-    APUnionSet,
-    DyadicBlockSet,
-    FiniteSet,
-    FillRule,
-    HorizonSet,
-    NatSet,
-    PeriodicSet,
-    factorial_label,
-)
+from .natset import FiniteSet, NatSet, PeriodicSet, format_set, parse_set
 from .reports import AxiomReport, CheckRecord, format_fraction, to_payload
 from .samples import chunked, pool_battery, thinning_blocks
 from .values import ExtValue
@@ -75,116 +64,14 @@ __all__ = ["parse_set_literal", "format_set_literal", "emit_report", "main"]
 # set literals
 
 
-_FIN_RE = re.compile(r"fin\{([0-9,\s]*)\}\Z")
-_PER_RE = re.compile(r"per\s+m=(\d+)\s+R=\{([0-9,\s]*)\}(?:\s+t=(\d+))?\Z")
-_AP_RE = re.compile(r"ap\s+a=(\d+)(!?)\s+h=(\d+)\s+j0=(\d+)\Z")
-_BLOCKS_RE = re.compile(r"blocks\s+f\(n\)=(?:2\^-(\d+)|(\d+)(?:/(\d+))?)\Z")
-_HORIZON_RE = re.compile(r"horizon\s+H=(\d+)\s+bits=([0-9a-fA-F]+)\Z")
-
-
-def _parse_int_list(body: str) -> tuple[int, ...]:
-    body = body.strip()
-    if not body:
-        return ()
-    return tuple(int(tok.strip()) for tok in body.split(","))
-
-
-def _parse_ap_term(part: str, full: str, offset: int) -> APTerm:
-    m = _AP_RE.match(part.strip())
-    if not m:
-        raise ParseError("expected `ap a=<int[!]> h=<int> j0=<int>`",
-                         full, offset)
-    base = int(m.group(1))
-    if m.group(2):
-        return APTerm(math.factorial(base), int(m.group(3)),
-                      int(m.group(4)), label=factorial_label(base))
-    return APTerm(base, int(m.group(3)), int(m.group(4)))
-
-
 def parse_set_literal(text: str) -> NatSet:
-    """Parse the set-literal DSL; raises ParseError with a caret position."""
-    s = text.strip()
-    if not s:
-        raise ParseError("empty set literal", text, 0)
-    lead = s.split(None, 1)[0].split("{", 1)[0]
-    if "|" in s or lead == "ap":
-        terms = []
-        offset = 0
-        for part in s.split("|"):
-            terms.append(_parse_ap_term(part, text, text.find("ap", offset)))
-            offset += len(part) + 1
-        return APUnionSet(tuple(terms))
-    if lead == "fin":
-        m = _FIN_RE.match(s)
-        if not m:
-            raise ParseError("expected `fin{n1,n2,...}`", text, 0)
-        return FiniteSet(_parse_int_list(m.group(1)))
-    if lead == "per":
-        m = _PER_RE.match(s)
-        if not m:
-            raise ParseError("expected `per m=<int> R={r1,...} [t=<int>]`",
-                             text, 0)
-        return PeriodicSet(int(m.group(1)), _parse_int_list(m.group(2)),
-                           threshold=int(m.group(3) or 0))
-    if lead == "blocks":
-        m = _BLOCKS_RE.match(s)
-        if not m:
-            raise ParseError("expected `blocks f(n)=2^-<k>` or "
-                             "`blocks f(n)=<p>[/<q>]`", text, 0)
-        if m.group(1) is not None:
-            fill = Fraction(1, 2 ** int(m.group(1)))
-        else:
-            fill = Fraction(int(m.group(2)), int(m.group(3) or 1))
-        if not 0 <= fill <= 1:
-            raise ParseError("fill value must lie in [0, 1]", text,
-                             s.find("=") + 1)
-        return DyadicBlockSet(FillRule.constant(fill))
-    if lead == "horizon":
-        m = _HORIZON_RE.match(s)
-        if not m:
-            raise ParseError("expected `horizon H=<int> bits=<hex>`", text, 0)
-        h = int(m.group(1))
-        bits = int(m.group(2), 16)
-        if bits >> h:
-            raise ParseError("bitmap sets members at or beyond the horizon",
-                             text, s.find("bits="))
-        members = tuple(i for i in range(h) if (bits >> i) & 1)
-        return HorizonSet.from_members(h, members)
-    raise ParseError(f"unknown set form {lead!r}", text, 0)
+    """Parse a set literal; the grammar is natset.parse_set's."""
+    return parse_set(text)
 
 
 def format_set_literal(a: NatSet) -> str:
-    """Print a set in the literal DSL; parse(format(a)) equals a."""
-    if isinstance(a, FiniteSet):
-        return "fin{" + ",".join(str(x) for x in a.elements) + "}"
-    if isinstance(a, PeriodicSet):
-        if a.added or a.removed:
-            raise ValueError("periodic exception lists have no literal form")
-        base = f"per m={a.modulus} R={{{','.join(str(r) for r in a.residues)}}}"
-        return base + (f" t={a.threshold}" if a.threshold else "")
-    if isinstance(a, APUnionSet):
-        if a.extras or a.removals:
-            raise ValueError("ap extras/removals have no literal form")
-        parts = []
-        for t in a.terms:
-            atext = t.label if t.label else str(t.modulus)
-            parts.append(f"ap a={atext} h={t.offset} j0={t.start}")
-        return " | ".join(parts)
-    if isinstance(a, DyadicBlockSet):
-        if a.extras or a.removals or a.fill.structure != "cycle" \
-                or len(a.fill.cycle) != 1 or a.fill.threshold:
-            raise ValueError("only constant fills have a literal form")
-        c = a.fill.cycle[0]
-        if c.numerator == 1 and c.denominator & (c.denominator - 1) == 0 \
-                and c.denominator > 1:
-            return f"blocks f(n)=2^-{c.denominator.bit_length() - 1}"
-        return f"blocks f(n)={c}"
-    if isinstance(a, HorizonSet):
-        bits = 0
-        for x in a.elements_in(0, a.horizon):
-            bits |= 1 << x
-        return f"horizon H={a.horizon} bits={bits:x}"
-    raise ValueError(f"no literal form for backend {a.kind!r}")
+    """Print a set literal; the grammar is natset.format_set's."""
+    return format_set(a)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from .natset import (
     PeriodicSet,
     boolean_op,
     complement,
-    format_set,
     normalize_periodic,
     transform,
 )

@@ -19,14 +19,17 @@ evaluators to work in closed form where the mathematics allows it:
 
 ``count_range`` runs in time independent of the interval length on the
 Periodic and APUnion backends (per-residue floor arithmetic; CRT-pruned
-inclusion-exclusion over term subsets). The set-literal grammar lives here and
-is exposed by the CLI:
+inclusion-exclusion over term subsets). The one set-literal grammar lives here
+(``parse_set``/``format_set``); the CLI parses and prints through it:
 
     fin{1,2,3}   fin{0..9}   fin{}
-    per m=6 R={1,3} t=0 [add={..}] [rm={..}]
-    ap a=720 h=1 j0=1 | ap a=6! h=3 j0=0      (factorial moduli allowed)
+    per m=6 R={1,3} [t=2] [add={..}] [rm={..}]  (exceptions lie below t)
+    ap a=720 h=1 [j0=1] | ap a=6! h=3           (factorial moduli allowed)
     blocks f(n)=2^-3 | =1/4 | =cycle{1/2,1/4}@2 | =1/n | =2^-n
-    horizon H=16 bits=ff00     (hex, byte 0 = indices 0..7, LSB first)
+    horizon H=16 bits=ff00     (hex integer, bit i = member i: {8..15})
+
+Horizon bits at or beyond H, reversed ranges, and sizes above 2^20 (naturals
+in one brace list, H, a cycle threshold, the k of 2^-k) are parse errors.
 """
 
 from __future__ import annotations
@@ -978,7 +981,13 @@ def transform(a: NatSet, kind: str, amount: int) -> NatSet:
 # set-literal grammar
 
 
-_TOKEN = re.compile(r"\s*")
+_NAT = re.compile(r"\d+")
+_HEX = re.compile(r"[0-9a-fA-F]+")
+# Largest size a literal may ask to materialize: the naturals one brace list
+# spells out (ranges included), a horizon H, a cycled fill's threshold (its
+# head is stored value by value) and the k of 2^-k. Without it fin{0..10^12}
+# would exhaust memory instead of failing.
+_SIZE_MAX = 1 << 20
 
 
 class _Cursor:
@@ -1001,13 +1010,28 @@ class _Cursor:
         if not self.eat(literal):
             raise ParseError(f"expected {literal!r}", self.text, self.pos)
 
-    def nat(self) -> int:
+    def build(self, at: int, make: Callable, *args):
+        """make(*args), its ValueError reported as a ParseError at `at`."""
+        try:
+            return make(*args)
+        except ValueError as e:
+            raise ParseError(str(e), self.text, at) from e
+
+    def token(self, pattern: re.Pattern, what: str) -> str:
         self.skip_ws()
-        m = re.match(r"\d+", self.text[self.pos:])
+        m = pattern.match(self.text, self.pos)
         if not m:
-            raise ParseError("expected a natural number", self.text, self.pos)
-        self.pos += m.end()
-        return int(m.group())
+            raise ParseError(f"expected {what}", self.text, self.pos)
+        self.pos = m.end()
+        return m.group()
+
+    def nat(self, most: Optional[int] = None) -> int:
+        self.skip_ws()
+        at = self.pos
+        n = self.build(at, int, self.token(_NAT, "a natural number"))
+        if most is not None and n > most:
+            raise ParseError(f"{n} exceeds the literal size limit {most}", self.text, at)
+        return n
 
     def modulus(self) -> tuple[int, Optional[str]]:
         n = self.nat()
@@ -1019,22 +1043,34 @@ class _Cursor:
         self.skip_ws()
         if self.text.startswith("2^-", self.pos):
             self.pos += 3
-            return Fraction(1, 2 ** self.nat())
+            return Fraction(1, 2 ** self.nat(_SIZE_MAX))
         num = self.nat()
-        if self.eat("/"):
-            return Fraction(num, self.nat())
-        return Fraction(num)
+        if not self.eat("/"):
+            return Fraction(num)
+        self.skip_ws()
+        at = self.pos
+        den = self.nat()
+        if den == 0:
+            raise ParseError("zero denominator", self.text, at)
+        return Fraction(num, den)
 
     def nat_list(self) -> tuple[int, ...]:
         self.expect("{")
         out: list[int] = []
-        self.skip_ws()
         if self.eat("}"):
             return ()
         while True:
+            self.skip_ws()
+            at = self.pos
             n = self.nat()
             if self.eat(".."):
-                out.extend(range(n, self.nat() + 1))
+                hi = self.nat()
+                if hi < n:
+                    raise ParseError(f"reversed range {n}..{hi}", self.text, at)
+                if len(out) + hi - n >= _SIZE_MAX:
+                    raise ParseError(f"a list spells out at most {_SIZE_MAX} naturals",
+                                     self.text, at)
+                out.extend(range(n, hi + 1))
             else:
                 out.append(n)
             if self.eat("}"):
@@ -1047,7 +1083,8 @@ class _Cursor:
 
 
 def parse_set(text: str) -> NatSet:
-    """Parse the set-literal grammar (see module docstring)."""
+    """Parse the set-literal grammar (see module docstring). Every malformed or
+    out-of-range literal raises ParseError with a caret position."""
     cur = _Cursor(text)
     s = _parse_one(cur)
     if not cur.done():
@@ -1057,6 +1094,7 @@ def parse_set(text: str) -> NatSet:
 
 def _parse_one(cur: _Cursor) -> NatSet:
     cur.skip_ws()
+    at = cur.pos
     if cur.eat("fin"):
         return FiniteSet(cur.nat_list())
     if cur.eat("per"):
@@ -1064,56 +1102,45 @@ def _parse_one(cur: _Cursor) -> NatSet:
         m = cur.nat()
         cur.expect("R=")
         residues = cur.nat_list()
-        t = 0
-        added: tuple[int, ...] = ()
-        removed: tuple[int, ...] = ()
-        if cur.eat("t="):
-            t = cur.nat()
-        if cur.eat("add="):
-            added = cur.nat_list()
-        if cur.eat("rm="):
-            removed = cur.nat_list()
-        try:
-            return PeriodicSet(m, residues, t, added, removed)
-        except ValueError as e:
-            raise ParseError(str(e), cur.text, cur.pos) from e
+        t = cur.nat() if cur.eat("t=") else 0
+        added = cur.nat_list() if cur.eat("add=") else ()
+        removed = cur.nat_list() if cur.eat("rm=") else ()
+        return cur.build(at, PeriodicSet, m, residues, t, added, removed)
+    if cur.eat("ap"):
+        terms = []
+        while True:
+            cur.expect("a=")
+            a, label = cur.modulus()
+            cur.expect("h=")
+            h = cur.nat()
+            j0 = cur.nat() if cur.eat("j0=") else 0
+            terms.append(cur.build(at, APTerm, a, h, j0, label))
+            if not cur.eat("|"):
+                return APUnionSet(tuple(terms))
+            cur.skip_ws()
+            at = cur.pos
+            cur.expect("ap")
     if cur.eat("blocks"):
         cur.expect("f(n)=")
         return DyadicBlockSet(_parse_fill(cur))
     if cur.eat("horizon"):
         cur.expect("H=")
-        h = cur.nat()
+        h = cur.nat(_SIZE_MAX)
         cur.expect("bits=")
         cur.skip_ws()
-        m = re.match(r"[0-9a-fA-F]+", cur.text[cur.pos:])
-        if not m:
-            raise ParseError("expected hex bits", cur.text, cur.pos)
-        cur.pos += m.end()
-        hexstr = m.group()
-        if len(hexstr) % 2:
-            hexstr = hexstr + "0"
-        return HorizonSet(h, bytes.fromhex(hexstr))
-    if cur.text[cur.pos:].lstrip().startswith("ap"):
-        terms = []
-        while True:
-            cur.expect("ap")
-            cur.expect("a=")
-            a, label = cur.modulus()
-            cur.expect("h=")
-            h = cur.nat()
-            j0 = 0
-            if cur.eat("j0="):
-                j0 = cur.nat()
-            terms.append(APTerm(a, h, j0, label))
-            if not cur.eat("|"):
-                break
-        return APUnionSet(tuple(terms))
+        at = cur.pos
+        # bit i of the hex integer marks member i, so ff00 is {8..15}
+        word = int(cur.token(_HEX, "hex bits"), 16)
+        if word >> h:
+            raise ParseError("bits set at or beyond the horizon", cur.text, at)
+        return HorizonSet(h, word.to_bytes((h + 7) // 8, "little"))
     raise ParseError("expected one of fin/per/ap/blocks/horizon", cur.text, cur.pos)
 
 
 def _parse_fill(cur: _Cursor) -> FillRule:
     cur.skip_ws()
-    rest = cur.text[cur.pos:]
+    at = cur.pos
+    rest = cur.text[at:]
     if rest.startswith("1/n"):
         cur.pos += 3
         return FillRule.vanishing(lambda n: Fraction(1, max(n, 1)), "1/n",
@@ -1128,19 +1155,12 @@ def _parse_fill(cur: _Cursor) -> FillRule:
         while cur.eat(","):
             vals.append(cur.rational())
         cur.expect("}")
-        t = cur.nat() if cur.eat("@") else 0
-        return FillRule.cycled(vals, t)
-    try:
-        c = cur.rational()
-    except ParseError:
-        raise ParseError("expected a fill rule (const, cycle{..}, 1/n, 2^-n)", cur.text, cur.pos)
-    if not (0 <= c <= 1):
-        raise ParseError("fill constant must lie in [0,1]", cur.text, cur.pos)
-    return FillRule.constant(c)
-
-
-def _fmt_rat(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        t = cur.nat(_SIZE_MAX) if cur.eat("@") else 0
+        return cur.build(at, FillRule.cycled, vals, t)
+    if not rest[:1].isdigit():
+        raise ParseError("expected a fill rule: p/q, 2^-k, cycle{..}@t, 1/n or 2^-n",
+                         cur.text, at)
+    return cur.build(at, FillRule.constant, cur.rational())
 
 
 def _fmt_nats(xs: Iterable[int]) -> str:
@@ -1148,25 +1168,38 @@ def _fmt_nats(xs: Iterable[int]) -> str:
 
 
 def format_set(a: NatSet) -> str:
-    """Inverse of parse_set on canonical forms (round-trips to an equal set)."""
+    """Inverse of parse_set: parse_set(format_set(a)) == a. Sets the grammar
+    cannot spell raise UnsupportedBackend."""
     if isinstance(a, FiniteSet):
         return "fin" + _fmt_nats(a.elements)
     if isinstance(a, PeriodicSet):
-        out = f"per m={a.modulus} R={_fmt_nats(a.residues)} t={a.threshold}"
+        out = f"per m={a.modulus} R={_fmt_nats(a.residues)}"
+        if a.threshold:
+            out += f" t={a.threshold}"
         if a.added:
             out += f" add={_fmt_nats(a.added)}"
         if a.removed:
             out += f" rm={_fmt_nats(a.removed)}"
         return out
     if isinstance(a, APUnionSet):
-        if a.extras or a.removals:
-            raise UnsupportedBackend("ap-union literals cannot carry extras/removals")
+        if a.extras or a.removals or not a.terms:
+            raise UnsupportedBackend("ap-union literals need terms and cannot carry "
+                                     "extras/removals")
         parts = [f"ap a={t.modulus_text()} h={t.offset} j0={t.start}" for t in a.terms]
         return " | ".join(parts)
     if isinstance(a, DyadicBlockSet):
         if a.extras or a.removals:
             raise UnsupportedBackend("block literals cannot carry extras/removals")
-        return f"blocks f(n)={a.fill.func_label}"
+        # the fill is printed by its label, which must spell the whole rule:
+        # a cycled fill's nonzero head, for one, has no literal form
+        text = f"blocks f(n)={a.fill.func_label}"
+        try:
+            exact = parse_set(text) == a
+        except ParseError:
+            exact = False
+        if not exact:
+            raise UnsupportedBackend(f"fill rule {a.fill.func_label!r} has no exact literal form")
+        return text
     if isinstance(a, HorizonSet):
-        return f"horizon H={a.horizon} bits={a.bits.hex()}"
+        return f"horizon H={a.horizon} bits={a._word:x}"
     raise UnsupportedBackend(f"no literal form for backend {a.kind}")

@@ -2,18 +2,22 @@
 exit codes."""
 
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from densitas.cli import emit_report, format_set_literal, main, parse_set_literal
-from densitas.exceptions import ParseError
+from densitas.exceptions import ParseError, UnsupportedBackend
 from densitas.natset import (
+    APTerm,
     APUnionSet,
     DyadicBlockSet,
     FiniteSet,
     HorizonSet,
     PeriodicSet,
+    parse_set,
 )
 from densitas.reports import AxiomReport, CheckRecord, to_payload
 
@@ -79,6 +83,13 @@ def test_parse_errors_carry_position():
     "blocks f(n)=2^-3",
     "blocks f(n)=3/4",
     "horizon H=8 bits=a5",
+    "fin{0..9}",
+    "per m=6 R={1} t=2 rm={1}",
+    "ap a=6! h=1 | ap a=4 h=3 j0=2",
+    "blocks f(n)=cycle{1/2,1/4}@2",
+    "blocks f(n)=1/n",
+    "blocks f(n)=2^-n",
+    "horizon H=16 bits=ff00",
 ])
 def test_literal_round_trip(text):
     a = parse_set_literal(text)
@@ -86,8 +97,22 @@ def test_literal_round_trip(text):
 
 
 def test_format_refuses_exception_lists():
-    with pytest.raises(ValueError):
-        format_set_literal(PeriodicSet(2, (0,), threshold=4, added=(1,)))
+    # periodic exceptions have a literal form; ap extras/removals have none
+    a = parse_set_literal("per m=2 R={0} t=4 add={1}")
+    assert a == PeriodicSet(2, (0,), threshold=4, added=(1,))
+    assert format_set_literal(a) == "per m=2 R={0} t=4 add={1}"
+    assert parse_set_literal(format_set_literal(a)) == a
+    with pytest.raises(UnsupportedBackend):
+        format_set_literal(APUnionSet((APTerm(4, 1),), extras=(2,)))
+
+
+@pytest.mark.parametrize("parse", [parse_set_literal, parse_set])
+def test_horizon_bit_i_is_member_i(parse):
+    # the CLI and the library read one grammar, so they agree on the bit order
+    assert parse("horizon H=16 bits=ff00").elements_in(0, 16) == list(range(8, 16))
+    assert parse("horizon H=8 bits=a").elements_in(0, 8) == [1, 3]
+    with pytest.raises(ParseError):
+        parse("horizon H=4 bits=ff")
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +172,36 @@ def test_parse_failure_exits_2(capsys):
     assert main(["eval", "d-star", "per m=6 R={9}"]) == 2
     assert main(["eval", "no-such-functional", "fin{1}"]) == 2
     capsys.readouterr()
+
+
+def test_zero_denominator_exits_2(capsys):
+    for text in ("blocks f(n)=1/0", "blocks f(n)=cycle{1/0}"):
+        assert main(["eval", "d-star", text]) == 2
+        assert capsys.readouterr().err.startswith("parse error")
+
+
+def _readme_examples():
+    """(argv, stdout) of every `$ densitas ...` example in the README."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ densitas "):
+            out = []
+            for follow in lines[i + 1:]:
+                if follow.startswith(("$ ", "```")):
+                    break
+                out.append(follow + "\n")
+            examples.append((shlex.split(line)[2:], "".join(out)))
+    return examples
+
+
+def test_readme_examples_print_their_documented_output(capsys):
+    examples = _readme_examples()
+    assert len(examples) >= 6
+    for argv, out in examples:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == out, argv
 
 
 def test_truncated_evidence_degrades_to_observational(capsys):

@@ -3,12 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densitas.exceptions import (
     IncompatibleBackends,
     ModulusBudgetExceeded,
     ParseError,
     QueryBeyondHorizon,
+    UnsupportedBackend,
 )
 from densitas.config import DEFAULT_CONFIG
 from densitas.natset import (
@@ -239,7 +242,6 @@ def test_dilation_of_evens():
 
 
 def test_block_transform_unsupported():
-    from densitas.exceptions import UnsupportedBackend
     b = DyadicBlockSet(FillRule.constant(HALF))
     with pytest.raises(UnsupportedBackend):
         transform(b, "shift", 1)
@@ -302,6 +304,12 @@ def test_dsl_factorial_modulus():
 
 def test_dsl_range_literal():
     assert parse_set("fin{4..7}") == FiniteSet((4, 5, 6, 7))
+    # ranges are materialized: reversed ones and any list spelling out more
+    # than 2^20 naturals are refused before anything is built
+    for text in ("fin{5..4}", "fin{0..1048576}", "fin{0..1000000000000}",
+                 "fin{0..600000,0..600000}"):
+        with pytest.raises(ParseError):
+            parse_set(text)
 
 
 def test_dsl_errors_carry_position():
@@ -310,9 +318,74 @@ def test_dsl_errors_carry_position():
     assert "residues" in str(ei.value)
     with pytest.raises(ParseError) as ei:
         parse_set("fin{1,2")
-    with pytest.raises(ParseError) as ei:
-        parse_set("nonsense")
-    assert "^" in str(ei.value)
+    for text in ("nonsense", "ap a=0 h=1", "blocks f(n)=cycle{3/2}",
+                 "blocks f(n)=1/0", "horizon H=4 bits=ff",
+                 "horizon H=1048577 bits=0", "blocks f(n)=cycle{1/2}@1048577"):
+        with pytest.raises(ParseError) as ei:
+            parse_set(text)
+        assert "^" in str(ei.value)
+
+
+def test_format_refuses_a_nonzero_fill_head():
+    fill = FillRule.cycled([Fraction(1, 3), 0, Fraction(3, 4)], threshold=2, head=(1, 0))
+    a = DyadicBlockSet(fill)
+    assert sorted(brute_members(a, 8)) == [1, 4]
+    # the label cycle{1/3,0,3/4}@2 would parse to a zero head: elements [4]
+    with pytest.raises(UnsupportedBackend):
+        format_set(a)
+
+
+def _periodic(m, residues, t, picks):
+    base = PeriodicSet(m, residues)
+    below = [x for x in picks if x < t]
+    return PeriodicSet(m, residues, t, [x for x in below if not base.rule_member(x)],
+                       [x for x in below if base.rule_member(x)])
+
+
+# (extras, removals): half the draws carry none, so both outcomes are common
+_EXCEPTIONS = st.one_of(st.just((set(), set())),
+                        st.tuples(st.sets(st.integers(0, 40), max_size=3),
+                                  st.sets(st.integers(0, 40), max_size=3)))
+_RATS = st.fractions(min_value=0, max_value=1, max_denominator=12)
+_FILLS = st.one_of(
+    _RATS.map(FillRule.constant),
+    st.builds(FillRule.cycled, st.lists(_RATS, min_size=1, max_size=3),
+              st.integers(0, 4), st.lists(st.sampled_from((0, HALF, 1)), max_size=4)),
+    st.sampled_from([
+        FillRule.vanishing(lambda n: Fraction(1, n), "1/n"),
+        FillRule.vanishing(lambda n: Fraction(1, 2 ** n), "2^-n", slice_growth="bounded"),
+        FillRule.vanishing(lambda n: Fraction(1, n), "1/n^1"),
+    ]),
+)
+_MODULI = st.one_of(st.integers(1, 12).map(lambda a: (a, None)),
+                    st.sampled_from([(6, "3!"), (24, "4!"), (720, "6!")]))
+_SETS = st.one_of(
+    st.lists(st.integers(0, 200), max_size=8).map(lambda xs: FiniteSet(tuple(xs))),
+    st.integers(0, 70).flatmap(lambda h: st.sets(st.integers(0, max(h - 1, 0)), max_size=h).map(
+        lambda xs: HorizonSet.from_members(h, xs))),
+    st.integers(1, 12).flatmap(lambda m: st.builds(
+        _periodic, st.just(m), st.sets(st.integers(0, m - 1)).map(tuple), st.integers(0, 20),
+        st.lists(st.integers(0, 19), max_size=4))),
+    st.builds(lambda terms, exc: APUnionSet(tuple(terms), tuple(exc[0]), tuple(exc[1] - exc[0])),
+              st.lists(st.builds(lambda a, h, j0: APTerm(a[0], h, j0, a[1]), _MODULI,
+                                 st.integers(0, 30), st.integers(0, 3)), max_size=3),
+              _EXCEPTIONS),
+    st.builds(lambda fill, exc: DyadicBlockSet(fill, tuple(exc[0]), tuple(exc[1] - exc[0])),
+              _FILLS, _EXCEPTIONS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SETS)
+def test_format_parse_round_trip(a):
+    try:
+        text = format_set(a)
+    except UnsupportedBackend:
+        return
+    b = parse_set(text)
+    assert b == a
+    hi = a.horizon if isinstance(a, HorizonSet) else 300
+    assert brute_members(b, hi) == brute_members(a, hi)
 
 
 def test_horizon_boolean_ops():
