@@ -30,7 +30,6 @@ pins the value down exactly:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -44,6 +43,7 @@ from .natset import (
     HorizonSet,
     NatSet,
     PeriodicSet,
+    _lcm_within,
     boolean_op,
     complement,
     normalize_periodic,
@@ -114,44 +114,44 @@ def eventual_density(a: NatSet) -> Optional[Fraction]:
 # block closed forms
 
 
-def _cycle_limits(b: DyadicBlockSet) -> tuple[Fraction, Fraction]:
-    """(limsup, liminf) of prefix ratios for a cyclic fill rule.
+def _alpha_block_phase_limits(fill, e: int) -> list[Fraction]:
+    """Eventual slice-end ratio limits per cycle phase for phi_alpha.
 
-    Within block n the ratio C(x)/x rises while x crosses the member slice
-    and falls across the gap, so local maxima sit exactly at slice ends
-    x = 2^n + l_n and local minima at block starts x = 2^{n+1}. Along the
-    phase class p = (n - t) mod P the prefix count below 2^n tends to
-    L_p * 2^n with
+    With Q = 2^{e+1} and g_q = (1+c_q)^{e+1} - 1, the weight of earlier
+    blocks forms a Q-geometric series with cycle coefficients:
 
-        L_p = (sum_{s=1..P} c_{(p-s) mod P} 2^{-s}) * 2^P / (2^P - 1),
+        G_p = (sum_{s=1..P} g_{(p-s) mod P} Q^{-s}) * Q^P / (Q^P - 1)
+        limit_p = (G_p + g_p) / (1 + c_p)^{e+1}
 
-    because earlier blocks contribute a geometric series with cycle-periodic
-    coefficients (rounding errors total O(n), which vanishes against 2^n).
-    Hence limsup = max_p (L_p + c_p)/(1 + c_p) and liminf = min_p (L_p + c_p)/2.
+    e = 0 recovers the prefix-density phase formula. A phase with an empty
+    slice yields the ratio just before its block, which never exceeds a
+    nonempty neighbour's limit because (1+c)^{e+1} <= Q.
     """
-    fill = b.fill
     P = len(fill.cycle)
-    two_p = Fraction(2 ** P, 2 ** P - 1)
-    best_hi: Optional[Fraction] = None
-    best_lo: Optional[Fraction] = None
+    Q = Fraction(2 ** (e + 1))
+    g = [(1 + c) ** (e + 1) - 1 for c in fill.cycle]
+    scale = Q ** P / (Q ** P - 1)
+    out = []
     for p in range(P):
-        s_sum = sum(
-            (fill.cycle[(p - s) % P] * Fraction(1, 2 ** s) for s in range(1, P + 1)),
-            Fraction(0),
-        )
-        L = s_sum * two_p
-        c = fill.cycle[p]
-        hi = (L + c) / (1 + c)
-        lo = (L + c) / 2
-        best_hi = hi if best_hi is None or hi > best_hi else best_hi
-        best_lo = lo if best_lo is None or lo < best_lo else best_lo
-    return best_hi, best_lo
+        G = sum((g[(p - s) % P] / Q ** s for s in range(1, P + 1)), Fraction(0)) * scale
+        out.append((G + g[p]) / (1 + fill.cycle[p]) ** (e + 1))
+    return out
 
 
 def _block_asymptotic(b: DyadicBlockSet) -> tuple[Fraction, Fraction]:
-    """(limsup, liminf) of prefix ratios for any supported fill structure."""
+    """(limsup, liminf) of prefix ratios for any supported fill structure.
+
+    Within block n the ratio C(x)/x rises while x crosses the member slice
+    and falls across the gap, so local maxima sit at slice ends and local
+    minima at block starts 2^{n+1}. For a cyclic fill the slice-end ratios of
+    phase p tend to the e = 0 phase limit (L_p + c_p)/(1 + c_p), with L_p the
+    prefix count below 2^n over 2^n; the block-start ratios tend to
+    (L_p + c_p)/2, which is that limit times (1 + c_p)/2. Rounding errors
+    total O(n), which vanishes against 2^n.
+    """
     if b.fill.structure == "cycle":
-        return _cycle_limits(b)
+        lim = _alpha_block_phase_limits(b.fill, 0)
+        return max(lim), min(l * (1 + c) / 2 for l, c in zip(lim, b.fill.cycle))
     # vanishing fill: fills below eps beyond some block keep every later
     # prefix ratio below 2 eps, so both limits are 0
     return Fraction(0), Fraction(0)
@@ -215,14 +215,9 @@ def _window_max(a: NatSet, n: int, config: Config) -> tuple[int, bool]:
         ks = list(range(0, min(a.threshold, 64))) + [a.threshold + j for j in range(64)]
         return max(a.count_range(k, k + n) for k in ks), False
     if isinstance(a, APUnionSet):
-        l = 1
-        for t in a.terms:
-            l = l // math.gcd(l, t.modulus) * t.modulus
-            if l > config.window_sweep_budget:
-                break
-        t0 = max([t.min_element for t in a.terms]
-                 + [x + 1 for x in a.extras] + [x + 1 for x in a.removals] + [0])
-        if l <= config.window_sweep_budget and t0 + l <= 4 * config.window_sweep_budget:
+        l = _lcm_within((t.modulus for t in a.terms), config.window_sweep_budget)
+        t0 = a.threshold
+        if l is not None and t0 + l <= 4 * config.window_sweep_budget:
             return max(a.count_range(k, k + n) for k in range(t0 + l)), True
         cands = {0, t0} | {t.min_element for t in a.terms} | set(a.extras)
         return max(a.count_range(k, k + n) for k in sorted(cands)), False
@@ -660,7 +655,7 @@ def geometric_measure(a: NatSet, config: Config = DEFAULT_CONFIG) -> ExtValue:
             total = _ie_terms(u.terms, geo_term)
             total += sum((Fraction(1, 2 ** (x + 1)) for x in u.extras), Fraction(0))
             total -= sum((Fraction(1, 2 ** (x + 1)) for x in u.removals
-                          if u._in_terms(x)), Fraction(0))
+                          if u.rule_member(x)), Fraction(0))
             return exact(total)
         p = _geo_partial(a, _GEO_EXP_BUDGET)
         return bracket(p, p + Fraction(1, 2 ** _GEO_EXP_BUDGET),

@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
-from .density import eventual_density, get_weight
+from .density import _alpha_block_phase_limits, eventual_density, get_weight
 from .exceptions import UnsupportedBackend
 from .natset import (
     APUnionSet,
@@ -49,6 +49,7 @@ from .natset import (
     HorizonSet,
     NatSet,
     PeriodicSet,
+    _lcm_within,
     boolean_op,
 )
 from .reports import AxiomReport, CheckRecord
@@ -438,15 +439,7 @@ def _ep_structure(a: NatSet, config: Config):
     periodic sets."""
     if isinstance(a, PeriodicSet):
         return a.modulus, a.threshold
-    m = 1
-    for tm in a.terms:
-        m = m // math.gcd(m, tm.modulus) * tm.modulus
-        if m > config.window_sweep_budget:
-            m = None
-            break
-    t = max([tm.min_element for tm in a.terms]
-            + [x + 1 for x in a.extras] + [x + 1 for x in a.removals] + [0])
-    return m, t
+    return _lcm_within((tm.modulus for tm in a.terms), config.window_sweep_budget), a.threshold
 
 
 def _phi_prefix_tail(a: NatSet, n: int, config: Config) -> ExtValue:
@@ -523,30 +516,6 @@ def _phi_alpha_tail(a: NatSet, n: int, e: int, config: Config) -> ExtValue:
     raise UnsupportedBackend(f"weighted tail unsupported for backend {a.kind}")
 
 
-def _alpha_block_phase_limits(fill, e: int) -> list[Fraction]:
-    """Eventual slice-end ratio limits per cycle phase for phi_alpha.
-
-    With Q = 2^{e+1} and g_q = (1+c_q)^{e+1} - 1, the weight of earlier
-    blocks forms a Q-geometric series with cycle coefficients:
-
-        G_p = (sum_{s=1..P} g_{(p-s) mod P} Q^{-s}) * Q^P / (Q^P - 1)
-        limit_p = (G_p + g_p) / (1 + c_p)^{e+1}
-
-    e = 0 recovers the prefix-density phase formula. A phase with an empty
-    slice yields the ratio just before its block, which never exceeds a
-    nonempty neighbour's limit because (1+c)^{e+1} <= Q.
-    """
-    P = len(fill.cycle)
-    Q = Fraction(2 ** (e + 1))
-    g = [(1 + c) ** (e + 1) - 1 for c in fill.cycle]
-    scale = Q ** P / (Q ** P - 1)
-    out = []
-    for p in range(P):
-        G = sum((g[(p - s) % P] / Q ** s for s in range(1, P + 1)), Fraction(0)) * scale
-        out.append((G + g[p]) / (1 + fill.cycle[p]) ** (e + 1))
-    return out
-
-
 def _block_tail_weight(a: DyadicBlockSet, start: int, k: int, e: int) -> int:
     """sum of i^e over members of A with start <= i <= k."""
     if k < start:
@@ -561,10 +530,10 @@ def _block_tail_weight(a: DyadicBlockSet, start: int, k: int, e: int) -> int:
         if lo <= hi:
             total += (faulhaber(hi, e) - faulhaber(lo - 1, e)) if e else hi - lo + 1
     for x in a.extras:
-        if start <= x <= k and not a._rule_member(x):
+        if start <= x <= k and not a.rule_member(x):
             total += _pow_weight(x, e)
     for x in a.removals:
-        if start <= x <= k and a._rule_member(x):
+        if start <= x <= k and a.rule_member(x):
             total -= _pow_weight(x, e)
     return total
 
@@ -666,11 +635,9 @@ def _block_alpha_tail(a: DyadicBlockSet, n: int, e: int, config: Config) -> ExtV
     # K absorbs everything below the scan edge exactly; beyond it each slice
     # weight differs from its geometric ideal by at most C_e 2^{je}, C_e = 6*2^e
     q_star = (m_star - fill.threshold) % P
-    Q = Fraction(2 ** (e + 1))
-    g = [(1 + c) ** (e + 1) - 1 for c in fill.cycle]
-    scale = Q ** P / (Q ** P - 1)
-    g_star = sum((g[(q_star - s) % P] / Q ** s for s in range(1, P + 1)), Fraction(0)) * scale
-    phi_star = (g[q_star] + g_star) * Fraction(2 ** (m_star * (e + 1)), e + 1)
+    # limits[q] (1+c_q)^{e+1} = G_q + g_q is the phase-q geometric ideal
+    phi_star = limits[q_star] * (1 + fill.cycle[q_star]) ** (e + 1) \
+        * Fraction(2 ** (m_star * (e + 1)), e + 1)
     n_star = Fraction(weight_to((1 << (m_star + 1)) - 1))
     kcorr = abs(n_star - phi_star)
     m0 = m_star + 1

@@ -30,7 +30,7 @@ from .exceptions import (
 )
 from .exhaust import exhaustive_norm, get_lscsm, tail_value
 from .metric import SetSequence, cauchy_profile, dist, evaluate_measure
-from .natset import OMEGA, FiniteSet, NatSet, PeriodicSet, boolean_op
+from .natset import FiniteSet, NatSet, boolean_op, complement, drop_below
 from .values import ExtValue, exact
 
 __all__ = [
@@ -42,9 +42,6 @@ __all__ = [
     "cauchy_to_limit",
     "sigma_union_oracle",
 ]
-
-_CUT_CAP = 1 << 34
-
 
 @dataclass(frozen=True)
 class StageRecord:
@@ -182,21 +179,10 @@ def sigma_limit(nu: str, seq: SetSequence, depth: Optional[int] = None,
 # tail-cut limits for lscsm norms
 
 
-def _drop_below(a: NatSet, n: int, config: Config) -> NatSet:
-    """The set A with its elements under n removed."""
-    if n == 0:
-        return a
-    if isinstance(a, FiniteSet):
-        return FiniteSet(tuple(e for e in a.elements if e >= n))
-    if n > (1 << 20):
-        raise NoValidCut(f"cut {n} is too deep to materialize on {a.kind}")
-    return boolean_op(a, FiniteSet(tuple(range(n))), "difference", config)
-
-
-def _least_cut(desc, b: NatSet, target: Fraction, config: Config,
-               cut_cap: int) -> int:
+def _least_cut(desc, b: NatSet, target: Fraction, config: Config) -> int:
     """The least n with phi(B minus n) at most the target, by exponential
-    probe plus binary refinement (tail values are nonincreasing in the cut)."""
+    probe plus binary refinement (tail values are nonincreasing in the cut);
+    config.cut_search_max bounds the probe."""
     def ok(n: int) -> bool:
         t = tail_value(desc, b, n, config)
         if t.status != "exact":
@@ -213,9 +199,9 @@ def _least_cut(desc, b: NatSet, target: Fraction, config: Config,
         hi = 1
         while not ok(hi):
             hi *= 2
-            if hi > cut_cap:
-                raise NoValidCut(
-                    f"no cut below {cut_cap} brings the tail under {target}")
+            if hi > config.cut_search_max:
+                raise NoValidCut(f"no cut below {config.cut_search_max} brings "
+                                 f"the tail under {target}")
     lo = 0  # ok(lo) is False once we get here, ok(hi) True
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -226,21 +212,8 @@ def _least_cut(desc, b: NatSet, target: Fraction, config: Config,
     return hi
 
 
-def _finite_tail_elements(a: NatSet, cut: int) -> Optional[int]:
-    """Largest element of A at or beyond the cut if A is surely finite
-    there, else None."""
-    if isinstance(a, FiniteSet):
-        past = [e for e in a.elements if e >= cut]
-        return max(past) if past else -1
-    if isinstance(a, PeriodicSet) and not a.residues:
-        past = [e for e in a.added if e >= cut]
-        return max(past) if past else -1
-    return None
-
-
 def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
-                config: Config = DEFAULT_CONFIG,
-                cut_cap: int = _CUT_CAP) -> LimitCertificate:
+                config: Config = DEFAULT_CONFIG) -> LimitCertificate:
     """Limit of an increasing sequence whose increments have summable
     exhaustive norms under a lower semicontinuous submeasure.
 
@@ -269,10 +242,10 @@ def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
     trimmed: list[NatSet] = []
     prev = -1
     for j, b in enumerate(incs):
-        n_j = max(_least_cut(desc, b, 2 * norms[j], config, cut_cap), prev + 1)
+        n_j = max(_least_cut(desc, b, 2 * norms[j], config), prev + 1)
         prev = n_j
         cuts.append(n_j)
-        trimmed.append(_drop_below(b, n_j, config))
+        trimmed.append(drop_below(b, n_j, config))
 
     limit = _union([items[0]] + trimmed, config)
 
@@ -281,8 +254,7 @@ def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
     for k in range(depth):
         out_part = boolean_op(items[k], limit, "difference", config)
         cut_k = cuts[k] if k < len(cuts) else (cuts[-1] + 1 if cuts else 0)
-        top = _finite_tail_elements(out_part, cut_k)
-        contained = top is not None and top < cut_k
+        contained = drop_below(out_part, cut_k, config).is_empty_surely()
         removed = exhaustive_norm(phi, out_part, config).value
         sym = boolean_op(limit, items[k], "symdiff", config)
         residual = exhaustive_norm(phi, sym, config).value
@@ -310,10 +282,6 @@ def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
 
 # ---------------------------------------------------------------------------
 # the general pipeline
-
-
-def _complement(a: NatSet, config: Config) -> NatSet:
-    return boolean_op(OMEGA, a, "difference", config)
 
 
 def sigma_union_oracle(nu: str, config: Config = DEFAULT_CONFIG) -> Ap0Oracle:
@@ -373,7 +341,7 @@ def cauchy_to_limit(nu: str, seq: SetSequence, oracle: Ap0Oracle,
         for j in range(i, m):
             cur = cur if j == i else boolean_op(cur, sub[j], "intersection", config)
             nested.append(cur)
-        comp_chain = _increasing([_complement(x, config) for x in nested], config)
+        comp_chain = _increasing([complement(x, config) for x in nested], config)
         e_i = oracle.resolver(comp_chain)
         for j, x in enumerate(comp_chain.prefix):
             r = evaluate_measure(nu, boolean_op(x, e_i, "difference", config),
@@ -382,7 +350,7 @@ def cauchy_to_limit(nu: str, seq: SetSequence, oracle: Ap0Oracle,
                 raise OracleContractViolated(
                     f"oracle {oracle.name} left measure {r.value if r.status == 'exact' else r.status} "
                     f"of stage {j} outside its level-{i} answer")
-        b_sets.append(_complement(e_i, config))
+        b_sets.append(complement(e_i, config))
 
     # C_i = union of the B_k so far, then one more oracle call for A
     c_sets = []

@@ -24,7 +24,7 @@ inclusion-exclusion over term subsets). The one set-literal grammar lives here
 
     fin{1,2,3}   fin{0..9}   fin{}
     per m=6 R={1,3} [t=2] [add={..}] [rm={..}]  (exceptions lie below t)
-    ap a=720 h=1 [j0=1] | ap a=6! h=3           (factorial moduli allowed)
+    ap a=720 h=1 [j0=1] | ap a=6! h=3           (factorial moduli N!, N <= 1000)
     blocks f(n)=2^-3 | =1/4 | =cycle{1/2,1/4}@2 | =1/n | =2^-n
     horizon H=16 bits=ff00     (hex integer, bit i = member i: {8..15})
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -44,6 +44,7 @@ from .config import Config, DEFAULT_CONFIG
 from .exceptions import (
     IncompatibleBackends,
     ModulusBudgetExceeded,
+    NoValidCut,
     ParseError,
     QueryBeyondHorizon,
     UnsupportedBackend,
@@ -344,7 +345,14 @@ class APUnionSet(NatSet):
         if set(self.extras) & set(self.removals):
             raise ValueError("extras and removals must be disjoint")
 
-    def _in_terms(self, n: int) -> bool:
+    @property
+    def threshold(self) -> int:
+        """Least t such that from t on every term has started and no extra or
+        removal remains: past it the set is periodic modulo the terms' lcm."""
+        return max([t.min_element for t in self.terms]
+                   + [x + 1 for x in self.extras] + [x + 1 for x in self.removals] + [0])
+
+    def rule_member(self, n: int) -> bool:
         return any(t.member(n) for t in self.terms)
 
     def member(self, n: int) -> bool:
@@ -352,15 +360,15 @@ class APUnionSet(NatSet):
             return False
         if n in self.removals:
             return False
-        return n in self.extras or self._in_terms(n)
+        return n in self.extras or self.rule_member(n)
 
     def count_range(self, lo: int, hi: int) -> int:
         lo = max(lo, 0)
         if hi <= lo:
             return 0
         total = _ie_terms(self.terms, lambda M, c, mn: _ap_count(M, c, max(lo, mn), hi))
-        total += sum(1 for x in self.extras if lo <= x < hi and not self._in_terms(x))
-        total -= sum(1 for x in self.removals if lo <= x < hi and (x in self.extras or self._in_terms(x)))
+        total += sum(1 for x in self.extras if lo <= x < hi and not self.rule_member(x))
+        total -= sum(1 for x in self.removals if lo <= x < hi and (x in self.extras or self.rule_member(x)))
         return total
 
     def elements_in(self, lo: int, hi: int) -> list[int]:
@@ -529,7 +537,7 @@ class DyadicBlockSet(NatSet):
         """Whether member-run lengths grow without bound (declared structure)."""
         return self.fill.slice_growth == "unbounded"
 
-    def _rule_member(self, n: int) -> bool:
+    def rule_member(self, n: int) -> bool:
         if n < 1:
             return False
         blk = n.bit_length() - 1
@@ -540,7 +548,7 @@ class DyadicBlockSet(NatSet):
             return False
         if n in self.removals:
             return False
-        return n in self.extras or self._rule_member(n)
+        return n in self.extras or self.rule_member(n)
 
     def count_range(self, lo: int, hi: int) -> int:
         lo = max(lo, 0)
@@ -553,8 +561,8 @@ class DyadicBlockSet(NatSet):
             for blk in range(b_lo, b_hi + 1):
                 s, e = 1 << blk, (1 << blk) + self.slice_len(blk)
                 total += max(0, min(e, hi) - max(s, lo))
-        total += sum(1 for x in self.extras if lo <= x < hi and not self._rule_member(x))
-        total -= sum(1 for x in self.removals if lo <= x < hi and (x in self.extras or self._rule_member(x)))
+        total += sum(1 for x in self.extras if lo <= x < hi and not self.rule_member(x))
+        total -= sum(1 for x in self.removals if lo <= x < hi and (x in self.extras or self.rule_member(x)))
         return total
 
     def elements_in(self, lo: int, hi: int) -> list[int]:
@@ -612,19 +620,8 @@ def boolean_op(a: NatSet, b: NatSet, op: str, config: Config = DEFAULT_CONFIG) -
     if isinstance(b, FiniteSet):
         return _op_with_finite(a, b, op)
     if isinstance(a, FiniteSet):
-        if op == "difference":
-            # finite minus anything stays finite: filter elements
-            kept = []
-            for x in a.elements:
-                try:
-                    inb = b.member(x)
-                except QueryBeyondHorizon:
-                    raise
-                if not inb:
-                    kept.append(x)
-            return FiniteSet(tuple(kept))
-        if op == "intersection":
-            return FiniteSet(tuple(x for x in a.elements if b.member(x)))
+        if op in ("difference", "intersection"):
+            return _filter_finite(a, b, op == "intersection")
         return _op_with_finite(b, a, op)  # union and symdiff commute
 
     if isinstance(a, HorizonSet) and isinstance(b, HorizonSet):
@@ -655,8 +652,32 @@ def _finite_word_op(wa: int, wb: int, op: str, horizon: int) -> int:
     return (wa ^ wb) & mask
 
 
+def _filter_finite(f: FiniteSet, other: NatSet, keep: bool) -> FiniteSet:
+    """The elements x of f with other.member(x) == keep: a finite set met with
+    or minus anything stays finite."""
+    return FiniteSet(tuple(x for x in f.elements if other.member(x) == keep))
+
+
+def _exceptions(xs: Iterable[int], wanted: Callable[[int], bool],
+                rule: Callable[[int], bool]) -> tuple[list[int], list[int]]:
+    """(added, removed): the x in xs that are wanted but not rule members, and
+    the rule members that are not wanted."""
+    added, removed = [], []
+    for x in xs:
+        want, in_rule = wanted(x), rule(x)
+        if want and not in_rule:
+            added.append(x)
+        elif in_rule and not want:
+            removed.append(x)
+    return added, removed
+
+
 def _op_with_finite(a: NatSet, f: FiniteSet, op: str) -> NatSet:
-    """Absorb a finite operand into the structured backend's exception fields."""
+    """Absorb a finite operand into the structured backend's exception fields.
+
+    Exceptions at elements of f are rewritten; all others are kept as they
+    are, redundant ones included, since representations reach the payloads.
+    """
     if isinstance(a, HorizonSet):
         if f.elements and f.elements[-1] >= a.horizon:
             raise QueryBeyondHorizon("finite operand exceeds the horizon")
@@ -667,65 +688,26 @@ def _op_with_finite(a: NatSet, f: FiniteSet, op: str) -> NatSet:
         return HorizonSet(a.horizon, w.to_bytes((a.horizon + 7) // 8, "little"))
 
     if op == "intersection":
-        return FiniteSet(tuple(x for x in f.elements if a.member(x)))
+        return _filter_finite(f, a, True)
+    if not isinstance(a, (PeriodicSet, APUnionSet, DyadicBlockSet)):
+        raise IncompatibleBackends(f"cannot combine {a.kind} with finite under {op}")
+
+    # union wants every element of f, difference none, symdiff those a lacks
+    added, removed = _exceptions(
+        f.elements, lambda x: op == "union" or (op == "symdiff" and not a.member(x)),
+        a.rule_member)
+    touched = set(f.elements)
+
+    def rewrite(old: tuple[int, ...], new: list[int]) -> tuple[int, ...]:
+        return tuple(sorted({x for x in old if x not in touched}.union(new)))
 
     if isinstance(a, PeriodicSet):
-        need_t = max([a.threshold] + [x + 1 for x in f.elements])
-        added = set(a.added)
-        removed = set(a.removed)
-        # land every rule decision below need_t explicitly where exceptions live
-        def is_mem(x):
-            return a.member(x)
-        for x in f.elements:
-            mem = is_mem(x)
-            if op == "union":
-                want = True
-            elif op == "difference":
-                want = False
-            else:  # symdiff
-                want = not mem
-            rule = a.rule_member(x)
-            added.discard(x)
-            removed.discard(x)
-            if want and not rule:
-                added.add(x)
-            if not want and rule:
-                removed.add(x)
-        return _shrunk_periodic(a.modulus, a.residues, need_t,
-                                sorted(added), sorted(removed))
-
-    if isinstance(a, APUnionSet):
-        extras = set(a.extras)
-        removals = set(a.removals)
-        for x in f.elements:
-            mem = a.member(x)
-            want = True if op == "union" else (False if op == "difference" else not mem)
-            extras.discard(x)
-            removals.discard(x)
-            if want and not a._in_terms(x):
-                extras.add(x)
-            if not want and a._in_terms(x):
-                removals.add(x)
-        return APUnionSet(a.terms, tuple(sorted(extras)), tuple(sorted(removals)))
-
-    if isinstance(a, DyadicBlockSet):
-        extras = set(a.extras)
-        removals = set(a.removals)
-        for x in f.elements:
-            mem = a.member(x)
-            want = True if op == "union" else (False if op == "difference" else not mem)
-            extras.discard(x)
-            removals.discard(x)
-            if want and not a._rule_member(x):
-                extras.add(x)
-            if not want and a._rule_member(x):
-                removals.add(x)
-        return DyadicBlockSet(a.fill, tuple(sorted(extras)), tuple(sorted(removals)))
-
-    raise IncompatibleBackends(f"cannot combine {a.kind} with finite under {op}")
+        return _shrunk_periodic(a.modulus, a.residues, rewrite(a.added, added),
+                                rewrite(a.removed, removed))
+    return replace(a, extras=rewrite(a.extras, added), removals=rewrite(a.removals, removed))
 
 
-def _shrunk_periodic(m: int, residues, t: int, added, removed) -> PeriodicSet:
+def _shrunk_periodic(m: int, residues, added, removed) -> PeriodicSet:
     """PeriodicSet with the threshold shrunk to the minimal value covering the
     exceptions, so extensionally equal constructions compare equal."""
     exc = tuple(added) + tuple(removed)
@@ -733,26 +715,30 @@ def _shrunk_periodic(m: int, residues, t: int, added, removed) -> PeriodicSet:
     return PeriodicSet(m, tuple(residues), t_min, tuple(added), tuple(removed))
 
 
+def _lcm_within(moduli: Iterable[int], budget: int) -> Optional[int]:
+    """lcm of the moduli, or None once a partial lcm exceeds the budget (the
+    partial lcms divide the full one, so this never multiplies out past it)."""
+    l = 1
+    for m in moduli:
+        l = l // math.gcd(l, m) * m
+        if l > budget:
+            return None
+    return l
+
+
 def _periodic_pair_op(a: PeriodicSet, b: PeriodicSet, op: str, config: Config) -> PeriodicSet:
-    l = a.modulus // math.gcd(a.modulus, b.modulus) * b.modulus
-    if l > config.modulus_budget:
-        raise ModulusBudgetExceeded(f"lcm {l} exceeds modulus budget {config.modulus_budget}")
-    ra = {x for x in range(l) if (x % a.modulus) in set(a.residues)}
-    rb = {x for x in range(l) if (x % b.modulus) in set(b.residues)}
+    l = _lcm_within((a.modulus, b.modulus), config.modulus_budget)
+    if l is None:
+        raise ModulusBudgetExceeded(f"lcm {math.lcm(a.modulus, b.modulus)} exceeds "
+                                    f"modulus budget {config.modulus_budget}")
+    # residue r mod m lifts to r, r + m, ..., r + l - m mod l
+    ra = {r + k * a.modulus for k in range(l // a.modulus) for r in a.residues}
+    rb = {r + k * b.modulus for k in range(l // b.modulus) for r in b.residues}
     residues = _finite_op(ra, rb, op)
     t = max(a.threshold, b.threshold)
-    added, removed = [], []
-    rset = residues
-    for x in range(t):
-        want_a = a.member(x)
-        want_b = b.member(x)
-        want = _finite_op({1} if want_a else set(), {1} if want_b else set(), op) == {1}
-        rule = (x % l) in rset
-        if want and not rule:
-            added.append(x)
-        elif not want and rule:
-            removed.append(x)
-    return _shrunk_periodic(l, sorted(residues), t, added, removed)
+    below = _finite_op(set(a.elements_in(0, t)), set(b.elements_in(0, t)), op)
+    added, removed = _exceptions(range(t), below.__contains__, lambda x: x % l in residues)
+    return _shrunk_periodic(l, sorted(residues), added, removed)
 
 
 def as_ap_union(a: NatSet) -> APUnionSet:
@@ -760,16 +746,9 @@ def as_ap_union(a: NatSet) -> APUnionSet:
     if isinstance(a, APUnionSet):
         return a
     if isinstance(a, PeriodicSet):
-        terms = tuple(APTerm(a.modulus, r, 0) for r in a.residues)
-        base = APUnionSet(terms)
-        extras, removals = [], []
-        for x in range(a.threshold):
-            mem = a.member(x)
-            if mem and not base._in_terms(x):
-                extras.append(x)
-            elif not mem and base._in_terms(x):
-                removals.append(x)
-        return APUnionSet(terms, tuple(extras), tuple(removals))
+        # one term per residue has the same rule, so the exceptions carry over
+        return APUnionSet(tuple(APTerm(a.modulus, r, 0) for r in a.residues),
+                          a.added, a.removed)
     if isinstance(a, FiniteSet):
         return APUnionSet((), a.elements, ())
     raise IncompatibleBackends(f"{a.kind} has no AP-union view")
@@ -784,66 +763,54 @@ def _same_progression(t1: APTerm, t2: APTerm) -> bool:
     return t1.modulus == t2.modulus and t1.offset == t2.offset and t1.start == t2.start
 
 
-def _ap_pair_op(a: APUnionSet, b: APUnionSet, op: str, config: Config) -> NatSet:
+def _ap_pair_terms(a: APUnionSet, b: APUnionSet, op: str) -> Optional[tuple[APTerm, ...]]:
+    """Terms whose union is the rule part of a op b, or None when the terms
+    alone cannot express it.
+
+    Union concatenates the terms. Difference works term by term when each
+    subtrahend term is either identical to minuend terms or CRT-disjoint from
+    all of them; intersection never does.
+    """
     if op == "union":
         merged = list(a.terms)
         for t in b.terms:
             if not any(_same_progression(t, s) for s in merged):
                 merged.append(t)
-        u = APUnionSet(tuple(merged))
-        fix = sorted((set(a.extras) | set(b.extras)))
-        # removals survive only where neither operand holds the element
-        extras = [x for x in fix if not u._in_terms(x)]
-        removals = [x for x in (set(a.removals) | set(b.removals))
-                    if not a.member(x) and not b.member(x) and (u._in_terms(x) or x in extras)]
-        extras = [x for x in extras if x not in removals]
-        return APUnionSet(tuple(merged), tuple(sorted(extras)), tuple(sorted(removals)))
+        return tuple(merged)
+    if op == "difference":
+        kill = set()
+        for tb in b.terms:
+            for i, ta in enumerate(a.terms):
+                if _same_progression(ta, tb):
+                    kill.add(i)  # every copy: a may list one term twice
+                elif not _terms_disjoint(ta, tb):
+                    return None
+        return tuple(t for i, t in enumerate(a.terms) if i not in kill)
+    return None
 
+
+def _ap_pair_op(a: APUnionSet, b: APUnionSet, op: str, config: Config) -> NatSet:
     if op == "symdiff":
         left = _ap_pair_op(a, b, "difference", config)
         right = _ap_pair_op(b, a, "difference", config)
         return boolean_op(left, right, "union", config)
-
-    if op == "difference":
-        # term-level analysis: works when each subtrahend term is either
-        # identical to a minuend term or CRT-disjoint from all of them
-        analyzable = True
-        kill = set()
-        for tb in b.terms:
-            hit = None
-            for i, ta in enumerate(a.terms):
-                if _same_progression(ta, tb):
-                    hit = i
-                elif not _terms_disjoint(ta, tb):
-                    analyzable = False
-                    break
-            if not analyzable:
-                break
-            if hit is not None:
-                kill.add(hit)
-        if analyzable:
-            terms = tuple(t for i, t in enumerate(a.terms) if i not in kill)
-            stub = APUnionSet(terms)
-            extras = [x for x in a.extras if not b.member(x) and not stub._in_terms(x)]
-            removals = set(a.removals)
-            # b's finite extras must leave the result
-            for x in b.extras:
-                if stub._in_terms(x) or x in extras:
-                    if x in extras:
-                        extras.remove(x)
-                    else:
-                        removals.add(x)
-            removals = {x for x in removals if stub._in_terms(x) or x in set(extras)}
-            return APUnionSet(terms, tuple(sorted(extras)), tuple(sorted(removals)))
+    terms = _ap_pair_terms(a, b, op)
+    if terms is None:
         # fall back to lcm normalization
         pa = normalize_periodic(a, config)
         pb = normalize_periodic(b, config)
-        return _periodic_pair_op(pa, pb, "difference", config)
+        return _periodic_pair_op(pa, pb, op, config)
+    # off the operands' finite exceptions, the result's members are exactly
+    # its terms' members, so only those points need exceptions of their own
+    points = sorted(set(a.extras) | set(a.removals) | set(b.extras) | set(b.removals))
 
-    # intersection
-    pa = normalize_periodic(a, config)
-    pb = normalize_periodic(b, config)
-    return _periodic_pair_op(pa, pb, "intersection", config)
+    def wanted(x: int) -> bool:
+        if op == "union":
+            return a.member(x) or b.member(x)
+        return a.member(x) and not b.member(x)
+
+    added, removed = _exceptions(points, wanted, APUnionSet(terms).rule_member)
+    return APUnionSet(terms, tuple(added), tuple(removed))
 
 
 def normalize_periodic(a: NatSet, config: Config = DEFAULT_CONFIG) -> PeriodicSet:
@@ -862,26 +829,15 @@ def normalize_periodic(a: NatSet, config: Config = DEFAULT_CONFIG) -> PeriodicSe
     if not a.terms:
         t = (a.extras[-1] + 1) if a.extras else 0
         return PeriodicSet(1, (), t, a.extras, ())
-    l = 1
-    for t in a.terms:
-        l = l // math.gcd(l, t.modulus) * t.modulus
-        if l > config.modulus_budget:
-            raise ModulusBudgetExceeded(
-                f"lcm of term moduli exceeds modulus budget {config.modulus_budget}")
+    l = _lcm_within((t.modulus for t in a.terms), config.modulus_budget)
+    if l is None:
+        raise ModulusBudgetExceeded(
+            f"lcm of term moduli exceeds modulus budget {config.modulus_budget}")
     residues = set()
     for t in a.terms:
         residues.update(range(t.offset, l, t.modulus))
-    threshold = max([t.min_element for t in a.terms]
-                    + [x + 1 for x in a.extras] + [x + 1 for x in a.removals] + [0])
-    added, removed = [], []
-    for x in range(threshold):
-        mem = a.member(x)
-        rule = (x % l) in residues
-        if mem and not rule:
-            added.append(x)
-        elif not mem and rule:
-            removed.append(x)
-    return _shrunk_periodic(l, sorted(residues), threshold, added, removed)
+    added, removed = _exceptions(range(a.threshold), a.member, lambda x: x % l in residues)
+    return _shrunk_periodic(l, sorted(residues), added, removed)
 
 
 def complement(a: NatSet, config: Config = DEFAULT_CONFIG) -> NatSet:
@@ -906,7 +862,8 @@ def drop_below(a: NatSet, n: int, config: Config = DEFAULT_CONFIG) -> NatSet:
 
     Backends map to themselves except PeriodicSet, whose tail is returned as
     an APUnionSet (term starts advance past n; this stays O(residues) even
-    for cuts far beyond the period).
+    for cuts far beyond the period). A DyadicBlockSet keeps its members below
+    n as removals, so there a cut above 2^20 raises NoValidCut.
     """
     if n <= 0:
         return a
@@ -927,9 +884,11 @@ def drop_below(a: NatSet, n: int, config: Config = DEFAULT_CONFIG) -> NatSet:
                 new_terms.append(APTerm(t.modulus, t.offset, max(j0, 0), t.label))
         extras = tuple(x for x in a.extras if x >= n)
         stub = APUnionSet(tuple(new_terms))
-        removals = tuple(x for x in a.removals if x >= n and stub._in_terms(x))
+        removals = tuple(x for x in a.removals if x >= n and stub.rule_member(x))
         return APUnionSet(tuple(new_terms), extras, removals)
     if isinstance(a, DyadicBlockSet):
+        if n > _SIZE_MAX:
+            raise NoValidCut(f"cut {n} is too deep to materialize on {a.kind}")
         cut = FiniteSet(tuple(a.elements_in(0, n)))
         return boolean_op(a, cut, "difference", config)
     raise UnsupportedBackend(f"drop_below not supported for backend {a.kind}")
@@ -985,9 +944,13 @@ _NAT = re.compile(r"\d+")
 _HEX = re.compile(r"[0-9a-fA-F]+")
 # Largest size a literal may ask to materialize: the naturals one brace list
 # spells out (ranges included), a horizon H, a cycled fill's threshold (its
-# head is stored value by value) and the k of 2^-k. Without it fin{0..10^12}
-# would exhaust memory instead of failing.
+# head is stored value by value) and the k of 2^-k; also the deepest cut
+# drop_below materializes on a block set. Without it fin{0..10^12} would
+# exhaust memory instead of failing.
 _SIZE_MAX = 1 << 20
+# Largest N of a factorial modulus N!: 1000! (2,568 digits) still prints under
+# Python's 4,300-digit int-to-str limit; the witness family needs at most 23!.
+_FACTORIAL_MAX = 1000
 
 
 class _Cursor:
@@ -1034,8 +997,13 @@ class _Cursor:
         return n
 
     def modulus(self) -> tuple[int, Optional[str]]:
+        self.skip_ws()
+        at = self.pos
         n = self.nat()
         if self.eat("!"):
+            if n > _FACTORIAL_MAX:
+                raise ParseError(f"{n}! exceeds the factorial limit {_FACTORIAL_MAX}!",
+                                 self.text, at)
             return math.factorial(n), factorial_label(n)
         return n, None
 

@@ -3,6 +3,7 @@ exit codes."""
 
 import json
 import shlex
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -178,6 +179,18 @@ def test_zero_denominator_exits_2(capsys):
     for text in ("blocks f(n)=1/0", "blocks f(n)=cycle{1/0}"):
         assert main(["eval", "d-star", text]) == 2
         assert capsys.readouterr().err.startswith("parse error")
+
+
+def test_factorial_modulus_is_bounded(capsys):
+    # N! is computed while parsing; a huge N used to spend seconds in
+    # math.factorial before anything was checked
+    t = time.perf_counter()
+    assert main(["eval", "d-star", "ap a=1048576! h=0"]) == 2
+    assert time.perf_counter() - t < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("parse error") and "^" in err
+    assert main(["eval", "d-star", "ap a=7! h=1"]) == 0
+    assert capsys.readouterr().out.strip() == "1/5040"
 
 
 def _readme_examples():

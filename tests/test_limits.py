@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from densitas.config import DEFAULT_CONFIG
 from densitas.exceptions import (
     NoExactNorm,
     NonSummableIncrements,
@@ -168,7 +169,8 @@ def test_tail_cut_limit_raises_when_no_cut_tames_a_null_increment():
         slice_growth="unbounded"))
     seq = SetSequence(prefix=(EMPTY, thin), monotone=True)
     with pytest.raises(NoValidCut):
-        lscsm_limit("phi-prefix", seq, cut_cap=1 << 12)
+        lscsm_limit("phi-prefix", seq,
+                    config=DEFAULT_CONFIG.with_overrides(cut_search_max=1 << 12))
 
 
 def test_tail_cut_limit_requires_monotone_and_exact_norms():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from densitas.exceptions import (
     IncompatibleBackends,
     ModulusBudgetExceeded,
+    NoValidCut,
     ParseError,
     QueryBeyondHorizon,
     UnsupportedBackend,
@@ -219,6 +221,18 @@ def test_drop_below_deep_cut_is_cheap():
     assert d.count_range(0, cut) == 0
 
 
+def test_drop_below_refuses_deep_cuts_on_block_sets():
+    # a block set keeps its members below the cut as removals; a cut of 2^22
+    # used to take seconds and store 2^21 of them
+    b = parse_set("blocks f(n)=1/2")
+    t = time.perf_counter()
+    with pytest.raises(NoValidCut):
+        drop_below(b, 1 << 22)
+    assert time.perf_counter() - t < 1.0
+    d = drop_below(b, 100)
+    assert brute_members(d, 300) == {x for x in brute_members(b, 300) if x >= 100}
+
+
 def test_transforms_match_brute_force():
     p = PeriodicSet(3, (0,), 4, (1,), (3,))
     for kind, amt in [("shift", 2), ("shift", 7), ("dilate", 2), ("dilate", 5)]:
@@ -386,6 +400,22 @@ def test_format_parse_round_trip(a):
     assert b == a
     hi = a.horizon if isinstance(a, HorizonSet) else 300
     assert brute_members(b, hi) == brute_members(a, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SETS, _SETS)
+def test_boolean_op_matches_pointwise_membership(a, b):
+    horizons = [s.horizon for s in (a, b) if isinstance(s, HorizonSet)]
+    hi = min(horizons, default=300)
+    wa, wb = brute_members(a, hi), brute_members(b, hi)
+    expect = {"union": wa | wb, "intersection": wa & wb,
+              "difference": wa - wb, "symdiff": wa ^ wb}
+    for op, want in expect.items():
+        try:
+            c = boolean_op(a, b, op)
+        except (IncompatibleBackends, QueryBeyondHorizon, ModulusBudgetExceeded):
+            continue
+        assert brute_members(c, hi) == want, op
 
 
 def test_horizon_boolean_ops():
