@@ -46,6 +46,7 @@ from .natset import (
     _lcm_within,
     boolean_op,
     complement,
+    finite_part,
     normalize_periodic,
     transform,
 )
@@ -594,24 +595,17 @@ def dom_membership(a: NatSet, functional: str = "d-star",
 
 
 def counting_measure(a: NatSet, config: Config = DEFAULT_CONFIG) -> ExtValue:
-    if isinstance(a, FiniteSet):
-        return exact(len(a.elements))
+    fin = finite_part(a)
+    if fin is not None:
+        return exact(len(fin.elements))
     if isinstance(a, HorizonSet):
         n = a.count_range(0, a.horizon)
         return bracket(n, None, "count within the horizon; tail unknown")
-    if isinstance(a, PeriodicSet):
-        if a.residues:
-            return infinite()
-        return exact(len(a.added))
-    if isinstance(a, APUnionSet):
-        if a.terms:
-            return infinite()
-        return exact(len(a.extras))
+    if isinstance(a, (PeriodicSet, APUnionSet)):
+        return infinite()  # a nonempty rule part recurs in every period
     if isinstance(a, DyadicBlockSet):
-        if a.fill.structure == "cycle":
-            if any(v > 0 for v in a.fill.cycle):
-                return infinite()
-            return exact(len(a.extras))
+        if a.fill.structure == "cycle" or a.fill.slice_growth == "unbounded":
+            return infinite()  # a positive cycle value or growing slices recur forever
         lo = a.count_range(0, 1 << 16)
         return bracket(lo, None, "vanishing fill: tail slice occupancy undetermined")
     raise UnsupportedBackend(f"counting measure undefined for backend {a.kind}")

@@ -13,8 +13,9 @@ The shipped catalog:
   Its norm is the limsup of the block ratios.
 - phi-alpha:a=e (integer e >= 0): polynomially weighted prefix ratios,
   sup_{k>=1} (sum of i^e over A ∩ [1,k]) / (sum of i^e over [1,k]).
-  phi-alpha:a=0 coincides with phi-prefix. Exponents are restricted to
-  integers so every evaluation stays rational.
+  phi-prefix, phi-alpha:a=0 and weighted:f=constant are one functional, and
+  one evaluator (the e = 0 case) serves all three names. Exponents are
+  restricted to integers so every evaluation stays rational.
 - phi-infty:eps=q: sum over a >= 0 of 2^-a * phi_{2^a}, evaluated to a
   certified bracket of width about eps.
 - phi-infty-trunc:a=A: the finite partial sum over a <= A, exact.
@@ -23,7 +24,8 @@ The shipped catalog:
 
 All weighted prefix sums start at i = 1; the element 0 never carries weight
 (it still counts for the counting, harmonic and geometric functionals, which
-weigh membership rather than position ratios).
+weigh membership rather than position ratios). The counting lscsm and
+density.counting_measure decide finiteness by one rule, natset.finite_part.
 
 Norms come from closed forms per backend: natural density for eventually
 periodic sets, fill-rule phase formulas for dyadic block sets, zero for
@@ -51,6 +53,7 @@ from .natset import (
     PeriodicSet,
     _lcm_within,
     boolean_op,
+    finite_part,
 )
 from .reports import AxiomReport, CheckRecord
 from .values import ExtValue, bracket, exact, infinite, observational
@@ -133,10 +136,6 @@ def faulhaber(k: int, e: int) -> int:
     return total
 
 
-def _pow_weight(x: int, e: int) -> int:
-    return x ** e if e else 1
-
-
 # ---------------------------------------------------------------------------
 # descriptor and estimate types
 
@@ -149,7 +148,6 @@ class LscsmDescriptor:
     eps: Fraction = Fraction(1, 10**6)
     trunc: int = 4
     weight: str = "constant"
-    bounded: bool = True  # whether sup phi <= 1
 
 
 @dataclass(frozen=True)
@@ -192,18 +190,17 @@ def get_lscsm(name: str) -> LscsmDescriptor:
         a = int(arg) if arg else 4
         if a < 0 or 2 ** a > _MAX_EXACT_EXPONENT:
             raise KeyError("phi-infty-trunc depth too large for exact evaluation")
-        return LscsmDescriptor(f"phi-infty-trunc:a={a}", "infty-trunc", trunc=a, bounded=False)
+        return LscsmDescriptor(f"phi-infty-trunc:a={a}", "infty-trunc", trunc=a)
     if name.startswith("phi-infty"):
         arg = name.partition("eps=")[2]
         eps = _parse_rational(arg) if arg else Fraction(1, 10**6)
         if eps <= 0:
             raise KeyError("phi-infty needs eps > 0")
-        return LscsmDescriptor(f"phi-infty:eps={arg or '1/1000000'}", "infty",
-                               eps=eps, bounded=False)
+        return LscsmDescriptor(f"phi-infty:eps={arg or '1/1000000'}", "infty", eps=eps)
     if name == "counting":
-        return LscsmDescriptor(name, "counting", bounded=False)
+        return LscsmDescriptor(name, "counting")
     if name == "harmonic":
-        return LscsmDescriptor(name, "harmonic", bounded=False)
+        return LscsmDescriptor(name, "harmonic")
     if name == "geometric":
         return LscsmDescriptor(name, "geometric")
     if name.startswith("weighted"):
@@ -288,6 +285,15 @@ def _psi_elements(elements: Sequence[int]) -> Fraction:
     return best
 
 
+def _prefix_exponent(desc: LscsmDescriptor) -> Optional[int]:
+    """e when desc is phi-alpha:a=e under any of its names (phi-prefix and
+    weighted:f=constant are e = 0, with the same evaluator), else None."""
+    if desc.kind in ("prefix", "alpha") or (desc.kind == "weighted"
+                                            and desc.weight == "constant"):
+        return desc.alpha
+    return None
+
+
 def lscsm_eval(desc: LscsmDescriptor | str, a: NatSet, n: int,
                config: Config = DEFAULT_CONFIG) -> ExtValue:
     """phi(A ∩ n), exact for the shipped catalog (phi-infty gets a bracket).
@@ -297,12 +303,11 @@ def lscsm_eval(desc: LscsmDescriptor | str, a: NatSet, n: int,
     """
     if isinstance(desc, str):
         desc = get_lscsm(desc)
-    if desc.kind == "prefix":
-        return exact(_phi_prefix_elements(a.elements_in(1, n)))
+    e = _prefix_exponent(desc)
+    if e is not None:
+        return exact(_phi_alpha_elements(a.elements_in(1, n), e))
     if desc.kind == "psi":
         return exact(_psi_elements(a.elements_in(1, n)))
-    if desc.kind == "alpha":
-        return exact(_phi_alpha_elements(a.elements_in(1, n), desc.alpha))
     if desc.kind == "weighted":
         w = get_weight(desc.weight)
         members = set(a.elements_in(1, n))
@@ -332,10 +337,8 @@ def lscsm_eval(desc: LscsmDescriptor | str, a: NatSet, n: int,
         return phi_infty_eval(a, n, desc.eps, config)
     if desc.kind == "infty-trunc":
         elems = a.elements_in(1, n)
-        total = Fraction(0)
-        for ai in range(desc.trunc + 1):
-            total += Fraction(1, 2 ** ai) * _phi_alpha_elements(elems, 2 ** ai)
-        return exact(total)
+        pairs, _ = _components(desc)
+        return exact(sum((w * _phi_alpha_elements(elems, e) for w, e in pairs), Fraction(0)))
     raise KeyError(f"unknown lscsm kind {desc.kind!r}")
 
 
@@ -359,20 +362,32 @@ def phi_infty_eval(a: NatSet, n: int, eps, config: Config = DEFAULT_CONFIG) -> E
     elems = a.elements_in(1, n)
     if not elems:
         return exact(0)
-    a0 = 0
-    while Fraction(1, 2 ** a0) > eps / 2:
-        a0 += 1
+    pairs, rest = _components(LscsmDescriptor("phi-infty", "infty", eps=eps))
     lo_total = Fraction(0)
-    hi_total = Fraction(1, 2 ** a0)  # the truncated alpha-tail lies in [0, 2^-a0]
+    hi_total = rest  # the truncated alpha-tail lies in [0, rest]
     k0 = elems[0]
     delta = eps / 4
-    for ai in range(a0 + 1):
-        w = Fraction(1, 2 ** ai)
-        term = _phi_alpha_term(elems, k0, 2 ** ai, delta)
+    for w, e in pairs:
+        term = _phi_alpha_term(elems, k0, e, delta)
         lo_total += w * term.lower
         hi_total += w * (term.upper if term.upper is not None else term.value)
-    note = f"alpha-sum truncated at a={a0}; width {float(hi_total - lo_total):.3g}"
+    note = f"alpha-sum truncated at a={len(pairs) - 1}; width {float(hi_total - lo_total):.3g}"
     return bracket(lo_total, hi_total, note)
+
+
+def _components(desc: LscsmDescriptor) -> tuple[list[tuple[Fraction, int]], Fraction]:
+    """The (2^-a, 2^a) weight/exponent pairs a phi-infty sum evaluates, and the
+    mass 2^-a0 its omitted terms a > a0 may carry (each phi_{2^a} lies in
+    [0,1]). phi-infty stops at the first a0 with 2^-a0 <= eps/2;
+    phi-infty-trunc keeps a <= A and omits nothing."""
+    if desc.kind == "infty-trunc":
+        a0, rest = desc.trunc, Fraction(0)
+    else:
+        a0 = 0
+        while Fraction(1, 2 ** a0) > desc.eps / 2:
+            a0 += 1
+        rest = Fraction(1, 2 ** a0)
+    return [(Fraction(1, 2 ** ai), 2 ** ai) for ai in range(a0 + 1)], rest
 
 
 def _phi_alpha_term(elems: Sequence[int], k0: int, e: int, delta: Fraction) -> ExtValue:
@@ -416,8 +431,6 @@ def _mult_order_2(m: int, cap: int) -> Optional[int]:
 
 def _deviation_bound(a: NatSet) -> int:
     """B with |count(A ∩ [1,x]) - d x| <= B for all x (eventually periodic)."""
-    if isinstance(a, FiniteSet):
-        return len(a.elements) + 1
     if isinstance(a, PeriodicSet):
         return a.modulus + len(a.added) + len(a.removed) + 1
     if isinstance(a, APUnionSet):
@@ -425,13 +438,6 @@ def _deviation_bound(a: NatSet) -> int:
         # less than one period, plus the finite corrections
         return (1 << min(len(a.terms), 20)) + len(a.extras) + len(a.removals) + 2
     raise UnsupportedBackend(a.kind)
-
-
-def _tail_count(a: NatSet, n: int, k: int) -> int:
-    """|(A ∖ n) ∩ [1, k]|."""
-    if k < max(n, 1):
-        return 0
-    return a.count_range(max(n, 1), k + 1)
 
 
 def _ep_structure(a: NatSet, config: Config):
@@ -442,78 +448,57 @@ def _ep_structure(a: NatSet, config: Config):
     return _lcm_within((tm.modulus for tm in a.terms), config.window_sweep_budget), a.threshold
 
 
-def _phi_prefix_tail(a: NatSet, n: int, config: Config) -> ExtValue:
+def _evidence_tail(a: NatSet, n: int, on_elements: Callable[[list[int]], Fraction],
+                   note: str) -> Optional[ExtValue]:
+    """phi(A ∖ n) read off the members themselves: exact on a finite set,
+    observational on a horizon set's evidence, None on the other backends."""
     if isinstance(a, FiniteSet):
-        return exact(_phi_prefix_elements([x for x in a.elements if x >= max(n, 1)]))
+        return exact(on_elements([x for x in a.elements if x >= max(n, 1)]))
     if isinstance(a, HorizonSet):
-        elems = [x for x in a.elements_in(1, a.horizon) if x >= n]
-        return observational(_phi_prefix_elements(elems),
-                             "prefix ratios within the horizon; the supremum also "
-                             "ranges over unknown tail members")
-    if isinstance(a, DyadicBlockSet):
-        return _block_alpha_tail(a, n, 0, config)
-    if isinstance(a, (PeriodicSet, APUnionSet)):
-        d = a.density()
-        m, t = _ep_structure(a, config)
-        start = max(n, 1)
-        if m is not None:
-            # the ratio at k is d + (g(k mod m) - c0)/k past the threshold, so
-            # each residue class peaks at its first k; one period suffices
-            n0 = max(n, t, 1)
-            best = Fraction(0)
-            for k in range(start, n0 + m + 1):
-                r = Fraction(_tail_count(a, n, k), k)
-                if r > best:
-                    best = r
-            return exact(max(d, best))
-        w_end = start + 4096
-        best = max((Fraction(_tail_count(a, n, k), k)
-                    for k in range(start, w_end + 1)), default=Fraction(0))
-        b = _deviation_bound(a)
-        # the tail count up to k is at most d(k - n) + 2B, so ratios beyond
-        # the window stay below d + 2B/k
-        hi = max(best, d + Fraction(2 * b, w_end))
-        if best >= hi:
-            return exact(best)
-        return bracket(max(best, d), hi,
-                       "window scan plus deviation envelope (moduli beyond the "
-                       "sweep budget)")
-    raise UnsupportedBackend(f"prefix tail unsupported for backend {a.kind}")
+        return observational(on_elements([x for x in a.elements_in(1, a.horizon) if x >= n]),
+                             note)
+    return None
 
 
 def _phi_alpha_tail(a: NatSet, n: int, e: int, config: Config) -> ExtValue:
-    if e == 0:
-        return _phi_prefix_tail(a, n, config)
-    if isinstance(a, FiniteSet):
-        return exact(_phi_alpha_elements([x for x in a.elements if x >= max(n, 1)], e))
-    if isinstance(a, HorizonSet):
-        elems = [x for x in a.elements_in(1, a.horizon) if x >= n]
-        return observational(_phi_alpha_elements(elems, e),
-                             "weighted prefix ratios within the horizon only")
+    """phi_alpha(A ∖ n); e = 0 is phi-prefix (and weighted:f=constant)."""
+    got = _evidence_tail(a, n, lambda xs: _phi_alpha_elements(xs, e),
+                         "weighted prefix ratios within the horizon only" if e else
+                         "prefix ratios within the horizon; the supremum also "
+                         "ranges over unknown tail members")
+    if got is not None:
+        return got
     if isinstance(a, DyadicBlockSet):
         return _block_alpha_tail(a, n, e, config)
     if isinstance(a, (PeriodicSet, APUnionSet)):
         d = a.density()
-        b = _deviation_bound(a)
         start = max(n, 1)
-        w_end = start + max(512, min(4 * (e + 1) * b, 1 << 13))
-        elems = a.elements_in(start, w_end + 1)
-        best = Fraction(0)
-        num = 0
-        for lo, hi in _runs(elems):
-            num += faulhaber(hi, e) - faulhaber(lo - 1, e)
-            den = faulhaber(hi, e)
-            if num * best.denominator > best.numerator * den:
-                best = Fraction(num, den)
-        # Abel summation against the counting deviation B bounds the weighted
-        # deviation by 2B(k+1)^e, so ratio(k) <= d + 8B(e+1)/k once k >= 2e
-        k_far = max(w_end, 2 * e)
-        env = min(d + Fraction(8 * b * (e + 1), k_far), Fraction(1))
+        b = _deviation_bound(a)
+        if e == 0:
+            m, t = _ep_structure(a, config)
+            if m is not None:
+                # the ratio at k is d + (g(k mod m) - c0)/k past the threshold,
+                # so each residue class peaks at its first k; one period suffices
+                return exact(max(d, _phi_alpha_elements(
+                    a.elements_in(start, max(n, t, 1) + m + 1), 0)))
+            # the tail count up to k is at most d(k - n) + 2B, so ratios beyond
+            # the window stay below d + 2B/k
+            w_end = start + 4096
+            env = d + Fraction(2 * b, w_end)
+            note = "window scan plus deviation envelope (moduli beyond the sweep budget)"
+        else:
+            # Abel summation against the counting deviation B bounds the
+            # weighted deviation by 2B(k+1)^e, so ratio(k) <= d + 8B(e+1)/k
+            # once k >= 2e
+            w_end = start + max(512, min(4 * (e + 1) * b, 1 << 13))
+            env = min(d + Fraction(8 * b * (e + 1), max(w_end, 2 * e)), Fraction(1))
+            note = "run-end scan plus deviation envelope"
+        best = _phi_alpha_elements(a.elements_in(start, w_end + 1), e)
         if best >= env:
             return exact(best)
-        return bracket(max(best, d), max(best, env),
-                       "run-end scan plus deviation envelope")
-    raise UnsupportedBackend(f"weighted tail unsupported for backend {a.kind}")
+        return bracket(max(best, d), max(best, env), note)
+    raise UnsupportedBackend(f"{'weighted' if e else 'prefix'} tail unsupported "
+                             f"for backend {a.kind}")
 
 
 def _block_tail_weight(a: DyadicBlockSet, start: int, k: int, e: int) -> int:
@@ -531,10 +516,10 @@ def _block_tail_weight(a: DyadicBlockSet, start: int, k: int, e: int) -> int:
             total += (faulhaber(hi, e) - faulhaber(lo - 1, e)) if e else hi - lo + 1
     for x in a.extras:
         if start <= x <= k and not a.rule_member(x):
-            total += _pow_weight(x, e)
+            total += x ** e
     for x in a.removals:
         if start <= x <= k and a.rule_member(x):
-            total -= _pow_weight(x, e)
+            total -= x ** e
     return total
 
 
@@ -653,20 +638,20 @@ def _block_alpha_tail(a: DyadicBlockSet, n: int, e: int, config: Config) -> ExtV
                    "slice-end scan plus phase-limit envelope")
 
 
-def _psi_block_value(a: NatSet, j: int, n: int) -> Fraction:
-    lo = max(1 << j, n)
-    hi = 1 << (j + 1)
-    if lo >= hi:
-        return Fraction(0)
-    return Fraction(a.count_range(lo, hi), 1 << j)
+def _psi_scan(a: NatSet, n: int, j_lo: int, j_hi: int) -> Fraction:
+    """max of |(A ∖ n) ∩ I_j| / 2^j over the blocks j_lo <= j <= j_hi (0 if none)."""
+    best = Fraction(0)
+    for j in range(j_lo, j_hi + 1):
+        lo = max(1 << j, n)
+        if lo < 1 << (j + 1):
+            best = max(best, Fraction(a.count_range(lo, 1 << (j + 1)), 1 << j))
+    return best
 
 
 def _psi_tail(a: NatSet, n: int, config: Config) -> ExtValue:
-    if isinstance(a, FiniteSet):
-        return exact(_psi_elements([x for x in a.elements if x >= n and x >= 1]))
-    if isinstance(a, HorizonSet):
-        elems = [x for x in a.elements_in(1, a.horizon) if x >= n]
-        return observational(_psi_elements(elems), "block ratios within the horizon only")
+    got = _evidence_tail(a, n, _psi_elements, "block ratios within the horizon only")
+    if got is not None:
+        return got
     if isinstance(a, DyadicBlockSet):
         return _psi_tail_blocks(a, n)
     if isinstance(a, (PeriodicSet, APUnionSet)):
@@ -680,17 +665,16 @@ def _psi_tail_blocks(a: DyadicBlockSet, n: int) -> ExtValue:
     exc_top = max([x.bit_length() for x in a.extras]
                   + [x.bit_length() for x in a.removals] + [0])
     if fill.structure == "vanishing":
-        best = Fraction(0)
+        # from block j_env on: |A ∩ I_j|/2^j <= f_j + 2^-(j+1), f nonincreasing
+        j_cap = j0 + 4096
+        j_env = max(j0 + 1, exc_top, fill.threshold) + 1
+        best = _psi_scan(a, n, j0, min(j_env, j_cap) - 1)
         env = Fraction(1)
-        for j in range(j0, j0 + 4096):
-            v = _psi_block_value(a, j, n)
-            if v > best:
-                best = v
-            if j > max(j0 + 1, exc_top, fill.threshold):
-                # later blocks: |A ∩ I_j|/2^j <= f_j + 2^-(j+1), f nonincreasing
-                env = fill.value(j + 1) + Fraction(1, 2 ** (j + 1))
-                if env <= best:
-                    return exact(best)
+        for j in range(j_env, j_cap):
+            best = max(best, _psi_scan(a, n, j, j))
+            env = fill.value(j + 1) + Fraction(1, 2 ** (j + 1))
+            if env <= best:
+                return exact(best)
         return bracket(best, best + env, "scan cap reached before the envelope closed")
     # cyclic fill: the rounding excess round(c 2^j) - c 2^j is eventually
     # periodic in j (period divides the order of 2 modulo each denominator's
@@ -702,19 +686,9 @@ def _psi_tail_blocks(a: DyadicBlockSet, n: int) -> ExtValue:
     pre = max(fill.threshold, exc_top + 1, j0) + max(c.denominator.bit_length()
                                                      for c in fill.cycle)
     if all(o is not None for o in orders):
-        scan_to = pre + P * max(orders) + 1
-        best = Fraction(0)
-        for j in range(j0, scan_to + 1):
-            v = _psi_block_value(a, j, n)
-            if v > best:
-                best = v
-        return exact(max(best, max_c))
+        return exact(max(_psi_scan(a, n, j0, pre + P * max(orders) + 1), max_c))
     scan_to = pre + 4096
-    best = Fraction(0)
-    for j in range(j0, scan_to + 1):
-        v = _psi_block_value(a, j, n)
-        if v > best:
-            best = v
+    best = _psi_scan(a, n, j0, scan_to)
     return bracket(max(best, max_c), max(best, max_c + Fraction(1, 2 ** scan_to)),
                    "rounding period beyond the order cap")
 
@@ -729,41 +703,16 @@ def _psi_tail_eventually_periodic(a: NatSet, n: int, config: Config) -> ExtValue
         # |A ∩ I_j|/2^j = d + g(2^j mod m)/2^j: the residue class of 2^j
         # cycles, so positive deviations peak at their first occurrence
         v2 = (m & -m).bit_length() - 1
-        scan_to = j_pure + v2 + order + 1
-        best = Fraction(0)
-        for j in range(j0, scan_to + 1):
-            v = _psi_block_value(a, j, n)
-            if v > best:
-                best = v
-        return exact(max(d, best))
+        return exact(max(d, _psi_scan(a, n, j0, j_pure + v2 + order + 1)))
     scan_to = j_pure + 64
-    best = Fraction(0)
-    for j in range(j0, scan_to + 1):
-        v = _psi_block_value(a, j, n)
-        if v > best:
-            best = v
+    best = _psi_scan(a, n, j0, scan_to)
     b = _deviation_bound(a)
     return bracket(max(d, best), max(best, d + Fraction(2 * b, 2 ** scan_to)),
                    "residue cycle beyond the order cap; deviation-bounded")
 
 
-def _finite_part(a: NatSet) -> Optional[FiniteSet]:
-    """The set as a FiniteSet when its rule part is empty, else None."""
-    if isinstance(a, FiniteSet):
-        return a
-    if isinstance(a, PeriodicSet) and not a.residues:
-        return FiniteSet(a.added)
-    if isinstance(a, APUnionSet) and not a.terms:
-        return FiniteSet(tuple(x for x in a.extras if x not in a.removals))
-    if isinstance(a, DyadicBlockSet) and a.fill.structure == "cycle" \
-            and all(c == 0 for c in a.fill.cycle):
-        top = max([x.bit_length() for x in a.extras] + [a.fill.threshold + 1])
-        return FiniteSet(tuple(a.elements_in(0, 1 << (top + 1))))
-    return None
-
-
-def _counting_tail(a: NatSet, n: int, config: Config) -> ExtValue:
-    fin = _finite_part(a)
+def _counting_tail(a: NatSet, n: int) -> ExtValue:
+    fin = finite_part(a)
     if fin is not None:
         return exact(Fraction(sum(1 for x in fin.elements if x >= n)))
     if isinstance(a, HorizonSet):
@@ -781,8 +730,8 @@ def _counting_tail(a: NatSet, n: int, config: Config) -> ExtValue:
     raise UnsupportedBackend(a.kind)
 
 
-def _harmonic_tail(a: NatSet, n: int, config: Config) -> ExtValue:
-    fin = _finite_part(a)
+def _harmonic_tail(a: NatSet, n: int) -> ExtValue:
+    fin = finite_part(a)
     if fin is not None:
         return exact(sum((Fraction(1, x + 1) for x in fin.elements if x >= n), Fraction(0)))
     if isinstance(a, (PeriodicSet, APUnionSet)):
@@ -821,8 +770,8 @@ def _geometric_tail(a: NatSet, n: int) -> ExtValue:
                    "residual mass beyond the cap is below 2^-cap")
 
 
-def _weighted_tail(a: NatSet, n: int, wname: str, config: Config) -> ExtValue:
-    fin = _finite_part(a)
+def _weighted_tail(a: NatSet, n: int) -> ExtValue:
+    fin = finite_part(a)
     if fin is not None and not any(x >= max(n, 1) for x in fin.elements):
         return exact(0)
     d = eventual_density(a)
@@ -869,50 +818,32 @@ def tail_value(desc: LscsmDescriptor | str, a: NatSet, n: int,
     """phi(A ∖ n): exact or bracketed per backend, observational on horizons."""
     if isinstance(desc, str):
         desc = get_lscsm(desc)
-    if desc.kind == "prefix":
-        return _phi_prefix_tail(a, n, config)
+    e = _prefix_exponent(desc)
+    if e is not None:
+        return _phi_alpha_tail(a, n, e, config)
     if desc.kind == "psi":
         return _psi_tail(a, n, config)
-    if desc.kind == "alpha":
-        return _phi_alpha_tail(a, n, desc.alpha, config)
     if desc.kind in ("infty", "infty-trunc"):
-        if desc.kind == "infty-trunc":
-            pairs = [(Fraction(1, 2 ** ai), 2 ** ai) for ai in range(desc.trunc + 1)]
-            lo, hi = Fraction(0), Fraction(0)
-        else:
-            a0 = 0
-            while Fraction(1, 2 ** a0) > desc.eps / 2:
-                a0 += 1
-            pairs = [(Fraction(1, 2 ** ai), 2 ** ai) for ai in range(a0 + 1)]
-            lo, hi = Fraction(0), Fraction(1, 2 ** a0)
-        parts = []
-        for w, e in pairs:
-            t = (_phi_alpha_tail(a, n, e, config) if e <= _INFTY_EXACT_TAIL_EXPONENT
-                 else _infty_component_tail(a, n, e, config))
-            parts.append((w, t))
+        pairs, rest = _components(desc)
+        parts = [(w, _phi_alpha_tail(a, n, e, config) if e <= _INFTY_EXACT_TAIL_EXPONENT
+                  else _infty_component_tail(a, n, e, config)) for w, e in pairs]
         if any(t.status == "observational" for _, t in parts):
-            seen = Fraction(0)
-            for w, t in parts:
-                v = t.value if t.value is not None else (t.lower or Fraction(0))
-                seen += w * v
+            seen = sum((w * (t.value if t.value is not None else (t.lower or Fraction(0)))
+                        for w, t in parts), Fraction(0))
             return observational(seen, "horizon-limited evidence")
-        all_exact = all(t.status == "exact" for _, t in parts)
-        for w, t in parts:
-            lo += w * t.lower
-            hi += w * (t.upper if t.upper is not None else t.value)
-        if all_exact and desc.kind == "infty-trunc":
+        lo = sum((w * t.lower for w, t in parts), Fraction(0))
+        hi = sum((w * (t.upper if t.upper is not None else t.value) for w, t in parts), rest)
+        if desc.kind == "infty-trunc" and all(t.status == "exact" for _, t in parts):
             return exact(lo)
         return bracket(lo, hi, "summed alpha-component tails")
     if desc.kind == "counting":
-        return _counting_tail(a, n, config)
+        return _counting_tail(a, n)
     if desc.kind == "harmonic":
-        return _harmonic_tail(a, n, config)
+        return _harmonic_tail(a, n)
     if desc.kind == "geometric":
         return _geometric_tail(a, n)
     if desc.kind == "weighted":
-        if desc.weight == "constant":
-            return _phi_prefix_tail(a, n, config)
-        return _weighted_tail(a, n, desc.weight, config)
+        return _weighted_tail(a, n)
     raise KeyError(f"unknown lscsm kind {desc.kind!r}")
 
 
@@ -926,10 +857,7 @@ def _norm_value(desc: LscsmDescriptor, a: NatSet, config: Config) -> ExtValue:
     if kind == "geometric":
         return exact(0)  # residual mass beyond n is below 2^-n for every set
 
-    fin = _finite_part(a)
-    if fin is not None:
-        a = fin
-    if isinstance(a, FiniteSet):
+    if finite_part(a) is not None:
         return exact(0)  # finite sets vanish at infinity under every lscsm
 
     if isinstance(a, HorizonSet):
@@ -939,69 +867,6 @@ def _norm_value(desc: LscsmDescriptor, a: NatSet, config: Config) -> ExtValue:
         v = t.value if t.value is not None else t.upper
         return observational(v, "horizon evidence cannot certify a limit")
 
-    d = eventual_density(a)
-
-    if kind in ("prefix", "alpha", "weighted"):
-        if kind == "weighted" and desc.weight != "constant":
-            if d is not None:
-                if get_weight(desc.weight).slowly_varying:
-                    return exact(d)  # slowly varying weights reproduce the density
-            return bracket(0, 1, "no closed form for this weight on this backend")
-        if d is not None:
-            return exact(d)  # prefix-ratio tails settle at the upper density
-        if isinstance(a, DyadicBlockSet):
-            if a.fill.structure == "vanishing":
-                return exact(0)
-            e = desc.alpha if kind == "alpha" else 0
-            return exact(max(_alpha_block_phase_limits(a.fill, e)))
-        raise UnsupportedBackend(f"no norm evaluation for backend {a.kind}")
-
-    if kind == "psi":
-        if d is not None:
-            return exact(d)  # block-ratio deviations decay like 2^-j
-        if isinstance(a, DyadicBlockSet):
-            if a.fill.structure == "vanishing":
-                return exact(0)
-            return exact(max(a.fill.cycle))  # rounding washes out of the limsup
-        raise UnsupportedBackend(f"no norm evaluation for backend {a.kind}")
-
-    if kind == "infty-trunc":
-        total = Fraction(0)
-        for ai in range(desc.trunc + 1):
-            sub = LscsmDescriptor(f"phi-alpha:a={2 ** ai}", "alpha", alpha=2 ** ai)
-            v = _norm_value(sub, a, config)
-            if v.status != "exact":
-                return v
-            total += Fraction(1, 2 ** ai) * v.value
-        return exact(total)
-
-    if kind == "infty":
-        if d is not None:
-            return exact(2 * d)  # every alpha-component norm equals the density
-        if isinstance(a, DyadicBlockSet):
-            if a.fill.structure == "vanishing":
-                return exact(0)
-            a0 = 0
-            while Fraction(1, 2 ** a0) > desc.eps / 2:
-                a0 += 1
-            lo = Fraction(0)
-            hi = Fraction(1, 2 ** a0)
-            c_min = min(a.fill.cycle)
-            for ai in range(a0 + 1):
-                e = 2 ** ai
-                w = Fraction(1, 2 ** ai)
-                if e <= 8192:
-                    v = max(_alpha_block_phase_limits(a.fill, e))
-                    lo += w * v
-                    hi += w * v
-                else:
-                    # (1+c)^{e+1} >= 1 + (e+1)c certifies a cheap lower bound
-                    if c_min > 0:
-                        lo += w * (1 - Fraction(1, 1 + (e + 1) * c_min))
-                    hi += w
-            return bracket(lo, hi, "component norms summed with a certified tail")
-        raise UnsupportedBackend(f"no norm evaluation for backend {a.kind}")
-
     if kind == "counting":
         if isinstance(a, DyadicBlockSet) and a.fill.structure == "vanishing" \
                 and a.fill.slice_growth == "bounded":
@@ -1010,14 +875,55 @@ def _norm_value(desc: LscsmDescriptor, a: NatSet, config: Config) -> ExtValue:
         return infinite()  # every other infinite backend keeps recurring mass
 
     if kind == "harmonic":
-        t = _harmonic_tail(a, 0, config)
+        t = _harmonic_tail(a, 0)
         if t.status == "infinite":
             return infinite()  # divergent series: every tail is infinite
         if t.status == "bracket" and t.upper is not None:
             return exact(0)  # certified summable: tails vanish
         return bracket(0, None, t.note)
 
-    raise KeyError(f"unknown lscsm kind {kind!r}")
+    d = eventual_density(a)
+
+    if kind == "weighted" and desc.weight != "constant":
+        if d is not None and get_weight(desc.weight).slowly_varying:
+            return exact(d)  # slowly varying weights reproduce the density
+        return bracket(0, 1, "no closed form for this weight on this backend")
+
+    if kind not in ("prefix", "alpha", "weighted", "psi", "infty", "infty-trunc"):
+        raise KeyError(f"unknown lscsm kind {kind!r}")
+    # the ratio functionals: a known density is the limit of every prefix,
+    # block and component ratio; past that only block fills have closed forms
+    if d is None and not isinstance(a, DyadicBlockSet):
+        raise UnsupportedBackend(f"no norm evaluation for backend {a.kind}")
+    if d is None and a.fill.structure == "vanishing":
+        return exact(0)
+
+    if kind == "psi":
+        # block-ratio deviations decay like 2^-j; rounding washes out of the limsup
+        return exact(d if d is not None else max(a.fill.cycle))
+    e = _prefix_exponent(desc)
+    if e is not None:
+        return exact(d if d is not None else max(_alpha_block_phase_limits(a.fill, e)))
+
+    pairs, rest = _components(desc)
+    if d is not None:
+        # every alpha-component norm equals the density (2d for the full sum)
+        return exact(d * (sum(w for w, _ in pairs) + rest))
+    lo = hi = Fraction(0)
+    c_min = min(a.fill.cycle)
+    for w, e in pairs:
+        if e <= 8192:
+            v = max(_alpha_block_phase_limits(a.fill, e))
+            lo += w * v
+            hi += w * v
+        else:
+            # (1+c)^{e+1} >= 1 + (e+1)c certifies a cheap lower bound
+            if c_min > 0:
+                lo += w * (1 - Fraction(1, 1 + (e + 1) * c_min))
+            hi += w
+    if kind == "infty-trunc":
+        return exact(lo)  # 2^A <= 512, so every component above is a closed form
+    return bracket(lo, hi + rest, "component norms summed with a certified tail")
 
 
 def _profile_cuts(desc: LscsmDescriptor, a: NatSet) -> list[int]:

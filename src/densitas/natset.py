@@ -25,11 +25,11 @@ inclusion-exclusion over term subsets). The one set-literal grammar lives here
     fin{1,2,3}   fin{0..9}   fin{}
     per m=6 R={1,3} [t=2] [add={..}] [rm={..}]  (exceptions lie below t)
     ap a=720 h=1 [j0=1] | ap a=6! h=3           (factorial moduli N!, N <= 1000)
-    blocks f(n)=2^-3 | =1/4 | =cycle{1/2,1/4}@2 | =1/n | =2^-n
+    blocks f(n)=2^-3 | =1/4 | =cycle{1/2,1/4}@2 | =1/n | =2^-n   (2^-k: k <= 14000)
     horizon H=16 bits=ff00     (hex integer, bit i = member i: {8..15})
 
-Horizon bits at or beyond H, reversed ranges, and sizes above 2^20 (naturals
-in one brace list, H, a cycle threshold, the k of 2^-k) are parse errors.
+Horizon bits at or beyond H, reversed ranges, sizes above 2^20 (naturals in
+one brace list, H, a cycle threshold) and 2^-k with k > 14000 are parse errors.
 """
 
 from __future__ import annotations
@@ -128,10 +128,6 @@ class FiniteSet(NatSet):
 
 
 EMPTY = FiniteSet(())
-
-
-def finite_range(lo: int, hi: int) -> FiniteSet:
-    return FiniteSet(tuple(range(max(lo, 0), hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +499,19 @@ class FillRule:
         return cls(structure="vanishing", threshold=threshold, func_label=label,
                    slice_growth=slice_growth, _func=func)
 
+    def _key(self) -> tuple:
+        # a cycle rule is its values, a vanishing rule its label: comparing
+        # func_label would set blocks f(n)=1/2 apart from f(n)=cycle{1/2}
+        if self.structure == "cycle":
+            return ("cycle", self.cycle, self.threshold, self.head)
+        return ("vanishing", self.func_label, self.threshold, self.slice_growth)
+
+    def __eq__(self, other):
+        return isinstance(other, FillRule) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def value(self, n: int) -> Fraction:
         if n < self.threshold:
             return self.head[n] if n < len(self.head) else Fraction(0)
@@ -576,6 +585,29 @@ class DyadicBlockSet(NatSet):
         out.update(x for x in self.extras if lo <= x < hi)
         out.difference_update(self.removals)
         return sorted(out)
+
+
+def finite_part(a: NatSet) -> Optional[FiniteSet]:
+    """The set as a FiniteSet when its rule part is empty, else None.
+
+    The one finite-set rule of the measures and norms: a periodic set without
+    residues, an AP union without terms and a block set whose cycle is all
+    zeros hold only their finitely many listed (or head) members.
+    """
+    if isinstance(a, FiniteSet):
+        return a
+    if isinstance(a, PeriodicSet) and not a.residues:
+        return FiniteSet(a.added)
+    if isinstance(a, APUnionSet) and not a.terms:
+        return FiniteSet(tuple(x for x in a.extras if x not in a.removals))
+    if isinstance(a, DyadicBlockSet) and a.fill.structure == "cycle" \
+            and all(c == 0 for c in a.fill.cycle):
+        # read up to the last nonempty head block only: a zero head can be
+        # 2^20 blocks long, and each block's slice costs time linear in j
+        top = max([x.bit_length() for x in a.extras]
+                  + [j + 1 for j, v in enumerate(a.fill.head) if v], default=0)
+        return FiniteSet(tuple(a.elements_in(0, 1 << (top + 1))))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -943,14 +975,17 @@ def transform(a: NatSet, kind: str, amount: int) -> NatSet:
 _NAT = re.compile(r"\d+")
 _HEX = re.compile(r"[0-9a-fA-F]+")
 # Largest size a literal may ask to materialize: the naturals one brace list
-# spells out (ranges included), a horizon H, a cycled fill's threshold (its
-# head is stored value by value) and the k of 2^-k; also the deepest cut
+# spells out (ranges included), a horizon H and a cycled fill's threshold (its
+# head is stored value by value); also the deepest cut
 # drop_below materializes on a block set. Without it fin{0..10^12} would
 # exhaust memory instead of failing.
 _SIZE_MAX = 1 << 20
 # Largest N of a factorial modulus N!: 1000! (2,568 digits) still prints under
 # Python's 4,300-digit int-to-str limit; the witness family needs at most 23!.
 _FACTORIAL_MAX = 1000
+# Largest k of a dyadic fill value 2^-k: the fill is labelled by its value,
+# and 2^14000 (4,215 digits) still prints under the same limit.
+_DYADIC_EXP_MAX = 14000
 
 
 class _Cursor:
@@ -1011,7 +1046,13 @@ class _Cursor:
         self.skip_ws()
         if self.text.startswith("2^-", self.pos):
             self.pos += 3
-            return Fraction(1, 2 ** self.nat(_SIZE_MAX))
+            self.skip_ws()
+            at = self.pos
+            k = self.nat()
+            if k > _DYADIC_EXP_MAX:
+                raise ParseError(f"2^-{k} exceeds the dyadic limit 2^-{_DYADIC_EXP_MAX}",
+                                 self.text, at)
+            return Fraction(1, 2 ** k)
         num = self.nat()
         if not self.eat("/"):
             return Fraction(num)

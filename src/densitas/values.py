@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 __all__ = ["ExtValue", "exact", "bracket", "observational", "infinite",
-           "surely_lt", "surely_eq", "as_float"]
+           "surely_lt", "surely_eq"]
 
 
 @dataclass(frozen=True)
@@ -50,20 +50,6 @@ class ExtValue:
     @property
     def is_certified(self) -> bool:
         return self.status in ("exact", "bracket", "infinite")
-
-    def width(self) -> Optional[Fraction]:
-        if self.status == "exact":
-            return Fraction(0)
-        if self.status == "bracket" and self.lower is not None and self.upper is not None:
-            return self.upper - self.lower
-        return None
-
-    def midpoint(self) -> Optional[Fraction]:
-        if self.status == "exact":
-            return self.value
-        if self.status == "bracket" and self.lower is not None and self.upper is not None:
-            return (self.lower + self.upper) / 2
-        return self.value
 
 
 def exact(q) -> ExtValue:
@@ -103,15 +89,3 @@ def surely_eq(a: ExtValue, b: ExtValue) -> bool:
         return True
     return False
 
-
-def as_float(v: ExtValue) -> float:
-    if v.status == "infinite":
-        return float("inf")
-    m = v.midpoint()
-    if m is not None:
-        return float(m)
-    if v.lower is not None:
-        return float(v.lower)
-    if v.upper is not None:
-        return float(v.upper)
-    return float("nan")

@@ -193,6 +193,22 @@ def test_factorial_modulus_is_bounded(capsys):
     assert capsys.readouterr().out.strip() == "1/5040"
 
 
+def test_dyadic_fill_exponent_is_bounded(capsys):
+    # the fill is labelled by its value; 2^20000 has too many digits to print
+    assert main(["eval", "d-star", "blocks f(n)=2^-14000"]) == 0
+    capsys.readouterr()
+    for literal in ("blocks f(n)=2^-14001", "blocks f(n)=cycle{2^-20000}"):
+        assert main(["eval", "d-star", literal]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error") and "^" in err
+        assert "exceeds the dyadic limit 2^-14000" in err
+
+
+def test_equal_fills_under_two_spellings_are_one_set(capsys):
+    assert main(["dist", "d-star", "blocks f(n)=1/2", "blocks f(n)=cycle{1/2}"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+
+
 def _readme_examples():
     """(argv, stdout) of every `$ densitas ...` example in the README."""
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from densitas.density import (
     window_profile,
 )
 from densitas.exceptions import NotErdosUlam, UnsupportedBackend
+from densitas.exhaust import exhaustive_norm, tail_value
 from densitas.natset import (
     APTerm,
     APUnionSet,
@@ -36,7 +38,7 @@ from densitas.natset import (
 )
 from densitas.values import bracket, exact
 
-from conftest import brute_members
+from conftest import brute_members, random_structured_set
 
 
 EVENS = PeriodicSet(2, (0,))
@@ -219,6 +221,39 @@ def test_counting_measure():
     h = HorizonSet.from_members(64, [1, 2])
     c = counting_measure(h)
     assert c.status == "bracket" and c.lower == 2 and c.upper is None
+
+
+def test_counting_measure_agrees_with_the_counting_tail(rng):
+    # the counting functional and the counting lscsm at cut 0 are one
+    # quantity; a cycled zero fill with a nonzero head is finite but not empty
+    head = DyadicBlockSet(FillRule.cycled([0], threshold=3, head=[0, 1, 1]))
+    assert sorted(brute_members(head, 256)) == [2, 3, 4, 5, 6, 7]
+    sets = [random_structured_set(rng) for _ in range(200)] + [
+        head,
+        DyadicBlockSet(FillRule.cycled([0], threshold=2, head=[1, 1]),
+                       extras=(9,), removals=(2,)),
+        DyadicBlockSet(FillRule.cycled([0, Fraction(1, 3)], threshold=1, head=[1])),
+        HALF_BLOCKS, CYCLE_BLOCKS, POW2, THIN,
+        PeriodicSet(3, (), 5, (1, 2)), APUnionSet((), (3, 7)),
+    ]
+    compared = 0
+    for a in sets:
+        m, t = counting_measure(a), tail_value("counting", a, 0)
+        if {m.status, t.status} <= {"exact", "infinite"}:
+            assert m == t, a
+            compared += 1
+    assert compared >= 200
+    assert counting_measure(head) == exact(6)
+    assert counting_measure(THIN).status == "infinite"  # slices grow without bound
+
+
+def test_a_long_zero_head_is_read_quickly():
+    # the finite part is read up to the last nonempty block, not the threshold
+    a = DyadicBlockSet(FillRule.cycled([0], threshold=300_000), extras=(5,))
+    t = time.perf_counter()
+    assert counting_measure(a) == exact(1)
+    assert exhaustive_norm("phi-prefix", a).value == exact(0)
+    assert time.perf_counter() - t < 3.0
 
 
 def test_geometric_measure_exact_series():

@@ -137,6 +137,7 @@ def test_alpha_eval_frozen_values():
     # alpha=0 must agree with phi-prefix everywhere it is queried
     for s in (EVENS, THIRDS, MESSY):
         assert lscsm_eval("phi-alpha:a=0", s, 64) == lscsm_eval("phi-prefix", s, 64)
+        assert tail_value("phi-alpha:a=0", s, 5) == tail_value("phi-prefix", s, 5)
 
 
 def test_psi_eval_counts_blocks():
@@ -338,6 +339,37 @@ def test_tails_shrink_toward_the_norm():
     tails = [tail_value("phi-prefix", MESSY, n).value for n in (1, 16, 256, 4096)]
     assert all(x >= y for x, y in zip(tails, tails[1:]))
     assert all(x >= est.value.value for x in tails)
+
+
+FOLD_SETS = (EVENS, THIRDS, MESSY, AP_UNION, HALF_BLOCKS, CYCLE_BLOCKS,
+             HorizonSet.from_members(96, [2, 3, 5, 8, 13, 21, 34, 55, 89]))
+
+
+def test_prefix_names_agree_at_every_cut():
+    # phi-prefix, phi-alpha:a=0 and weighted:f=constant are one functional
+    for s in FOLD_SETS:
+        for n in (0, 1, 5, 37):
+            want = tail_value("phi-prefix", s, n)
+            assert tail_value("phi-alpha:a=0", s, n) == want, (s, n)
+            assert tail_value("weighted:f=constant", s, n) == want, (s, n)
+            want = lscsm_eval("phi-prefix", s, n)
+            assert lscsm_eval("phi-alpha:a=0", s, n) == want, (s, n)
+            assert lscsm_eval("weighted:f=constant", s, n) == want, (s, n)
+
+
+def test_truncated_tower_is_the_sum_of_its_components():
+    # phi-infty-trunc:a=2 = phi_1 + phi_2 / 2 + phi_4 / 4 wherever every part is exact
+    checked = 0
+    for s in FOLD_SETS:
+        for n in (0, 1, 5, 37):
+            for fn in (tail_value, lscsm_eval):
+                parts = [fn(f"phi-alpha:a={2 ** i}", s, n) for i in range(3)]
+                if not all(p.status == "exact" for p in parts):
+                    continue
+                want = sum(Fraction(1, 2 ** i) * p.value for i, p in enumerate(parts))
+                assert fn("phi-infty-trunc:a=2", s, n) == exact(want), (fn, s, n)
+                checked += 1
+    assert checked >= 40
 
 
 def test_horizon_tails_are_observational():

@@ -340,6 +340,14 @@ def test_dsl_errors_carry_position():
         assert "^" in str(ei.value)
 
 
+def test_fill_rules_compare_by_value():
+    a, b = parse_set("blocks f(n)=1/2"), parse_set("blocks f(n)=cycle{1/2}")
+    assert a.fill.func_label != b.fill.func_label
+    assert a == b and hash(a) == hash(b)
+    assert parse_set("blocks f(n)=1/n") != parse_set("blocks f(n)=2^-n")
+    assert parse_set("blocks f(n)=cycle{1/2}@2") != a
+
+
 def test_format_refuses_a_nonzero_fill_head():
     fill = FillRule.cycled([Fraction(1, 3), 0, Fraction(3, 4)], threshold=2, head=(1, 0))
     a = DyadicBlockSet(fill)
