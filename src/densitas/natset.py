@@ -17,10 +17,29 @@ evaluators to work in closed form where the mathematics allows it:
   eventually periodic cycle, vanishing) so downstream evaluators never have to
   guess tail behaviour.
 
-``count_range`` runs in time independent of the interval length on the
-Periodic and APUnion backends (per-residue floor arithmetic; CRT-pruned
-inclusion-exclusion over term subsets). The one set-literal grammar lives here
-(``parse_set``/``format_set``); the CLI parses and prints through it:
+Each backend builds its lookup structures once, in ``__post_init__``, as
+plain attributes outside the dataclass fields, so equality, hash, repr and
+report payloads see the fields alone. Cost of the reads on [lo, hi):
+
+- finite: ``member`` one frozenset lookup; ``count_range`` two bisections of
+  the sorted elements; ``elements_in`` two bisections plus the output.
+- horizon: ``member`` and ``count_range`` one shift or mask of the H-bit word;
+  ``elements_in`` one shift per natural in the range.
+- periodic: ``member`` frozenset lookups of n mod m and the exceptions;
+  ``count_range`` q·|R| + bisect(R, r) at each end (n = q·m + r) plus two
+  bisections per exception list, independent of hi - lo and of m, so factorial
+  moduli cost no more than small ones; ``elements_in`` |R| progressions plus
+  the output.
+- ap-union (k terms): ``member`` one pass over (modulus, offset, first
+  element) triples; ``count_range`` CRT-pruned inclusion-exclusion over term
+  subsets (k^2 steps for pairwise disjoint terms, up to 2^k) plus the
+  exceptions inside the range; ``elements_in`` k progressions plus the output.
+- dyadic-block: ``member`` one fill value and an integer slice length;
+  ``count_range`` and ``elements_in`` one slice length per block the range
+  meets (O(j) bit work at block j) plus the exceptions inside the range.
+
+The one set-literal grammar lives here (``parse_set``/``format_set``); the
+CLI parses and prints through it:
 
     fin{1,2,3}   fin{0..9}   fin{}
     per m=6 R={1,3} [t=2] [add={..}] [rm={..}]  (exceptions lie below t)
@@ -36,6 +55,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
@@ -82,6 +102,16 @@ def _sorted_unique(xs: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
+def _count_between(xs: tuple[int, ...], lo: int, hi: int) -> int:
+    """|xs ∩ [lo, hi)| for a sorted tuple xs."""
+    return max(0, bisect_left(xs, hi) - bisect_left(xs, lo))
+
+
+def _within(xs: tuple[int, ...], lo: int, hi: int) -> tuple[int, ...]:
+    """The part of a sorted tuple xs inside [lo, hi)."""
+    return xs[bisect_left(xs, lo):bisect_left(xs, hi)]
+
+
 class NatSet:
     """Common interface; concrete backends subclass this."""
 
@@ -113,15 +143,16 @@ class FiniteSet(NatSet):
 
     def __post_init__(self):
         object.__setattr__(self, "elements", _sorted_unique(self.elements))
+        object.__setattr__(self, "_members", frozenset(self.elements))
 
     def member(self, n: int) -> bool:
-        return n in set(self.elements) if len(self.elements) > 16 else n in self.elements
+        return n in self._members
 
     def count_range(self, lo: int, hi: int) -> int:
-        return sum(1 for x in self.elements if lo <= x < hi)
+        return _count_between(self.elements, lo, hi)
 
     def elements_in(self, lo: int, hi: int) -> list[int]:
-        return [x for x in self.elements if lo <= x < hi]
+        return list(_within(self.elements, lo, hi))
 
     def is_empty_surely(self) -> bool:
         return not self.elements
@@ -217,7 +248,7 @@ class PeriodicSet(NatSet):
         object.__setattr__(self, "residues", rs)
         added = _sorted_unique(self.added)
         removed = _sorted_unique(self.removed)
-        rset = set(rs)
+        rset = frozenset(rs)
         for x in added:
             if x >= self.threshold or (x % self.modulus) in rset:
                 raise ValueError(f"added exception {x} must be < threshold and not a rule member")
@@ -226,30 +257,35 @@ class PeriodicSet(NatSet):
                 raise ValueError(f"removed exception {x} must be < threshold and a rule member")
         object.__setattr__(self, "added", added)
         object.__setattr__(self, "removed", removed)
+        object.__setattr__(self, "_residue_set", rset)
+        object.__setattr__(self, "_added_set", frozenset(added))
+        object.__setattr__(self, "_removed_set", frozenset(removed))
 
     def rule_member(self, n: int) -> bool:
-        return (n % self.modulus) in set(self.residues)
+        return n % self.modulus in self._residue_set
 
     def member(self, n: int) -> bool:
         if n < 0:
             return False
         if n < self.threshold:
-            if n in self.added:
+            if n in self._added_set:
                 return True
-            if n in self.removed:
+            if n in self._removed_set:
                 return False
         return self.rule_member(n)
+
+    def _rule_count_below(self, n: int) -> int:
+        """|{x in [0, n) : x mod m in R}|: q whole periods, then the residues
+        below r, where n = q·m + r."""
+        q, r = divmod(n, self.modulus)
+        return q * len(self.residues) + bisect_left(self.residues, r)
 
     def count_range(self, lo: int, hi: int) -> int:
         lo = max(lo, 0)
         if hi <= lo:
             return 0
-        total = 0
-        for r in self.residues:
-            total += _ap_count(self.modulus, r, lo, hi)
-        total += sum(1 for x in self.added if lo <= x < hi)
-        total -= sum(1 for x in self.removed if lo <= x < hi)
-        return total
+        return (self._rule_count_below(hi) - self._rule_count_below(lo)
+                + _count_between(self.added, lo, hi) - _count_between(self.removed, lo, hi))
 
     def elements_in(self, lo: int, hi: int) -> list[int]:
         out = []
@@ -300,12 +336,6 @@ class APTerm:
     def min_element(self) -> int:
         return self.modulus * self.start + self.offset
 
-    def member(self, n: int) -> bool:
-        return n >= self.min_element and n % self.modulus == self.offset
-
-    def count_range(self, lo: int, hi: int) -> int:
-        return _ap_count(self.modulus, self.offset, max(lo, self.min_element), hi)
-
     def modulus_text(self) -> str:
         return self.label if self.label else str(self.modulus)
 
@@ -326,6 +356,25 @@ def _crt_merge(m1: int, c1: int, m2: int, c2: int) -> Optional[tuple[int, int]]:
     return l, (c1 + m1 * t) % l
 
 
+def _set_exceptions(a) -> None:
+    """Sort the finite extras/removals of an AP-union or block set and cache
+    them as frozensets for member reads."""
+    extras, removals = _sorted_unique(a.extras), _sorted_unique(a.removals)
+    object.__setattr__(a, "extras", extras)
+    object.__setattr__(a, "removals", removals)
+    object.__setattr__(a, "_extra_set", frozenset(extras))
+    object.__setattr__(a, "_removal_set", frozenset(removals))
+    if a._extra_set & a._removal_set:
+        raise ValueError("extras and removals must be disjoint")
+
+
+def _exception_count(a, lo: int, hi: int) -> int:
+    """The extras off the rule minus the removals on it, inside [lo, hi)
+    (extras and removals are disjoint)."""
+    return (sum(1 for x in _within(a.extras, lo, hi) if not a.rule_member(x))
+            - sum(1 for x in _within(a.removals, lo, hi) if a.rule_member(x)))
+
+
 @dataclass(frozen=True)
 class APUnionSet(NatSet):
     """((union of terms) ∪ extras) ∖ removals, extras/removals finite."""
@@ -336,10 +385,9 @@ class APUnionSet(NatSet):
     kind = "ap-union"
 
     def __post_init__(self):
-        object.__setattr__(self, "extras", _sorted_unique(self.extras))
-        object.__setattr__(self, "removals", _sorted_unique(self.removals))
-        if set(self.extras) & set(self.removals):
-            raise ValueError("extras and removals must be disjoint")
+        _set_exceptions(self)
+        object.__setattr__(self, "_term_rules",
+                           tuple((t.modulus, t.offset, t.min_element) for t in self.terms))
 
     @property
     def threshold(self) -> int:
@@ -349,23 +397,22 @@ class APUnionSet(NatSet):
                    + [x + 1 for x in self.extras] + [x + 1 for x in self.removals] + [0])
 
     def rule_member(self, n: int) -> bool:
-        return any(t.member(n) for t in self.terms)
+        for m, h, mn in self._term_rules:
+            if n >= mn and n % m == h:
+                return True
+        return False
 
     def member(self, n: int) -> bool:
-        if n < 0:
+        if n < 0 or n in self._removal_set:
             return False
-        if n in self.removals:
-            return False
-        return n in self.extras or self.rule_member(n)
+        return n in self._extra_set or self.rule_member(n)
 
     def count_range(self, lo: int, hi: int) -> int:
         lo = max(lo, 0)
         if hi <= lo:
             return 0
         total = _ie_terms(self.terms, lambda M, c, mn: _ap_count(M, c, max(lo, mn), hi))
-        total += sum(1 for x in self.extras if lo <= x < hi and not self.rule_member(x))
-        total -= sum(1 for x in self.removals if lo <= x < hi and (x in self.extras or self.rule_member(x)))
-        return total
+        return total + _exception_count(self, lo, hi)
 
     def elements_in(self, lo: int, hi: int) -> list[int]:
         out = set()
@@ -534,13 +581,14 @@ class DyadicBlockSet(NatSet):
     kind = "dyadic-block"
 
     def __post_init__(self):
-        object.__setattr__(self, "extras", _sorted_unique(self.extras))
-        object.__setattr__(self, "removals", _sorted_unique(self.removals))
-        if set(self.extras) & set(self.removals):
-            raise ValueError("extras and removals must be disjoint")
+        _set_exceptions(self)
 
     def slice_len(self, n: int) -> int:
-        return round_half_up(self.fill.value(n) * (1 << n))
+        """round_half_up(f_n · 2^n), in integers: with f_n = p/q it is
+        floor((p·2^(n+1) + q) / 2q)."""
+        f = self.fill.value(n)
+        p, q = f.numerator, f.denominator
+        return ((p << (n + 1)) + q) // (2 * q)
 
     def slices_unbounded(self) -> bool:
         """Whether member-run lengths grow without bound (declared structure)."""
@@ -553,11 +601,9 @@ class DyadicBlockSet(NatSet):
         return n - (1 << blk) < self.slice_len(blk)
 
     def member(self, n: int) -> bool:
-        if n < 0:
+        if n < 0 or n in self._removal_set:
             return False
-        if n in self.removals:
-            return False
-        return n in self.extras or self.rule_member(n)
+        return n in self._extra_set or self.rule_member(n)
 
     def count_range(self, lo: int, hi: int) -> int:
         lo = max(lo, 0)
@@ -570,9 +616,7 @@ class DyadicBlockSet(NatSet):
             for blk in range(b_lo, b_hi + 1):
                 s, e = 1 << blk, (1 << blk) + self.slice_len(blk)
                 total += max(0, min(e, hi) - max(s, lo))
-        total += sum(1 for x in self.extras if lo <= x < hi and not self.rule_member(x))
-        total -= sum(1 for x in self.removals if lo <= x < hi and (x in self.extras or self.rule_member(x)))
-        return total
+        return total + _exception_count(self, lo, hi)
 
     def elements_in(self, lo: int, hi: int) -> list[int]:
         out = set()
@@ -878,7 +922,7 @@ def complement(a: NatSet, config: Config = DEFAULT_CONFIG) -> NatSet:
         t = (a.elements[-1] + 1) if a.elements else 0
         return PeriodicSet(1, (0,), t, (), a.elements)
     if isinstance(a, PeriodicSet):
-        co_res = tuple(r for r in range(a.modulus) if r not in set(a.residues))
+        co_res = tuple(r for r in range(a.modulus) if r not in a._residue_set)
         return PeriodicSet(a.modulus, co_res, a.threshold, a.removed, a.added)
     if isinstance(a, APUnionSet):
         return complement(normalize_periodic(a, config), config)

@@ -369,8 +369,9 @@ def check_witness_invariants(w: WitnessFamily, horizon: int = 10 ** 6,
         ok = True
         wit = None
         for i in range(1, j):
+            earlier = set(lv[i].residues)
             for h in lv[j].residues:
-                if (h % lv[i].modulus) in set(lv[i].residues):
+                if (h % lv[i].modulus) in earlier:
                     ok = False
                     wit = (i, j, h)
         records.append(CheckRecord(

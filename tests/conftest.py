@@ -6,6 +6,7 @@ Keeping these here (and nowhere near src/) is the point; the library must
 never be verified against itself.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ import pytest
 from densitas.natset import (
     APTerm,
     APUnionSet,
+    DyadicBlockSet,
     FiniteSet,
     PeriodicSet,
 )
@@ -25,6 +27,43 @@ def brute_members(s, hi, lo=0):
 
 def brute_count(s, lo, hi):
     return sum(1 for n in range(max(lo, 0), hi) if s.member(n))
+
+
+def field_slice_len(fill, j):
+    """Length of block j's member slice, round(f_j * 2^j) with halves up,
+    in Fraction arithmetic straight from the fill rule."""
+    return math.floor(fill.value(j) * 2 ** j + Fraction(1, 2))
+
+
+def field_member(s, n):
+    """Membership of n read from the set's fields, never through its read
+    methods: the rule, then the listed exceptions."""
+    if n < 0:
+        return False
+    if isinstance(s, FiniteSet):
+        return n in s.elements
+    if isinstance(s, PeriodicSet):
+        if n < s.threshold and n in s.added:
+            return True
+        if n < s.threshold and n in s.removed:
+            return False
+        return n % s.modulus in s.residues
+    if n in s.removals:
+        return False
+    if n in s.extras:
+        return True
+    if isinstance(s, APUnionSet):
+        return any(n >= t.modulus * t.start + t.offset and (n - t.offset) % t.modulus == 0
+                   for t in s.terms)
+    if isinstance(s, DyadicBlockSet):
+        j = n.bit_length() - 1
+        return n >= 1 and n - 2 ** j < field_slice_len(s.fill, j)
+    raise TypeError(f"no field oracle for {type(s).__name__}")
+
+
+def field_elements(s, lo, hi):
+    """Sorted members in [lo, hi) by field_member, one natural at a time."""
+    return [n for n in range(max(lo, 0), hi) if field_member(s, n)]
 
 
 def brute_power_sum(k, e):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -34,7 +35,15 @@ from densitas.natset import (
     round_half_up,
     transform,
 )
-from conftest import brute_count, brute_members, random_structured_set
+from densitas.reports import to_payload
+from conftest import (
+    brute_count,
+    brute_members,
+    field_elements,
+    field_member,
+    field_slice_len,
+    random_structured_set,
+)
 
 
 HALF = Fraction(1, 2)
@@ -424,6 +433,114 @@ def test_boolean_op_matches_pointwise_membership(a, b):
         except (IncompatibleBackends, QueryBeyondHorizon, ModulusBudgetExceeded):
             continue
         assert brute_members(c, hi) == want, op
+
+
+# Reads far from the origin and at factorial scale: anchors are points where
+# membership changes (residues, term starts, slice ends, exceptions), and each
+# read window straddles one of them.
+_FAR = 10 ** 30
+_READ_MODULI = st.one_of(st.integers(1, 40),
+                         st.sampled_from([math.factorial(k) for k in (5, 9, 13, 20, 25)]))
+
+
+def _exception_pool(draw, below):
+    """Up to six distinct naturals below `below`, the exceptions to be."""
+    return draw(st.lists(st.integers(0, below - 1), max_size=6, unique=True)) if below else []
+
+
+@st.composite
+def _finite_reads(draw):
+    xs = draw(st.lists(st.one_of(st.integers(0, 300), st.integers(_FAR, _FAR + 300)),
+                       max_size=40))
+    return FiniteSet(tuple(xs)), [0] + xs
+
+
+@st.composite
+def _periodic_reads(draw):
+    m = draw(_READ_MODULI)
+    residues = draw(st.lists(st.integers(0, m - 1), max_size=6))
+    t = draw(st.integers(0, 60))
+    pool = _exception_pool(draw, t)
+    added = tuple(x for x in pool if x % m not in residues)
+    removed = tuple(x for x in pool if x % m in residues)
+    s = PeriodicSet(m, tuple(residues), t, added, removed)
+    return s, [0, t] + pool + [q * m + r for r in residues for q in (0, 1, _FAR // m)]
+
+
+@st.composite
+def _ap_union_reads(draw):
+    terms = draw(st.lists(st.builds(APTerm, _READ_MODULI, st.integers(0, 80),
+                                    st.integers(0, 3)), min_size=1, max_size=3))
+    pool = _exception_pool(draw, 200)
+    split = draw(st.integers(0, len(pool)))
+    s = APUnionSet(tuple(terms), tuple(pool[:split]), tuple(pool[split:]))
+    starts = [t.min_element for t in terms]
+    far = [t.offset + t.modulus * (_FAR // t.modulus) for t in terms]
+    return s, [0] + pool + starts + far
+
+
+@st.composite
+def _block_reads(draw):
+    fill = draw(_FILLS)
+    pool = _exception_pool(draw, 300)
+    split = draw(st.integers(0, len(pool)))
+    s = DyadicBlockSet(fill, tuple(pool[:split]), tuple(pool[split:]))
+    blocks = [1, 2, 3, 5, 8, 100, 101]
+    ends = [(1 << j) + field_slice_len(fill, j) for j in blocks]
+    return s, [0] + pool + [1 << j for j in blocks] + ends
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_finite_reads(), _periodic_reads(), _ap_union_reads(), _block_reads()),
+       st.data())
+def test_reads_match_the_field_oracle(case, data):
+    s, anchors = case
+    anchor = data.draw(st.sampled_from(anchors + [_FAR]))
+    lo = anchor - data.draw(st.integers(-20, 120))
+    hi = anchor + data.draw(st.integers(-20, 120))
+    want = field_elements(s, lo, hi)
+    assert [n for n in range(max(lo, 0), hi) if s.member(n)] == want
+    assert s.count_range(lo, hi) == len(want)
+    assert s.elements_in(max(lo, 0), hi) == want
+
+
+def test_read_caches_follow_replace():
+    for s in (APUnionSet((APTerm(4, 1),), extras=(2,), removals=(5,)),
+              DyadicBlockSet(FillRule.constant(HALF), extras=(6,), removals=(4,)),
+              PeriodicSet(6, (1, 3), 7, (0,), (1,))):
+        if isinstance(s, PeriodicSet):
+            t = dataclasses.replace(s, residues=(2, 3), added=(1,), removed=(3,))
+        else:
+            t = dataclasses.replace(s, extras=(3, 7), removals=(2, 9, 5))
+        for u in (s, t):
+            want = field_elements(u, 0, 40)
+            assert [n for n in range(40) if u.member(n)] == want
+            assert u.count_range(0, 40) == len(want)
+            assert u.elements_in(0, 40) == want
+        assert field_elements(s, 0, 40) != field_elements(t, 0, 40)
+
+
+def test_equal_sets_from_different_routes_compare_and_hash_equal():
+    pairs = [
+        (FiniteSet((3, 1, 2, 3)), FiniteSet((1, 2, 3))),
+        (parse_set("per m=6 R={3,1}"), PeriodicSet(6, (1, 3))),
+        (boolean_op(PeriodicSet(2, (0,)), FiniteSet((1,)), "union"), parse_set("per m=2 R={0} t=2 add={1}")),
+        (APUnionSet((APTerm(4, 5),)), parse_set("ap a=4 h=1 j0=1")),
+        (DyadicBlockSet(FillRule.constant(HALF), extras=(6, 3)),
+         dataclasses.replace(parse_set("blocks f(n)=cycle{1/2}"), extras=(3, 6))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+
+
+def test_read_caches_are_not_fields():
+    for s in sample_sets():
+        names = {f.name for f in dataclasses.fields(s)}
+        cached = set(vars(s)) - names
+        payload = to_payload(s)
+        assert cached and names >= set(payload)
+        assert not cached & set(payload)
+        assert all(name not in repr(s) for name in cached)
 
 
 def test_horizon_boolean_ops():
