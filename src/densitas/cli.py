@@ -84,7 +84,10 @@ def _format_value(v: ExtValue) -> str:
     if v.status == "infinite":
         return "infinity"
     if v.status == "bracket":
-        return f"[{format_fraction(v.lower)}, {format_fraction(v.upper)}]"
+        # an open side is unbounded, which still encloses the value
+        lo = "-infinity" if v.lower is None else format_fraction(v.lower)
+        hi = "infinity" if v.upper is None else format_fraction(v.upper)
+        return f"[{lo}, {hi}]"
     return f"~{format_fraction(v.value)} (observational)"
 
 
@@ -168,17 +171,19 @@ def _merged_battery(check, functional: str, sets, config: Config,
     """Run a pairwise battery on small disjoint groups and merge the records
     under group-qualified names. Grouping keeps the quadratic part linear in
     the sample count."""
-    records = []
-    for gi, chunk in enumerate(chunked(sets, group)):
-        rep = check(functional, chunk, config, **kw)
-        records.extend(CheckRecord(f"g{gi}.{r.name}", r.status, r.detail,
-                                   r.witness) for r in rep.records)
-        subject = rep.subject
-    return AxiomReport(subject, tuple(records))
+    reports = [check(functional, chunk, config, **kw)
+               for chunk in chunked(sets, group)]
+    # with no samples there is no group; the subject still names the battery
+    subject = (reports[0] if reports else check(functional, (), config, **kw)).subject
+    return AxiomReport(subject, tuple(
+        CheckRecord(f"g{gi}.{r.name}", r.status, r.detail, r.witness)
+        for gi, rep in enumerate(reports) for r in rep.records))
 
 
 def _axioms_report(battery: str, functional: str, samples: int, seed: int,
                    config: Config) -> AxiomReport:
+    if samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {samples}")
     sets = pool_battery(samples, seed)
     if battery == "pseudometric":
         triples = [c for c in chunked(sets, 3) if len(c) == 3]
@@ -298,7 +303,7 @@ def _witness_verify(doc: dict, horizon: int, config: Config):
     if ok:
         div = divergence_certificate(w, horizon=horizon)
         payload["divergence"] = to_payload(div)
-        if params.kappa == Fraction(1, 2):
+        if params.kappa == Fraction(1, 2) and depth >= 1:
             gap = banach_gap_certificate(w, horizon=horizon)
             payload["gap"] = to_payload(gap)
         prof = cauchy_profile("bd-star", witness_sequence(w),

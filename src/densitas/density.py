@@ -32,7 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from functools import cache
+from itertools import combinations
+from typing import Callable, Iterator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .exceptions import NotErdosUlam, UnsupportedBackend
@@ -43,11 +45,12 @@ from .natset import (
     HorizonSet,
     NatSet,
     PeriodicSet,
+    _ie_terms,
     _lcm_within,
+    as_ap_union,
     boolean_op,
     complement,
     finite_part,
-    normalize_periodic,
     transform,
 )
 from .reports import AxiomReport, CheckRecord
@@ -513,16 +516,10 @@ def weighted_upper(a: NatSet, weight: WeightFunction | str = "harmonic",
 
 
 def _evaluate_upper(functional: str, a: NatSet, config: Config) -> ExtValue:
-    if functional == "d-star":
-        return upper_asymptotic(a, config).value
-    if functional == "bd-star":
-        return upper_banach(a, config).value
-    if functional == "buck":
-        return upper_buck(a, config).value
-    if functional.startswith("weighted"):
-        wname = functional.partition("f=")[2] or "harmonic"
-        return weighted_upper(a, wname, config).value
-    raise KeyError(f"unknown upper density {functional!r}")
+    desc = get_functional(functional)
+    if desc.kind != "upper-density":
+        raise KeyError(f"unknown upper density {functional!r}")
+    return desc.evaluate(a, config)
 
 
 def lower_dual(a: NatSet, functional: str = "d-star",
@@ -638,11 +635,8 @@ def geometric_measure(a: NatSet, config: Config = DEFAULT_CONFIG) -> ExtValue:
             # exact: each residue class r (mod m) from its first element x0
             # contributes 2^-(x0+1) / (1 - 2^-m); inclusion-exclusion handles
             # overlaps between terms
-            u = a if isinstance(a, APUnionSet) else None
-            if u is None:
-                from .natset import as_ap_union
-                u = as_ap_union(a)
-            from .natset import _ie_terms
+            u = as_ap_union(a)
+
             def geo_term(M: int, c: int, mn: int) -> Fraction:
                 x0 = c if c >= mn else c + M * (-((mn - c) // -M))
                 return Fraction(1, 2 ** (x0 + 1)) * Fraction(2 ** M, 2 ** M - 1)
@@ -720,6 +714,51 @@ def _try_exact(fn, *args) -> tuple[Optional[ExtValue], str]:
     return v, ""
 
 
+# An evaluation as the batteries see it: (value, "") when the value can be
+# judged, (None, why) when it cannot.
+Judged = tuple[Optional[ExtValue], str]
+
+
+def _value_record(name: str, found: Judged, target: int, detail: str) -> CheckRecord:
+    """Pass when the value is exactly `target`; skip when it cannot be judged."""
+    v, why = found
+    if v is None:
+        return CheckRecord(name, "skip", why)
+    return CheckRecord(name, "pass" if surely_eq(v, exact(target)) else "fail",
+                       detail, witness=v.value)
+
+
+def _union_pair_records(sets: Sequence[NatSet], at: Callable[[int], Judged],
+                        ev: Callable[[NatSet], Judged], config: Config,
+                        details: tuple[str, str] = ("value never drops under union",
+                                                    "union value at most the sum"),
+                        ) -> Iterator[CheckRecord]:
+    """monotone[i,j] and subadditive[i,j] for every pair i < j. Part i is read
+    through `at(i)` (ev of sets[i], computed once per battery call), and only
+    once a union with it has been built; a pair whose union fails or whose
+    values cannot be judged gets one skip. A record fails only when the
+    values certify the violation: the union surely below a part, or both
+    parts bounded above and the union infinite or bounded below past the
+    sum of their upper bounds."""
+    for i, j in combinations(range(len(sets)), 2):
+        try:
+            u = boolean_op(sets[i], sets[j], "union", config)
+        except Exception as e:
+            yield CheckRecord(f"monotone[{i},{j}]", "skip", f"union failed: {e}")
+            continue
+        (va, wa), (vb, wb), (vu, wu) = at(i), at(j), ev(u)
+        if va is None or vb is None or vu is None:
+            yield CheckRecord(f"monotone[{i},{j}]", "skip", wa or wb or wu)
+            continue
+        yield CheckRecord(f"monotone[{i},{j}]",
+                          "fail" if surely_lt(vu, va) or surely_lt(vu, vb) else "pass",
+                          details[0])
+        # an infinite part has no upper bound, so it refutes nothing
+        refuted = va.upper is not None and vb.upper is not None and (
+            vu.status == "infinite" or (vu.lower is not None and vu.lower > va.upper + vb.upper))
+        yield CheckRecord(f"subadditive[{i},{j}]", "fail" if refuted else "pass", details[1])
+
+
 def check_upper_density_axioms(functional: str, sets: Sequence[NatSet],
                                config: Config = DEFAULT_CONFIG,
                                shifts: Sequence[int] = (7,),
@@ -730,94 +769,37 @@ def check_upper_density_axioms(functional: str, sets: Sequence[NatSet],
     mu*(k A) = mu*(A)/k for each given factor."""
     desc = get_functional(functional)
     ev = lambda s: _try_exact(desc.evaluate, s, config)
-    records: list[CheckRecord] = []
-
-    omega = PeriodicSet(1, (0,))
-    v, why = ev(omega)
-    if v is None:
-        records.append(CheckRecord("normalization", "skip", why))
-    else:
-        records.append(CheckRecord(
-            "normalization", "pass" if surely_eq(v, exact(1)) else "fail",
-            "value on the full set", witness=v.value))
-
-    fin = FiniteSet(tuple(range(0, 40, 3)))
-    v, why = ev(fin)
-    if v is None:
-        records.append(CheckRecord("finite-null", "skip", why))
-    else:
-        records.append(CheckRecord(
-            "finite-null", "pass" if surely_eq(v, exact(0)) else "fail",
-            "value on a finite probe set", witness=v.value))
-
+    at = cache(lambda i: ev(sets[i]))
+    records = [
+        _value_record("normalization", ev(PeriodicSet(1, (0,))), 1, "value on the full set"),
+        _value_record("finite-null", ev(FiniteSet(tuple(range(0, 40, 3)))), 0,
+                      "value on a finite probe set"),
+        *_union_pair_records(sets, at, ev, config),
+    ]
+    laws = [("shift", h) for h in shifts] + [("dilate", k) for k in dilations]
     for i, a in enumerate(sets):
-        for j, b in enumerate(sets):
-            if j <= i:
-                continue
-            try:
-                u = boolean_op(a, b, "union", config)
-            except Exception as e:
-                records.append(CheckRecord(f"monotone[{i},{j}]", "skip", f"union failed: {e}"))
-                continue
-            va, wa = ev(a)
-            vb, wb = ev(b)
-            vu, wu = ev(u)
-            if va is None or vb is None or vu is None:
-                records.append(CheckRecord(
-                    f"monotone[{i},{j}]", "skip", wa or wb or wu))
-                continue
-            records.append(CheckRecord(
-                f"monotone[{i},{j}]",
-                "pass" if not surely_lt(vu, va) and not surely_lt(vu, vb) else "fail",
-                "value never drops under union"))
-            sub_ok = (vu.lower is None or
-                      (va.upper is not None and vb.upper is not None
-                       and vu.lower <= va.upper + vb.upper)
-                      or vu.status == "infinite")
-            records.append(CheckRecord(
-                f"subadditive[{i},{j}]", "pass" if sub_ok else "fail",
-                "union value at most the sum"))
-
-    for i, a in enumerate(sets):
-        va, wa = ev(a)
+        va, wa = at(i)
         if va is None:
             records.append(CheckRecord(f"shift-invariant[{i}]", "skip", wa))
             continue
-        for h in shifts:
+        for kind, x in laws:
+            name = f"shift-invariant[{i},h={x}]" if kind == "shift" else f"dilation[{i},k={x}]"
             try:
-                sh = transform(a, "shift", h)
+                t = transform(a, kind, x)
             except UnsupportedBackend as e:
-                records.append(CheckRecord(f"shift-invariant[{i},h={h}]",
-                                           "skip", str(e)))
+                records.append(CheckRecord(name, "skip", str(e)))
                 continue
-            vs, ws = ev(sh)
-            if vs is None:
-                records.append(CheckRecord(f"shift-invariant[{i},h={h}]",
-                                           "skip", ws))
-            else:
-                records.append(CheckRecord(
-                    f"shift-invariant[{i},h={h}]",
-                    "pass" if surely_eq(va, vs) else "fail",
-                    f"value unchanged by shifting {h}",
-                    witness=(va.value, vs.value)))
-        for k in dilations:
-            try:
-                di = transform(a, "dilate", k)
-            except UnsupportedBackend as e:
-                records.append(CheckRecord(f"dilation[{i},k={k}]", "skip",
-                                           str(e)))
+            vt, wt = ev(t)
+            if vt is None or (kind == "dilate" and va.value is None):
+                records.append(CheckRecord(name, "skip", wt or "value not exact"))
                 continue
-            vd, wd = ev(di)
-            if vd is None or va.value is None:
-                records.append(CheckRecord(f"dilation[{i},k={k}]", "skip",
-                                           wd or "value not exact"))
+            if kind == "shift":
+                ok, detail = surely_eq(va, vt), f"value unchanged by shifting {x}"
             else:
-                want = va.value / k
-                records.append(CheckRecord(
-                    f"dilation[{i},k={k}]",
-                    "pass" if vd.status == "exact" and vd.value == want else "fail",
-                    f"value scales by 1/k under dilation by k={k}",
-                    witness=(va.value, vd.value)))
+                ok = vt.status == "exact" and vt.value == va.value / x
+                detail = f"value scales by 1/k under dilation by k={x}"
+            records.append(CheckRecord(name, "pass" if ok else "fail", detail,
+                                       witness=(va.value, vt.value)))
 
     return AxiomReport(f"upper density {desc.name}", tuple(records))
 
@@ -828,44 +810,6 @@ def check_submeasure_axioms(functional: str, sets: Sequence[NatSet],
     monotonicity under union, and subadditivity."""
     desc = get_functional(functional)
     ev = lambda s: _try_exact(desc.evaluate, s, config)
-    records: list[CheckRecord] = []
-
-    v, why = ev(FiniteSet(()))
-    if v is None:
-        records.append(CheckRecord("empty-null", "skip", why))
-    else:
-        records.append(CheckRecord(
-            "empty-null", "pass" if surely_eq(v, exact(0)) else "fail",
-            "value on the empty set", witness=v.value))
-
-    for i, a in enumerate(sets):
-        for j, b in enumerate(sets):
-            if j <= i:
-                continue
-            try:
-                u = boolean_op(a, b, "union", config)
-            except Exception as e:
-                records.append(CheckRecord(f"monotone[{i},{j}]", "skip", f"union failed: {e}"))
-                continue
-            va, wa = ev(a)
-            vb, wb = ev(b)
-            vu, wu = ev(u)
-            if va is None or vb is None or vu is None:
-                records.append(CheckRecord(f"monotone[{i},{j}]", "skip", wa or wb or wu))
-                continue
-            records.append(CheckRecord(
-                f"monotone[{i},{j}]",
-                "pass" if not surely_lt(vu, va) and not surely_lt(vu, vb) else "fail",
-                "value never drops under union"))
-            if vu.status == "infinite":
-                sub_ok = va.status == "infinite" or vb.status == "infinite"
-            elif va.status == "infinite" or vb.status == "infinite":
-                sub_ok = True
-            else:
-                sub_ok = (vu.upper is None or va.lower is None or vb.lower is None
-                          or vu.lower <= va.upper + vb.upper)
-            records.append(CheckRecord(
-                f"subadditive[{i},{j}]", "pass" if sub_ok else "fail",
-                "union value at most the sum"))
-
+    records = [_value_record("empty-null", ev(FiniteSet(())), 0, "value on the empty set"),
+               *_union_pair_records(sets, cache(lambda i: ev(sets[i])), ev, config)]
     return AxiomReport(f"submeasure {desc.name}", tuple(records))

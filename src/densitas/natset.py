@@ -24,7 +24,7 @@ report payloads see the fields alone. Cost of the reads on [lo, hi):
 - finite: ``member`` one frozenset lookup; ``count_range`` two bisections of
   the sorted elements; ``elements_in`` two bisections plus the output.
 - horizon: ``member`` and ``count_range`` one shift or mask of the H-bit word;
-  ``elements_in`` one shift per natural in the range.
+  ``elements_in`` one shift and one pass over the range's bits.
 - periodic: ``member`` frozenset lookups of n mod m and the exceptions;
   ``count_range`` q·|R| + bisect(R, r) at each end (n = q·m + r) plus two
   bisections per exception list, independent of hi - lo and of m, so factorial
@@ -209,7 +209,12 @@ class HorizonSet(NatSet):
     def elements_in(self, lo: int, hi: int) -> list[int]:
         if hi > self.horizon:
             raise QueryBeyondHorizon(f"elements beyond horizon {self.horizon}")
-        return [n for n in range(max(lo, 0), hi) if (self._word >> n) & 1]
+        lo = max(lo, 0)
+        if hi <= lo:
+            return []
+        # one pass over the window's bits, lowest first
+        window = bin((self._word >> lo) & ((1 << (hi - lo)) - 1))[:1:-1]
+        return [lo + i for i, bit in enumerate(window) if bit == "1"]
 
 
 # ---------------------------------------------------------------------------
@@ -893,7 +898,9 @@ def normalize_periodic(a: NatSet, config: Config = DEFAULT_CONFIG) -> PeriodicSe
     """Rewrite an AP union (or periodic/finite set) as a single PeriodicSet.
 
     The lcm of term moduli and the resulting residue materialization are
-    guarded by config.modulus_budget.
+    guarded by config.modulus_budget; more than 2^20 points where the set
+    may leave its periodic rule (exceptions plus the positions before each
+    term's start) raise ModulusBudgetExceeded.
     """
     if isinstance(a, PeriodicSet):
         return a
@@ -909,10 +916,17 @@ def normalize_periodic(a: NatSet, config: Config = DEFAULT_CONFIG) -> PeriodicSe
     if l is None:
         raise ModulusBudgetExceeded(
             f"lcm of term moduli exceeds modulus budget {config.modulus_budget}")
+    # below the threshold the set leaves the mod-l rule only at its extras
+    # and removals and at each term's positions before its start
+    if sum(t.start for t in a.terms) + len(a.extras) + len(a.removals) > _SIZE_MAX:
+        raise ModulusBudgetExceeded(
+            f"normalizing needs more than {_SIZE_MAX} exception points")
+    points = set(a.extras).union(a.removals)
     residues = set()
     for t in a.terms:
         residues.update(range(t.offset, l, t.modulus))
-    added, removed = _exceptions(range(a.threshold), a.member, lambda x: x % l in residues)
+        points.update(range(t.offset, t.min_element, t.modulus))
+    added, removed = _exceptions(sorted(points), a.member, lambda x: x % l in residues)
     return _shrunk_periodic(l, sorted(residues), added, removed)
 
 

@@ -484,16 +484,17 @@ def banach_gap_certificate(w: WitnessFamily, horizon: int = 10 ** 6,
     if w.params.kappa != Fraction(1, 2):
         raise KappaMismatch(
             f"the gap certificate is specific to kappa = 1/2, got {w.params.kappa}")
+    if w.depth < 1:
+        raise InsufficientPrefix(f"the gap certificate needs depth >= 1, got {w.depth}")
     inv = check_witness_invariants(w, horizon)
     if not inv.passed:
         raise InvariantsFailed("witness invariants fail: "
                                + "; ".join(r.name for r in inv.failures))
     lv = w.levels
     used = lv[1:w.depth + 1]
-    union = None
-    for rec in used:
-        union = rec.block if union is None else boolean_op(
-            union, rec.block, "union")
+    union = used[0].block
+    for rec in used[1:]:
+        union = boolean_op(union, rec.block, "union")
     bound = sum((rec.increment_density for rec in used), Fraction(0))
     if bound > Fraction(1, 4):
         raise InvariantsFailed("increment sum exceeds 1/4")

@@ -17,6 +17,7 @@ from densitas.natset import (
     APUnionSet,
     DyadicBlockSet,
     FiniteSet,
+    HorizonSet,
     PeriodicSet,
 )
 
@@ -42,6 +43,8 @@ def field_member(s, n):
         return False
     if isinstance(s, FiniteSet):
         return n in s.elements
+    if isinstance(s, HorizonSet):
+        return n < s.horizon and bool(s.bits[n // 8] >> (n % 8) & 1)
     if isinstance(s, PeriodicSet):
         if n < s.threshold and n in s.added:
             return True

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from densitas.cli import emit_report, format_set_literal, main, parse_set_literal
+from densitas.cli import _format_value, emit_report, format_set_literal, main, parse_set_literal
 from densitas.exceptions import ParseError, UnsupportedBackend
 from densitas.natset import (
     APTerm,
@@ -21,6 +21,7 @@ from densitas.natset import (
     parse_set,
 )
 from densitas.reports import AxiomReport, CheckRecord, to_payload
+from densitas.values import bracket
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +168,48 @@ def test_norm_verb(capsys):
 def test_eval_infinite_counting(capsys):
     assert main(["eval", "counting", "per m=2 R={0}"]) == 0
     assert capsys.readouterr().out.strip() == "infinity"
+
+
+def test_open_bracket_sides(capsys):
+    # text prints `[8, infinity]` (a README example); json keeps the null
+    assert main(["eval", "counting", "horizon H=8 bits=ff", "--format", "json"]) == 0
+    value = json.loads(capsys.readouterr().out)["report"]
+    assert (value["lower"], value["upper"]) == ("8", None)
+    assert _format_value(bracket(None, Fraction(1, 2))) == "[-infinity, 1/2]"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["axioms", "upper-density", "d-star", "--samples", "0"], 0),
+    (["axioms", "submeasure", "bd-star", "--samples", "0"], 0),
+    (["axioms", "upper-density", "d-star", "--samples", "-1"], 2),
+    (["axioms", "lscsm", "counting", "--samples", "-4"], 2),
+    (["eval", "counting", "horizon H=8 bits=ff"], 0),
+    (["norm", "counting", "blocks f(n)=2^-n"], 0),
+    (["eval", "harmonic", "horizon H=8 bits=ff"], 0),
+    (["norm", "harmonic", "blocks f(n)=1/n"], 0),
+    (["witness", "verify", "{family}"], 0),
+    (["dist", "d-star", "ap a=2 h=100000000000000000000", "ap a=3 h=0"], 3),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_exit_code_contract(argv, code, tmp_path, capsys):
+    family = tmp_path / "family.json"
+    if "{family}" in argv:
+        assert main(["witness", "build", "--kappa", "1/2", "--depth", "0",
+                     "--format", "json", "--out", str(family)]) == 0
+    t = time.perf_counter()
+    try:
+        got = main([a.replace("{family}", str(family)) for a in argv])
+    except SystemExit as e:  # argparse usage errors
+        got = e.code
+    err = capsys.readouterr().err
+    assert got in (0, 1, 2, 3) and "Traceback" not in err
+    assert got == code, err
+    assert time.perf_counter() - t < 5.0
+
+
+def test_axioms_without_samples_name_the_battery(capsys):
+    assert main(["axioms", "upper-density", "d-star", "--samples", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "upper density d-star: 0 passed, 0 failed, 0 skipped"
 
 
 def test_parse_failure_exits_2(capsys):

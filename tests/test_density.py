@@ -287,11 +287,29 @@ def test_submeasure_axiom_reports():
         assert rep.passed, rep.failures
 
 
+def test_both_density_batteries_judge_union_pairs_alike():
+    # counting values of horizon sets are open brackets [n, infinity), which
+    # refute neither monotonicity nor subadditivity
+    fam = [HorizonSet.from_members(64, range(8, 16)), HorizonSet.from_members(64, range(4, 40, 3)),
+           HorizonSet.from_members(64, [0, 1]), FiniteSet((1, 2)), EVENS, ODDS]
+
+    def pair_verdicts(rep):
+        return [(r.name, r.status) for r in rep.records
+                if r.name.startswith(("monotone", "subadditive"))]
+
+    for fn in ("counting", "geometric", "d-star", "bd-star"):
+        up = pair_verdicts(check_upper_density_axioms(fn, fam))
+        assert up == pair_verdicts(check_submeasure_axioms(fn, fam))
+        assert all(status != "fail" for _, status in up), (fn, up)
+
+
 def test_functional_registry():
     assert get_functional("d-star").kind == "upper-density"
     assert get_functional("geo").name == "geometric"
     assert get_functional("weighted:f=harmonic").name == "weighted:f=harmonic"
     with pytest.raises(KeyError):
         get_functional("nope")
+    with pytest.raises(KeyError, match="unknown upper density"):
+        dom_membership(EVENS, "geometric")
     with pytest.raises(KeyError):
         get_functional("weighted:f=nope")

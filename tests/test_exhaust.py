@@ -564,6 +564,21 @@ def test_axiom_battery_flags_a_broken_functional():
     assert any(r.name == "empty-null" and r.status == "fail" for r in rep.records)
 
 
+def test_axiom_battery_evaluates_each_set_once_per_probe(rng):
+    sets = [EVENS, THIRDS, MESSY] + [random_structured_set(rng) for _ in range(5)]
+    calls = {}
+
+    def counted(s, m):
+        for i, x in enumerate(sets):
+            if s is x:
+                calls[i, m] = calls.get((i, m), 0) + 1
+        return lscsm_eval("phi-prefix", s, m)
+
+    rep = check_lscsm_axioms("phi-prefix", sets, eval_fn=counted)
+    assert rep == check_lscsm_axioms("phi-prefix", sets)
+    assert calls and max(calls.values()) == 1
+
+
 def test_axiom_battery_flags_non_monotone_evaluation():
     # an "evaluation" that shrinks with the prefix length breaks lower
     # semicontinuity; the battery must notice

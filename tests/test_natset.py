@@ -139,6 +139,43 @@ def test_normalize_respects_modulus_budget():
         normalize_periodic(u, cfg)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(APTerm, st.integers(1, 12), st.integers(0, 40), st.integers(0, 30)),
+                min_size=1, max_size=3),
+       st.lists(st.integers(0, 150), max_size=8, unique=True), st.data())
+def test_normalize_matches_the_threshold_scan(terms, pool, data):
+    split = data.draw(st.integers(0, len(pool)))
+    u = APUnionSet(tuple(terms), tuple(pool[:split]), tuple(pool[split:]))
+    l = math.lcm(*(t.modulus for t in terms))
+    residues = tuple(r for r in range(l) if any(r % t.modulus == t.offset for t in terms))
+    # every natural below the threshold, read from the fields
+    added = tuple(x for x in range(u.threshold)
+                  if field_member(u, x) and x % l not in residues)
+    removed = tuple(x for x in range(u.threshold)
+                    if not field_member(u, x) and x % l in residues)
+    t = max(added + removed, default=-1) + 1
+    assert normalize_periodic(u) == PeriodicSet(l, residues, t, added, removed)
+
+
+def test_normalize_reads_a_million_removals():
+    u = parse_set("ap a=2 h=2000001")  # the odd numbers from 2000001 on
+    p = normalize_periodic(u)
+    assert len(p.removed) == 10 ** 6
+    hi = p.threshold + 10
+    added, removed = set(p.added), set(p.removed)
+    members = [n for n in range(hi) if n in added
+               or (n % p.modulus in p.residues and n not in removed)]
+    assert members == field_elements(u, 0, hi)
+
+
+def test_normalize_refuses_too_many_exception_points():
+    u = parse_set("ap a=2 h=100000000000000000000")
+    t0 = time.perf_counter()
+    with pytest.raises(ModulusBudgetExceeded):
+        normalize_periodic(u)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_boolean_ops_match_brute_force():
     rng = random.Random(13)
     for _ in range(250):
@@ -541,6 +578,27 @@ def test_read_caches_are_not_fields():
         assert cached and names >= set(payload)
         assert not cached & set(payload)
         assert all(name not in repr(s) for name in cached)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 700).flatmap(
+    lambda h: st.tuples(st.just(h), st.integers(0, (1 << h) - 1),
+                        st.integers(-5, h), st.integers(-5, h))))
+def test_horizon_reads_match_the_field_oracle(case):
+    h, word, lo, hi = case
+    s = HorizonSet(h, word.to_bytes((h + 7) // 8, "little"))
+    want = field_elements(s, lo, hi)
+    assert s.elements_in(lo, hi) == want
+    assert s.count_range(lo, hi) == len(want)
+
+
+def test_full_horizon_scan_is_linear():
+    h = 1 << 20  # the largest horizon the grammar accepts
+    s = HorizonSet(h, b"\xff" * (h // 8))
+    t0 = time.perf_counter()
+    members = s.elements_in(0, h)
+    assert time.perf_counter() - t0 < 3.0
+    assert len(members) == h and members[-1] == h - 1
 
 
 def test_horizon_boolean_ops():

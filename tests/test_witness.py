@@ -258,6 +258,12 @@ def test_gap_certificate_requires_one_half():
         banach_gap_certificate(w, horizon=10 ** 4)
 
 
+def test_gap_certificate_needs_one_level():
+    w = build_witness(derive_params(HALF, levels=6), 0)
+    with pytest.raises(InsufficientPrefix):
+        banach_gap_certificate(w, horizon=10 ** 4)
+
+
 # ---------------------------------------------------------------------------
 # the Cauchy sequence
 
