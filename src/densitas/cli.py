@@ -10,12 +10,16 @@ byte-identical across runs.
 
 Exit codes: 0 all checks passed, 1 a certificate or battery failed,
 2 usage or parse error, 3 internal contract violation.
+
+The argparse parser is built once per process, on the first `main` call,
+and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -317,7 +321,11 @@ def _witness_verify(doc: dict, horizon: int, config: Config):
 # argument plumbing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first `main` call.
+    `parse_args` keeps no state between calls, and argparse reads the help
+    width only when it prints help."""
     ap = argparse.ArgumentParser(
         prog="densitas",
         description="Exact densities, submeasure norms, and their "

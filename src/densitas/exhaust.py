@@ -50,7 +50,7 @@ from .density import (
     eventual_density,
     get_weight,
 )
-from .exceptions import UnsupportedBackend
+from .exceptions import QueryBeyondHorizon, UnsupportedBackend
 from .natset import (
     APUnionSet,
     DyadicBlockSet,
@@ -1006,7 +1006,11 @@ def check_lscsm_axioms(desc: LscsmDescriptor | str, sets: Sequence[NatSet],
     raw = eval_fn or (lambda s, m: lscsm_eval(desc, s, m, config))
 
     def ev(s: NatSet, m: int = probe_n):
-        v = raw(s, m)
+        try:
+            v = raw(s, m)
+        except QueryBeyondHorizon as e:
+            # a horizon set narrower than the probe has no value there
+            return None, f"beyond the horizon: {e}"
         return (v, "") if v.status == "exact" else (None, "value not exact at this probe")
 
     at = cache(lambda i: ev(sets[i]))
@@ -1023,13 +1027,12 @@ def check_lscsm_axioms(desc: LscsmDescriptor | str, sets: Sequence[NatSet],
     for i, s in enumerate(sets):
         vals = []
         for m in (probe_n // 4, probe_n // 2, probe_n):
-            v, _ = at(i) if m == probe_n else ev(s, m)
+            v, why = at(i) if m == probe_n else ev(s, m)
             if v is None:
                 break
             vals.append(v.value)
         if len(vals) < 3:
-            records.append(CheckRecord(f"prefix-monotone[{i}]", "skip",
-                                       "value not exact at this probe"))
+            records.append(CheckRecord(f"prefix-monotone[{i}]", "skip", why))
             continue
         ok = all(x <= y for x, y in zip(vals, vals[1:]))
         records.append(CheckRecord(f"prefix-monotone[{i}]", "pass" if ok else "fail",

@@ -31,9 +31,12 @@ report payloads see the fields alone. Cost of the reads on [lo, hi):
   moduli cost no more than small ones; ``elements_in`` |R| progressions plus
   the output.
 - ap-union (k terms): ``member`` one pass over (modulus, offset, first
-  element) triples; ``count_range`` CRT-pruned inclusion-exclusion over term
-  subsets (k^2 steps for pairwise disjoint terms, up to 2^k) plus the
-  exceptions inside the range; ``elements_in`` k progressions plus the output.
+  element) triples; ``count_range`` one ``_ap_count`` per cached intersection
+  plus the exceptions inside the range; ``elements_in`` k progressions plus
+  the output. The intersections are the CRT-pruned inclusion-exclusion over
+  term subsets (k^2 for pairwise disjoint terms, up to 2^k), enumerated on
+  the first ``count_range`` or ``density`` read and kept on the set; the
+  geometric measure reads the same tuple.
 - dyadic-block: ``member`` one fill value and an integer slice length;
   ``count_range`` and ``elements_in`` one slice length per block the range
   meets (O(j) bit work at block j) plus the exceptions inside the range.
@@ -393,6 +396,10 @@ class APUnionSet(NatSet):
         _set_exceptions(self)
         object.__setattr__(self, "_term_rules",
                            tuple((t.modulus, t.offset, t.min_element) for t in self.terms))
+        # None until the first read of `_intersections` fills it. Declared here
+        # so every instance has the same attributes: a later `__dict__` write,
+        # as functools.cached_property makes, slowed every `member` read
+        object.__setattr__(self, "_intersection_cache", None)
 
     @property
     def threshold(self) -> int:
@@ -416,7 +423,8 @@ class APUnionSet(NatSet):
         lo = max(lo, 0)
         if hi <= lo:
             return 0
-        total = _ie_terms(self.terms, lambda M, c, mn: _ap_count(M, c, max(lo, mn), hi))
+        total = sum(sign * _ap_count(M, c, max(lo, mn), hi)
+                    for M, c, mn, sign in self._intersections)
         return total + _exception_count(self, lo, hi)
 
     def elements_in(self, lo: int, hi: int) -> list[int]:
@@ -433,45 +441,40 @@ class APUnionSet(NatSet):
 
     def density(self) -> Fraction:
         """Natural density of the union (limit exists; finite parts ignored)."""
-        return _ie_terms(self.terms, lambda M, c, mn: Fraction(1, M))
+        return sum((Fraction(sign, M) for M, _, _, sign in self._intersections), Fraction(0))
 
     def is_empty_surely(self) -> bool:
         return not self.terms and not self.extras
 
+    @property
+    def _intersections(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Inclusion-exclusion over the nonempty CRT-compatible term subsets,
+        as (M, c, min_x, sign): the intersection is the AP x ≡ c (mod M)
+        restricted to x >= min_x, counted with the given sign.
 
-def _ie_terms(terms: tuple[APTerm, ...], measure: Callable[[int, int, int], object]):
-    """Inclusion-exclusion over nonempty CRT-compatible term subsets.
+        Built on the first read that needs it, not in ``__post_init__``: every
+        union ``boolean_op`` builds would pay for it otherwise. A depth-first
+        walk drops a branch as soon as its intersection is empty, so
+        pairwise-disjoint terms give O(k^2) entries instead of 2^k.
+        """
+        if self._intersection_cache is not None:
+            return self._intersection_cache
+        terms, out = self.terms, []
 
-    ``measure(M, c, min_x)`` evaluates one intersection: the AP x ≡ c (mod M)
-    restricted to x >= min_x. Branches die as soon as an intersection is empty,
-    so pairwise-disjoint families cost O(k^2) instead of 2^k.
-    """
-    total = None
+        def rec(idx: int, M: int, c: int, mn: int, sign: int):
+            for i in range(idx, len(terms)):
+                t = terms[i]
+                merged = _crt_merge(M, c, t.modulus, t.offset)
+                if merged is None:
+                    continue
+                M2, c2 = merged
+                mn2 = max(mn, t.min_element)
+                out.append((M2, c2, mn2, sign))
+                rec(i + 1, M2, c2, mn2, -sign)
 
-    def rec(idx: int, M: int, c: int, mn: int, sign: int):
-        nonlocal total
-        for i in range(idx, len(terms)):
-            t = terms[i]
-            merged = _crt_merge(M, c, t.modulus, t.offset)
-            if merged is None:
-                continue
-            M2, c2 = merged
-            mn2 = max(mn, t.min_element)
-            contrib = measure(M2, c2, mn2)
-            total_local = contrib if sign > 0 else -contrib
-            if total is None:
-                total_store = total_local
-            else:
-                total_store = total + total_local
-            total = total_store
-            rec(i + 1, M2, c2, mn2, -sign)
-
-    rec(0, 1, 0, 0, +1)
-    if total is None:
-        # empty term list: measure of nothing
-        zero = measure(1, 0, 0)
-        return zero - zero  # typed zero (int 0 or Fraction 0)
-    return total
+        rec(0, 1, 0, 0, 1)
+        object.__setattr__(self, "_intersection_cache", tuple(out))
+        return self._intersection_cache
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,12 @@ class WitnessFamily:
     stages: tuple[APUnionSet, ...]
     demo: bool = False
 
+    def __post_init__(self):
+        # invariant reports by (horizon, probes), filled by
+        # check_witness_invariants; not a field, so equality, repr and the
+        # payload see the family alone, and `replace` starts a fresh memo
+        object.__setattr__(self, "_invariants", {})
+
 
 @dataclass(frozen=True)
 class WindowRecord:
@@ -361,7 +367,16 @@ def check_witness_invariants(w: WitnessFamily, horizon: int = 10 ** 6,
     its offset modulo an earlier factorial). The prefix bound is checked at
     each breakpoint (element + 1) below the horizon and at geometrically
     spaced probes up to the top modulus, using O(1) progression counting.
+    The report is computed once per family and (horizon, probes); the
+    certificates that need it read the same report.
     """
+    memo = w._invariants
+    if (horizon, probes) not in memo:
+        memo[horizon, probes] = _invariant_report(w, horizon, probes)
+    return memo[horizon, probes]
+
+
+def _invariant_report(w: WitnessFamily, horizon: int, probes: int) -> AxiomReport:
     records = []
     lv = w.levels
     # (a) pairwise disjoint blocks

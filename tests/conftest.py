@@ -69,6 +69,46 @@ def field_elements(s, lo, hi):
     return [n for n in range(max(lo, 0), hi) if field_member(s, n)]
 
 
+def ap_union_period(s):
+    """(t, p, table) for an AP union, read from its fields: past t every term
+    has started and no extra or removal is left, p is the lcm of the moduli,
+    and table[n] is membership of n for n < t + p, marked term by term."""
+    t = max([u.modulus * u.start + u.offset for u in s.terms]
+            + [x + 1 for x in s.extras + s.removals] + [0])
+    p = math.lcm(*(u.modulus for u in s.terms)) if s.terms else 1
+    table = bytearray(t + p)
+    for u in s.terms:
+        first = u.modulus * u.start + u.offset
+        table[first::u.modulus] = b"\x01" * len(range(first, t + p, u.modulus))
+    for x in s.extras:
+        table[x] = 1
+    for x in s.removals:
+        table[x] = 0
+    return t, p, table
+
+
+def brute_periodic_count(period, lo, hi):
+    """|A ∩ [lo, hi)| from an ap_union_period table: whole periods past t
+    count table[t:t+p] each."""
+    t, p, table = period
+
+    def below(n):
+        if n <= t + p:
+            return sum(table[:max(n, 0)])
+        q, r = divmod(n - t, p)
+        return sum(table[:t + r]) + q * sum(table[t:t + p])
+    return max(0, below(hi) - below(max(lo, 0)))
+
+
+def brute_geometric(period):
+    """sum of 2^-(x+1) over the members: the head below t plus the period
+    block [t, t+p) repeated, a geometric series of ratio 2^-p."""
+    t, p, table = period
+    bits = int("".join("1" if b else "0" for b in table), 2)
+    head, block = divmod(bits, 1 << p)
+    return Fraction(head, 1 << t) + Fraction(block, 1 << (t + p)) * Fraction(1 << p, (1 << p) - 1)
+
+
 def brute_power_sum(k, e):
     """sum of i**e for i = 1..k, term by term (0 when k < 1)."""
     return sum(i ** e for i in range(1, k + 1))

@@ -2,14 +2,25 @@
 exit codes."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from densitas.cli import _format_value, emit_report, format_set_literal, main, parse_set_literal
+import densitas
+from densitas.cli import (
+    _build_parser,
+    _format_value,
+    emit_report,
+    format_set_literal,
+    main,
+    parse_set_literal,
+)
 from densitas.exceptions import ParseError, UnsupportedBackend
 from densitas.natset import (
     APTerm,
@@ -387,3 +398,59 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
     cfg.write_text("nonsense_knob = 3\n")
     assert main(["eval", "d-star", "fin{1}", "--config", str(cfg)]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+# a usage error, --version, eval in the three formats, then a witness built
+# to a file and verified from it
+_SESSION = [
+    ["eval"],
+    ["--version"],
+    ["eval", "d-star", "per m=6 R={1,3}"],
+    ["eval", "d-star", "per m=6 R={1,3}", "--format", "json"],
+    ["eval", "d-star", "ap a=6 h=1 | ap a=4 h=3", "--format", "csv"],
+    ["witness", "build", "--kappa", "1/2", "--depth", "2", "--format", "json",
+     "--out", "w.json"],
+    ["witness", "verify", "w.json", "--format", "json"],
+]
+
+
+def test_the_parser_is_built_once_per_process(capsys):
+    parser = _build_parser()
+    assert main(["eval", "d-star", "fin{1}"]) == 0
+    assert main(["dist", "d-star", "fin{1}", "fin{2}"]) == 0
+    assert _build_parser() is parser
+    capsys.readouterr()
+
+
+def test_one_process_answers_like_fresh_ones(tmp_path, monkeypatch, capsys):
+    """The same argv give the same bytes and exit codes whether they share
+    one process (and its parser) or each start the console entry point."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at this width
+    monkeypatch.delenv("DENSITAS_CONFIG", raising=False)
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    shared = []
+    for argv in _SESSION:
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse: usage errors and --version
+            code = e.code
+        out, err = capsys.readouterr()
+        shared.append((code, out, err))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(Path(densitas.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    entry = "import sys; from densitas.cli import main; sys.exit(main())"
+    separate = []
+    for argv in _SESSION:
+        done = subprocess.run([sys.executable, "-c", entry, *argv], cwd=fresh,
+                              env=env, capture_output=True, text=True, timeout=120)
+        separate.append((done.returncode, done.stdout, done.stderr))
+    assert [c for c, _, _ in shared] == [2, 0, 0, 0, 0, 0, 0]
+    assert shared == separate
+    assert (here / "w.json").read_bytes() == (fresh / "w.json").read_bytes()

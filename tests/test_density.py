@@ -303,6 +303,20 @@ def test_both_density_batteries_judge_union_pairs_alike():
         assert all(status != "fail" for _, status in up), (fn, up)
 
 
+def test_shift_law_fails_only_on_certified_different_values():
+    # counting gives the open bracket [8, infinity) on the horizon set and
+    # on its shift: they overlap, so nothing is refuted; geometric brackets
+    # of a set and its shift by 7 are disjoint, a certified violation
+    fam = [HorizonSet.from_members(64, range(8, 16)), FiniteSet((1, 2))]
+
+    def shifts(fn):
+        return [r.status for r in check_upper_density_axioms(fn, fam).records
+                if r.name.startswith("shift-invariant")]
+
+    assert shifts("counting") == ["pass", "pass"]
+    assert shifts("geometric") == ["fail", "fail"]
+
+
 def test_functional_registry():
     assert get_functional("d-star").kind == "upper-density"
     assert get_functional("geo").name == "geometric"

@@ -579,6 +579,22 @@ def test_axiom_battery_evaluates_each_set_once_per_probe(rng):
     assert calls and max(calls.values()) == 1
 
 
+def test_axiom_battery_skips_sets_narrower_than_the_probe():
+    # a horizon of 64 has no value at the probe length 96: the records that
+    # need it are skipped, the rest are still judged
+    narrow = [HorizonSet.from_members(64, [8, 9, 10, 11, 12, 13, 14, 15, 24, 25]),
+              HorizonSet.from_members(64, [1, 2])]
+    rep = check_lscsm_axioms("phi-prefix", narrow + [FiniteSet((1, 5)), EVENS])
+    status = {r.name: (r.status, r.detail) for r in rep.records}
+    for name in ("prefix-monotone[0]", "prefix-monotone[1]",
+                 "monotone[0,1]", "monotone[0,2]", "monotone[1,2]"):
+        assert status[name] == ("skip", "beyond the horizon: elements beyond horizon 64")
+    assert not any(name.startswith("subadditive[0") or name.startswith("subadditive[1")
+                   for name in status)
+    assert status["prefix-monotone[2]"][0] == status["subadditive[2,3]"][0] == "pass"
+    assert rep.passed
+
+
 def test_axiom_battery_flags_non_monotone_evaluation():
     # an "evaluation" that shrinks with the prefix length breaks lower
     # semicontinuity; the battery must notice

@@ -17,6 +17,7 @@ from densitas.exceptions import (
     UnsupportedBackend,
 )
 from densitas.config import DEFAULT_CONFIG
+from densitas.density import geometric_measure
 from densitas.natset import (
     APTerm,
     APUnionSet,
@@ -37,8 +38,11 @@ from densitas.natset import (
 )
 from densitas.reports import to_payload
 from conftest import (
+    ap_union_period,
     brute_count,
+    brute_geometric,
     brute_members,
+    brute_periodic_count,
     field_elements,
     field_member,
     field_slice_len,
@@ -541,12 +545,61 @@ def test_reads_match_the_field_oracle(case, data):
     assert s.elements_in(max(lo, 0), hi) == want
 
 
+@st.composite
+def _ap_union_terms(draw):
+    """Overlapping, nested and same-residue terms, some with factorial moduli."""
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("fresh", "nested", "same-residue")) if terms
+                    else st.just("fresh"))
+        if kind == "fresh":
+            m, label = draw(st.one_of(st.integers(1, 12).map(lambda a: (a, None)),
+                                      st.sampled_from([(math.factorial(k), f"{k}!")
+                                                       for k in (3, 4, 5, 6, 7)])))
+            terms.append(APTerm(m, draw(st.integers(0, m - 1)), draw(st.integers(0, 3)), label))
+            continue
+        u = draw(st.sampled_from(terms))
+        if kind == "nested":  # a sub-progression of u
+            k = draw(st.integers(2, 4))
+            terms.append(APTerm(u.modulus * k, u.offset + u.modulus * draw(st.integers(0, k - 1)),
+                                draw(st.integers(0, 3))))
+        else:
+            terms.append(APTerm(u.modulus, u.offset, draw(st.integers(0, 4))))
+    pool = _exception_pool(draw, 60)
+    split = draw(st.integers(0, len(pool)))
+    return APUnionSet(tuple(terms), tuple(pool[:split]), tuple(pool[split:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ap_union_terms(), st.data())
+def test_ap_union_intersection_reads_match_the_brute_oracle(s, data):
+    # count_range, density and the geometric measure read one cached
+    # inclusion-exclusion tuple; each is checked against member counts
+    period = ap_union_period(s)
+    t, p, table = period
+    assert s.density() == Fraction(sum(table[t:]), p)
+    geo = geometric_measure(s)
+    if geo.status == "exact":
+        assert geo.value == brute_geometric(period)
+    else:
+        assert geo.lower <= brute_geometric(period) <= geo.upper
+    for _ in range(3):
+        lo = data.draw(st.one_of(st.integers(-5, t + 2 * p), st.integers(_FAR, _FAR + p)))
+        hi = lo + data.draw(st.integers(-5, 3 * p + 10))
+        assert s.count_range(lo, hi) == brute_periodic_count(period, lo, hi)
+
+
 def test_read_caches_follow_replace():
     for s in (APUnionSet((APTerm(4, 1),), extras=(2,), removals=(5,)),
               DyadicBlockSet(FillRule.constant(HALF), extras=(6,), removals=(4,)),
               PeriodicSet(6, (1, 3), 7, (0,), (1,))):
+        assert s.count_range(0, 40) == len(field_elements(s, 0, 40))  # caches built
         if isinstance(s, PeriodicSet):
             t = dataclasses.replace(s, residues=(2, 3), added=(1,), removed=(3,))
+        elif isinstance(s, APUnionSet):  # new terms: a fresh intersection tuple
+            t = dataclasses.replace(s, terms=s.terms + (APTerm(6, 3),),
+                                    extras=(3, 7), removals=(2, 9, 5))
+            assert t._intersection_cache is None
         else:
             t = dataclasses.replace(s, extras=(3, 7), removals=(2, 9, 5))
         for u in (s, t):
@@ -572,6 +625,11 @@ def test_equal_sets_from_different_routes_compare_and_hash_equal():
 
 def test_read_caches_are_not_fields():
     for s in sample_sets():
+        # the AP-union intersection tuple is built by the first read, not before
+        assert getattr(s, "_intersection_cache", None) is None
+        s.count_range(0, 40)
+        assert isinstance(getattr(s, "_intersection_cache", None), tuple) == \
+            isinstance(s, APUnionSet)
         names = {f.name for f in dataclasses.fields(s)}
         cached = set(vars(s)) - names
         payload = to_payload(s)

@@ -1,7 +1,9 @@
 """The incomplete-metric witness family: parameters, construction,
 invariants, and the two certificates."""
 
+import dataclasses
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,8 +15,11 @@ from densitas.exceptions import (
     KappaMismatch,
     ScheduleTooShort,
 )
+from densitas import witness
+from densitas.cli import main
 from densitas.metric import cauchy_profile, evaluate_measure
 from densitas.natset import APTerm, APUnionSet
+from densitas.reports import to_payload
 from densitas.witness import (
     WitnessParams,
     banach_gap_certificate,
@@ -205,6 +210,48 @@ def test_tampered_residues_fail_disjointness(family):
     assert any(r.name == "disjoint[2]" for r in report.failures)
     with pytest.raises(InvariantsFailed):
         divergence_certificate(tampered, horizon=10 ** 4)
+
+
+def _count_invariant_reports(monkeypatch) -> Counter:
+    calls: Counter = Counter()
+    body = witness._invariant_report
+
+    def counted(w, horizon, probes):
+        calls[horizon, probes] += 1
+        return body(w, horizon, probes)
+
+    monkeypatch.setattr(witness, "_invariant_report", counted)
+    return calls
+
+
+def test_verify_checks_the_invariants_once(tmp_path, monkeypatch, capsys):
+    # the CLI, the divergence and the gap certificate share one report
+    out = tmp_path / "family.json"
+    assert main(["witness", "build", "--kappa", "1/2", "--depth", "2",
+                 "--format", "json", "--out", str(out)]) == 0
+    calls = _count_invariant_reports(monkeypatch)
+    assert main(["witness", "verify", str(out), "--horizon", "100000",
+                 "--format", "json"]) == 0
+    assert "gap" in capsys.readouterr().out
+    assert calls == {(100000, 64): 1}
+
+
+def test_invariant_memo_is_per_family_and_key(params, monkeypatch):
+    w = build_witness(params, 1)
+    calls = _count_invariant_reports(monkeypatch)
+    first = check_witness_invariants(w, horizon=10 ** 4)
+    divergence_certificate(w, horizon=10 ** 4)
+    banach_gap_certificate(w, horizon=10 ** 4)
+    assert check_witness_invariants(w, horizon=10 ** 4) is first
+    check_witness_invariants(w, horizon=10 ** 4, probes=8)
+    assert calls == {(10 ** 4, 64): 1, (10 ** 4, 8): 1}
+    # `replace` builds a new family, so a tampered copy is judged afresh
+    fresh = replace(w)
+    assert check_witness_invariants(fresh, horizon=10 ** 4) == first
+    assert calls == {(10 ** 4, 64): 2, (10 ** 4, 8): 1}
+    assert "_invariants" in vars(w)
+    assert "_invariants" not in {f.name for f in dataclasses.fields(w)}
+    assert "_invariants" not in to_payload(w) and "_invariants" not in repr(w)
 
 
 def test_oversized_span_fails_ratio_check(family):
