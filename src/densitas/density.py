@@ -45,7 +45,7 @@ from .natset import (
     HorizonSet,
     NatSet,
     PeriodicSet,
-    _lcm_within,
+    _signed_exceptions,
     as_ap_union,
     boolean_op,
     complement,
@@ -218,7 +218,7 @@ def _window_max(a: NatSet, n: int, config: Config) -> tuple[int, bool]:
         ks = list(range(0, min(a.threshold, 64))) + [a.threshold + j for j in range(64)]
         return max(a.count_range(k, k + n) for k in ks), False
     if isinstance(a, APUnionSet):
-        l = _lcm_within((t.modulus for t in a.terms), config.window_sweep_budget)
+        l = a.period(config.window_sweep_budget)
         t0 = a.threshold
         if l is not None and t0 + l <= 4 * config.window_sweep_budget:
             return max(a.count_range(k, k + n) for k in range(t0 + l)), True
@@ -610,9 +610,12 @@ def counting_measure(a: NatSet, config: Config = DEFAULT_CONFIG) -> ExtValue:
 _GEO_EXP_BUDGET = 4096
 
 
-def _geo_partial(a: NatSet, bits: int) -> Fraction:
+def _geo_partial(xs: Sequence[int]) -> Fraction:
+    """sum of 2^-(x+1) over the sorted naturals xs, as one integer over
+    2^(max xs + 1)."""
+    bits = xs[-1] + 1 if xs else 0
     num = 0
-    for x in a.elements_in(0, bits):
+    for x in xs:
         num += 1 << (bits - x - 1)
     return Fraction(num, 1 << bits)
 
@@ -620,10 +623,10 @@ def _geo_partial(a: NatSet, bits: int) -> Fraction:
 def geometric_measure(a: NatSet, config: Config = DEFAULT_CONFIG) -> ExtValue:
     """nu(A) = sum over A of 2^-(a+1); a genuine finite measure on all of P(omega)."""
     if isinstance(a, FiniteSet):
-        return exact(_geo_partial(a, (a.elements[-1] + 1) if a.elements else 0))
+        return exact(_geo_partial(a.elements))
     if isinstance(a, HorizonSet):
         b = min(a.horizon, _GEO_EXP_BUDGET)
-        p = _geo_partial(a, b)
+        p = _geo_partial(a.elements_in(0, b))
         return bracket(p, p + Fraction(1, 2 ** b), "tail bounded by residual mass")
     if isinstance(a, (PeriodicSet, APUnionSet)):
         big = max((t.modulus for t in a.terms), default=0) if isinstance(a, APUnionSet) \
@@ -640,16 +643,14 @@ def geometric_measure(a: NatSet, config: Config = DEFAULT_CONFIG) -> ExtValue:
                 x0 = c if c >= mn else c + M * (-((mn - c) // -M))
                 return Fraction(sign, 2 ** (x0 + 1)) * Fraction(2 ** M, 2 ** M - 1)
             total = sum((geo_term(*term) for term in u._intersections), Fraction(0))
-            total += sum((Fraction(1, 2 ** (x + 1)) for x in u.extras
-                          if not u.rule_member(x)), Fraction(0))
-            total -= sum((Fraction(1, 2 ** (x + 1)) for x in u.removals
-                          if u.rule_member(x)), Fraction(0))
+            total += sum((Fraction(sign, 2 ** (x + 1))
+                          for x, sign in _signed_exceptions(u, 0, u.threshold)), Fraction(0))
             return exact(total)
-        p = _geo_partial(a, _GEO_EXP_BUDGET)
+        p = _geo_partial(a.elements_in(0, _GEO_EXP_BUDGET))
         return bracket(p, p + Fraction(1, 2 ** _GEO_EXP_BUDGET),
                        "moduli beyond the exponent budget; tail bounded by residual mass")
     if isinstance(a, DyadicBlockSet):
-        p = _geo_partial(a, _GEO_EXP_BUDGET)
+        p = _geo_partial(a.elements_in(0, _GEO_EXP_BUDGET))
         return bracket(p, p + Fraction(1, 2 ** _GEO_EXP_BUDGET),
                        "tail bounded by residual mass")
     raise UnsupportedBackend(f"geometric measure undefined for backend {a.kind}")

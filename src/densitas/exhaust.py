@@ -24,8 +24,16 @@ The shipped catalog:
 
 All weighted prefix sums start at i = 1; the element 0 never carries weight
 (it still counts for the counting, harmonic and geometric functionals, which
-weigh membership rather than position ratios). The counting lscsm and
-density.counting_measure decide finiteness by one rule, natset.finite_part.
+weigh membership rather than position ratios).
+
+Finite evidence has one evaluator, _finite_value(desc, F), for every lscsm
+except phi-infty: lscsm_eval applies it to the prefix A ∩ n, and tail_value,
+phi-infty's alpha components included, to the tail of every set that
+natset.finite_part finds finite, before any per-backend dispatch. So
+finite_part decides every finite shortcut, as it does for
+density.counting_measure, and finite tails are exact under every name, except
+weighted or geometric tails reaching past _FINITE_SCAN_MAX (those scans read
+every position), which keep their bracket.
 
 Norms come from closed forms per backend: natural density for eventually
 periodic sets, fill-rule phase formulas for dyadic block sets, zero for
@@ -45,6 +53,7 @@ from typing import Callable, Optional, Sequence
 from .config import Config, DEFAULT_CONFIG
 from .density import (
     _alpha_block_phase_limits,
+    _geo_partial,
     _union_pair_records,
     _value_record,
     eventual_density,
@@ -58,7 +67,8 @@ from .natset import (
     HorizonSet,
     NatSet,
     PeriodicSet,
-    _lcm_within,
+    _signed_exceptions,
+    drop_below,
     finite_part,
 )
 from .reports import AxiomReport, CheckRecord
@@ -232,9 +242,12 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _runs(elements: Sequence[int]) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive integers, as (first, last) pairs."""
+    """Maximal runs of consecutive members >= 1, as (first, last) pairs (the
+    element 0 carries no weight in a prefix ratio)."""
     runs: list[tuple[int, int]] = []
     for x in elements:
+        if x < 1:
+            continue
         if runs and x == runs[-1][1] + 1:
             runs[-1] = (runs[-1][0], x)
         else:
@@ -243,7 +256,7 @@ def _runs(elements: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def _phi_prefix_elements(elements: Sequence[int]) -> Fraction:
-    """sup_k |S ∩ [1,k]| / k for finite sorted S with members >= 1.
+    """sup_k |S ∩ [1,k]| / k for finite sorted S.
 
     The ratio climbs inside a run of members and decays in the gaps, so run
     ends are the only candidates for the supremum.
@@ -258,7 +271,7 @@ def _phi_prefix_elements(elements: Sequence[int]) -> Fraction:
 
 
 def _phi_alpha_elements(elements: Sequence[int], e: int) -> Fraction:
-    """sup_k (sum_{i in S, i <= k} i^e) / (sum_{i <= k} i^e), S finite sorted >= 1."""
+    """sup_k (sum_{i in S, i <= k} i^e) / (sum_{i <= k} i^e), S finite sorted."""
     if e == 0:
         return _phi_prefix_elements(elements)
     best_n, best_d = 0, 1
@@ -300,6 +313,44 @@ def _prefix_exponent(desc: LscsmDescriptor) -> Optional[int]:
     return None
 
 
+def _weighted_elements(elements: Sequence[int], f: Callable[[int], Fraction]) -> Fraction:
+    """sup_k (sum of f(i) over S ∩ [1,k]) / (sum of f(i) over [1,k]), S finite
+    sorted; f >= 0, so the ratio falls after the last member."""
+    members = set(elements)
+    best = Fraction(0)
+    num = den = Fraction(0)
+    for i in range(1, elements[-1] + 1 if elements else 1):
+        fi = Fraction(f(i))
+        den += fi
+        if i in members:
+            num += fi
+            if den > 0 and num * best.denominator > best.numerator * den:
+                best = num / den
+    return best
+
+
+def _finite_value(desc: LscsmDescriptor, xs: Sequence[int]) -> Fraction:
+    """phi(F) for a finite sorted F and every lscsm except phi-infty: the one
+    evaluator of finite evidence, for prefixes A ∩ n and finite tails alike."""
+    e = _prefix_exponent(desc)
+    if e is not None:
+        return _phi_alpha_elements(xs, e)
+    if desc.kind == "psi":
+        return _psi_elements(xs)
+    if desc.kind == "infty-trunc":
+        pairs, _ = _components(desc)
+        return sum((w * _phi_alpha_elements(xs, e) for w, e in pairs), Fraction(0))
+    if desc.kind == "weighted":
+        return _weighted_elements(xs, get_weight(desc.weight).func)
+    if desc.kind == "counting":
+        return Fraction(len(xs))
+    if desc.kind == "harmonic":
+        return sum((Fraction(1, x + 1) for x in xs), Fraction(0))
+    if desc.kind == "geometric":
+        return _geo_partial(xs)
+    raise KeyError(f"no finite evaluation for lscsm kind {desc.kind!r}")
+
+
 def lscsm_eval(desc: LscsmDescriptor | str, a: NatSet, n: int,
                config: Config = DEFAULT_CONFIG) -> ExtValue:
     """phi(A ∩ n), exact for the shipped catalog (phi-infty gets a bracket).
@@ -309,43 +360,11 @@ def lscsm_eval(desc: LscsmDescriptor | str, a: NatSet, n: int,
     """
     if isinstance(desc, str):
         desc = get_lscsm(desc)
-    e = _prefix_exponent(desc)
-    if e is not None:
-        return exact(_phi_alpha_elements(a.elements_in(1, n), e))
-    if desc.kind == "psi":
-        return exact(_psi_elements(a.elements_in(1, n)))
-    if desc.kind == "weighted":
-        w = get_weight(desc.weight)
-        members = set(a.elements_in(1, n))
-        best = Fraction(0)
-        num = Fraction(0)
-        den = Fraction(0)
-        for i in range(1, n):
-            fi = Fraction(w.func(i))
-            den += fi
-            if i in members and den > 0:
-                num += fi
-                if num * best.denominator > best.numerator * den:
-                    best = num / den
-            elif i in members:
-                num += fi
-        return exact(best)
-    if desc.kind == "counting":
-        return exact(Fraction(a.count_range(0, n)))
-    if desc.kind == "harmonic":
-        return exact(sum((Fraction(1, x + 1) for x in a.elements_in(0, n)), Fraction(0)))
-    if desc.kind == "geometric":
-        num = 0
-        for x in a.elements_in(0, n):
-            num += 1 << (n - x - 1)
-        return exact(Fraction(num, 1 << n) if n > 0 else Fraction(0))
     if desc.kind == "infty":
         return phi_infty_eval(a, n, desc.eps, config)
-    if desc.kind == "infty-trunc":
-        elems = a.elements_in(1, n)
-        pairs, _ = _components(desc)
-        return exact(sum((w * _phi_alpha_elements(elems, e) for w, e in pairs), Fraction(0)))
-    raise KeyError(f"unknown lscsm kind {desc.kind!r}")
+    if desc.kind == "counting":
+        return exact(Fraction(a.count_range(0, n)))
+    return exact(_finite_value(desc, a.elements_in(0, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -446,34 +465,13 @@ def _deviation_bound(a: NatSet) -> int:
     raise UnsupportedBackend(a.kind)
 
 
-def _ep_structure(a: NatSet, config: Config):
-    """(modulus or None if over budget, irregular threshold) for eventually
-    periodic sets."""
-    if isinstance(a, PeriodicSet):
-        return a.modulus, a.threshold
-    return _lcm_within((tm.modulus for tm in a.terms), config.window_sweep_budget), a.threshold
-
-
-def _evidence_tail(a: NatSet, n: int, on_elements: Callable[[list[int]], Fraction],
-                   note: str) -> Optional[ExtValue]:
-    """phi(A ∖ n) read off the members themselves: exact on a finite set,
-    observational on a horizon set's evidence, None on the other backends."""
-    if isinstance(a, FiniteSet):
-        return exact(on_elements([x for x in a.elements if x >= max(n, 1)]))
-    if isinstance(a, HorizonSet):
-        return observational(on_elements([x for x in a.elements_in(1, a.horizon) if x >= n]),
-                             note)
-    return None
-
-
 def _phi_alpha_tail(a: NatSet, n: int, e: int, config: Config) -> ExtValue:
     """phi_alpha(A ∖ n); e = 0 is phi-prefix (and weighted:f=constant)."""
-    got = _evidence_tail(a, n, lambda xs: _phi_alpha_elements(xs, e),
-                         "weighted prefix ratios within the horizon only" if e else
-                         "prefix ratios within the horizon; the supremum also "
-                         "ranges over unknown tail members")
-    if got is not None:
-        return got
+    if isinstance(a, HorizonSet):
+        return observational(_phi_alpha_elements(a.elements_in(max(n, 1), a.horizon), e),
+                             "weighted prefix ratios within the horizon only" if e else
+                             "prefix ratios within the horizon; the supremum also "
+                             "ranges over unknown tail members")
     if isinstance(a, DyadicBlockSet):
         return _block_alpha_tail(a, n, e, config)
     if isinstance(a, (PeriodicSet, APUnionSet)):
@@ -481,12 +479,12 @@ def _phi_alpha_tail(a: NatSet, n: int, e: int, config: Config) -> ExtValue:
         start = max(n, 1)
         b = _deviation_bound(a)
         if e == 0:
-            m, t = _ep_structure(a, config)
+            m = a.period(config.window_sweep_budget)
             if m is not None:
                 # the ratio at k is d + (g(k mod m) - c0)/k past the threshold,
                 # so each residue class peaks at its first k; one period suffices
                 return exact(max(d, _phi_alpha_elements(
-                    a.elements_in(start, max(n, t, 1) + m + 1), 0)))
+                    a.elements_in(start, max(n, a.threshold, 1) + m + 1), 0)))
             # the tail count up to k is at most d(k - n) + 2B, so ratios beyond
             # the window stay below d + 2B/k
             w_end = start + 4096
@@ -508,25 +506,10 @@ def _phi_alpha_tail(a: NatSet, n: int, e: int, config: Config) -> ExtValue:
 
 
 def _block_tail_weight(a: DyadicBlockSet, start: int, k: int, e: int) -> int:
-    """sum of i^e over members of A with start <= i <= k."""
-    if k < start:
-        return 0
-    total = 0
-    for blk in range(max(start, 1).bit_length() - 1, k.bit_length()):
-        ln = a.slice_len(blk)
-        if not ln:
-            continue
-        lo = max(1 << blk, start)
-        hi = min((1 << blk) + ln - 1, k)
-        if lo <= hi:
-            total += (faulhaber(hi, e) - faulhaber(lo - 1, e)) if e else hi - lo + 1
-    for x in a.extras:
-        if start <= x <= k and not a.rule_member(x):
-            total += x ** e
-    for x in a.removals:
-        if start <= x <= k and a.rule_member(x):
-            total -= x ** e
-    return total
+    """sum of i^e over members of A with start <= i <= k (start >= 1)."""
+    return (sum((faulhaber(hi - 1, e) - faulhaber(lo - 1, e)) if e else hi - lo
+                for lo, hi in a.slices(start, k + 1))
+            + sum(sign * x ** e for x, sign in _signed_exceptions(a, start, k + 1)))
 
 
 def _block_alpha_tail(a: DyadicBlockSet, n: int, e: int, config: Config) -> ExtValue:
@@ -613,10 +596,7 @@ def _block_alpha_tail(a: DyadicBlockSet, n: int, e: int, config: Config) -> ExtV
                 return exact(best)
         return bracket(best, best + env, "scan cap reached before the envelope closed")
 
-    # cyclic fill
-    if all(c == 0 for c in fill.cycle):
-        hi_probe = 1 << (max(exc_top + 1, cut_block + 1) + 1)
-        return exact(_phi_alpha_elements(a.elements_in(start, hi_probe), e))
+    # cyclic fill with a positive value (an all-zero cycle is finite)
     P = len(fill.cycle)
     j1 = max(cut_block + 1, fill.threshold, exc_top + 1, e.bit_length() + 1, 2)
     m_star = j1 + 44
@@ -655,9 +635,9 @@ def _psi_scan(a: NatSet, n: int, j_lo: int, j_hi: int) -> Fraction:
 
 
 def _psi_tail(a: NatSet, n: int, config: Config) -> ExtValue:
-    got = _evidence_tail(a, n, _psi_elements, "block ratios within the horizon only")
-    if got is not None:
-        return got
+    if isinstance(a, HorizonSet):
+        return observational(_psi_elements(a.elements_in(max(n, 1), a.horizon)),
+                             "block ratios within the horizon only")
     if isinstance(a, DyadicBlockSet):
         return _psi_tail_blocks(a, n)
     if isinstance(a, (PeriodicSet, APUnionSet)):
@@ -701,9 +681,9 @@ def _psi_tail_blocks(a: DyadicBlockSet, n: int) -> ExtValue:
 
 def _psi_tail_eventually_periodic(a: NatSet, n: int, config: Config) -> ExtValue:
     d = a.density()
-    m, t = _ep_structure(a, config)
+    m = a.period(config.window_sweep_budget)
     j0 = max(n, 1).bit_length() - 1
-    j_pure = max(j0, t.bit_length())
+    j_pure = max(j0, a.threshold.bit_length())
     order = _mult_order_2(m, 4096) if m is not None else None
     if order is not None:
         # |A ∩ I_j|/2^j = d + g(2^j mod m)/2^j: the residue class of 2^j
@@ -718,9 +698,6 @@ def _psi_tail_eventually_periodic(a: NatSet, n: int, config: Config) -> ExtValue
 
 
 def _counting_tail(a: NatSet, n: int) -> ExtValue:
-    fin = finite_part(a)
-    if fin is not None:
-        return exact(Fraction(sum(1 for x in fin.elements if x >= n)))
     if isinstance(a, HorizonSet):
         return bracket(a.count_range(min(n, a.horizon), a.horizon), None,
                        "membership beyond the horizon is unknown")
@@ -737,9 +714,6 @@ def _counting_tail(a: NatSet, n: int) -> ExtValue:
 
 
 def _harmonic_tail(a: NatSet, n: int) -> ExtValue:
-    fin = finite_part(a)
-    if fin is not None:
-        return exact(sum((Fraction(1, x + 1) for x in fin.elements if x >= n), Fraction(0)))
     if isinstance(a, (PeriodicSet, APUnionSet)):
         return infinite()  # every infinite progression has a divergent harmonic tail
     if isinstance(a, DyadicBlockSet):
@@ -768,18 +742,12 @@ def _geometric_tail(a: NatSet, n: int) -> ExtValue:
     cap = n + 1024
     if isinstance(a, HorizonSet):
         cap = min(cap, a.horizon)
-    num = 0
-    for x in a.elements_in(n, cap):
-        num += 1 << (cap - x - 1)
-    partial = Fraction(num, 1 << cap)
+    partial = _geo_partial(a.elements_in(n, cap))
     return bracket(partial, partial + Fraction(1, 1 << cap),
                    "residual mass beyond the cap is below 2^-cap")
 
 
 def _weighted_tail(a: NatSet, n: int) -> ExtValue:
-    fin = finite_part(a)
-    if fin is not None and not any(x >= max(n, 1) for x in fin.elements):
-        return exact(0)
     d = eventual_density(a)
     if d is not None:
         return bracket(d, 1, "weighted supremum has no closed form; "
@@ -789,12 +757,15 @@ def _weighted_tail(a: NatSet, n: int) -> ExtValue:
 
 _INFTY_EXACT_TAIL_EXPONENT = 16
 
+# The largest member of a finite tail that a weighted or geometric tail reads
+# exactly: a weighted scan of 4096 positions takes about 0.1 s, and 2^-4097
+# still prints in full.
+_FINITE_SCAN_MAX = 4096
+
 
 def _infty_component_tail(a: NatSet, n: int, e: int, config: Config) -> ExtValue:
     """phi_{e}(A ∖ n) for large exponents inside the phi-infty sum: cheap
     certified bounds instead of exact sweeps."""
-    if isinstance(a, FiniteSet) and e <= _MAX_EXACT_EXPONENT:
-        return _phi_alpha_tail(a, n, e, config)
     lo = eventual_density(a) or Fraction(0)  # the tail supremum dominates the limit
     if isinstance(a, DyadicBlockSet) and a.fill.structure == "cycle":
         c_max = max(a.fill.cycle)
@@ -821,9 +792,17 @@ def _infty_component_tail(a: NatSet, n: int, e: int, config: Config) -> ExtValue
 
 def tail_value(desc: LscsmDescriptor | str, a: NatSet, n: int,
                config: Config = DEFAULT_CONFIG) -> ExtValue:
-    """phi(A ∖ n): exact or bracketed per backend, observational on horizons."""
+    """phi(A ∖ n): exact on finite tails (see the module docstring), else
+    exact or bracketed per backend, observational on horizons."""
     if isinstance(desc, str):
         desc = get_lscsm(desc)
+    fin = finite_part(a)
+    tail = None if fin is None else drop_below(fin, n).elements
+    reads_positions = desc.kind == "geometric" or (desc.kind == "weighted"
+                                                   and desc.weight != "constant")
+    if tail is not None and desc.kind != "infty" and not (
+            reads_positions and tail and tail[-1] > _FINITE_SCAN_MAX):
+        return exact(_finite_value(desc, tail))
     e = _prefix_exponent(desc)
     if e is not None:
         return _phi_alpha_tail(a, n, e, config)
@@ -831,7 +810,9 @@ def tail_value(desc: LscsmDescriptor | str, a: NatSet, n: int,
         return _psi_tail(a, n, config)
     if desc.kind in ("infty", "infty-trunc"):
         pairs, rest = _components(desc)
-        parts = [(w, _phi_alpha_tail(a, n, e, config) if e <= _INFTY_EXACT_TAIL_EXPONENT
+        parts = [(w, exact(_phi_alpha_elements(tail, e))
+                  if tail is not None and e <= _MAX_EXACT_EXPONENT
+                  else _phi_alpha_tail(a, n, e, config) if e <= _INFTY_EXACT_TAIL_EXPONENT
                   else _infty_component_tail(a, n, e, config)) for w, e in pairs]
         if any(t.status == "observational" for _, t in parts):
             seen = sum((w * (t.value if t.value is not None else (t.lower or Fraction(0)))

@@ -36,10 +36,23 @@ report payloads see the fields alone. Cost of the reads on [lo, hi):
   the output. The intersections are the CRT-pruned inclusion-exclusion over
   term subsets (k^2 for pairwise disjoint terms, up to 2^k), enumerated on
   the first ``count_range`` or ``density`` read and kept on the set; the
-  geometric measure reads the same tuple.
+  geometric measure reads the same tuple. A term inside another term (its
+  modulus a multiple of the other's, its offset congruent, its first element
+  no smaller) or repeating an earlier one is left out of the enumeration.
 - dyadic-block: ``member`` one fill value and an integer slice length;
   ``count_range`` and ``elements_in`` one slice length per block the range
   meets (O(j) bit work at block j) plus the exceptions inside the range.
+
+Three rules live here once, for every module that needs them:
+
+- ``_signed_exceptions(a, lo, hi)``: the AP-union or block exceptions that
+  change membership, an extra off the rule as +1 and a removal on it as -1;
+  ``count_range``, the block tail weights of the lscsm evaluators and the
+  geometric measure all read them.
+- ``DyadicBlockSet.slices(lo, hi)``: the walk over the rule's member runs;
+  ``count_range``, ``elements_in`` and the block tail weights use it.
+- ``period(budget)`` of an eventually periodic set: a ``PeriodicSet``'s
+  modulus, or an ``APUnionSet``'s lcm of term moduli (None above the budget).
 
 The one set-literal grammar lives here (``parse_set``/``format_set``); the
 CLI parses and prints through it:
@@ -308,6 +321,10 @@ class PeriodicSet(NatSet):
     def density(self) -> Fraction:
         return Fraction(len(self.residues), self.modulus)
 
+    def period(self, budget: int) -> Optional[int]:
+        """A period of the rule from the threshold on: the modulus."""
+        return self.modulus
+
     def is_empty_surely(self) -> bool:
         return not self.residues and not self.added
 
@@ -352,6 +369,12 @@ def factorial_label(n: int) -> str:
     return f"{n}!"
 
 
+def _covers(u: APTerm, t: APTerm) -> bool:
+    """Whether every member of t is a member of u (offsets are canonical)."""
+    return (t.modulus % u.modulus == 0 and t.offset % u.modulus == u.offset
+            and t.min_element >= u.min_element)
+
+
 def _crt_merge(m1: int, c1: int, m2: int, c2: int) -> Optional[tuple[int, int]]:
     """Solve x ≡ c1 (m1), x ≡ c2 (m2). Returns (lcm, c) or None if empty."""
     g = math.gcd(m1, m2)
@@ -376,11 +399,20 @@ def _set_exceptions(a) -> None:
         raise ValueError("extras and removals must be disjoint")
 
 
+def _signed_exceptions(a, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """The exceptions of an AP-union or block set inside [lo, hi) that change
+    membership: (x, +1) for an extra off the rule, (x, -1) for a removal on it."""
+    for x in _within(a.extras, lo, hi):
+        if not a.rule_member(x):
+            yield x, 1
+    for x in _within(a.removals, lo, hi):
+        if a.rule_member(x):
+            yield x, -1
+
+
 def _exception_count(a, lo: int, hi: int) -> int:
-    """The extras off the rule minus the removals on it, inside [lo, hi)
-    (extras and removals are disjoint)."""
-    return (sum(1 for x in _within(a.extras, lo, hi) if not a.rule_member(x))
-            - sum(1 for x in _within(a.removals, lo, hi) if a.rule_member(x)))
+    """|A ∩ [lo, hi)| minus the rule's count there."""
+    return sum(sign for _, sign in _signed_exceptions(a, lo, hi))
 
 
 @dataclass(frozen=True)
@@ -443,6 +475,11 @@ class APUnionSet(NatSet):
         """Natural density of the union (limit exists; finite parts ignored)."""
         return sum((Fraction(sign, M) for M, _, _, sign in self._intersections), Fraction(0))
 
+    def period(self, budget: int) -> Optional[int]:
+        """A period of the rule from the threshold on: the lcm of the term
+        moduli, or None once it exceeds the budget."""
+        return _lcm_within((t.modulus for t in self.terms), budget)
+
     def is_empty_surely(self) -> bool:
         return not self.terms and not self.extras
 
@@ -453,13 +490,17 @@ class APUnionSet(NatSet):
         restricted to x >= min_x, counted with the given sign.
 
         Built on the first read that needs it, not in ``__post_init__``: every
-        union ``boolean_op`` builds would pay for it otherwise. A depth-first
-        walk drops a branch as soon as its intersection is empty, so
-        pairwise-disjoint terms give O(k^2) entries instead of 2^k.
+        union ``boolean_op`` builds would pay for it otherwise. A term that
+        lies inside another term, or repeats an earlier one, adds no members
+        and is left out. A depth-first walk drops a branch as soon as its
+        intersection is empty, so pairwise-disjoint terms give O(k^2) entries
+        instead of 2^k.
         """
         if self._intersection_cache is not None:
             return self._intersection_cache
-        terms, out = self.terms, []
+        terms, out = [t for i, t in enumerate(self.terms) if not any(
+            _covers(u, t) and (j < i or not _covers(t, u))
+            for j, u in enumerate(self.terms) if j != i)], []
 
         def rec(idx: int, M: int, c: int, mn: int, sign: int):
             for i in range(idx, len(terms)):
@@ -613,27 +654,27 @@ class DyadicBlockSet(NatSet):
             return False
         return n in self._extra_set or self.rule_member(n)
 
+    def slices(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+        """The rule's member runs inside [lo, hi) as ascending nonempty
+        half-open (start, end) pairs, one per block; exceptions not applied."""
+        if hi <= 1:
+            return
+        for blk in range(max(lo, 1).bit_length() - 1, (hi - 1).bit_length()):
+            s = max(1 << blk, lo)
+            e = min((1 << blk) + self.slice_len(blk), hi)
+            if s < e:
+                yield s, e
+
     def count_range(self, lo: int, hi: int) -> int:
         lo = max(lo, 0)
         if hi <= lo:
             return 0
-        total = 0
-        if hi > 1:
-            b_lo = max(lo, 1).bit_length() - 1
-            b_hi = (hi - 1).bit_length() - 1
-            for blk in range(b_lo, b_hi + 1):
-                s, e = 1 << blk, (1 << blk) + self.slice_len(blk)
-                total += max(0, min(e, hi) - max(s, lo))
-        return total + _exception_count(self, lo, hi)
+        return sum(e - s for s, e in self.slices(lo, hi)) + _exception_count(self, lo, hi)
 
     def elements_in(self, lo: int, hi: int) -> list[int]:
         out = set()
-        if hi > 1:
-            b_lo = max(lo, 1).bit_length() - 1
-            b_hi = (hi - 1).bit_length() - 1
-            for blk in range(b_lo, b_hi + 1):
-                s, e = 1 << blk, (1 << blk) + self.slice_len(blk)
-                out.update(range(max(s, lo), min(e, hi)))
+        for s, e in self.slices(lo, hi):
+            out.update(range(s, e))
         out.update(x for x in self.extras if lo <= x < hi)
         out.difference_update(self.removals)
         return sorted(out)
@@ -791,9 +832,12 @@ def _op_with_finite(a: NatSet, f: FiniteSet, op: str) -> NatSet:
     return replace(a, extras=rewrite(a.extras, added), removals=rewrite(a.removals, removed))
 
 
-def _shrunk_periodic(m: int, residues, added, removed) -> PeriodicSet:
+def _shrunk_periodic(m: int, residues, added, removed) -> NatSet:
     """PeriodicSet with the threshold shrunk to the minimal value covering the
-    exceptions, so extensionally equal constructions compare equal."""
+    exceptions, so extensionally equal constructions compare equal; an empty
+    rule leaves the added exceptions as a FiniteSet."""
+    if not residues:
+        return FiniteSet(tuple(added))
     exc = tuple(added) + tuple(removed)
     t_min = max(exc) + 1 if exc else 0
     return PeriodicSet(m, tuple(residues), t_min, tuple(added), tuple(removed))
@@ -810,7 +854,7 @@ def _lcm_within(moduli: Iterable[int], budget: int) -> Optional[int]:
     return l
 
 
-def _periodic_pair_op(a: PeriodicSet, b: PeriodicSet, op: str, config: Config) -> PeriodicSet:
+def _periodic_pair_op(a: PeriodicSet, b: PeriodicSet, op: str, config: Config) -> NatSet:
     l = _lcm_within((a.modulus, b.modulus), config.modulus_budget)
     if l is None:
         raise ModulusBudgetExceeded(f"lcm {math.lcm(a.modulus, b.modulus)} exceeds "
@@ -940,7 +984,7 @@ def complement(a: NatSet, config: Config = DEFAULT_CONFIG) -> NatSet:
         return PeriodicSet(1, (0,), t, (), a.elements)
     if isinstance(a, PeriodicSet):
         co_res = tuple(r for r in range(a.modulus) if r not in a._residue_set)
-        return PeriodicSet(a.modulus, co_res, a.threshold, a.removed, a.added)
+        return _shrunk_periodic(a.modulus, co_res, a.removed, a.added)
     if isinstance(a, APUnionSet):
         return complement(normalize_periodic(a, config), config)
     if isinstance(a, HorizonSet):

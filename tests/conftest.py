@@ -114,6 +114,21 @@ def brute_power_sum(k, e):
     return sum(i ** e for i in range(1, k + 1))
 
 
+def brute_sup_ratio(members, weight, cut=0):
+    """sup over k >= 1 of (sum of weight(i) over members i with cut <= i <= k)
+    / (sum of weight(i) over 1 <= i <= k), every k up to max + 1 tried."""
+    members = set(members)
+    best = Fraction(0)
+    num = den = Fraction(0)
+    for k in range(1, max(members, default=0) + 2):
+        den += weight(k)
+        if k in members and k >= cut:
+            num += weight(k)
+        if den > 0:
+            best = max(best, num / den)
+    return best
+
+
 def brute_prefix_ratios(members, hi):
     """(|A ∩ [1,n]| / n) for n = 1..hi-1, A given as a membership set."""
     out = []

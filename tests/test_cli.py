@@ -329,6 +329,11 @@ def test_limit_verbs(capsys):
                  "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["report"]["verdict"] == "certified"
+    # the weighted tails of the finite increments are exact, so the cuts exist
+    assert main(["limit", "tail-cut", "multiples", "--measure",
+                 "norm:weighted:f=harmonic", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["report"]["verdict"] == "certified"
     assert main(["limit", "sigma", "multiples", "--depth", "6",
                  "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

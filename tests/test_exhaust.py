@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from densitas import exhaust
 from densitas.exceptions import QueryBeyondHorizon, UnsupportedBackend
+from densitas.density import get_weight
 from densitas.exhaust import (
     _MAX_EXACT_EXPONENT,
+    LSCSM_NAMES,
     LscsmDescriptor,
     _block_tail_weight,
     check_lscsm_axioms,
@@ -30,10 +32,11 @@ from densitas.natset import (
     HorizonSet,
     PeriodicSet,
     boolean_op,
+    parse_set,
 )
 from densitas.values import exact
 
-from conftest import brute_members, brute_power_sum, random_structured_set
+from conftest import brute_members, brute_power_sum, brute_sup_ratio, random_structured_set
 
 
 EVENS = PeriodicSet(2, (0,))
@@ -49,23 +52,6 @@ DIRTY_BLOCKS = DyadicBlockSet(FillRule.cycled([Fraction(2, 5), Fraction(1, 7)]),
 POW2 = DyadicBlockSet(FillRule.vanishing(lambda n: Fraction(1, 2 ** n), "2^-n",
                                          slice_growth="bounded"))
 THIN = DyadicBlockSet(FillRule.vanishing(lambda n: Fraction(1, n), "1/n"))
-
-
-def brute_sup_ratio(elements, weight):
-    """sup over k of (sum of weights over members <= k) / (sum over [1,k])."""
-    best = Fraction(0)
-    num = Fraction(0)
-    den = Fraction(0)
-    members = set(elements)
-    hi = max(members) + 2 if members else 2
-    for i in range(1, hi):
-        w = weight(i)
-        den += w
-        if i in members:
-            num += w
-            if num / den > best:
-                best = num / den
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +381,75 @@ def test_geometric_tail_is_a_thin_bracket():
     t = tail_value("geometric", EVENS, 10)
     assert t.status == "bracket"
     assert t.upper - t.lower <= Fraction(1, 2 ** 1000)
+
+
+# ---------------------------------------------------------------------------
+# finite evidence: one evaluator for prefixes and finite tails
+
+
+# every catalogue family but phi-infty, whose finite values are brackets
+FINITE_NAMES = ("phi-prefix", "psi-dyadic", "phi-alpha:a=0", "phi-alpha:a=1", "phi-alpha:a=4",
+                "phi-infty-trunc:a=0", "phi-infty-trunc:a=3", "counting", "harmonic",
+                "geometric", "weighted:f=constant", "weighted:f=harmonic",
+                "weighted:f=doubling", "weighted:f=halving")
+
+
+def test_finite_names_cover_the_catalogue():
+    family = lambda name: name.partition(":")[0]
+    assert {family(n) for n in FINITE_NAMES} == {family(n) for n in LSCSM_NAMES} - {"phi-infty"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 120))
+def test_prefix_value_is_the_tail_value_of_the_prefix(seed, n):
+    a = random_structured_set(random.Random(seed))
+    prefix = FiniteSet(tuple(a.elements_in(0, n)))
+    for name in FINITE_NAMES:
+        assert lscsm_eval(name, a, n) == tail_value(name, prefix, 0), name
+
+
+def _finite_forms(members):
+    """The same finite set as each backend that natset.finite_part reads."""
+    xs = tuple(sorted(members))
+    t = xs[-1] + 1 if xs else 0
+    return (FiniteSet(xs), PeriodicSet(7, (), t, xs), APUnionSet((), extras=xs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sets(st.integers(0, 90), max_size=12), st.integers(0, 100),
+       st.sampled_from(("constant", "harmonic", "doubling", "halving")))
+def test_weighted_tails_of_finite_sets_match_the_brute_supremum(members, n, wname):
+    want = brute_sup_ratio(members, get_weight(wname).func, cut=n)
+    for a in _finite_forms(members):
+        assert tail_value(f"weighted:f={wname}", a, n) == exact(want), a
+
+
+def test_finite_tails_are_exact_inside_the_old_brackets():
+    assert tail_value("weighted:f=harmonic", parse_set("fin{1,2,3}"), 0) == exact(1)
+    # the bracket here was [0, 40/171]
+    t = tail_value("phi-alpha:a=2", PeriodicSet(3, (), 2000, (1500,)), 0)
+    assert t == exact(Fraction(1500 ** 2, brute_power_sum(1500, 2)))
+    t = tail_value("geometric", parse_set("fin{2,3,13}"), 3)
+    assert t == exact(Fraction(1, 2 ** 4) + Fraction(1, 2 ** 14))
+
+
+def test_zero_cycle_block_tails_read_the_head_blocks():
+    # the members are the head blocks 3 and 4, {8..31}
+    a = DyadicBlockSet(FillRule.cycled([Fraction(0)], threshold=5, head=(0, 0, 0, 1, 1)))
+    members = brute_members(a, 64)
+    for e in (0, 2):
+        for n in (0, 5, 20):
+            want = brute_sup_ratio(members, lambda i: Fraction(i ** e), cut=n)
+            assert tail_value(f"phi-alpha:a={e}", a, n) == exact(want), (e, n)
+
+
+def test_far_finite_tails_keep_the_position_scans_bounded():
+    # weighted sums and geometric bits read every position up to the last
+    # member, so a member past the scan bound keeps the bracket
+    far = FiniteSet((3, 10 ** 12))
+    assert tail_value("weighted:f=harmonic", far, 0).status == "bracket"
+    assert tail_value("geometric", far, 0).status == "bracket"
+    assert tail_value("phi-alpha:a=2", far, 0).status == "exact"
 
 
 # ---------------------------------------------------------------------------

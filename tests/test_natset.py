@@ -22,9 +22,11 @@ from densitas.natset import (
     APTerm,
     APUnionSet,
     DyadicBlockSet,
+    EMPTY,
     FillRule,
     FiniteSet,
     HorizonSet,
+    OMEGA,
     PeriodicSet,
     as_ap_union,
     boolean_op,
@@ -242,6 +244,27 @@ def test_ap_union_density_inclusion_exclusion():
     assert v.density() == Fraction(11, 15)
     w = APUnionSet((APTerm(4, 1), APTerm(4, 3)))  # disjoint residues
     assert w.density() == Fraction(1, 2)
+
+
+def test_contained_and_repeated_terms_add_no_intersections():
+    # every term lies inside j0=0, so the enumeration is one entry, not 2^30 - 1
+    s = parse_set(" | ".join(f"ap a=2 h=0 j0={j}" for j in range(30)))
+    assert len(s._intersections) == 1
+    assert s.density() == HALF
+    assert s.count_range(0, 100) == 50
+    # the repeat of 6j+4 and 6j+4 from 22 on are left out; 6j+4 itself starts
+    # before 3j+1 from 7 on, so it is not inside it and stays
+    u = APUnionSet((APTerm(3, 1, 2), APTerm(6, 4), APTerm(6, 4, 0, "6"), APTerm(6, 4, 3)))
+    assert u._intersections == ((3, 1, 7, 1), (6, 4, 7, -1), (6, 4, 4, 1))
+    assert u.count_range(0, 60) == 19
+
+
+def test_complement_returns_the_shrunk_form_of_difference():
+    a = parse_set("per m=2 R={0} t=4")
+    assert complement(a) == boolean_op(OMEGA, a, "difference") == parse_set("per m=2 R={1}")
+    assert complement(OMEGA) == boolean_op(OMEGA, OMEGA, "difference") == EMPTY
+    assert boolean_op(parse_set("per m=4 R={0,2}"), parse_set("per m=2 R={0}"),
+                      "difference") == EMPTY
 
 
 def test_complement_round_trip():
@@ -547,11 +570,12 @@ def test_reads_match_the_field_oracle(case, data):
 
 @st.composite
 def _ap_union_terms(draw):
-    """Overlapping, nested and same-residue terms, some with factorial moduli."""
+    """Overlapping, nested, same-residue and repeated terms, some with
+    factorial moduli."""
     terms = []
     for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(("fresh", "nested", "same-residue")) if terms
-                    else st.just("fresh"))
+        kind = draw(st.sampled_from(("fresh", "nested", "same-residue", "repeated"))
+                    if terms else st.just("fresh"))
         if kind == "fresh":
             m, label = draw(st.one_of(st.integers(1, 12).map(lambda a: (a, None)),
                                       st.sampled_from([(math.factorial(k), f"{k}!")
@@ -559,7 +583,9 @@ def _ap_union_terms(draw):
             terms.append(APTerm(m, draw(st.integers(0, m - 1)), draw(st.integers(0, 3)), label))
             continue
         u = draw(st.sampled_from(terms))
-        if kind == "nested":  # a sub-progression of u
+        if kind == "repeated":
+            terms.append(u)
+        elif kind == "nested":  # a sub-progression of u
             k = draw(st.integers(2, 4))
             terms.append(APTerm(u.modulus * k, u.offset + u.modulus * draw(st.integers(0, k - 1)),
                                 draw(st.integers(0, 3))))
