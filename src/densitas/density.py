@@ -45,6 +45,7 @@ from .natset import (
     HorizonSet,
     NatSet,
     PeriodicSet,
+    _DYADIC_EXP_MAX,
     _signed_exceptions,
     as_ap_union,
     boolean_op,
@@ -620,14 +621,26 @@ def _geo_partial(xs: Sequence[int]) -> Fraction:
     return Fraction(num, 1 << bits)
 
 
+def _geo_below(a: NatSet, bound: int, reason: str) -> ExtValue:
+    """The exact geometric sum over the members of a below bound, bracketed
+    up to the residual mass 2^-bound of every position from bound on."""
+    p = _geo_partial(a.elements_in(0, bound))
+    return bracket(p, p + Fraction(1, 2 ** bound), reason)
+
+
 def geometric_measure(a: NatSet, config: Config = DEFAULT_CONFIG) -> ExtValue:
     """nu(A) = sum over A of 2^-(a+1); a genuine finite measure on all of P(omega)."""
     if isinstance(a, FiniteSet):
-        return exact(_geo_partial(a.elements))
+        # exact up to the grammar's own 2^-k bound, not _GEO_EXP_BUDGET, so
+        # the values that print stay exact (2^14000 has 4,215 digits, under
+        # Python's 4,300-digit int-to-str limit); past it a member near 10^12
+        # would ask for a 10^12-bit sum
+        if not a.elements or a.elements[-1] < _DYADIC_EXP_MAX:
+            return exact(_geo_partial(a.elements))
+        return _geo_below(a, _DYADIC_EXP_MAX,
+                          "members beyond the exponent bound; tail bounded by residual mass")
     if isinstance(a, HorizonSet):
-        b = min(a.horizon, _GEO_EXP_BUDGET)
-        p = _geo_partial(a.elements_in(0, b))
-        return bracket(p, p + Fraction(1, 2 ** b), "tail bounded by residual mass")
+        return _geo_below(a, min(a.horizon, _GEO_EXP_BUDGET), "tail bounded by residual mass")
     if isinstance(a, (PeriodicSet, APUnionSet)):
         big = max((t.modulus for t in a.terms), default=0) if isinstance(a, APUnionSet) \
             else a.modulus
@@ -646,13 +659,10 @@ def geometric_measure(a: NatSet, config: Config = DEFAULT_CONFIG) -> ExtValue:
             total += sum((Fraction(sign, 2 ** (x + 1))
                           for x, sign in _signed_exceptions(u, 0, u.threshold)), Fraction(0))
             return exact(total)
-        p = _geo_partial(a.elements_in(0, _GEO_EXP_BUDGET))
-        return bracket(p, p + Fraction(1, 2 ** _GEO_EXP_BUDGET),
-                       "moduli beyond the exponent budget; tail bounded by residual mass")
+        return _geo_below(a, _GEO_EXP_BUDGET,
+                          "moduli beyond the exponent budget; tail bounded by residual mass")
     if isinstance(a, DyadicBlockSet):
-        p = _geo_partial(a.elements_in(0, _GEO_EXP_BUDGET))
-        return bracket(p, p + Fraction(1, 2 ** _GEO_EXP_BUDGET),
-                       "tail bounded by residual mass")
+        return _geo_below(a, _GEO_EXP_BUDGET, "tail bounded by residual mass")
     raise UnsupportedBackend(f"geometric measure undefined for backend {a.kind}")
 
 

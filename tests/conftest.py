@@ -87,6 +87,32 @@ def ap_union_period(s):
     return t, p, table
 
 
+def periodic_field_table(s, hi):
+    """Membership of each n < hi in a PeriodicSet, read from its fields: the
+    residues marked period by period, then the listed exceptions."""
+    table = bytearray(hi)
+    for r in s.residues:
+        table[r::s.modulus] = b"\x01" * len(range(r, hi, s.modulus))
+    for x in s.added:
+        table[x] = 1
+    for x in s.removed:
+        table[x] = 0
+    return table
+
+
+def brute_periodic_form(table, p, t):
+    """(modulus, residues, threshold, added, removed) of the set whose
+    membership of n < t + p is table[n] and which repeats table[t:t + p]
+    with period p from t on: the residues from that one period, the
+    exceptions from every natural below t, the threshold the least one
+    above them."""
+    residues = tuple(sorted({x % p for x in range(t, t + p) if table[x]}))
+    rule = set(residues)
+    added = tuple(x for x in range(t) if table[x] and x % p not in rule)
+    removed = tuple(x for x in range(t) if not table[x] and x % p in rule)
+    return p, residues, max(added + removed, default=-1) + 1, added, removed
+
+
 def brute_periodic_count(period, lo, hi):
     """|A ∩ [lo, hi)| from an ap_union_period table: whole periods past t
     count table[t:t+p] each."""

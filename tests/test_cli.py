@@ -166,6 +166,17 @@ def test_eval_prints_exact_fraction(capsys):
     assert capsys.readouterr().out.strip() == "1/3"
 
 
+def test_geometric_of_a_far_finite_member_is_a_bracket(capsys):
+    # 2^-20001 has more digits than Python prints; past the grammar's 2^-k
+    # bound the sum below it and the residual mass bracket the value
+    assert main(["eval", "geometric", "fin{3,13999}"]) == 0
+    assert capsys.readouterr().out.strip() == str(Fraction(1, 16) + Fraction(1, 2 ** 14000))
+    assert main(["eval", "geometric", "fin{3,20000}"]) == 0
+    lo, hi = capsys.readouterr().out.strip().strip("[]").split(", ")
+    assert Fraction(lo) == Fraction(1, 16)
+    assert Fraction(hi) == Fraction(1, 16) + Fraction(1, 2 ** 14000)
+
+
 def test_dist_example(capsys):
     assert main(["dist", "d-star", "per m=1 R={0}", "per m=2 R={0}"]) == 0
     assert capsys.readouterr().out.strip() == "1/2"

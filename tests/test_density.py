@@ -25,7 +25,7 @@ from densitas.density import (
     weighted_upper,
     window_profile,
 )
-from densitas.exceptions import NotErdosUlam, UnsupportedBackend
+from densitas.exceptions import ModulusBudgetExceeded, NotErdosUlam, UnsupportedBackend
 from densitas.exhaust import exhaustive_norm, tail_value
 from densitas.natset import (
     APTerm,
@@ -35,6 +35,7 @@ from densitas.natset import (
     FiniteSet,
     HorizonSet,
     PeriodicSet,
+    parse_set,
 )
 from densitas.values import bracket, exact
 
@@ -165,6 +166,15 @@ def test_lower_dual_values():
     assert lower_dual(HALF_BLOCKS, "d-star").value == exact(Fraction(1, 2))
     assert lower_dual(HALF_BLOCKS, "bd-star").value == exact(0)
     assert lower_dual(FiniteSet((1, 2)), "d-star").value == exact(0)
+
+
+def test_lower_dual_of_a_huge_modulus_is_bounded():
+    # the complement of a periodic set reads every residue class; past the
+    # modulus budget it used to run on unbounded
+    t = time.perf_counter()
+    with pytest.raises(ModulusBudgetExceeded):
+        lower_dual(parse_set("per m=100000000000 R={0}"))
+    assert time.perf_counter() - t < 5.0
 
 
 def test_dom_membership_verdicts():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -45,9 +46,11 @@ from conftest import (
     brute_geometric,
     brute_members,
     brute_periodic_count,
+    brute_periodic_form,
     field_elements,
     field_member,
     field_slice_len,
+    periodic_field_table,
     random_structured_set,
 )
 
@@ -145,22 +148,29 @@ def test_normalize_respects_modulus_budget():
         normalize_periodic(u, cfg)
 
 
+def _assert_form(got, want):
+    """got has the fields want = (modulus, residues, threshold, added,
+    removed), an empty rule coming back as the FiniteSet of its added
+    exceptions; a residue mask the result carries matches its residues."""
+    if not want[1]:
+        assert got == FiniteSet(want[3])
+        return
+    assert (got.modulus, got.residues, got.threshold, got.added, got.removed) == want
+    assert got._mask_cache in (None, sum(1 << r for r in got.residues))
+
+
+# moduli from divisor chains as well, so terms nest inside and overlap each other
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.builds(APTerm, st.integers(1, 12), st.integers(0, 40), st.integers(0, 30)),
-                min_size=1, max_size=3),
+@given(st.lists(st.builds(APTerm, st.one_of(st.integers(1, 12), st.sampled_from((2, 4, 8, 24))),
+                          st.integers(0, 40), st.integers(0, 30)),
+                min_size=1, max_size=4),
        st.lists(st.integers(0, 150), max_size=8, unique=True), st.data())
 def test_normalize_matches_the_threshold_scan(terms, pool, data):
     split = data.draw(st.integers(0, len(pool)))
     u = APUnionSet(tuple(terms), tuple(pool[:split]), tuple(pool[split:]))
-    l = math.lcm(*(t.modulus for t in terms))
-    residues = tuple(r for r in range(l) if any(r % t.modulus == t.offset for t in terms))
-    # every natural below the threshold, read from the fields
-    added = tuple(x for x in range(u.threshold)
-                  if field_member(u, x) and x % l not in residues)
-    removed = tuple(x for x in range(u.threshold)
-                    if not field_member(u, x) and x % l in residues)
-    t = max(added + removed, default=-1) + 1
-    assert normalize_periodic(u) == PeriodicSet(l, residues, t, added, removed)
+    # every natural below the threshold and one period past it, from the fields
+    t, p, table = ap_union_period(u)
+    _assert_form(normalize_periodic(u), brute_periodic_form(table, p, t))
 
 
 def test_normalize_reads_a_million_removals():
@@ -499,6 +509,65 @@ def test_boolean_op_matches_pointwise_membership(a, b):
         assert brute_members(c, hi) == want, op
 
 
+_BOOL_OPS = {"union": operator.or_, "intersection": operator.and_,
+             "difference": lambda x, y: x and not y, "symdiff": operator.xor}
+# lcm up to about 10^5; a few residues (the set lift, mostly) and about half
+# of them, inverted or not (the mask lift); thresholds up to 60 with add=/rm=
+# exceptions below them
+_MASK_SETS = st.integers(1, 400).flatmap(lambda m: st.builds(
+    _periodic, st.just(m),
+    st.one_of(st.lists(st.integers(0, m - 1), max_size=4),
+              st.builds(lambda w, dense: tuple(r for r in range(m) if (w >> r & 1) != dense),
+                        st.integers(0, (1 << m) - 1), st.booleans())),
+    st.integers(0, 60), st.lists(st.integers(0, 59), max_size=6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_MASK_SETS, _MASK_SETS)
+def test_periodic_algebra_matches_the_brute_form(a, b):
+    l, t = math.lcm(a.modulus, b.modulus), max(a.threshold, b.threshold)
+    ta, tb = periodic_field_table(a, t + l), periodic_field_table(b, t + l)
+    if a != b:  # equal operands come back as they are
+        for op, f in _BOOL_OPS.items():
+            want = brute_periodic_form(bytes(map(f, ta, tb)), l, t)
+            _assert_form(boolean_op(a, b, op), want)
+    for s, table in ((a, ta), (b, tb)):
+        want = brute_periodic_form(bytes(1 - x for x in table), s.modulus, s.threshold)
+        _assert_form(complement(s), want)
+
+
+def test_pair_op_lifts_by_set_or_mask_from_the_lifted_count():
+    # 6 + 6 residues lifted to l = 12 take the mask, and the result keeps it
+    dense = boolean_op(PeriodicSet(4, (0, 1)), PeriodicSet(6, (0, 1, 2)), "union")
+    assert dense.residues == (0, 1, 2, 4, 5, 6, 7, 8, 9)
+    assert dense._mask_cache == sum(1 << r for r in dense.residues)
+    # 3 + 2 residues lifted to l = 120 take sets, and no mask is built
+    a, b = PeriodicSet(40, (0,)), PeriodicSet(60, (1,))
+    sparse = boolean_op(a, b, "union")
+    assert sparse.residues == (0, 1, 40, 61, 80)
+    assert (a._mask_cache, b._mask_cache, sparse._mask_cache) == (None, None, None)
+    u = normalize_periodic(APUnionSet((APTerm(40, 0), APTerm(60, 1))))
+    assert u == sparse and u._mask_cache is None
+    v = normalize_periodic(APUnionSet(tuple(
+        APTerm(m, h) for m, h in ((4, 0), (4, 1), (6, 0), (6, 1), (6, 2)))))
+    assert v == dense and v._mask_cache == dense._mask_cache
+
+
+def test_sparse_rules_at_factorial_lcm_stay_cheap():
+    # a mask at l = 10! or 12! is megabytes to gigabytes of bit table; a few
+    # residues per period lift as a set in no time
+    f10, f11, f12 = (math.factorial(k) for k in (10, 11, 12))
+    t = time.perf_counter()
+    got = boolean_op(parse_set("ap a=9! h=0"), parse_set("ap a=10! h=0"), "intersection")
+    assert got == PeriodicSet(f10, (0,)) and got._mask_cache is None
+    a, b = PeriodicSet(f12, (0,)), PeriodicSet(f11, (1,))
+    assert boolean_op(a, b, "intersection") == EMPTY
+    assert boolean_op(a, b, "union").residues == (0,) + tuple(range(1, f12, f11))
+    assert normalize_periodic(APUnionSet((APTerm(f12, 0), APTerm(f11, 1)))).modulus == f12
+    assert (a._mask_cache, b._mask_cache) == (None, None)
+    assert time.perf_counter() - t < 5.0
+
+
 # Reads far from the origin and at factorial scale: anchors are points where
 # membership changes (residues, term starts, slice ends, exceptions), and each
 # read window straddles one of them.
@@ -620,8 +689,11 @@ def test_read_caches_follow_replace():
               DyadicBlockSet(FillRule.constant(HALF), extras=(6,), removals=(4,)),
               PeriodicSet(6, (1, 3), 7, (0,), (1,))):
         assert s.count_range(0, 40) == len(field_elements(s, 0, 40))  # caches built
-        if isinstance(s, PeriodicSet):
+        if isinstance(s, PeriodicSet):  # the residue mask is rebuilt, not copied
+            assert complement(s) and s._mask_cache == 0b1010
             t = dataclasses.replace(s, residues=(2, 3), added=(1,), removed=(3,))
+            assert t._mask_cache is None
+            assert complement(t) and t._mask_cache == 0b1100
         elif isinstance(s, APUnionSet):  # new terms: a fresh intersection tuple
             t = dataclasses.replace(s, terms=s.terms + (APTerm(6, 3),),
                                     extras=(3, 7), removals=(2, 9, 5))
@@ -651,12 +723,19 @@ def test_equal_sets_from_different_routes_compare_and_hash_equal():
 
 def test_read_caches_are_not_fields():
     for s in sample_sets():
-        # the AP-union intersection tuple is built by the first read, not before
+        # the AP-union intersection tuple is built by the first read, not
+        # before; the periodic residue mask by the first complement or pair op
         assert getattr(s, "_intersection_cache", None) is None
+        assert getattr(s, "_mask_cache", None) is None
         s.count_range(0, 40)
         assert isinstance(getattr(s, "_intersection_cache", None), tuple) == \
             isinstance(s, APUnionSet)
+        assert getattr(s, "_mask_cache", None) is None
+        if isinstance(s, PeriodicSet):
+            complement(s)
+            assert s._mask_cache == sum(1 << r for r in s.residues)
         names = {f.name for f in dataclasses.fields(s)}
+        assert not {"_intersection_cache", "_mask_cache"} & names
         cached = set(vars(s)) - names
         payload = to_payload(s)
         assert cached and names >= set(payload)
