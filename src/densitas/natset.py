@@ -25,13 +25,17 @@ report payloads see the fields alone. Cost of the reads on [lo, hi):
   the sorted elements; ``elements_in`` two bisections plus the output.
 - horizon: ``member`` and ``count_range`` one shift or mask of the H-bit word;
   ``elements_in`` one shift and one pass over the range's bits.
-- periodic: ``member`` frozenset lookups of n mod m and the exceptions;
-  ``count_range`` q·|R| + bisect(R, r) at each end (n = q·m + r) plus two
-  bisections per exception list, independent of hi - lo and of m, so factorial
-  moduli cost no more than small ones; ``elements_in`` |R| progressions plus
-  the output.
-- ap-union (k terms): ``member`` one pass over (modulus, offset, first
-  element) triples; ``count_range`` one ``_ap_count`` per cached intersection
+- periodic: ``member`` one frozenset lookup of n mod m from the threshold
+  on, the exception sets first below it; ``count_range`` q·|R| + bisect(R, r)
+  at each end (n = q·m + r) plus two bisections per exception list,
+  independent of hi - lo and of m, so factorial moduli cost no more than
+  small ones; ``elements_in`` |R| progressions plus the output.
+- ap-union (k terms): ``member`` from the threshold on one byte of a tail
+  table at n mod l, l the lcm of the term moduli; the first such read builds
+  it in O(l + Σ l/m). Below the threshold, and where l or Σ l/m passes
+  ``_TAIL_MAX`` (2^20, so a table holds at most 1 MB; factorial moduli lie
+  above it), one pass over (modulus, offset, first element) triples.
+  ``count_range`` one ``_ap_count`` per cached intersection
   plus the exceptions inside the range; ``elements_in`` k progressions plus
   the output. The intersections are the CRT-pruned inclusion-exclusion over
   term subsets (k^2 for pairwise disjoint terms, up to 2^k), enumerated on
@@ -39,9 +43,17 @@ report payloads see the fields alone. Cost of the reads on [lo, hi):
   geometric measure reads the same tuple. A term inside another term (its
   modulus a multiple of the other's, its offset congruent, its first element
   no smaller) or repeating an earlier one is left out of the enumeration.
-- dyadic-block: ``member`` one fill value and an integer slice length;
-  ``count_range`` and ``elements_in`` one slice length per block the range
-  meets (O(j) bit work at block j) plus the exceptions inside the range.
+- dyadic-block: ``member`` one ``bit_length`` and one index into the set's
+  slice ends, each computed once, when a read first reaches its block.
+  Blocks from ``_BLOCKS_CACHED`` (64) on are not kept, since the end of
+  block j has j + 1 bits: there each read computes one fill value and an
+  integer slice length, O(j) bit work. ``count_range`` and ``elements_in``
+  read one slice end per block the range meets, plus the exceptions inside
+  the range.
+
+The AP-union tail table and the block slice ends are read structures too,
+built by the first read that needs them rather than in ``__post_init__``,
+and bounded by those two module constants.
 
 Periodic set algebra lifts each operand's residues to l = lcm(m, m') as a
 rule mod l and combines the two rules by one set operation. A rule that
@@ -133,6 +145,13 @@ def _sorted_unique(xs: Iterable[int]) -> tuple[tuple[int, ...], frozenset]:
     if out and out[0] < 0:
         raise ValueError("elements must be naturals")
     return out, members
+
+
+def _shown(n: int) -> str:
+    """n in decimal for an error message, or its size once it is long: past
+    4,300 digits Python refuses to print an integer, and the message would
+    fail in place of the error it reports."""
+    return str(n) if n.bit_length() <= 1024 else f"[{n.bit_length()} bits]"
 
 
 def _count_between(xs: tuple[int, ...], lo: int, hi: int) -> int:
@@ -230,14 +249,15 @@ class HorizonSet(NatSet):
             if 0 <= m < horizon:
                 word |= 1 << m
             else:
-                raise QueryBeyondHorizon(f"member {m} outside horizon {horizon}")
+                raise QueryBeyondHorizon(f"member {_shown(m)} outside horizon {horizon}")
         return cls(horizon, word.to_bytes((horizon + 7) // 8, "little"))
 
     def member(self, n: int) -> bool:
         if n < 0:
             return False
         if n >= self.horizon:
-            raise QueryBeyondHorizon(f"membership of {n} unknown beyond horizon {self.horizon}")
+            raise QueryBeyondHorizon(f"membership of {_shown(n)} unknown beyond horizon "
+                                     f"{self.horizon}")
         return bool((self._word >> n) & 1)
 
     def count_range(self, lo: int, hi: int) -> int:
@@ -328,14 +348,11 @@ class PeriodicSet(NatSet):
         return n % self.modulus in self._residue_set
 
     def member(self, n: int) -> bool:
-        if n < 0:
+        if n >= self.threshold:  # every exception lies below the threshold
+            return n % self.modulus in self._residue_set
+        if n < 0 or n in self._removed_set:
             return False
-        if n < self.threshold:
-            if n in self._added_set:
-                return True
-            if n in self._removed_set:
-                return False
-        return self.rule_member(n)
+        return n in self._added_set or n % self.modulus in self._residue_set
 
     def _rule_count_below(self, n: int) -> int:
         """|{x in [0, n) : x mod m in R}|: q whole periods, then the residues
@@ -471,17 +488,17 @@ class APUnionSet(NatSet):
         _set_exceptions(self)
         object.__setattr__(self, "_term_rules",
                            tuple((t.modulus, t.offset, t.min_element) for t in self.terms))
-        # None until the first read of `_intersections` fills it. Declared here
-        # so every instance has the same attributes: a later `__dict__` write,
-        # as functools.cached_property makes, slowed every `member` read
+        # the least t such that from t on every term has started and no extra
+        # or removal remains: past it the set is periodic modulo the terms' lcm
+        object.__setattr__(self, "threshold", max(
+            [t.min_element for t in self.terms]
+            + [xs[-1] + 1 for xs in (self.extras, self.removals) if xs] + [0]))
+        # None until the first read of `_intersections`, and the first
+        # `member` read past the threshold, fill them. Declared here so every
+        # instance has the same attributes: a later `__dict__` write, as
+        # functools.cached_property makes, slowed every `member` read
         object.__setattr__(self, "_intersection_cache", None)
-
-    @property
-    def threshold(self) -> int:
-        """Least t such that from t on every term has started and no extra or
-        removal remains: past it the set is periodic modulo the terms' lcm."""
-        return max([t.min_element for t in self.terms]
-                   + [x + 1 for x in self.extras] + [x + 1 for x in self.removals] + [0])
+        object.__setattr__(self, "_tail_cache", None)
 
     def rule_member(self, n: int) -> bool:
         for m, h, mn in self._term_rules:
@@ -490,9 +507,34 @@ class APUnionSet(NatSet):
         return False
 
     def member(self, n: int) -> bool:
+        if n >= self.threshold:
+            table = self._tail_cache
+            if table is None:
+                table = self._tail_table()
+            if table:
+                return table[n % len(table)] == 1
         if n < 0 or n in self._removal_set:
             return False
         return n in self._extra_set or self.rule_member(n)
+
+    def _tail_table(self) -> bytes:
+        """The rule past the threshold as a byte table over one period l, the
+        lcm of the term moduli: table[r] is 1 iff r is a member residue mod l.
+
+        Built by the first ``member`` read past the threshold, one strided
+        write per term, O(l + Σ l/m). Where l or the lifted residue count
+        Σ l/m passes ``_TAIL_MAX`` (factorial moduli, for one) no table is
+        built, the empty one is kept, and ``member`` passes over the terms.
+        """
+        l = _lcm_within((t.modulus for t in self.terms), _TAIL_MAX)
+        table = b""
+        if l is not None and sum(l // t.modulus for t in self.terms) <= _TAIL_MAX:
+            rule = bytearray(l)
+            for t in self.terms:  # t.offset < t.modulus, which divides l
+                rule[t.offset::t.modulus] = b"\x01" * (l // t.modulus)
+            table = bytes(rule)
+        object.__setattr__(self, "_tail_cache", table)
+        return table
 
     def count_range(self, lo: int, hi: int) -> int:
         lo = max(lo, 0)
@@ -674,37 +716,57 @@ class DyadicBlockSet(NatSet):
 
     def __post_init__(self):
         _set_exceptions(self)
+        # _ends[b] = _slice_end(b), filled in order by the reads up to
+        # _BLOCKS_CACHED; _ends[0] = 0, since 0 lies in no block
+        object.__setattr__(self, "_ends", [0])
 
     def slice_len(self, n: int) -> int:
-        """round_half_up(f_n · 2^n), in integers: with f_n = p/q it is
-        floor((p·2^(n+1) + q) / 2q)."""
-        f = self.fill.value(n)
-        p, q = f.numerator, f.denominator
-        return ((p << (n + 1)) + q) // (2 * q)
+        """round_half_up(f_n · 2^n), the length of block n's member slice."""
+        return self._slice_end(n + 1) - (1 << n)
+
+    def _slice_end(self, b: int) -> int:
+        """End of the member run among the naturals of bit length b, which
+        make up block b - 1, and 0 for b = 0. The ends of blocks below
+        _BLOCKS_CACHED are computed once, in order, and kept."""
+        ends = self._ends
+        if b < len(ends):
+            return ends[b]
+        if b > _BLOCKS_CACHED:
+            return self._block_end(b - 1)
+        ends.extend(map(self._block_end, range(len(ends) - 1, b)))
+        return ends[b]
+
+    def _block_end(self, j: int) -> int:
+        """2^j + round_half_up(f_j · 2^j), in integers: with f_j = p/q the
+        slice length is floor((p·2^(j+1) + q) / 2q)."""
+        f = self.fill.value(j)
+        return (1 << j) + ((f.numerator << (j + 1)) + f.denominator) // (2 * f.denominator)
 
     def slices_unbounded(self) -> bool:
         """Whether member-run lengths grow without bound (declared structure)."""
         return self.fill.slice_growth == "unbounded"
 
     def rule_member(self, n: int) -> bool:
-        if n < 1:
-            return False
-        blk = n.bit_length() - 1
-        return n - (1 << blk) < self.slice_len(blk)
+        return 0 <= n < self._slice_end(n.bit_length())
 
     def member(self, n: int) -> bool:
         if n < 0 or n in self._removal_set:
             return False
-        return n in self._extra_set or self.rule_member(n)
+        if n in self._extra_set:
+            return True
+        # the cached case of _slice_end inline: the call would cost about a
+        # third of the read
+        b, ends = n.bit_length(), self._ends
+        return n < (ends[b] if b < len(ends) else self._slice_end(b))
 
     def slices(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
         """The rule's member runs inside [lo, hi) as ascending nonempty
         half-open (start, end) pairs, one per block; exceptions not applied."""
         if hi <= 1:
             return
-        for blk in range(max(lo, 1).bit_length() - 1, (hi - 1).bit_length()):
-            s = max(1 << blk, lo)
-            e = min((1 << blk) + self.slice_len(blk), hi)
+        for b in range(max(lo, 1).bit_length(), (hi - 1).bit_length() + 1):
+            s = max(1 << (b - 1), lo)
+            e = min(self._slice_end(b), hi)
             if s < e:
                 yield s, e
 
@@ -945,7 +1007,7 @@ def _lcm_within(moduli: Iterable[int], budget: int) -> Optional[int]:
 def _periodic_pair_op(a: PeriodicSet, b: PeriodicSet, op: str, config: Config) -> NatSet:
     l = _lcm_within((a.modulus, b.modulus), config.modulus_budget)
     if l is None:
-        raise ModulusBudgetExceeded(f"lcm {math.lcm(a.modulus, b.modulus)} exceeds "
+        raise ModulusBudgetExceeded(f"lcm {_shown(math.lcm(a.modulus, b.modulus))} exceeds "
                                     f"modulus budget {config.modulus_budget}")
     if _is_sparse(len(a.residues) * (l // a.modulus) + len(b.residues) * (l // b.modulus), l):
         # residue r mod m lifts to r, r + m, ..., r + l - m mod l
@@ -1079,7 +1141,7 @@ def complement(a: NatSet, config: Config = DEFAULT_CONFIG) -> NatSet:
     if isinstance(a, PeriodicSet):
         m = a.modulus
         if m > config.modulus_budget:
-            raise ModulusBudgetExceeded(f"modulus {m} exceeds modulus budget "
+            raise ModulusBudgetExceeded(f"modulus {_shown(m)} exceeds modulus budget "
                                         f"{config.modulus_budget}")
         # the complement leaves its rule exactly at a's exceptions, and holds
         # the removed ones
@@ -1125,7 +1187,7 @@ def drop_below(a: NatSet, n: int, config: Config = DEFAULT_CONFIG) -> NatSet:
         return APUnionSet(tuple(new_terms), extras, removals)
     if isinstance(a, DyadicBlockSet):
         if n > _SIZE_MAX:
-            raise NoValidCut(f"cut {n} is too deep to materialize on {a.kind}")
+            raise NoValidCut(f"cut {_shown(n)} is too deep to materialize on {a.kind}")
         cut = FiniteSet(tuple(a.elements_in(0, n)))
         return boolean_op(a, cut, "difference", config)
     raise UnsupportedBackend(f"drop_below not supported for backend {a.kind}")
@@ -1185,6 +1247,14 @@ _HEX = re.compile(r"[0-9a-fA-F]+")
 # drop_below materializes on a block set. Without it fin{0..10^12} would
 # exhaust memory instead of failing.
 _SIZE_MAX = 1 << 20
+# Largest period l, and largest lifted residue count Σ l/m, of an AP union's
+# tail table: at most 1 MB per set. The factorial moduli of the witness family
+# lie above it and keep the pass over the terms.
+_TAIL_MAX = _SIZE_MAX
+# Blocks whose slice ends a block set keeps once read. The end of block j has
+# j + 1 bits, so keeping every block up to a far read at block J would hold
+# O(J^2) bits; past the cap each read computes its slice length afresh.
+_BLOCKS_CACHED = 64
 # Largest N of a factorial modulus N!: 1000! (2,568 digits) still prints under
 # Python's 4,300-digit int-to-str limit; the witness family needs at most 23!.
 _FACTORIAL_MAX = 1000

@@ -182,6 +182,16 @@ def test_dist_example(capsys):
     assert capsys.readouterr().out.strip() == "1/2"
 
 
+def test_budget_error_on_a_long_lcm_exits_3(capsys):
+    # the lcm of two 3,000-digit moduli has more digits than Python prints;
+    # the budget error must not trip over its own message
+    sevens, threes = "7" * 3000, "3" * 3000 + "1"
+    assert main(["dist", "d-star", f"per m={sevens} R={{0}}", f"per m={threes} R={{0}}"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ModulusBudgetExceeded: lcm [") and "bits] exceeds" in err
+    assert "Exceeds the limit" not in err
+
+
 def test_norm_verb(capsys):
     assert main(["norm", "psi-dyadic", "blocks f(n)=2^-3"]) == 0
     assert capsys.readouterr().out.strip() == "1/8"

@@ -23,6 +23,7 @@ from densitas.exhaust import (
     phi_infty_eval,
     tail_value,
 )
+from densitas.metric import evaluate_measure
 from densitas.natset import (
     APTerm,
     APUnionSet,
@@ -462,6 +463,53 @@ def test_prefix_norm_is_the_upper_density():
         est = exhaustive_norm("phi-prefix", a)
         assert est.exact
         assert est.value == upper_asymptotic(a).value
+
+
+_RATIONALS = st.fractions(min_value=0, max_value=1, max_denominator=12)
+_EXCEPTION_POOL = st.lists(st.integers(0, 60), max_size=5, unique=True)
+
+
+def _split(cls, rule, pool, cut):
+    """cls(rule, extras, removals) with the pool split at cut."""
+    return cls(rule, tuple(pool[:cut]), tuple(pool[cut:]))
+
+
+@st.composite
+def _exact_backend_sets(draw):
+    """Finite, periodic, AP-union, constant-fill and cycled-fill block sets,
+    with exceptions, thresholds, starts and fill heads."""
+    kind = draw(st.sampled_from(("finite", "periodic", "ap-union", "constant", "cycled")))
+    pool = draw(_EXCEPTION_POOL)
+    cut = draw(st.integers(0, len(pool)))
+    if kind == "finite":
+        return FiniteSet(tuple(pool))
+    if kind == "periodic":
+        m = draw(st.integers(1, 30))
+        residues = tuple(draw(st.sets(st.integers(0, m - 1))))
+        t = draw(st.integers(0, 61))
+        below = [x for x in pool if x < t]
+        return PeriodicSet(m, residues, t, tuple(x for x in below if x % m not in residues),
+                           tuple(x for x in below if x % m in residues))
+    if kind == "ap-union":
+        terms = draw(st.lists(st.builds(APTerm, st.sampled_from((1, 2, 3, 6, 10, 24, 120)),
+                                        st.integers(0, 40), st.integers(0, 3)), max_size=3))
+        return _split(APUnionSet, tuple(terms), pool, cut)
+    if kind == "constant":
+        return _split(DyadicBlockSet, FillRule.constant(draw(_RATIONALS)), pool, cut)
+    fill = FillRule.cycled(draw(st.lists(_RATIONALS, min_size=1, max_size=3)),
+                           draw(st.integers(0, 4)),
+                           draw(st.lists(st.sampled_from((0, Fraction(1, 2), 1)), max_size=4)))
+    return _split(DyadicBlockSet, fill, pool, cut)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exact_backend_sets())
+def test_prefix_norm_equals_d_star_on_the_exact_backends(a):
+    # the catalogue claims the phi-prefix norm is the upper asymptotic
+    # density; both are computed in closed form here, each its own way
+    norm = evaluate_measure("norm:phi-prefix", a)
+    assert norm.status == "exact"
+    assert norm == evaluate_measure("d-star", a)
 
 
 def test_psi_norm_on_dyadic_fills_is_two_to_minus_n():

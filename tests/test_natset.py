@@ -39,6 +39,7 @@ from densitas.natset import (
     round_half_up,
     transform,
 )
+from densitas.natset import _BLOCKS_CACHED, _TAIL_MAX
 from densitas.reports import to_payload
 from conftest import (
     ap_union_period,
@@ -364,6 +365,49 @@ def test_block_slice_lengths():
     assert b.member(1)
 
 
+def test_block_extra_at_zero_is_a_member():
+    # 0 lies in no block, so only an extra makes it a member; the extras
+    # must be read before the rule rejects 0
+    for fill in (FillRule.constant(HALF), FillRule.vanishing(lambda n: Fraction(1, n), "1/n")):
+        s = DyadicBlockSet(fill, extras=(0,))
+        assert s.member(0) and s.count_range(0, 1) == 1 and s.elements_in(0, 1) == [0]
+        assert not DyadicBlockSet(fill).member(0)
+
+
+_CAP_FILLS = [
+    FillRule.cycled([HALF, Fraction(3, 8), 0, 1], 3, [1, 0, HALF]),  # a head, then a cycle
+    FillRule.vanishing(lambda n: Fraction(1, n), "1/n"),
+    FillRule.vanishing(lambda n: Fraction(1, 2 ** n), "2^-n", slice_growth="bounded"),
+]
+# block starts below, at and past the cap, where reads change membership
+_CAP_BLOCKS = (0, 1, 2, 5) + tuple(_BLOCKS_CACHED + k for k in (-2, -1, 0, 1, 40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_CAP_FILLS), st.data())
+def test_block_reads_match_the_field_oracle_across_the_cache_cap(fill, data):
+    # exceptions at 0 and at block starts; reads in drawn order, so the
+    # slice ends are cached from any first block
+    starts = [1 << j for j in _CAP_BLOCKS]
+    pool = data.draw(st.lists(st.sampled_from([0, 3] + starts), max_size=5, unique=True))
+    split = data.draw(st.integers(0, len(pool)))
+    s = DyadicBlockSet(fill, tuple(pool[:split]), tuple(pool[split:]))
+    anchors = [0] + starts + [(1 << j) + field_slice_len(fill, j) for j in _CAP_BLOCKS]
+    for _ in range(4):
+        anchor = data.draw(st.sampled_from(anchors))
+        lo, hi = anchor - data.draw(st.integers(0, 40)), anchor + data.draw(st.integers(-5, 40))
+        want = field_elements(s, lo, hi)
+        assert [n for n in range(max(lo, 0), hi) if s.member(n)] == want
+        assert s.count_range(lo, hi) == len(want)
+        assert s.elements_in(max(lo, 0), hi) == want
+    j = data.draw(st.sampled_from(_CAP_BLOCKS))
+    assert s.slice_len(j) == field_slice_len(fill, j)
+    # the cache holds the ends of blocks below the cap and nothing past it
+    assert len(s._ends) <= _BLOCKS_CACHED + 1
+    assert s._ends == [0] + [(1 << j) + field_slice_len(fill, j)
+                             for j in range(len(s._ends) - 1)]
+
+
 def test_fill_rule_validation():
     with pytest.raises(ValueError):
         FillRule.constant(Fraction(3, 2))
@@ -684,22 +728,74 @@ def test_ap_union_intersection_reads_match_the_brute_oracle(s, data):
         assert s.count_range(lo, hi) == brute_periodic_count(period, lo, hi)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_ap_union_terms(), st.data())
+def test_ap_union_tail_table_reads_match_the_field_oracle(s, data):
+    # past the threshold member reads one byte of the tail table; a twin
+    # whose table is forced absent passes over the terms instead
+    bare = dataclasses.replace(s)
+    object.__setattr__(bare, "_tail_cache", b"")
+    t, p, table = ap_union_period(s)
+    for _ in range(3):
+        anchor = data.draw(st.sampled_from([0, t, t + p, _FAR]))
+        lo, hi = anchor - data.draw(st.integers(0, 80)), anchor + data.draw(st.integers(-5, 80))
+        want = field_elements(s, lo, hi)
+        for u in (s, bare):
+            assert [n for n in range(lo, hi) if u.member(n)] == want
+            assert u.count_range(lo, hi) == len(want)
+            assert u.elements_in(max(lo, 0), hi) == want
+    if s._tail_cache is not None:  # built by a read past the threshold
+        assert s._tail_cache == bytes(table[t + (-t) % p:t + p] + table[t:t + (-t) % p])
+    assert bare._tail_cache == b""
+
+
+def test_tail_table_stays_unbuilt_above_its_caps():
+    # factorial moduli: the lcm passes the cap, and every read passes over
+    # the terms, as does a union lifting to more residues than the cap
+    f999 = math.factorial(999)
+    s = parse_set("ap a=1000! h=1 | ap a=999! h=2")
+    for n in (0, 1, 2, f999 + 2, 2 * f999 + 2, 1000 * f999 + 1, 1000 * f999 + 2, 10 ** 3000):
+        assert s.member(n) == field_member(s, n)
+    assert s._tail_cache == b""
+    dense = APUnionSet((APTerm(1, 0, 5), APTerm(2, 1), APTerm(_TAIL_MAX, 3)))
+    assert [n for n in range(3 * _TAIL_MAX, 3 * _TAIL_MAX + 20) if dense.member(n)] == \
+        field_elements(dense, 3 * _TAIL_MAX, 3 * _TAIL_MAX + 20)
+    assert dense._tail_cache == b""
+    # one term of modulus _TAIL_MAX lifts to one residue: the table is built
+    sparse = APUnionSet((APTerm(_TAIL_MAX, 3),))
+    assert sparse.member(_TAIL_MAX + 3) and not sparse.member(_TAIL_MAX + 4)
+    assert len(sparse._tail_cache) == _TAIL_MAX
+
+
+def test_member_returns_a_bool_on_every_backend():
+    far = [_FAR, _FAR + 1, 10 ** 3000]
+    for s in sample_sets() + [parse_set("ap a=1000! h=1 | ap a=999! h=2")]:
+        reads = range(-3, 64) if isinstance(s, HorizonSet) else [*range(-3, 64), *far]
+        assert all(type(s.member(n)) is bool for n in reads)
+
+
 def test_read_caches_follow_replace():
     for s in (APUnionSet((APTerm(4, 1),), extras=(2,), removals=(5,)),
               DyadicBlockSet(FillRule.constant(HALF), extras=(6,), removals=(4,)),
               PeriodicSet(6, (1, 3), 7, (0,), (1,))):
-        assert s.count_range(0, 40) == len(field_elements(s, 0, 40))  # caches built
+        # caches built
+        assert s.count_range(0, 40) == len(field_elements(s, 0, 40)) == \
+            sum(s.member(n) for n in range(40))
         if isinstance(s, PeriodicSet):  # the residue mask is rebuilt, not copied
             assert complement(s) and s._mask_cache == 0b1010
             t = dataclasses.replace(s, residues=(2, 3), added=(1,), removed=(3,))
             assert t._mask_cache is None
             assert complement(t) and t._mask_cache == 0b1100
         elif isinstance(s, APUnionSet):  # new terms: a fresh intersection tuple
+            assert s._tail_cache == b"\x00\x01\x00\x00"
             t = dataclasses.replace(s, terms=s.terms + (APTerm(6, 3),),
                                     extras=(3, 7), removals=(2, 9, 5))
-            assert t._intersection_cache is None
-        else:
-            t = dataclasses.replace(s, extras=(3, 7), removals=(2, 9, 5))
+            assert (t._intersection_cache, t._tail_cache) == (None, None)
+        else:  # a new fill: fresh slice ends
+            assert len(s._ends) == 7
+            t = dataclasses.replace(s, fill=FillRule.cycled([QUARTER, 1]),
+                                    extras=(3, 7), removals=(2, 9, 5))
+            assert t._ends == [0]
         for u in (s, t):
             want = field_elements(u, 0, 40)
             assert [n for n in range(40) if u.member(n)] == want
@@ -727,15 +823,24 @@ def test_read_caches_are_not_fields():
         # before; the periodic residue mask by the first complement or pair op
         assert getattr(s, "_intersection_cache", None) is None
         assert getattr(s, "_mask_cache", None) is None
+        assert getattr(s, "_tail_cache", None) is None
+        assert getattr(s, "_ends", [0]) == [0]
         s.count_range(0, 40)
         assert isinstance(getattr(s, "_intersection_cache", None), tuple) == \
             isinstance(s, APUnionSet)
         assert getattr(s, "_mask_cache", None) is None
+        assert getattr(s, "_tail_cache", None) is None
+        # the AP-union tail table by the first member read past the
+        # threshold; the block slice ends by each read of a new block
+        assert len(getattr(s, "_ends", [0])) == (7 if isinstance(s, DyadicBlockSet) else 1)
+        for n in range(64):
+            s.member(n)
+        assert isinstance(getattr(s, "_tail_cache", None), bytes) == isinstance(s, APUnionSet)
         if isinstance(s, PeriodicSet):
             complement(s)
             assert s._mask_cache == sum(1 << r for r in s.residues)
         names = {f.name for f in dataclasses.fields(s)}
-        assert not {"_intersection_cache", "_mask_cache"} & names
+        assert not {"_intersection_cache", "_mask_cache", "_tail_cache", "_ends"} & names
         cached = set(vars(s)) - names
         payload = to_payload(s)
         assert cached and names >= set(payload)
