@@ -26,7 +26,13 @@ report payloads see the fields alone. Cost of the reads on [lo, hi):
 - horizon: ``member`` and ``count_range`` one shift or mask of the H-bit word;
   ``elements_in`` one shift and one pass over the range's bits.
 - periodic: ``member`` one frozenset lookup of n mod m from the threshold
-  on, the exception sets first below it; ``count_range`` q·|R| + bisect(R, r)
+  on, the exception sets first below it. A periodic result of ``boolean_op``,
+  ``complement``, ``normalize_periodic`` or ``transform`` takes the residue
+  tuple it was built from as it is (sorted and distinct already: no sort),
+  and without exceptions it costs O(1) to build, its frozenset left to the
+  first ``member`` or ``rule_member`` read; with exceptions the frozenset is
+  built at once, to check them against. The public constructor, and so
+  every literal, validates the residues and builds it at once. ``count_range`` q·|R| + bisect(R, r)
   at each end (n = q·m + r) plus two bisections per exception list,
   independent of hi - lo and of m, so factorial moduli cost no more than
   small ones; ``elements_in`` |R| progressions plus the output.
@@ -51,9 +57,10 @@ report payloads see the fields alone. Cost of the reads on [lo, hi):
   read one slice end per block the range meets, plus the exceptions inside
   the range.
 
-The AP-union tail table and the block slice ends are read structures too,
-built by the first read that needs them rather than in ``__post_init__``,
-and bounded by those two module constants.
+The AP-union tail table, the block slice ends and the residue frozenset of
+a kernel-built periodic set without exceptions are read structures too,
+built by the first read that needs them rather than in ``__post_init__``;
+the first two are bounded by those two module constants.
 
 Periodic set algebra lifts each operand's residues to l = lcm(m, m') as a
 rule mod l and combines the two rules by one set operation. A rule that
@@ -64,9 +71,12 @@ op, O(l) big-integer word work plus an l-byte bit table that reads the
 residues back. ``normalize_periodic`` lifts its AP terms the same way and
 ``complement`` flips the mask over m bits. So a pair op or a normalization
 costs O(Σ |R|·l/m), the lifted residue count, plus the exceptions, and a
-complement O(m). A set's mask is built on its first mask op, after l (or m)
-has passed ``config.modulus_budget``, and kept on it like the read
-structures above; ``per m=1000! R={0}`` never builds one.
+complement O(m). ``transform`` of a periodic set maps the residue tuple in
+C: a dilation multiplies each residue, a shift rotates the tuple at the one
+residue, found by bisection, that wraps past the modulus. A set's mask is
+built on its first mask op, after l (or m) has passed
+``config.modulus_budget``, and kept on it like the read structures above;
+``per m=1000! R={0}`` never builds one.
 
 Three rules live here once, for every module that needs them:
 
@@ -89,7 +99,8 @@ CLI parses and prints through it:
     horizon H=16 bits=ff00     (hex integer, bit i = member i: {8..15})
 
 Horizon bits at or beyond H, reversed ranges, sizes above 2^20 (naturals in
-one brace list, H, a cycle threshold) and 2^-k with k > 14000 are parse errors.
+one brace list, H, a cycle threshold), naturals of more than 4,300 digits and
+2^-k with k > 14000 are parse errors.
 """
 
 from __future__ import annotations
@@ -100,6 +111,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress
+from operator import index
 from typing import Callable, Iterable, Iterator, Optional
 
 from .config import Config, DEFAULT_CONFIG
@@ -139,8 +151,14 @@ def round_half_up(x: Fraction) -> int:
 
 def _sorted_unique(xs: Iterable[int]) -> tuple[tuple[int, ...], frozenset]:
     """The naturals xs as a sorted tuple and as a frozenset for member
-    reads, both from one hash set."""
-    members = frozenset(map(int, xs))
+    reads, both from one hash set. An element is taken as Python indexes
+    with it (``operator.index``): a bool counts as 0 or 1, and a float,
+    Fraction or str is refused rather than truncated."""
+    integers = map(index, xs)
+    try:
+        members = frozenset(integers)
+    except TypeError as e:
+        raise ValueError(f"elements must be naturals: {e}") from None
     out = tuple(sorted(members))
     if out and out[0] < 0:
         raise ValueError("elements must be naturals")
@@ -294,6 +312,18 @@ def _ap_count(m: int, r: int, lo: int, hi: int) -> int:
     return max(0, j_hi - j_lo)
 
 
+class _Canonical:
+    """Residues the kernel hands ``PeriodicSet`` already canonical: a sorted
+    tuple of distinct naturals below the modulus. The constructor takes the
+    tuple as it is, with no sort, and on a set without exceptions leaves
+    the residue index to the first ``member`` or ``rule_member`` read."""
+
+    __slots__ = ("residues",)
+
+    def __init__(self, residues: tuple[int, ...]):
+        self.residues = residues
+
+
 @dataclass(frozen=True)
 class PeriodicSet(NatSet):
     """n >= threshold: n ∈ A iff n mod modulus ∈ residues; below threshold the
@@ -307,11 +337,19 @@ class PeriodicSet(NatSet):
     kind = "periodic"
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        rs, rset = _sorted_unique(self.residues)
-        if rs and rs[-1] >= self.modulus:
-            raise ValueError("residues must lie in [0, modulus)")
+        if type(self.residues) is _Canonical:  # a kernel result
+            rs = self.residues.residues
+            # the exceptions are checked against the residue index, so a
+            # result with exceptions builds it now: in the axiom batteries
+            # those hold about two residues per exception, and one hash
+            # insertion each costs less than a bisection per exception
+            rset = frozenset(rs) if self.added or self.removed else None
+        else:
+            if self.modulus < 1:
+                raise ValueError("modulus must be >= 1")
+            rs, rset = _sorted_unique(self.residues)
+            if rs and rs[-1] >= self.modulus:
+                raise ValueError("residues must lie in [0, modulus)")
         object.__setattr__(self, "residues", rs)
         added, added_set = _sorted_unique(self.added)
         removed, removed_set = _sorted_unique(self.removed)
@@ -323,11 +361,21 @@ class PeriodicSet(NatSet):
                 raise ValueError(f"removed exception {x} must be < threshold and a rule member")
         object.__setattr__(self, "added", added)
         object.__setattr__(self, "removed", removed)
+        # the residues as a frozenset for member reads; None on a kernel
+        # result without exceptions until its first read builds it (an
+        # empty rule's index is the empty frozenset, so the reads test
+        # `is None`)
         object.__setattr__(self, "_residue_set", rset)
         object.__setattr__(self, "_added_set", added_set)
         object.__setattr__(self, "_removed_set", removed_set)
         # None until the first read of `_residue_mask` fills it (see there)
         object.__setattr__(self, "_mask_cache", None)
+
+    def _residue_index(self) -> frozenset:
+        """The residue frozenset of a kernel result, built on its first read."""
+        rset = frozenset(self.residues)
+        object.__setattr__(self, "_residue_set", rset)
+        return rset
 
     @property
     def _residue_mask(self) -> int:
@@ -345,14 +393,20 @@ class PeriodicSet(NatSet):
         return self._mask_cache
 
     def rule_member(self, n: int) -> bool:
-        return n % self.modulus in self._residue_set
+        rset = self._residue_set
+        if rset is None:
+            rset = self._residue_index()
+        return n % self.modulus in rset
 
     def member(self, n: int) -> bool:
+        rset = self._residue_set
+        if rset is None:
+            rset = self._residue_index()
         if n >= self.threshold:  # every exception lies below the threshold
-            return n % self.modulus in self._residue_set
+            return n % self.modulus in rset
         if n < 0 or n in self._removed_set:
             return False
-        return n in self._added_set or n % self.modulus in self._residue_set
+        return n in self._added_set or n % self.modulus in rset
 
     def _rule_count_below(self, n: int) -> int:
         """|{x in [0, n) : x mod m in R}|: q whole periods, then the residues
@@ -938,16 +992,18 @@ def _op_with_finite(a: NatSet, f: FiniteSet, op: str) -> NatSet:
     return replace(a, extras=rewrite(a.extras, added), removals=rewrite(a.removals, removed))
 
 
-def _shrunk_periodic(m: int, residues, added, removed, mask: Optional[int] = None) -> NatSet:
+def _shrunk_periodic(m: int, residues: tuple[int, ...], added, removed,
+                     mask: Optional[int] = None) -> NatSet:
     """PeriodicSet with the threshold shrunk to the minimal value covering the
     exceptions, so extensionally equal constructions compare equal; an empty
-    rule leaves the added exceptions as a FiniteSet. A residue mask the
-    caller already holds is kept on the result."""
+    rule leaves the added exceptions as a FiniteSet. The residues are
+    canonical (sorted, distinct, below m) and taken as they are. A residue
+    mask the caller already holds is kept on the result."""
     if not residues:
         return FiniteSet(tuple(added))
     exc = tuple(added) + tuple(removed)
     t_min = max(exc) + 1 if exc else 0
-    out = PeriodicSet(m, tuple(residues), t_min, tuple(added), tuple(removed))
+    out = PeriodicSet(m, _Canonical(residues), t_min, tuple(added), tuple(removed))
     if mask is not None:
         object.__setattr__(out, "_mask_cache", mask)
     return out
@@ -988,7 +1044,7 @@ def _from_rule(l: int, rule, xs: Iterable[int], wanted: Callable[[int], bool]) -
         table = _bit_table(rule, l)
         residues, in_rule, mask = tuple(compress(range(l), table)), lambda x: table[x % l], rule
     else:
-        residues, in_rule, mask = sorted(rule), lambda x: x % l in rule, None
+        residues, in_rule, mask = tuple(sorted(rule)), lambda x: x % l in rule, None
     added, removed = _exceptions(xs, wanted, in_rule)
     return _shrunk_periodic(l, residues, added, removed, mask)
 
@@ -1106,12 +1162,12 @@ def normalize_periodic(a: NatSet, config: Config = DEFAULT_CONFIG) -> PeriodicSe
         return a
     if isinstance(a, FiniteSet):
         t = (a.elements[-1] + 1) if a.elements else 0
-        return PeriodicSet(1, (), t, a.elements, ())
+        return PeriodicSet(1, _Canonical(()), t, a.elements, ())
     if not isinstance(a, APUnionSet):
         raise UnsupportedBackend(f"cannot normalize backend {a.kind}")
     if not a.terms:
         t = (a.extras[-1] + 1) if a.extras else 0
-        return PeriodicSet(1, (), t, a.extras, ())
+        return PeriodicSet(1, _Canonical(()), t, a.extras, ())
     l = _lcm_within((t.modulus for t in a.terms), config.modulus_budget)
     if l is None:
         raise ModulusBudgetExceeded(
@@ -1137,7 +1193,7 @@ def complement(a: NatSet, config: Config = DEFAULT_CONFIG) -> NatSet:
     """omega minus a, where representable."""
     if isinstance(a, FiniteSet):
         t = (a.elements[-1] + 1) if a.elements else 0
-        return PeriodicSet(1, (0,), t, (), a.elements)
+        return PeriodicSet(1, _Canonical((0,)), t, (), a.elements)
     if isinstance(a, PeriodicSet):
         m = a.modulus
         if m > config.modulus_budget:
@@ -1197,30 +1253,29 @@ def transform(a: NatSet, kind: str, amount: int) -> NatSet:
     """Dilation k·A = {k·a : a ∈ A} or shift A + h = {a + h : a ∈ A}."""
     if kind not in ("dilate", "shift"):
         raise ValueError("transform kind must be 'dilate' or 'shift'")
-    if amount < 0 or (kind == "dilate" and amount == 0):
-        raise ValueError("dilation needs k >= 1, shift needs h >= 0")
+    if not isinstance(amount, int) or amount < 0 or (kind == "dilate" and amount == 0):
+        raise ValueError("dilation needs an integer k >= 1, shift an integer h >= 0")
     k, h = (amount, 0) if kind == "dilate" else (1, amount)
 
     if isinstance(a, FiniteSet):
         return FiniteSet(tuple(k * x + h for x in a.elements))
     if isinstance(a, PeriodicSet):
-        m = a.modulus * k
-        residues = tuple(sorted((k * r + h) % m for r in a.residues))
+        m, rs = a.modulus * k, a.residues
         if kind == "dilate":
-            # k·A is supported on multiples of k only; residues k*r capture that
-            t = a.threshold * k
-            added = tuple(k * x for x in a.added)
-            removed = tuple(k * x for x in a.removed)
-        else:
-            t = a.threshold + h
-            added = tuple(x + h for x in a.added)
-            removed = tuple(x + h for x in a.removed)
-            # shifting may expose [0, h) as rule members that must not exist
-            rset = {(x % m) for x in residues}
-            extra_removed = tuple(x for x in range(min(h, t)) if (x % m) in rset)
-            removed = tuple(sorted(set(removed) | set(extra_removed)))
-            t = max(t, h)
-        return PeriodicSet(m, residues, t, added, removed)
+            # k·A lies on the multiples of k: residues k·r mod k·m, in order
+            return PeriodicSet(m, _Canonical(tuple(map(k.__mul__, rs))), a.threshold * k,
+                               tuple(map(k.__mul__, a.added)), tuple(map(k.__mul__, a.removed)))
+        # r + h mod m: the residues from m - (h mod m) on wrap around to the front
+        q, s = divmod(h, m)
+        cut = bisect_left(rs, m - s)
+        residues = tuple(map((s - m).__add__, rs[cut:])) + tuple(map(s.__add__, rs[:cut]))
+        # shifting exposes the rule's members in [0, h), which A + h lacks;
+        # they all lie below the shifted removals
+        exposed = [p + r for p in range(0, q * m, m) for r in residues]
+        exposed += map((q * m).__add__, residues[:bisect_left(residues, s)])
+        return PeriodicSet(m, _Canonical(residues), a.threshold + h,
+                           tuple(map(h.__add__, a.added)),
+                           tuple(exposed) + tuple(map(h.__add__, a.removed)))
     if isinstance(a, APUnionSet):
         terms = tuple(APTerm(t.modulus * k, t.offset * k + h, t.start,
                              None if kind == "dilate" and t.label is None else t.label and f"{k}*{t.label}" if kind == "dilate" else t.label)
@@ -1255,6 +1310,9 @@ _TAIL_MAX = _SIZE_MAX
 # j + 1 bits, so keeping every block up to a far read at block J would hold
 # O(J^2) bits; past the cap each read computes its slice length afresh.
 _BLOCKS_CACHED = 64
+# Most digits of a literal natural: Python's own int-from-str limit, so a
+# longer one fails here with its size named rather than inside int().
+_DIGITS_MAX = 4300
 # Largest N of a factorial modulus N!: 1000! (2,568 digits) still prints under
 # Python's 4,300-digit int-to-str limit; the witness family needs at most 23!.
 _FACTORIAL_MAX = 1000
@@ -1301,7 +1359,11 @@ class _Cursor:
     def nat(self, most: Optional[int] = None) -> int:
         self.skip_ws()
         at = self.pos
-        n = self.build(at, int, self.token(_NAT, "a natural number"))
+        digits = self.token(_NAT, "a natural number")
+        if len(digits) > _DIGITS_MAX:
+            raise ParseError(f"a natural of {len(digits)} digits exceeds the literal limit "
+                             f"of {_DIGITS_MAX} digits", self.text, at)
+        n = self.build(at, int, digits)
         if most is not None and n > most:
             raise ParseError(f"{n} exceeds the literal size limit {most}", self.text, at)
         return n

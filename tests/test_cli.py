@@ -192,6 +192,17 @@ def test_budget_error_on_a_long_lcm_exits_3(capsys):
     assert "Exceeds the limit" not in err
 
 
+def test_long_literal_natural_is_a_typed_parse_error(capsys):
+    # past Python's 4,300-digit int-from-str limit the grammar names the
+    # digit count itself instead of passing on int()'s own message
+    sevens = "7" * 5000
+    assert main(["eval", "d-star", f"per m={sevens} R={{0}}"]) == 2
+    err = capsys.readouterr().err
+    assert "a natural of 5000 digits exceeds the literal limit of 4300 digits" in err
+    assert "Exceeds the limit" not in err
+    assert main(["eval", "d-star", f"per m={'7' * 4300} R={{0}}"]) == 0
+
+
 def test_norm_verb(capsys):
     assert main(["norm", "psi-dyadic", "blocks f(n)=2^-3"]) == 0
     assert capsys.readouterr().out.strip() == "1/8"

@@ -4,6 +4,7 @@ import operator
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +40,7 @@ from densitas.natset import (
     round_half_up,
     transform,
 )
-from densitas.natset import _BLOCKS_CACHED, _TAIL_MAX
+from densitas.natset import _BLOCKS_CACHED, _TAIL_MAX, _Canonical, _is_sparse
 from densitas.reports import to_payload
 from conftest import (
     ap_union_period,
@@ -119,6 +120,46 @@ def test_periodic_exception_validation():
         PeriodicSet(6, (1,), 7, removed=(2,))  # 2 is not a rule member
     with pytest.raises(ValueError):
         PeriodicSet(6, (1,), 3, added=(5,))  # exception beyond threshold
+
+
+def test_public_constructor_errors_are_unchanged():
+    cases = [
+        ((0, (0,)), "modulus must be >= 1"),
+        ((4, (1, 4)), "residues must lie in [0, modulus)"),
+        ((4, (2, -1)), "elements must be naturals"),
+        ((6, (1,), 7, (1,)), "added exception 1 must be < threshold and not a rule member"),
+        ((6, (3, 1), 7, (), (2,)), "removed exception 2 must be < threshold and a rule member"),
+        ((6, (1,), 3, (5,)), "added exception 5 must be < threshold and not a rule member"),
+        ((6, (1,), 3, (), (7,)), "removed exception 7 must be < threshold and a rule member"),
+        ((6, (1,), 3, (), (-5,)), "elements must be naturals"),
+    ]
+    for args, text in cases:
+        with pytest.raises(ValueError) as info:
+            PeriodicSet(*args)
+        assert str(info.value) == text
+    # the kernel's residue channel skips the canonical-form checks only:
+    # an exception against the rule is refused on either route
+    with pytest.raises(ValueError, match="added exception 1 must be"):
+        PeriodicSet(6, _Canonical((1,)), 7, (1,))
+    with pytest.raises(ValueError, match="removed exception 2 must be"):
+        PeriodicSet(6, _Canonical((1, 3)), 7, (), (2,))
+
+
+def test_non_integral_elements_are_refused_not_truncated():
+    for make in (lambda: FiniteSet((Fraction(5, 2), 2.9, True, "7")),
+                 lambda: FiniteSet((1, 2.0)),
+                 lambda: PeriodicSet(4, (2.7,)),
+                 lambda: PeriodicSet(4, (1,), 5, (Fraction(2),)),
+                 lambda: APUnionSet((APTerm(2, 0),), extras=(3.5,)),
+                 lambda: DyadicBlockSet(FillRule.constant(HALF), removals=("4",))):
+        with pytest.raises(ValueError, match="elements must be naturals"):
+            make()
+    # a bool is an integer to Python's indexing, and is stored as 0 or 1
+    f = FiniteSet((True, 2, False, 1))
+    assert f.elements == (0, 1, 2) and all(type(x) is int for x in f.elements)
+    assert repr(f) == "FiniteSet(elements=(0, 1, 2))"
+    p = PeriodicSet(2, (True,), 3, (False,))
+    assert p == PeriodicSet(2, (1,), 3, (0,)) and type(p.residues[0]) is int
 
 
 def test_apterm_canonicalizes_offset():
@@ -612,6 +653,74 @@ def test_sparse_rules_at_factorial_lcm_stay_cheap():
     assert time.perf_counter() - t < 5.0
 
 
+@st.composite
+def _lift_pairs(draw):
+    """(sparse, a, b): two periodic sets with exceptions whose lifted residue
+    count falls on the drawn side of _is_sparse. One or two residues on
+    consecutive (so coprime) moduli from 17 on lift as sets; at least a
+    quarter of the residues on moduli up to 12 lift as masks."""
+    sparse = draw(st.booleans())
+    if sparse:
+        m = draw(st.integers(17, 40))
+        moduli = (m, m + 1)
+    else:
+        moduli = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    sets = []
+    for m in moduli:
+        size = draw(st.integers(1, 2) if sparse else st.integers(-(-m // 4), m))
+        residues = draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size,
+                                 unique=True))
+        sets.append(_periodic(m, residues, draw(st.integers(0, 30)),
+                              draw(st.lists(st.integers(0, 29), max_size=5))))
+    return sparse, sets[0], sets[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lift_pairs(), st.integers(0, 50), st.integers(1, 5))
+def test_kernel_periodic_results_equal_their_public_rebuild(case, h, k):
+    sparse, a, b = case
+    l = math.lcm(a.modulus, b.modulus)
+    assert _is_sparse(len(a.residues) * (l // a.modulus) + len(b.residues) * (l // b.modulus),
+                      l) == sparse
+    fa, fb = partial(field_member, a), partial(field_member, b)
+    u = APUnionSet(tuple(APTerm(s.modulus, r, (r + s.threshold) % 3)
+                         for s in (a, b) for r in s.residues),
+                   a.added, tuple(x for x in b.added if x not in a.added))
+    results = [(complement(a), lambda n: not fa(n)),
+               (normalize_periodic(u), partial(field_member, u)),
+               (transform(a, "shift", h), lambda n: n >= h and fa(n - h)),
+               (transform(a, "dilate", k), lambda n: n % k == 0 and fa(n // k))]
+    if a != b:  # equal operands come back as they are
+        results += [(boolean_op(a, b, op), lambda n, f=f: bool(f(fa(n), fb(n))))
+                    for op, f in _BOOL_OPS.items()]
+    for got, want in results:
+        if not isinstance(got, PeriodicSet):  # an empty rule: a FiniteSet
+            assert not got.elements or got.elements[-1] < 200
+            assert all(got.member(n) == want(n) for n in range(200))
+            continue
+        # the public constructor, residues and exceptions reversed, builds
+        # the same set, eagerly indexed
+        again = PeriodicSet(got.modulus, got.residues[::-1], got.threshold,
+                            got.added[::-1], got.removed[::-1])
+        assert again == got and hash(again) == hash(got) and repr(again) == repr(got)
+        assert to_payload(again) == to_payload(got)
+        assert dataclasses.replace(got) == got
+        # without exceptions the index waits for the first read; with them
+        # it is built to check them against
+        assert (got._residue_set is None) == (not got.added and not got.removed)
+        assert again._residue_set == frozenset(got.residues)
+        reads = range(got.threshold + min(got.modulus, 300) + 2)
+        for n in reads:  # each read the first, building the index
+            object.__setattr__(got, "_residue_set", None)
+            assert got.member(n) == want(n) == field_member(got, n)
+            object.__setattr__(got, "_residue_set", None)
+            assert got.rule_member(n) == (n % got.modulus in got.residues)
+        assert got._residue_set == frozenset(got.residues)
+        for n in reads:  # the index built
+            assert got.member(n) == want(n)
+            assert got.rule_member(n) == (n % got.modulus in got.residues)
+
+
 # Reads far from the origin and at factorial scale: anchors are points where
 # membership changes (residues, term starts, slice ends, exceptions), and each
 # read window straddles one of them.
@@ -786,6 +895,16 @@ def test_read_caches_follow_replace():
             t = dataclasses.replace(s, residues=(2, 3), added=(1,), removed=(3,))
             assert t._mask_cache is None
             assert complement(t) and t._mask_cache == 0b1100
+            # a kernel result without exceptions builds its residue index on
+            # its first read; replace goes through the public constructor,
+            # which builds it at once
+            k = transform(PeriodicSet(6, (1, 3)), "dilate", 1)
+            assert k._residue_set is None
+            assert dataclasses.replace(k)._residue_set == frozenset({1, 3})
+            kt = dataclasses.replace(k, residues=(2, 3), threshold=7, added=(1,),
+                                     removed=(3,))
+            assert kt == t and kt._residue_set == frozenset({2, 3})
+            assert k.member(1) and k._residue_set == frozenset({1, 3})
         elif isinstance(s, APUnionSet):  # new terms: a fresh intersection tuple
             assert s._tail_cache == b"\x00\x01\x00\x00"
             t = dataclasses.replace(s, terms=s.terms + (APTerm(6, 3),),
@@ -818,11 +937,20 @@ def test_equal_sets_from_different_routes_compare_and_hash_equal():
 
 
 def test_read_caches_are_not_fields():
-    for s in sample_sets():
+    # kernel results without a residue mask or exceptions: a dilation and a
+    # set-lifted union
+    kernel = [transform(PeriodicSet(6, (1, 3)), "dilate", 4),
+              boolean_op(PeriodicSet(40, (0,)), PeriodicSet(60, (1,)), "union")]
+    for s in sample_sets() + kernel:
         # the AP-union intersection tuple is built by the first read, not
         # before; the periodic residue mask by the first complement or pair op
         assert getattr(s, "_intersection_cache", None) is None
         assert getattr(s, "_mask_cache", None) is None
+        # the residue index of a periodic set: built at once by the public
+        # constructor, by the first member or rule_member read of a kernel
+        # result without exceptions
+        if isinstance(s, PeriodicSet):
+            assert (s._residue_set is None) == any(s is x for x in kernel)
         assert getattr(s, "_tail_cache", None) is None
         assert getattr(s, "_ends", [0]) == [0]
         s.count_range(0, 40)
@@ -837,10 +965,12 @@ def test_read_caches_are_not_fields():
             s.member(n)
         assert isinstance(getattr(s, "_tail_cache", None), bytes) == isinstance(s, APUnionSet)
         if isinstance(s, PeriodicSet):
+            assert s._residue_set == frozenset(s.residues)
             complement(s)
             assert s._mask_cache == sum(1 << r for r in s.residues)
         names = {f.name for f in dataclasses.fields(s)}
-        assert not {"_intersection_cache", "_mask_cache", "_tail_cache", "_ends"} & names
+        assert not {"_intersection_cache", "_mask_cache", "_tail_cache", "_ends",
+                    "_residue_set"} & names
         cached = set(vars(s)) - names
         payload = to_payload(s)
         assert cached and names >= set(payload)
