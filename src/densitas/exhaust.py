@@ -40,14 +40,26 @@ periodic sets, fill-rule phase formulas for dyadic block sets, zero for
 finite sets. Where no certificate exists (horizon evidence, weights without
 a closed form) the result degrades to a bracket or an observational value,
 never to a silent guess.
+
+A norm's profile cuts share one scan of the set (_TailScan), made per call
+and dropped when it returns, so what it holds is bounded by one norm:
+natset.finite_part of the set; per exponent e, a block set's prefix weights
+P(x) = sum of i^e over A ∩ [1, x] at every slice end (_BlockWeights: each
+faulhaber(k, e) computed once, a cut's tail weight P(k) - P(n - 1)) and its
+phase limits; the counts of the dyadic blocks psi reads whole; and an
+eventually periodic set's members over the windows read so far, with their
+power sums per exponent. tail_value makes a scan for its one cut and runs
+the same code.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
@@ -143,6 +155,10 @@ def faulhaber(k: int, e: int) -> int:
         return k
     if e == 1:
         return k * (k + 1) // 2
+    if e == 2:
+        return k * (k + 1) * (2 * k + 1) // 6
+    if e == 3:
+        return (k * (k + 1) // 2) ** 2
     den, coeffs = _faulhaber_coeffs(e)
     acc = 0
     for c in coeffs:
@@ -270,15 +286,18 @@ def _phi_prefix_elements(elements: Sequence[int]) -> Fraction:
     return Fraction(best_n, best_d)
 
 
-def _phi_alpha_elements(elements: Sequence[int], e: int) -> Fraction:
-    """sup_k (sum_{i in S, i <= k} i^e) / (sum_{i <= k} i^e), S finite sorted."""
+def _phi_alpha_elements(elements: Sequence[int], e: int,
+                        power_sum: Optional[Callable[[int], int]] = None) -> Fraction:
+    """sup_k (sum_{i in S, i <= k} i^e) / (sum_{i <= k} i^e), S finite sorted.
+    power_sum(k) stands in for faulhaber(k, e) where a caller keeps them."""
     if e == 0:
         return _phi_prefix_elements(elements)
+    F = power_sum or (lambda k: faulhaber(k, e))
     best_n, best_d = 0, 1
     num = 0
     for lo, hi in _runs(elements):
-        num += faulhaber(hi, e) - faulhaber(lo - 1, e)
-        den = faulhaber(hi, e)
+        den = F(hi)
+        num += hi ** e if lo == hi else den - F(lo - 1)
         if num * best_d > best_n * den:
             best_n, best_d = num, den
     return Fraction(best_n, best_d)
@@ -437,7 +456,192 @@ def _phi_alpha_term(elems: Sequence[int], k0: int, e: int, delta: Fraction) -> E
 # Tails feed the norm profiles, so exactness is spent where the backend
 # allows it: eventually periodic sets get residue-class sweeps with
 # deviation envelopes, block sets get slice-end scans against exact phase
-# limits, horizon sets stay observational.
+# limits, horizon sets stay observational. Every cut of one norm reads its
+# set through one _TailScan, so work that does not depend on the cut is done
+# once per norm.
+
+
+class _BlockWeights:
+    """Prefix weights P(x) = sum of i^e over the members 1 <= i <= x of a
+    block set, for one exponent e, from per-block tables grown as far as a
+    read reaches.
+
+    Block j's rule members are its slice [2^j, s_j). The tables hold s_j,
+    rule[j] (the rule weight of the blocks below j), last[j] = F(s_j - 1),
+    with F(k) = faulhaber(k, e), or None for an empty slice, and at_end[j] =
+    P(s_j - 1). A point inside a slice weighs rule[j + 1] - last[j] + F(x),
+    so no table keeps F(2^j - 1): it is last[j] less the slice weight. The
+    signed exceptions add their own prefix sums; without them at_end holds
+    the same integers as rule. Each F(k) is computed once: slice ends are in
+    the tables, other points in a memo.
+    """
+
+    def __init__(self, a: DyadicBlockSet, e: int):
+        self.a, self.e = a, e
+        self.ends: list[int] = []
+        self.rule = [0]
+        self.last: list[Optional[int]] = []
+        self.at_end: list[int] = []
+        self._memo: dict[int, int] = {}
+        top = max(a.extras[-1:] + a.removals[-1:], default=0)
+        exc = sorted(_signed_exceptions(a, 1, top + 1))
+        self._exc_at = [x for x, _ in exc]
+        self._exc_sum = list(accumulate((sign * x ** e for x, sign in exc), initial=0))
+
+    def grow(self, j: int):
+        """Extend the tables through block j."""
+        ends, last, rule, memo, e = self.ends, self.last, self.rule, self._memo, self.e
+        for i in range(len(ends), j + 1):
+            lo = 1 << i
+            s = lo + self.a.slice_len(i)
+            top, weight = None, 0
+            if s > lo:
+                # a value read before its block was built moves to the tables
+                top = memo.pop(s - 1, None)
+                if top is None:
+                    top = faulhaber(s - 1, e)
+                # F(2^i - 1) is the slice end below when that slice fills its block
+                below = last[i - 1] if i and ends[i - 1] == lo else memo.pop(lo - 1, None)
+                if below is None:
+                    below = faulhaber(lo - 1, e)
+                weight = top - below
+            ends.append(s)
+            last.append(top)
+            rule.append(rule[-1] + weight)
+            exc = self.exceptions_to(s - 1)
+            self.at_end.append(rule[-1] + exc if exc else rule[-1])
+
+    def power_sum(self, k: int) -> int:
+        """faulhaber(k, e), from the tables where they hold it."""
+        if k < 1:
+            return 0
+        j = k.bit_length() - 1
+        if j < len(self.ends) and k == self.ends[j] - 1:  # k >= 2^j: a slice end
+            return self.last[j]
+        if k + 1 == 2 << j and j + 1 < len(self.ends) and self.last[j + 1] is not None:
+            return self.last[j + 1] - (self.rule[j + 2] - self.rule[j + 1])
+        v = self._memo.get(k)
+        if v is None:
+            v = self._memo[k] = faulhaber(k, self.e)
+        return v
+
+    def exceptions_to(self, x: int) -> int:
+        """The signed exception weight at points <= x."""
+        return self._exc_sum[bisect_right(self._exc_at, x)] if self._exc_at else 0
+
+    def prefix(self, x: int) -> int:
+        """P(x)."""
+        if x < 1:
+            return 0
+        j = x.bit_length() - 1
+        self.grow(j)
+        if x >= self.ends[j] - 1:  # past the slice, or at its end
+            w = self.rule[j + 1]
+        elif x == 1 << j:  # the slice's first member alone
+            w = self.rule[j] + (1 << (j * self.e))
+        else:
+            w = self.rule[j + 1] - self.last[j] + self.power_sum(x)
+        return w + self.exceptions_to(x)
+
+
+class _TailScan:
+    """What the tails phi(A ∖ n) of one set share across the cuts n.
+
+    exhaustive_norm makes one for its set and reads every profile cut
+    through it; tail_value makes one for its single cut, so both run the
+    same code. It lives for one call, so what it holds is bounded by one
+    norm's scan:
+
+    - the finite part of A (natset.finite_part), found once;
+    - per exponent e, a block set's prefix weights (_BlockWeights) and its
+      phase limits (density._alpha_block_phase_limits);
+    - the counts of the dyadic blocks I_j read whole, for psi;
+    - for an eventually periodic set, its members over the windows read so
+      far and, per exponent, the power sums faulhaber(k, e) read so far.
+    """
+
+    def __init__(self, a: NatSet, config: Config):
+        self.a, self.config = a, config
+        self.fin = finite_part(a)
+        self._weights: dict[int, _BlockWeights] = {}
+        self._limits: dict[int, list[Fraction]] = {}
+        self._closing: dict[int, tuple[Fraction, list[Fraction], Fraction]] = {}
+        self._counts: dict[int, int] = {}
+        self._sums: dict[int, Callable[[int], int]] = {}
+        self._xs: list[int] = []
+        self._span = (1, 0)  # the members in [lo, hi] are self._xs
+
+    def block_weights(self, e: int) -> _BlockWeights:
+        if e not in self._weights:
+            self._weights[e] = _BlockWeights(self.a, e)
+        return self._weights[e]
+
+    def phase_limits(self, e: int) -> list[Fraction]:
+        if e not in self._limits:
+            self._limits[e] = _alpha_block_phase_limits(self.a.fill, e)
+        return self._limits[e]
+
+    def closing(self, e: int) -> tuple[Fraction, list[Fraction], Fraction]:
+        """The cut-free parts of a cyclic block set's phi_e envelope (see
+        _block_alpha_tail): the top phase limit; per phase q the geometric
+        ideal limits[q] (1+c_q)^{e+1} / (e+1), whose 2^{j(e+1)} multiple
+        is the phase-q slice-end weight G_q + g_q; and the envelope's
+        rounding spread."""
+        if e not in self._closing:
+            limits = self.phase_limits(e)
+            max_lim = max(limits)
+            c_e = 6 * 2 ** e
+            spread = (e + 1) * (2 * c_e + 3 * (e + 1) * 4 ** e * max_lim) if e else 3 * max_lim
+            self._closing[e] = (max_lim, [lim * (1 + c) ** (e + 1) / (e + 1) for lim, c in
+                                          zip(limits, self.a.fill.cycle)], spread)
+        return self._closing[e]
+
+    def block_count(self, j: int) -> int:
+        """|A ∩ I_j|, I_j = [2^j, 2^{j+1})."""
+        if j not in self._counts:
+            self._counts[j] = self.a.count_range(1 << j, 2 << j)
+        return self._counts[j]
+
+    def power_sums(self, e: int) -> Callable[[int], int]:
+        """k -> faulhaber(k, e), each k computed once."""
+        if e not in self._sums:
+            memo: dict[int, int] = {}
+
+            def power_sum(k: int) -> int:
+                v = memo.get(k)
+                if v is None:
+                    v = memo[k] = faulhaber(k, e)
+                return v
+
+            self._sums[e] = power_sum
+        return self._sums[e]
+
+    def members(self, lo: int, hi: int) -> list[int]:
+        """The members of A in [lo, hi], 1 <= lo: a window above the one
+        held, and not further past it than its own length, extends it by one
+        elements_in read; any other is read afresh."""
+        held_lo, held_hi = self._span
+        if not held_lo <= lo <= held_hi + 1 + (hi - lo):
+            self._xs, held_lo, held_hi = [], lo, lo - 1
+        if hi > held_hi:
+            self._xs += self.a.elements_in(held_hi + 1, hi + 1)
+            held_hi = hi
+        self._span = (held_lo, held_hi)
+        xs = self._xs
+        return xs[bisect_left(xs, lo):bisect_right(xs, hi)]
+
+    def alpha_ratio(self, lo: int, hi: int, e: int) -> Fraction:
+        """phi_e of the members in [lo, hi], 1 <= lo."""
+        return _phi_alpha_elements(self.members(lo, hi), e, self.power_sums(e) if e else None)
+
+
+def _block_tail_weight(a: DyadicBlockSet, start: int, k: int, e: int) -> int:
+    """sum of i^e over members of A with start <= i <= k (start >= 1; 0 when
+    k < start)."""
+    if k < start:
+        return 0
+    w = _BlockWeights(a, e)
+    return w.prefix(k) - w.prefix(start - 1)
 
 
 def _mult_order_2(m: int, cap: int) -> Optional[int]:
@@ -465,26 +669,26 @@ def _deviation_bound(a: NatSet) -> int:
     raise UnsupportedBackend(a.kind)
 
 
-def _phi_alpha_tail(a: NatSet, n: int, e: int, config: Config) -> ExtValue:
+def _phi_alpha_tail(scan: _TailScan, n: int, e: int) -> ExtValue:
     """phi_alpha(A ∖ n); e = 0 is phi-prefix (and weighted:f=constant)."""
+    a = scan.a
     if isinstance(a, HorizonSet):
         return observational(_phi_alpha_elements(a.elements_in(max(n, 1), a.horizon), e),
                              "weighted prefix ratios within the horizon only" if e else
                              "prefix ratios within the horizon; the supremum also "
                              "ranges over unknown tail members")
     if isinstance(a, DyadicBlockSet):
-        return _block_alpha_tail(a, n, e, config)
+        return _block_alpha_tail(scan, n, e)
     if isinstance(a, (PeriodicSet, APUnionSet)):
         d = a.density()
         start = max(n, 1)
         b = _deviation_bound(a)
         if e == 0:
-            m = a.period(config.window_sweep_budget)
+            m = a.period(scan.config.window_sweep_budget)
             if m is not None:
                 # the ratio at k is d + (g(k mod m) - c0)/k past the threshold,
                 # so each residue class peaks at its first k; one period suffices
-                return exact(max(d, _phi_alpha_elements(
-                    a.elements_in(start, max(n, a.threshold, 1) + m + 1), 0)))
+                return exact(max(d, scan.alpha_ratio(start, max(n, a.threshold, 1) + m, 0)))
             # the tail count up to k is at most d(k - n) + 2B, so ratios beyond
             # the window stay below d + 2B/k
             w_end = start + 4096
@@ -497,7 +701,7 @@ def _phi_alpha_tail(a: NatSet, n: int, e: int, config: Config) -> ExtValue:
             w_end = start + max(512, min(4 * (e + 1) * b, 1 << 13))
             env = min(d + Fraction(8 * b * (e + 1), max(w_end, 2 * e)), Fraction(1))
             note = "run-end scan plus deviation envelope"
-        best = _phi_alpha_elements(a.elements_in(start, w_end + 1), e)
+        best = scan.alpha_ratio(start, w_end, e)
         if best >= env:
             return exact(best)
         return bracket(max(best, d), max(best, env), note)
@@ -505,14 +709,7 @@ def _phi_alpha_tail(a: NatSet, n: int, e: int, config: Config) -> ExtValue:
                              f"for backend {a.kind}")
 
 
-def _block_tail_weight(a: DyadicBlockSet, start: int, k: int, e: int) -> int:
-    """sum of i^e over members of A with start <= i <= k (start >= 1)."""
-    return (sum((faulhaber(hi - 1, e) - faulhaber(lo - 1, e)) if e else hi - lo
-                for lo, hi in a.slices(start, k + 1))
-            + sum(sign * x ** e for x, sign in _signed_exceptions(a, start, k + 1)))
-
-
-def _block_alpha_tail(a: DyadicBlockSet, n: int, e: int, config: Config) -> ExtValue:
+def _block_alpha_tail(scan: _TailScan, n: int, e: int) -> ExtValue:
     """phi_alpha(A ∖ n) on a block set.
 
     Candidates sit at run ends (slice ends, extras, points before removals);
@@ -521,131 +718,131 @@ def _block_alpha_tail(a: DyadicBlockSet, n: int, e: int, config: Config) -> ExtV
     the scanned window |ratio_M - limit| <= delta with the explicit envelope
     computed below, so sup = max(scan, phase limits) within delta. Vanishing
     fills get an envelope that dies with the fill, closing the scan exactly.
+    Ratios are compared as integer pairs; one Fraction is built per cut.
     """
+    a = scan.a
     fill = a.fill
+    w = scan.block_weights(e)
     start = max(n, 1)
     cut_block = start.bit_length() - 1
     exc_top = max([x.bit_length() for x in a.extras]
                   + [x.bit_length() for x in a.removals] + [0])
+    base = w.prefix(start - 1)  # the tail weight over [start, k] is P(k) - base
+    w.grow(cut_block)
+    # candidates off the slice ends, each listed by one block: the cut
+    # itself inside its slice, extras, and the point before each removal
+    # (listed by the removal's block)
+    others = sorted({(x.bit_length() - 1, x) for x in a.extras if x >= start}
+                    | {(x.bit_length() - 1, x - 1) for x in a.removals if x - 1 >= start}
+                    | ({(cut_block, start)} if start < w.ends[cut_block] else set()))
 
-    def candidates_in(j_lo: int, j_hi: int) -> list[int]:
-        # exceptions x >= start lie in blocks >= cut_block, so each one is
-        # listed by exactly one range of a scan over consecutive ranges
-        out = set()
-        for j in range(j_lo, j_hi + 1):
-            ln = a.slice_len(j)
-            if ln:
-                end = (1 << j) + ln - 1
-                if end >= start:
-                    out.add(end)
-                if (1 << j) <= start <= end:
-                    out.add(start)
-        for x in a.extras:
-            if x >= start and j_lo <= x.bit_length() - 1 <= j_hi:
-                out.add(x)
-        for x in a.removals:
-            if x - 1 >= start and j_lo <= x.bit_length() - 1 <= j_hi:
-                out.add(x - 1)
-        return sorted(out)
+    # every slice end from the cut's block on lies past the cut, but the
+    # cut's own may not
+    first = cut_block + 1 if w.ends[cut_block] <= start else cut_block
 
-    # the tail weight over [start, k], carried forward as k grows: the weight
-    # adds up over disjoint intervals, so each slice is summed only once
-    reached, weight = start - 1, 0
-
-    def weight_to(k: int) -> int:
-        nonlocal reached, weight
-        assert k >= reached
-        weight += _block_tail_weight(a, reached + 1, k, e)
-        reached = k
-        return weight
-
-    def best_over(cands: Sequence[int], seed: Fraction) -> Fraction:
-        best = seed
-        for k in cands:
-            num = weight_to(k)
-            den = faulhaber(k, e)
-            if num > 0 and num * best.denominator > best.numerator * den:
-                best = Fraction(num, den)
-        return best
+    def best_over(j_lo: int, j_hi: int, best: tuple[int, int]) -> tuple[int, int]:
+        """The largest ratio, as (num, den), of `best` and the candidates
+        listed by blocks j_lo..j_hi."""
+        bn, bd = best
+        w.grow(j_hi)
+        j = max(j_lo, first)
+        for num, den in zip(w.at_end[j:j_hi + 1], w.last[j:j_hi + 1]):
+            if den is not None:
+                num -= base
+                if num > 0 and num * bd > bn * den:
+                    bn, bd = num, den
+        for _, k in others[bisect_left(others, (j_lo,)):bisect_left(others, (j_hi + 1,))]:
+            num, den = w.prefix(k) - base, w.power_sum(k)
+            if num > 0 and num * bd > bn * den:
+                bn, bd = num, den
+        return bn, bd
 
     if fill.structure == "vanishing":
-        best = Fraction(0)
-        env = Fraction(1)
+        best = (0, 1)
+        env = None  # the last envelope, as (cum, j): Fraction(1) until one is made
         j = cut_block
         j_cap = cut_block + 4096
         j_pure = max(fill.threshold, exc_top + 1, cut_block + 2, e.bit_length() + 2)
+        # any later ratio is at most (e+1) [ N(j)/2^{j(e+1)}
+        #   + f(j) 2^{2e+1}/(2^{e+1}-1) + rounding slack ]
+        fill_factor = Fraction(2 ** (2 * e + 1), 2 ** (e + 1) - 1)
+        slack = Fraction(2 ** (2 * e + 1), 2 ** e - 1 if e > 1 else 1)
+
+        def envelope_rest(j: int) -> Fraction:
+            term3 = slack * Fraction(1, 2 ** j) if e else Fraction(j + 2, 2 ** (j + 1))
+            return fill.value(j) * fill_factor + term3
+
         while j <= j_cap:
             chunk_hi = min(j + 16, j_cap)
-            best = best_over(candidates_in(j, chunk_hi), best)
+            best = best_over(j, chunk_hi, best)
             j = chunk_hi + 1
             if j <= j_pure:
                 continue
-            # any later ratio is at most (e+1) [ N(j)/2^{j(e+1)}
-            #   + f(j) 2^{2e+1}/(2^{e+1}-1) + rounding slack ]
-            # carry only to 2^j - 1: a removal at 2^j lists 2^j - 1 next
-            cum = weight_to((1 << j) - 1) + _block_tail_weight(a, 1 << j, 1 << j, e)
-            f_up = fill.value(j)
-            term1 = Fraction(cum, 2 ** (j * (e + 1)))
-            term2 = f_up * Fraction(2 ** (2 * e + 1), 2 ** (e + 1) - 1)
-            if e:
-                term3 = Fraction(2 ** (2 * e + 1), 2 ** e - 1 if e > 1 else 1) * Fraction(1, 2 ** j)
-            else:
-                term3 = Fraction(j + 2, 2 ** (j + 1))
-            env = (e + 1) * (term1 + term2 + term3)
-            if env < best:
-                return exact(best)
-        return bracket(best, best + env, "scan cap reached before the envelope closed")
+            # N(j), the tail weight through 2^j; env < best in integers:
+            # (e+1) (cum/2^s + rest) < bn/bd, s = j(e+1)
+            cum = w.prefix(1 << j) - base
+            rest = envelope_rest(j)
+            bn, bd = best
+            s = j * (e + 1)
+            if (e + 1) * (cum * rest.denominator + (rest.numerator << s)) * bd \
+                    < (bn * rest.denominator) << s:
+                return exact(Fraction(bn, bd))
+            env = (cum, j)
+        low = Fraction(*best)
+        high = Fraction(1) if env is None else \
+            (e + 1) * (Fraction(env[0], 2 ** (env[1] * (e + 1))) + envelope_rest(env[1]))
+        return bracket(low, low + high, "scan cap reached before the envelope closed")
 
     # cyclic fill with a positive value (an all-zero cycle is finite)
     P = len(fill.cycle)
     j1 = max(cut_block + 1, fill.threshold, exc_top + 1, e.bit_length() + 1, 2)
     m_star = j1 + 44
-    best = best_over(candidates_in(cut_block, m_star), Fraction(0))
-    limits = _alpha_block_phase_limits(fill, e)
-    max_lim = max(limits)
+    best = Fraction(*best_over(cut_block, m_star, (0, 1)))
+    max_lim, ideals, spread = scan.closing(e)
     # K absorbs everything below the scan edge exactly; beyond it each slice
     # weight differs from its geometric ideal by at most C_e 2^{je}, C_e = 6*2^e
     q_star = (m_star - fill.threshold) % P
-    # limits[q] (1+c_q)^{e+1} = G_q + g_q is the phase-q geometric ideal
-    phi_star = limits[q_star] * (1 + fill.cycle[q_star]) ** (e + 1) \
-        * Fraction(2 ** (m_star * (e + 1)), e + 1)
-    n_star = Fraction(weight_to((1 << (m_star + 1)) - 1))
-    kcorr = abs(n_star - phi_star)
+    phi_star = ideals[q_star] * (1 << (m_star * (e + 1)))
+    kcorr = abs(w.prefix((1 << (m_star + 1)) - 1) - base - phi_star)
     m0 = m_star + 1
-    c_e = 6 * 2 ** e
     if e:
-        delta = (e + 1) * kcorr / 2 ** (m0 * (e + 1)) \
-            + (e + 1) * (2 * c_e + 3 * (e + 1) * 4 ** e * max_lim) / Fraction(2 ** m0)
+        delta = (e + 1) * kcorr / (1 << (m0 * (e + 1))) + spread / (1 << m0)
     else:
-        delta = (kcorr + 3 * max_lim) / Fraction(2 ** m0) + Fraction(3 * c_e, 2 ** m_star)
+        delta = (kcorr + spread) / (1 << m0) + Fraction(3 * 6, 1 << m_star)  # 3 C_0
     if best >= max_lim + delta:
         return exact(best)
     return bracket(max(best, max_lim), max(best, max_lim + delta),
                    "slice-end scan plus phase-limit envelope")
 
 
-def _psi_scan(a: NatSet, n: int, j_lo: int, j_hi: int) -> Fraction:
-    """max of |(A ∖ n) ∩ I_j| / 2^j over the blocks j_lo <= j <= j_hi (0 if none)."""
-    best = Fraction(0)
+def _psi_scan(scan: _TailScan, n: int, j_lo: int, j_hi: int) -> Fraction:
+    """max of |(A ∖ n) ∩ I_j| / 2^j over the blocks j_lo <= j <= j_hi (0 if
+    none). A block wholly past the cut reads the scan's count; only the
+    block the cut splits is counted for this cut alone."""
+    best_c, best_j = 0, 0
     for j in range(j_lo, j_hi + 1):
         lo = max(1 << j, n)
-        if lo < 1 << (j + 1):
-            best = max(best, Fraction(a.count_range(lo, 1 << (j + 1)), 1 << j))
-    return best
+        if lo < 2 << j:
+            c = scan.block_count(j) if lo == 1 << j else scan.a.count_range(lo, 2 << j)
+            if c << best_j > best_c << j:
+                best_c, best_j = c, j
+    return Fraction(best_c, 1 << best_j)
 
 
-def _psi_tail(a: NatSet, n: int, config: Config) -> ExtValue:
+def _psi_tail(scan: _TailScan, n: int) -> ExtValue:
+    a = scan.a
     if isinstance(a, HorizonSet):
         return observational(_psi_elements(a.elements_in(max(n, 1), a.horizon)),
                              "block ratios within the horizon only")
     if isinstance(a, DyadicBlockSet):
-        return _psi_tail_blocks(a, n)
+        return _psi_tail_blocks(scan, n)
     if isinstance(a, (PeriodicSet, APUnionSet)):
-        return _psi_tail_eventually_periodic(a, n, config)
+        return _psi_tail_eventually_periodic(scan, n)
     raise UnsupportedBackend(f"dyadic-block tail unsupported for backend {a.kind}")
 
 
-def _psi_tail_blocks(a: DyadicBlockSet, n: int) -> ExtValue:
+def _psi_tail_blocks(scan: _TailScan, n: int) -> ExtValue:
+    a = scan.a
     fill = a.fill
     j0 = max(n, 1).bit_length() - 1
     exc_top = max([x.bit_length() for x in a.extras]
@@ -654,10 +851,10 @@ def _psi_tail_blocks(a: DyadicBlockSet, n: int) -> ExtValue:
         # from block j_env on: |A ∩ I_j|/2^j <= f_j + 2^-(j+1), f nonincreasing
         j_cap = j0 + 4096
         j_env = max(j0 + 1, exc_top, fill.threshold) + 1
-        best = _psi_scan(a, n, j0, min(j_env, j_cap) - 1)
+        best = _psi_scan(scan, n, j0, min(j_env, j_cap) - 1)
         env = Fraction(1)
         for j in range(j_env, j_cap):
-            best = max(best, _psi_scan(a, n, j, j))
+            best = max(best, _psi_scan(scan, n, j, j))
             env = fill.value(j + 1) + Fraction(1, 2 ** (j + 1))
             if env <= best:
                 return exact(best)
@@ -672,16 +869,17 @@ def _psi_tail_blocks(a: DyadicBlockSet, n: int) -> ExtValue:
     pre = max(fill.threshold, exc_top + 1, j0) + max(c.denominator.bit_length()
                                                      for c in fill.cycle)
     if all(o is not None for o in orders):
-        return exact(max(_psi_scan(a, n, j0, pre + P * max(orders) + 1), max_c))
+        return exact(max(_psi_scan(scan, n, j0, pre + P * max(orders) + 1), max_c))
     scan_to = pre + 4096
-    best = _psi_scan(a, n, j0, scan_to)
+    best = _psi_scan(scan, n, j0, scan_to)
     return bracket(max(best, max_c), max(best, max_c + Fraction(1, 2 ** scan_to)),
                    "rounding period beyond the order cap")
 
 
-def _psi_tail_eventually_periodic(a: NatSet, n: int, config: Config) -> ExtValue:
+def _psi_tail_eventually_periodic(scan: _TailScan, n: int) -> ExtValue:
+    a = scan.a
     d = a.density()
-    m = a.period(config.window_sweep_budget)
+    m = a.period(scan.config.window_sweep_budget)
     j0 = max(n, 1).bit_length() - 1
     j_pure = max(j0, a.threshold.bit_length())
     order = _mult_order_2(m, 4096) if m is not None else None
@@ -689,9 +887,9 @@ def _psi_tail_eventually_periodic(a: NatSet, n: int, config: Config) -> ExtValue
         # |A ∩ I_j|/2^j = d + g(2^j mod m)/2^j: the residue class of 2^j
         # cycles, so positive deviations peak at their first occurrence
         v2 = (m & -m).bit_length() - 1
-        return exact(max(d, _psi_scan(a, n, j0, j_pure + v2 + order + 1)))
+        return exact(max(d, _psi_scan(scan, n, j0, j_pure + v2 + order + 1)))
     scan_to = j_pure + 64
-    best = _psi_scan(a, n, j0, scan_to)
+    best = _psi_scan(scan, n, j0, scan_to)
     b = _deviation_bound(a)
     return bracket(max(d, best), max(best, d + Fraction(2 * b, 2 ** scan_to)),
                    "residue cycle beyond the order cap; deviation-bounded")
@@ -796,8 +994,13 @@ def tail_value(desc: LscsmDescriptor | str, a: NatSet, n: int,
     exact or bracketed per backend, observational on horizons."""
     if isinstance(desc, str):
         desc = get_lscsm(desc)
-    fin = finite_part(a)
-    tail = None if fin is None else drop_below(fin, n).elements
+    return _tail(desc, _TailScan(a, config), n)
+
+
+def _tail(desc: LscsmDescriptor, scan: _TailScan, n: int) -> ExtValue:
+    """phi(A ∖ n) for the scan's set A: tail_value for one cut of many."""
+    a, config = scan.a, scan.config
+    tail = None if scan.fin is None else drop_below(scan.fin, n).elements
     reads_positions = desc.kind == "geometric" or (desc.kind == "weighted"
                                                    and desc.weight != "constant")
     if tail is not None and desc.kind != "infty" and not (
@@ -805,14 +1008,14 @@ def tail_value(desc: LscsmDescriptor | str, a: NatSet, n: int,
         return exact(_finite_value(desc, tail))
     e = _prefix_exponent(desc)
     if e is not None:
-        return _phi_alpha_tail(a, n, e, config)
+        return _phi_alpha_tail(scan, n, e)
     if desc.kind == "psi":
-        return _psi_tail(a, n, config)
+        return _psi_tail(scan, n)
     if desc.kind in ("infty", "infty-trunc"):
         pairs, rest = _components(desc)
         parts = [(w, exact(_phi_alpha_elements(tail, e))
                   if tail is not None and e <= _MAX_EXACT_EXPONENT
-                  else _phi_alpha_tail(a, n, e, config) if e <= _INFTY_EXACT_TAIL_EXPONENT
+                  else _phi_alpha_tail(scan, n, e) if e <= _INFTY_EXACT_TAIL_EXPONENT
                   else _infty_component_tail(a, n, e, config)) for w, e in pairs]
         if any(t.status == "observational" for _, t in parts):
             seen = sum((w * (t.value if t.value is not None else (t.lower or Fraction(0)))
@@ -838,19 +1041,19 @@ def tail_value(desc: LscsmDescriptor | str, a: NatSet, n: int,
 # exhaustive norms
 
 
-def _norm_value(desc: LscsmDescriptor, a: NatSet, config: Config) -> ExtValue:
-    kind = desc.kind
+def _norm_value(desc: LscsmDescriptor, scan: _TailScan) -> ExtValue:
+    kind, a = desc.kind, scan.a
 
     if kind == "geometric":
         return exact(0)  # residual mass beyond n is below 2^-n for every set
 
-    if finite_part(a) is not None:
+    if scan.fin is not None:
         return exact(0)  # finite sets vanish at infinity under every lscsm
 
     if isinstance(a, HorizonSet):
         if kind in ("counting", "harmonic"):
             return bracket(0, None, "tail behaviour beyond the horizon is unknown")
-        t = tail_value(desc, a, a.horizon // 2, config)
+        t = _tail(desc, scan, a.horizon // 2)
         v = t.value if t.value is not None else t.upper
         return observational(v, "horizon evidence cannot certify a limit")
 
@@ -890,7 +1093,7 @@ def _norm_value(desc: LscsmDescriptor, a: NatSet, config: Config) -> ExtValue:
         return exact(d if d is not None else max(a.fill.cycle))
     e = _prefix_exponent(desc)
     if e is not None:
-        return exact(d if d is not None else max(_alpha_block_phase_limits(a.fill, e)))
+        return exact(d if d is not None else max(scan.phase_limits(e)))
 
     pairs, rest = _components(desc)
     if d is not None:
@@ -900,7 +1103,7 @@ def _norm_value(desc: LscsmDescriptor, a: NatSet, config: Config) -> ExtValue:
     c_min = min(a.fill.cycle)
     for w, e in pairs:
         if e <= 8192:
-            v = max(_alpha_block_phase_limits(a.fill, e))
+            v = max(scan.phase_limits(e))
             lo += w * v
             hi += w * v
         else:
@@ -930,7 +1133,8 @@ def exhaustive_norm(desc: LscsmDescriptor | str, a: NatSet,
     """
     if isinstance(desc, str):
         desc = get_lscsm(desc)
-    value = _norm_value(desc, a, config)
+    scan = _TailScan(a, config)  # every cut reads the set through it
+    value = _norm_value(desc, scan)
     profile: list[tuple[int, Fraction]] = []
     if value.status in ("exact", "bracket"):
         cuts = list(profile_cuts) if profile_cuts is not None else _profile_cuts(desc, a)
@@ -938,7 +1142,7 @@ def exhaustive_norm(desc: LscsmDescriptor | str, a: NatSet,
         for ncut in cuts:
             if isinstance(a, HorizonSet) and ncut >= a.horizon:
                 break
-            t = tail_value(desc, a, ncut, config)
+            t = _tail(desc, scan, ncut)
             if t.status == "exact":
                 up = t.value
             elif t.status == "bracket" and t.upper is not None:

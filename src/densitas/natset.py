@@ -85,7 +85,7 @@ Three rules live here once, for every module that needs them:
   ``count_range``, the block tail weights of the lscsm evaluators and the
   geometric measure all read them.
 - ``DyadicBlockSet.slices(lo, hi)``: the walk over the rule's member runs;
-  ``count_range``, ``elements_in`` and the block tail weights use it.
+  ``count_range`` and ``elements_in`` use it.
 - ``period(budget)`` of an eventually periodic set: a ``PeriodicSet``'s
   modulus, or an ``APUnionSet``'s lcm of term moduli (None above the budget).
 
@@ -95,12 +95,16 @@ CLI parses and prints through it:
     fin{1,2,3}   fin{0..9}   fin{}
     per m=6 R={1,3} [t=2] [add={..}] [rm={..}]  (exceptions lie below t)
     ap a=720 h=1 [j0=1] | ap a=6! h=3           (factorial moduli N!, N <= 1000)
+    ap a=2*6! h=3              (k*...*N!, the label a dilation gives: 1440)
     blocks f(n)=2^-3 | =1/4 | =cycle{1/2,1/4}@2 | =1/n | =2^-n   (2^-k: k <= 14000)
     horizon H=16 bits=ff00     (hex integer, bit i = member i: {8..15})
 
 Horizon bits at or beyond H, reversed ranges, sizes above 2^20 (naturals in
-one brace list, H, a cycle threshold), naturals of more than 4,300 digits and
-2^-k with k > 14000 are parse errors.
+one brace list, H, a cycle threshold), naturals of more than 4,300 digits, a
+product modulus without a factorial or of more than 4,300 digits and 2^-k
+with k > 14000 are parse errors. A modulus with a factorial keeps its text
+as the term's label, so ``parse_set(format_set(a)) == a`` holds for dilated
+factorial terms too.
 """
 
 from __future__ import annotations
@@ -314,9 +318,11 @@ def _ap_count(m: int, r: int, lo: int, hi: int) -> int:
 
 class _Canonical:
     """Residues the kernel hands ``PeriodicSet`` already canonical: a sorted
-    tuple of distinct naturals below the modulus. The constructor takes the
-    tuple as it is, with no sort, and on a set without exceptions leaves
-    the residue index to the first ``member`` or ``rule_member`` read."""
+    tuple of distinct naturals below the modulus, with the exceptions
+    ``added`` and ``removed`` sorted and distinct too. The constructor takes
+    all three as they are, with no sort, checks the exceptions against the
+    rule, and on a set without exceptions leaves the residue index to the
+    first ``member`` or ``rule_member`` read."""
 
     __slots__ = ("residues",)
 
@@ -339,20 +345,22 @@ class PeriodicSet(NatSet):
     def __post_init__(self):
         if type(self.residues) is _Canonical:  # a kernel result
             rs = self.residues.residues
+            added, removed = tuple(self.added), tuple(self.removed)
+            added_set, removed_set = frozenset(added), frozenset(removed)
             # the exceptions are checked against the residue index, so a
             # result with exceptions builds it now: in the axiom batteries
             # those hold about two residues per exception, and one hash
             # insertion each costs less than a bisection per exception
-            rset = frozenset(rs) if self.added or self.removed else None
+            rset = frozenset(rs) if added or removed else None
         else:
             if self.modulus < 1:
                 raise ValueError("modulus must be >= 1")
             rs, rset = _sorted_unique(self.residues)
             if rs and rs[-1] >= self.modulus:
                 raise ValueError("residues must lie in [0, modulus)")
+            added, added_set = _sorted_unique(self.added)
+            removed, removed_set = _sorted_unique(self.removed)
         object.__setattr__(self, "residues", rs)
-        added, added_set = _sorted_unique(self.added)
-        removed, removed_set = _sorted_unique(self.removed)
         for x in added:
             if x >= self.threshold or (x % self.modulus) in rset:
                 raise ValueError(f"added exception {x} must be < threshold and not a rule member")
@@ -1369,15 +1377,28 @@ class _Cursor:
         return n
 
     def modulus(self) -> tuple[int, Optional[str]]:
+        """A term modulus: a natural, a factorial N!, or naturals times a
+        factorial, k*...*N! (the form a dilation labels). A modulus with a
+        factorial keeps its text as the term's label."""
         self.skip_ws()
-        at = self.pos
-        n = self.nat()
-        if self.eat("!"):
-            if n > _FACTORIAL_MAX:
-                raise ParseError(f"{n}! exceeds the factorial limit {_FACTORIAL_MAX}!",
-                                 self.text, at)
-            return math.factorial(n), factorial_label(n)
-        return n, None
+        start = at = self.pos
+        factors = [self.nat()]
+        while self.eat("*"):
+            self.skip_ws()
+            at = self.pos
+            factors.append(self.nat())
+        if not self.eat("!"):
+            if len(factors) > 1:
+                raise ParseError("a product modulus ends in a factorial N!", self.text, self.pos)
+            return factors[0], None
+        n = factors.pop()
+        if n > _FACTORIAL_MAX:
+            raise ParseError(f"{n}! exceeds the factorial limit {_FACTORIAL_MAX}!",
+                             self.text, at)
+        m = math.prod(factors) * math.factorial(n)
+        if m >= 10 ** _DIGITS_MAX:
+            raise ParseError(f"a modulus of more than {_DIGITS_MAX} digits", self.text, start)
+        return m, "*".join(map(str, factors + [factorial_label(n)]))
 
     def rational(self) -> Fraction:
         self.skip_ws()

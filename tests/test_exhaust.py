@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -274,6 +275,19 @@ def test_block_tails_bound_brute_scans(a):
             assert b <= hi, (name, n, t, b)
 
 
+def test_block_alpha_tails_read_exceptions_past_a_cut_in_a_gap():
+    # the cut 2 lies past its block's empty slice, and the extra 2 of that
+    # same block carries the supremum for e >= 1 (2^e / F(2))
+    a = DyadicBlockSet(FillRule.constant(Fraction(1, 8)), extras=(2, 75, 76))
+    for e in (0, 1, 2):
+        for n in (2, 3, 65, 73):
+            t = tail_value(f"phi-alpha:a={e}", a, n)
+            b = brute_tail(f"phi-alpha:a={e}", a, n, 1 << 14)
+            assert b <= (t.value if t.status == "exact" else t.upper), (e, n)
+    assert [tail_value(f"phi-alpha:a={e}", a, 2).value for e in (1, 2)] == [
+        Fraction(2, 3), Fraction(4, 5)]
+
+
 WEIGHT_SETS = [
     # cycled fill; extras inside gaps, removals at block starts and inside slices
     DyadicBlockSet(FillRule.cycled([Fraction(2, 5), Fraction(1, 7)]),
@@ -304,9 +318,21 @@ def test_block_tail_weight_matches_brute_members(a):
                 assert _block_tail_weight(a, s, k, e) == want, (s, k, e)
 
 
+@pytest.mark.parametrize("a", [EVENS, THIRDS, MESSY, AP_UNION, HALF_BLOCKS, CYCLE_BLOCKS,
+                               DIRTY_BLOCKS, *WEIGHT_SETS[:2]])
+def test_psi_tails_at_cuts_inside_a_block_match_brute_scans(a):
+    # the block a cut splits is counted from the cut on, not whole: the
+    # exact tail is the larger of the brute block scan and the limsup
+    norm = exhaustive_norm("psi-dyadic", a).value.value
+    for n in (3, 5, 6, 70, 129, 1500):
+        t = tail_value("psi-dyadic", a, n)
+        assert t.status == "exact"
+        assert t.value == max(brute_tail("psi-dyadic", a, n, 1 << 17), norm), n
+
+
 def test_block_alpha_norm_power_sum_budget(monkeypatch):
-    # the slice-end scan carries its weight forward, so the number of power
-    # sums grows linearly with the scanned blocks, not quadratically
+    # the prefix weights are built once per norm, so the number of power
+    # sums grows linearly with the scanned blocks, not with the cuts
     calls = 0
     real = exhaust.faulhaber
 
@@ -319,6 +345,82 @@ def test_block_alpha_norm_power_sum_budget(monkeypatch):
     est = exhaustive_norm("phi-alpha:a=2", HALF_BLOCKS)
     assert est.exact
     assert calls <= 2500
+
+
+# ---------------------------------------------------------------------------
+# one scan per norm: every profile cut reads the tables the norm shares
+
+
+SCAN_SETS = {
+    "evens": EVENS, "messy": MESSY, "per-240": PeriodicSet(240, (0, 7, 100, 239), threshold=77),
+    "ap-union": AP_UNION, "ap-factorial": parse_set("ap a=4! h=1 j0=1 | ap a=5! h=7"),
+    "half-blocks": HALF_BLOCKS, "cycle-blocks": CYCLE_BLOCKS, "dirty-blocks": DIRTY_BLOCKS,
+    "pow2": POW2, "thin": THIN, **{f"weight-set-{i}": a for i, a in enumerate(WEIGHT_SETS)},
+    "finite": FiniteSet((1, 2, 3, 50, 51, 52, 53)),
+    "horizon": HorizonSet.from_members(4096, range(0, 4096, 3)),
+}
+SCAN_NAMES = ("phi-prefix", "psi-dyadic", "phi-alpha:a=0", "phi-alpha:a=1", "phi-alpha:a=3",
+              "phi-infty:eps=1/2", "phi-infty-trunc:a=2", "counting", "harmonic", "geometric",
+              "weighted:f=constant", "weighted:f=harmonic")
+# 95 lies past its block's slice in WEIGHT_SETS[0], before the extra 100
+SCAN_CUTS = (None, [0, 5, 95, 129, 1500, 8193], [4096, 3, 70, 5001, 1025, 9])
+
+
+def _standalone_profile(name, a, cuts):
+    """The profile exhaustive_norm certifies, rebuilt from one standalone
+    tail_value call per cut and clamped to be nonincreasing the same way."""
+    profile, prev = [], None
+    for n in cuts:
+        if isinstance(a, HorizonSet) and n >= a.horizon:
+            break
+        t = tail_value(name, a, n)
+        if t.status == "exact":
+            up = t.value
+        elif t.status == "bracket" and t.upper is not None:
+            up = t.upper
+        else:
+            return ()
+        if prev is not None and up > prev:
+            up = prev
+        profile.append((n, up))
+        prev = up
+    return tuple(profile)
+
+
+@pytest.mark.parametrize("key", SCAN_SETS)
+def test_norm_profiles_equal_their_standalone_tails(key):
+    a = SCAN_SETS[key]
+    for name in SCAN_NAMES:
+        for cuts in SCAN_CUTS:
+            try:
+                est = exhaustive_norm(name, a, profile_cuts=cuts)
+            except UnsupportedBackend:
+                continue
+            if est.value.status not in ("exact", "bracket"):
+                assert est.profile == (), (name, cuts)
+                continue
+            want = cuts if cuts is not None else exhaust._profile_cuts(get_lscsm(name), a)
+            assert est.profile == _standalone_profile(name, a, want), (name, cuts)
+
+
+@pytest.mark.parametrize("a", [HALF_BLOCKS, DIRTY_BLOCKS, POW2, THIN, *WEIGHT_SETS, MESSY,
+                               AP_UNION])
+def test_a_norm_computes_each_power_sum_once(monkeypatch, a):
+    calls = Counter()
+    real = exhaust.faulhaber
+
+    def counted(k, e):
+        calls[k, e] += 1
+        return real(k, e)
+
+    monkeypatch.setattr(exhaust, "faulhaber", counted)
+    for name in ("phi-alpha:a=1", "phi-alpha:a=2", "phi-infty-trunc:a=2"):
+        for cuts in SCAN_CUTS:
+            calls.clear()
+            exhaustive_norm(name, a, profile_cuts=cuts)
+            assert calls, (name, cuts)
+            again = [key for key, count in calls.items() if count > 1]
+            assert not again, (name, cuts, again[:5])
 
 
 def test_tails_shrink_toward_the_norm():

@@ -484,6 +484,24 @@ def test_dsl_factorial_modulus():
     assert "a=6!" in format_set(s)
 
 
+def test_dilated_factorial_labels_round_trip():
+    # a dilation labels its term k*N!, and the grammar reads that label back
+    a = parse_set("ap a=4! h=1")
+    for k in (2, 3):
+        a = transform(a, "dilate", k)
+        b = parse_set(format_set(a))
+        assert b == a and b.terms[0].label == a.terms[0].label
+    assert format_set(a) == "ap a=3*2*4! h=6 j0=0"
+    assert a.terms[0].modulus == 144
+    spaced = parse_set("ap a=2 * 4! h=1").terms[0]
+    assert (spaced.modulus, spaced.label) == (48, "2*4!")
+    # a product needs its factorial, within the factorial and digit limits
+    for text in ("ap a=2*3 h=1", "ap a=2*1001! h=1", "ap a=2* h=1",
+                 f"ap a={'9' * 4000}*1000! h=1"):
+        with pytest.raises(ParseError):
+            parse_set(text)
+
+
 def test_dsl_range_literal():
     assert parse_set("fin{4..7}") == FiniteSet((4, 5, 6, 7))
     # ranges are materialized: reversed ones and any list spelling out more
@@ -548,7 +566,7 @@ _FILLS = st.one_of(
     ]),
 )
 _MODULI = st.one_of(st.integers(1, 12).map(lambda a: (a, None)),
-                    st.sampled_from([(6, "3!"), (24, "4!"), (720, "6!")]))
+                    st.sampled_from([(6, "3!"), (24, "4!"), (720, "6!"), (48, "2*4!")]))
 _SETS = st.one_of(
     st.lists(st.integers(0, 200), max_size=8).map(lambda xs: FiniteSet(tuple(xs))),
     st.integers(0, 70).flatmap(lambda h: st.sets(st.integers(0, max(h - 1, 0)), max_size=h).map(
@@ -698,8 +716,11 @@ def test_kernel_periodic_results_equal_their_public_rebuild(case, h, k):
             assert not got.elements or got.elements[-1] < 200
             assert all(got.member(n) == want(n) for n in range(200))
             continue
-        # the public constructor, residues and exceptions reversed, builds
-        # the same set, eagerly indexed
+        # the kernel hands its exceptions over sorted and distinct, and the
+        # public constructor, residues and exceptions reversed, builds the
+        # same set, eagerly indexed
+        for xs in (got.added, got.removed):
+            assert list(xs) == sorted(set(xs))
         again = PeriodicSet(got.modulus, got.residues[::-1], got.threshold,
                             got.added[::-1], got.removed[::-1])
         assert again == got and hash(again) == hash(got) and repr(again) == repr(got)
