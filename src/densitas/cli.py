@@ -170,13 +170,11 @@ def emit_report(report, fmt: str = "json",
 # batteries over seeded samples
 
 
-def _merged_battery(check, functional: str, sets, config: Config,
-                    group: int = 3, **kw) -> AxiomReport:
-    """Run a pairwise battery on small disjoint groups and merge the records
-    under group-qualified names. Grouping keeps the quadratic part linear in
-    the sample count."""
-    reports = [check(functional, chunk, config, **kw)
-               for chunk in chunked(sets, group)]
+def _merged_battery(check, functional: str, sets, config: Config, **kw) -> AxiomReport:
+    """Run a pairwise battery on disjoint groups of three sets and merge the
+    records under group-qualified names. Grouping keeps the quadratic part
+    linear in the sample count."""
+    reports = [check(functional, chunk, config, **kw) for chunk in chunked(sets, 3)]
     # with no samples there is no group; the subject still names the battery
     subject = (reports[0] if reports else check(functional, (), config, **kw)).subject
     return AxiomReport(subject, tuple(

@@ -37,7 +37,7 @@ from itertools import combinations
 from typing import Callable, Iterator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
-from .exceptions import NotErdosUlam, UnsupportedBackend
+from .exceptions import ModulusBudgetExceeded, NotErdosUlam, UnsupportedBackend
 from .natset import (
     APUnionSet,
     DyadicBlockSet,
@@ -270,18 +270,15 @@ def window_profile(a: NatSet, config: Config = DEFAULT_CONFIG,
 # the four functionals
 
 
-def upper_asymptotic(a: NatSet, config: Config = DEFAULT_CONFIG,
-                     with_profile: bool = False) -> DensityEstimate:
+def upper_asymptotic(a: NatSet, config: Config = DEFAULT_CONFIG) -> DensityEstimate:
     name = "d-star"
     d = eventual_density(a)
     if d is not None:
         method = "finite" if isinstance(a, FiniteSet) else "eventual-period"
-        prof = prefix_profile(a, config) if with_profile else None
-        return DensityEstimate(name, exact(d), method, prof)
+        return DensityEstimate(name, exact(d), method)
     if isinstance(a, DyadicBlockSet):
         hi, _ = _block_asymptotic(a)
-        prof = prefix_profile(a, config) if with_profile else None
-        return DensityEstimate(name, exact(hi), "block-fill", prof)
+        return DensityEstimate(name, exact(hi), "block-fill")
     if isinstance(a, HorizonSet):
         prof = prefix_profile(a, config)
         val = prof.entries[-1][1] if prof.entries else Fraction(0)
@@ -311,8 +308,7 @@ def lower_asymptotic(a: NatSet, config: Config = DEFAULT_CONFIG) -> DensityEstim
     raise UnsupportedBackend(f"lower asymptotic density undefined for backend {a.kind}")
 
 
-def upper_banach(a: NatSet, config: Config = DEFAULT_CONFIG,
-                 with_profile: bool = False) -> DensityEstimate:
+def upper_banach(a: NatSet, config: Config = DEFAULT_CONFIG) -> DensityEstimate:
     name = "bd-star"
     d = eventual_density(a)
     if d is not None:
@@ -320,15 +316,13 @@ def upper_banach(a: NatSet, config: Config = DEFAULT_CONFIG,
         # exactly q rule elements per residue, so the window limit is the
         # natural density
         method = "finite" if isinstance(a, FiniteSet) else "eventual-period"
-        prof = window_profile(a, config) if with_profile else None
-        return DensityEstimate(name, exact(d), method, prof)
+        return DensityEstimate(name, exact(d), method)
     if isinstance(a, DyadicBlockSet):
         if a.slices_unbounded():
             val, why = Fraction(1), "unbounded runs of consecutive members"
         else:
             val, why = Fraction(0), "bounded clusters separated by doubling gaps"
-        prof = window_profile(a, config) if with_profile else None
-        return DensityEstimate(name, exact(val), why, prof)
+        return DensityEstimate(name, exact(val), why)
     if isinstance(a, HorizonSet):
         prof = window_profile(a, config)
         val = prof.entries[-1][1] if prof.entries else Fraction(0)
@@ -487,20 +481,18 @@ def weighted_prefix_profile(a: NatSet, w: WeightFunction,
 
 
 def weighted_upper(a: NatSet, weight: WeightFunction | str = "harmonic",
-                   config: Config = DEFAULT_CONFIG,
-                   with_profile: bool = False) -> DensityEstimate:
+                   config: Config = DEFAULT_CONFIG) -> DensityEstimate:
     w = get_weight(weight) if isinstance(weight, str) else weight
     _require_erdos_ulam(w, config)
     name = f"weighted:f={w.name}"
     if w.name == "constant":
-        inner = upper_asymptotic(a, config, with_profile)
+        inner = upper_asymptotic(a, config)
         return DensityEstimate(name, inner.value, inner.method, inner.profile)
     if isinstance(a, FiniteSet):
         return DensityEstimate(name, exact(0), "finite weighted mass against divergent totals")
     d = eventual_density(a)
     if d is not None and w.slowly_varying:
-        prof = weighted_prefix_profile(a, w, config) if with_profile else None
-        return DensityEstimate(name, exact(d), "slowly-varying-weights", prof)
+        return DensityEstimate(name, exact(d), "slowly-varying-weights")
     if isinstance(a, (HorizonSet, DyadicBlockSet, PeriodicSet, APUnionSet)):
         prof = weighted_prefix_profile(a, w, config)
         val = prof.entries[-1][1] if prof.entries else Fraction(0)
@@ -797,7 +789,7 @@ def check_upper_density_axioms(functional: str, sets: Sequence[NatSet],
             name = f"shift-invariant[{i},h={x}]" if kind == "shift" else f"dilation[{i},k={x}]"
             try:
                 t = transform(a, kind, x)
-            except UnsupportedBackend as e:
+            except (UnsupportedBackend, ModulusBudgetExceeded) as e:
                 records.append(CheckRecord(name, "skip", str(e)))
                 continue
             vt, wt = ev(t)

@@ -635,15 +635,6 @@ class _TailScan:
         return _phi_alpha_elements(self.members(lo, hi), e, self.power_sums(e) if e else None)
 
 
-def _block_tail_weight(a: DyadicBlockSet, start: int, k: int, e: int) -> int:
-    """sum of i^e over members of A with start <= i <= k (start >= 1; 0 when
-    k < start)."""
-    if k < start:
-        return 0
-    w = _BlockWeights(a, e)
-    return w.prefix(k) - w.prefix(start - 1)
-
-
 def _mult_order_2(m: int, cap: int) -> Optional[int]:
     """Multiplicative order of 2 modulo the odd part of m, or None beyond cap."""
     while m % 2 == 0:
@@ -1179,13 +1170,13 @@ def exh_member(desc: LscsmDescriptor | str, a: NatSet,
 
 def check_lscsm_axioms(desc: LscsmDescriptor | str, sets: Sequence[NatSet],
                        config: Config = DEFAULT_CONFIG,
-                       eval_fn: Optional[Callable[[NatSet, int], ExtValue]] = None,
-                       probe_n: int = 96) -> AxiomReport:
+                       eval_fn: Optional[Callable[[NatSet, int], ExtValue]] = None) -> AxiomReport:
     """phi(∅) = 0, monotone, subadditive, finite on finite sets, and
     nondecreasing in the prefix length, all checked with exact arithmetic at
-    the probe horizon. Pass eval_fn to audit a foreign (possibly broken)
-    functional with the same battery. Each set is evaluated at most once per
-    probe length."""
+    the probe horizon 96 (and at 24 and 48 for the prefix law). Pass eval_fn
+    to audit a foreign (possibly broken) functional with the same battery.
+    Each set is evaluated at most once per probe length."""
+    probe_n = 96
     if isinstance(desc, str):
         desc = get_lscsm(desc)
     raw = eval_fn or (lambda s, m: lscsm_eval(desc, s, m, config))

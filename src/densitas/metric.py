@@ -236,10 +236,9 @@ class CauchyReport:
 
 
 def cauchy_profile(nu: str, seq: SetSequence, depth: int,
-                   config: Config = DEFAULT_CONFIG,
-                   modulus_depth: int = 16) -> CauchyReport:
+                   config: Config = DEFAULT_CONFIG) -> CauchyReport:
     """Pairwise distance table for the first `depth` members plus a Cauchy
-    modulus.
+    modulus at the levels k < 16.
 
     The observed modulus for level k is the least index past which every
     tabulated distance is below 2^-k. When the sequence carries a rule and a
@@ -285,7 +284,7 @@ def cauchy_profile(nu: str, seq: SetSequence, depth: int,
         note = "no rule or tail bound; modulus is observed-only"
 
     modulus: list[tuple[int, int]] = []
-    for k in range(modulus_depth):
+    for k in range(16):
         eps = Fraction(1, 2 ** k)
         if certified:
             idx = None

@@ -65,18 +65,20 @@ the first two are bounded by those two module constants.
 Periodic set algebra lifts each operand's residues to l = lcm(m, m') as a
 rule mod l and combines the two rules by one set operation. A rule that
 lifts to fewer than l / 4 residues is a Python set, at one insertion per
-lifted residue; a denser one is a residue mask, one integer with bit r set
-iff r ∈ R, copied l / m times by shift-doubling and combined by one bitwise
-op, O(l) big-integer word work plus an l-byte bit table that reads the
-residues back. ``normalize_periodic`` lifts its AP terms the same way and
-``complement`` flips the mask over m bits. So a pair op or a normalization
-costs O(Σ |R|·l/m), the lifted residue count, plus the exceptions, and a
-complement O(m). ``transform`` of a periodic set maps the residue tuple in
-C: a dilation multiplies each residue, a shift rotates the tuple at the one
-residue, found by bisection, that wraps past the modulus. A set's mask is
-built on its first mask op, after l (or m) has passed
-``config.modulus_budget``, and kept on it like the read structures above;
-``per m=1000! R={0}`` never builds one.
+lifted residue. A denser one is a rule table, l bytes with table[r] = 1 iff
+r ∈ R: a table mod m lifts to mod l as l / m copies of itself (one bytes
+repetition), two lifted tables combine as byte lanes of one integer each by
+one bitwise op, and the result's residues are read back from its table in
+C. ``normalize_periodic`` writes its AP terms into a table by one strided
+slice per term, the builder the AP-union tail table uses, and
+``complement`` flips the table by one ``translate``. So a pair op or a
+normalization costs O(Σ |R|·l/m), the lifted residue count, plus the
+exceptions, and a complement O(m). ``transform`` of a periodic set maps the
+residue tuple in C: a dilation multiplies each residue, a shift rotates the
+tuple at the one residue, found by bisection, that wraps past the modulus.
+A literal's table is built on its first table op, after l (or m) has passed
+``config.modulus_budget``; a kernel result keeps the table it was built
+from. ``per m=1000! R={0}`` never builds one.
 
 Three rules live here once, for every module that needs them:
 
@@ -187,6 +189,8 @@ def _within(xs: tuple[int, ...], lo: int, hi: int) -> tuple[int, ...]:
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+# swaps the 0 and 1 bytes of a rule table: its complement
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def _bit_table(word: int, width: int) -> bytes:
@@ -376,8 +380,8 @@ class PeriodicSet(NatSet):
         object.__setattr__(self, "_residue_set", rset)
         object.__setattr__(self, "_added_set", added_set)
         object.__setattr__(self, "_removed_set", removed_set)
-        # None until the first read of `_residue_mask` fills it (see there)
-        object.__setattr__(self, "_mask_cache", None)
+        # None until the first read of `_rule_table` fills it (see there)
+        object.__setattr__(self, "_table_cache", None)
 
     def _residue_index(self) -> frozenset:
         """The residue frozenset of a kernel result, built on its first read."""
@@ -386,19 +390,19 @@ class PeriodicSet(NatSet):
         return rset
 
     @property
-    def _residue_mask(self) -> int:
-        """The residues as one integer, bit r set iff r ∈ R.
+    def _rule_table(self) -> bytes:
+        """The rule as m bytes, table[r] = 1 iff r ∈ R.
 
         Built on first use, never in ``__post_init__``: ``per m=1000! R={0}``
-        is a legal literal whose mask no memory holds, so every caller checks
+        is a legal literal whose table no memory holds, so every caller checks
         the modulus against ``config.modulus_budget`` first.
         """
-        if self._mask_cache is None:
-            digits = bytearray(b"0") * self.modulus
+        if self._table_cache is None:
+            table = bytearray(self.modulus)
             for r in self.residues:
-                digits[-1 - r] = 49  # ord("1"); digit -1 - r is bit r
-            object.__setattr__(self, "_mask_cache", int(digits, 2))
-        return self._mask_cache
+                table[r] = 1
+            object.__setattr__(self, "_table_cache", bytes(table))
+        return self._table_cache
 
     def rule_member(self, n: int) -> bool:
         rset = self._residue_set
@@ -591,10 +595,7 @@ class APUnionSet(NatSet):
         l = _lcm_within((t.modulus for t in self.terms), _TAIL_MAX)
         table = b""
         if l is not None and sum(l // t.modulus for t in self.terms) <= _TAIL_MAX:
-            rule = bytearray(l)
-            for t in self.terms:  # t.offset < t.modulus, which divides l
-                rule[t.offset::t.modulus] = b"\x01" * (l // t.modulus)
-            table = bytes(rule)
+            table = _term_table(self.terms, l)
         object.__setattr__(self, "_tail_cache", table)
         return table
 
@@ -1001,60 +1002,55 @@ def _op_with_finite(a: NatSet, f: FiniteSet, op: str) -> NatSet:
 
 
 def _shrunk_periodic(m: int, residues: tuple[int, ...], added, removed,
-                     mask: Optional[int] = None) -> NatSet:
+                     table: Optional[bytes] = None) -> NatSet:
     """PeriodicSet with the threshold shrunk to the minimal value covering the
     exceptions, so extensionally equal constructions compare equal; an empty
     rule leaves the added exceptions as a FiniteSet. The residues are
-    canonical (sorted, distinct, below m) and taken as they are. A residue
-    mask the caller already holds is kept on the result."""
+    canonical (sorted, distinct, below m) and taken as they are. A rule
+    table the caller already holds is kept on the result."""
     if not residues:
         return FiniteSet(tuple(added))
     exc = tuple(added) + tuple(removed)
     t_min = max(exc) + 1 if exc else 0
     out = PeriodicSet(m, _Canonical(residues), t_min, tuple(added), tuple(removed))
-    if mask is not None:
-        object.__setattr__(out, "_mask_cache", mask)
+    if table is not None:
+        object.__setattr__(out, "_table_cache", table)
     return out
 
 
 def _is_sparse(lifted: int, l: int) -> bool:
     """Whether a rule that lifts to `lifted` residues mod l lifts as a set
-    of them rather than as a mask. A set costs one insertion per lifted
-    residue (50-200 ns); a mask about 20 ns per position of [0, l), whatever
-    the residues, in the bit table that reads it back. The two meet between
-    l / 10 and l / 3 (lcm 132 to 9 * 10^6, 2-core Xeon, CPython 3.11), and
-    per m=12! R={0} met with per m=11! R={1} is 13 residues as a set and
-    gigabytes of bit table as a mask."""
+    of them rather than as a rule table. A set costs one insertion per
+    lifted residue (50-200 ns); a table about 40 ns per position of [0, l),
+    whatever the residues, most of it in reading the residues back. From
+    lcm 9,900 to 9 * 10^6 the two meet between l / 25 and l / 3, and at lcm
+    132 both take about 20 µs (2-core Xeon, CPython 3.11). per m=12! R={0}
+    met with per m=11! R={1} is 13 residues as a set and gigabytes as a
+    table."""
     return 4 * lifted < l
 
 
-def _lift(mask: int, m: int, l: int) -> int:
-    """A residue mask mod m as a residue mask mod l, for m dividing l: l / m
-    copies of its m bits, joined by shift-doubling in O(l) word work."""
-    k, out, width = l // m, 0, 0
-    while k:
-        if k & 1:
-            out |= mask << width
-            width += m
-        k >>= 1
-        if k:
-            mask |= mask << m
-            m *= 2
-    return out
+def _term_table(terms: Iterable[APTerm], l: int) -> bytes:
+    """The rule table mod l of the terms' union, table[r] = 1 iff some term
+    has r mod l on its progression: one strided write per term, O(l + Σ l/m).
+    Each term's modulus divides l and its offset lies below the modulus."""
+    rule = bytearray(l)
+    for t in terms:
+        rule[t.offset::t.modulus] = b"\x01" * (l // t.modulus)
+    return bytes(rule)
 
 
 def _from_rule(l: int, rule, xs: Iterable[int], wanted: Callable[[int], bool]) -> NatSet:
-    """The set with rule mod l given by a residue set or mask and membership
-    ``wanted`` at the points xs, the only points where it may leave that
-    rule. A mask is read through one bit table, for the rule test at xs and
-    for the residue tuple, and kept on the result."""
-    if isinstance(rule, int):
-        table = _bit_table(rule, l)
-        residues, in_rule, mask = tuple(compress(range(l), table)), lambda x: table[x % l], rule
+    """The set with rule mod l given by a residue set or rule table and
+    membership ``wanted`` at the points xs, the only points where it may
+    leave that rule. A table gives the rule test at xs and the residue
+    tuple, and is kept on the result."""
+    if isinstance(rule, bytes):
+        residues, in_rule, table = tuple(compress(range(l), rule)), lambda x: rule[x % l], rule
     else:
-        residues, in_rule, mask = tuple(sorted(rule)), lambda x: x % l in rule, None
+        residues, in_rule, table = tuple(sorted(rule)), lambda x: x % l in rule, None
     added, removed = _exceptions(xs, wanted, in_rule)
-    return _shrunk_periodic(l, residues, added, removed, mask)
+    return _shrunk_periodic(l, residues, added, removed, table)
 
 
 def _lcm_within(moduli: Iterable[int], budget: int) -> Optional[int]:
@@ -1078,9 +1074,10 @@ def _periodic_pair_op(a: PeriodicSet, b: PeriodicSet, op: str, config: Config) -
         rule = _finite_op({r + k for k in range(0, l, a.modulus) for r in a.residues},
                           {r + k for k in range(0, l, b.modulus) for r in b.residues}, op)
     else:
-        # the masks are built only now, with l under the budget
-        rule = _word_op(_lift(a._residue_mask, a.modulus, l),
-                        _lift(b._residue_mask, b.modulus, l), op, l)
+        # the tables are built only now, with l under the budget; each byte
+        # is a lane of 0 or 1, so one bitwise op combines every residue
+        wa, wb = (int.from_bytes(s._rule_table * (l // s.modulus), "little") for s in (a, b))
+        rule = _word_op(wa, wb, op, 8 * l).to_bytes(l, "little")
     t = max(a.threshold, b.threshold)
     below = _finite_op(set(a.elements_in(0, t)), set(b.elements_in(0, t)), op) if t else set()
     return _from_rule(l, rule, range(t), below.__contains__)
@@ -1191,9 +1188,7 @@ def normalize_periodic(a: NatSet, config: Config = DEFAULT_CONFIG) -> PeriodicSe
     if _is_sparse(sum(l // t.modulus for t in a.terms), l):
         rule = set().union(*(range(t.offset, l, t.modulus) for t in a.terms))
     else:
-        rule = 0
-        for t in a.terms:
-            rule |= _lift(1 << t.offset, t.modulus, l)
+        rule = _term_table(a.terms, l)
     return _from_rule(l, rule, sorted(points), a.member)
 
 
@@ -1209,8 +1204,8 @@ def complement(a: NatSet, config: Config = DEFAULT_CONFIG) -> NatSet:
                                         f"{config.modulus_budget}")
         # the complement leaves its rule exactly at a's exceptions, and holds
         # the removed ones
-        return _from_rule(m, _word_op((1 << m) - 1, a._residue_mask, "difference", m),
-                          a.added + a.removed, a._removed_set.__contains__)
+        return _from_rule(m, a._rule_table.translate(_FLIP), a.added + a.removed,
+                          a._removed_set.__contains__)
     if isinstance(a, APUnionSet):
         return complement(normalize_periodic(a, config), config)
     if isinstance(a, HorizonSet):
@@ -1258,7 +1253,13 @@ def drop_below(a: NatSet, n: int, config: Config = DEFAULT_CONFIG) -> NatSet:
 
 
 def transform(a: NatSet, kind: str, amount: int) -> NatSet:
-    """Dilation k·A = {k·a : a ∈ A} or shift A + h = {a + h : a ∈ A}."""
+    """Dilation k·A = {k·a : a ∈ A} or shift A + h = {a + h : a ∈ A}.
+
+    A result the set grammar cannot hold is refused with
+    ModulusBudgetExceeded before it is built: a periodic shift whose
+    removals (the rule members it exposes in [0, h) and the shifted ones)
+    number more than 2^20, and a horizon result wider than 2^20.
+    """
     if kind not in ("dilate", "shift"):
         raise ValueError("transform kind must be 'dilate' or 'shift'")
     if not isinstance(amount, int) or amount < 0 or (kind == "dilate" and amount == 0):
@@ -1277,10 +1278,15 @@ def transform(a: NatSet, kind: str, amount: int) -> NatSet:
         q, s = divmod(h, m)
         cut = bisect_left(rs, m - s)
         residues = tuple(map((s - m).__add__, rs[cut:])) + tuple(map(s.__add__, rs[:cut]))
-        # shifting exposes the rule's members in [0, h), which A + h lacks;
-        # they all lie below the shifted removals
+        # shifting exposes the rule's members in [0, h), which A + h lacks:
+        # q whole periods, then the wrapped residues, which lie below s; they
+        # all lie below the shifted removals
+        wrapped = len(rs) - cut
+        if q * len(rs) + wrapped + len(a.removed) > _SIZE_MAX:
+            raise ModulusBudgetExceeded(f"shifting by {_shown(h)} leaves more than "
+                                        f"{_SIZE_MAX} removals")
         exposed = [p + r for p in range(0, q * m, m) for r in residues]
-        exposed += map((q * m).__add__, residues[:bisect_left(residues, s)])
+        exposed += map((q * m).__add__, residues[:wrapped])
         return PeriodicSet(m, _Canonical(residues), a.threshold + h,
                            tuple(map(h.__add__, a.added)),
                            tuple(exposed) + tuple(map(h.__add__, a.removed)))
@@ -1292,8 +1298,11 @@ def transform(a: NatSet, kind: str, amount: int) -> NatSet:
                           tuple(k * x + h for x in a.extras),
                           tuple(k * x + h for x in a.removals))
     if isinstance(a, HorizonSet):
-        members = [k * x + h for x in a.elements_in(0, a.horizon)]
         new_h = k * (a.horizon - 1) + h + 1 if a.horizon > 0 else h
+        if new_h > _SIZE_MAX:
+            raise ModulusBudgetExceeded(f"a horizon of {_shown(new_h)} exceeds the literal "
+                                        f"size limit {_SIZE_MAX}")
+        members = [k * x + h for x in a.elements_in(0, a.horizon)]
         return HorizonSet.from_members(new_h, members)
     raise UnsupportedBackend(f"transform not supported for backend {a.kind}")
 

@@ -14,7 +14,7 @@ from densitas.exhaust import (
     _MAX_EXACT_EXPONENT,
     LSCSM_NAMES,
     LscsmDescriptor,
-    _block_tail_weight,
+    _BlockWeights,
     check_lscsm_axioms,
     exh_member,
     exhaustive_norm,
@@ -312,10 +312,14 @@ def test_block_tail_weight_matches_brute_members(a):
     ends = {1, 3, 63, 64, 65, 700, 1029, 4095, 4097, 9000, top}
     ends |= {(1 << j) + a.slice_len(j) - 1 for j in range(14) if a.slice_len(j)}
     for e in (0, 1, 2, 4):
+        w = _BlockWeights(a, e)
         for s in sorted(starts):
             for k in sorted(ends):
-                want = sum(i ** e for i in members if s <= i <= k)
-                assert _block_tail_weight(a, s, k, e) == want, (s, k, e)
+                # the weight of the members in [s, k]; for k < s, minus that
+                # of the members in (k, s)
+                want = sum(i ** e for i in members if s <= i <= k) - \
+                    sum(i ** e for i in members if k < i < s)
+                assert w.prefix(k) - w.prefix(s - 1) == want, (s, k, e)
 
 
 @pytest.mark.parametrize("a", [EVENS, THIRDS, MESSY, AP_UNION, HALF_BLOCKS, CYCLE_BLOCKS,

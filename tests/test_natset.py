@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densitas.exceptions import (
@@ -19,7 +19,7 @@ from densitas.exceptions import (
     UnsupportedBackend,
 )
 from densitas.config import DEFAULT_CONFIG
-from densitas.density import geometric_measure
+from densitas.density import check_upper_density_axioms, geometric_measure
 from densitas.natset import (
     APTerm,
     APUnionSet,
@@ -40,7 +40,7 @@ from densitas.natset import (
     round_half_up,
     transform,
 )
-from densitas.natset import _BLOCKS_CACHED, _TAIL_MAX, _Canonical, _is_sparse
+from densitas.natset import _BLOCKS_CACHED, _SIZE_MAX, _TAIL_MAX, _Canonical, _is_sparse
 from densitas.reports import to_payload
 from conftest import (
     ap_union_period,
@@ -190,15 +190,22 @@ def test_normalize_respects_modulus_budget():
         normalize_periodic(u, cfg)
 
 
+def _rule_bytes(s):
+    """The rule table of a periodic set from its fields: byte r is 1 iff r
+    is one of its residues."""
+    rule = set(s.residues)
+    return bytes(r in rule for r in range(s.modulus))
+
+
 def _assert_form(got, want):
     """got has the fields want = (modulus, residues, threshold, added,
     removed), an empty rule coming back as the FiniteSet of its added
-    exceptions; a residue mask the result carries matches its residues."""
+    exceptions; a rule table the result carries matches its residues."""
     if not want[1]:
         assert got == FiniteSet(want[3])
         return
     assert (got.modulus, got.residues, got.threshold, got.added, got.removed) == want
-    assert got._mask_cache in (None, sum(1 << r for r in got.residues))
+    assert got._table_cache in (None, _rule_bytes(got))
 
 
 # moduli from divisor chains as well, so terms nest inside and overlap each other
@@ -370,6 +377,38 @@ def test_transforms_match_brute_force():
     u = APUnionSet((APTerm(4, 1, 2),), extras=(0,))
     s = transform(u, "shift", 3)
     assert brute_members(s, 100) == {x + 3 for x in brute_members(u, 97)}
+
+
+def test_periodic_shift_refuses_more_removals_than_a_literal_holds():
+    # a shift removes the rule's members below h, and a removal list holds
+    # at most _SIZE_MAX naturals: evens + (2^21 + 1) still fits, one more
+    # step does not, and the refusal comes before the removals are built
+    evens = PeriodicSet(2, (0,))
+    at_cap = transform(evens, "shift", 2 * _SIZE_MAX + 1)
+    assert at_cap.removed == tuple(range(1, 2 * _SIZE_MAX + 1, 2))
+    t = time.perf_counter()
+    for a, h in ((evens, 2 * _SIZE_MAX + 2), (evens, 10 ** 12),
+                 (PeriodicSet(2, (0,), 3, (), (0, 2)), 2 * _SIZE_MAX - 1)):
+        with pytest.raises(ModulusBudgetExceeded):
+            transform(a, "shift", h)
+    assert time.perf_counter() - t < 0.1
+    assert len(transform(PeriodicSet(2, (0,), 3, (), (0, 2)), "shift",
+                         2 * _SIZE_MAX - 3).removed) == _SIZE_MAX
+    # the upper-density battery skips a law whose transform is refused
+    rep = check_upper_density_axioms("d-star", [evens], shifts=(1, 10 ** 12), dilations=())
+    assert [r.status for r in rep.records if r.name.startswith("shift")] == ["pass", "skip"]
+
+
+def test_horizon_transform_refuses_a_horizon_wider_than_a_literal_holds():
+    # a horizon literal is at most _SIZE_MAX wide, so format_set of a wider
+    # result would print a literal parse_set rejects
+    h2 = parse_set("horizon H=2 bits=1")
+    for a, kind, x in ((h2, "shift", 2 ** 21), (h2, "shift", _SIZE_MAX - 1),
+                       (parse_set("horizon H=524289 bits=1"), "dilate", 2)):
+        with pytest.raises(ModulusBudgetExceeded):
+            transform(a, kind, x)
+    wide = transform(h2, "shift", _SIZE_MAX - 2)
+    assert wide.horizon == _SIZE_MAX and parse_set(format_set(wide)) == wide
 
 
 def test_dilation_of_evens():
@@ -640,34 +679,35 @@ def test_periodic_algebra_matches_the_brute_form(a, b):
 
 
 def test_pair_op_lifts_by_set_or_mask_from_the_lifted_count():
-    # 6 + 6 residues lifted to l = 12 take the mask, and the result keeps it
+    # 6 + 6 residues lifted to l = 12 take rule tables, and the result keeps
+    # its own
     dense = boolean_op(PeriodicSet(4, (0, 1)), PeriodicSet(6, (0, 1, 2)), "union")
     assert dense.residues == (0, 1, 2, 4, 5, 6, 7, 8, 9)
-    assert dense._mask_cache == sum(1 << r for r in dense.residues)
-    # 3 + 2 residues lifted to l = 120 take sets, and no mask is built
+    assert dense._table_cache == _rule_bytes(dense)
+    # 3 + 2 residues lifted to l = 120 take sets, and no table is built
     a, b = PeriodicSet(40, (0,)), PeriodicSet(60, (1,))
     sparse = boolean_op(a, b, "union")
     assert sparse.residues == (0, 1, 40, 61, 80)
-    assert (a._mask_cache, b._mask_cache, sparse._mask_cache) == (None, None, None)
+    assert (a._table_cache, b._table_cache, sparse._table_cache) == (None, None, None)
     u = normalize_periodic(APUnionSet((APTerm(40, 0), APTerm(60, 1))))
-    assert u == sparse and u._mask_cache is None
+    assert u == sparse and u._table_cache is None
     v = normalize_periodic(APUnionSet(tuple(
         APTerm(m, h) for m, h in ((4, 0), (4, 1), (6, 0), (6, 1), (6, 2)))))
-    assert v == dense and v._mask_cache == dense._mask_cache
+    assert v == dense and v._table_cache == dense._table_cache
 
 
 def test_sparse_rules_at_factorial_lcm_stay_cheap():
-    # a mask at l = 10! or 12! is megabytes to gigabytes of bit table; a few
+    # a rule table at l = 10! or 12! is megabytes to gigabytes; a few
     # residues per period lift as a set in no time
     f10, f11, f12 = (math.factorial(k) for k in (10, 11, 12))
     t = time.perf_counter()
     got = boolean_op(parse_set("ap a=9! h=0"), parse_set("ap a=10! h=0"), "intersection")
-    assert got == PeriodicSet(f10, (0,)) and got._mask_cache is None
+    assert got == PeriodicSet(f10, (0,)) and got._table_cache is None
     a, b = PeriodicSet(f12, (0,)), PeriodicSet(f11, (1,))
     assert boolean_op(a, b, "intersection") == EMPTY
     assert boolean_op(a, b, "union").residues == (0,) + tuple(range(1, f12, f11))
     assert normalize_periodic(APUnionSet((APTerm(f12, 0), APTerm(f11, 1)))).modulus == f12
-    assert (a._mask_cache, b._mask_cache) == (None, None)
+    assert (a._table_cache, b._table_cache) == (None, None)
     assert time.perf_counter() - t < 5.0
 
 
@@ -676,7 +716,7 @@ def _lift_pairs(draw):
     """(sparse, a, b): two periodic sets with exceptions whose lifted residue
     count falls on the drawn side of _is_sparse. One or two residues on
     consecutive (so coprime) moduli from 17 on lift as sets; at least a
-    quarter of the residues on moduli up to 12 lift as masks."""
+    quarter of the residues on moduli up to 12 lift as rule tables."""
     sparse = draw(st.booleans())
     if sparse:
         m = draw(st.integers(17, 40))
@@ -897,6 +937,22 @@ def test_tail_table_stays_unbuilt_above_its_caps():
     assert len(sparse._tail_cache) == _TAIL_MAX
 
 
+@settings(max_examples=200, deadline=None)
+@given(_ap_union_terms())
+# l = _TAIL_MAX, with 2^19 + 2^18 + 1 lifted residues
+@example(APUnionSet((APTerm(2, 1, 3), APTerm(4, 2), APTerm(_TAIL_MAX, 4, 1))))
+def test_dense_normalization_keeps_the_tail_table_bytes(s):
+    # a union whose terms lift to at least l / 4 residues normalizes through
+    # a rule table; it is the same table the tail reads build
+    l = math.lcm(*(t.modulus for t in s.terms))
+    p = normalize_periodic(s)
+    if not s.terms or _is_sparse(sum(l // t.modulus for t in s.terms), l):
+        assert getattr(p, "_table_cache", None) is None
+        return
+    assert l <= _TAIL_MAX and p.modulus == l
+    assert p._table_cache == s._tail_table() == _rule_bytes(p)
+
+
 def test_member_returns_a_bool_on_every_backend():
     far = [_FAR, _FAR + 1, 10 ** 3000]
     for s in sample_sets() + [parse_set("ap a=1000! h=1 | ap a=999! h=2")]:
@@ -911,11 +967,11 @@ def test_read_caches_follow_replace():
         # caches built
         assert s.count_range(0, 40) == len(field_elements(s, 0, 40)) == \
             sum(s.member(n) for n in range(40))
-        if isinstance(s, PeriodicSet):  # the residue mask is rebuilt, not copied
-            assert complement(s) and s._mask_cache == 0b1010
+        if isinstance(s, PeriodicSet):  # the rule table is rebuilt, not copied
+            assert complement(s) and s._table_cache == b"\x00\x01\x00\x01\x00\x00"
             t = dataclasses.replace(s, residues=(2, 3), added=(1,), removed=(3,))
-            assert t._mask_cache is None
-            assert complement(t) and t._mask_cache == 0b1100
+            assert t._table_cache is None
+            assert complement(t) and t._table_cache == b"\x00\x00\x01\x01\x00\x00"
             # a kernel result without exceptions builds its residue index on
             # its first read; replace goes through the public constructor,
             # which builds it at once
@@ -958,15 +1014,15 @@ def test_equal_sets_from_different_routes_compare_and_hash_equal():
 
 
 def test_read_caches_are_not_fields():
-    # kernel results without a residue mask or exceptions: a dilation and a
+    # kernel results without a rule table or exceptions: a dilation and a
     # set-lifted union
     kernel = [transform(PeriodicSet(6, (1, 3)), "dilate", 4),
               boolean_op(PeriodicSet(40, (0,)), PeriodicSet(60, (1,)), "union")]
     for s in sample_sets() + kernel:
         # the AP-union intersection tuple is built by the first read, not
-        # before; the periodic residue mask by the first complement or pair op
+        # before; the periodic rule table by the first complement or pair op
         assert getattr(s, "_intersection_cache", None) is None
-        assert getattr(s, "_mask_cache", None) is None
+        assert getattr(s, "_table_cache", None) is None
         # the residue index of a periodic set: built at once by the public
         # constructor, by the first member or rule_member read of a kernel
         # result without exceptions
@@ -977,7 +1033,7 @@ def test_read_caches_are_not_fields():
         s.count_range(0, 40)
         assert isinstance(getattr(s, "_intersection_cache", None), tuple) == \
             isinstance(s, APUnionSet)
-        assert getattr(s, "_mask_cache", None) is None
+        assert getattr(s, "_table_cache", None) is None
         assert getattr(s, "_tail_cache", None) is None
         # the AP-union tail table by the first member read past the
         # threshold; the block slice ends by each read of a new block
@@ -988,9 +1044,9 @@ def test_read_caches_are_not_fields():
         if isinstance(s, PeriodicSet):
             assert s._residue_set == frozenset(s.residues)
             complement(s)
-            assert s._mask_cache == sum(1 << r for r in s.residues)
+            assert s._table_cache == _rule_bytes(s)
         names = {f.name for f in dataclasses.fields(s)}
-        assert not {"_intersection_cache", "_mask_cache", "_tail_cache", "_ends",
+        assert not {"_intersection_cache", "_table_cache", "_tail_cache", "_ends",
                     "_residue_set"} & names
         cached = set(vars(s)) - names
         payload = to_payload(s)
