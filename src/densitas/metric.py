@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
@@ -268,10 +269,12 @@ def cauchy_profile(nu: str, seq: SetSequence, depth: int,
 
     note = ""
     certified = False
+    # each bound once per call: every modulus level below scans from i = 0
+    tail_bound = cache(lambda i: seq.tail_bound(i))
     if all_exact and seq.rule is not None and seq.tail_bound is not None:
         certified = True
         for i in range(depth):
-            cap = seq.tail_bound(i)
+            cap = tail_bound(i)
             worst = max((table[i][j].value for j in range(i, depth)), default=Fraction(0))
             if worst > cap:
                 certified = False
@@ -289,7 +292,7 @@ def cauchy_profile(nu: str, seq: SetSequence, depth: int,
         if certified:
             idx = None
             for i in range(depth + 64 * (k + 1)):
-                if seq.tail_bound(i) < eps:
+                if tail_bound(i) < eps:
                     idx = i
                     break
             if idx is None:

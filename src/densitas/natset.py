@@ -27,15 +27,22 @@ report payloads see the fields alone. Cost of the reads on [lo, hi):
   ``elements_in`` one shift and one pass over the range's bits.
 - periodic: ``member`` one frozenset lookup of n mod m from the threshold
   on, the exception sets first below it. A periodic result of ``boolean_op``,
-  ``complement``, ``normalize_periodic`` or ``transform`` takes the residue
-  tuple it was built from as it is (sorted and distinct already: no sort),
-  and without exceptions it costs O(1) to build, its frozenset left to the
-  first ``member`` or ``rule_member`` read; with exceptions the frozenset is
-  built at once, to check them against. The public constructor, and so
-  every literal, validates the residues and builds it at once. ``count_range`` q·|R| + bisect(R, r)
-  at each end (n = q·m + r) plus two bisections per exception list,
-  independent of hi - lo and of m, so factorial moduli cost no more than
-  small ones; ``elements_in`` |R| progressions plus the output.
+  ``complement``, ``normalize_periodic`` or ``transform`` takes what it was
+  built from as it is (sorted and distinct already: no sort). A result of
+  the rule-table kernel (a dense pair op, every periodic ``complement``, a
+  dense normalization) keeps its table and its residue count, taken in C,
+  and checks its exceptions against the table; it builds the residue tuple
+  only on the first read of ``residues`` (``==``, ``hash``, ``repr``,
+  payloads, ``format_set``, ``replace``, ``transform``, the reads below)
+  and keeps it, so a result read only through ``density`` or
+  ``is_empty_surely`` never pays O(m) for it. A result holding a residue
+  tuple builds its frozenset at once when it has exceptions, to check them
+  against, and otherwise leaves it to the first ``member`` or
+  ``rule_member`` read. The public constructor, and so every literal,
+  validates the residues and builds both at once. ``count_range`` q·|R| +
+  bisect(R, r) at each end (n = q·m + r) plus two bisections per exception
+  list, independent of hi - lo and of m, so factorial moduli cost no more
+  than small ones; ``elements_in`` |R| progressions plus the output.
 - ap-union (k terms): ``member`` from the threshold on one byte of a tail
   table at n mod l, l the lcm of the term moduli; the first such read builds
   it in O(l + Σ l/m). Below the threshold, and where l or Σ l/m passes
@@ -57,10 +64,10 @@ report payloads see the fields alone. Cost of the reads on [lo, hi):
   read one slice end per block the range meets, plus the exceptions inside
   the range.
 
-The AP-union tail table, the block slice ends and the residue frozenset of
-a kernel-built periodic set without exceptions are read structures too,
-built by the first read that needs them rather than in ``__post_init__``;
-the first two are bounded by those two module constants.
+The AP-union tail table, the block slice ends, and the residue tuple and
+frozenset of a kernel-built periodic set are read structures too, built by
+the first read that needs them rather than in ``__post_init__``; the first
+two are bounded by those two module constants.
 
 Periodic set algebra lifts each operand's residues to l = lcm(m, m') as a
 rule mod l and combines the two rules by one set operation. A rule that
@@ -68,15 +75,15 @@ lifts to fewer than l / 4 residues is a Python set, at one insertion per
 lifted residue. A denser one is a rule table, l bytes with table[r] = 1 iff
 r ∈ R: a table mod m lifts to mod l as l / m copies of itself (one bytes
 repetition), two lifted tables combine as byte lanes of one integer each by
-one bitwise op, and the result's residues are read back from its table in
-C. ``normalize_periodic`` writes its AP terms into a table by one strided
-slice per term, the builder the AP-union tail table uses, and
-``complement`` flips the table by one ``translate``. So a pair op or a
-normalization costs O(Σ |R|·l/m), the lifted residue count, plus the
-exceptions, and a complement O(m). ``transform`` of a periodic set maps the
-residue tuple in C: a dilation multiplies each residue, a shift rotates the
-tuple at the one residue, found by bisection, that wraps past the modulus.
-A literal's table is built on its first table op, after l (or m) has passed
+one bitwise op, and the result keeps the table, reading its residues back
+in C when they are first read. ``normalize_periodic`` writes its AP terms
+into a table by one strided slice per term, the builder the AP-union tail
+table uses, and ``complement`` flips the table by one ``translate``. So a
+pair op or a normalization costs O(Σ |R|·l/m), the lifted residue count,
+plus the exceptions, and a complement O(m). ``transform`` of a periodic
+set maps the residue tuple in C: a dilation multiplies each residue, a
+shift rotates the tuple at the one residue, found by bisection, that wraps
+past the modulus. A literal's table is built on its first table op, after l (or m) has passed
 ``config.modulus_budget``; a kernel result keeps the table it was built
 from. ``per m=1000! R={0}`` never builds one.
 
@@ -322,15 +329,18 @@ def _ap_count(m: int, r: int, lo: int, hi: int) -> int:
 
 class _Canonical:
     """Residues the kernel hands ``PeriodicSet`` already canonical: a sorted
-    tuple of distinct naturals below the modulus, with the exceptions
-    ``added`` and ``removed`` sorted and distinct too. The constructor takes
-    all three as they are, with no sort, checks the exceptions against the
-    rule, and on a set without exceptions leaves the residue index to the
-    first ``member`` or ``rule_member`` read."""
+    tuple of distinct naturals below the modulus, or a rule table of modulus
+    bytes with at least one residue, with the exceptions ``added`` and
+    ``removed`` sorted and distinct. The constructor takes all three as they
+    are, with no sort, and checks the exceptions against the rule. It keeps
+    a rule table and its residue count, and leaves the residue tuple to the
+    first read of ``residues`` (``_TableResidues``); on a tuple without
+    exceptions it leaves the residue index to the first ``member`` or
+    ``rule_member`` read."""
 
     __slots__ = ("residues",)
 
-    def __init__(self, residues: tuple[int, ...]):
+    def __init__(self, residues: tuple[int, ...] | bytes):
         self.residues = residues
 
 
@@ -347,15 +357,21 @@ class PeriodicSet(NatSet):
     kind = "periodic"
 
     def __post_init__(self):
+        table = None
         if type(self.residues) is _Canonical:  # a kernel result
             rs = self.residues.residues
             added, removed = tuple(self.added), tuple(self.removed)
             added_set, removed_set = frozenset(added), frozenset(removed)
-            # the exceptions are checked against the residue index, so a
-            # result with exceptions builds it now: in the axiom batteries
-            # those hold about two residues per exception, and one hash
-            # insertion each costs less than a bisection per exception
-            rset = frozenset(rs) if added or removed else None
+            if type(rs) is bytes:
+                # the table gives the rule test and, counted in C, |R|: most
+                # results are read through those alone
+                table, count, rset = rs, rs.count(1), None
+            else:
+                # the exceptions are checked against the residue index, so a
+                # result with exceptions builds it now: in the axiom batteries
+                # those hold about two residues per exception, and one hash
+                # insertion each costs less than a bisection per exception
+                count, rset = len(rs), frozenset(rs) if added or removed else None
         else:
             if self.modulus < 1:
                 raise ValueError("modulus must be >= 1")
@@ -364,24 +380,35 @@ class PeriodicSet(NatSet):
                 raise ValueError("residues must lie in [0, modulus)")
             added, added_set = _sorted_unique(self.added)
             removed, removed_set = _sorted_unique(self.removed)
-        object.__setattr__(self, "residues", rs)
-        for x in added:
-            if x >= self.threshold or (x % self.modulus) in rset:
-                raise ValueError(f"added exception {x} must be < threshold and not a rule member")
-        for x in removed:
-            if x >= self.threshold or (x % self.modulus) not in rset:
-                raise ValueError(f"removed exception {x} must be < threshold and a rule member")
+            count = len(rs)
+        if table is None:
+            object.__setattr__(self, "residues", rs)
+        else:  # `_TableResidues` reads the tuple back on first use
+            object.__delattr__(self, "residues")
+        if added or removed:
+            in_rule = rset.__contains__ if table is None else table.__getitem__
+            for x in added:
+                if x >= self.threshold or in_rule(x % self.modulus):
+                    raise ValueError(f"added exception {x} must be < threshold and not a "
+                                     f"rule member")
+            for x in removed:
+                if x >= self.threshold or not in_rule(x % self.modulus):
+                    raise ValueError(f"removed exception {x} must be < threshold and a "
+                                     f"rule member")
         object.__setattr__(self, "added", added)
         object.__setattr__(self, "removed", removed)
+        # |R|, so the density and the emptiness test never build the tuple
+        object.__setattr__(self, "_residue_count", count)
         # the residues as a frozenset for member reads; None on a kernel
-        # result without exceptions until its first read builds it (an
-        # empty rule's index is the empty frozenset, so the reads test
-        # `is None`)
+        # result without exceptions, or with a rule table, until its first
+        # read builds it (an empty rule's index is the empty frozenset, so
+        # the reads test `is None`)
         object.__setattr__(self, "_residue_set", rset)
         object.__setattr__(self, "_added_set", added_set)
         object.__setattr__(self, "_removed_set", removed_set)
-        # None until the first read of `_rule_table` fills it (see there)
-        object.__setattr__(self, "_table_cache", None)
+        # None until the first read of `_rule_table` fills it (see there); a
+        # kernel result keeps the table it was built from
+        object.__setattr__(self, "_table_cache", table)
 
     def _residue_index(self) -> frozenset:
         """The residue frozenset of a kernel result, built on its first read."""
@@ -424,7 +451,7 @@ class PeriodicSet(NatSet):
         """|{x in [0, n) : x mod m in R}|: q whole periods, then the residues
         below r, where n = q·m + r."""
         q, r = divmod(n, self.modulus)
-        return q * len(self.residues) + bisect_left(self.residues, r)
+        return q * self._residue_count + bisect_left(self.residues, r)
 
     def count_range(self, lo: int, hi: int) -> int:
         lo = max(lo, 0)
@@ -444,15 +471,33 @@ class PeriodicSet(NatSet):
         return sorted(out)
 
     def density(self) -> Fraction:
-        return Fraction(len(self.residues), self.modulus)
+        return Fraction(self._residue_count, self.modulus)
 
     def period(self, budget: int) -> Optional[int]:
         """A period of the rule from the threshold on: the modulus."""
         return self.modulus
 
     def is_empty_surely(self) -> bool:
-        return not self.residues and not self.added
+        return not self._residue_count and not self.added
 
+
+class _TableResidues:
+    """``PeriodicSet.residues`` of a result that keeps its rule table: the
+    tuple is read back from the table on its first read and stored on the
+    instance, which then shadows this non-data descriptor. The store goes
+    through ``object.__setattr__``, not the instance ``__dict__`` as
+    ``functools.cached_property`` writes it, so instances keep the shared
+    attribute layout that specialized attribute reads rely on."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        rs = tuple(compress(range(obj.modulus), obj._table_cache))
+        object.__setattr__(obj, "residues", rs)
+        return rs
+
+
+PeriodicSet.residues = _TableResidues()
 
 OMEGA = PeriodicSet(1, (0,))
 EVENS = PeriodicSet(2, (0,))
@@ -857,7 +902,7 @@ def finite_part(a: NatSet) -> Optional[FiniteSet]:
     """
     if isinstance(a, FiniteSet):
         return a
-    if isinstance(a, PeriodicSet) and not a.residues:
+    if isinstance(a, PeriodicSet) and not a._residue_count:
         return FiniteSet(a.added)
     if isinstance(a, APUnionSet) and not a.terms:
         return FiniteSet(tuple(x for x in a.extras if x not in a.removals))
@@ -1001,30 +1046,30 @@ def _op_with_finite(a: NatSet, f: FiniteSet, op: str) -> NatSet:
     return replace(a, extras=rewrite(a.extras, added), removals=rewrite(a.removals, removed))
 
 
-def _shrunk_periodic(m: int, residues: tuple[int, ...], added, removed,
-                     table: Optional[bytes] = None) -> NatSet:
+def _shrunk_periodic(m: int, residues: tuple[int, ...] | bytes, added, removed) -> NatSet:
     """PeriodicSet with the threshold shrunk to the minimal value covering the
     exceptions, so extensionally equal constructions compare equal; an empty
     rule leaves the added exceptions as a FiniteSet. The residues are
-    canonical (sorted, distinct, below m) and taken as they are. A rule
-    table the caller already holds is kept on the result."""
-    if not residues:
+    canonical (sorted, distinct, below m) and taken as they are, or given as
+    a rule table of m bytes, which the result keeps."""
+    if not residues or (type(residues) is bytes and 1 not in residues):
         return FiniteSet(tuple(added))
     exc = tuple(added) + tuple(removed)
     t_min = max(exc) + 1 if exc else 0
-    out = PeriodicSet(m, _Canonical(residues), t_min, tuple(added), tuple(removed))
-    if table is not None:
-        object.__setattr__(out, "_table_cache", table)
-    return out
+    return PeriodicSet(m, _Canonical(residues), t_min, tuple(added), tuple(removed))
 
 
 def _is_sparse(lifted: int, l: int) -> bool:
     """Whether a rule that lifts to `lifted` residues mod l lifts as a set
     of them rather than as a rule table. A set costs one insertion per
-    lifted residue (50-200 ns); a table about 40 ns per position of [0, l),
-    whatever the residues, most of it in reading the residues back. From
-    lcm 9,900 to 9 * 10^6 the two meet between l / 25 and l / 3, and at lcm
-    132 both take about 20 µs (2-core Xeon, CPython 3.11). per m=12! R={0}
+    lifted residue (50-200 ns) and gives the residue tuple by one sort; a
+    table about 5-10 ns per position of [0, l) to build, whatever the
+    residues, and about 25 ns more per position if its residue tuple is
+    ever read. Built and read through ``density`` alone, the two meet
+    between l / 50 and l / 25 from lcm 9,900 to 9 * 10^6; with the tuple
+    read as well, between l / 10 and l / 4. At lcm 132 both take about
+    20 µs (symdiff of two rules, 2-core Xeon, CPython 3.11). The threshold
+    stays at l / 4, where neither kind of read loses much. per m=12! R={0}
     met with per m=11! R={1} is 13 residues as a set and gigabytes as a
     table."""
     return 4 * lifted < l
@@ -1043,14 +1088,14 @@ def _term_table(terms: Iterable[APTerm], l: int) -> bytes:
 def _from_rule(l: int, rule, xs: Iterable[int], wanted: Callable[[int], bool]) -> NatSet:
     """The set with rule mod l given by a residue set or rule table and
     membership ``wanted`` at the points xs, the only points where it may
-    leave that rule. A table gives the rule test at xs and the residue
-    tuple, and is kept on the result."""
+    leave that rule. A table gives the rule test at xs and is kept on the
+    result, which reads its residue tuple back only when that is read."""
     if isinstance(rule, bytes):
-        residues, in_rule, table = tuple(compress(range(l), rule)), lambda x: rule[x % l], rule
+        residues, in_rule = rule, lambda x: rule[x % l]
     else:
-        residues, in_rule, table = tuple(sorted(rule)), lambda x: x % l in rule, None
+        residues, in_rule = tuple(sorted(rule)), lambda x: x % l in rule
     added, removed = _exceptions(xs, wanted, in_rule)
-    return _shrunk_periodic(l, residues, added, removed, table)
+    return _shrunk_periodic(l, residues, added, removed)
 
 
 def _lcm_within(moduli: Iterable[int], budget: int) -> Optional[int]:
@@ -1069,7 +1114,7 @@ def _periodic_pair_op(a: PeriodicSet, b: PeriodicSet, op: str, config: Config) -
     if l is None:
         raise ModulusBudgetExceeded(f"lcm {_shown(math.lcm(a.modulus, b.modulus))} exceeds "
                                     f"modulus budget {config.modulus_budget}")
-    if _is_sparse(len(a.residues) * (l // a.modulus) + len(b.residues) * (l // b.modulus), l):
+    if _is_sparse(a._residue_count * (l // a.modulus) + b._residue_count * (l // b.modulus), l):
         # residue r mod m lifts to r, r + m, ..., r + l - m mod l
         rule = _finite_op({r + k for k in range(0, l, a.modulus) for r in a.residues},
                           {r + k for k in range(0, l, b.modulus) for r in b.residues}, op)
@@ -1330,6 +1375,7 @@ _BLOCKS_CACHED = 64
 # Most digits of a literal natural: Python's own int-from-str limit, so a
 # longer one fails here with its size named rather than inside int().
 _DIGITS_MAX = 4300
+_NAT_LIMIT = 10 ** _DIGITS_MAX
 # Largest N of a factorial modulus N!: 1000! (2,568 digits) still prints under
 # Python's 4,300-digit int-to-str limit; the witness family needs at most 23!.
 _FACTORIAL_MAX = 1000
@@ -1405,7 +1451,7 @@ class _Cursor:
             raise ParseError(f"{n}! exceeds the factorial limit {_FACTORIAL_MAX}!",
                              self.text, at)
         m = math.prod(factors) * math.factorial(n)
-        if m >= 10 ** _DIGITS_MAX:
+        if m >= _NAT_LIMIT:
             raise ParseError(f"a modulus of more than {_DIGITS_MAX} digits", self.text, start)
         return m, "*".join(map(str, factors + [factorial_label(n)]))
 
@@ -1543,12 +1589,29 @@ def _fmt_nats(xs: Iterable[int]) -> str:
     return "{" + ",".join(str(x) for x in xs) + "}"
 
 
+def _check_digits(*ns: int) -> None:
+    """Refuse a natural of more than ``_DIGITS_MAX`` digits, which has no
+    literal (``parse_set`` refuses it, and Python will not print it), with
+    UnsupportedBackend naming its digit count."""
+    for n in ns:
+        if n >= _NAT_LIMIT:
+            digits = int(n.bit_length() * 0.30102999566398120)  # log10(2): within one
+            digits += n >= 10 ** digits
+            raise UnsupportedBackend(f"a natural of {digits} digits exceeds the literal "
+                                     f"limit of {_DIGITS_MAX} digits")
+
+
 def format_set(a: NatSet) -> str:
     """Inverse of parse_set: parse_set(format_set(a)) == a. Sets the grammar
-    cannot spell raise UnsupportedBackend."""
+    cannot spell raise UnsupportedBackend, among them a set holding a
+    natural of more than 4,300 digits. Each natural a literal prints is
+    bounded by one that is checked: a finite set's largest element, a
+    periodic set's modulus and threshold, a term's modulus and start."""
     if isinstance(a, FiniteSet):
+        _check_digits(*a.elements[-1:])
         return "fin" + _fmt_nats(a.elements)
     if isinstance(a, PeriodicSet):
+        _check_digits(a.modulus, a.threshold)
         out = f"per m={a.modulus} R={_fmt_nats(a.residues)}"
         if a.threshold:
             out += f" t={a.threshold}"
@@ -1561,6 +1624,8 @@ def format_set(a: NatSet) -> str:
         if a.extras or a.removals or not a.terms:
             raise UnsupportedBackend("ap-union literals need terms and cannot carry "
                                      "extras/removals")
+        # a label spells a factorial modulus, but parse_set bounds it too
+        _check_digits(*(n for t in a.terms for n in (t.modulus, t.start)))
         parts = [f"ap a={t.modulus_text()} h={t.offset} j0={t.start}" for t in a.terms]
         return " | ".join(parts)
     if isinstance(a, DyadicBlockSet):
@@ -1577,5 +1642,6 @@ def format_set(a: NatSet) -> str:
             raise UnsupportedBackend(f"fill rule {a.fill.func_label!r} has no exact literal form")
         return text
     if isinstance(a, HorizonSet):
+        _check_digits(a.horizon)
         return f"horizon H={a.horizon} bits={a._word:x}"
     raise UnsupportedBackend(f"no literal form for backend {a.kind}")

@@ -20,6 +20,7 @@ O(1) progression counting for the density certificates.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -365,8 +366,9 @@ def check_witness_invariants(w: WitnessFamily, horizon: int = 10 ** 6,
 
     Disjointness runs on residues (every element of a later block reduces to
     its offset modulo an earlier factorial). The prefix bound is checked at
-    each breakpoint (element + 1) below the horizon and at geometrically
-    spaced probes up to the top modulus, using O(1) progression counting.
+    each breakpoint (element + 1) below the horizon, each count one
+    bisection of the members listed there, and at geometrically spaced
+    probes up to the top modulus, using O(1) progression counting.
     The report is computed once per family and (horizon, probes); the
     certificates that need it read the same report.
     """
@@ -427,26 +429,33 @@ def _invariant_report(w: WitnessFamily, horizon: int, probes: int) -> AxiomRepor
         records.append(CheckRecord(f"stage-structure[{n}]",
                                     "pass" if ok else "fail",
                                     "stage terms are the union of its blocks"))
-    # (f) prefix bound at breakpoints and probes
+    # (f) prefix bound at breakpoints and probes, c/m >= p/q compared as
+    # c·q >= m·p
     top = lv[-1].modulus
     for n in range(w.depth + 1):
         bound = stage_density(w, n)
-        a = w.stages[n]
-        points = []
-        for e in a.elements_in(0, min(horizon, top)):
-            points += [e, e + 1] if e >= 1 else [e + 1]
-        points += _log_probes(max(2, min(horizon, top)), top, probes)
-        bad = None
-        for m in sorted(set(points)):
-            ratio = Fraction(a.count_range(0, m), m)
-            if ratio >= bound:
-                bad = (m, str(ratio))
-                break
+        counts = _prefix_counts(w.stages[n], horizon, top, probes)
+        bad = next(((m, str(Fraction(c, m))) for m, c in counts
+                    if c * bound.denominator >= m * bound.numerator), None)
         records.append(CheckRecord(
             f"prefix-bound[{n}]", "pass" if bad is None else "fail",
-            f"|A_{n} ∩ m|/m < {bound} at {len(set(points))} checkpoints",
+            f"|A_{n} ∩ m|/m < {bound} at {len(counts)} checkpoints",
             witness=bad))
     return AxiomReport("witness invariants", tuple(records))
+
+
+def _prefix_counts(a: NatSet, horizon: int, top: int, probes: int) -> list[tuple[int, int]]:
+    """(m, |A ∩ [0, m)|) at each checkpoint m, ascending: the breakpoints e
+    and e + 1 of every member e below min(horizon, top), and the geometric
+    probes up to top. Up to that limit a count is one bisection of the
+    members listed there; only the probes past it read count_range."""
+    limit = min(horizon, top)
+    members = a.elements_in(0, limit)
+    points = set(_log_probes(max(2, limit), top, probes))
+    for e in members:
+        points.update((e, e + 1) if e >= 1 else (e + 1,))
+    return [(m, bisect_left(members, m) if m <= limit else a.count_range(0, m))
+            for m in sorted(points)]
 
 
 # ---------------------------------------------------------------------------
@@ -514,17 +523,11 @@ def banach_gap_certificate(w: WitnessFamily, horizon: int = 10 ** 6,
     if bound > Fraction(1, 4):
         raise InvariantsFailed("increment sum exceeds 1/4")
     top = lv[w.depth + 1].modulus if w.depth + 1 < len(lv) else lv[-1].modulus
-    points = []
-    for e in union.elements_in(0, min(horizon, top)):
-        points += [e, e + 1] if e >= 1 else [e + 1]
-    points += _log_probes(max(2, min(horizon, top)), top, probes)
     checks = []
-    for m in sorted(set(points)):
-        c = union.count_range(0, m)
-        ratio = Fraction(c, m)
-        if ratio > Fraction(1, 4):
-            raise InvariantsFailed(f"prefix ratio {ratio} exceeds 1/4 at {m}")
-        checks.append((m, c, ratio))
+    for m, c in _prefix_counts(union, horizon, top, probes):
+        if 4 * c > m:
+            raise InvariantsFailed(f"prefix ratio {Fraction(c, m)} exceeds 1/4 at {m}")
+        checks.append((m, c, Fraction(c, m)))
     windows = []
     for rec in used:
         start = rec.modulus + rec.residues[0]

@@ -19,6 +19,7 @@ from densitas.exceptions import (
     UnsupportedBackend,
 )
 from densitas.config import DEFAULT_CONFIG
+from densitas import density as density_module
 from densitas.density import check_upper_density_axioms, geometric_measure
 from densitas.natset import (
     APTerm,
@@ -42,6 +43,7 @@ from densitas.natset import (
 )
 from densitas.natset import _BLOCKS_CACHED, _SIZE_MAX, _TAIL_MAX, _Canonical, _is_sparse
 from densitas.reports import to_payload
+from densitas.samples import pool_battery
 from conftest import (
     ap_union_period,
     brute_count,
@@ -582,6 +584,21 @@ def test_format_refuses_a_nonzero_fill_head():
         format_set(a)
 
 
+def test_format_refuses_a_natural_past_the_digit_limit():
+    # a transform can build a natural no literal holds; format_set names
+    # its digit count rather than failing in Python's int-to-str limit
+    cases = ((transform(parse_set("per m=2 R={0}"), "dilate", 10 ** 4400), 4401),
+             (transform(parse_set("ap a=2 h=1"), "shift", 10 ** 4400), 4400),
+             (FiniteSet((10 ** 4300,)), 4301))
+    for a, digits in cases:
+        with pytest.raises(UnsupportedBackend,
+                           match=f"a natural of {digits} digits exceeds the literal limit"):
+            format_set(a)
+    # the largest natural a literal holds still round-trips
+    top = FiniteSet((10 ** 4300 - 1,))
+    assert parse_set(format_set(top)) == top
+
+
 def _periodic(m, residues, t, picks):
     base = PeriodicSet(m, residues)
     below = [x for x in picks if x < t]
@@ -712,12 +729,12 @@ def test_sparse_rules_at_factorial_lcm_stay_cheap():
 
 
 @st.composite
-def _lift_pairs(draw):
+def _lift_pairs(draw, sides=st.booleans()):
     """(sparse, a, b): two periodic sets with exceptions whose lifted residue
-    count falls on the drawn side of _is_sparse. One or two residues on
-    consecutive (so coprime) moduli from 17 on lift as sets; at least a
-    quarter of the residues on moduli up to 12 lift as rule tables."""
-    sparse = draw(st.booleans())
+    count falls on the side of _is_sparse drawn from `sides`. One or two
+    residues on consecutive (so coprime) moduli from 17 on lift as sets; at
+    least a quarter of the residues on moduli up to 12 lift as rule tables."""
+    sparse = draw(sides)
     if sparse:
         m = draw(st.integers(17, 40))
         moduli = (m, m + 1)
@@ -744,18 +761,33 @@ def test_kernel_periodic_results_equal_their_public_rebuild(case, h, k):
     u = APUnionSet(tuple(APTerm(s.modulus, r, (r + s.threshold) % 3)
                          for s in (a, b) for r in s.residues),
                    a.added, tuple(x for x in b.added if x not in a.added))
-    results = [(complement(a), lambda n: not fa(n)),
-               (normalize_periodic(u), partial(field_member, u)),
-               (transform(a, "shift", h), lambda n: n >= h and fa(n - h)),
-               (transform(a, "dilate", k), lambda n: n % k == 0 and fa(n // k))]
+    # (result, membership, whether the rule table kernel built it): a
+    # complement always flips a table, a transform maps the residue tuple,
+    # and a pair op or a normalization of the same lifted count lifts as
+    # tables exactly when it is dense
+    results = [(complement(a), lambda n: not fa(n), True),
+               (normalize_periodic(u), partial(field_member, u), not sparse),
+               (transform(a, "shift", h), lambda n: n >= h and fa(n - h), False),
+               (transform(a, "dilate", k), lambda n: n % k == 0 and fa(n // k), False)]
     if a != b:  # equal operands come back as they are
-        results += [(boolean_op(a, b, op), lambda n, f=f: bool(f(fa(n), fb(n))))
+        results += [(boolean_op(a, b, op), lambda n, f=f: bool(f(fa(n), fb(n))), not sparse)
                     for op, f in _BOOL_OPS.items()]
-    for got, want in results:
+    for got, want, tabled in results:
         if not isinstance(got, PeriodicSet):  # an empty rule: a FiniteSet
             assert not got.elements or got.elements[-1] < 200
             assert all(got.member(n) == want(n) for n in range(200))
             continue
+        # a table result keeps its table and count, and builds neither the
+        # residue tuple nor its index until a read needs them, exceptions or
+        # not; a tuple result without exceptions waits for its index, and
+        # one with exceptions builds it to check them against
+        if tabled:
+            assert "residues" not in vars(got) and got._residue_set is None
+            assert got._residue_count == got._table_cache.count(1) > 0
+        else:
+            assert "residues" in vars(got) and got._table_cache is None
+            assert (got._residue_set is None) == (not got.added and not got.removed)
+            assert got._residue_count == len(got.residues)
         # the kernel hands its exceptions over sorted and distinct, and the
         # public constructor, residues and exceptions reversed, builds the
         # same set, eagerly indexed
@@ -766,9 +798,8 @@ def test_kernel_periodic_results_equal_their_public_rebuild(case, h, k):
         assert again == got and hash(again) == hash(got) and repr(again) == repr(got)
         assert to_payload(again) == to_payload(got)
         assert dataclasses.replace(got) == got
-        # without exceptions the index waits for the first read; with them
-        # it is built to check them against
-        assert (got._residue_set is None) == (not got.added and not got.removed)
+        if tabled:
+            assert got._table_cache == _rule_bytes(got)
         assert again._residue_set == frozenset(got.residues)
         reads = range(got.threshold + min(got.modulus, 300) + 2)
         for n in reads:  # each read the first, building the index
@@ -780,6 +811,72 @@ def test_kernel_periodic_results_equal_their_public_rebuild(case, h, k):
         for n in reads:  # the index built
             assert got.member(n) == want(n)
             assert got.rule_member(n) == (n % got.modulus in got.residues)
+
+
+def _table_kernel_results(a, b):
+    """Fresh rule-table results of two dense operands, each with the field
+    form (modulus, residues, threshold, added, removed) of the same set from
+    the brute tables: both complements, the four pair ops when a != b, and
+    the normalized union of their terms. Empty rules (FiniteSets) are left
+    out."""
+    l, t = math.lcm(a.modulus, b.modulus), max(a.threshold, b.threshold)
+    ta, tb = periodic_field_table(a, t + l), periodic_field_table(b, t + l)
+    u = APUnionSet(tuple(APTerm(s.modulus, r, (r + s.threshold) % 3)
+                         for s in (a, b) for r in s.residues))
+    out = [(complement(s), brute_periodic_form(bytes(1 - x for x in table), s.modulus,
+                                               s.threshold))
+           for s, table in ((a, ta), (b, tb))]
+    if a != b:  # equal operands come back as they are
+        out += [(boolean_op(a, b, op), brute_periodic_form(bytes(map(f, ta, tb)), l, t))
+                for op, f in _BOOL_OPS.items()]
+    ut, up, utable = ap_union_period(u)
+    out.append((normalize_periodic(u), brute_periodic_form(utable, up, ut)))
+    return [(got, form) for got, form in out if form[1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lift_pairs(st.just(False)))
+def test_table_results_read_like_their_public_rebuild(case):
+    # every read gives what the public constructor's set gives, both while
+    # the residue tuple is unbuilt and after; density and the emptiness test
+    # read the kept count and never build it
+    _, a, b = case
+    hi = max(a.threshold, b.threshold) + 2 * math.lcm(a.modulus, b.modulus) + 3
+    spans = [(0, hi), (1, hi // 2), (hi // 3, hi), (hi // 2, hi // 2 + 1)]
+    reads = [lambda s: s, hash, repr, to_payload,
+             lambda s: [s.member(n) for n in range(-1, hi)],
+             lambda s: [s.count_range(lo, hi) for lo, hi in spans],
+             lambda s: [s.elements_in(lo, hi) for lo, hi in spans]]
+    unbuilt = [lambda s: s.density(), lambda s: s.is_empty_surely()]
+    for read in unbuilt + reads:
+        for got, form in _table_kernel_results(a, b):
+            assert got._table_cache is not None and "residues" not in vars(got)
+            assert read(got) == read(PeriodicSet(*form))
+            assert ("residues" in vars(got)) == (read not in unbuilt)
+    for got, form in _table_kernel_results(a, b):
+        assert got.residues == form[1] and "residues" in vars(got)
+        assert got._table_cache == _rule_bytes(got)
+        for read in unbuilt + reads:
+            assert read(got) == read(PeriodicSet(*form))
+
+
+def test_a_battery_call_leaves_dense_unions_unread(monkeypatch):
+    # the upper-density battery reads each union through its density
+    # alone, so a union the rule table kernel built never builds its
+    # residue tuple
+    unions = []
+
+    def recording_op(*args):
+        unions.append(boolean_op(*args))
+        return unions[-1]
+
+    monkeypatch.setattr(density_module, "boolean_op", recording_op)
+    for chunk in (pool_battery(3, seed) for seed in range(1, 6)):
+        rep = check_upper_density_axioms("d-star", chunk, shifts=(1, 7, 100),
+                                         dilations=(2, 3, 5))
+        assert rep.passed and unions
+    assert any(isinstance(u, PeriodicSet) and u._table_cache is not None
+               and "residues" not in vars(u) for u in unions)
 
 
 # Reads far from the origin and at factorial scale: anchors are points where
@@ -1043,11 +1140,12 @@ def test_read_caches_are_not_fields():
         assert isinstance(getattr(s, "_tail_cache", None), bytes) == isinstance(s, APUnionSet)
         if isinstance(s, PeriodicSet):
             assert s._residue_set == frozenset(s.residues)
+            assert s._residue_count == len(s.residues)
             complement(s)
             assert s._table_cache == _rule_bytes(s)
         names = {f.name for f in dataclasses.fields(s)}
         assert not {"_intersection_cache", "_table_cache", "_tail_cache", "_ends",
-                    "_residue_set"} & names
+                    "_residue_set", "_residue_count"} & names
         cached = set(vars(s)) - names
         payload = to_payload(s)
         assert cached and names >= set(payload)

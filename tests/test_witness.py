@@ -265,6 +265,34 @@ def test_oversized_span_fails_ratio_check(family):
                for r in report.records)
 
 
+def test_prefix_counts_agree_with_count_range(family):
+    # below min(horizon, top) a checkpoint is counted by bisecting the
+    # members listed there; it must be the count the set itself gives,
+    # including where the limit falls between members and at a probe on it
+    top = family.levels[-1].modulus
+    for a in family.stages:
+        for horizon in (2, 1000, 362881, 725760, 10 ** 6, top + 5):
+            counts = witness._prefix_counts(a, horizon, top, 64)
+            assert [m for m, _ in counts] == sorted({m for m, _ in counts})
+            assert all(c == a.count_range(0, m) for m, c in counts)
+
+
+def test_dense_stage_fails_the_prefix_bound_at_its_first_checkpoint(family):
+    # a stage of density 1/2 breaks the bound; the record names the first
+    # checkpoint where |A ∩ m|/m reaches it, with that ratio
+    dense = APUnionSet((APTerm(2, 1),))
+    tampered = replace(family, stages=(dense,) + family.stages[1:])
+    report = check_witness_invariants(tampered, horizon=10 ** 4)
+    record = next(r for r in report.records if r.name == "prefix-bound[0]")
+    assert record.status == "fail"
+    m, ratio = record.witness
+    bound = stage_density(family, 0)
+    assert Fraction(ratio) == Fraction(dense.count_range(0, m), m) >= bound
+    earlier = [k for k, _ in witness._prefix_counts(dense, 10 ** 4,
+                                                     family.levels[-1].modulus, 64) if k < m]
+    assert earlier and all(Fraction(dense.count_range(0, k), k) < bound for k in earlier)
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
