@@ -49,8 +49,9 @@ report payloads see the fields alone. Cost of the reads on [lo, hi):
   ``_TAIL_MAX`` (2^20, so a table holds at most 1 MB; factorial moduli lie
   above it), one pass over (modulus, offset, first element) triples.
   ``count_range`` one ``_ap_count`` per cached intersection
-  plus the exceptions inside the range; ``elements_in`` k progressions plus
-  the output. The intersections are the CRT-pruned inclusion-exclusion over
+  plus the exceptions inside the range; ``prefix_counts`` of many ascending
+  points one pass over them per intersection; ``elements_in`` k
+  progressions plus the output. The intersections are the CRT-pruned inclusion-exclusion over
   term subsets (k^2 for pairwise disjoint terms, up to 2^k), enumerated on
   the first ``count_range`` or ``density`` read and kept on the set; the
   geometric measure reads the same tuple. A term inside another term (its
@@ -78,7 +79,8 @@ repetition), two lifted tables combine as byte lanes of one integer each by
 one bitwise op, and the result keeps the table, reading its residues back
 in C when they are first read. ``normalize_periodic`` writes its AP terms
 into a table by one strided slice per term, the builder the AP-union tail
-table uses, and ``complement`` flips the table by one ``translate``. So a
+table uses, and drops each term's unstarted positions a progression at a
+time; ``complement`` flips the table by one ``translate``. So a
 pair op or a normalization costs O(Σ |R|·l/m), the lifted residue count,
 plus the exceptions, and a complement O(m). ``transform`` of a periodic
 set maps the residue tuple in C: a dilation multiplies each residue, a
@@ -120,12 +122,12 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import compress
-from operator import index
-from typing import Callable, Iterable, Iterator, Optional
+from itertools import accumulate, compress
+from operator import add, index, sub
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .exceptions import (
@@ -221,6 +223,10 @@ class NatSet:
     def elements_in(self, lo: int, hi: int) -> list[int]:
         """Sorted elements of A ∩ [lo, hi). Output-sensitive on structured backends."""
         return [n for n in range(max(lo, 0), hi) if self.member(n)]
+
+    def prefix_counts(self, points: Sequence[int]) -> list[int]:
+        """|A ∩ [0, m)| for each m of an ascending sequence."""
+        return [self.count_range(0, m) for m in points]
 
     def is_empty_surely(self) -> bool:
         return False
@@ -651,6 +657,24 @@ class APUnionSet(NatSet):
         total = sum(sign * _ap_count(M, c, max(lo, mn), hi)
                     for M, c, mn, sign in self._intersections)
         return total + _exception_count(self, lo, hi)
+
+    def prefix_counts(self, points: Sequence[int]) -> list[int]:
+        """|A ∩ [0, m)| for each m of an ascending sequence, in one pass over
+        the points per inclusion-exclusion entry (``count_range`` walks
+        every entry for each point) and one over the exceptions."""
+        totals = [0] * len(points)
+        for M, c, mn, sign in self._intersections:
+            first = max(mn, c)
+            first += (c - first) % M  # the entry's least member
+            i = bisect_right(points, first)
+            counts = [(m - first - 1) // M + 1 for m in points[i:]]
+            totals[i:] = map(add if sign > 0 else sub, totals[i:], counts)
+        if points and (self.extras or self.removals):
+            signed = sorted(_signed_exceptions(self, 0, points[-1]))
+            at = [x for x, _ in signed]
+            run = list(accumulate((sign for _, sign in signed), initial=0))
+            totals = [t + run[bisect_left(at, m)] for t, m in zip(totals, points)]
+        return totals
 
     def elements_in(self, lo: int, hi: int) -> list[int]:
         out = set()
@@ -1085,16 +1109,20 @@ def _term_table(terms: Iterable[APTerm], l: int) -> bytes:
     return bytes(rule)
 
 
-def _from_rule(l: int, rule, xs: Iterable[int], wanted: Callable[[int], bool]) -> NatSet:
+def _from_rule(l: int, rule, xs: Iterable[int], wanted: Callable[[int], bool],
+               dropped: set | frozenset = frozenset()) -> NatSet:
     """The set with rule mod l given by a residue set or rule table and
-    membership ``wanted`` at the points xs, the only points where it may
-    leave that rule. A table gives the rule test at xs and is kept on the
-    result, which reads its residue tuple back only when that is read."""
+    membership ``wanted`` at the points xs, the only points besides the
+    rule members ``dropped`` (kept off xs) where it may leave that rule.
+    A table gives the rule test at xs and is kept on the result, which
+    reads its residue tuple back only when that is read."""
     if isinstance(rule, bytes):
         residues, in_rule = rule, lambda x: rule[x % l]
     else:
         residues, in_rule = tuple(sorted(rule)), lambda x: x % l in rule
     added, removed = _exceptions(xs, wanted, in_rule)
+    if dropped:
+        removed = sorted(dropped.union(removed))
     return _shrunk_periodic(l, residues, added, removed)
 
 
@@ -1227,14 +1255,32 @@ def normalize_periodic(a: NatSet, config: Config = DEFAULT_CONFIG) -> PeriodicSe
     if sum(t.start for t in a.terms) + len(a.extras) + len(a.removals) > _SIZE_MAX:
         raise ModulusBudgetExceeded(
             f"normalizing needs more than {_SIZE_MAX} exception points")
-    points = set(a.extras).union(a.removals)
-    for t in a.terms:
-        points.update(range(t.offset, t.min_element, t.modulus))
+    listed = set(a.extras).union(a.removals)
     if _is_sparse(sum(l // t.modulus for t in a.terms), l):
         rule = set().union(*(range(t.offset, l, t.modulus) for t in a.terms))
     else:
         rule = _term_table(a.terms, l)
-    return _from_rule(l, rule, sorted(points), a.member)
+    return _from_rule(l, rule, sorted(listed), a.member,
+                      _unstarted(a.terms) - listed)
+
+
+def _unstarted(terms: tuple[APTerm, ...]) -> set:
+    """The positions of each term before its start that no term has covered
+    by then: members of the rule mod the lcm that the union leaves out.
+    Each other term takes out the whole progression of them it covers."""
+    out = set()
+    for i, t in enumerate(terms):
+        run = set(range(t.offset, t.min_element, t.modulus))
+        for j, u in enumerate(terms):
+            if j == i or not run:
+                continue
+            merged = _crt_merge(t.modulus, t.offset, u.modulus, u.offset)
+            if merged is not None:
+                M, c = merged
+                first = max(u.min_element, c)
+                run.difference_update(range(first + (c - first) % M, t.min_element, M))
+        out |= run
+    return out
 
 
 def complement(a: NatSet, config: Config = DEFAULT_CONFIG) -> NatSet:
@@ -1303,7 +1349,9 @@ def transform(a: NatSet, kind: str, amount: int) -> NatSet:
     A result the set grammar cannot hold is refused with
     ModulusBudgetExceeded before it is built: a periodic shift whose
     removals (the rule members it exposes in [0, h) and the shifted ones)
-    number more than 2^20, and a horizon result wider than 2^20.
+    number more than 2^20, and a horizon result wider than 2^20. A factor
+    k past the literal digit limit is refused with UnsupportedBackend where
+    it would enter a term's label k*N!.
     """
     if kind not in ("dilate", "shift"):
         raise ValueError("transform kind must be 'dilate' or 'shift'")
@@ -1336,8 +1384,11 @@ def transform(a: NatSet, kind: str, amount: int) -> NatSet:
                            tuple(map(h.__add__, a.added)),
                            tuple(exposed) + tuple(map(h.__add__, a.removed)))
     if isinstance(a, APUnionSet):
+        dilated = kind == "dilate" and any(t.label for t in a.terms)
+        if dilated:
+            _check_digits(k)  # the label k*N! spells k out
         terms = tuple(APTerm(t.modulus * k, t.offset * k + h, t.start,
-                             None if kind == "dilate" and t.label is None else t.label and f"{k}*{t.label}" if kind == "dilate" else t.label)
+                             f"{k}*{t.label}" if dilated and t.label else t.label)
                       for t in a.terms)
         return APUnionSet(terms,
                           tuple(k * x + h for x in a.extras),

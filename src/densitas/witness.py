@@ -20,7 +20,7 @@ O(1) progression counting for the density certificates.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -188,8 +188,8 @@ def _minimal_scale(kappa: Fraction) -> int:
 
 def _clears_thresholds(a: int, n: int, kappa: Fraction, cover: int,
                        scale: int) -> bool:
-    f = Fraction(math.factorial(a))
-    if f <= Fraction(n, 1) / kappa:
+    f = math.factorial(a)
+    if f * kappa.numerator <= n * kappa.denominator:  # f <= n / kappa
         return False
     if f <= (scale + 1) ** 2:
         return False
@@ -448,14 +448,18 @@ def _prefix_counts(a: NatSet, horizon: int, top: int, probes: int) -> list[tuple
     """(m, |A ∩ [0, m)|) at each checkpoint m, ascending: the breakpoints e
     and e + 1 of every member e below min(horizon, top), and the geometric
     probes up to top. Up to that limit a count is one bisection of the
-    members listed there; only the probes past it read count_range."""
+    members listed there; the probes past it are counted by one
+    `prefix_counts` read."""
     limit = min(horizon, top)
     members = a.elements_in(0, limit)
     points = set(_log_probes(max(2, limit), top, probes))
     for e in members:
         points.update((e, e + 1) if e >= 1 else (e + 1,))
-    return [(m, bisect_left(members, m) if m <= limit else a.count_range(0, m))
-            for m in sorted(points)]
+    points = sorted(points)
+    cut = bisect_right(points, limit)
+    far = points[cut:]
+    return ([(m, bisect_left(members, m)) for m in points[:cut]]
+            + list(zip(far, a.prefix_counts(far))))
 
 
 # ---------------------------------------------------------------------------

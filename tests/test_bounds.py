@@ -1,11 +1,25 @@
-"""Certified interval brackets for exp and log, and the comparison ladder."""
+"""Certified interval brackets for exp and log, and the comparison ladder.
+
+mpmath's interval arithmetic is the independent oracle for the integer
+kernel; the package itself never imports it.
+"""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import iv
+from mpmath.libmp import to_rational
 
-from densitas.bounds import decide_less, exp_bounds, log_bounds
+import densitas
+from densitas import bounds
+from densitas.bounds import _LADDER, decide_less, exp_bounds, log_bounds
 from densitas.exceptions import DensitasError
 
 
@@ -67,3 +81,86 @@ def test_decide_less_gives_up_on_frozen_interval():
 
     with pytest.raises(DensitasError):
         decide_less(stuck, Fraction(1))
+
+
+def _mpmath_bracket(fn, x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    old = iv.prec
+    iv.prec = bits
+    try:
+        lo, hi = getattr(iv, fn)(iv.mpf(x.numerator) / x.denominator)._mpi_
+    finally:
+        iv.prec = old
+    return tuple(Fraction(int(p), int(q))
+                 for p, q in (to_rational(lo), to_rational(hi)))
+
+
+_rationals = st.builds(Fraction, st.integers(-3000, 3000),
+                       st.integers(1, 10 ** 6))
+
+
+# Each bracket must hold mpmath's bracket at twice its precision, which is
+# far narrower than the kernel's rounding units: so it holds the true value,
+# and it overlaps mpmath's bracket at the same precision
+@settings(max_examples=150, deadline=None)
+@given(_rationals)
+def test_exp_bounds_hold_mpmath_within_relative_two_to_minus_bits(x):
+    for bits in _LADDER:
+        lo, hi = exp_bounds(x, bits)
+        m_lo, m_hi = _mpmath_bracket("exp", x, 2 * bits)
+        assert 0 < lo <= m_lo <= m_hi <= hi
+        assert hi - lo <= lo / 2 ** bits
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rationals.filter(lambda x: x > 0))
+def test_log_bounds_hold_mpmath_within_two_to_minus_bits(x):
+    for bits in _LADDER:
+        lo, hi = log_bounds(x, bits)
+        m_lo, m_hi = _mpmath_bracket("log", x, 2 * bits)
+        assert lo <= m_lo <= m_hi <= hi
+        assert hi - lo <= Fraction(1, 2 ** bits)
+
+
+@pytest.mark.parametrize("x", [Fraction(1), Fraction(2), Fraction(1, 2),
+                               Fraction(3, 4), Fraction(4, 3),
+                               Fraction(2 ** 200 + 1, 2 ** 200),
+                               Fraction(1, 3 ** 90)])
+def test_log_bounds_at_the_reduction_edges(x):
+    """y = x / 2^k lands on 1, just past 1 and just under 2."""
+    for bits in _LADDER:
+        lo, hi = log_bounds(x, bits)
+        m_lo, m_hi = _mpmath_bracket("log", x, 2 * bits)
+        assert lo <= m_lo <= m_hi <= hi
+        assert hi - lo <= Fraction(1, 2 ** bits)
+
+
+def test_import_leaves_mpmath_out():
+    """A fresh `import densitas.cli` loads no mpmath module."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(Path(densitas.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import densitas.cli, sys; sys.exit('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def _scaled(lo: Fraction, hi: Fraction, w: int) -> tuple[Fraction, Fraction]:
+    return lo * Fraction(2) ** w, hi * Fraction(2) ** w
+
+
+def test_kernel_brackets_hold_at_coarse_scales():
+    """At a scale of a few bits the rounding losses are as large as the
+    values, which the wide scales of the ladder never show."""
+    xs = [Fraction(n, d) for d in (1, 2, 3, 7, 10) for n in range(0, 3 * d + 1)]
+    for w in range(0, 24):
+        for x in xs:
+            lo, hi = bounds._exp_fixed(x, w)
+            m_lo, m_hi = _scaled(*_mpmath_bracket("exp", x, 256), w)
+            assert lo <= m_lo <= m_hi <= hi, (x, w)
+            if x <= Fraction(1, 3):
+                lo, hi = bounds._atanh_series(x.numerator, x.denominator, w)
+                # atanh z = ln((1 + z) / (1 - z)) / 2
+                m_lo, m_hi = _scaled(*_mpmath_bracket("log", (1 + x) / (1 - x), 256), w - 1)
+                assert lo <= m_lo <= m_hi <= hi, (x, w)

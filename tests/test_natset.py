@@ -29,6 +29,7 @@ from densitas.natset import (
     FillRule,
     FiniteSet,
     HorizonSet,
+    NatSet,
     OMEGA,
     PeriodicSet,
     as_ap_union,
@@ -599,6 +600,25 @@ def test_format_refuses_a_natural_past_the_digit_limit():
     assert parse_set(format_set(top)) == top
 
 
+def test_dilating_a_factorial_label_past_the_digit_limit_is_refused():
+    # the label k*4! would print k, which no literal holds: transform names
+    # its digit count instead of failing in Python's int-to-str limit
+    labelled = parse_set("ap a=4! h=1")
+    with pytest.raises(UnsupportedBackend,
+                       match="a natural of 4401 digits exceeds the literal limit"):
+        transform(labelled, "dilate", 10 ** 4400)
+    # below the limit the label is built; format_set then judges the modulus
+    top = transform(labelled, "dilate", 10 ** 4300 - 1)
+    assert top.terms[0].label == f"{10 ** 4300 - 1}*4!"
+    with pytest.raises(UnsupportedBackend, match="a natural of 4302 digits"):
+        format_set(top)
+    small = transform(labelled, "dilate", 10 ** 40)
+    assert parse_set(format_set(small)) == small
+    # an unlabelled term takes any factor
+    bare = transform(parse_set("ap a=24 h=1"), "dilate", 10 ** 4400)
+    assert bare.terms[0].modulus == 24 * 10 ** 4400
+
+
 def _periodic(m, residues, t, picks):
     base = PeriodicSet(m, residues)
     below = [x for x in picks if x < t]
@@ -993,6 +1013,21 @@ def test_ap_union_intersection_reads_match_the_brute_oracle(s, data):
         lo = data.draw(st.one_of(st.integers(-5, t + 2 * p), st.integers(_FAR, _FAR + p)))
         hi = lo + data.draw(st.integers(-5, 3 * p + 10))
         assert s.count_range(lo, hi) == brute_periodic_count(period, lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ap_union_terms(), st.data())
+def test_ap_union_prefix_counts_match_the_brute_oracle(s, data):
+    # the batch read walks each inclusion-exclusion entry once over all the
+    # points: brute counts near the rule's start, count_range far past it
+    period = ap_union_period(s)
+    t, p, _ = period
+    near = sorted(data.draw(st.sets(st.integers(-3, t + 2 * p), max_size=20)))
+    far = sorted(data.draw(st.sets(st.integers(_FAR, _FAR + 3 * p), max_size=8)))
+    assert s.prefix_counts(near + far) == (
+        [brute_periodic_count(period, 0, m) for m in near]
+        + [s.count_range(0, m) for m in far])
+    assert NatSet.prefix_counts(s, near) == s.prefix_counts(near)
 
 
 @settings(max_examples=200, deadline=None)

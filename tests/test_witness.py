@@ -89,6 +89,59 @@ def test_other_ratios_validate():
         assert validate_params(derive_params(kappa, levels=4)).passed
 
 
+# (scale, schedule at 8 levels, least a with a! past every threshold of
+# level n for n = 0..11), recorded with the mpmath interval kernel the
+# integer one replaced
+_KAPPA_GRID = {
+    Fraction(1, 2): (75, (8, 9, 10, 11, 12, 13, 14, 15),
+                     (8, 8, 8, 8, 9, 9, 10, 11, 12, 13, 14, 14)),
+    Fraction(1, 3): (42, (7, 8, 9, 10, 11, 12, 13, 14),
+                     (7, 7, 7, 8, 9, 10, 10, 11, 12, 13, 14, 14)),
+    Fraction(2, 3): (152, (8, 9, 10, 11, 12, 13, 14, 15),
+                     (8, 8, 8, 8, 9, 9, 10, 11, 12, 13, 14, 14)),
+    Fraction(1, 4): (33, (7, 8, 9, 10, 11, 12, 13, 14),
+                     (7, 7, 7, 8, 9, 10, 11, 11, 12, 13, 14, 15)),
+    Fraction(1, 5): (28, (7, 8, 9, 10, 11, 12, 13, 14),
+                     (7, 7, 7, 8, 9, 10, 11, 12, 12, 13, 14, 15)),
+    Fraction(3, 4): (241, (9, 10, 11, 12, 13, 14, 15, 16),
+                     (9, 9, 9, 9, 9, 9, 10, 11, 12, 13, 14, 14)),
+}
+# least N > e^2 with log^2(N)/N < (1-kappa)/2, recorded the same way
+_MINIMAL_SCALES = {
+    "2/5": 53, "3/5": 111, "4/5": 340, "1/6": 25, "5/6": 447, "1/7": 23,
+    "2/7": 36, "3/7": 58, "4/7": 99, "5/7": 195, "6/7": 561, "1/8": 22,
+    "3/8": 48, "5/8": 124, "7/8": 681, "1/9": 21, "2/9": 30, "4/9": 61,
+    "5/9": 93, "7/9": 289, "8/9": 807, "1/10": 20, "3/10": 38, "7/10": 180,
+    "9/10": 937, "1/12": 19, "5/12": 56, "7/12": 104, "11/12": 1210,
+    "1/16": 18, "3/16": 27, "5/16": 40, "7/16": 60, "9/16": 95,
+    "11/16": 169, "13/16": 375, "15/16": 1798, "1/20": 17, "3/20": 24,
+    "7/20": 45, "9/20": 62, "11/20": 90, "13/20": 140, "17/20": 523,
+    "19/20": 2432,
+}
+
+
+@pytest.mark.parametrize("kappa", list(_KAPPA_GRID), ids=str)
+def test_params_on_the_kappa_grid_are_unchanged(kappa):
+    scale, schedule, least = _KAPPA_GRID[kappa]
+    p = derive_params(kappa, levels=8)
+    assert (p.scale, p.cover, p.schedule) == (
+        scale, -(-kappa.denominator // kappa.numerator), schedule)
+    assert validate_params(p).passed
+    failures = lambda q: [r.name for r in validate_params(q).report.failures]
+    assert failures(replace(p, scale=scale - 1)) == ["log-squared-condition"]
+    assert failures(replace(p, scale=scale + 1)) == []
+    assert failures(replace(p, schedule=(schedule[0] - 1,) + schedule[1:])) \
+        == ["factorial-threshold[0]"]
+    for n, a in enumerate(least):
+        assert witness._clears_thresholds(a, n, kappa, p.cover, scale)
+        assert not witness._clears_thresholds(a - 1, n, kappa, p.cover, scale)
+
+
+def test_minimal_scales_are_unchanged():
+    assert {k: witness._minimal_scale(Fraction(k)) for k in _MINIMAL_SCALES} \
+        == _MINIMAL_SCALES
+
+
 def test_ratio_must_be_strictly_inside_unit_interval():
     with pytest.raises(ValueError):
         derive_params(Fraction(0))
