@@ -2,6 +2,7 @@ import dataclasses
 import math
 import operator
 import random
+import re
 import time
 from fractions import Fraction
 from functools import partial
@@ -568,6 +569,72 @@ def test_dsl_errors_carry_position():
         assert "^" in str(ei.value)
 
 
+_LONG_NAT = "1" + "0" * 4300
+_LONG_MODULUS = "9" * 4000 + "*1000!"
+# (literal, message, caret column): one or more per raise site of the parser
+_PARSE_ERRORS = [
+    ("nonsense", "expected one of fin/per/ap/blocks/horizon", 0),
+    ("  ", "expected one of fin/per/ap/blocks/horizon", 2),
+    ("fin 1,2}", "expected '{'", 4),
+    ("fin{1,2", "expected ','", 7),
+    ("fin{1 2}", "expected ','", 6),
+    ("fin{1..2..3}", "expected ','", 8),
+    ("fin{1..}", "expected a natural number", 7),
+    ("fin{,1}", "expected a natural number", 4),
+    ("per m =6 R={1}", "expected 'm='", 4),
+    ("per m=6 R {1}", "expected 'R='", 8),
+    ("per m=x R={1}", "expected a natural number", 6),
+    ("\tper\nm=6 R={1}\xa0t=x", "expected a natural number", 17),
+    ("per m=6 R={1} rm={", "expected a natural number", 18),
+    ("ap h=1", "expected 'a='", 3),
+    ("ap a=2 j=1", "expected 'h='", 7),
+    ("ap a=2 h=1 | per m=2 R={0}", "expected 'ap'", 13),
+    ("ap a=2* h=1", "expected a natural number", 8),
+    ("ap a=2 h=1 j0=", "expected a natural number", 14),
+    ("blocks f(n) = 1/2", "expected 'f(n)='", 7),
+    ("blocks f(n)=cycle 1/2}", "expected '{'", 18),
+    ("blocks f(n)=cycle{1/2,1/4", "expected '}'", 25),
+    ("blocks f(n)=x", "expected a fill rule: p/q, 2^-k, cycle{..}@t, 1/n or 2^-n", 12),
+    # U+00B2 is a digit to str.isdigit but not a decimal natural
+    ("blocks f(n)=²", "expected a natural number", 12),
+    ("blocks f(n)=1/ n", "expected a natural number", 15),
+    ("horizon bits=ff", "expected 'H='", 8),
+    ("horizon H=8 ff", "expected 'bits='", 12),
+    ("horizon H=8 bits=xyz", "expected hex bits", 17),
+    (f"fin{{{_LONG_NAT}}}",
+     "a natural of 4301 digits exceeds the literal limit of 4300 digits", 4),
+    ("ap a=1001! h=0", "1001! exceeds the factorial limit 1000!", 5),
+    ("ap a=2*3 h=1", "a product modulus ends in a factorial N!", 9),
+    (f"ap a={_LONG_MODULUS} h=1", "a modulus of more than 4300 digits", 5),
+    ("blocks f(n)=2^-14001", "2^-14001 exceeds the dyadic limit 2^-14000", 15),
+    ("horizon H=1048577 bits=0", "1048577 exceeds the literal size limit 1048576", 10),
+    ("blocks f(n)=cycle{1/2}@1048577", "1048577 exceeds the literal size limit 1048576", 23),
+    ("fin{5..4}", "reversed range 5..4", 4),
+    ("fin{0..1048576}", "a list spells out at most 1048576 naturals", 4),
+    ("fin{0..600000,0..600000}", "a list spells out at most 1048576 naturals", 14),
+    ("blocks f(n)=1/0", "zero denominator", 14),
+    ("blocks f(n)=cycle{1/2,1/0}", "zero denominator", 24),
+    ("horizon H=4 bits=ff", "bits set at or beyond the horizon", 17),
+    ("fin{1} x", "trailing input after set literal", 7),
+    ("fin{1}\xa0　!", "trailing input after set literal", 8),
+    ("blocks f(n)=1/nx", "trailing input after set literal", 15),
+    ("per m=6 R={1,9}", "residues must lie in [0, modulus)", 0),
+    ("per m=6 R={1} t=2 add={7}",
+     "added exception 7 must be < threshold and not a rule member", 0),
+    ("ap a=2 h=1 | ap a=0 h=1", "term modulus must be >= 1", 13),
+    ("blocks f(n)=cycle{3/2}", "fill values must lie in [0, 1]", 12),
+    ("blocks f(n)=3/2", "fill values must lie in [0, 1]", 12),
+]
+
+
+def test_parse_errors_keep_message_and_caret():
+    for text, message, column in _PARSE_ERRORS:
+        with pytest.raises(ParseError) as ei:
+            parse_set(text)
+        assert str(ei.value) == f"{message}\n  {text}\n  {' ' * column}^", text[:40]
+        assert ei.value.position == column
+
+
 def test_fill_rules_compare_by_value():
     a, b = parse_set("blocks f(n)=1/2"), parse_set("blocks f(n)=cycle{1/2}")
     assert a.fill.func_label != b.fill.func_label
@@ -670,6 +737,35 @@ def test_format_parse_round_trip(a):
     assert b == a
     hi = a.horizon if isinstance(a, HorizonSet) else 300
     assert brute_members(b, hi) == brute_members(a, hi)
+
+
+# where a token starts in a printed literal: a key with its '=', a keyword,
+# a natural or one punctuation mark
+_TOKEN_START = re.compile(r"[A-Za-z]+\d*=|[a-z]+|\d+|\S")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.data())
+def test_parse_accepts_whitespace_before_any_token(seed, data):
+    a = random_structured_set(random.Random(seed))
+    try:
+        text = format_set(a)
+    except UnsupportedBackend:
+        return
+    assert parse_set(text) == a
+    starts = [m.start() for m in _TOKEN_START.finditer(text)] + [len(text)]
+    inserts = data.draw(st.lists(st.tuples(st.sampled_from(starts),
+                                           st.sampled_from((" ", "\t", "\n", "\xa0"))),
+                                 max_size=8))
+    for at, space in sorted(inserts, reverse=True):
+        text = text[:at] + space + text[at:]
+    assert parse_set(text) == a
+
+
+def test_parse_reads_decimal_digits_of_any_script():
+    assert parse_set("fin{١٢}") == FiniteSet((12,))
+    assert parse_set("fin {1}") == FiniteSet((1,))
+    assert parse_set("per m=６ R={١, 3}") == PeriodicSet(6, (1, 3))
 
 
 @settings(max_examples=300, deadline=None)
