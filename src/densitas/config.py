@@ -20,7 +20,8 @@ class Config:
     window_max: int = 16_384
     # Residue materialization guard for lcm-based normalization.
     modulus_budget: int = 1_000_000_000
-    # Horizon for weight-sequence validity checks and weighted profiles.
+    # Last default cut of the observational weighted prefix profile (it stops
+    # at the smaller of this and prefix_horizon).
     weight_horizon: int = 100_000
     # Cap on the doubling search for valid cuts in limit construction.
     cut_search_max: int = 1 << 26

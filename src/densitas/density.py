@@ -165,8 +165,7 @@ def _block_asymptotic(b: DyadicBlockSet) -> tuple[Fraction, Fraction]:
 # profiles
 
 
-def _default_prefix_lengths(a: NatSet, config: Config) -> list[int]:
-    cap = config.prefix_horizon
+def _default_prefix_lengths(a: NatSet, cap: int) -> list[int]:
     if isinstance(a, HorizonSet):
         cap = min(cap, a.horizon - 1)
     out = []
@@ -182,7 +181,9 @@ def _default_prefix_lengths(a: NatSet, config: Config) -> list[int]:
 def prefix_profile(a: NatSet, config: Config = DEFAULT_CONFIG,
                    lengths: Optional[Sequence[int]] = None) -> Profile:
     """Exact prefix ratios |A ∩ [1,n]| / n at the requested lengths."""
-    ns = list(lengths) if lengths is not None else _default_prefix_lengths(a, config)
+    if lengths is None:
+        lengths = _default_prefix_lengths(a, config.prefix_horizon)
+    ns = list(lengths)
     entries = tuple((n, Fraction(a.count_range(1, n + 1), n)) for n in ns)
     return Profile("prefix", entries, "exact")
 
@@ -460,9 +461,11 @@ def weighted_prefix_profile(a: NatSet, w: WeightFunction,
 
     Exact rational accumulation is intentionally avoided here: denominators
     of partial harmonic sums grow exponentially and the profile is evidence,
-    not a certificate.
+    not a certificate. The default lengths stop at the smaller of
+    ``config.prefix_horizon`` and ``config.weight_horizon``.
     """
-    ns = list(lengths) if lengths is not None else _default_prefix_lengths(a, config)
+    horizon = min(config.prefix_horizon, config.weight_horizon)
+    ns = list(lengths) if lengths is not None else _default_prefix_lengths(a, horizon)
     cap = max(ns) + 1
     num = 0.0
     den = 0.0

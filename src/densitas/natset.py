@@ -116,6 +116,18 @@ product modulus without a factorial or of more than 4,300 digits and 2^-k
 with k > 14000 are parse errors. A modulus with a factorial keeps its text
 as the term's label, so ``parse_set(format_set(a)) == a`` holds for dilated
 factorial terms too.
+
+Whitespace is any run of ``str.isspace`` characters. It may come before
+every token (a keyword, a key such as ``m=`` or ``f(n)=``, a natural, one of
+``{ } , .. | * ! / @``, ``2^-``, ``cycle``, hex bits) and at the end, never
+inside one: ``m =6`` is an error. Naturals are decimal digits of any script,
+so ``fin{١٢}`` is {12}. ``parse_set`` reads a clause by its row of
+``_PRODUCTIONS``: each field is a key and its value, read by one
+precompiled match that folds in the leading whitespace. A brace list of
+plain naturals is read by that one match and ``int()`` of each
+comma-separated piece; a list with ``..`` ranges, or one that fails that
+match, is read item by item, one match per item. Every error is found on
+the item-by-item or field-by-field path, with its caret.
 """
 
 from __future__ import annotations
@@ -125,6 +137,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, compress
 from operator import add, index, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -1407,8 +1420,6 @@ def transform(a: NatSet, kind: str, amount: int) -> NatSet:
 # set-literal grammar
 
 
-_NAT = re.compile(r"\d+")
-_HEX = re.compile(r"[0-9a-fA-F]+")
 # Largest size a literal may ask to materialize: the naturals one brace list
 # spells out (ranges included), a horizon H and a cycled fill's threshold (its
 # head is stored value by value); also the deepest cut
@@ -1434,206 +1445,263 @@ _FACTORIAL_MAX = 1000
 # and 2^14000 (4,215 digits) still prints under the same limit.
 _DYADIC_EXP_MAX = 14000
 
+# `\s` in a str pattern is exactly the str.isspace class, so every pattern
+# below opens with `\s*`: the whitespace a token may follow.
+_WS = re.compile(r"\s*")
+_DIGITS = re.compile(r"\d+")
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _expected(what: str, text: str, pos: int) -> ParseError:
+    """ParseError "expected <what>", its caret past the whitespace at `pos`."""
+    return ParseError(f"expected {what}", text, _WS.match(text, pos).end())
 
-    def eat(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
 
-    def expect(self, literal: str):
-        if not self.eat(literal):
-            raise ParseError(f"expected {literal!r}", self.text, self.pos)
+def _build(text: str, at: int, make: Callable, *args):
+    """make(*args), its ValueError reported as a ParseError at `at`."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise ParseError(str(e), text, at) from e
 
-    def build(self, at: int, make: Callable, *args):
-        """make(*args), its ValueError reported as a ParseError at `at`."""
-        try:
-            return make(*args)
-        except ValueError as e:
-            raise ParseError(str(e), self.text, at) from e
 
-    def token(self, pattern: re.Pattern, what: str) -> str:
-        self.skip_ws()
-        m = pattern.match(self.text, self.pos)
-        if not m:
-            raise ParseError(f"expected {what}", self.text, self.pos)
-        self.pos = m.end()
-        return m.group()
+def _natural(text: str, m: re.Match, g: int, after: int = 0,
+             most: Optional[int] = None) -> int:
+    """Group g of m as a natural; a missing group is "expected a natural
+    number" past `after`."""
+    digits = m.group(g)
+    if digits is None:
+        raise _expected("a natural number", text, after)
+    at = m.start(g)
+    if len(digits) > _DIGITS_MAX:
+        raise ParseError(f"a natural of {len(digits)} digits exceeds the literal limit "
+                         f"of {_DIGITS_MAX} digits", text, at)
+    try:
+        n = int(digits)
+    except ValueError as e:  # Python's int-from-str limit, if set lower
+        raise ParseError(str(e), text, at) from e
+    if most is not None and n > most:
+        raise ParseError(f"{n} exceeds the literal size limit {most}", text, at)
+    return n
 
-    def nat(self, most: Optional[int] = None) -> int:
-        self.skip_ws()
-        at = self.pos
-        digits = self.token(_NAT, "a natural number")
-        if len(digits) > _DIGITS_MAX:
-            raise ParseError(f"a natural of {len(digits)} digits exceeds the literal limit "
-                             f"of {_DIGITS_MAX} digits", self.text, at)
-        n = self.build(at, int, digits)
-        if most is not None and n > most:
-            raise ParseError(f"{n} exceeds the literal size limit {most}", self.text, at)
-        return n
 
-    def modulus(self) -> tuple[int, Optional[str]]:
-        """A term modulus: a natural, a factorial N!, or naturals times a
-        factorial, k*...*N! (the form a dilation labels). A modulus with a
-        factorial keeps its text as the term's label."""
-        self.skip_ws()
-        start = at = self.pos
-        factors = [self.nat()]
-        while self.eat("*"):
-            self.skip_ws()
-            at = self.pos
-            factors.append(self.nat())
-        if not self.eat("!"):
-            if len(factors) > 1:
-                raise ParseError("a product modulus ends in a factorial N!", self.text, self.pos)
-            return factors[0], None
-        n = factors.pop()
-        if n > _FACTORIAL_MAX:
-            raise ParseError(f"{n}! exceeds the factorial limit {_FACTORIAL_MAX}!",
-                             self.text, at)
-        m = math.prod(factors) * math.factorial(n)
-        if m >= _NAT_LIMIT:
-            raise ParseError(f"a modulus of more than {_DIGITS_MAX} digits", self.text, start)
-        return m, "*".join(map(str, factors + [factorial_label(n)]))
+# Value patterns. A field's pattern is its key and, optionally, one of these,
+# so a well-formed field is one match; where the value part does not match,
+# its reader finds the error from the end of the key.
+_NAT = r"\s*(\d+)"
+# a brace list: its '{', then, if it holds only digits, whitespace and commas,
+# its body and '}'. int() of each comma-separated piece checks the piece is
+# one natural; the class leaves out the signs and underscores int() takes.
+# The body ends at a digit or a comma, so a failed match gives back each
+# whitespace run once: linear in the text, not quadratic.
+_LIST = r"\s*(\{)(?:(\s*\d(?:[\d\s,]*[\d,])?)?\s*(\}))?"
+# the first factor, '*' and the further factors, a dangling '*', the '!'
+_MODULUS = r"\s*(\d+)((?:\s*\*\s*\d+)*)(\s*\*)?(\s*!)?"
+_HEX = r"\s*([0-9a-fA-F]+)"
+# a list item, a natural or a range lo..hi, and the ',' or '}' after it
+_ITEM = re.compile(r"\s*(\d+)?(?:\s*(\.\.)(?:\s*(\d+))?)?\s*([,}])?")
+# 2^-k: the '2^-' and k; or p/q: p, the '/' and q
+_RATIONAL = re.compile(r"\s*(?:(2\^-)(?:\s*(\d+))?|(\d+)(?:\s*(/)(?:\s*(\d+))?)?)?")
+_CYCLE_OPEN = re.compile(r"\s*(\{)")
+_CYCLE_NEXT = re.compile(r"\s*([,}])?")
+_CYCLE_AT = re.compile(r"\s*@(?:" + _NAT + ")?")
 
-    def rational(self) -> Fraction:
-        self.skip_ws()
-        if self.text.startswith("2^-", self.pos):
-            self.pos += 3
-            self.skip_ws()
-            at = self.pos
-            k = self.nat()
-            if k > _DYADIC_EXP_MAX:
-                raise ParseError(f"2^-{k} exceeds the dyadic limit 2^-{_DYADIC_EXP_MAX}",
-                                 self.text, at)
-            return Fraction(1, 2 ** k)
-        num = self.nat()
-        if not self.eat("/"):
-            return Fraction(num)
-        self.skip_ws()
-        at = self.pos
-        den = self.nat()
-        if den == 0:
-            raise ParseError("zero denominator", self.text, at)
-        return Fraction(num, den)
 
-    def nat_list(self) -> tuple[int, ...]:
-        self.expect("{")
-        out: list[int] = []
-        if self.eat("}"):
-            return ()
-        while True:
-            self.skip_ws()
-            at = self.pos
-            n = self.nat()
-            if self.eat(".."):
-                hi = self.nat()
-                if hi < n:
-                    raise ParseError(f"reversed range {n}..{hi}", self.text, at)
-                if len(out) + hi - n >= _SIZE_MAX:
-                    raise ParseError(f"a list spells out at most {_SIZE_MAX} naturals",
-                                     self.text, at)
-                out.extend(range(n, hi + 1))
-            else:
-                out.append(n)
-            if self.eat("}"):
-                return tuple(out)
-            self.expect(",")
+def _read_nat(text: str, m: re.Match, most: Optional[int] = None) -> tuple[int, int]:
+    return _natural(text, m, 1, m.end(), most), m.end()
 
-    def done(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+
+_read_size = partial(_read_nat, most=_SIZE_MAX)
+
+
+def _read_list(text: str, m: re.Match) -> tuple[tuple[int, ...], int]:
+    """Plain naturals from the one match, unless a piece could pass the
+    digit limit; ranges, and every error, item by item."""
+    if m.group(3):
+        body = m.group(2)
+        if body is None:
+            return (), m.end()
+        pieces = body.split(",")
+        if len(body) <= _DIGITS_MAX or max(map(len, pieces)) <= _DIGITS_MAX:
+            try:
+                return tuple(map(int, pieces)), m.end()
+            except ValueError:  # not one natural per piece, or U+001C..U+001F
+                pass
+    if m.group(1) is None:
+        raise _expected("'{'", text, m.end())
+    out: list[int] = []
+    pos = m.end(1)
+    while True:
+        m = _ITEM.match(text, pos)
+        n = _natural(text, m, 1, pos)
+        if m.group(2) is None:
+            out.append(n)
+        else:
+            hi = _natural(text, m, 3, m.end(2))
+            if hi < n:
+                raise ParseError(f"reversed range {n}..{hi}", text, m.start(1))
+            if len(out) + hi - n >= _SIZE_MAX:
+                raise ParseError(f"a list spells out at most {_SIZE_MAX} naturals",
+                                 text, m.start(1))
+            out.extend(range(n, hi + 1))
+        if m.group(4) == "}":
+            return tuple(out), m.end()
+        if m.group(4) is None:
+            raise _expected("','", text, m.end())
+        pos = m.end()
+
+
+def _read_modulus(text: str, m: re.Match) -> tuple[tuple[int, Optional[str]], int]:
+    """A term modulus and its label: a natural (no label), a factorial N!,
+    or naturals times a factorial, k*...*N! (the form a dilation labels).
+    A modulus with a factorial keeps its text as the label."""
+    if m.group(2) or m.group(3) is not None:  # a product, maybe with a dangling '*'
+        found = list(_DIGITS.finditer(text, m.start(1), m.end(2)))
+        factors = [_natural(text, d, 0) for d in found]
+        if m.group(3) is not None:
+            raise _expected("a natural number", text, m.end(3))
+        last = found[-1].start()
+    else:
+        factors, last = [_natural(text, m, 1, m.end())], m.start(1)
+    if m.group(4) is None:
+        if len(factors) > 1:
+            raise ParseError("a product modulus ends in a factorial N!",
+                             text, _WS.match(text, m.end()).end())
+        return (factors[0], None), m.end()
+    n = factors.pop()
+    if n > _FACTORIAL_MAX:
+        raise ParseError(f"{n}! exceeds the factorial limit {_FACTORIAL_MAX}!", text, last)
+    modulus = math.prod(factors) * math.factorial(n)
+    if modulus >= _NAT_LIMIT:
+        raise ParseError(f"a modulus of more than {_DIGITS_MAX} digits", text, m.start(1))
+    return (modulus, "*".join(map(str, factors + [factorial_label(n)]))), m.end()
+
+
+def _read_hex(text: str, m: re.Match) -> tuple[tuple[int, int], int]:
+    """The bits word and where it starts; bit i marks member i."""
+    if m.group(1) is None:
+        raise _expected("hex bits", text, m.end())
+    return (int(m.group(1), 16), m.start(1)), m.end()
+
+
+def _read_rational(text: str, pos: int) -> tuple[Fraction, int]:
+    m = _RATIONAL.match(text, pos)
+    if m.group(1):
+        k = _natural(text, m, 2, m.end(1))
+        if k > _DYADIC_EXP_MAX:
+            raise ParseError(f"2^-{k} exceeds the dyadic limit 2^-{_DYADIC_EXP_MAX}",
+                             text, m.start(2))
+        return Fraction(1, 2 ** k), m.end()
+    num = _natural(text, m, 3, pos)
+    if m.group(4) is None:
+        return Fraction(num), m.end()
+    den = _natural(text, m, 5, m.end(4))
+    if den == 0:
+        raise ParseError("zero denominator", text, m.start(5))
+    return Fraction(num, den), m.end()
+
+
+def _read_fill(text: str, m: re.Match) -> tuple[FillRule, int]:
+    at = _WS.match(text, m.end()).end()
+    if text.startswith("1/n", at):
+        return FillRule.vanishing(lambda n: Fraction(1, max(n, 1)), "1/n",
+                                  slice_growth="unbounded"), at + 3
+    if text.startswith("2^-n", at):
+        return FillRule.vanishing(lambda n: Fraction(1, 2 ** n) if n >= 0 else Fraction(1),
+                                  "2^-n", slice_growth="bounded"), at + 4
+    if text.startswith("cycle", at):
+        sep = _CYCLE_OPEN.match(text, at + 5)
+        if sep is None:
+            raise _expected("'{'", text, at + 5)
+        values = []
+        while sep.group(1) != "}":
+            value, pos = _read_rational(text, sep.end())
+            values.append(value)
+            sep = _CYCLE_NEXT.match(text, pos)
+            if sep.group(1) is None:
+                raise _expected("'}'", text, pos)
+        then = _CYCLE_AT.match(text, sep.end())
+        t, pos = (0, sep.end()) if then is None else _read_size(text, then)
+        return _build(text, at, FillRule.cycled, values, t), pos
+    if not text[at:at + 1].isdigit():
+        raise ParseError("expected a fill rule: p/q, 2^-k, cycle{..}@t, 1/n or 2^-n", text, at)
+    value, pos = _read_rational(text, at)
+    return _build(text, at, FillRule.constant, value), pos
+
+
+def _field(key: str, value: str, read: Callable, default: object = None) -> tuple:
+    """A `key=value` part of a clause: the key, a pattern matching the key
+    and, in its common form, the value; read(text, match), giving the value
+    and the end of the field; and the default of an optional field (None
+    for a required one)."""
+    return key, re.compile(rf"\s*{re.escape(key)}(?:{value})?"), read, default
+
+
+def _read_fields(text: str, pos: int, fields: tuple) -> tuple[list, int]:
+    values = []
+    for key, pattern, read, default in fields:
+        m = pattern.match(text, pos)
+        if m is not None:
+            value, pos = read(text, m)
+        elif default is None:
+            raise _expected(repr(key), text, pos)
+        else:
+            value = default
+        values.append(value)
+    return values, pos
+
+
+def _horizon(text: str, at: int, h: int, bits: tuple[int, int]) -> HorizonSet:
+    word, bits_at = bits
+    if word >> h:
+        raise ParseError("bits set at or beyond the horizon", text, bits_at)
+    return HorizonSet(h, word.to_bytes((h + 7) // 8, "little"))
+
+
+# The grammar: keyword -> (fields, build). build(text, at, *values) makes the
+# clause, its ValueError a ParseError at the keyword's position `at`. An ap
+# clause is one term; parse_set joins terms by '|'.
+_PRODUCTIONS = {
+    "fin": ((_field("", _LIST, _read_list),), lambda text, at, xs: FiniteSet(xs)),
+    "per": ((_field("m=", _NAT, _read_nat), _field("R=", _LIST, _read_list),
+             _field("t=", _NAT, _read_nat, 0), _field("add=", _LIST, _read_list, ()),
+             _field("rm=", _LIST, _read_list, ())),
+            lambda text, at, *values: _build(text, at, PeriodicSet, *values)),
+    "ap": ((_field("a=", _MODULUS, _read_modulus), _field("h=", _NAT, _read_nat),
+            _field("j0=", _NAT, _read_nat, 0)),
+           lambda text, at, a, h, j0: _build(text, at, APTerm, a[0], h, j0, a[1])),
+    "blocks": ((_field("f(n)=", "", _read_fill),), lambda text, at, fill: DyadicBlockSet(fill)),
+    "horizon": ((_field("H=", _NAT, _read_size), _field("bits=", _HEX, _read_hex)), _horizon),
+}
+_KEYWORD = re.compile(r"\s*(" + "|".join(_PRODUCTIONS) + ")")
+_NEXT_TERM = re.compile(r"\s*\|\s*(ap)?")
+
+
+def _clause(text: str, keyword: str, at: int, pos: int) -> tuple[object, int]:
+    fields, build = _PRODUCTIONS[keyword]
+    values, pos = _read_fields(text, pos, fields)
+    return build(text, at, *values), pos
 
 
 def parse_set(text: str) -> NatSet:
     """Parse the set-literal grammar (see module docstring). Every malformed or
     out-of-range literal raises ParseError with a caret position."""
-    cur = _Cursor(text)
-    s = _parse_one(cur)
-    if not cur.done():
-        raise ParseError("trailing input after set literal", text, cur.pos)
+    m = _KEYWORD.match(text)
+    if m is None:
+        raise _expected(f"one of {'/'.join(_PRODUCTIONS)}", text, 0)
+    s, pos = _clause(text, m.group(1), m.start(1), m.end())
+    if m.group(1) == "ap":
+        # each term is built before the next one is read
+        terms = [s]
+        while (bar := _NEXT_TERM.match(text, pos)) is not None:
+            if bar.group(1) is None:
+                raise ParseError("expected 'ap'", text, bar.end())
+            term, pos = _clause(text, "ap", bar.start(1), bar.end())
+            terms.append(term)
+        s = APUnionSet(tuple(terms))
+    end = _WS.match(text, pos).end()
+    if end < len(text):
+        raise ParseError("trailing input after set literal", text, end)
     return s
-
-
-def _parse_one(cur: _Cursor) -> NatSet:
-    cur.skip_ws()
-    at = cur.pos
-    if cur.eat("fin"):
-        return FiniteSet(cur.nat_list())
-    if cur.eat("per"):
-        cur.expect("m=")
-        m = cur.nat()
-        cur.expect("R=")
-        residues = cur.nat_list()
-        t = cur.nat() if cur.eat("t=") else 0
-        added = cur.nat_list() if cur.eat("add=") else ()
-        removed = cur.nat_list() if cur.eat("rm=") else ()
-        return cur.build(at, PeriodicSet, m, residues, t, added, removed)
-    if cur.eat("ap"):
-        terms = []
-        while True:
-            cur.expect("a=")
-            a, label = cur.modulus()
-            cur.expect("h=")
-            h = cur.nat()
-            j0 = cur.nat() if cur.eat("j0=") else 0
-            terms.append(cur.build(at, APTerm, a, h, j0, label))
-            if not cur.eat("|"):
-                return APUnionSet(tuple(terms))
-            cur.skip_ws()
-            at = cur.pos
-            cur.expect("ap")
-    if cur.eat("blocks"):
-        cur.expect("f(n)=")
-        return DyadicBlockSet(_parse_fill(cur))
-    if cur.eat("horizon"):
-        cur.expect("H=")
-        h = cur.nat(_SIZE_MAX)
-        cur.expect("bits=")
-        cur.skip_ws()
-        at = cur.pos
-        # bit i of the hex integer marks member i, so ff00 is {8..15}
-        word = int(cur.token(_HEX, "hex bits"), 16)
-        if word >> h:
-            raise ParseError("bits set at or beyond the horizon", cur.text, at)
-        return HorizonSet(h, word.to_bytes((h + 7) // 8, "little"))
-    raise ParseError("expected one of fin/per/ap/blocks/horizon", cur.text, cur.pos)
-
-
-def _parse_fill(cur: _Cursor) -> FillRule:
-    cur.skip_ws()
-    at = cur.pos
-    rest = cur.text[at:]
-    if rest.startswith("1/n"):
-        cur.pos += 3
-        return FillRule.vanishing(lambda n: Fraction(1, max(n, 1)), "1/n",
-                                  slice_growth="unbounded")
-    if rest.startswith("2^-n"):
-        cur.pos += 4
-        return FillRule.vanishing(lambda n: Fraction(1, 2 ** n) if n >= 0 else Fraction(1),
-                                  "2^-n", slice_growth="bounded")
-    if cur.eat("cycle"):
-        cur.expect("{")
-        vals = [cur.rational()]
-        while cur.eat(","):
-            vals.append(cur.rational())
-        cur.expect("}")
-        t = cur.nat(_SIZE_MAX) if cur.eat("@") else 0
-        return cur.build(at, FillRule.cycled, vals, t)
-    if not rest[:1].isdigit():
-        raise ParseError("expected a fill rule: p/q, 2^-k, cycle{..}@t, 1/n or 2^-n",
-                         cur.text, at)
-    return cur.build(at, FillRule.constant, cur.rational())
 
 
 def _fmt_nats(xs: Iterable[int]) -> str:

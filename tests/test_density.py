@@ -149,6 +149,16 @@ def test_weighted_observational_ratio_converges_slowly():
     assert prof.method == "observational"
 
 
+def test_weighted_profile_stops_at_the_weight_horizon():
+    harmonic = get_weight("harmonic")
+    cuts = [n for n, _ in weighted_prefix_profile(
+        EVENS, harmonic, DEFAULT_CONFIG.with_overrides(weight_horizon=1000)).entries]
+    assert cuts == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000]
+    # the smaller of the two horizons wins
+    narrow = DEFAULT_CONFIG.with_overrides(prefix_horizon=300, weight_horizon=1000)
+    assert weighted_prefix_profile(EVENS, harmonic, narrow).entries[-1][0] == 300
+
+
 def test_invalid_weights_are_rejected():
     with pytest.raises(NotErdosUlam):
         weighted_upper(EVENS, "doubling")  # term/sum ratio does not vanish

@@ -762,6 +762,20 @@ def test_parse_accepts_whitespace_before_any_token(seed, data):
     assert parse_set(text) == a
 
 
+def test_parse_time_is_linear_in_whitespace_runs():
+    # a failed brace-list match gives back each whitespace run once; a
+    # backtracking pattern would take minutes on these
+    run = " " * 200_000
+    t0 = time.perf_counter()
+    for text, message in ((f"fin{{1{run}", "expected ','"),
+                          (f"fin{{1,{run}", "expected a natural number"),
+                          (f"fin{{{run}", "expected a natural number")):
+        with pytest.raises(ParseError, match=message):
+            parse_set(text)
+    assert parse_set(f"fin{{1{run}..3{run}}}") == FiniteSet((1, 2, 3))
+    assert time.perf_counter() - t0 < 3.0
+
+
 def test_parse_reads_decimal_digits_of_any_script():
     assert parse_set("fin{١٢}") == FiniteSet((12,))
     assert parse_set("fin {1}") == FiniteSet((1,))
