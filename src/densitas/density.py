@@ -181,9 +181,8 @@ def _default_prefix_lengths(a: NatSet, cap: int) -> list[int]:
 def prefix_profile(a: NatSet, config: Config = DEFAULT_CONFIG,
                    lengths: Optional[Sequence[int]] = None) -> Profile:
     """Exact prefix ratios |A ∩ [1,n]| / n at the requested lengths."""
-    if lengths is None:
-        lengths = _default_prefix_lengths(a, config.prefix_horizon)
-    ns = list(lengths)
+    ns = (list(lengths) if lengths is not None
+          else _default_prefix_lengths(a, config.prefix_horizon))
     entries = tuple((n, Fraction(a.count_range(1, n + 1), n)) for n in ns)
     return Profile("prefix", entries, "exact")
 

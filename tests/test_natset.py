@@ -555,20 +555,6 @@ def test_dsl_range_literal():
             parse_set(text)
 
 
-def test_dsl_errors_carry_position():
-    with pytest.raises(ParseError) as ei:
-        parse_set("per m=6 R={1,9}")
-    assert "residues" in str(ei.value)
-    with pytest.raises(ParseError) as ei:
-        parse_set("fin{1,2")
-    for text in ("nonsense", "ap a=0 h=1", "blocks f(n)=cycle{3/2}",
-                 "blocks f(n)=1/0", "horizon H=4 bits=ff",
-                 "horizon H=1048577 bits=0", "blocks f(n)=cycle{1/2}@1048577"):
-        with pytest.raises(ParseError) as ei:
-            parse_set(text)
-        assert "^" in str(ei.value)
-
-
 _LONG_NAT = "1" + "0" * 4300
 _LONG_MODULUS = "9" * 4000 + "*1000!"
 # (literal, message, caret column): one or more per raise site of the parser
@@ -621,6 +607,7 @@ _PARSE_ERRORS = [
     ("per m=6 R={1,9}", "residues must lie in [0, modulus)", 0),
     ("per m=6 R={1} t=2 add={7}",
      "added exception 7 must be < threshold and not a rule member", 0),
+    ("ap a=0 h=1", "term modulus must be >= 1", 0),
     ("ap a=2 h=1 | ap a=0 h=1", "term modulus must be >= 1", 13),
     ("blocks f(n)=cycle{3/2}", "fill values must lie in [0, 1]", 12),
     ("blocks f(n)=3/2", "fill values must lie in [0, 1]", 12),
