@@ -446,8 +446,18 @@ def validate_weight(w: WeightFunction, config: Config = DEFAULT_CONFIG) -> Axiom
     return AxiomReport(f"weight {w.name}", tuple(records))
 
 
+@cache
+def _registered_report(name: str) -> AxiomReport:
+    """validate_weight of a registered weight, once per process: it sums
+    4,096 exact weights, and no Config field changes its report."""
+    return validate_weight(_WEIGHTS[name])
+
+
 def _require_erdos_ulam(w: WeightFunction, config: Config):
-    report = validate_weight(w, config)
+    # a weight compares equal to a registered one by name alone, so only
+    # the registry's own object reads the kept report
+    registered = _WEIGHTS.get(w.name) is w
+    report = _registered_report(w.name) if registered else validate_weight(w, config)
     if not report.passed:
         bad = ", ".join(r.name for r in report.failures)
         raise NotErdosUlam(f"weight {w.name} fails: {bad}")

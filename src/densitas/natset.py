@@ -27,19 +27,20 @@ report payloads see the fields alone. Cost of the reads on [lo, hi):
   ``elements_in`` one shift and one pass over the range's bits.
 - periodic: ``member`` one frozenset lookup of n mod m from the threshold
   on, the exception sets first below it. A periodic result of ``boolean_op``,
-  ``complement``, ``normalize_periodic`` or ``transform`` takes what it was
-  built from as it is (sorted and distinct already: no sort). A result of
-  the rule-table kernel (a dense pair op, every periodic ``complement``, a
-  dense normalization) keeps its table and its residue count, taken in C,
-  and checks its exceptions against the table; it builds the residue tuple
-  only on the first read of ``residues`` (``==``, ``hash``, ``repr``,
-  payloads, ``format_set``, ``replace``, ``transform``, the reads below)
-  and keeps it, so a result read only through ``density`` or
-  ``is_empty_surely`` never pays O(m) for it. A result holding a residue
-  tuple builds its frozenset at once when it has exceptions, to check them
-  against, and otherwise leaves it to the first ``member`` or
-  ``rule_member`` read. The public constructor, and so every literal,
-  validates the residues and builds both at once. ``count_range`` q·|R| +
+  ``complement``, ``normalize_periodic`` or ``transform`` is built by one
+  private constructor, ``PeriodicSet._built``, which takes its rule,
+  exceptions and threshold as they are and checks none of them: the kernel
+  derived them from the same rule a check would read (sorted and distinct
+  already: no sort). A result of the rule-table kernel (a dense pair op,
+  every periodic ``complement``, a dense normalization) keeps its table and
+  its residue count, taken in C; it builds the residue tuple only on the
+  first read of ``residues`` (``==``, ``hash``, ``repr``, payloads,
+  ``format_set``, ``replace``, ``transform``, the reads below) and keeps
+  it, so a result read only through ``density`` or ``is_empty_surely``
+  never pays O(m) for it. Every kernel result leaves its residue frozenset
+  to the first ``member`` or ``rule_member`` read. The public constructor,
+  and so every literal, validates the residues and exceptions and builds
+  both at once. ``count_range`` q·|R| +
   bisect(R, r) at each end (n = q·m + r) plus two bisections per exception
   list, independent of hi - lo and of m, so factorial moduli cost no more
   than small ones; ``elements_in`` |R| progressions plus the output.
@@ -346,23 +347,6 @@ def _ap_count(m: int, r: int, lo: int, hi: int) -> int:
     return max(0, j_hi - j_lo)
 
 
-class _Canonical:
-    """Residues the kernel hands ``PeriodicSet`` already canonical: a sorted
-    tuple of distinct naturals below the modulus, or a rule table of modulus
-    bytes with at least one residue, with the exceptions ``added`` and
-    ``removed`` sorted and distinct. The constructor takes all three as they
-    are, with no sort, and checks the exceptions against the rule. It keeps
-    a rule table and its residue count, and leaves the residue tuple to the
-    first read of ``residues`` (``_TableResidues``); on a tuple without
-    exceptions it leaves the residue index to the first ``member`` or
-    ``rule_member`` read."""
-
-    __slots__ = ("residues",)
-
-    def __init__(self, residues: tuple[int, ...] | bytes):
-        self.residues = residues
-
-
 @dataclass(frozen=True)
 class PeriodicSet(NatSet):
     """n >= threshold: n ∈ A iff n mod modulus ∈ residues; below threshold the
@@ -376,52 +360,55 @@ class PeriodicSet(NatSet):
     kind = "periodic"
 
     def __post_init__(self):
-        table = None
-        if type(self.residues) is _Canonical:  # a kernel result
-            rs = self.residues.residues
-            added, removed = tuple(self.added), tuple(self.removed)
-            added_set, removed_set = frozenset(added), frozenset(removed)
-            if type(rs) is bytes:
-                # the table gives the rule test and, counted in C, |R|: most
-                # results are read through those alone
-                table, count, rset = rs, rs.count(1), None
-            else:
-                # the exceptions are checked against the residue index, so a
-                # result with exceptions builds it now: in the axiom batteries
-                # those hold about two residues per exception, and one hash
-                # insertion each costs less than a bisection per exception
-                count, rset = len(rs), frozenset(rs) if added or removed else None
-        else:
-            if self.modulus < 1:
-                raise ValueError("modulus must be >= 1")
-            rs, rset = _sorted_unique(self.residues)
-            if rs and rs[-1] >= self.modulus:
-                raise ValueError("residues must lie in [0, modulus)")
-            added, added_set = _sorted_unique(self.added)
-            removed, removed_set = _sorted_unique(self.removed)
-            count = len(rs)
+        if self.modulus < 1:
+            raise ValueError("modulus must be >= 1")
+        rs, rset = _sorted_unique(self.residues)
+        if rs and rs[-1] >= self.modulus:
+            raise ValueError("residues must lie in [0, modulus)")
+        added, added_set = _sorted_unique(self.added)
+        removed, removed_set = _sorted_unique(self.removed)
+        for x in added:
+            if x >= self.threshold or x % self.modulus in rset:
+                raise ValueError(f"added exception {x} must be < threshold and not a "
+                                 f"rule member")
+        for x in removed:
+            if x >= self.threshold or x % self.modulus not in rset:
+                raise ValueError(f"removed exception {x} must be < threshold and a "
+                                 f"rule member")
+        object.__setattr__(self, "residues", rs)
+        self._keep(added, removed, len(rs), rset, added_set, removed_set, None)
+
+    @classmethod
+    def _built(cls, modulus: int, rule: tuple[int, ...] | bytes, added: tuple[int, ...],
+               removed: tuple[int, ...], threshold: Optional[int] = None) -> "PeriodicSet":
+        """A result of the set algebra, taken as it is and checked in no
+        part: the rule is a sorted tuple of distinct residues below the
+        modulus, or a rule table of modulus bytes, which the result keeps;
+        the exceptions are sorted, distinct and off (added) or on (removed)
+        the rule; the threshold lies past them, by default just past the
+        largest. A table result leaves its residue tuple to the first read
+        of ``residues`` (``_TableResidues``), and every result its residue
+        index to the first ``member`` or ``rule_member`` read."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "modulus", modulus)
+        table = rule if type(rule) is bytes else None
         if table is None:
-            object.__setattr__(self, "residues", rs)
-        else:  # `_TableResidues` reads the tuple back on first use
-            object.__delattr__(self, "residues")
-        if added or removed:
-            in_rule = rset.__contains__ if table is None else table.__getitem__
-            for x in added:
-                if x >= self.threshold or in_rule(x % self.modulus):
-                    raise ValueError(f"added exception {x} must be < threshold and not a "
-                                     f"rule member")
-            for x in removed:
-                if x >= self.threshold or not in_rule(x % self.modulus):
-                    raise ValueError(f"removed exception {x} must be < threshold and a "
-                                     f"rule member")
+            object.__setattr__(s, "residues", rule)
+        if threshold is None:
+            threshold = max(added[-1:] + removed[-1:], default=-1) + 1
+        object.__setattr__(s, "threshold", threshold)
+        s._keep(added, removed, len(rule) if table is None else table.count(1), None,
+                frozenset(added), frozenset(removed), table)
+        return s
+
+    def _keep(self, added, removed, count, rset, added_set, removed_set, table) -> None:
         object.__setattr__(self, "added", added)
         object.__setattr__(self, "removed", removed)
         # |R|, so the density and the emptiness test never build the tuple
         object.__setattr__(self, "_residue_count", count)
         # the residues as a frozenset for member reads; None on a kernel
-        # result without exceptions, or with a rule table, until its first
-        # read builds it (an empty rule's index is the empty frozenset, so
-        # the reads test `is None`)
+        # result until its first read builds it (an empty rule's index is
+        # the empty frozenset, so the reads test `is None`)
         object.__setattr__(self, "_residue_set", rset)
         object.__setattr__(self, "_added_set", added_set)
         object.__setattr__(self, "_removed_set", removed_set)
@@ -1078,22 +1065,10 @@ def _op_with_finite(a: NatSet, f: FiniteSet, op: str) -> NatSet:
         return tuple(sorted({x for x in old if x not in touched}.union(new)))
 
     if isinstance(a, PeriodicSet):
-        return _shrunk_periodic(a.modulus, a.residues, rewrite(a.added, added),
-                                rewrite(a.removed, removed))
+        s = PeriodicSet._built(a.modulus, a.residues, rewrite(a.added, added),
+                               rewrite(a.removed, removed))
+        return finite_part(s) or s
     return replace(a, extras=rewrite(a.extras, added), removals=rewrite(a.removals, removed))
-
-
-def _shrunk_periodic(m: int, residues: tuple[int, ...] | bytes, added, removed) -> NatSet:
-    """PeriodicSet with the threshold shrunk to the minimal value covering the
-    exceptions, so extensionally equal constructions compare equal; an empty
-    rule leaves the added exceptions as a FiniteSet. The residues are
-    canonical (sorted, distinct, below m) and taken as they are, or given as
-    a rule table of m bytes, which the result keeps."""
-    if not residues or (type(residues) is bytes and 1 not in residues):
-        return FiniteSet(tuple(added))
-    exc = tuple(added) + tuple(removed)
-    t_min = max(exc) + 1 if exc else 0
-    return PeriodicSet(m, _Canonical(residues), t_min, tuple(added), tuple(removed))
 
 
 def _is_sparse(lifted: int, l: int) -> bool:
@@ -1136,7 +1111,10 @@ def _from_rule(l: int, rule, xs: Iterable[int], wanted: Callable[[int], bool],
     added, removed = _exceptions(xs, wanted, in_rule)
     if dropped:
         removed = sorted(dropped.union(removed))
-    return _shrunk_periodic(l, residues, added, removed)
+    # the threshold just past the exceptions, so that extensionally equal
+    # constructions compare equal; an empty rule leaves a FiniteSet
+    s = PeriodicSet._built(l, residues, tuple(added), tuple(removed))
+    return finite_part(s) or s
 
 
 def _lcm_within(moduli: Iterable[int], budget: int) -> Optional[int]:
@@ -1252,13 +1230,11 @@ def normalize_periodic(a: NatSet, config: Config = DEFAULT_CONFIG) -> PeriodicSe
     if isinstance(a, PeriodicSet):
         return a
     if isinstance(a, FiniteSet):
-        t = (a.elements[-1] + 1) if a.elements else 0
-        return PeriodicSet(1, _Canonical(()), t, a.elements, ())
+        a = as_ap_union(a)
     if not isinstance(a, APUnionSet):
         raise UnsupportedBackend(f"cannot normalize backend {a.kind}")
     if not a.terms:
-        t = (a.extras[-1] + 1) if a.extras else 0
-        return PeriodicSet(1, _Canonical(()), t, a.extras, ())
+        return PeriodicSet._built(1, (), a.extras, ())
     l = _lcm_within((t.modulus for t in a.terms), config.modulus_budget)
     if l is None:
         raise ModulusBudgetExceeded(
@@ -1299,8 +1275,7 @@ def _unstarted(terms: tuple[APTerm, ...]) -> set:
 def complement(a: NatSet, config: Config = DEFAULT_CONFIG) -> NatSet:
     """omega minus a, where representable."""
     if isinstance(a, FiniteSet):
-        t = (a.elements[-1] + 1) if a.elements else 0
-        return PeriodicSet(1, _Canonical((0,)), t, (), a.elements)
+        return PeriodicSet._built(1, (0,), (), a.elements)
     if isinstance(a, PeriodicSet):
         m = a.modulus
         if m > config.modulus_budget:
@@ -1378,8 +1353,8 @@ def transform(a: NatSet, kind: str, amount: int) -> NatSet:
         m, rs = a.modulus * k, a.residues
         if kind == "dilate":
             # k·A lies on the multiples of k: residues k·r mod k·m, in order
-            return PeriodicSet(m, _Canonical(tuple(map(k.__mul__, rs))), a.threshold * k,
-                               tuple(map(k.__mul__, a.added)), tuple(map(k.__mul__, a.removed)))
+            return PeriodicSet._built(m, tuple(map(k.__mul__, rs)), tuple(map(k.__mul__, a.added)),
+                                      tuple(map(k.__mul__, a.removed)), a.threshold * k)
         # r + h mod m: the residues from m - (h mod m) on wrap around to the front
         q, s = divmod(h, m)
         cut = bisect_left(rs, m - s)
@@ -1393,9 +1368,9 @@ def transform(a: NatSet, kind: str, amount: int) -> NatSet:
                                         f"{_SIZE_MAX} removals")
         exposed = [p + r for p in range(0, q * m, m) for r in residues]
         exposed += map((q * m).__add__, residues[:wrapped])
-        return PeriodicSet(m, _Canonical(residues), a.threshold + h,
-                           tuple(map(h.__add__, a.added)),
-                           tuple(exposed) + tuple(map(h.__add__, a.removed)))
+        return PeriodicSet._built(m, residues, tuple(map(h.__add__, a.added)),
+                                  tuple(exposed) + tuple(map(h.__add__, a.removed)),
+                                  a.threshold + h)
     if isinstance(a, APUnionSet):
         dilated = kind == "dilate" and any(t.label for t in a.terms)
         if dilated:
@@ -1515,7 +1490,9 @@ _read_size = partial(_read_nat, most=_SIZE_MAX)
 
 def _read_list(text: str, m: re.Match) -> tuple[tuple[int, ...], int]:
     """Plain naturals from the one match, unless a piece could pass the
-    digit limit; ranges, and every error, item by item."""
+    digit limit; ranges, and every other error, item by item. Every natural
+    the list spells out counts against the size limit, a plain one as one,
+    so whether a list is refused does not depend on the order of its items."""
     if m.group(3):
         body = m.group(2)
         if body is None:
@@ -1523,9 +1500,15 @@ def _read_list(text: str, m: re.Match) -> tuple[tuple[int, ...], int]:
         pieces = body.split(",")
         if len(body) <= _DIGITS_MAX or max(map(len, pieces)) <= _DIGITS_MAX:
             try:
-                return tuple(map(int, pieces)), m.end()
+                xs = tuple(map(int, pieces[:_SIZE_MAX + 1]))
             except ValueError:  # not one natural per piece, or U+001C..U+001F
                 pass
+            else:
+                if len(xs) <= _SIZE_MAX:
+                    return xs, m.end()
+                # the first natural past the limit, where the item path stops
+                at = _WS.match(text, m.start(2) + len(",".join(pieces[:_SIZE_MAX])) + 1).end()
+                raise ParseError(f"a list spells out at most {_SIZE_MAX} naturals", text, at)
     if m.group(1) is None:
         raise _expected("'{'", text, m.end())
     out: list[int] = []
@@ -1533,16 +1516,13 @@ def _read_list(text: str, m: re.Match) -> tuple[tuple[int, ...], int]:
     while True:
         m = _ITEM.match(text, pos)
         n = _natural(text, m, 1, pos)
-        if m.group(2) is None:
-            out.append(n)
-        else:
-            hi = _natural(text, m, 3, m.end(2))
-            if hi < n:
-                raise ParseError(f"reversed range {n}..{hi}", text, m.start(1))
-            if len(out) + hi - n >= _SIZE_MAX:
-                raise ParseError(f"a list spells out at most {_SIZE_MAX} naturals",
-                                 text, m.start(1))
-            out.extend(range(n, hi + 1))
+        hi = n if m.group(2) is None else _natural(text, m, 3, m.end(2))
+        if hi < n:
+            raise ParseError(f"reversed range {n}..{hi}", text, m.start(1))
+        if len(out) + hi - n >= _SIZE_MAX:
+            raise ParseError(f"a list spells out at most {_SIZE_MAX} naturals",
+                             text, m.start(1))
+        out.extend(range(n, hi + 1))
         if m.group(4) == "}":
             return tuple(out), m.end()
         if m.group(4) is None:
@@ -1622,7 +1602,7 @@ def _read_fill(text: str, m: re.Match) -> tuple[FillRule, int]:
         then = _CYCLE_AT.match(text, sep.end())
         t, pos = (0, sep.end()) if then is None else _read_size(text, then)
         return _build(text, at, FillRule.cycled, values, t), pos
-    if not text[at:at + 1].isdigit():
+    if not _DIGITS.match(text, at):
         raise ParseError("expected a fill rule: p/q, 2^-k, cycle{..}@t, 1/n or 2^-n", text, at)
     value, pos = _read_rational(text, at)
     return _build(text, at, FillRule.constant, value), pos

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction
 
 import pytest
 
+from densitas import density as density_module
 from densitas.config import DEFAULT_CONFIG
 from densitas.density import (
     check_submeasure_axioms,
@@ -168,6 +170,30 @@ def test_invalid_weights_are_rejected():
     assert rep.passed
     rep_bad = validate_weight(get_weight("halving"))
     assert any(r.name == "divergent-partials" for r in rep_bad.failures)
+
+
+def test_a_registered_weight_is_validated_once(monkeypatch):
+    calls = []
+
+    def counting(w, config=DEFAULT_CONFIG):
+        calls.append(w.name)
+        return validate_weight(w, config)
+
+    monkeypatch.setattr(density_module, "validate_weight", counting)
+    density_module._registered_report.cache_clear()
+    family = [EVENS, THIRDS, AP_UNION, FiniteSet((1, 5)), parse_set("per m=6 R={1,3}")]
+    assert check_upper_density_axioms("weighted:f=harmonic", family).passed
+    assert calls == ["harmonic"]
+    # a caller-built weight equals the registered one by name alone, so it
+    # is validated on each call; an invalid registered weight is validated
+    # once and still refused on each call
+    mine = dataclasses.replace(get_weight("harmonic"))
+    for _ in range(2):
+        assert weighted_upper(EVENS, mine).value == exact(Fraction(1, 2))
+        for name in ("doubling", "halving"):
+            with pytest.raises(NotErdosUlam):
+                weighted_upper(EVENS, name)
+    assert calls == ["harmonic", "harmonic", "doubling", "halving", "harmonic"]
 
 
 def test_lower_dual_values():

@@ -43,7 +43,7 @@ from densitas.natset import (
     round_half_up,
     transform,
 )
-from densitas.natset import _BLOCKS_CACHED, _SIZE_MAX, _TAIL_MAX, _Canonical, _is_sparse
+from densitas.natset import _BLOCKS_CACHED, _SIZE_MAX, _TAIL_MAX, _is_sparse
 from densitas.reports import to_payload
 from densitas.samples import pool_battery
 from conftest import (
@@ -141,12 +141,6 @@ def test_public_constructor_errors_are_unchanged():
         with pytest.raises(ValueError) as info:
             PeriodicSet(*args)
         assert str(info.value) == text
-    # the kernel's residue channel skips the canonical-form checks only:
-    # an exception against the rule is refused on either route
-    with pytest.raises(ValueError, match="added exception 1 must be"):
-        PeriodicSet(6, _Canonical((1,)), 7, (1,))
-    with pytest.raises(ValueError, match="removed exception 2 must be"):
-        PeriodicSet(6, _Canonical((1, 3)), 7, (), (2,))
 
 
 def test_non_integral_elements_are_refused_not_truncated():
@@ -550,9 +544,19 @@ def test_dsl_range_literal():
     # ranges are materialized: reversed ones and any list spelling out more
     # than 2^20 naturals are refused before anything is built
     for text in ("fin{5..4}", "fin{0..1048576}", "fin{0..1000000000000}",
-                 "fin{0..600000,0..600000}"):
+                 "fin{0..600000,0..600000}", "fin{0..1048575,1048576}", "fin{5,0..1048575}"):
         with pytest.raises(ParseError):
             parse_set(text)
+    # the limit counts plain naturals too, on the one-match path as well:
+    # 2^20 of them parse, one more is refused at the first one past it
+    top = list(range(_SIZE_MAX))
+    assert parse_set("fin{0..1048575}").elements == tuple(top)
+    assert parse_set(f"fin{{{','.join(map(str, top))}}}").elements == tuple(top)
+    for sep in (",", " , "):
+        text = f"fin{{{sep.join(map(str, top + [7]))} }}"
+        with pytest.raises(ParseError, match="a list spells out at most 1048576 naturals") as ei:
+            parse_set(text)
+        assert text[ei.value.position:] == "7 }"
 
 
 _LONG_NAT = "1" + "0" * 4300
@@ -581,8 +585,8 @@ _PARSE_ERRORS = [
     ("blocks f(n)=cycle 1/2}", "expected '{'", 18),
     ("blocks f(n)=cycle{1/2,1/4", "expected '}'", 25),
     ("blocks f(n)=x", "expected a fill rule: p/q, 2^-k, cycle{..}@t, 1/n or 2^-n", 12),
-    # U+00B2 is a digit to str.isdigit but not a decimal natural
-    ("blocks f(n)=²", "expected a natural number", 12),
+    # U+00B2 is a digit to str.isdigit but not a decimal natural: no fill rule
+    ("blocks f(n)=²", "expected a fill rule: p/q, 2^-k, cycle{..}@t, 1/n or 2^-n", 12),
     ("blocks f(n)=1/ n", "expected a natural number", 15),
     ("horizon bits=ff", "expected 'H='", 8),
     ("horizon H=8 ff", "expected 'bits='", 12),
@@ -598,6 +602,9 @@ _PARSE_ERRORS = [
     ("fin{5..4}", "reversed range 5..4", 4),
     ("fin{0..1048576}", "a list spells out at most 1048576 naturals", 4),
     ("fin{0..600000,0..600000}", "a list spells out at most 1048576 naturals", 14),
+    # a plain natural counts as one, before a range or after it
+    ("fin{0..1048575,1048576}", "a list spells out at most 1048576 naturals", 15),
+    ("fin{5,0..1048575}", "a list spells out at most 1048576 naturals", 6),
     ("blocks f(n)=1/0", "zero denominator", 14),
     ("blocks f(n)=cycle{1/2,1/0}", "zero denominator", 24),
     ("horizon H=4 bits=ff", "bits set at or beyond the horizon", 17),
@@ -868,8 +875,11 @@ def _lift_pairs(draw, sides=st.booleans()):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_lift_pairs(), st.integers(0, 50), st.integers(1, 5))
-def test_kernel_periodic_results_equal_their_public_rebuild(case, h, k):
+@given(_lift_pairs(), st.integers(0, 50), st.integers(1, 5),
+       st.lists(st.integers(0, 60), max_size=6))
+def test_kernel_periodic_results_equal_their_public_rebuild(case, h, k, picks):
+    # the kernel's results are taken as they are, unchecked, so each one is
+    # rebuilt here through the validating public constructor
     sparse, a, b = case
     l = math.lcm(a.modulus, b.modulus)
     assert _is_sparse(len(a.residues) * (l // a.modulus) + len(b.residues) * (l // b.modulus),
@@ -883,33 +893,51 @@ def test_kernel_periodic_results_equal_their_public_rebuild(case, h, k):
     # and a pair op or a normalization of the same lifted count lifts as
     # tables exactly when it is dense
     results = [(complement(a), lambda n: not fa(n), True),
-               (normalize_periodic(u), partial(field_member, u), not sparse),
-               (transform(a, "shift", h), lambda n: n >= h and fa(n - h), False),
-               (transform(a, "dilate", k), lambda n: n % k == 0 and fa(n // k), False)]
+               (normalize_periodic(u), partial(field_member, u), not sparse)]
     if a != b:  # equal operands come back as they are
         results += [(boolean_op(a, b, op), lambda n, f=f: bool(f(fa(n), fb(n))), not sparse)
                     for op, f in _BOOL_OPS.items()]
-    for got, want, tabled in results:
+    # a finite operand, on either side, rewrites the periodic operand's
+    # exceptions; a finite set complemented or normalized has modulus 1
+    fin = FiniteSet(picks)
+    in_fin = fin.elements.__contains__
+    for op in ("union", "difference", "symdiff"):
+        f = _BOOL_OPS[op]
+        results += [(boolean_op(a, fin, op), lambda n, f=f: bool(f(fa(n), in_fin(n))), False),
+                    (boolean_op(fin, a, op), lambda n, f=f: bool(f(in_fin(n), fa(n))), False)]
+    results += [(complement(fin), lambda n: not in_fin(n), False),
+                (normalize_periodic(fin), in_fin, False),
+                (normalize_periodic(APUnionSet((), fin.elements, (61,))), in_fin, False)]
+    # a transform keeps the threshold it maps; every other result's lies
+    # just past its exceptions
+    flipped = boolean_op(a, fin, "symdiff")  # exceptions wherever fin meets a's rule
+    fl = partial(field_member, flipped)
+    moved = [(transform(s, "shift", h), lambda n, g=g: n >= h and g(n - h), False)
+             for s, g in ((a, fa), (flipped, fl))]
+    moved += [(transform(s, "dilate", k), lambda n, g=g: n % k == 0 and g(n // k), False)
+              for s, g in ((a, fa), (flipped, fl))]
+    for got, want, tabled in results + moved:
         if not isinstance(got, PeriodicSet):  # an empty rule: a FiniteSet
             assert not got.elements or got.elements[-1] < 200
             assert all(got.member(n) == want(n) for n in range(200))
             continue
         # a table result keeps its table and count, and builds neither the
-        # residue tuple nor its index until a read needs them, exceptions or
-        # not; a tuple result without exceptions waits for its index, and
-        # one with exceptions builds it to check them against
+        # residue tuple nor its index until a read needs them; a tuple
+        # result waits for its index, exceptions or not
         if tabled:
             assert "residues" not in vars(got) and got._residue_set is None
             assert got._residue_count == got._table_cache.count(1) > 0
         else:
             assert "residues" in vars(got) and got._table_cache is None
-            assert (got._residue_set is None) == (not got.added and not got.removed)
+            assert got._residue_set is None
             assert got._residue_count == len(got.residues)
         # the kernel hands its exceptions over sorted and distinct, and the
         # public constructor, residues and exceptions reversed, builds the
         # same set, eagerly indexed
         for xs in (got.added, got.removed):
             assert list(xs) == sorted(set(xs))
+        if not any(got is x for x, _, _ in moved):
+            assert got.threshold == max(got.added + got.removed, default=-1) + 1
         again = PeriodicSet(got.modulus, got.residues[::-1], got.threshold,
                             got.added[::-1], got.removed[::-1])
         assert again == got and hash(again) == hash(got) and repr(again) == repr(got)
@@ -1201,9 +1229,9 @@ def test_read_caches_follow_replace():
             t = dataclasses.replace(s, residues=(2, 3), added=(1,), removed=(3,))
             assert t._table_cache is None
             assert complement(t) and t._table_cache == b"\x00\x00\x01\x01\x00\x00"
-            # a kernel result without exceptions builds its residue index on
-            # its first read; replace goes through the public constructor,
-            # which builds it at once
+            # a kernel result builds its residue index on its first read;
+            # replace goes through the public constructor, which builds it
+            # at once
             k = transform(PeriodicSet(6, (1, 3)), "dilate", 1)
             assert k._residue_set is None
             assert dataclasses.replace(k)._residue_set == frozenset({1, 3})
@@ -1254,7 +1282,7 @@ def test_read_caches_are_not_fields():
         assert getattr(s, "_table_cache", None) is None
         # the residue index of a periodic set: built at once by the public
         # constructor, by the first member or rule_member read of a kernel
-        # result without exceptions
+        # result
         if isinstance(s, PeriodicSet):
             assert (s._residue_set is None) == any(s is x for x in kernel)
         assert getattr(s, "_tail_cache", None) is None
