@@ -1,6 +1,7 @@
 """Frontend behaviour: the set-literal DSL, report emission, verbs, and
 exit codes."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -373,6 +374,45 @@ def test_limit_verbs(capsys):
     assert main(["limit", "cauchy", "evens", "--depth", "6",
                  "--format", "json"]) == 0
     capsys.readouterr()
+
+
+_LIMIT_REPORTS = {
+    ("sigma", "multiples", None):
+        "f4de3c12ed2432f37f08aa551b58e2244d06bc25032c4329fce5ab78a4f32b3a",
+    ("sigma", "evens", None):
+        "60a95362b2b43d4d2376501c35c3fcc27ad66b3c968c42c3519954cf6cf127f9",
+    ("cauchy", "multiples", None):
+        "64b59fad9a652bb1bc4d8ea152fc9d16f276381cb145489808542db50c454058",
+    ("cauchy", "evens", None):
+        "bdb5fad72f6888e244e9590049c1c470b4cdab734ba8db6d768bd055e4aa7e3a",
+    ("tail-cut", "powers", None):
+        "50311d0e127b3905faf21d9863aeacaaa2e48cc2651a2f9ddbd218a6c4588a30",
+    ("tail-cut", "multiples", "norm:phi-prefix"):
+        "e1c8f671f78c27232e8c36dfe34ac2b285521e211324f454ba3f33d2a76831e9",
+}
+
+
+@pytest.mark.parametrize("method,family,measure", sorted(
+    _LIMIT_REPORTS, key=lambda k: (k[0], k[1], k[2] or "")))
+def test_limit_reports_are_pinned(method, family, measure, capsys):
+    """The json report of every accepted limit method and family at depth 6,
+    byte for byte: the certificate pipelines may be restructured, their
+    reports may not move."""
+    argv = ["limit", method, family, "--depth", "6", "--format", "json"]
+    if measure:
+        argv += ["--measure", measure]
+    assert main(argv) == 0
+    data = capsys.readouterr().out.encode()
+    assert hashlib.sha256(data).hexdigest() == _LIMIT_REPORTS[method, family, measure]
+
+
+def test_limit_on_powers_stops_at_the_declared_empty_limit(capsys):
+    # the family declares the limit ∅, which no union pipeline can contain
+    # its stages in; the raise and its message are part of the contract
+    for method, stage in (("sigma", 1), ("cauchy", 0)):
+        assert main(["limit", method, "powers", "--depth", "6"]) == 3
+        assert capsys.readouterr().err == (
+            f"NotMonotone: stage {stage} is not contained in the limit candidate\n")
 
 
 def test_limit_usage_errors(capsys):
