@@ -206,34 +206,15 @@ def _axioms_report(battery: str, functional: str, samples: int, seed: int,
 # named sequence families for the limit verb
 
 
-def _powers_sequence(depth: int) -> SetSequence:
-    rule = lambda n: FiniteSet(tuple(2 ** j for j in range(n)))
-    return SetSequence(prefix=tuple(rule(n) for n in range(depth)),
-                       rule=rule, monotone=True,
-                       tail_bound=lambda i: Fraction(2, 2 ** i),
-                       limit=FiniteSet(()), label="powers")
-
-
-def _multiples_sequence(depth: int) -> SetSequence:
-    rule = lambda n: FiniteSet(tuple(3 * k for k in range(n + 1)))
-    return SetSequence(prefix=tuple(rule(n) for n in range(depth)),
-                       rule=rule, monotone=True,
-                       tail_bound=lambda i: Fraction(4, 7 * 8 ** (i + 1)),
-                       limit=PeriodicSet(3, (0,)), label="multiples")
-
-
-def _evens_sequence(depth: int) -> SetSequence:
-    rule = lambda n: FiniteSet(tuple(2 * k for k in range(n + 1)))
-    return SetSequence(prefix=tuple(rule(n) for n in range(depth)),
-                       rule=rule, monotone=True,
-                       tail_bound=lambda i: Fraction(2, 3 * 4 ** (i + 1)),
-                       limit=PeriodicSet(2, (0,)), label="evens")
-
-
+# family -> (rule, tail bound, declared limit, default measure)
 _FAMILIES = {
-    "powers": (_powers_sequence, "norm:phi-prefix"),
-    "multiples": (_multiples_sequence, "geometric"),
-    "evens": (_evens_sequence, "geometric"),
+    "powers": (lambda n: FiniteSet(tuple(2 ** j for j in range(n))),
+               lambda i: Fraction(2, 2 ** i), FiniteSet(()), "norm:phi-prefix"),
+    "multiples": (lambda n: FiniteSet(tuple(3 * k for k in range(n + 1))),
+                  lambda i: Fraction(4, 7 * 8 ** (i + 1)), PeriodicSet(3, (0,)),
+                  "geometric"),
+    "evens": (lambda n: FiniteSet(tuple(2 * k for k in range(n + 1))),
+              lambda i: Fraction(2, 3 * 4 ** (i + 1)), PeriodicSet(2, (0,)), "geometric"),
 }
 
 
@@ -242,8 +223,9 @@ def _limit_report(method: str, family: str, measure: Optional[str],
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; have "
                          + ", ".join(sorted(_FAMILIES)))
-    factory, default_measure = _FAMILIES[family]
-    seq = factory(depth)
+    rule, tail_bound, limit, default_measure = _FAMILIES[family]
+    seq = SetSequence(prefix=tuple(rule(n) for n in range(depth)), rule=rule,
+                      monotone=True, tail_bound=tail_bound, limit=limit, label=family)
     nu = measure or default_measure
     if method == "sigma":
         return sigma_limit(nu, seq, config=config)

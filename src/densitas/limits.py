@@ -5,7 +5,9 @@ certificate: a union limit for increasing sequences under sigma-subadditive
 measures, a tail-cut construction for lower semicontinuous submeasures whose
 increments have summable exhaustive norms, and a general Cauchy-to-limit
 pipeline that delegates the existence step to a pluggable oracle and then
-audits what the oracle returned.
+audits what the oracle returned. That audit, nu(stage minus answer) = 0 at
+every stage of the chain handed to the oracle, is `_resolve_audited`, the
+one place that calls an oracle.
 
 Certificates never promise more than was computed: a verdict of "certified"
 requires rule-backed sequences, exact values throughout, and a declared tail
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Callable, Optional
 
 from .config import Config, DEFAULT_CONFIG
@@ -30,7 +31,7 @@ from .exceptions import (
 )
 from .exhaust import exhaustive_norm, get_lscsm, tail_value
 from .metric import SetSequence, cauchy_profile, dist, evaluate_measure
-from .natset import FiniteSet, NatSet, boolean_op, complement, drop_below
+from .natset import FiniteSet, NatSet, _running, boolean_op, complement, drop_below
 from .values import ExtValue, exact
 
 __all__ = [
@@ -101,9 +102,7 @@ def _exact_or_raise(v: ExtValue, what: str) -> Fraction:
 
 def _union(parts, config):
     sets = [p for p in parts if not p.is_empty_surely()]
-    if not sets:
-        return FiniteSet(())
-    return reduce(lambda x, y: boolean_op(x, y, "union", config), sets)
+    return _running(sets, "union", config)[-1] if sets else FiniteSet(())
 
 
 def _observed_depth(seq: SetSequence, depth: Optional[int]) -> int:
@@ -114,6 +113,35 @@ def _observed_depth(seq: SetSequence, depth: Optional[int]) -> int:
     if depth > len(seq.prefix) and seq.rule is None:
         depth = len(seq.prefix)
     return depth
+
+
+def _increments(seq: SetSequence, depth: Optional[int], who: str, what: str,
+                size: Callable[[NatSet], ExtValue], config: Config):
+    """The observed stages A_0..A_{d-1} of a monotone sequence, its
+    increments B_j = A_{j+1} minus A_j and their exact sizes, each size read
+    before the next increment is built."""
+    if not seq.monotone:
+        raise NotMonotone(f"{who} needs the monotone flag, verified on the prefix")
+    depth = _observed_depth(seq, depth)
+    items = [seq.item(i) for i in range(depth)]
+    incs: list[NatSet] = []
+    sizes: list[Fraction] = []
+    for j in range(depth - 1):
+        incs.append(boolean_op(items[j + 1], items[j], "difference", config))
+        sizes.append(_exact_or_raise(size(incs[-1]), f"{what} {j}"))
+    return items, incs, sizes
+
+
+def _verdict(limit: NatSet, method: str, stages: list[StageRecord],
+             increment_sum: Fraction, seq: SetSequence) -> LimitCertificate:
+    """Certified only when every stage passed (an inexact stage never does)
+    and a rule and a declared tail bound back the observed data."""
+    certified = (all(s.ok for s in stages)
+                 and seq.rule is not None and seq.tail_bound is not None)
+    note = "" if certified else (
+        "prefix-only or unbounded tail; residuals are observed, not certified")
+    return LimitCertificate(limit, method, tuple(stages), increment_sum,
+                            "certified" if certified else "observed-only", note)
 
 
 # ---------------------------------------------------------------------------
@@ -131,32 +159,21 @@ def sigma_limit(nu: str, seq: SetSequence, depth: Optional[int] = None,
     sums; the verdict is certified only when a rule and a declared tail
     bound back the observed data.
     """
-    if not seq.monotone:
-        raise NotMonotone("sigma_limit needs the monotone flag, verified on the prefix")
-    depth = _observed_depth(seq, depth)
-    items = [seq.item(i) for i in range(depth)]
-
-    increments: list[Fraction] = []
-    for j in range(depth - 1):
-        d = boolean_op(items[j + 1], items[j], "difference", config)
-        increments.append(_exact_or_raise(
-            evaluate_measure(nu, d, config), f"increment {j}"))
-    observed_sum = sum(increments, Fraction(0))
-
+    items, _, increments = _increments(
+        seq, depth, "sigma_limit", "increment",
+        lambda d: evaluate_measure(nu, d, config), config)
     limit = seq.limit if seq.limit is not None else _union(items, config)
 
     stages = []
-    all_exact = True
-    for n in range(depth):
-        out_part = boolean_op(items[n], limit, "difference", config)
+    for n, a in enumerate(items):
+        out_part = boolean_op(a, limit, "difference", config)
         if not out_part.is_empty_surely() and out_part.elements_in(0, 1 << 16):
             raise NotMonotone(
                 f"stage {n} is not contained in the limit candidate")
         removed = evaluate_measure(nu, out_part, config)
-        added = evaluate_measure(nu, boolean_op(limit, items[n], "difference",
-                                                config), config)
+        added = evaluate_measure(nu, boolean_op(limit, a, "difference", config),
+                                 config)
         if removed.status != "exact" or added.status != "exact":
-            all_exact = False
             stages.append(StageRecord(n, removed, added, ok=False))
             continue
         tail = sum(increments[n:], Fraction(0))
@@ -164,15 +181,7 @@ def sigma_limit(nu: str, seq: SetSequence, depth: Optional[int] = None,
         bound = max(tail, cap) if cap is not None else tail
         ok = removed.value == 0 and added.value <= bound
         stages.append(StageRecord(n, removed, added, bound=bound, ok=ok))
-
-    certified = (all_exact and all(s.ok for s in stages)
-                 and seq.rule is not None and seq.tail_bound is not None)
-    note = "" if certified else (
-        "prefix-only or unbounded tail; residuals are observed, not certified")
-    return LimitCertificate(limit, "sigma-union", tuple(stages),
-                            observed_sum,
-                            "certified" if certified else "observed-only",
-                            note)
+    return _verdict(limit, "sigma-union", stages, sum(increments, Fraction(0)), seq)
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +232,11 @@ def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
     A = A_0 ∪ ⋃_j (B_j minus n_j). The certificate verifies A_k minus A ⊆ n_k
     exactly and bounds ||A △ A_k|| by 4 times the increment norm tail.
     """
-    if not seq.monotone:
-        raise NotMonotone("lscsm_limit needs the monotone flag, verified on the prefix")
-    desc = get_lscsm(phi)
-    depth = _observed_depth(seq, depth)
-    items = [seq.item(i) for i in range(depth)]
-
-    incs: list[NatSet] = []
-    norms: list[Fraction] = []
-    for j in range(depth - 1):
-        b = boolean_op(items[j + 1], items[j], "difference", config)
-        incs.append(b)
-        est = exhaustive_norm(phi, b, config)
-        norms.append(_exact_or_raise(est.value, f"increment norm {j}"))
-    observed_sum = sum(norms, Fraction(0))
+    # an unknown name is reported after the flag check, before the depth check
+    desc = get_lscsm(phi) if seq.monotone else None
+    items, incs, norms = _increments(
+        seq, depth, "lscsm_limit", "increment norm",
+        lambda b: exhaustive_norm(phi, b, config).value, config)
 
     cuts: list[int] = []
     trimmed: list[NatSet] = []
@@ -250,16 +250,14 @@ def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
     limit = _union([items[0]] + trimmed, config)
 
     stages = []
-    all_exact = True
-    for k in range(depth):
-        out_part = boolean_op(items[k], limit, "difference", config)
+    for k, a in enumerate(items):
+        out_part = boolean_op(a, limit, "difference", config)
         cut_k = cuts[k] if k < len(cuts) else (cuts[-1] + 1 if cuts else 0)
         contained = drop_below(out_part, cut_k, config).is_empty_surely()
         removed = exhaustive_norm(phi, out_part, config).value
-        sym = boolean_op(limit, items[k], "symdiff", config)
+        sym = boolean_op(limit, a, "symdiff", config)
         residual = exhaustive_norm(phi, sym, config).value
         if removed.status != "exact" or residual.status != "exact":
-            all_exact = False
             stages.append(StageRecord(k, removed, removed, symdiff=residual,
                                       cut=cut_k, ok=False))
             continue
@@ -268,16 +266,9 @@ def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
             tail = max(tail, 4 * seq.tail_bound(k))
         ok = contained and removed.value == 0 and residual.value <= tail
         stages.append(StageRecord(k, removed, exhaustive_norm(
-            phi, boolean_op(limit, items[k], "difference", config),
+            phi, boolean_op(limit, a, "difference", config),
             config).value, symdiff=residual, bound=tail, cut=cut_k, ok=ok))
-
-    certified = (all_exact and all(s.ok for s in stages)
-                 and seq.rule is not None and seq.tail_bound is not None)
-    note = "" if certified else (
-        "prefix-only or unbounded tail; residuals are observed, not certified")
-    return LimitCertificate(limit, "tail-cut", tuple(stages), observed_sum,
-                            "certified" if certified else "observed-only",
-                            note)
+    return _verdict(limit, "tail-cut", stages, sum(norms, Fraction(0)), seq)
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +285,25 @@ def sigma_union_oracle(nu: str, config: Config = DEFAULT_CONFIG) -> Ap0Oracle:
     return Ap0Oracle(f"sigma-union[{nu}]", resolve)
 
 
-def _increasing(prefix, config, limit: Optional[NatSet] = None) -> SetSequence:
-    """Wrap an already-increasing chain of sets, accumulating unions so the
-    monotone verification cannot trip over representation quirks."""
-    acc = []
-    cur = None
-    for a in prefix:
-        cur = a if cur is None else boolean_op(cur, a, "union", config)
-        acc.append(cur)
-    return SetSequence(prefix=tuple(acc), monotone=True, limit=limit)
+def _resolve_audited(nu: str, oracle: Ap0Oracle, chain: list[NatSet], stage: str,
+                     answer: str, config: Config,
+                     limit: Optional[NatSet] = None) -> NatSet:
+    """The oracle's answer A for the increasing chain, after checking the
+    contract half nu(stage minus A) = 0 exactly at every stage;
+    OracleContractViolated names the first stage that breaks it, by the
+    template `stage`, and the answer by `answer`."""
+    # the chain's running unions, so that the monotone check of the sequence
+    # cannot trip over representation quirks
+    chain_seq = SetSequence(prefix=tuple(_running(chain, "union", config)),
+                            monotone=True, limit=limit)
+    got = oracle.resolver(chain_seq)
+    for j, x in enumerate(chain_seq.prefix):
+        r = evaluate_measure(nu, boolean_op(x, got, "difference", config), config)
+        if r.status != "exact" or r.value != 0:
+            raise OracleContractViolated(
+                f"oracle {oracle.name} left measure {r.value if r.status == 'exact' else r.status} "
+                f"of {stage.format(j)} outside {answer}")
+    return got
 
 
 def cauchy_to_limit(nu: str, seq: SetSequence, oracle: Ap0Oracle,
@@ -331,51 +332,27 @@ def cauchy_to_limit(nu: str, seq: SetSequence, oracle: Ap0Oracle,
         sub.append(seq.item(levels[i]))
     if len(sub) < 2:
         raise NotCauchy("modulus extraction produced fewer than two stages")
-    m = len(sub)
 
     # B_i from the oracle on the increasing complement chains
-    b_sets: list[NatSet] = []
-    for i in range(m):
-        nested = []
-        cur = sub[i]
-        for j in range(i, m):
-            cur = cur if j == i else boolean_op(cur, sub[j], "intersection", config)
-            nested.append(cur)
-        comp_chain = _increasing([complement(x, config) for x in nested], config)
-        e_i = oracle.resolver(comp_chain)
-        for j, x in enumerate(comp_chain.prefix):
-            r = evaluate_measure(nu, boolean_op(x, e_i, "difference", config),
-                                 config)
-            if r.status != "exact" or r.value != 0:
-                raise OracleContractViolated(
-                    f"oracle {oracle.name} left measure {r.value if r.status == 'exact' else r.status} "
-                    f"of stage {j} outside its level-{i} answer")
+    b_sets = []
+    for i in range(len(sub)):
+        nested = _running(sub[i:], "intersection", config)
+        e_i = _resolve_audited(nu, oracle, [complement(x, config) for x in nested],
+                               "stage {}", f"its level-{i} answer", config)
         b_sets.append(complement(e_i, config))
-
     # C_i = union of the B_k so far, then one more oracle call for A
-    c_sets = []
-    cur = None
-    for b in b_sets:
-        cur = b if cur is None else boolean_op(cur, b, "union", config)
-        c_sets.append(cur)
-    c_chain = _increasing(c_sets, config, limit=seq.limit)
-    limit = oracle.resolver(c_chain)
-    for j, x in enumerate(c_chain.prefix):
-        r = evaluate_measure(nu, boolean_op(x, limit, "difference", config),
-                             config)
-        if r.status != "exact" or r.value != 0:
-            raise OracleContractViolated(
-                f"oracle {oracle.name} left measure {r.value if r.status == 'exact' else r.status} "
-                f"of C_{j} outside the final answer")
+    c_sets = _running(b_sets, "union", config)
+    limit = _resolve_audited(nu, oracle, c_sets, "C_{}", "the final answer", config,
+                             seq.limit)
 
     stages = []
-    for i in range(m):
-        di = dist(nu, sub[i], limit, config)
+    for i, a in enumerate(sub):
+        di = dist(nu, a, limit, config)
         ci = dist(nu, c_sets[i], limit, config)
         removed = evaluate_measure(
-            nu, boolean_op(sub[i], limit, "difference", config), config)
+            nu, boolean_op(a, limit, "difference", config), config)
         added = evaluate_measure(
-            nu, boolean_op(limit, sub[i], "difference", config), config)
+            nu, boolean_op(limit, a, "difference", config), config)
         if di.status != "exact" or ci.status != "exact":
             stages.append(StageRecord(i, removed, added, symdiff=di, ok=False))
             continue

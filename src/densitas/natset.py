@@ -124,11 +124,12 @@ every token (a keyword, a key such as ``m=`` or ``f(n)=``, a natural, one of
 inside one: ``m =6`` is an error. Naturals are decimal digits of any script,
 so ``fin{١٢}`` is {12}. ``parse_set`` reads a clause by its row of
 ``_PRODUCTIONS``: each field is a key and its value, read by one
-precompiled match that folds in the leading whitespace. A brace list of
-plain naturals is read by that one match and ``int()`` of each
-comma-separated piece; a list with ``..`` ranges, or one that fails that
-match, is read item by item, one match per item. Every error is found on
-the item-by-item or field-by-field path, with its caret.
+precompiled match that folds in the leading whitespace. The plain naturals
+that open a brace list are read by one match of the list's run of digits,
+whitespace and commas and ``int()`` of each comma-separated piece; from the
+first item that is not one (a ``..`` range, a malformed item, the end of
+the run) the list is read item by item, one match per item. Every error is
+found on the item-by-item or field-by-field path, with its caret.
 """
 
 from __future__ import annotations
@@ -303,7 +304,18 @@ class HorizonSet(NatSet):
                 word |= 1 << m
             else:
                 raise QueryBeyondHorizon(f"member {_shown(m)} outside horizon {horizon}")
-        return cls(horizon, word.to_bytes((horizon + 7) // 8, "little"))
+        return cls._from_word(horizon, word)
+
+    @classmethod
+    def _from_word(cls, horizon: int, word: int) -> "HorizonSet":
+        """The set with member i where bit i of word is set; the word is a
+        natural below 2^(8·ceil(horizon/8)), as the word of a set of this
+        horizon is, and is kept as it is."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "horizon", horizon)
+        object.__setattr__(s, "bits", word.to_bytes((horizon + 7) // 8, "little"))
+        object.__setattr__(s, "_word", word)
+        return s
 
     def member(self, n: int) -> bool:
         if n < 0:
@@ -983,14 +995,13 @@ def boolean_op(a: NatSet, b: NatSet, op: str, config: Config = DEFAULT_CONFIG) -
         return _op_with_finite(a, b, op)
     if isinstance(a, FiniteSet):
         if op in ("difference", "intersection"):
-            return _filter_finite(a, b, op == "intersection")
+            return _filter_finite(a, _member(b, _kept_table(b)), op == "intersection")
         return _op_with_finite(b, a, op)  # union and symdiff commute
 
     if isinstance(a, HorizonSet) and isinstance(b, HorizonSet):
         if a.horizon != b.horizon:
             raise IncompatibleBackends("horizon sets must share the same horizon")
-        w = _word_op(a._word, b._word, op, a.horizon)
-        return HorizonSet(a.horizon, w.to_bytes((a.horizon + 7) // 8, "little"))
+        return HorizonSet._from_word(a.horizon, _word_op(a._word, b._word, op, a.horizon))
 
     if isinstance(a, PeriodicSet) and isinstance(b, PeriodicSet):
         return _periodic_pair_op(a, b, op, config)
@@ -1001,6 +1012,12 @@ def boolean_op(a: NatSet, b: NatSet, op: str, config: Config = DEFAULT_CONFIG) -
         return _ap_pair_op(au, bu, op, config)
 
     raise IncompatibleBackends(f"cannot combine {a.kind} with {b.kind} under {op}")
+
+
+def _running(sets: Iterable[NatSet], op: str, config: Config = DEFAULT_CONFIG) -> list[NatSet]:
+    """The running results of one op over a chain of sets: s_0, s_0 op s_1,
+    (s_0 op s_1) op s_2, ..."""
+    return list(accumulate(sets, lambda x, y: boolean_op(x, y, op, config)))
 
 
 def _word_op(wa: int, wb: int, op: str, width: int) -> int:
@@ -1015,10 +1032,24 @@ def _word_op(wa: int, wb: int, op: str, width: int) -> int:
     return (wa ^ wb) & mask
 
 
-def _filter_finite(f: FiniteSet, other: NatSet, keep: bool) -> FiniteSet:
-    """The elements x of f with other.member(x) == keep: a finite set met with
-    or minus anything stays finite."""
-    return FiniteSet(tuple(x for x in f.elements if other.member(x) == keep))
+def _filter_finite(f: FiniteSet, member: Callable[[int], bool], keep: bool) -> FiniteSet:
+    """The elements x of f with member(x) == keep: a finite set met with or
+    minus anything stays finite."""
+    return FiniteSet(tuple(x for x in f.elements if member(x) == keep))
+
+
+def _kept_table(a: NatSet) -> Optional[bytes]:
+    """The rule table of a periodic result that keeps one and has not built
+    its residue index, else None. Reads through that index would build it,
+    and the whole residue tuple with it; the table answers them as well."""
+    return a._table_cache if isinstance(a, PeriodicSet) and a._residue_set is None else None
+
+
+def _member(a: NatSet, table: Optional[bytes]) -> Callable[[int], bool]:
+    """a.member at the naturals, read through a's kept rule table if given."""
+    if table is None:
+        return a.member
+    return lambda x: x not in a._removed_set and (x in a._added_set or table[x % a.modulus] == 1)
 
 
 def _exceptions(xs: Iterable[int], wanted: Callable[[int], bool],
@@ -1047,26 +1078,27 @@ def _op_with_finite(a: NatSet, f: FiniteSet, op: str) -> NatSet:
         wf = 0
         for x in f.elements:
             wf |= 1 << x
-        w = _word_op(a._word, wf, op, a.horizon)
-        return HorizonSet(a.horizon, w.to_bytes((a.horizon + 7) // 8, "little"))
+        return HorizonSet._from_word(a.horizon, _word_op(a._word, wf, op, a.horizon))
 
+    table = _kept_table(a)
+    member = _member(a, table)
     if op == "intersection":
-        return _filter_finite(f, a, True)
+        return _filter_finite(f, member, True)
     if not isinstance(a, (PeriodicSet, APUnionSet, DyadicBlockSet)):
         raise IncompatibleBackends(f"cannot combine {a.kind} with finite under {op}")
 
     # union wants every element of f, difference none, symdiff those a lacks
     added, removed = _exceptions(
-        f.elements, lambda x: op == "union" or (op == "symdiff" and not a.member(x)),
-        a.rule_member)
+        f.elements, lambda x: op == "union" or (op == "symdiff" and not member(x)),
+        a.rule_member if table is None else lambda x: table[x % a.modulus] == 1)
     touched = set(f.elements)
 
     def rewrite(old: tuple[int, ...], new: list[int]) -> tuple[int, ...]:
         return tuple(sorted({x for x in old if x not in touched}.union(new)))
 
     if isinstance(a, PeriodicSet):
-        s = PeriodicSet._built(a.modulus, a.residues, rewrite(a.added, added),
-                               rewrite(a.removed, removed))
+        s = PeriodicSet._built(a.modulus, a.residues if table is None else table,
+                               rewrite(a.added, added), rewrite(a.removed, removed))
         return finite_part(s) or s
     return replace(a, extras=rewrite(a.extras, added), removals=rewrite(a.removals, removed))
 
@@ -1288,9 +1320,7 @@ def complement(a: NatSet, config: Config = DEFAULT_CONFIG) -> NatSet:
     if isinstance(a, APUnionSet):
         return complement(normalize_periodic(a, config), config)
     if isinstance(a, HorizonSet):
-        mask = (1 << a.horizon) - 1
-        w = ~a._word & mask
-        return HorizonSet(a.horizon, w.to_bytes((a.horizon + 7) // 8, "little"))
+        return HorizonSet._from_word(a.horizon, ~a._word & ((1 << a.horizon) - 1))
     raise UnsupportedBackend(f"complement not representable for backend {a.kind}")
 
 
@@ -1307,8 +1337,7 @@ def drop_below(a: NatSet, n: int, config: Config = DEFAULT_CONFIG) -> NatSet:
     if isinstance(a, FiniteSet):
         return FiniteSet(tuple(x for x in a.elements if x >= n))
     if isinstance(a, HorizonSet):
-        w = a._word >> n << n if n < a.horizon else 0
-        return HorizonSet(a.horizon, w.to_bytes((a.horizon + 7) // 8, "little"))
+        return HorizonSet._from_word(a.horizon, a._word >> n << n if n < a.horizon else 0)
     if isinstance(a, PeriodicSet):
         return drop_below(as_ap_union(a), n, config)
     if isinstance(a, APUnionSet):
@@ -1463,12 +1492,10 @@ def _natural(text: str, m: re.Match, g: int, after: int = 0,
 # so a well-formed field is one match; where the value part does not match,
 # its reader finds the error from the end of the key.
 _NAT = r"\s*(\d+)"
-# a brace list: its '{', then, if it holds only digits, whitespace and commas,
-# its body and '}'. int() of each comma-separated piece checks the piece is
-# one natural; the class leaves out the signs and underscores int() takes.
-# The body ends at a digit or a comma, so a failed match gives back each
-# whitespace run once: linear in the text, not quadratic.
-_LIST = r"\s*(\{)(?:(\s*\d(?:[\d\s,]*[\d,])?)?\s*(\}))?"
+# a brace list: its '{', its run of the characters plain items hold, and the
+# '}' if it closes the list. One class, so the match is linear in the text;
+# the class leaves out the signs and underscores int() takes.
+_LIST = r"\s*(\{)([\d\s,]*)(\})?"
 # the first factor, '*' and the further factors, a dangling '*', the '!'
 _MODULUS = r"\s*(\d+)((?:\s*\*\s*\d+)*)(\s*\*)?(\s*!)?"
 _HEX = r"\s*([0-9a-fA-F]+)"
@@ -1489,30 +1516,26 @@ _read_size = partial(_read_nat, most=_SIZE_MAX)
 
 
 def _read_list(text: str, m: re.Match) -> tuple[tuple[int, ...], int]:
-    """Plain naturals from the one match, unless a piece could pass the
-    digit limit; ranges, and every other error, item by item. Every natural
-    the list spells out counts against the size limit, a plain one as one,
-    so whether a list is refused does not depend on the order of its items."""
-    if m.group(3):
-        body = m.group(2)
-        if body is None:
-            return (), m.end()
-        pieces = body.split(",")
-        if len(body) <= _DIGITS_MAX or max(map(len, pieces)) <= _DIGITS_MAX:
-            try:
-                xs = tuple(map(int, pieces[:_SIZE_MAX + 1]))
-            except ValueError:  # not one natural per piece, or U+001C..U+001F
-                pass
-            else:
-                if len(xs) <= _SIZE_MAX:
-                    return xs, m.end()
-                # the first natural past the limit, where the item path stops
-                at = _WS.match(text, m.start(2) + len(",".join(pieces[:_SIZE_MAX])) + 1).end()
-                raise ParseError(f"a list spells out at most {_SIZE_MAX} naturals", text, at)
+    """The whole items before the first character no plain item holds are
+    read by one match and one split, as far as each is one natural within
+    the digit limit; the rest, ranges and every error, item by item. Every
+    natural the list spells out counts against the size limit, a plain one
+    as one, so whether a list is refused does not depend on the order of
+    its items."""
     if m.group(1) is None:
         raise _expected("'{'", text, m.end())
-    out: list[int] = []
-    pos = m.end(1)
+    body, closed = m.group(2, 3)
+    pieces = body.split(",")
+    if closed is None:
+        pieces.pop()  # the text past the last comma is no whole item
+    elif not body.strip():
+        return (), m.end()
+    # past the size limit the item walk reports the natural too many
+    out = _plain_naturals(pieces[:_SIZE_MAX], len(body) <= _DIGITS_MAX)
+    k = len(out)
+    if k == len(pieces) and closed:
+        return tuple(out), m.end()
+    pos = m.start(2) + sum(map(len, pieces[:k])) + k  # each piece read, and its comma
     while True:
         m = _ITEM.match(text, pos)
         n = _natural(text, m, 1, pos)
@@ -1528,6 +1551,26 @@ def _read_list(text: str, m: re.Match) -> tuple[tuple[int, ...], int]:
         if m.group(4) is None:
             raise _expected("','", text, m.end())
         pos = m.end()
+
+
+def _plain_naturals(pieces: list[str], short: bool) -> list[int]:
+    """The naturals of the leading pieces that int() reads as one natural
+    within the digit limit (a piece holds only digits and whitespace);
+    `short` says the text they were split from is within that limit."""
+    if short or max(map(len, pieces), default=0) <= _DIGITS_MAX:
+        try:
+            return list(map(int, pieces))
+        except ValueError:  # two naturals or none in a piece, or U+001C..U+001F
+            pass
+    out = []
+    for piece in pieces:
+        if len(piece) > _DIGITS_MAX:
+            break
+        try:
+            out.append(int(piece))
+        except ValueError:
+            break
+    return out
 
 
 def _read_modulus(text: str, m: re.Match) -> tuple[tuple[int, Optional[str]], int]:
@@ -1634,7 +1677,7 @@ def _horizon(text: str, at: int, h: int, bits: tuple[int, int]) -> HorizonSet:
     word, bits_at = bits
     if word >> h:
         raise ParseError("bits set at or beyond the horizon", text, bits_at)
-    return HorizonSet(h, word.to_bytes((h + 7) // 8, "little"))
+    return HorizonSet._from_word(h, word)
 
 
 # The grammar: keyword -> (fields, build). build(text, at, *values) makes the

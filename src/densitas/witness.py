@@ -23,7 +23,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .bounds import decide_less, exp_bounds, log_bounds
 from .config import Config, DEFAULT_CONFIG
@@ -34,7 +33,7 @@ from .exceptions import (
     ScheduleTooShort,
 )
 from .metric import SetSequence
-from .natset import APTerm, APUnionSet, NatSet, boolean_op, factorial_label
+from .natset import APTerm, APUnionSet, NatSet, _running, factorial_label
 from .reports import AxiomReport, CheckRecord
 
 __all__ = [
@@ -323,16 +322,8 @@ def build_witness(p: WitnessParams, depth: int, demo: bool = False,
         moduli.append(m)
         residue_sets.append(frozenset(h))
 
-    stages = []
-    acc: Optional[NatSet] = None
-    for n in range(depth + 2):
-        b = levels[n].block
-        if acc is None:
-            acc = b
-        elif not b.is_empty_surely():
-            acc = boolean_op(acc, b, "union", config)
-        if n >= 1:
-            stages.append(acc)
+    # A_n = B_0 ∪ ... ∪ B_{n+1}; every block past level 0 is nonempty
+    stages = _running([lv.block for lv in levels], "union", config)[1:]
     return WitnessFamily(p, depth, tuple(levels), tuple(stages), demo)
 
 
@@ -466,14 +457,20 @@ def _prefix_counts(a: NatSet, horizon: int, top: int, probes: int) -> list[tuple
 # certificates
 
 
-def divergence_certificate(w: WitnessFamily,
-                           horizon: int = 10 ** 6) -> DivergenceCertificate:
-    """Exact increment norms with their partial sums, plus the level windows
-    any candidate limit must keep kappa-filled."""
+def _require_invariants(w: WitnessFamily, horizon: int) -> None:
+    """The gate of both certificates: InvariantsFailed names every failed
+    invariant of the family at the horizon."""
     inv = check_witness_invariants(w, horizon)
     if not inv.passed:
         raise InvariantsFailed("witness invariants fail: "
                                + "; ".join(r.name for r in inv.failures))
+
+
+def divergence_certificate(w: WitnessFamily,
+                           horizon: int = 10 ** 6) -> DivergenceCertificate:
+    """Exact increment norms with their partial sums, plus the level windows
+    any candidate limit must keep kappa-filled."""
+    _require_invariants(w, horizon)
     lv = w.levels
     target = (1 - w.params.kappa) / 2
     increments = []
@@ -514,15 +511,10 @@ def banach_gap_certificate(w: WitnessFamily, horizon: int = 10 ** 6,
             f"the gap certificate is specific to kappa = 1/2, got {w.params.kappa}")
     if w.depth < 1:
         raise InsufficientPrefix(f"the gap certificate needs depth >= 1, got {w.depth}")
-    inv = check_witness_invariants(w, horizon)
-    if not inv.passed:
-        raise InvariantsFailed("witness invariants fail: "
-                               + "; ".join(r.name for r in inv.failures))
+    _require_invariants(w, horizon)
     lv = w.levels
     used = lv[1:w.depth + 1]
-    union = used[0].block
-    for rec in used[1:]:
-        union = boolean_op(union, rec.block, "union")
+    union = _running([rec.block for rec in used], "union")[-1]
     bound = sum((rec.increment_density for rec in used), Fraction(0))
     if bound > Fraction(1, 4):
         raise InvariantsFailed("increment sum exceeds 1/4")

@@ -560,6 +560,8 @@ def test_dsl_range_literal():
 
 
 _LONG_NAT = "1" + "0" * 4300
+# 2^20 plain naturals and one bad item: the plain run is read in one piece
+_LONG_LIST = "fin{" + ",".join(map(str, range(1 << 20))) + ",x}"
 _LONG_MODULUS = "9" * 4000 + "*1000!"
 # (literal, message, caret column): one or more per raise site of the parser
 _PARSE_ERRORS = [
@@ -571,6 +573,12 @@ _PARSE_ERRORS = [
     ("fin{1..2..3}", "expected ','", 8),
     ("fin{1..}", "expected a natural number", 7),
     ("fin{,1}", "expected a natural number", 4),
+    # an item that breaks a run of plain ones, and the run's end
+    ("fin{1,2,3 4,5}", "expected ','", 10),
+    ("fin{1,,2}", "expected a natural number", 6),
+    (f"fin{{1,{_LONG_NAT},2}}",
+     "a natural of 4301 digits exceeds the literal limit of 4300 digits", 6),
+    (_LONG_LIST, "expected a natural number", len(_LONG_LIST) - 2),
     ("per m =6 R={1}", "expected 'm='", 4),
     ("per m=6 R {1}", "expected 'R='", 8),
     ("per m=x R={1}", "expected a natural number", 6),
@@ -905,6 +913,15 @@ def test_kernel_periodic_results_equal_their_public_rebuild(case, h, k, picks):
         f = _BOOL_OPS[op]
         results += [(boolean_op(a, fin, op), lambda n, f=f: bool(f(fa(n), in_fin(n))), False),
                     (boolean_op(fin, a, op), lambda n, f=f: bool(f(in_fin(n), fa(n))), False)]
+    # a table operand answers a finite operand's reads from its table, and a
+    # periodic result keeps that table: neither builds its residue tuple
+    comp = results[0][0]
+    if isinstance(comp, PeriodicSet):
+        fc = results[0][1]
+        for op, f in _BOOL_OPS.items():
+            results += [(boolean_op(comp, fin, op), lambda n, f=f: bool(f(fc(n), in_fin(n))), True),
+                        (boolean_op(fin, comp, op), lambda n, f=f: bool(f(in_fin(n), fc(n))), True)]
+        assert "residues" not in vars(comp) and comp._residue_set is None
     results += [(complement(fin), lambda n: not in_fin(n), False),
                 (normalize_periodic(fin), in_fin, False),
                 (normalize_periodic(APUnionSet((), fin.elements, (61,))), in_fin, False)]
@@ -1323,6 +1340,28 @@ def test_horizon_reads_match_the_field_oracle(case):
     want = field_elements(s, lo, hi)
     assert s.elements_in(lo, hi) == want
     assert s.count_range(lo, hi) == len(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 200).flatmap(
+    lambda h: st.tuples(st.just(h), st.integers(0, (1 << h) - 1),
+                        st.integers(0, (1 << h) - 1), st.integers(0, h + 3))))
+def test_horizon_results_equal_their_public_rebuild(case):
+    # every op builds its horizon result straight from a bit word
+    h, wa, wb, n = case
+    a = HorizonSet(h, wa.to_bytes((h + 7) // 8, "little"))
+    b = HorizonSet.from_members(h, [x for x in range(h) if wb >> x & 1])
+    f = FiniteSet(tuple(range(0, h, 3)))
+    results = [b, complement(a), drop_below(a, n), parse_set(format_set(a)),
+               transform(a, "shift", n)]
+    results += [boolean_op(a, c, op) for op in _BOOL_OPS for c in (b, f)]
+    for got in results:
+        if not isinstance(got, HorizonSet):  # a ∖ a and a △ a are the empty FiniteSet
+            continue
+        again = HorizonSet(got.horizon, got.bits)
+        assert again == got and hash(again) == hash(got) and repr(again) == repr(got)
+        assert to_payload(again) == to_payload(got) and again._word == got._word
+        assert got.elements_in(0, got.horizon) == field_elements(got, 0, got.horizon)
 
 
 def test_full_horizon_scan_is_linear():
