@@ -11,8 +11,13 @@ byte-identical across runs.
 Exit codes: 0 all checks passed, 1 a certificate or battery failed,
 2 usage or parse error, 3 internal contract violation.
 
-The argparse parser is built once per process, on the first `main` call,
-and reused by every later call.
+The argparse parsers are built once per process, on the first `main` call,
+and reused by every later call. When the first argument names a verb, `main`
+hands the rest straight to that verb's parser, which is what the top-level
+parser would do after one more pass over the argv; arguments that parser
+leaves over are reported through the top-level parser, as argparse does.
+Every other argv (no verb, an unknown one, `-h` or `--version` first) goes
+through the top-level parser.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .metric import (
     metric_equivalence_probe,
 )
 from .natset import FiniteSet, NatSet, PeriodicSet, format_set, parse_set
-from .reports import AxiomReport, CheckRecord, format_fraction, to_payload
+from .reports import AxiomReport, CheckRecord, format_fraction, to_json, to_payload
 from .samples import chunked, pool_battery, thinning_blocks
 from .values import ExtValue
 from .witness import (
@@ -143,25 +148,22 @@ def _text_lines(report) -> list[str]:
 def emit_report(report, fmt: str = "json",
                 config: Config = DEFAULT_CONFIG) -> bytes:
     """Serialize any report dataclass deterministically."""
-    meta = {"version": __version__,
-            "config": {f.name: getattr(config, f.name)
-                       for f in dataclasses.fields(config)}}
     if fmt == "json":
-        doc = dict(meta)
-        doc["report"] = to_payload(report)
-        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+        doc = {"version": __version__, "config": config, "report": report}
+        return (to_json(doc) + "\n").encode()
     if fmt == "csv":
         buf = io.StringIO()
-        buf.write(f"# version={meta['version']}\n")
+        buf.write(f"# version={__version__}\n")
         buf.write("# config=" + ",".join(
-            f"{k}:{v}" for k, v in sorted(meta["config"].items())) + "\n")
+            f"{name}:{getattr(config, name)}"
+            for name in sorted(f.name for f in dataclasses.fields(config))) + "\n")
         header, body = _csv_rows(report)
         buf.write(",".join(header) + "\n")
         for row in body:
             buf.write(",".join(cell.replace(",", ";") for cell in row) + "\n")
         return buf.getvalue().encode()
     if fmt == "text":
-        lines = [f"densitas {meta['version']}"] + _text_lines(report)
+        lines = [f"densitas {__version__}"] + _text_lines(report)
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -248,14 +250,13 @@ def _witness_build_payload(kappa: Fraction, depth: int, demo: bool) -> dict:
     p = derive_params(kappa, levels=max(6, depth + 2))
     w = build_witness(p, depth, demo=demo)
     return {
-        "params": to_payload(p),
+        "params": p,
         "depth": depth,
         "demo": demo,
         "levels": [{"index": lev.index, "entry": lev.entry,
-                    "residues": list(lev.residues), "span": lev.span}
+                    "residues": lev.residues, "span": lev.span}
                    for lev in w.levels],
-        "increments": [format_fraction(lev.increment_density)
-                       for lev in w.levels],
+        "increments": [lev.increment_density for lev in w.levels],
     }
 
 
@@ -281,15 +282,14 @@ def _witness_verify(doc: dict, horizon: int, config: Config):
                 f"stored residues at level {lev.index} do not match "
                 "the deterministic construction")
     inv = check_witness_invariants(w, horizon=horizon)
-    payload: dict = {"invariants": to_payload(inv),
-                     "invariants_passed": inv.passed}
+    payload: dict = {"invariants": inv, "invariants_passed": inv.passed}
     ok = inv.passed
     if ok:
         div = divergence_certificate(w, horizon=horizon)
-        payload["divergence"] = to_payload(div)
+        payload["divergence"] = div
         if params.kappa == Fraction(1, 2) and depth >= 1:
             gap = banach_gap_certificate(w, horizon=horizon)
-            payload["gap"] = to_payload(gap)
+            payload["gap"] = gap
         prof = cauchy_profile("bd-star", witness_sequence(w),
                               depth=depth + 1, config=config)
         payload["cauchy_certified"] = prof.certified
@@ -301,11 +301,16 @@ def _witness_verify(doc: dict, horizon: int, config: Config):
 # argument plumbing
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first `main` call.
-    `parse_args` keeps no state between calls, and argparse reads the help
-    width only when it prints help."""
+    """The top-level parser of the process."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the verb parsers by verb, built once per
+    process, on the first `main` call. `parse_args` keeps no state between
+    calls, and argparse reads the help width only when it prints help."""
     ap = argparse.ArgumentParser(
         prog="densitas",
         description="Exact densities, submeasure norms, and their "
@@ -380,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds", default=None,
                    help="lo,hi claimed two-sided bounds to confirm")
     common(p)
-    return ap
+    return ap, dict(sub.choices)
 
 
 def _dispatch(args, config: Config) -> tuple[object, bool, Optional[str]]:
@@ -440,9 +445,23 @@ def _dispatch(args, config: Config) -> tuple[object, bool, Optional[str]]:
     raise ValueError(f"unknown verb {args.verb!r}")
 
 
+def _parse_argv(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """The Namespace `_build_parser().parse_args(argv)` returns, and the same
+    exit and messages on a usage error."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, verbs = _parsers()
+    verb_parser = verbs.get(argv[0]) if argv else None
+    if verb_parser is None:
+        return parser.parse_args(argv)
+    args, extras = verb_parser.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.verb = argv[0]
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_argv(argv)
     try:
         config = load_config(args.config)
     except (OSError, ValueError) as e:

@@ -392,15 +392,18 @@ class PeriodicSet(NatSet):
 
     @classmethod
     def _built(cls, modulus: int, rule: tuple[int, ...] | bytes, added: tuple[int, ...],
-               removed: tuple[int, ...], threshold: Optional[int] = None) -> "PeriodicSet":
+               removed: tuple[int, ...], threshold: Optional[int] = None,
+               count: Optional[int] = None) -> "PeriodicSet":
         """A result of the set algebra, taken as it is and checked in no
         part: the rule is a sorted tuple of distinct residues below the
         modulus, or a rule table of modulus bytes, which the result keeps;
         the exceptions are sorted, distinct and off (added) or on (removed)
         the rule; the threshold lies past them, by default just past the
-        largest. A table result leaves its residue tuple to the first read
-        of ``residues`` (``_TableResidues``), and every result its residue
-        index to the first ``member`` or ``rule_member`` read."""
+        largest; ``count``, when given, is the rule's residue count, which
+        is otherwise counted from the rule. A table result leaves its
+        residue tuple to the first read of ``residues``
+        (``_TableResidues``), and every result its residue index to the
+        first ``member`` or ``rule_member`` read."""
         s = object.__new__(cls)
         object.__setattr__(s, "modulus", modulus)
         table = rule if type(rule) is bytes else None
@@ -409,8 +412,9 @@ class PeriodicSet(NatSet):
         if threshold is None:
             threshold = max(added[-1:] + removed[-1:], default=-1) + 1
         object.__setattr__(s, "threshold", threshold)
-        s._keep(added, removed, len(rule) if table is None else table.count(1), None,
-                frozenset(added), frozenset(removed), table)
+        if count is None:
+            count = len(rule) if table is None else table.count(1)
+        s._keep(added, removed, count, None, frozenset(added), frozenset(removed), table)
         return s
 
     def _keep(self, added, removed, count, rset, added_set, removed_set, table) -> None:
@@ -1098,7 +1102,8 @@ def _op_with_finite(a: NatSet, f: FiniteSet, op: str) -> NatSet:
 
     if isinstance(a, PeriodicSet):
         s = PeriodicSet._built(a.modulus, a.residues if table is None else table,
-                               rewrite(a.added, added), rewrite(a.removed, removed))
+                               rewrite(a.added, added), rewrite(a.removed, removed),
+                               count=a._residue_count)
         return finite_part(s) or s
     return replace(a, extras=rewrite(a.extras, added), removals=rewrite(a.removals, removed))
 

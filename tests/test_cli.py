@@ -1,6 +1,8 @@
 """Frontend behaviour: the set-literal DSL, report emission, verbs, and
 exit codes."""
 
+import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,14 +17,22 @@ import pytest
 
 import densitas
 from densitas.cli import (
+    _axioms_report,
     _build_parser,
     _format_value,
+    _limit_report,
+    _parse_argv,
+    _witness_build_payload,
+    _witness_verify,
     emit_report,
     format_set_literal,
     main,
     parse_set_literal,
 )
+from densitas.config import DEFAULT_CONFIG
 from densitas.exceptions import ParseError, UnsupportedBackend
+from densitas.exhaust import exhaustive_norm
+from densitas.metric import SetSequence, cauchy_profile, metric_equivalence_probe
 from densitas.natset import (
     APTerm,
     APUnionSet,
@@ -30,10 +40,13 @@ from densitas.natset import (
     FiniteSet,
     HorizonSet,
     PeriodicSet,
+    complement,
     parse_set,
 )
-from densitas.reports import AxiomReport, CheckRecord, to_payload
-from densitas.values import bracket
+from densitas.reports import AxiomReport, CheckRecord, to_json, to_payload
+from densitas.samples import thinning_blocks
+from densitas.values import bracket, exact, infinite, observational
+from densitas.witness import build_witness, derive_params, witness_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +169,61 @@ def test_payload_refuses_floats():
     with pytest.raises(TypeError):
         emit_report(AxiomReport("demo", (CheckRecord("a", "pass", witness=[1.0]),)), "json")
     assert to_payload({"q": Fraction(2, 4), "n": 3}) == {"q": "1/2", "n": 3}
+    for bad in (0.5, [1, 1.0], {"q": (Fraction(1), 2.5)}, CheckRecord("a", "pass", witness=0.5)):
+        with pytest.raises(TypeError):
+            to_payload(bad)
+        with pytest.raises(TypeError):
+            to_json(bad)
+
+
+def _emitted_reports(tmp_path) -> list:
+    """Every kind of report the CLI emits, every set backend, and the odd
+    leaves: open bracket sides, non-ASCII notes, empty containers, sets,
+    bytes and keys that are not strings."""
+    table_kept = complement(parse_set("per m=4096 R={0..99}"))
+    assert table_kept._table_cache is not None and "residues" not in vars(table_kept)
+    sets = [parse_set(text) for text in (
+        "fin{}", "fin{1,2,3}", "per m=6 R={1,3} t=2 add={0}",
+        "ap a=6! h=1 j0=1 | ap a=5040 h=3", "blocks f(n)=cycle{1/2,1/4}@2",
+        "horizon H=16 bits=ff00")] + [table_kept]
+    path = tmp_path / "w.json"
+    assert main(["witness", "build", "--kappa", "1/2", "--depth", "2", "--format", "json",
+                 "--out", str(path)]) == 0
+    verified, ok = _witness_verify(json.loads(path.read_text())["report"], 10 ** 4,
+                                   DEFAULT_CONFIG)
+    assert ok
+    w = build_witness(derive_params(Fraction(1, 2), levels=6), 2)
+    return sets + [
+        exact(Fraction(1, 3)), exact(Fraction(2)), infinite("∞ by count"),
+        bracket(None, Fraction(1, 2)), bracket(Fraction(1, 4), None, "naïve"),
+        bracket(Fraction(1, 4), Fraction(1, 3)), observational(Fraction(2, 7), "cut at 10⁵"),
+        exhaustive_norm("phi-alpha:a=2", parse_set("blocks f(n)=1/3")),
+        exhaustive_norm("psi-dyadic", table_kept),
+        _limit_report("sigma", "multiples", None, 6, DEFAULT_CONFIG),
+        _limit_report("tail-cut", "powers", "norm:phi-prefix", 6, DEFAULT_CONFIG),
+        _limit_report("cauchy", "evens", None, 6, DEFAULT_CONFIG),
+        cauchy_profile("bd-star", witness_sequence(w), depth=3),
+        metric_equivalence_probe("norm:phi-infty-trunc:a=4", "norm:psi-dyadic",
+                                 SetSequence(prefix=thinning_blocks(3), label="thinning"),
+                                 targets=(Fraction(1), Fraction(2))),
+        _axioms_report("upper-density", "d-star", 6, 0, DEFAULT_CONFIG),
+        _axioms_report("pseudometric", "bd-star", 6, 1, DEFAULT_CONFIG),
+        _witness_build_payload(Fraction(1, 3), 3, False), verified,
+        AxiomReport("empty"),
+        CheckRecord("é", "fail", 'a "quoted" tab\tand ☃', witness={
+            "bytes": b"\x00\xff", "set": {3, 1, 2}, "fractions": frozenset({Fraction(1, 2), Fraction(1, 3)}),
+            "empty": [{}, [], (), set(), frozenset(), b""], 7: None, Fraction(1, 2): (True, False)}),
+    ]
+
+
+def test_json_writer_matches_the_payload_encoding(tmp_path):
+    for report in _emitted_reports(tmp_path):
+        want = json.dumps(to_payload(report), sort_keys=True, indent=2)
+        assert to_json(report) == want
+        doc = {"version": densitas.__version__,
+               "config": dataclasses.asdict(DEFAULT_CONFIG),
+               "report": to_payload(report)}
+        assert emit_report(report, "json") == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +568,54 @@ def test_the_parser_is_built_once_per_process(capsys):
     assert main(["dist", "d-star", "fin{1}", "fin{2}"]) == 0
     assert _build_parser() is parser
     capsys.readouterr()
+
+
+# argv that parse: abbreviated and `=` options, options before positionals,
+# `--`; then argv that print help or fail: no verb, an unknown verb, `-h` at
+# the top and per verb, `eval --version`, an extra positional, a bad choice,
+# a missing or unknown witness subverb
+_ARGV_CASES = [
+    ["eval", "d-star", "fin{1}"],
+    ["eval", "--form", "json", "d-star", "fin{1}"],
+    ["eval", "--format=json", "d-star", "fin{1}"],
+    ["eval", "--out", "x.json", "--format", "csv", "buck", "fin{1}"],
+    ["eval", "--", "d-star", "-1"],
+    ["dist", "d-star", "fin{1}", "fin{2}", "--config", "c.cfg"],
+    ["norm", "psi-dyadic", "fin{1}", "--format", "text"],
+    ["axioms", "--samples", "3", "lscsm", "counting", "--seed=2"],
+    ["limit", "sigma", "evens", "--depth", "4", "--measure", "d-star"],
+    ["witness", "build", "--kappa", "1/3", "--demo"],
+    ["witness", "verify", "w.json", "--horizon", "10"],
+    ["probe", "d-star", "bd-star", "--targets", "1,2", "--bounds", "0,1"],
+    [], ["nonesuch", "d-star"], ["-h"], ["--version"], ["--version", "eval"],
+    ["eval", "-h"], ["witness", "build", "-h"], ["eval", "--version"],
+    ["eval", "d-star", "fin{1}", "junk"], ["eval", "d-star", "fin{1}", "--", "junk", "--zz"],
+    ["eval", "d-star"], ["eval", "--format", "xml", "d-star", "fin{1}"],
+    ["axioms", "nonesuch", "d-star"], ["axioms", "lscsm", "counting", "--samples", "x"],
+    ["witness"], ["witness", "frob"],
+]
+
+
+def _parsed(parse, argv, capsys):
+    try:
+        got = parse(argv)
+    except SystemExit as e:  # usage errors, help and --version
+        got = e.code
+    out, err = capsys.readouterr()
+    return got, out, err
+
+
+@pytest.mark.parametrize("argv", _ARGV_CASES, ids=lambda a: " ".join(a) or "no-args")
+def test_argv_parse_like_the_full_parser(argv, monkeypatch, capsys):
+    """Handing argv to its verb's parser gives the Namespace, or the exit
+    code, help and error text, of the top-level parser."""
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _parsed(_parse_argv, argv, capsys)
+    assert got == _parsed(_build_parser().parse_args, argv, capsys)
+    if isinstance(got[0], argparse.Namespace):
+        assert got[1:] == ("", "")
+    else:
+        assert _parsed(main, argv, capsys) == got
 
 
 def test_one_process_answers_like_fresh_ones(tmp_path, monkeypatch, capsys):

@@ -921,6 +921,12 @@ def test_kernel_periodic_results_equal_their_public_rebuild(case, h, k, picks):
         for op, f in _BOOL_OPS.items():
             results += [(boolean_op(comp, fin, op), lambda n, f=f: bool(f(fc(n), in_fin(n))), True),
                         (boolean_op(fin, comp, op), lambda n, f=f: bool(f(in_fin(n), fc(n))), True)]
+        # a periodic result of a finite operand shares comp's table object
+        # and takes its residue count rather than counting the table again
+        for got, _, _ in results[-2 * len(_BOOL_OPS):]:
+            if isinstance(got, PeriodicSet):
+                assert got._table_cache is comp._table_cache
+                assert got._residue_count == comp._residue_count
         assert "residues" not in vars(comp) and comp._residue_set is None
     results += [(complement(fin), lambda n: not in_fin(n), False),
                 (normalize_periodic(fin), in_fin, False),
