@@ -37,14 +37,11 @@ from .density import (
     FUNCTIONAL_NAMES,
     check_submeasure_axioms,
     check_upper_density_axioms,
-    get_functional,
 )
 from .exceptions import DensitasError, OracleContractViolated, ParseError
 from .exhaust import LSCSM_NAMES, check_lscsm_axioms, exhaustive_norm
 from .limits import cauchy_to_limit, lscsm_limit, sigma_limit, sigma_union_oracle
 from .metric import (
-    CauchyReport,
-    RatioReport,
     SetSequence,
     cauchy_profile,
     check_pseudometric,
@@ -111,26 +108,19 @@ def _flatten(prefix: str, obj, rows: list):
         rows.append((prefix, "" if obj is None else str(obj)))
 
 
-def _csv_rows(report) -> tuple[list[str], list[list[str]]]:
+def _rows(report) -> list[tuple[str, str]]:
+    """(key, value) for every leaf of the report's payload, in payload order:
+    the one walk csv and text render every report but an AxiomReport from."""
+    rows: list = []
+    _flatten("", to_payload(report), rows)
+    return rows
+
+
+def _csv_rows(report) -> tuple[list[str], list]:
     if isinstance(report, AxiomReport):
         return (["name", "status", "detail"],
                 [[r.name, r.status, r.detail] for r in report.records])
-    if isinstance(report, CauchyReport):
-        header = ["i\\j"] + [str(j) for j in range(report.depth)]
-        body = [[str(i)] + [_format_value(v) for v in row]
-                for i, row in enumerate(report.table)]
-        return header, body
-    if isinstance(report, RatioReport):
-        header = ["index", report.name1, report.name2, "ratio"]
-        body = []
-        for i, (v1, v2) in enumerate(report.values):
-            r = report.ratios[i]
-            body.append([str(i), _format_value(v1), _format_value(v2),
-                         "" if r is None else format_fraction(r)])
-        return header, body
-    rows: list = []
-    _flatten("", to_payload(report), rows)
-    return ["key", "value"], [[k, v] for k, v in rows]
+    return ["key", "value"], _rows(report)
 
 
 def _text_lines(report) -> list[str]:
@@ -140,9 +130,7 @@ def _text_lines(report) -> list[str]:
             if r.status != "pass":
                 lines.append(f"  {r.status}: {r.name} ({r.detail})")
         return lines
-    rows: list = []
-    _flatten("", to_payload(report), rows)
-    return [f"{k} = {v}" for k, v in rows]
+    return [f"{k} = {v}" for k, v in _rows(report)]
 
 
 def emit_report(report, fmt: str = "json",
@@ -378,7 +366,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
                                      "measures over a named family")
     p.add_argument("measure_1")
     p.add_argument("measure_2")
-    p.add_argument("--family", choices=("thinning",), default="thinning")
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--targets", default=None,
                    help="comma-separated ratios the probe must exceed")

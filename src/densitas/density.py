@@ -625,10 +625,11 @@ def _geo_partial(xs: Sequence[int]) -> Fraction:
     return Fraction(num, 1 << bits)
 
 
-def _geo_below(a: NatSet, bound: int, reason: str) -> ExtValue:
-    """The exact geometric sum over the members of a below bound, bracketed
-    up to the residual mass 2^-bound of every position from bound on."""
-    p = _geo_partial(a.elements_in(0, bound))
+def _geo_below(a: NatSet, bound: int, reason: str, lo: int = 0) -> ExtValue:
+    """The exact geometric sum over the members of a in [lo, bound),
+    bracketed up to the residual mass 2^-bound of every position from bound
+    on."""
+    p = _geo_partial(a.elements_in(lo, bound))
     return bracket(p, p + Fraction(1, 2 ** bound), reason)
 
 

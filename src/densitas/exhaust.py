@@ -33,7 +33,8 @@ natset.finite_part finds finite, before any per-backend dispatch. So
 finite_part decides every finite shortcut, as it does for
 density.counting_measure, and finite tails are exact under every name, except
 weighted or geometric tails reaching past _FINITE_SCAN_MAX (those scans read
-every position), which keep their bracket.
+every position) and nonempty phi-infty tails (their omitted terms), which
+keep their bracket. An empty tail is 0 under every name.
 
 Norms come from closed forms per backend: natural density for eventually
 periodic sets, fill-rule phase formulas for dyadic block sets, zero for
@@ -65,6 +66,7 @@ from typing import Callable, Optional, Sequence
 from .config import Config, DEFAULT_CONFIG
 from .density import (
     _alpha_block_phase_limits,
+    _geo_below,
     _geo_partial,
     _union_pair_records,
     _value_record,
@@ -124,23 +126,20 @@ def _extend_bernoulli(upto: int):
     _BERNOULLI = out
 
 
-_FAULHABER_COEFFS: dict[int, tuple[int, list[int]]] = {}
-
 _MAX_EXACT_EXPONENT = 512
 
 
+@cache
 def _faulhaber_coeffs(e: int) -> tuple[int, list[int]]:
     """(D, [c_j]) with sum_{i=1}^{k} i^e = (sum_j c_j k^{e+1-j}) / D.
 
     The c_j = q_j D are the Bernoulli coefficients
     q_j = C(e+1, j) B_j / (e+1) scaled by D, the lcm of their denominators.
     """
-    if e not in _FAULHABER_COEFFS:
-        _extend_bernoulli(e)
-        qs = [Fraction(math.comb(e + 1, j), e + 1) * _BERNOULLI[j] for j in range(e + 1)]
-        den = math.lcm(*(q.denominator for q in qs))
-        _FAULHABER_COEFFS[e] = (den, [q.numerator * (den // q.denominator) for q in qs])
-    return _FAULHABER_COEFFS[e]
+    _extend_bernoulli(e)
+    qs = [Fraction(math.comb(e + 1, j), e + 1) * _BERNOULLI[j] for j in range(e + 1)]
+    den = math.lcm(*(q.denominator for q in qs))
+    return den, [q.numerator * (den // q.denominator) for q in qs]
 
 
 def faulhaber(k: int, e: int) -> int:
@@ -927,15 +926,6 @@ def _harmonic_tail(a: NatSet, n: int) -> ExtValue:
     raise UnsupportedBackend(a.kind)
 
 
-def _geometric_tail(a: NatSet, n: int) -> ExtValue:
-    cap = n + 1024
-    if isinstance(a, HorizonSet):
-        cap = min(cap, a.horizon)
-    partial = _geo_partial(a.elements_in(n, cap))
-    return bracket(partial, partial + Fraction(1, 1 << cap),
-                   "residual mass beyond the cap is below 2^-cap")
-
-
 def _weighted_tail(a: NatSet, n: int) -> ExtValue:
     d = eventual_density(a)
     if d is not None:
@@ -994,8 +984,10 @@ def _tail(desc: LscsmDescriptor, scan: _TailScan, n: int) -> ExtValue:
     tail = None if scan.fin is None else drop_below(scan.fin, n).elements
     reads_positions = desc.kind == "geometric" or (desc.kind == "weighted"
                                                    and desc.weight != "constant")
+    if tail is not None and not tail:
+        return exact(0)  # every lscsm, phi-infty too, is 0 on the empty set
     if tail is not None and desc.kind != "infty" and not (
-            reads_positions and tail and tail[-1] > _FINITE_SCAN_MAX):
+            reads_positions and tail[-1] > _FINITE_SCAN_MAX):
         return exact(_finite_value(desc, tail))
     e = _prefix_exponent(desc)
     if e is not None:
@@ -1022,7 +1014,8 @@ def _tail(desc: LscsmDescriptor, scan: _TailScan, n: int) -> ExtValue:
     if desc.kind == "harmonic":
         return _harmonic_tail(a, n)
     if desc.kind == "geometric":
-        return _geometric_tail(a, n)
+        cap = min(n + 1024, a.horizon) if isinstance(a, HorizonSet) else n + 1024
+        return _geo_below(a, cap, "residual mass beyond the cap is below 2^-cap", lo=n)
     if desc.kind == "weighted":
         return _weighted_tail(a, n)
     raise KeyError(f"unknown lscsm kind {desc.kind!r}")

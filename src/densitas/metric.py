@@ -255,17 +255,19 @@ def cauchy_profile(nu: str, seq: SetSequence, depth: int,
             f"depth {depth} exceeds the prefix ({len(seq.prefix)}) and no rule given")
     items = [seq.item(i) for i in range(depth)]
     table: list[list[ExtValue]] = [[exact(0)] * depth for _ in range(depth)]
-    all_exact = True
+    # row[i]: the largest d(A_i, A_j) over j >= i; worst[i]: the largest
+    # distance among the members >= i; either None once a distance is inexact
+    row: list[Optional[Fraction]] = []
     for i in range(depth):
-        table[i][i] = dist(nu, items[i], items[i], config)
-        if not (table[i][i].status == "exact" and table[i][i].value == 0):
-            all_exact = False
-        for j in range(i + 1, depth):
-            v = dist(nu, items[i], items[j], config)
-            table[i][j] = v
-            table[j][i] = v
-            if v.status != "exact":
-                all_exact = False
+        for j in range(i, depth):
+            table[i][j] = table[j][i] = dist(nu, items[i], items[j], config)
+        r = table[i][i:]
+        row.append(max(v.value for v in r) if all(v.status == "exact" for v in r) else None)
+    worst: list[Optional[Fraction]] = [Fraction(0)] * (depth + 1)
+    for i in reversed(range(depth)):
+        worst[i] = None if row[i] is None or worst[i + 1] is None \
+            else max(row[i], worst[i + 1])
+    all_exact = worst[0] is not None and all(table[i][i].value == 0 for i in range(depth))
 
     note = ""
     certified = False
@@ -275,11 +277,10 @@ def cauchy_profile(nu: str, seq: SetSequence, depth: int,
         certified = True
         for i in range(depth):
             cap = tail_bound(i)
-            worst = max((table[i][j].value for j in range(i, depth)), default=Fraction(0))
-            if worst > cap:
+            if row[i] > cap:
                 certified = False
                 note = (f"declared tail bound violated at index {i}: "
-                        f"observed {worst} > bound {cap}")
+                        f"observed {row[i]} > bound {cap}")
                 break
     elif not all_exact:
         note = "table contains non-exact distances"
@@ -290,24 +291,14 @@ def cauchy_profile(nu: str, seq: SetSequence, depth: int,
     for k in range(16):
         eps = Fraction(1, 2 ** k)
         if certified:
-            idx = None
-            for i in range(depth + 64 * (k + 1)):
-                if tail_bound(i) < eps:
-                    idx = i
-                    break
-            if idx is None:
-                break
-            modulus.append((k, idx))
+            idx = next((i for i in range(depth + 64 * (k + 1)) if tail_bound(i) < eps),
+                       None)
         else:
-            idx = None
-            for i in range(depth):
-                if all(table[x][y].status == "exact" and table[x][y].value < eps
-                       for x in range(i, depth) for y in range(i, depth)):
-                    idx = i
-                    break
-            if idx is None:
-                break
-            modulus.append((k, idx))
+            idx = next((i for i in range(depth) if worst[i] is not None and worst[i] < eps),
+                       None)
+        if idx is None:
+            break
+        modulus.append((k, idx))
 
     return CauchyReport(nu, depth, tuple(tuple(r) for r in table),
                         tuple(modulus), certified, note)

@@ -27,10 +27,6 @@ class CheckRecord:
     detail: str = ""
     witness: Any = None
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
 
 @dataclass(frozen=True)
 class AxiomReport:

@@ -21,7 +21,6 @@ __all__ = [
     "random_periodic",
     "periodic_battery",
     "pool_battery",
-    "periodic_triples",
     "random_block",
     "block_battery",
     "thinning_blocks",
@@ -65,16 +64,6 @@ def pool_battery(count: int, seed: int,
     """count periodic sets whose moduli come from the bounded-lcm pool."""
     rng = SplitMix64(seed)
     return tuple(_pool_periodic(rng, pool) for _ in range(count))
-
-
-def periodic_triples(count: int, seed: int,
-                     pool: Sequence[int] = MODULI_POOL,
-                     ) -> tuple[tuple[PeriodicSet, PeriodicSet, PeriodicSet], ...]:
-    rng = SplitMix64(seed)
-    return tuple(
-        (_pool_periodic(rng, pool), _pool_periodic(rng, pool),
-         _pool_periodic(rng, pool))
-        for _ in range(count))
 
 
 def random_block(rng: SplitMix64, max_exponent: int = 6) -> DyadicBlockSet:

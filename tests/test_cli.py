@@ -300,6 +300,7 @@ def test_open_bracket_sides(capsys):
     (["eval", "harmonic", "horizon H=8 bits=ff"], 0),
     (["norm", "harmonic", "blocks f(n)=1/n"], 0),
     (["witness", "verify", "{family}"], 0),
+    (["probe", "d-star", "bd-star", "--family", "thinning"], 2),
     (["dist", "d-star", "ap a=2 h=100000000000000000000", "ap a=3 h=0"], 3),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_exit_code_contract(argv, code, tmp_path, capsys):
@@ -527,6 +528,57 @@ def test_probe_verb_inconclusive_exits_1(capsys):
     assert main(["probe", "norm:phi-infty-trunc:a=4", "norm:psi-dyadic",
                  "--depth", "3", "--targets", "1000000"]) == 1
     capsys.readouterr()
+
+
+def test_probe_bounds(capsys):
+    # d*/bd* on the thinning family is 2/3, 2/5, 2/9: inside [1/8, 1]
+    assert main(["probe", "d-star", "bd-star", "--depth", "3", "--bounds", "1/8,1",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "two-sided-bounded"
+    assert main(["probe", "d-star", "bd-star", "--depth", "3", "--bounds", "1"]) == 2
+    assert capsys.readouterr().err == "usage error: --bounds wants `lo,hi`\n"
+
+
+def test_lscsm_battery_through_main(capsys):
+    assert main(["axioms", "lscsm", "phi-prefix", "--samples", "6", "--seed", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(", 0 failed, 0 skipped")
+
+
+# one argv per verb; `{family}` is a witness family built at depth 1
+_VERBS = [
+    ["eval", "d-star", "per m=6 R={1,3}"],
+    ["dist", "bd-star", "ap a=6 h=1 | ap a=4 h=3", "fin{2,5}"],
+    ["norm", "phi-alpha:a=2", "blocks f(n)=1/3"],
+    ["axioms", "pseudometric", "d-star", "--samples", "6"],
+    ["axioms", "upper-density", "bd-star", "--samples", "3"],
+    ["axioms", "submeasure", "buck", "--samples", "3"],
+    ["axioms", "lscsm", "psi-dyadic", "--samples", "3"],
+    ["limit", "sigma", "evens", "--depth", "4"],
+    ["limit", "tail-cut", "powers", "--depth", "4"],
+    ["limit", "cauchy", "multiples", "--depth", "4"],
+    ["witness", "build", "--depth", "1"],
+    ["witness", "verify", "{family}", "--horizon", "1000"],
+    ["probe", "d-star", "bd-star", "--depth", "3", "--targets", "1"],
+    ["probe", "d-star", "bd-star", "--depth", "3", "--bounds", "1/8,1"],
+    ["probe", "d-star", "bd-star", "--depth", "3"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("argv", _VERBS, ids=" ".join)
+def test_every_verb_answers_in_every_format(argv, fmt, tmp_path, capsys):
+    family = tmp_path / "family.json"
+    if "{family}" in argv:
+        assert main(["witness", "build", "--depth", "1", "--format", "json",
+                     "--out", str(family)]) == 0
+    code = main([a.replace("{family}", str(family)) for a in argv] + ["--format", fmt])
+    out, err = capsys.readouterr()
+    assert code in (0, 1) and "Traceback" not in err
+    if fmt == "csv":
+        lines = out.splitlines()
+        assert lines[0].startswith("# version=") and lines[1].startswith("# config=")
+        assert lines[2] in ("key,value", "name,status,detail")
+        assert len(lines) > 3
 
 
 def test_config_file_is_honoured(tmp_path, capsys):

@@ -41,7 +41,7 @@ from densitas.natset import (
 )
 from densitas.values import bracket, exact
 
-from conftest import brute_members, random_structured_set
+from conftest import brute_members, brute_prefix_ratios, random_structured_set
 
 
 EVENS = PeriodicSet(2, (0,))
@@ -60,6 +60,20 @@ def test_upper_asymptotic_periodic_values():
     assert upper_asymptotic(THIRDS).value == exact(Fraction(1, 3))
     assert upper_asymptotic(AP_UNION).value == exact(Fraction(5, 12))
     assert upper_asymptotic(FiniteSet((1, 100, 10**9))).value == exact(0)
+
+
+def test_lower_asymptotic_on_finite_periodic_and_horizon_sets():
+    assert lower_asymptotic(FiniteSet((1, 2, 3))).value == exact(0)
+    # past the exceptions the prefix ratios settle on the density
+    a = parse_set("per m=6 R={1,3} t=2 add={0}")
+    ratios = brute_prefix_ratios(brute_members(a, 6000), 6000)
+    assert lower_asymptotic(a).value == exact(Fraction(1, 3))
+    assert abs(min(ratios[3000:]) - Fraction(1, 3)) < Fraction(1, 1000)
+    # a horizon set reports its last prefix ratio, as evidence only
+    h = parse_set("horizon H=16 bits=ff00")
+    v = lower_asymptotic(h).value
+    assert (v.status, v.value) == ("observational",
+                                   brute_prefix_ratios(brute_members(h, 16), 16)[-1])
 
 
 def test_prefix_ratio_brute_force_agrees():

@@ -559,6 +559,16 @@ def test_far_finite_tails_keep_the_position_scans_bounded():
     assert tail_value("phi-alpha:a=2", far, 0).status == "exact"
 
 
+def test_phi_infty_of_an_empty_tail_is_exact_zero():
+    # the empty set is 0 under every lscsm, so the tail and the prefix
+    # evaluator agree on it, and a finite set's norm profile ends in 0
+    name = "phi-infty:eps=1/8"
+    assert tail_value(name, FiniteSet(()), 0) == lscsm_eval(name, FiniteSet(()), 0) == exact(0)
+    assert tail_value(name, FiniteSet((3, 9)), 10) == exact(0)
+    est = exhaustive_norm(name, FiniteSet((1, 5)))
+    assert est.profile[0][1] > 0 and [up for cut, up in est.profile if cut > 5] == [0] * 5
+
+
 # ---------------------------------------------------------------------------
 # norms
 

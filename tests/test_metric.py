@@ -34,8 +34,11 @@ from densitas.natset import (
     HorizonSet,
     PeriodicSet,
     boolean_op,
+    parse_set,
 )
 from densitas.values import exact
+
+from conftest import brute_members, brute_prefix_ratios
 
 THIRDS = PeriodicSet(3, (0,))
 
@@ -113,6 +116,28 @@ def test_dist_is_invariant_under_a_shared_finite_modification():
             moved = dist(nu, boolean_op(a, f, "symdiff"),
                          boolean_op(b, f, "symdiff"))
             assert base.value == moved.value
+
+
+def test_dist_clamps_brackets_and_observations():
+    # the geometric mass of 20000 lies past the grammar's 2^-14000 bound:
+    # a bracket whose open end the clamp keeps
+    v = dist("geometric", parse_set("fin{20000}"), EMPTY)
+    assert (v.status, v.lower, v.upper) == ("bracket", 0, Fraction(1, 2 ** 14000))
+    # horizon evidence stays observational: the prefix ratio at the horizon
+    a, b = parse_set("horizon H=16 bits=ff00"), parse_set("horizon H=16 bits=f0f0")
+    members = brute_members(a, 16) ^ brute_members(b, 16)
+    v = dist("d-star", a, b)
+    assert (v.status, v.value) == ("observational", brute_prefix_ratios(members, 16)[-1])
+
+
+def test_phi_infty_distance_of_a_set_to_itself_is_exact_zero():
+    # A △ A is empty, where phi-infty is exactly 0; so the battery checks
+    # the triple instead of skipping it
+    name = "phi-infty:eps=1/8"
+    a = parse_set("per m=3 R={0}")
+    assert dist(name, a, a) == exact(0)
+    report = check_pseudometric(name, [(a, a, a)])
+    assert report.records and {r.status for r in report.records} == {"pass"}
 
 
 def test_dist_bracket_values_stay_inside_the_unit_interval():

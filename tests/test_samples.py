@@ -9,7 +9,6 @@ from densitas.samples import (
     block_battery,
     chunked,
     periodic_battery,
-    periodic_triples,
     pool_battery,
     thinning_blocks,
 )
@@ -27,7 +26,6 @@ def test_batteries_are_seed_deterministic():
     assert periodic_battery(50, 9) != periodic_battery(50, 10)
     assert pool_battery(50, 9) == pool_battery(50, 9)
     assert block_battery(20, 9) == block_battery(20, 9)
-    assert periodic_triples(10, 3) == periodic_triples(10, 3)
 
 
 def test_periodic_battery_ranges():
