@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .exceptions import ModulusBudgetExceeded, NotErdosUlam, UnsupportedBackend
@@ -625,6 +625,14 @@ def _geo_partial(xs: Sequence[int]) -> Fraction:
     return Fraction(num, 1 << bits)
 
 
+def _geo_signed(entries: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """sum of sign * 2^-(x+1) over the (x, sign) entries, as one integer
+    numerator over 2^(max x + 1)."""
+    entries = list(entries)
+    bits = max((x for x, _ in entries), default=-1) + 1
+    return sum(sign << (bits - x - 1) for x, sign in entries), 1 << bits
+
+
 def _geo_below(a: NatSet, bound: int, reason: str, lo: int = 0) -> ExtValue:
     """The exact geometric sum over the members of a in [lo, bound),
     bracketed up to the residual mass 2^-bound of every position from bound
@@ -652,17 +660,19 @@ def geometric_measure(a: NatSet, config: Config = DEFAULT_CONFIG) -> ExtValue:
         start = max((t.min_element for t in a.terms), default=0) if isinstance(a, APUnionSet) \
             else a.threshold
         if big <= _GEO_EXP_BUDGET and start <= _GEO_EXP_BUDGET:
-            # exact: each residue class r (mod m) from its first element x0
-            # contributes 2^-(x0+1) / (1 - 2^-m); inclusion-exclusion handles
-            # overlaps between terms
+            # exact: each residue class r (mod M) from its first element x0
+            # contributes 2^-(x0+1) / (1 - 2^-M); inclusion-exclusion handles
+            # overlaps between terms. The entries of one modulus add up as
+            # one shifted integer, and so do the exceptions
             u = as_ap_union(a)
-
-            def geo_term(M: int, c: int, mn: int, sign: int) -> Fraction:
+            firsts: dict[int, list[tuple[int, int]]] = {}
+            for M, c, mn, sign in u._intersections:
                 x0 = c if c >= mn else c + M * (-((mn - c) // -M))
-                return Fraction(sign, 2 ** (x0 + 1)) * Fraction(2 ** M, 2 ** M - 1)
-            total = sum((geo_term(*term) for term in u._intersections), Fraction(0))
-            total += sum((Fraction(sign, 2 ** (x + 1))
-                          for x, sign in _signed_exceptions(u, 0, u.threshold)), Fraction(0))
+                firsts.setdefault(M, []).append((x0, sign))
+            total = Fraction(*_geo_signed(_signed_exceptions(u, 0, u.threshold)))
+            for M, entries in firsts.items():
+                num, den = _geo_signed(entries)
+                total += Fraction(num << M, den * ((1 << M) - 1))
             return exact(total)
         return _geo_below(a, _GEO_EXP_BUDGET,
                           "moduli beyond the exponent budget; tail bounded by residual mass")

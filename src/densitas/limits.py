@@ -148,6 +148,25 @@ def _verdict(limit: NatSet, method: str, stages: list[StageRecord],
 # union limits for increasing sequences
 
 
+def _union_candidate(nu: str, seq: SetSequence, depth: Optional[int],
+                     config: Config):
+    """The observed stages, their exact increment measures, the union limit
+    candidate and each stage minus that candidate: every check of the union
+    pipeline that can raise, in its order, and no stage record."""
+    items, _, increments = _increments(
+        seq, depth, "sigma_limit", "increment",
+        lambda d: evaluate_measure(nu, d, config), config)
+    limit = seq.limit if seq.limit is not None else _union(items, config)
+    outside = []
+    for n, a in enumerate(items):
+        out_part = boolean_op(a, limit, "difference", config)
+        if not out_part.is_empty_surely() and out_part.elements_in(0, 1 << 16):
+            raise NotMonotone(
+                f"stage {n} is not contained in the limit candidate")
+        outside.append(out_part)
+    return items, increments, limit, outside
+
+
 def sigma_limit(nu: str, seq: SetSequence, depth: Optional[int] = None,
                 config: Config = DEFAULT_CONFIG) -> LimitCertificate:
     """Union limit of an increasing sequence under a sigma-subadditive
@@ -159,17 +178,9 @@ def sigma_limit(nu: str, seq: SetSequence, depth: Optional[int] = None,
     sums; the verdict is certified only when a rule and a declared tail
     bound back the observed data.
     """
-    items, _, increments = _increments(
-        seq, depth, "sigma_limit", "increment",
-        lambda d: evaluate_measure(nu, d, config), config)
-    limit = seq.limit if seq.limit is not None else _union(items, config)
-
+    items, increments, limit, outside = _union_candidate(nu, seq, depth, config)
     stages = []
-    for n, a in enumerate(items):
-        out_part = boolean_op(a, limit, "difference", config)
-        if not out_part.is_empty_surely() and out_part.elements_in(0, 1 << 16):
-            raise NotMonotone(
-                f"stage {n} is not contained in the limit candidate")
+    for n, (a, out_part) in enumerate(zip(items, outside)):
         removed = evaluate_measure(nu, out_part, config)
         added = evaluate_measure(nu, boolean_op(limit, a, "difference", config),
                                  config)
@@ -234,9 +245,13 @@ def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
     """
     # an unknown name is reported after the flag check, before the depth check
     desc = get_lscsm(phi) if seq.monotone else None
+
+    def norm(b: NatSet) -> ExtValue:
+        # the value alone: every norm here is read for it, never for a profile
+        return exhaustive_norm(desc, b, config, profile_cuts=()).value
+
     items, incs, norms = _increments(
-        seq, depth, "lscsm_limit", "increment norm",
-        lambda b: exhaustive_norm(phi, b, config).value, config)
+        seq, depth, "lscsm_limit", "increment norm", norm, config)
 
     cuts: list[int] = []
     trimmed: list[NatSet] = []
@@ -254,9 +269,8 @@ def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
         out_part = boolean_op(a, limit, "difference", config)
         cut_k = cuts[k] if k < len(cuts) else (cuts[-1] + 1 if cuts else 0)
         contained = drop_below(out_part, cut_k, config).is_empty_surely()
-        removed = exhaustive_norm(phi, out_part, config).value
-        sym = boolean_op(limit, a, "symdiff", config)
-        residual = exhaustive_norm(phi, sym, config).value
+        removed = norm(out_part)
+        residual = norm(boolean_op(limit, a, "symdiff", config))
         if removed.status != "exact" or residual.status != "exact":
             stages.append(StageRecord(k, removed, removed, symdiff=residual,
                                       cut=cut_k, ok=False))
@@ -265,9 +279,9 @@ def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
         if seq.tail_bound is not None:
             tail = max(tail, 4 * seq.tail_bound(k))
         ok = contained and removed.value == 0 and residual.value <= tail
-        stages.append(StageRecord(k, removed, exhaustive_norm(
-            phi, boolean_op(limit, a, "difference", config),
-            config).value, symdiff=residual, bound=tail, cut=cut_k, ok=ok))
+        stages.append(StageRecord(
+            k, removed, norm(boolean_op(limit, a, "difference", config)),
+            symdiff=residual, bound=tail, cut=cut_k, ok=ok))
     return _verdict(limit, "tail-cut", stages, sum(norms, Fraction(0)), seq)
 
 
@@ -277,10 +291,15 @@ def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
 
 def sigma_union_oracle(nu: str, config: Config = DEFAULT_CONFIG) -> Ap0Oracle:
     """The shipped oracle: resolve an increasing sequence by its union
-    (via sigma_limit, so the zero-residual half of the contract is a
-    construction invariant)."""
+    limit candidate (the declared limit, else the union of the prefix).
+
+    It runs what sigma_limit runs before its stage records, so it raises
+    where sigma_limit raises: on an inexact or infinite increment measure,
+    and on a stage outside the candidate. It builds no certificate;
+    `_resolve_audited` re-checks nu(stage minus answer) = 0 itself.
+    """
     def resolve(seq: SetSequence) -> NatSet:
-        return sigma_limit(nu, seq, config=config).limit
+        return _union_candidate(nu, seq, None, config)[2]
 
     return Ap0Oracle(f"sigma-union[{nu}]", resolve)
 

@@ -126,7 +126,7 @@ def evaluate_measure(nu: str, a: NatSet, config: Config = DEFAULT_CONFIG) -> Ext
     exhaustive norm instead of the total.
     """
     if nu.startswith("norm:"):
-        return exhaustive_norm(nu[len("norm:"):], a, config).value
+        return exhaustive_norm(nu[len("norm:"):], a, config, profile_cuts=()).value
     try:
         fd = get_functional(nu)
     except KeyError:
@@ -464,7 +464,7 @@ def topological_coconvergence_probe(phi1: str, phi2: str,
         for i in range(d):
             sym = boolean_op(seq.limit, seq.item(i), "symdiff", config)
             for phi, out in ((phi1, vals1), (phi2, vals2)):
-                est = exhaustive_norm(phi, sym, config)
+                est = exhaustive_norm(phi, sym, config, profile_cuts=())
                 if est.value.status != "exact":
                     raise SampleNotExact(
                         f"norm of the stage-{i} symmetric difference is not exact "

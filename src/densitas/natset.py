@@ -456,12 +456,21 @@ class PeriodicSet(NatSet):
     def rule_member(self, n: int) -> bool:
         rset = self._residue_set
         if rset is None:
+            table = self._table_cache
+            if table is not None:
+                return table[n % self.modulus] == 1
             rset = self._residue_index()
         return n % self.modulus in rset
 
     def member(self, n: int) -> bool:
         rset = self._residue_set
         if rset is None:
+            # a kept rule table answers without the residue tuple and index,
+            # which for a large modulus cost far more than the read
+            table = self._table_cache
+            if table is not None:
+                return (n >= 0 and n not in self._removed_set
+                        and (n in self._added_set or table[n % self.modulus] == 1))
             rset = self._residue_index()
         if n >= self.threshold:  # every exception lies below the threshold
             return n % self.modulus in rset
@@ -999,7 +1008,7 @@ def boolean_op(a: NatSet, b: NatSet, op: str, config: Config = DEFAULT_CONFIG) -
         return _op_with_finite(a, b, op)
     if isinstance(a, FiniteSet):
         if op in ("difference", "intersection"):
-            return _filter_finite(a, _member(b, _kept_table(b)), op == "intersection")
+            return _filter_finite(a, b.member, op == "intersection")
         return _op_with_finite(b, a, op)  # union and symdiff commute
 
     if isinstance(a, HorizonSet) and isinstance(b, HorizonSet):
@@ -1042,20 +1051,6 @@ def _filter_finite(f: FiniteSet, member: Callable[[int], bool], keep: bool) -> F
     return FiniteSet(tuple(x for x in f.elements if member(x) == keep))
 
 
-def _kept_table(a: NatSet) -> Optional[bytes]:
-    """The rule table of a periodic result that keeps one and has not built
-    its residue index, else None. Reads through that index would build it,
-    and the whole residue tuple with it; the table answers them as well."""
-    return a._table_cache if isinstance(a, PeriodicSet) and a._residue_set is None else None
-
-
-def _member(a: NatSet, table: Optional[bytes]) -> Callable[[int], bool]:
-    """a.member at the naturals, read through a's kept rule table if given."""
-    if table is None:
-        return a.member
-    return lambda x: x not in a._removed_set and (x in a._added_set or table[x % a.modulus] == 1)
-
-
 def _exceptions(xs: Iterable[int], wanted: Callable[[int], bool],
                 rule: Callable[[int], bool]) -> tuple[list[int], list[int]]:
     """(added, removed): the x in xs that are wanted but not rule members, and
@@ -1084,23 +1079,24 @@ def _op_with_finite(a: NatSet, f: FiniteSet, op: str) -> NatSet:
             wf |= 1 << x
         return HorizonSet._from_word(a.horizon, _word_op(a._word, wf, op, a.horizon))
 
-    table = _kept_table(a)
-    member = _member(a, table)
     if op == "intersection":
-        return _filter_finite(f, member, True)
+        return _filter_finite(f, a.member, True)
     if not isinstance(a, (PeriodicSet, APUnionSet, DyadicBlockSet)):
         raise IncompatibleBackends(f"cannot combine {a.kind} with finite under {op}")
 
     # union wants every element of f, difference none, symdiff those a lacks
     added, removed = _exceptions(
-        f.elements, lambda x: op == "union" or (op == "symdiff" and not member(x)),
-        a.rule_member if table is None else lambda x: table[x % a.modulus] == 1)
+        f.elements, lambda x: op == "union" or (op == "symdiff" and not a.member(x)),
+        a.rule_member)
     touched = set(f.elements)
 
     def rewrite(old: tuple[int, ...], new: list[int]) -> tuple[int, ...]:
         return tuple(sorted({x for x in old if x not in touched}.union(new)))
 
     if isinstance(a, PeriodicSet):
+        # a result that keeps its rule table and has built no residue index
+        # hands the table on, and the residue tuple stays unbuilt
+        table = a._table_cache if a._residue_set is None else None
         s = PeriodicSet._built(a.modulus, a.residues if table is None else table,
                                rewrite(a.added, added), rewrite(a.removed, removed),
                                count=a._residue_count)
@@ -1236,6 +1232,12 @@ def _ap_pair_op(a: APUnionSet, b: APUnionSet, op: str, config: Config) -> NatSet
     if op == "symdiff":
         left = _ap_pair_op(a, b, "difference", config)
         right = _ap_pair_op(b, a, "difference", config)
+        # one side is empty whenever one operand lies inside the other, as
+        # the nested stages of a monotone sequence do
+        if left.is_empty_surely():
+            return right
+        if right.is_empty_surely():
+            return left
         return boolean_op(left, right, "union", config)
     terms = _ap_pair_terms(a, b, op)
     if terms is None:

@@ -126,6 +126,14 @@ def brute_periodic_count(period, lo, hi):
     return max(0, below(hi) - below(max(lo, 0)))
 
 
+def field_period(s):
+    """(t, p, table) as ap_union_period gives it, for a PeriodicSet too:
+    past its threshold t it repeats with its modulus p."""
+    if isinstance(s, PeriodicSet):
+        return s.threshold, s.modulus, periodic_field_table(s, s.threshold + s.modulus)
+    return ap_union_period(s)
+
+
 def brute_geometric(period):
     """sum of 2^-(x+1) over the members: the head below t plus the period
     block [t, t+p) repeated, a geometric series of ratio 2^-p."""

@@ -475,6 +475,86 @@ def test_limit_reports_are_pinned(method, family, measure, capsys):
     assert hashlib.sha256(data).hexdigest() == _LIMIT_REPORTS[method, family, measure]
 
 
+# the json report of `witness verify` on a freshly built family, by kappa
+# and depth
+_WITNESS_VERIFY_REPORTS = {
+    ("1/2", 1):
+        "53a80d28ffe692038b1e7d8821226407d658c2d7de4156eda274aa2a005b448d",
+    ("1/2", 2):
+        "a5027bdddbf3c08fd9349b5f16965c476622e2dc1c78ec8766d105f21f64ddc9",
+    ("1/2", 3):
+        "ba3aa788ec48a20dd6d43912d5006b82b65c878bee4b675cb516367455cc2461",
+    ("1/2", 4):
+        "6b6d4b061860a71b8d2929e887892ff3b3e488ec64b9509d88bbe9115a688dba",
+    ("1/3", 1):
+        "6920b575c026f5e2a3ff1572c850b898cf0d5347fb549ceeec3f4b303650923b",
+    ("1/3", 2):
+        "067a1bc788c840f3bb526fd9298685e2e8ce37b0ecae54fc9289332b0afa2d5d",
+    ("1/3", 3):
+        "ca8d8f30d0028f09bd24bd919e92ee35a53ae0973d57ac94de9e5ca8bd972819",
+    ("1/3", 4):
+        "bc0b5f9294a04166a04534566e5c3f905aaab5c8c6cb41874643694bbdb08fde",
+}
+
+
+@pytest.mark.parametrize("kappa,depth", sorted(_WITNESS_VERIFY_REPORTS))
+def test_witness_verify_reports_are_pinned(kappa, depth, tmp_path, capsys):
+    """The certificates behind `witness verify` may be restructured, the
+    report they print may not move."""
+    out = tmp_path / "family.json"
+    assert main(["witness", "build", "--kappa", kappa, "--depth", str(depth),
+                 "--format", "json", "--out", str(out)]) == 0
+    assert main(["witness", "verify", str(out), "--format", "json"]) == 0
+    data = capsys.readouterr().out.encode()
+    assert hashlib.sha256(data).hexdigest() == _WITNESS_VERIFY_REPORTS[kappa, depth]
+
+
+_GRID_MEASURES = ("d-star", "bd-star", "buck", "weighted:f=harmonic", "weighted:f=constant",
+                  "counting", "geometric", "phi-prefix", "norm:phi-prefix", "norm:psi-dyadic",
+                  "norm:phi-alpha:a=2", "norm:harmonic")
+# sha256 over (argv, exit code, stdout, stderr) of every measure and depth
+# 2, 5 and 9, by method and family
+_LIMIT_GRID = {
+    ("sigma", "powers"):
+        "5fe3ef7458b73a270f6bc1953664bb4a0c6706dfccb30aa30771af9cb1b771f9",
+    ("sigma", "multiples"):
+        "fb28ea02d08f2bc7ca7f31c0198afbc0976ec4d32d8a40718bfeed4a43df360c",
+    ("sigma", "evens"):
+        "9cd55f2270addcc2bbf1c2f3bb872d510e91ed063f35f400ccc05144d6bd59d6",
+    ("cauchy", "powers"):
+        "ae579e0e814ca0b28c1c219025fe226546e9514cc290fffadb45d1e34a0256d7",
+    ("cauchy", "multiples"):
+        "fa6e5b9e2958014cbe27df4f6b82db6752ea49aedc40f9d2a5e9fcba8c16b603",
+    ("cauchy", "evens"):
+        "e24e3a6132c04d9cabb9b12496a04954d59632a2ab2d58ffe54e9209c8151fc8",
+    ("tail-cut", "powers"):
+        "26d2ed990c922915d28f3e6580f5b3f65e945604505625a8661d8205d68690f4",
+    ("tail-cut", "multiples"):
+        "4848e8553e4ae6041cb38da8c0ba08b8ea4e2f4a38b39dd733339a82a9207f33",
+    ("tail-cut", "evens"):
+        "9366b0b05df8d27cffc78be0cf7e14b7d6e927ddd5443941ba11ab42b7fe0404",
+}
+
+
+def _limit_grid_digest(method, family, capsys):
+    h = hashlib.sha256()
+    for measure in _GRID_MEASURES:
+        for depth in ("2", "5", "9"):
+            argv = ["limit", method, family, "--measure", measure, "--depth", depth,
+                    "--format", "json"]
+            code = main(argv)
+            out, err = capsys.readouterr()
+            h.update(json.dumps([argv, code, out, err]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("method,family", list(_LIMIT_GRID))
+def test_limit_grid_is_pinned(method, family, capsys):
+    """Every accepted measure at three depths, errors included: exit code,
+    report and error line, byte for byte."""
+    assert _limit_grid_digest(method, family, capsys) == _LIMIT_GRID[method, family]
+
+
 def test_limit_on_powers_stops_at_the_declared_empty_limit(capsys):
     # the family declares the limit ∅, which no union pipeline can contain
     # its stages in; the raise and its message are part of the contract

@@ -37,11 +37,18 @@ from densitas.natset import (
     FiniteSet,
     HorizonSet,
     PeriodicSet,
+    complement,
     parse_set,
 )
 from densitas.values import bracket, exact
 
-from conftest import brute_members, brute_prefix_ratios, random_structured_set
+from conftest import (
+    brute_geometric,
+    brute_members,
+    brute_prefix_ratios,
+    field_period,
+    random_structured_set,
+)
 
 
 EVENS = PeriodicSet(2, (0,))
@@ -323,6 +330,25 @@ def test_geometric_measure_exact_series():
     partial = sum(Fraction(1, 2 ** (x + 1)) for x in AP_UNION.elements_in(0, 200))
     assert u.status == "exact"
     assert 0 <= u.value - partial < Fraction(1, 2 ** 190)
+
+
+def test_geometric_measure_matches_the_period_oracle(rng):
+    # the exact series against the head below the threshold plus one period
+    # past it times 2^p / (2^p - 1): periodic sets with and without
+    # exceptions, a table-kept complement, AP unions with unstarted terms
+    # (start > 0), overlapping terms and exceptions on and off the rule
+    sets = [PeriodicSet(6, (1, 4), 9, (0, 2), (4, 7)),
+            PeriodicSet(1, (0,), 3, (), (0, 2)),
+            PeriodicSet(5, (), 6, (1, 5)),
+            complement(PeriodicSet(12, (0, 5, 7), 4, (1,), (0,))),
+            APUnionSet((APTerm(4, 1, 3), APTerm(6, 3, 1)), extras=(0, 2), removals=(13, 27)),
+            APUnionSet((APTerm(2, 0, 5), APTerm(3, 0, 4), APTerm(12, 6, 0)), removals=(6,)),
+            APUnionSet((APTerm(7, 3, 2),), extras=(1, 4, 30)),
+            APUnionSet((), extras=(0, 9))]
+    sets += [s for s in (random_structured_set(rng) for _ in range(400))
+             if isinstance(s, (PeriodicSet, APUnionSet))]
+    for a in sets:
+        assert geometric_measure(a) == exact(brute_geometric(field_period(a))), a
 
 
 def test_geometric_measure_bracket_on_big_moduli():

@@ -407,6 +407,17 @@ def test_norm_profiles_equal_their_standalone_tails(key):
             assert est.profile == _standalone_profile(name, a, want), (name, cuts)
 
 
+def test_a_norm_without_profile_cuts_keeps_its_value(rng):
+    # the limit pipelines and evaluate_measure("norm:...") ask for no profile:
+    # the value must be the one the full estimate carries
+    sets = list(SCAN_SETS.values()) + [random_structured_set(rng) for _ in range(60)]
+    for a in sets:
+        for name in SCAN_NAMES:
+            lean = exhaustive_norm(name, a, profile_cuts=())
+            assert lean.profile == ()
+            assert lean.value == exhaustive_norm(name, a).value, (name, a)
+
+
 @pytest.mark.parametrize("a", [HALF_BLOCKS, DIRTY_BLOCKS, POW2, THIN, *WEIGHT_SETS, MESSY,
                                AP_UNION])
 def test_a_norm_computes_each_power_sum_once(monkeypatch, a):

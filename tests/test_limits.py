@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from densitas.cli import _FAMILIES
 from densitas.config import DEFAULT_CONFIG
 from densitas.exceptions import (
+    DensitasError,
     NoExactNorm,
     NonSummableIncrements,
     NotCauchy,
     NotMonotone,
     NoValidCut,
     OracleContractViolated,
+    UnsupportedBackend,
 )
 from densitas.limits import (
     Ap0Oracle,
@@ -192,6 +195,45 @@ def test_tail_cut_limit_idempotent_on_its_own_output():
 
 # ---------------------------------------------------------------------------
 # cauchy_to_limit
+
+
+_MEASURES = ("d-star", "bd-star", "buck", "weighted:f=harmonic", "weighted:f=constant",
+             "counting", "geometric", "phi-prefix", "norm:phi-prefix", "norm:psi-dyadic",
+             "norm:phi-alpha:a=2", "norm:harmonic")
+
+
+def _limit_or_raise(run):
+    """The limit run() returns, or the type and message of what it raised."""
+    try:
+        return run()
+    except DensitasError as e:
+        return type(e), str(e)
+
+
+def test_the_union_oracle_answers_like_sigma_limit():
+    # the resolver runs only what can raise in sigma_limit, in its order: it
+    # must return sigma_limit's limit, as the same object form, and raise
+    # what sigma_limit raises, message and all, on every family and measure
+    seqs = []
+    for rule, tail_bound, limit, _ in _FAMILIES.values():
+        for depth in (1, 2, 5):
+            prefix = tuple(rule(n) for n in range(depth))
+            seqs += [SetSequence(prefix=prefix, rule=rule, monotone=True,
+                                 tail_bound=tail_bound, limit=limit),
+                     SetSequence(prefix=prefix, monotone=True)]
+    seqs += [SetSequence(prefix=(EMPTY, EVENS, OMEGA), monotone=True),
+             SetSequence(prefix=(HorizonSet.from_members(64, range(0, 10)),
+                                 HorizonSet.from_members(64, range(0, 20))), monotone=True)]
+    raised = set()
+    for nu in _MEASURES:
+        resolve = sigma_union_oracle(nu).resolver
+        for seq in seqs:
+            want = _limit_or_raise(lambda: sigma_limit(nu, seq).limit)
+            got = _limit_or_raise(lambda: resolve(seq))
+            assert got == want and repr(got) == repr(want), (nu, seq)
+            if isinstance(want, tuple):
+                raised.add(want[0])
+    assert raised == {NotMonotone, NonSummableIncrements, NoExactNorm, UnsupportedBackend}
 
 
 def test_pipeline_on_a_constant_sequence_returns_an_equivalent_set():

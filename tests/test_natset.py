@@ -4,6 +4,7 @@ import operator
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -231,6 +232,29 @@ def test_normalize_reads_a_million_removals():
     assert members == field_elements(u, 0, hi)
 
 
+def test_a_large_table_result_answers_member_reads_from_its_table():
+    # the complement keeps its 3 MB rule table; member and rule_member read
+    # one byte of it and build neither the residue tuple nor its index,
+    # which would hold three million ints
+    for text in ("per m=3000000 R={0}", "per m=3000000 R={0} t=5 add={1,2}"):
+        a = parse_set(text)
+        c = complement(a)
+        assert c._table_cache is not None and c._residue_set is None
+        far = (2999999, 3000000, 3000001, 6000000, 9000007)
+        reads = (*range(-1, 12), *far)
+        tracemalloc.start()
+        try:
+            got = brute_members(c, 12, lo=-1) | {n for n in far if c.member(n)}
+            rules = [c.rule_member(n) for n in reads]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == {n for n in reads if n >= 0 and not field_member(a, n)}
+        assert rules == [n % 3000000 != 0 for n in reads]
+        assert c._residue_set is None and "residues" not in vars(c)
+        assert peak < 10 * 2 ** 20
+
+
 def test_normalize_refuses_too_many_exception_points():
     u = parse_set("ap a=2 h=100000000000000000000")
     t0 = time.perf_counter()
@@ -253,6 +277,23 @@ def test_boolean_ops_match_brute_force():
         }
         for op, want in expect.items():
             assert brute_members(boolean_op(a, b, op), 200) == want
+
+
+def test_symdiff_of_nested_ap_unions_matches_brute_force():
+    # with one operand inside the other one difference is empty and the
+    # symmetric difference is the other one, as between nested stages
+    rng = random.Random(23)
+    pairs = [(APUnionSet((APTerm(6, 1),)), APUnionSet((APTerm(6, 1), APTerm(10, 3)), (0,))),
+             (APUnionSet((APTerm(4, 1, 2),), (0, 2), (13,)), APUnionSet((APTerm(2, 1),), (0, 2)))]
+    while len(pairs) < 120:
+        x, y = random_structured_set(rng), random_structured_set(rng)
+        if isinstance(x, APUnionSet) and isinstance(y, (APUnionSet, PeriodicSet)):
+            pairs += [(x, boolean_op(x, y, "union")), (boolean_op(x, y, "intersection"), y)]
+    for a, b in pairs:
+        assert all(field_member(b, n) for n in range(200) if field_member(a, n))
+        want = {n for n in range(200) if field_member(a, n) != field_member(b, n)}
+        assert brute_members(boolean_op(a, b, "symdiff"), 200) == want, (a, b)
+        assert brute_members(boolean_op(b, a, "symdiff"), 200) == want, (a, b)
 
 
 def test_boolean_op_self_is_identity_or_empty():
@@ -970,12 +1011,14 @@ def test_kernel_periodic_results_equal_their_public_rebuild(case, h, k, picks):
             assert got._table_cache == _rule_bytes(got)
         assert again._residue_set == frozenset(got.residues)
         reads = range(got.threshold + min(got.modulus, 300) + 2)
-        for n in reads:  # each read the first, building the index
+        for n in reads:  # each read the first: a table answers it, a tuple
+            # result builds its index
             object.__setattr__(got, "_residue_set", None)
             assert got.member(n) == want(n) == field_member(got, n)
             object.__setattr__(got, "_residue_set", None)
             assert got.rule_member(n) == (n % got.modulus in got.residues)
-        assert got._residue_set == frozenset(got.residues)
+        assert got._residue_set == (None if tabled else frozenset(got.residues))
+        object.__setattr__(got, "_residue_set", frozenset(got.residues))
         for n in reads:  # the index built
             assert got.member(n) == want(n)
             assert got.rule_member(n) == (n % got.modulus in got.residues)
@@ -1007,15 +1050,17 @@ def _table_kernel_results(a, b):
 def test_table_results_read_like_their_public_rebuild(case):
     # every read gives what the public constructor's set gives, both while
     # the residue tuple is unbuilt and after; density and the emptiness test
-    # read the kept count and never build it
+    # read the kept count, member and rule_member the kept table, and none
+    # of them builds it
     _, a, b = case
     hi = max(a.threshold, b.threshold) + 2 * math.lcm(a.modulus, b.modulus) + 3
     spans = [(0, hi), (1, hi // 2), (hi // 3, hi), (hi // 2, hi // 2 + 1)]
     reads = [lambda s: s, hash, repr, to_payload,
-             lambda s: [s.member(n) for n in range(-1, hi)],
              lambda s: [s.count_range(lo, hi) for lo, hi in spans],
              lambda s: [s.elements_in(lo, hi) for lo, hi in spans]]
-    unbuilt = [lambda s: s.density(), lambda s: s.is_empty_surely()]
+    unbuilt = [lambda s: s.density(), lambda s: s.is_empty_surely(),
+               lambda s: [s.member(n) for n in range(-1, hi)],
+               lambda s: [s.rule_member(n) for n in range(-1, hi)]]
     for read in unbuilt + reads:
         for got, form in _table_kernel_results(a, b):
             assert got._table_cache is not None and "residues" not in vars(got)
