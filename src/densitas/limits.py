@@ -30,8 +30,16 @@ from .exceptions import (
     OracleContractViolated,
 )
 from .exhaust import exhaustive_norm, get_lscsm, tail_value
-from .metric import SetSequence, cauchy_profile, dist, evaluate_measure
-from .natset import FiniteSet, NatSet, _running, boolean_op, complement, drop_below
+from .metric import SetSequence, _clamp_unit, cauchy_profile, dist, evaluate_measure
+from .natset import (
+    FiniteSet,
+    NatSet,
+    _running,
+    _sides_union,
+    boolean_op,
+    complement,
+    drop_below,
+)
 from .values import ExtValue, exact
 
 __all__ = [
@@ -312,11 +320,15 @@ def _resolve_audited(nu: str, oracle: Ap0Oracle, chain: list[NatSet], stage: str
     OracleContractViolated names the first stage that breaks it, by the
     template `stage`, and the answer by `answer`."""
     # the chain's running unions, so that the monotone check of the sequence
-    # cannot trip over representation quirks
-    chain_seq = SetSequence(prefix=tuple(_running(chain, "union", config)),
-                            monotone=True, limit=limit)
+    # cannot trip over representation quirks; a union with an equal operand
+    # is its left operand, so a run of equal stages is one object, handed
+    # over and audited once under the index that starts the run
+    run = _running(chain, "union", config)
+    firsts = [j for j, x in enumerate(run) if j == 0 or x is not run[j - 1]]
+    chain_seq = SetSequence(prefix=tuple(run[j] for j in firsts), monotone=True,
+                            limit=limit)
     got = oracle.resolver(chain_seq)
-    for j, x in enumerate(chain_seq.prefix):
+    for j, x in zip(firsts, chain_seq.prefix):
         r = evaluate_measure(nu, boolean_op(x, got, "difference", config), config)
         if r.status != "exact" or r.value != 0:
             raise OracleContractViolated(
@@ -366,12 +378,15 @@ def cauchy_to_limit(nu: str, seq: SetSequence, oracle: Ap0Oracle,
 
     stages = []
     for i, a in enumerate(sub):
-        di = dist(nu, a, limit, config)
+        # A_i ∖ A and A ∖ A_i once each, and A_i △ A from them
+        out = boolean_op(a, limit, "difference", config)
+        inn = boolean_op(limit, a, "difference", config)
+        sym = _sides_union(out, inn, config)
+        measured = evaluate_measure(nu, sym, config)
+        di = _clamp_unit(measured)
         ci = dist(nu, c_sets[i], limit, config)
-        removed = evaluate_measure(
-            nu, boolean_op(a, limit, "difference", config), config)
-        added = evaluate_measure(
-            nu, boolean_op(limit, a, "difference", config), config)
+        removed = measured if sym is out else evaluate_measure(nu, out, config)
+        added = measured if sym is inn else evaluate_measure(nu, inn, config)
         if di.status != "exact" or ci.status != "exact":
             stages.append(StageRecord(i, removed, added, symdiff=di, ok=False))
             continue

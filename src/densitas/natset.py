@@ -588,6 +588,38 @@ def _crt_merge(m1: int, c1: int, m2: int, c2: int) -> Optional[tuple[int, int]]:
     return l, (c1 + m1 * t) % l
 
 
+def _by_modulus(terms: Iterable[APTerm]) -> dict[int, dict[int, list[int]]]:
+    """The terms grouped as modulus -> offset -> starts, in term order."""
+    groups: dict[int, dict[int, list[int]]] = {}
+    for t in terms:
+        groups.setdefault(t.modulus, {}).setdefault(t.offset, []).append(t.start)
+    return groups
+
+
+def _classes_meet(m1: int, r1, m2: int, r2) -> bool:
+    """Whether a class x ≡ c1 (m1), c1 in the set view r1, meets a class
+    x ≡ c2 (m2), c2 in r2: by the CRT, exactly when c1 ≡ c2 mod
+    gcd(m1, m2). One gcd per pair of moduli; the side whose modulus is the
+    gcd needs no reduction."""
+    g = math.gcd(m1, m2)
+    if g == m2:
+        m1, r1, m2, r2 = m2, r2, m1, r1
+    if g != m1:
+        r1 = set(map(g.__rmod__, r1))
+    return not r1.isdisjoint(map(g.__rmod__, r2))
+
+
+def _pairwise_disjoint(terms: Iterable[APTerm]) -> bool:
+    """Whether no two of the terms share a member. Every term is infinite,
+    so two terms are disjoint exactly when their classes are."""
+    groups = list(_by_modulus(terms).items())
+    for i, (m1, r1) in enumerate(groups):
+        if any(len(starts) > 1 for starts in r1.values()) or any(
+                _classes_meet(m1, r1.keys(), m2, r2.keys()) for m2, r2 in groups[i + 1:]):
+            return False
+    return True
+
+
 def _set_exceptions(a) -> None:
     """Sort the finite extras/removals of an AP-union or block set and cache
     them as frozensets for member reads."""
@@ -633,14 +665,15 @@ class APUnionSet(NatSet):
         # the least t such that from t on every term has started and no extra
         # or removal remains: past it the set is periodic modulo the terms' lcm
         object.__setattr__(self, "threshold", max(
-            [t.min_element for t in self.terms]
+            [mn for _, _, mn in self._term_rules]
             + [xs[-1] + 1 for xs in (self.extras, self.removals) if xs] + [0]))
-        # None until the first read of `_intersections`, and the first
-        # `member` read past the threshold, fill them. Declared here so every
-        # instance has the same attributes: a later `__dict__` write, as
-        # functools.cached_property makes, slowed every `member` read
+        # None until the first read of `_intersections` or `_disjoint`, and
+        # the first `member` read past the threshold, fill them. Declared
+        # here so every instance has the same attributes: a later `__dict__`
+        # write, as functools.cached_property makes, slowed every `member` read
         object.__setattr__(self, "_intersection_cache", None)
         object.__setattr__(self, "_tail_cache", None)
+        object.__setattr__(self, "_disjoint_cache", None)
 
     def rule_member(self, n: int) -> bool:
         for m, h, mn in self._term_rules:
@@ -714,8 +747,12 @@ class APUnionSet(NatSet):
         return sorted(out)
 
     def density(self) -> Fraction:
-        """Natural density of the union (limit exists; finite parts ignored)."""
-        return sum((Fraction(sign, M) for M, _, _, sign in self._intersections), Fraction(0))
+        """Natural density of the union (limit exists; finite parts ignored):
+        one signed entry count per distinct inclusion-exclusion modulus."""
+        counts: dict[int, int] = {}
+        for M, _, _, sign in self._intersections:
+            counts[M] = counts.get(M, 0) + sign
+        return sum((Fraction(c, M) for M, c in counts.items()), Fraction(0))
 
     def period(self, budget: int) -> Optional[int]:
         """A period of the rule from the threshold on: the lcm of the term
@@ -724,6 +761,13 @@ class APUnionSet(NatSet):
 
     def is_empty_surely(self) -> bool:
         return not self.terms and not self.extras
+
+    @property
+    def _disjoint(self) -> bool:
+        """Whether no two terms share a member, tested on the first read."""
+        if self._disjoint_cache is None:
+            object.__setattr__(self, "_disjoint_cache", _pairwise_disjoint(self.terms))
+        return self._disjoint_cache
 
     @property
     def _intersections(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -736,10 +780,16 @@ class APUnionSet(NatSet):
         lies inside another term, or repeats an earlier one, adds no members
         and is left out. A depth-first walk drops a branch as soon as its
         intersection is empty, so pairwise-disjoint terms give O(k^2) entries
-        instead of 2^k.
+        instead of 2^k. Pairwise-disjoint terms, which a modulus-grouped
+        test finds in O(G * k) for G distinct moduli, are exactly the entries
+        that walk emits, one per term, so it is skipped for them.
         """
         if self._intersection_cache is not None:
             return self._intersection_cache
+        if self._disjoint:
+            out = tuple((t.modulus, t.offset, t.min_element, 1) for t in self.terms)
+            object.__setattr__(self, "_intersection_cache", out)
+            return out
         terms, out = [t for i, t in enumerate(self.terms) if not any(
             _covers(u, t) and (j < i or not _covers(t, u))
             for j, u in enumerate(self.terms) if j != i)], []
@@ -1193,52 +1243,66 @@ def as_ap_union(a: NatSet) -> APUnionSet:
     raise IncompatibleBackends(f"{a.kind} has no AP-union view")
 
 
-def _terms_disjoint(t1: APTerm, t2: APTerm) -> bool:
-    g = math.gcd(t1.modulus, t2.modulus)
-    return (t1.offset - t2.offset) % g != 0
-
-
-def _same_progression(t1: APTerm, t2: APTerm) -> bool:
-    return t1.modulus == t2.modulus and t1.offset == t2.offset and t1.start == t2.start
+def _terms_apart(ta: Iterable[APTerm], tb: Iterable[APTerm]) -> bool:
+    """Whether each term of tb is identical to, or CRT-disjoint from, each
+    term of ta, compared one pair of modulus groups at a time."""
+    groups_a = _by_modulus(ta)
+    for mb, rb in _by_modulus(tb).items():
+        for ma, ra in groups_a.items():
+            if ma != mb:
+                if _classes_meet(ma, ra.keys(), mb, rb.keys()):
+                    return False
+            # one modulus: a shared offset is the identical term or a
+            # different start of it, which overlaps
+            elif any(c in ra and any(s != starts[0] for s in ra[c] + starts)
+                     for c, starts in rb.items()):
+                return False
+    return True
 
 
 def _ap_pair_terms(a: APUnionSet, b: APUnionSet, op: str) -> Optional[tuple[APTerm, ...]]:
     """Terms whose union is the rule part of a op b, or None when the terms
-    alone cannot express it.
+    alone cannot express it. A term is keyed by its rule (modulus, offset,
+    least member), which fixes its start.
 
-    Union concatenates the terms. Difference works term by term when each
-    subtrahend term is either identical to minuend terms or CRT-disjoint from
-    all of them; intersection never does.
+    Union concatenates the terms, each key once past a's own. Difference
+    works term by term when each subtrahend term is either identical to
+    minuend terms or CRT-disjoint from all of them; intersection never does.
     """
+    if op not in ("union", "difference"):
+        return None
+    keys_a = set(a._term_rules)
     if op == "union":
         merged = list(a.terms)
-        for t in b.terms:
-            if not any(_same_progression(t, s) for s in merged):
+        for t, k in zip(b.terms, b._term_rules):
+            if k not in keys_a:
+                keys_a.add(k)
                 merged.append(t)
         return tuple(merged)
-    if op == "difference":
-        kill = set()
-        for tb in b.terms:
-            for i, ta in enumerate(a.terms):
-                if _same_progression(ta, tb):
-                    kill.add(i)  # every copy: a may list one term twice
-                elif not _terms_disjoint(ta, tb):
-                    return None
-        return tuple(t for i, t in enumerate(a.terms) if i not in kill)
-    return None
+    keys_b = set(b._term_rules)
+    # when one operand's keys all recur in a pairwise-disjoint other, every
+    # pair of terms is one term of that other twice, or two of its terms
+    if not (keys_a <= keys_b and b._disjoint or keys_b <= keys_a and a._disjoint
+            or _terms_apart(a.terms, b.terms)):
+        return None
+    return tuple(t for t, k in zip(a.terms, a._term_rules) if k not in keys_b)
+
+
+def _sides_union(left: NatSet, right: NatSet, config: Config) -> NatSet:
+    """A △ B from its sides left = A ∖ B and right = B ∖ A: the other side
+    when one is empty, as whenever one operand lies inside the other (the
+    nested stages of a monotone sequence), else their union."""
+    if left.is_empty_surely():
+        return right
+    if right.is_empty_surely():
+        return left
+    return boolean_op(left, right, "union", config)
 
 
 def _ap_pair_op(a: APUnionSet, b: APUnionSet, op: str, config: Config) -> NatSet:
     if op == "symdiff":
-        left = _ap_pair_op(a, b, "difference", config)
-        right = _ap_pair_op(b, a, "difference", config)
-        # one side is empty whenever one operand lies inside the other, as
-        # the nested stages of a monotone sequence do
-        if left.is_empty_surely():
-            return right
-        if right.is_empty_surely():
-            return left
-        return boolean_op(left, right, "union", config)
+        return _sides_union(_ap_pair_op(a, b, "difference", config),
+                            _ap_pair_op(b, a, "difference", config), config)
     terms = _ap_pair_terms(a, b, op)
     if terms is None:
         # fall back to lcm normalization

@@ -52,19 +52,24 @@ class ExtValue:
         return self.status in ("exact", "bracket", "infinite")
 
 
+def _fraction(q) -> Fraction:
+    """q itself when it is a Fraction already, else Fraction(q)."""
+    return q if type(q) is Fraction else Fraction(q)
+
+
 def exact(q) -> ExtValue:
-    return ExtValue("exact", value=Fraction(q))
+    return ExtValue("exact", value=_fraction(q))
 
 
 def bracket(lo, hi, note: str = "") -> ExtValue:
     return ExtValue("bracket",
-                    lower=None if lo is None else Fraction(lo),
-                    upper=None if hi is None else Fraction(hi),
+                    lower=None if lo is None else _fraction(lo),
+                    upper=None if hi is None else _fraction(hi),
                     note=note)
 
 
 def observational(q, note: str = "") -> ExtValue:
-    return ExtValue("observational", value=Fraction(q), note=note)
+    return ExtValue("observational", value=_fraction(q), note=note)
 
 
 def infinite(note: str = "") -> ExtValue:

@@ -423,9 +423,11 @@ def _invariant_report(w: WitnessFamily, horizon: int, probes: int) -> AxiomRepor
     # (f) prefix bound at breakpoints and probes, c/m >= p/q compared as
     # c·q >= m·p
     top = lv[-1].modulus
+    limit = min(horizon, top)
+    points = _log_probes(max(2, limit), top, probes)
     for n in range(w.depth + 1):
         bound = stage_density(w, n)
-        counts = _prefix_counts(w.stages[n], horizon, top, probes)
+        counts = _prefix_counts(w.stages[n], limit, points)
         bad = next(((m, str(Fraction(c, m))) for m, c in counts
                     if c * bound.denominator >= m * bound.numerator), None)
         records.append(CheckRecord(
@@ -435,15 +437,15 @@ def _invariant_report(w: WitnessFamily, horizon: int, probes: int) -> AxiomRepor
     return AxiomReport("witness invariants", tuple(records))
 
 
-def _prefix_counts(a: NatSet, horizon: int, top: int, probes: int) -> list[tuple[int, int]]:
+def _prefix_counts(a: NatSet, limit: int, probes: list[int]) -> list[tuple[int, int]]:
     """(m, |A ∩ [0, m)|) at each checkpoint m, ascending: the breakpoints e
-    and e + 1 of every member e below min(horizon, top), and the geometric
-    probes up to top. Up to that limit a count is one bisection of the
-    members listed there; the probes past it are counted by one
-    `prefix_counts` read."""
-    limit = min(horizon, top)
+    and e + 1 of every member e below the limit, min(horizon, top), and the
+    geometric probes from the limit up to top, which the caller lists once
+    per report. Up to the limit a count is one bisection of the members
+    listed there; the probes past it are counted by one `prefix_counts`
+    read."""
     members = a.elements_in(0, limit)
-    points = set(_log_probes(max(2, limit), top, probes))
+    points = set(probes)
     for e in members:
         points.update((e, e + 1) if e >= 1 else (e + 1,))
     points = sorted(points)
@@ -519,8 +521,9 @@ def banach_gap_certificate(w: WitnessFamily, horizon: int = 10 ** 6,
     if bound > Fraction(1, 4):
         raise InvariantsFailed("increment sum exceeds 1/4")
     top = lv[w.depth + 1].modulus if w.depth + 1 < len(lv) else lv[-1].modulus
+    limit = min(horizon, top)
     checks = []
-    for m, c in _prefix_counts(union, horizon, top, probes):
+    for m, c in _prefix_counts(union, limit, _log_probes(max(2, limit), top, probes)):
         if 4 * c > m:
             raise InvariantsFailed(f"prefix ratio {Fraction(c, m)} exceeds 1/4 at {m}")
         checks.append((m, c, Fraction(c, m)))

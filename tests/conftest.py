@@ -87,6 +87,78 @@ def ap_union_period(s):
     return t, p, table
 
 
+def _term_key(t):
+    return t.modulus, t.offset, t.start
+
+
+def _terms_meet(t1, t2):
+    """Two infinite progressions share a member exactly when their offsets
+    agree modulo the gcd of their moduli."""
+    return (t1.offset - t2.offset) % math.gcd(t1.modulus, t2.modulus) == 0
+
+
+def brute_ap_pair_terms(a, b, op):
+    """The terms of a op b by a scan over every pair of terms, or None where
+    terms alone cannot express it: union appends each term of b whose
+    (modulus, offset, start) is not listed yet; difference drops every term
+    of a identical to one of b and gives None once a pair that is not
+    identical shares a member; intersection and symdiff give None."""
+    if op == "union":
+        merged = list(a.terms)
+        for t in b.terms:
+            if not any(_term_key(t) == _term_key(u) for u in merged):
+                merged.append(t)
+        return tuple(merged)
+    if op != "difference":
+        return None
+    kill = set()
+    for tb in b.terms:
+        for i, ta in enumerate(a.terms):
+            if _term_key(ta) == _term_key(tb):
+                kill.add(i)
+            elif _terms_meet(ta, tb):
+                return None
+    return tuple(t for i, t in enumerate(a.terms) if i not in kill)
+
+
+def _brute_crt(m1, c1, m2, c2):
+    """(lcm, c) with x ≡ c (lcm) the solutions of x ≡ c1 (m1), x ≡ c2 (m2),
+    found by stepping through c1 + k·m1, or None when there are none."""
+    l = math.lcm(m1, m2)
+    for x in range(c1, c1 + l, m1):
+        if x % m2 == c2:
+            return l, x % l
+    return None
+
+
+def brute_intersections(terms):
+    """Inclusion-exclusion entries (M, c, min_x, sign) of a term list: drop
+    each term inside another (of two identical terms, the later one), then
+    walk the remaining subsets depth first in term order, merging by the CRT
+    and pruning a branch at its first empty intersection."""
+    def inside(u, t):
+        return (t.modulus % u.modulus == 0 and t.offset % u.modulus == u.offset
+                and t.modulus * t.start + t.offset >= u.modulus * u.start + u.offset)
+
+    kept = [t for i, t in enumerate(terms) if not any(
+        inside(u, t) and (j < i or not inside(t, u))
+        for j, u in enumerate(terms) if j != i)]
+    out = []
+
+    def walk(idx, M, c, mn, sign):
+        for i in range(idx, len(kept)):
+            t = kept[i]
+            merged = _brute_crt(M, c, t.modulus, t.offset)
+            if merged is None:
+                continue
+            mn2 = max(mn, t.modulus * t.start + t.offset)
+            out.append((*merged, mn2, sign))
+            walk(i + 1, *merged, mn2, -sign)
+
+    walk(0, 1, 0, 0, 1)
+    return tuple(out)
+
+
 def periodic_field_table(s, hi):
     """Membership of each n < hi in a PeriodicSet, read from its fields: the
     residues marked period by period, then the listed exceptions."""

@@ -475,6 +475,36 @@ def test_limit_reports_are_pinned(method, family, measure, capsys):
     assert hashlib.sha256(data).hexdigest() == _LIMIT_REPORTS[method, family, measure]
 
 
+# the json report of `limit cauchy <family> --depth 12`, by family and
+# measure (None: the family's default)
+_CAUCHY_DEPTH_12 = {
+    ("multiples", None):
+        "a36eb8b4c6feb68906df2b11f22e85e1b9cb6a4d3e0a63ca101da8891c2f72b9",
+    ("multiples", "d-star"):
+        "3cfbfb8505986bbddfa5beb516d1d32a0707117f2037dae586566fc2d79239a5",
+    ("multiples", "norm:phi-prefix"):
+        "3cfbfb8505986bbddfa5beb516d1d32a0707117f2037dae586566fc2d79239a5",
+    ("evens", None):
+        "a42804f1021f6819a77d150cf9a20d0ede990408d2475135e1f03944c3974710",
+    ("evens", "d-star"):
+        "ecb8202792a1917cd5d135aa58bb35fdd428b62b0ed70b2ccc7518223a6e2742",
+    ("evens", "norm:phi-prefix"):
+        "ecb8202792a1917cd5d135aa58bb35fdd428b62b0ed70b2ccc7518223a6e2742",
+}
+
+
+@pytest.mark.parametrize("family,measure", list(_CAUCHY_DEPTH_12))
+def test_deep_cauchy_reports_are_pinned(family, measure, capsys):
+    """The Cauchy pipeline's stage audit and its oracle calls may skip
+    repeated work; the report they print at depth 12 may not move."""
+    argv = ["limit", "cauchy", family, "--depth", "12", "--format", "json"]
+    if measure:
+        argv += ["--measure", measure]
+    assert main(argv) == 0
+    data = capsys.readouterr().out.encode()
+    assert hashlib.sha256(data).hexdigest() == _CAUCHY_DEPTH_12[family, measure]
+
+
 # the json report of `witness verify` on a freshly built family, by kappa
 # and depth
 _WITNESS_VERIFY_REPORTS = {
@@ -494,6 +524,14 @@ _WITNESS_VERIFY_REPORTS = {
         "ca8d8f30d0028f09bd24bd919e92ee35a53ae0973d57ac94de9e5ca8bd972819",
     ("1/3", 4):
         "bc0b5f9294a04166a04534566e5c3f905aaab5c8c6cb41874643694bbdb08fde",
+    ("1/2", 8):
+        "4033749962f131bff40f81a8caaf1b313045d6d9ed1a1cc487a86ac7c2849b8e",
+    ("1/2", 14):
+        "345e084540b1049c509cbdabe6b767d3dc89dab433f9f11464ef0e80aa54768a",
+    ("1/3", 8):
+        "15453a9ebd52d30db130cd42bb0b00fba38469ec0b6ba12874f190317967127a",
+    ("1/3", 14):
+        "f9dcbf0eb1a73dada3a5625fbd38a5d602ee55b829aaabdaa55c89d20f426c61",
 }
 
 

@@ -18,6 +18,7 @@ from densitas.exceptions import (
 )
 from densitas.limits import (
     Ap0Oracle,
+    _resolve_audited,
     cauchy_to_limit,
     lscsm_limit,
     sigma_limit,
@@ -26,6 +27,8 @@ from densitas.limits import (
 from densitas.metric import SetSequence, dist, evaluate_measure
 from densitas.natset import (
     EMPTY,
+    APTerm,
+    APUnionSet,
     EVENS,
     OMEGA,
     DyadicBlockSet,
@@ -281,6 +284,43 @@ def test_pipeline_catches_a_cheating_oracle():
     with pytest.raises(OracleContractViolated):
         cauchy_to_limit("d-star", SetSequence.constant(EVENS, length=4),
                         cheat)
+
+
+def test_pipeline_audits_stages_that_leave_the_limit_on_both_sides():
+    # A_n = the odds below n and the evens from n on: past n every stage
+    # agrees with the limit, below it each misses part of it and holds more;
+    # the geometric measure adds over the two disjoint differences
+    def rule(n):
+        return APUnionSet((APTerm(2, 0, (n + 1) // 2),), tuple(range(1, n, 2)))
+
+    seq = SetSequence(prefix=tuple(rule(n) for n in range(6)), rule=rule,
+                      tail_bound=lambda i: Fraction(1, 2 ** i))
+    cert = cauchy_to_limit("geometric", seq, sigma_union_oracle("geometric"))
+    assert cert.verdict == "certified"
+    assert any(s.removed.value and s.added.value for s in cert.stages)
+    for s in cert.stages:
+        assert s.symdiff.value == s.removed.value + s.added.value
+
+
+def test_the_audit_hands_over_a_run_of_equal_stages_once():
+    # the running unions of [{1}, {1}, {1} ∪ evens, {1} ∪ evens] are two runs
+    # of one object each; the oracle sees each once, and the stage that
+    # breaks the contract is named by the index its run starts at
+    one = FiniteSet((1,))
+    both = boolean_op(one, EVENS, "union")
+    seen = []
+
+    def resolve(seq):
+        seen.append(seq.prefix)
+        return one
+
+    with pytest.raises(OracleContractViolated,
+                       match=r"left measure 1/2 of stage 2 outside its answer$"):
+        _resolve_audited("d-star", Ap0Oracle("fixed", resolve),
+                         [one, FiniteSet((1,)), both, both], "stage {}",
+                         "its answer", DEFAULT_CONFIG)
+    assert [len(prefix) for prefix in seen] == [2]
+    assert seen[0][0] is one and seen[0][1] == both
 
 
 def test_pipeline_limit_feeds_back_with_zero_residuals():

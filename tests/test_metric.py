@@ -36,7 +36,7 @@ from densitas.natset import (
     boolean_op,
     parse_set,
 )
-from densitas.values import exact
+from densitas.values import bracket, exact, observational
 
 from conftest import brute_members, brute_prefix_ratios
 
@@ -425,3 +425,16 @@ def test_coconvergence_requires_a_declared_limit():
     with pytest.raises(ValueError):
         topological_coconvergence_probe("phi-prefix", "psi-dyadic",
                                         [SetSequence(prefix=(EVENS,))])
+
+
+def test_extended_values_keep_a_fraction_and_convert_the_rest():
+    q = Fraction(2, 7)
+    assert exact(q).value is q
+    assert observational(q, "seen").value is q
+    assert bracket(q, None).lower is q and bracket(None, q).upper is q
+    # anything else goes through Fraction, as before
+    for raw, want in ((3, Fraction(3)), (True, Fraction(1)), (False, Fraction(0)),
+                      ("5/10", Fraction(1, 2)), ("-2", Fraction(-2))):
+        for v in (exact(raw).value, observational(raw).value,
+                  bracket(raw, None).lower, bracket(None, raw).upper):
+            assert type(v) is Fraction and v == want

@@ -44,13 +44,15 @@ from densitas.natset import (
     round_half_up,
     transform,
 )
-from densitas.natset import _BLOCKS_CACHED, _SIZE_MAX, _TAIL_MAX, _is_sparse
+from densitas.natset import _BLOCKS_CACHED, _SIZE_MAX, _TAIL_MAX, _ap_pair_terms, _is_sparse
 from densitas.reports import to_payload
 from densitas.samples import pool_battery
 from conftest import (
     ap_union_period,
+    brute_ap_pair_terms,
     brute_count,
     brute_geometric,
+    brute_intersections,
     brute_members,
     brute_periodic_count,
     brute_periodic_form,
@@ -355,6 +357,78 @@ def test_contained_and_repeated_terms_add_no_intersections():
     u = APUnionSet((APTerm(3, 1, 2), APTerm(6, 4), APTerm(6, 4, 0, "6"), APTerm(6, 4, 3)))
     assert u._intersections == ((3, 1, 7, 1), (6, 4, 7, -1), (6, 4, 4, 1))
     assert u.count_range(0, 60) == 19
+
+
+# divisor-chain moduli, as the witness levels have, pairwise coprime ones,
+# and ones whose pairwise gcd is neither modulus
+_CHAIN = (1, 2, 6, 12, 60, 360)
+_COPRIME = (3, 5, 7, 11, 13)
+_CROSSED = (4, 6, 10, 15)
+
+
+@st.composite
+def _overlapping_terms(draw):
+    """A few terms, each with the variants that test the identity of terms:
+    the same progression under a label, a later start of it, and a term
+    inside it."""
+    moduli = draw(st.sampled_from((_CHAIN, _COPRIME, _CROSSED)))
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        m = draw(st.sampled_from(moduli))
+        t = APTerm(m, draw(st.integers(0, m - 1)), draw(st.integers(0, 2)))
+        k = draw(st.sampled_from((2, 3)))
+        pool += [t, APTerm(m, t.offset, t.start, label="same"),
+                 APTerm(m, t.offset, t.start + 1),
+                 APTerm(m * k, t.offset + m * draw(st.integers(0, k - 1)), t.start + 1)]
+    return pool
+
+
+@st.composite
+def _disjoint_terms(draw):
+    """Pairwise-disjoint terms on the divisor chain, level by level as the
+    witness picks its residues: each avoids every earlier term's class."""
+    terms = []
+    for m in _CHAIN[1:draw(st.integers(2, len(_CHAIN)))]:
+        free = [r for r in range(m) if all(r % t.modulus != t.offset for t in terms)]
+        if free:
+            terms += [APTerm(m, r, draw(st.integers(0, 2))) for r in
+                      draw(st.lists(st.sampled_from(free), max_size=3, unique=True))]
+    return terms
+
+
+@st.composite
+def _term_operands(draw):
+    """Two AP unions drawn from one pool, with repeats; empty ones too, and
+    pairs where the second lists every term of the first, as nested stages
+    do."""
+    pool = draw(st.one_of(_overlapping_terms(), _disjoint_terms()))
+    pick = st.lists(st.sampled_from(pool), max_size=8) if pool else st.just([])
+    a, b = draw(pick), draw(pick)
+    if draw(st.booleans()):
+        b = a + b
+    if draw(st.booleans()):
+        a, b = b, a
+    return APUnionSet(tuple(a)), APUnionSet(tuple(b))
+
+
+@pytest.mark.parametrize("op", ("union", "difference", "intersection"))
+@settings(max_examples=200, deadline=None)
+@given(_term_operands())
+@example((APUnionSet((APTerm(6, 1),)), APUnionSet((APTerm(10, 3),))))  # 1 ≡ 3 mod 2
+@example((APUnionSet((APTerm(6, 1),)), APUnionSet((APTerm(10, 4),))))
+def test_ap_pair_terms_match_the_pairwise_scan(op, operands):
+    # the same terms with the same labels in the same order, or None alike
+    a, b = operands
+    assert _ap_pair_terms(a, b, op) == brute_ap_pair_terms(a, b, op)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_operands())
+def test_ap_union_intersections_match_the_depth_first_walk(operands):
+    for s in operands:
+        entries = brute_intersections(s.terms)
+        assert s._intersections == entries
+        assert s.density() == sum((Fraction(sign, M) for M, _, _, sign in entries), Fraction(0))
 
 
 def test_complement_returns_the_shrunk_form_of_difference():

@@ -325,9 +325,29 @@ def test_prefix_counts_agree_with_count_range(family):
     top = family.levels[-1].modulus
     for a in family.stages:
         for horizon in (2, 1000, 362881, 725760, 10 ** 6, top + 5):
-            counts = witness._prefix_counts(a, horizon, top, 64)
+            limit = min(horizon, top)
+            counts = witness._prefix_counts(
+                a, limit, witness._log_probes(max(2, limit), top, 64))
             assert [m for m, _ in counts] == sorted({m for m, _ in counts})
             assert all(c == a.count_range(0, m) for m, c in counts)
+
+
+def test_probe_points_are_listed_once_per_report(params, monkeypatch):
+    # every stage of an invariant report, and the gap certificate's union,
+    # reads one list of geometric probes
+    calls = []
+    log_probes = witness._log_probes
+
+    def counted(*args):
+        calls.append(args)
+        return log_probes(*args)
+
+    monkeypatch.setattr(witness, "_log_probes", counted)
+    fresh = build_witness(params, 4)
+    check_witness_invariants(fresh, horizon=10 ** 4)
+    assert len(calls) == 1
+    banach_gap_certificate(fresh, horizon=10 ** 4)
+    assert len(calls) == 2
 
 
 def test_dense_stage_fails_the_prefix_bound_at_its_first_checkpoint(family):
@@ -341,8 +361,9 @@ def test_dense_stage_fails_the_prefix_bound_at_its_first_checkpoint(family):
     m, ratio = record.witness
     bound = stage_density(family, 0)
     assert Fraction(ratio) == Fraction(dense.count_range(0, m), m) >= bound
-    earlier = [k for k, _ in witness._prefix_counts(dense, 10 ** 4,
-                                                     family.levels[-1].modulus, 64) if k < m]
+    top = family.levels[-1].modulus
+    probes = witness._log_probes(10 ** 4, top, 64)
+    earlier = [k for k, _ in witness._prefix_counts(dense, 10 ** 4, probes) if k < m]
     assert earlier and all(Fraction(dense.count_range(0, k), k) < bound for k in earlier)
 
 
