@@ -456,6 +456,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         report, ok, plain = _dispatch(args, config)
+        if args.format == "text" and plain is not None and args.out is None:
+            print(plain)
+            return 0
+        data = emit_report(report, args.format, config)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
@@ -468,10 +472,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DensitasError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    if args.format == "text" and plain is not None and args.out is None:
-        print(plain)
-        return 0
-    data = emit_report(report, args.format, config)
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(data)

@@ -270,42 +270,31 @@ def window_profile(a: NatSet, config: Config = DEFAULT_CONFIG,
 # the four functionals
 
 
-def upper_asymptotic(a: NatSet, config: Config = DEFAULT_CONFIG) -> DensityEstimate:
-    name = "d-star"
+def _asymptotic(a: NatSet, config: Config, name: str, side: int) -> DensityEstimate:
+    """limsup (side 0) or liminf (side 1) of the prefix ratios |A ∩ [1,n]| / n."""
     d = eventual_density(a)
     if d is not None:
-        method = "finite" if isinstance(a, FiniteSet) else "eventual-period"
-        return DensityEstimate(name, exact(d), method)
+        return DensityEstimate(name, exact(d),
+                               "finite" if isinstance(a, FiniteSet) else "eventual-period")
     if isinstance(a, DyadicBlockSet):
-        hi, _ = _block_asymptotic(a)
-        return DensityEstimate(name, exact(hi), "block-fill")
-    if isinstance(a, HorizonSet):
-        prof = prefix_profile(a, config)
-        val = prof.entries[-1][1] if prof.entries else Fraction(0)
-        return DensityEstimate(
-            name,
-            observational(val, "prefix ratio at the evidence horizon; no tail information"),
-            "observational", prof)
-    raise UnsupportedBackend(f"upper asymptotic density undefined for backend {a.kind}")
-
-
-def lower_asymptotic(a: NatSet, config: Config = DEFAULT_CONFIG) -> DensityEstimate:
-    """liminf of prefix ratios (the lower dual of d-star under complement)."""
-    name = "d-star-lower"
-    d = eventual_density(a)
-    if d is not None:
-        val = Fraction(0) if isinstance(a, FiniteSet) else d
-        return DensityEstimate(name, exact(val), "eventual-period")
-    if isinstance(a, DyadicBlockSet):
-        _, lo = _block_asymptotic(a)
-        return DensityEstimate(name, exact(lo), "block-fill")
+        return DensityEstimate(name, exact(_block_asymptotic(a)[side]), "block-fill")
     if isinstance(a, HorizonSet):
         prof = prefix_profile(a, config)
         val = prof.entries[-1][1] if prof.entries else Fraction(0)
         return DensityEstimate(
             name, observational(val, "prefix ratio at the evidence horizon; no tail information"),
             "observational", prof)
-    raise UnsupportedBackend(f"lower asymptotic density undefined for backend {a.kind}")
+    raise UnsupportedBackend(f"{('upper', 'lower')[side]} asymptotic density undefined "
+                             f"for backend {a.kind}")
+
+
+def upper_asymptotic(a: NatSet, config: Config = DEFAULT_CONFIG) -> DensityEstimate:
+    return _asymptotic(a, config, "d-star", 0)
+
+
+def lower_asymptotic(a: NatSet, config: Config = DEFAULT_CONFIG) -> DensityEstimate:
+    """liminf of prefix ratios (the lower dual of d-star under complement)."""
+    return _asymptotic(a, config, "d-star-lower", 1)
 
 
 def upper_banach(a: NatSet, config: Config = DEFAULT_CONFIG) -> DensityEstimate:
@@ -534,8 +523,7 @@ def lower_dual(a: NatSet, functional: str = "d-star",
         # the complement is not a prefix-fill block set, but its densities
         # are still pinned down by the fill structure
         if functional == "d-star":
-            _, lo = _block_asymptotic(a)
-            return DensityEstimate(name, exact(lo), "block-fill")
+            return lower_asymptotic(a, config)
         if functional in ("bd-star", "buck"):
             gaps_unbounded = (a.fill.structure == "vanishing"
                               or any(v < 1 for v in a.fill.cycle))

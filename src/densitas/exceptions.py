@@ -74,6 +74,10 @@ class InvariantsFailed(DensitasError):
     """Structural invariants of a constructed object do not hold."""
 
 
+class UnprintableValue(DensitasError):
+    """A value has a numerator or denominator past Python's int-to-str digit limit."""
+
+
 class ParseError(DensitasError):
     """Set-literal or descriptor parse failure, with caret position."""
 

@@ -29,7 +29,8 @@ weigh membership rather than position ratios).
 Finite evidence has one evaluator, _finite_value(desc, F), for every lscsm
 except phi-infty: lscsm_eval applies it to the prefix A ∩ n, and tail_value,
 phi-infty's alpha components included, to the tail of every set that
-natset.finite_part finds finite, before any per-backend dispatch. So
+natset.finite_part finds finite, before any per-backend dispatch. phi-infty
+on a prefix is its tail evaluator on the finite set A ∩ [1, n). So
 finite_part decides every finite shortcut, as it does for
 density.counting_measure, and finite tails are exact under every name, except
 weighted or geometric tails reaching past _FINITE_SCAN_MAX (those scans read
@@ -270,28 +271,17 @@ def _runs(elements: Sequence[int]) -> list[tuple[int, int]]:
     return runs
 
 
-def _phi_prefix_elements(elements: Sequence[int]) -> Fraction:
-    """sup_k |S ∩ [1,k]| / k for finite sorted S.
-
-    The ratio climbs inside a run of members and decays in the gaps, so run
-    ends are the only candidates for the supremum.
-    """
-    best_n, best_d = 0, 1
-    count = 0
-    for lo, hi in _runs(elements):
-        count += hi - lo + 1
-        if count * best_d > best_n * hi:
-            best_n, best_d = count, hi
-    return Fraction(best_n, best_d)
-
-
 def _phi_alpha_elements(elements: Sequence[int], e: int,
                         power_sum: Optional[Callable[[int], int]] = None) -> Fraction:
     """sup_k (sum_{i in S, i <= k} i^e) / (sum_{i <= k} i^e), S finite sorted.
-    power_sum(k) stands in for faulhaber(k, e) where a caller keeps them."""
-    if e == 0:
-        return _phi_prefix_elements(elements)
-    F = power_sum or (lambda k: faulhaber(k, e))
+    power_sum(k) stands in for faulhaber(k, e) where a caller keeps them.
+
+    The ratio climbs inside a run of members and decays in the gaps, so run
+    ends are the only candidates for the supremum. e = 0 is the plain prefix
+    ratio |S ∩ [1,k]| / k: faulhaber(k, 0) = k, so int serves as F, and
+    hi ** 0 = 1.
+    """
+    F = power_sum or (int if e == 0 else lambda k: faulhaber(k, e))
     best_n, best_d = 0, 1
     num = 0
     for lo, hi in _runs(elements):
@@ -390,32 +380,17 @@ def lscsm_eval(desc: LscsmDescriptor | str, a: NatSet, n: int,
 
 
 def phi_infty_eval(a: NatSet, n: int, eps, config: Config = DEFAULT_CONFIG) -> ExtValue:
-    """A certified bracket around phi_infty(A ∩ n) = sum_a 2^-a phi_{2^a}(A ∩ n).
-
-    The alpha-sum is truncated once the remaining terms total at most eps/2
-    (each phi_{2^a} lies in [0,1]). Evaluated terms are exact while the
-    exponent fits the power-sum budget; beyond it, concentration at the least
-    element k0 pins the term: the ratio at k0 alone is already at least
-    1 - (k0-1)((k0-1)/k0)^e. The returned bracket always contains the true
-    value and reports its achieved width.
+    """A certified bracket around phi_infty(A ∩ n) = sum_a 2^-a phi_{2^a}(A ∩ n):
+    the tail evaluator applied to the finite set A ∩ [1, n). Its alpha
+    components are exact while the exponent fits the power-sum budget and
+    bounded by _infty_component_tail past it; the omitted terms a > a0
+    widen the upper end by at most eps/2.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    elems = a.elements_in(1, n)
-    if not elems:
-        return exact(0)
-    pairs, rest = _components(LscsmDescriptor("phi-infty", "infty", eps=eps))
-    lo_total = Fraction(0)
-    hi_total = rest  # the truncated alpha-tail lies in [0, rest]
-    k0 = elems[0]
-    delta = eps / 4
-    for w, e in pairs:
-        term = _phi_alpha_term(elems, k0, e, delta)
-        lo_total += w * term.lower
-        hi_total += w * (term.upper if term.upper is not None else term.value)
-    note = f"alpha-sum truncated at a={len(pairs) - 1}; width {float(hi_total - lo_total):.3g}"
-    return bracket(lo_total, hi_total, note)
+    prefix = FiniteSet(a.elements_in(1, n))
+    return _tail(LscsmDescriptor("phi-infty", "infty", eps=eps), _TailScan(prefix, config), 0)
 
 
 def _components(desc: LscsmDescriptor) -> tuple[list[tuple[Fraction, int]], Fraction]:
@@ -431,22 +406,6 @@ def _components(desc: LscsmDescriptor) -> tuple[list[tuple[Fraction, int]], Frac
             a0 += 1
         rest = Fraction(1, 2 ** a0)
     return [(Fraction(1, 2 ** ai), 2 ** ai) for ai in range(a0 + 1)], rest
-
-
-def _phi_alpha_term(elems: Sequence[int], k0: int, e: int, delta: Fraction) -> ExtValue:
-    """phi_e on a finite element list: exact when affordable, else a bracket."""
-    if k0 == 1:
-        return exact(1)  # the prefix [1,1] is already fully occupied
-    if e <= _MAX_EXACT_EXPONENT:
-        return exact(_phi_alpha_elements(elems, e))
-    # (1 - 1/k0)^{k0} < 1/2, so the weight below k0 relative to k0^e is at
-    # most (k0-1) 2^{-floor(e/k0)}; certify concentration without raising a
-    # huge power
-    tt = ((k0 - 1) * delta.denominator // max(delta.numerator, 1)).bit_length() + 1
-    if e // k0 >= tt:
-        drop = Fraction(k0 - 1, 2 ** tt)
-        return bracket(1 - drop, 1, "concentration at the least element")
-    return bracket(0, 1, "exponent beyond the exact budget; bracket is wide")
 
 
 # ---------------------------------------------------------------------------
@@ -959,6 +918,8 @@ def _infty_component_tail(a: NatSet, n: int, e: int, config: Config) -> ExtValue
         k0 = elems[0]
         if k0 == 1:
             return exact(1)
+        # the ratio at k0 alone is at least 1 - (k0-1)((k0-1)/k0)^e, and
+        # (1 - 1/k0)^k0 < 1/2 bounds the power by 2^-(e // k0)
         if e <= _MAX_EXACT_EXPONENT:
             drop = (k0 - 1) * Fraction(k0 - 1, k0) ** e
         else:

@@ -274,22 +274,25 @@ def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
 
     stages = []
     for k, a in enumerate(items):
+        # A_k ∖ A and A ∖ A_k once each, A_k △ A from them, each normed once
         out_part = boolean_op(a, limit, "difference", config)
+        inn = boolean_op(limit, a, "difference", config)
+        sym = _sides_union(out_part, inn, config)
         cut_k = cuts[k] if k < len(cuts) else (cuts[-1] + 1 if cuts else 0)
         contained = drop_below(out_part, cut_k, config).is_empty_surely()
-        removed = norm(out_part)
-        residual = norm(boolean_op(limit, a, "symdiff", config))
+        residual = norm(sym)
+        removed = residual if sym is out_part else norm(out_part)
+        added = residual if sym is inn else norm(inn)
         if removed.status != "exact" or residual.status != "exact":
-            stages.append(StageRecord(k, removed, removed, symdiff=residual,
+            stages.append(StageRecord(k, removed, added, symdiff=residual,
                                       cut=cut_k, ok=False))
             continue
         tail = 4 * sum(norms[k:], Fraction(0))
         if seq.tail_bound is not None:
             tail = max(tail, 4 * seq.tail_bound(k))
         ok = contained and removed.value == 0 and residual.value <= tail
-        stages.append(StageRecord(
-            k, removed, norm(boolean_op(limit, a, "difference", config)),
-            symdiff=residual, bound=tail, cut=cut_k, ok=ok))
+        stages.append(StageRecord(k, removed, added, symdiff=residual, bound=tail,
+                                  cut=cut_k, ok=ok))
     return _verdict(limit, "tail-cut", stages, sum(norms, Fraction(0)), seq)
 
 

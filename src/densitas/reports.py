@@ -19,6 +19,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Optional
 
+from .exceptions import UnprintableValue
+
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -49,11 +51,18 @@ class AxiomReport:
 
 
 def format_fraction(q: Fraction) -> str:
+    """The text p/q, or p for an integer; UnprintableValue when p or q has
+    more digits than Python converts to a string."""
     if type(q) is not Fraction:
         q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+        raise UnprintableValue(f"a rational with a {bits}-bit numerator or denominator "
+                               "is past the int-to-str digit limit") from None
 
 
 @functools.cache

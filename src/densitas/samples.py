@@ -44,8 +44,7 @@ def random_periodic(rng: SplitMix64, max_modulus: int = 360) -> PeriodicSet:
     """A periodic set with modulus in [2, max_modulus] and a uniformly drawn
     residue count. Roughly one set in max_modulus comes out empty or full,
     which the batteries want as edge cases."""
-    m = 2 + rng.below(max_modulus - 1)
-    return PeriodicSet(m, _draw_residues(rng, m))
+    return _pool_periodic(rng, range(2, max_modulus + 1))
 
 
 def _pool_periodic(rng: SplitMix64, pool: Sequence[int]) -> PeriodicSet:

@@ -38,7 +38,6 @@ from .reports import AxiomReport, CheckRecord
 
 __all__ = [
     "WitnessParams",
-    "ValidationReport",
     "LevelRecord",
     "WitnessFamily",
     "WindowRecord",
@@ -68,16 +67,6 @@ class WitnessParams:
 
     def modulus(self, n: int) -> int:
         return math.factorial(self.schedule[n])
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    report: AxiomReport
-    demo: bool = False
-
-    @property
-    def passed(self) -> bool:
-        return self.report.passed
 
 
 @dataclass(frozen=True)
@@ -224,7 +213,7 @@ def derive_params(kappa, levels: int = 6) -> WitnessParams:
         start_floor += 1
 
 
-def validate_params(p: WitnessParams) -> ValidationReport:
+def validate_params(p: WitnessParams) -> AxiomReport:
     """Certified pass/fail for every parameter inequality."""
     records = []
     records.append(CheckRecord(
@@ -258,7 +247,7 @@ def validate_params(p: WitnessParams) -> ValidationReport:
         "summability-margin", "pass" if partial < margin else "fail",
         "sum of j/a_j! stays below (1-kappa)/2 minus the tail reserve",
         witness=str(partial)))
-    return ValidationReport(AxiomReport("witness parameters", tuple(records)))
+    return AxiomReport("witness parameters", tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +280,7 @@ def build_witness(p: WitnessParams, depth: int, demo: bool = False,
         if not v.passed:
             raise InvariantsFailed(
                 "parameters fail validation: "
-                + "; ".join(r.name for r in v.report.failures)
+                + "; ".join(r.name for r in v.failures)
                 + " (pass demo=True to build anyway)")
 
     levels = [LevelRecord(0, p.schedule[0], p.modulus(0), (), 0,
@@ -488,57 +477,52 @@ def divergence_certificate(w: WitnessFamily,
             raise InvariantsFailed(
                 f"partial increment sum reaches {run} >= {target} at level {n}")
         partials.append(run)
-    windows = []
-    for n in range(1, len(lv)):
-        start = lv[n].modulus + lv[n].residues[0]
-        fill = lv[n].block.count_range(start, start + lv[n].span)
-        rec = WindowRecord(n, start, lv[n].span, fill)
-        if rec.ratio < w.params.kappa:
-            raise InvariantsFailed(f"window at level {n} is under-filled")
-        windows.append(rec)
     return DivergenceCertificate(
         w.params.kappa, tuple(increments), tuple(partials), target,
-        tuple(windows), "Cauchy-with-kappa-obstruction", w.demo)
+        _windows(w, len(lv)), "Cauchy-with-kappa-obstruction", w.demo)
+
+
+def _windows(w: WitnessFamily, top: int) -> tuple[WindowRecord, ...]:
+    """The windows [a_n! + min H_n, a_n! + max H_n] of levels 1..top-1,
+    each checked at least kappa-filled."""
+    windows = []
+    for rec in w.levels[1:top]:
+        start = rec.modulus + rec.residues[0]
+        fill = rec.block.count_range(start, start + rec.span)
+        wrec = WindowRecord(rec.index, start, rec.span, fill)
+        if wrec.ratio < w.params.kappa:
+            raise InvariantsFailed(f"window at level {rec.index} is under-filled")
+        windows.append(wrec)
+    return tuple(windows)
 
 
 def banach_gap_certificate(w: WitnessFamily, horizon: int = 10 ** 6,
                            probes: int = 64) -> GapCertificate:
-    """For kappa = 1/2: the union of blocks up to the family depth has
-    prefix densities at most 1/4 (checked at every breakpoint below the
-    horizon and at probes up to the top modulus) while its level windows
-    are at least half filled, so no Banach density exists for it over the
-    certified range."""
+    """For kappa = 1/2: the union A_{depth-1} of the blocks up to the family
+    depth has prefix densities at most 1/4 (checked at every breakpoint
+    below the horizon and at probes up to the top modulus) while its level
+    windows are at least half filled, so no Banach density exists for it
+    over the certified range."""
     if w.params.kappa != Fraction(1, 2):
         raise KappaMismatch(
             f"the gap certificate is specific to kappa = 1/2, got {w.params.kappa}")
     if w.depth < 1:
         raise InsufficientPrefix(f"the gap certificate needs depth >= 1, got {w.depth}")
     _require_invariants(w, horizon)
-    lv = w.levels
-    used = lv[1:w.depth + 1]
-    union = _running([rec.block for rec in used], "union")[-1]
-    bound = sum((rec.increment_density for rec in used), Fraction(0))
+    bound = stage_density(w, w.depth - 1)
     if bound > Fraction(1, 4):
         raise InvariantsFailed("increment sum exceeds 1/4")
-    top = lv[w.depth + 1].modulus if w.depth + 1 < len(lv) else lv[-1].modulus
+    top = w.levels[-1].modulus  # build_witness makes levels 0..depth+1
     limit = min(horizon, top)
     checks = []
-    for m, c in _prefix_counts(union, limit, _log_probes(max(2, limit), top, probes)):
+    for m, c in _prefix_counts(w.stages[w.depth - 1], limit,
+                               _log_probes(max(2, limit), top, probes)):
         if 4 * c > m:
             raise InvariantsFailed(f"prefix ratio {Fraction(c, m)} exceeds 1/4 at {m}")
         checks.append((m, c, Fraction(c, m)))
-    windows = []
-    for rec in used:
-        start = rec.modulus + rec.residues[0]
-        fill = rec.block.count_range(start, start + rec.span)
-        wrec = WindowRecord(rec.index, start, rec.span, fill)
-        if wrec.ratio < Fraction(1, 2):
-            raise InvariantsFailed(f"window at level {rec.index} under half")
-        windows.append(wrec)
     return GapCertificate(
         w.params.kappa, w.depth, horizon, bound, tuple(checks),
-        tuple(windows),
-        "no-banach-density-over-certified-range", w.demo)
+        _windows(w, w.depth + 1), "no-banach-density-over-certified-range", w.demo)
 
 
 # ---------------------------------------------------------------------------

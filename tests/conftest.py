@@ -235,6 +235,37 @@ def brute_sup_ratio(members, weight, cut=0):
     return best
 
 
+def brute_window_max(s, n, starts):
+    """max over the starts k of |A ∩ [k, k+n)|, membership read point by
+    point."""
+    return max(brute_count(s, k, k + n) for k in starts)
+
+
+def brute_pow2_ratio_sums(members, a0, bits=512):
+    """(lo, hi) around sum over a <= a0 of 2^-a sup_k r_k(2^a), where
+    r_k(e) = (sum of i^e over members 1 <= i <= k) / (sum of i^e over
+    1 <= i <= k) and every k up to max + 1 is tried. Each (i/k)^(2^a) comes
+    from squaring i/k a times in `bits`-bit fixed point, rounded down for lo
+    and up for hi, so no integer grows past 2 * bits bits."""
+    members = {x for x in members if x >= 1}
+    lo_best, hi_best = [Fraction(0)] * (a0 + 1), [Fraction(0)] * (a0 + 1)
+    for k in range(1, max(members, default=0) + 2):
+        down = [(i << bits) // k for i in range(1, k + 1)]
+        up = [-((-i << bits) // k) for i in range(1, k + 1)]
+        for a in range(a0 + 1):
+            if a:
+                down = [x * x >> bits for x in down]
+                up = [-((-x * x) >> bits) for x in up]
+            num_lo = sum(x for i, x in enumerate(down, 1) if i in members)
+            num_hi = sum(x for i, x in enumerate(up, 1) if i in members)
+            lo_best[a] = max(lo_best[a], Fraction(num_lo, sum(up)))
+            # the k-th term is exactly one either way, and r_k <= 1
+            hi_best[a] = max(hi_best[a], min(Fraction(num_hi, sum(down)), Fraction(1)))
+    weight = [Fraction(1, 2 ** a) for a in range(a0 + 1)]
+    return (sum(w * r for w, r in zip(weight, lo_best)),
+            sum(w * r for w, r in zip(weight, hi_best)))
+
+
 def brute_prefix_ratios(members, hi):
     """(|A ∩ [1,n]| / n) for n = 1..hi-1, A given as a membership set."""
     out = []

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import densitas
+from densitas import cli
 from densitas.cli import (
     _axioms_report,
     _build_parser,
@@ -270,6 +271,22 @@ def test_long_literal_natural_is_a_typed_parse_error(capsys):
     assert "a natural of 5000 digits exceeds the literal limit of 4300 digits" in err
     assert "Exceeds the limit" not in err
     assert main(["eval", "d-star", f"per m={'7' * 4300} R={{0}}"]) == 0
+
+
+def test_unprintable_value_exits_3_in_every_format(monkeypatch, capsys):
+    # a rational past Python's 4,300-digit int-to-str limit is a typed error
+    # under the exit-code contract, whichever writer meets it first
+    huge = exact(Fraction(1, 10 ** 4400))
+    monkeypatch.setattr(cli, "_dispatch", lambda args, config: (huge, True, None))
+    for fmt in ("json", "csv", "text"):
+        assert main(["eval", "d-star", "fin{1}", "--format", fmt]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("UnprintableValue: ") and "Traceback" not in err
+    monkeypatch.undo()
+    # the plain text of a norm whose bracket has a 24,641-bit denominator
+    assert main(["norm", "phi-infty", "blocks f(n)=1/3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("UnprintableValue: ") and "Exceeds the limit" not in err
 
 
 def test_norm_verb(capsys):

@@ -46,6 +46,7 @@ from conftest import (
     brute_geometric,
     brute_members,
     brute_prefix_ratios,
+    brute_window_max,
     field_period,
     random_structured_set,
 )
@@ -225,6 +226,11 @@ def test_lower_dual_values():
     assert lower_dual(FiniteSet((1, 2)), "d-star").value == exact(0)
 
 
+def test_lower_dual_of_a_block_set_is_its_lower_asymptotic_density():
+    for blocks in (HALF_BLOCKS, CYCLE_BLOCKS, POW2, THIN):
+        assert lower_dual(blocks, "d-star") == lower_asymptotic(blocks)
+
+
 def test_lower_dual_of_a_huge_modulus_is_bounded():
     # the complement of a periodic set reads every residue class; past the
     # modulus budget it used to run on unbounded
@@ -262,6 +268,55 @@ def test_window_profile_fekete_monotone():
         ratios = [r for _, r in prof.entries]
         assert all(b <= a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] >= eventual_density(s)
+
+
+def test_window_profile_finite_and_block_sets_against_brute_windows():
+    lengths = (1, 2, 3, 8, 40)
+    fin = FiniteSet((0, 3, 4, 5, 9, 30, 31, 200))
+    prof = window_profile(fin, lengths=lengths)
+    assert prof.method == "exact-sweep"
+    assert prof.entries == tuple(
+        (n, Fraction(brute_window_max(fin, n, range(201)), n)) for n in lengths)
+    # slices that grow without bound hold a run of every length
+    for blocks in (HALF_BLOCKS, THIN, CYCLE_BLOCKS):
+        prof = window_profile(blocks, lengths=lengths)
+        assert prof.method == "exact-sweep"
+        assert all(brute_window_max(blocks, n, range(64 * n)) == n for n in lengths)
+        assert all(r == 1 for _, r in prof.entries)
+    # bounded slices: a probe of the members below max(4n, 64), a lower
+    # bound on the true maximum; the extras are a run only a long probe sees
+    sparse = DyadicBlockSet(POW2.fill, extras=tuple(range(150, 158)))
+    prof = window_profile(sparse, lengths=lengths)
+    assert prof.method == "candidate-probe"
+    assert prof.entries[-1] == (40, Fraction(9, 40))  # 128 and the extras
+    for n, r in prof.entries:
+        span = max(4 * n, 64)
+        seen = FiniteSet(tuple(sorted(brute_members(sparse, span))))
+        assert r == Fraction(brute_window_max(seen, n, range(span)), n)
+        assert r * n <= brute_window_max(sparse, n, range(1 << 12))
+
+
+def test_window_profile_past_the_sweep_budget_probes_candidate_starts():
+    lengths = (1, 4, 7, 30)
+    small = dataclasses.replace(DEFAULT_CONFIG, window_sweep_budget=16)
+    # threshold plus modulus past the budget: starts below the threshold and
+    # 64 past it, which for m = 40 still cover a full period
+    per = parse_set("per m=40 R={1,17,30} t=8 add={0,2,3,4,5,6,7}")
+    prof = window_profile(per, small, lengths)
+    assert prof.method == "candidate-probe"
+    assert prof.entries == tuple(
+        (n, Fraction(brute_window_max(per, n, range(48)), n)) for n in lengths)
+    assert window_profile(per, lengths=lengths).entries == prof.entries
+    # an AP union past four times the budget: starts at 0, the threshold,
+    # the terms' least members and the extras, each a lower bound
+    union = APUnionSet((APTerm(12, 1), APTerm(10, 3, 2)), extras=(55, 56, 57, 58))
+    prof = window_profile(union, small, lengths)
+    assert prof.method == "candidate-probe"
+    assert prof.entries[1] == (4, Fraction(1))
+    starts = (0, union.threshold, 1, 23, 55, 56, 57, 58)
+    for n, r in prof.entries:
+        assert r == Fraction(brute_window_max(union, n, starts), n)
+        assert r <= Fraction(brute_window_max(union, n, range(union.threshold + 60)), n)
 
 
 def test_window_profile_brute_force_one_length():

@@ -38,7 +38,13 @@ from densitas.natset import (
 )
 from densitas.values import exact
 
-from conftest import brute_members, brute_power_sum, brute_sup_ratio, random_structured_set
+from conftest import (
+    brute_members,
+    brute_pow2_ratio_sums,
+    brute_power_sum,
+    brute_sup_ratio,
+    random_structured_set,
+)
 
 
 EVENS = PeriodicSet(2, (0,))
@@ -210,6 +216,20 @@ def test_phi_infty_eval_brackets_the_direct_sum():
                      * lscsm_eval(f"phi-alpha:a={2 ** a}", s, n).value
                      for a in range(0, 10))
         assert got.lower <= direct <= got.upper
+
+
+def test_phi_infty_eval_past_the_exact_exponents_brackets_the_direct_sum():
+    # at eps = 10^-6 the sum runs to a = 21; the components past exponent 512
+    # are bounded by concentration at the least member (at least 2 here),
+    # and the bracket still holds the direct sum of all 22 components
+    eps = Fraction(1, 10 ** 6)
+    for s, n in ((EVENS, 16), (FiniteSet((2, 5, 6)), 10), (PeriodicSet(3, (0,)), 24)):
+        got = phi_infty_eval(s, n, eps)
+        assert got.status == "bracket"
+        assert got.note == "summed alpha-component tails"
+        lo, hi = brute_pow2_ratio_sums(s.elements_in(1, n), 21)
+        assert got.lower <= lo <= hi <= got.upper
+        assert got.upper - got.lower < Fraction(1, 1000)
 
 
 def test_phi_infty_eval_omega_prefix_is_near_two():

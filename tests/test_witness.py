@@ -61,7 +61,7 @@ def test_scale_is_minimal():
     smaller = WitnessParams(HALF, 74, 2, (8, 9, 10, 11, 12, 13))
     report = validate_params(smaller)
     assert not report.passed
-    assert any(r.name == "log-squared-condition" for r in report.report.failures)
+    assert any(r.name == "log-squared-condition" for r in report.failures)
 
 
 def test_schedule_start_is_minimal():
@@ -70,7 +70,7 @@ def test_schedule_start_is_minimal():
     report = validate_params(low)
     assert not report.passed
     assert any(r.name == "factorial-threshold[0]"
-               for r in report.report.failures)
+               for r in report.failures)
 
 
 def test_derived_params_validate(params):
@@ -127,7 +127,7 @@ def test_params_on_the_kappa_grid_are_unchanged(kappa):
     assert (p.scale, p.cover, p.schedule) == (
         scale, -(-kappa.denominator // kappa.numerator), schedule)
     assert validate_params(p).passed
-    failures = lambda q: [r.name for r in validate_params(q).report.failures]
+    failures = lambda q: [r.name for r in validate_params(q).failures]
     assert failures(replace(p, scale=scale - 1)) == ["log-squared-condition"]
     assert failures(replace(p, scale=scale + 1)) == []
     assert failures(replace(p, schedule=(schedule[0] - 1,) + schedule[1:])) \
@@ -153,7 +153,7 @@ def test_wrong_cover_flagged():
     p = WitnessParams(HALF, 75, 3, (8, 9, 10, 11, 12, 13))
     report = validate_params(p)
     assert any(r.name == "cover-is-inverse-ceiling"
-               for r in report.report.failures)
+               for r in report.failures)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +398,25 @@ def test_gap_certificate_upper_and_lower(family):
     assert all(ratio <= Fraction(1, 4) for _, _, ratio in cert.prefix_checks)
     assert all(w.ratio >= HALF for w in cert.windows)
     assert {w.level for w in cert.windows} == {1, 2, 3, 4}
+
+
+def test_gap_certificate_reads_the_stage_below_the_depth(params):
+    # A_{depth-1} is the union of the blocks B_1..B_depth: its checkpoints
+    # are the stage's own, and each count is the number of q >= 1 with
+    # q a_n! + h below m, summed over the residues h of levels 1..depth
+    for depth, horizon in ((1, 10 ** 4), (3, 10 ** 6), (4, 10 ** 4)):
+        w = build_witness(params, depth)
+        cert = banach_gap_certificate(w, horizon=horizon)
+        top = w.levels[-1].modulus
+        limit = min(horizon, top)
+        stage = w.stages[depth - 1]
+        assert [(m, c) for m, c, _ in cert.prefix_checks] == witness._prefix_counts(
+            stage, limit, witness._log_probes(max(2, limit), top, 64))
+        for m, c, ratio in cert.prefix_checks:
+            assert c == sum(max(0, (m - h - 1) // lv.modulus)
+                            for lv in w.levels[1:depth + 1] for h in lv.residues)
+            assert ratio == Fraction(c, m)
+        assert cert.prefix_bound == stage_density(w, depth - 1)
 
 
 def test_gap_certificate_requires_one_half():
