@@ -8,6 +8,12 @@ docstring (`fin{1,2,3}`, `per m=6 R={1,3} t=2 add={0}`,
 config; under a fixed seed and config the json and csv outputs are
 byte-identical across runs.
 
+A report bound for stdout in text format (`--format text`, the default,
+and no `--out`) is bare: eval, dist and norm print only the value, and
+compute only the value. `main` makes that decision once and hands it to
+`_dispatch`; json, csv and `--out` reports carry everything, a norm's
+certified tail profile included.
+
 Exit codes: 0 all checks passed, 1 a certificate or battery failed,
 2 usage or parse error, 3 internal contract violation.
 
@@ -50,7 +56,8 @@ from .metric import (
     metric_equivalence_probe,
 )
 from .natset import FiniteSet, NatSet, PeriodicSet, format_set, parse_set
-from .reports import AxiomReport, CheckRecord, format_fraction, to_json, to_payload
+from .reports import (AxiomReport, CheckRecord, format_fraction, format_int, to_json,
+                      to_payload)
 from .samples import chunked, pool_battery, thinning_blocks
 from .values import ExtValue
 from .witness import (
@@ -105,7 +112,8 @@ def _flatten(prefix: str, obj, rows: list):
         for i, x in enumerate(obj):
             _flatten(f"{prefix}[{i}]", x, rows)
     else:
-        rows.append((prefix, "" if obj is None else str(obj)))
+        rows.append((prefix, "" if obj is None
+                     else format_int(obj) if type(obj) is int else str(obj)))
 
 
 def _rows(report) -> list[tuple[str, str]]:
@@ -375,39 +383,43 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return ap, dict(sub.choices)
 
 
-def _dispatch(args, config: Config) -> tuple[object, bool, Optional[str]]:
-    """Returns (report, ok, plain). `plain`, when set, is printed bare in
-    text format (the eval/dist fast path)."""
+def _dispatch(args, config: Config, bare: bool) -> tuple[object, bool]:
+    """Returns (report, ok). `bare` is `main`'s one decision that the report
+    goes to stdout as text: then eval, dist and norm return only their
+    value's text, which `main` prints as it is, and compute nothing that
+    text does not show. A bare norm asks for no profile cuts; its value is
+    the one the full estimate carries."""
     if args.verb == "eval":
         v = evaluate_measure(args.functional, parse_set_literal(args.set),
                              config)
-        return v, True, _format_value(v)
+        return (_format_value(v) if bare else v), True
     if args.verb == "dist":
         v = dist(args.functional, parse_set_literal(args.set_a),
                  parse_set_literal(args.set_b), config)
-        return v, True, _format_value(v)
+        return (_format_value(v) if bare else v), True
     if args.verb == "norm":
-        est = exhaustive_norm(args.lscsm, parse_set_literal(args.set), config)
-        return est, True, _format_value(est.value)
+        est = exhaustive_norm(args.lscsm, parse_set_literal(args.set), config,
+                              profile_cuts=() if bare else None)
+        return (_format_value(est.value) if bare else est), True
     if args.verb == "axioms":
         rep = _axioms_report(args.battery, args.functional, args.samples,
                              args.seed, config)
-        return rep, rep.passed, None
+        return rep, rep.passed
     if args.verb == "limit":
         cert = _limit_report(args.method, args.family, args.measure,
                              args.depth, config)
-        return cert, cert.verdict == "certified", None
+        return cert, cert.verdict == "certified"
     if args.verb == "witness":
         if args.wverb == "build":
             payload = _witness_build_payload(_parse_fraction(args.kappa),
                                              args.depth, args.demo)
-            return payload, True, None
+            return payload, True
         with open(args.file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if "report" in doc:
             doc = doc["report"]
         payload, ok = _witness_verify(doc, args.horizon, config)
-        return payload, ok, None
+        return payload, ok
     if args.verb == "probe":
         family = SetSequence(prefix=thinning_blocks(args.depth),
                              label="thinning")
@@ -428,7 +440,7 @@ def _dispatch(args, config: Config) -> tuple[object, bool, Optional[str]]:
             ok = rep.verdict == "two-sided-bounded"
         else:
             ok = True
-        return rep, ok, None
+        return rep, ok
     raise ValueError(f"unknown verb {args.verb!r}")
 
 
@@ -455,9 +467,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     try:
-        report, ok, plain = _dispatch(args, config)
-        if args.format == "text" and plain is not None and args.out is None:
-            print(plain)
+        report, ok = _dispatch(args, config,
+                               bare=args.format == "text" and args.out is None)
+        if isinstance(report, str):
+            print(report)
             return 0
         data = emit_report(report, args.format, config)
     except ParseError as e:

@@ -75,7 +75,8 @@ class InvariantsFailed(DensitasError):
 
 
 class UnprintableValue(DensitasError):
-    """A value has a numerator or denominator past Python's int-to-str digit limit."""
+    """An integer, or a rational's numerator or denominator, is past Python's
+    int-to-str digit limit."""
 
 
 class ParseError(DensitasError):

@@ -1107,8 +1107,7 @@ def exh_member(desc: LscsmDescriptor | str, a: NatSet,
                config: Config = DEFAULT_CONFIG) -> str:
     """Membership in Exh(phi): "in" iff the norm is exactly 0, "out" iff the
     norm is certified positive, "unknown" otherwise."""
-    est = exhaustive_norm(desc, a, config)
-    v = est.value
+    v = exhaustive_norm(desc, a, config, profile_cuts=()).value
     if v.status == "exact":
         return "in" if v.value == 0 else "out"
     if v.status == "infinite":

@@ -50,19 +50,24 @@ class AxiomReport:
         return f"{self.subject}: {n_pass} passed, {n_fail} failed, {n_skip} skipped"
 
 
+def format_int(n: int) -> str:
+    """The decimal text of the int n; UnprintableValue when n has more
+    digits than Python converts to a string."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        raise UnprintableValue(f"an integer of {n.bit_length()} bits is past "
+                               "the int-to-str digit limit") from None
+
+
 def format_fraction(q: Fraction) -> str:
     """The text p/q, or p for an integer; UnprintableValue when p or q has
     more digits than Python converts to a string."""
     if type(q) is not Fraction:
         q = Fraction(q)
-    try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"{q.numerator}/{q.denominator}"
-    except ValueError:
-        bits = max(q.numerator.bit_length(), q.denominator.bit_length())
-        raise UnprintableValue(f"a rational with a {bits}-bit numerator or denominator "
-                               "is past the int-to-str digit limit") from None
+    if q.denominator == 1:
+        return format_int(q.numerator)
+    return f"{format_int(q.numerator)}/{format_int(q.denominator)}"
 
 
 @functools.cache
@@ -127,7 +132,7 @@ def to_json(obj: Any) -> str:
 
 # the JSON text of the values that are their own payload, by exact type;
 # the walk writes these inline and hands every other leaf to `_leaf`
-_SELF_JSON = {str: _escape, int: int.__repr__, type(None): lambda _: "null",
+_SELF_JSON = {str: _escape, int: format_int, type(None): lambda _: "null",
               bool: lambda b: "true" if b else "false"}
 
 
@@ -159,7 +164,7 @@ def _write(obj: Any, out: list[str], nl: str) -> None:
         enc = _SELF_JSON.get(type(obj))
         if enc is None:
             obj = _leaf(obj)  # a str or int subclass stays as it is
-            enc = _escape if isinstance(obj, str) else int.__repr__
+            enc = _escape if isinstance(obj, str) else format_int
         out.append(enc(obj))
         return
     if not items:

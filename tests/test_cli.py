@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import densitas
-from densitas import cli
+from densitas import cli, exhaust
 from densitas.cli import (
     _axioms_report,
     _build_parser,
@@ -31,7 +31,7 @@ from densitas.cli import (
     parse_set_literal,
 )
 from densitas.config import DEFAULT_CONFIG
-from densitas.exceptions import ParseError, UnsupportedBackend
+from densitas.exceptions import DensitasError, ParseError, UnsupportedBackend
 from densitas.exhaust import exhaustive_norm
 from densitas.metric import SetSequence, cauchy_profile, metric_equivalence_probe
 from densitas.natset import (
@@ -277,7 +277,7 @@ def test_unprintable_value_exits_3_in_every_format(monkeypatch, capsys):
     # a rational past Python's 4,300-digit int-to-str limit is a typed error
     # under the exit-code contract, whichever writer meets it first
     huge = exact(Fraction(1, 10 ** 4400))
-    monkeypatch.setattr(cli, "_dispatch", lambda args, config: (huge, True, None))
+    monkeypatch.setattr(cli, "_dispatch", lambda args, config, bare: (huge, True))
     for fmt in ("json", "csv", "text"):
         assert main(["eval", "d-star", "fin{1}", "--format", fmt]) == 3
         err = capsys.readouterr().err
@@ -289,9 +289,108 @@ def test_unprintable_value_exits_3_in_every_format(monkeypatch, capsys):
     assert err.startswith("UnprintableValue: ") and "Exceeds the limit" not in err
 
 
+def test_unprintable_integer_leaf_exits_3_in_every_format(monkeypatch, capsys):
+    # an integer leaf past the int-to-str limit meets the json writer or the
+    # csv/text row walk; each reports it as a typed error, not a usage error
+    monkeypatch.setattr(cli, "_dispatch", lambda args, config, bare: ({"n": 10 ** 4400}, True))
+    for fmt in ("json", "csv", "text"):
+        assert main(["eval", "d-star", "fin{1}", "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("UnprintableValue: ")
+        assert "Exceeds the limit" not in captured.err and "Traceback" not in captured.err
+
+
 def test_norm_verb(capsys):
     assert main(["norm", "psi-dyadic", "blocks f(n)=2^-3"]) == 0
     assert capsys.readouterr().out.strip() == "1/8"
+
+
+# one concrete parameter per LSCSM_NAMES entry, and literals on all five
+# backends: finite, periodic with threshold and exceptions, factorial AP
+# union, constant/cyclic/`1/n`/dyadic blocks, horizon
+_NORM_NAMES = ("phi-prefix", "psi-dyadic", "phi-alpha:a=2", "phi-infty:eps=1/2",
+               "phi-infty-trunc:a=2", "counting", "harmonic", "geometric",
+               "weighted:f=harmonic")
+_NORM_LITERALS = ("fin{0,3,7,100}", "per m=6 R={1,3} t=8 add={0,2} rm={7}",
+                  "ap a=4! h=1 | ap a=5! h=3", "blocks f(n)=1/3",
+                  "blocks f(n)=cycle{1/2,1/4}", "blocks f(n)=1/n", "blocks f(n)=2^-3",
+                  "horizon H=16 bits=ff00")
+
+
+def _run(argv, capsys) -> tuple[int, str, str]:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name, literals", [
+    *(pytest.param(name, _NORM_LITERALS, id=name) for name in _NORM_NAMES),
+    # under the default eps these brackets are past the int-to-str limit
+    pytest.param("phi-infty", ("blocks f(n)=1/3", "blocks f(n)=cycle{1/2,1/4}",
+                               "blocks f(n)=2^-3"), id="phi-infty")])
+def test_bare_norm_prints_the_full_estimates_value(name, literals, capsys):
+    # bare text computes no profile; what it prints, or the typed error it
+    # exits with, is the full estimate's
+    for lit in literals:
+        try:
+            want = 0, _format_value(exhaustive_norm(name, parse_set(lit)).value) + "\n", ""
+        except DensitasError as e:
+            want = 3, "", f"{type(e).__name__}: {e}\n"
+        assert _run(["norm", name, lit], capsys) == want, (name, lit)
+
+
+@pytest.mark.parametrize("lscsm, lit", [("phi-alpha:a=2", "per m=6 R={1,3} t=8 add={0,2} rm={7}"),
+                                        ("phi-alpha:a=2", "blocks f(n)=cycle{1/2,1/4}")])
+def test_only_reports_that_print_the_profile_compute_it(lscsm, lit, monkeypatch, tmp_path,
+                                                        capsys):
+    calls = []
+    real = exhaust._tail
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(exhaust, "_tail", counted)
+    assert _run(["norm", lscsm, lit], capsys)[0] == 0
+    assert calls == []
+    cuts = [1 << k for k in range(0, 13, 2)]
+    assert _run(["norm", lscsm, lit, "--format", "json"], capsys)[0] == 0
+    assert calls == cuts
+    calls.clear()
+    assert _run(["norm", lscsm, lit, "--out", str(tmp_path / "norm.txt")], capsys)[0] == 0
+    assert calls == cuts
+
+
+# sha256 of the norm reports recorded before bare text stopped computing the
+# profile: json on stdout, and text and csv through --out
+_NORM_REPORTS = {
+    ("phi-alpha:a=2", "blocks f(n)=1/3", "json"):
+        "760718669d7eb4fa28bf60bdc6d910808e58c8cb52e648bbffde57ac8f5a8985",
+    ("phi-alpha:a=2", "blocks f(n)=1/3", "text"):
+        "0d6a2d23ba1f739a8a3ad70ff146971a2a5727dc7c952d34dbf58e431a014c30",
+    ("phi-alpha:a=2", "blocks f(n)=1/3", "csv"):
+        "d795432c0e89a3110a60ff9b2033854126ce7f2148adb01eeded445d032fb885",
+    ("psi-dyadic", "per m=12 R={1,5,7}", "json"):
+        "cb122cec12cc3ccfeb877398bce2ca746ca838719ee3d014ba753b028c1ddb48",
+    ("psi-dyadic", "per m=12 R={1,5,7}", "text"):
+        "08f1d1d9641917919bc599ab13459e234ca46f70bd17d4ed00baf972eacf035d",
+    ("psi-dyadic", "per m=12 R={1,5,7}", "csv"):
+        "139ba079fb2be0988eb7c750ea241670e9e954a7cc3e52a9a7e84db8e415c9ca",
+}
+
+
+@pytest.mark.parametrize("lscsm, lit, fmt", sorted(_NORM_REPORTS))
+def test_norm_reports_are_pinned(lscsm, lit, fmt, tmp_path, capsys):
+    argv = ["norm", lscsm, lit, "--format", fmt]
+    if fmt == "json":
+        assert main(argv) == 0
+        data = capsys.readouterr().out.encode()
+    else:
+        out = tmp_path / "norm.out"
+        assert main(argv + ["--out", str(out)]) == 0
+        data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _NORM_REPORTS[lscsm, lit, fmt]
 
 
 def test_eval_infinite_counting(capsys):

@@ -427,15 +427,22 @@ def test_norm_profiles_equal_their_standalone_tails(key):
             assert est.profile == _standalone_profile(name, a, want), (name, cuts)
 
 
-def test_a_norm_without_profile_cuts_keeps_its_value(rng):
-    # the limit pipelines and evaluate_measure("norm:...") ask for no profile:
-    # the value must be the one the full estimate carries
+def test_a_norm_without_profile_cuts_keeps_its_value(rng, monkeypatch):
+    # the limit pipelines, evaluate_measure("norm:..."), exh_member and the
+    # bare text `norm` verb ask for no profile: the value must be the one the
+    # full estimate carries, and exh_member's verdict the one it reads off
+    # that full estimate
     sets = list(SCAN_SETS.values()) + [random_structured_set(rng) for _ in range(60)]
     for a in sets:
         for name in SCAN_NAMES:
             lean = exhaustive_norm(name, a, profile_cuts=())
+            full = exhaustive_norm(name, a)
             assert lean.profile == ()
-            assert lean.value == exhaustive_norm(name, a).value, (name, a)
+            assert lean.value == full.value, (name, a)
+            with monkeypatch.context() as m:
+                m.setattr(exhaust, "exhaustive_norm", lambda *args, **kw: full)
+                verdict = exh_member(name, a)
+            assert exh_member(name, a) == verdict, (name, a)
 
 
 @pytest.mark.parametrize("a", [HALF_BLOCKS, DIRTY_BLOCKS, POW2, THIN, *WEIGHT_SETS, MESSY,
