@@ -17,13 +17,12 @@ certified tail profile included.
 Exit codes: 0 all checks passed, 1 a certificate or battery failed,
 2 usage or parse error, 3 internal contract violation.
 
-The argparse parsers are built once per process, on the first `main` call,
-and reused by every later call. When the first argument names a verb, `main`
-hands the rest straight to that verb's parser, which is what the top-level
-parser would do after one more pass over the argv; arguments that parser
-leaves over are reported through the top-level parser, as argparse does.
-Every other argv (no verb, an unknown one, `-h` or `--version` first) goes
-through the top-level parser.
+The argparse parser is built once per process, on the first `main` call,
+and reused by every later call. A well-formed argv (a verb, its positionals,
+exact option names each with a valid value) is read straight from the
+parser's own actions into the Namespace argparse would return; argparse
+itself answers every other argv, so abbreviations, `--opt=value`, `--`,
+help, and every usage error keep argparse's Namespace, exit and messages.
 """
 
 from __future__ import annotations
@@ -297,16 +296,14 @@ def _witness_verify(doc: dict, horizon: int, config: Config):
 # argument plumbing
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The top-level parser of the process."""
-    return _parsers()[0]
-
-
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the verb parsers by verb, built once per
-    process, on the first `main` call. `parse_args` keeps no state between
-    calls, and argparse reads the help width only when it prints help."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of the process, built once, on the first `main` call.
+    `parse_args` keeps no state between calls, and argparse reads the help
+    width only when it prints help. `_read` reads the kinds of argument
+    declared here: options that store one value, with no string default
+    for a `type` to convert, or are `store_true` flags, none required;
+    positionals that take one word, or a subparser after them."""
     ap = argparse.ArgumentParser(
         prog="densitas",
         description="Exact densities, submeasure norms, and their "
@@ -380,7 +377,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--bounds", default=None,
                    help="lo,hi claimed two-sided bounds to confirm")
     common(p)
-    return ap, dict(sub.choices)
+    return ap
 
 
 def _dispatch(args, config: Config, bare: bool) -> tuple[object, bool]:
@@ -444,19 +441,77 @@ def _dispatch(args, config: Config, bare: bool) -> tuple[object, bool]:
     raise ValueError(f"unknown verb {args.verb!r}")
 
 
+@functools.cache
+def _grammar(parser: argparse.ArgumentParser):
+    """(positionals, readable options by exact option string, defaults) of
+    one parser, from its own actions. Options that are neither one-value
+    stores nor `store_true` flags, such as `-h` and `--version`, are left
+    out, so `_read` declines them."""
+    acts = parser._actions
+    options = {s: a for a in acts if a.nargs is None or (
+        a.nargs == 0 and a.const is True and a.default is False) for s in a.option_strings}
+    defaults = {a.dest: a.default for a in acts
+                if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
+    return tuple(a for a in acts if not a.option_strings), options, defaults
+
+
+def _read(parser: argparse.ArgumentParser,
+          words: list[str]) -> Optional[argparse.Namespace]:
+    """The Namespace `parser.parse_args(words)` returns, read straight from
+    the parser's actions; None where this reading cannot show it the same:
+    a word starting with `-` that is no readable option (an abbreviation,
+    `--opt=value`, `-h`, `--`, a negative number), a missing or extra
+    positional, an option value starting with `-`, or a value its `type` or
+    `choices` refuses. A subparser, the last positional, reads the words
+    after its name."""
+    positionals, options, defaults = _grammar(parser)
+    args = argparse.Namespace(**defaults)
+    todo = iter(positionals)
+    i = 0
+    while i < len(words):
+        word = words[i]
+        if word.startswith("-"):
+            action = options.get(word)
+            if action is None:
+                return None
+            i += 1
+            if action.nargs == 0:
+                setattr(args, action.dest, action.const)
+                continue
+            if i == len(words) or words[i].startswith("-"):
+                return None
+            word = words[i]
+        else:
+            action = next(todo, None)
+            if action is None:
+                return None
+            if action.nargs == argparse.PARSER:
+                sub = action.choices.get(word)
+                rest = None if sub is None else _read(sub, words[i + 1:])
+                if rest is None:
+                    return None
+                setattr(args, action.dest, word)
+                vars(args).update(vars(rest))
+                return args
+        try:
+            value = word if action.type is None else action.type(word)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        setattr(args, action.dest, value)
+        i += 1
+    return None if next(todo, None) is not None else args
+
+
 def _parse_argv(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     """The Namespace `_build_parser().parse_args(argv)` returns, and the same
-    exit and messages on a usage error."""
+    exit and messages on a usage error: `_read` reads a well-formed argv,
+    argparse answers every other one."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, verbs = _parsers()
-    verb_parser = verbs.get(argv[0]) if argv else None
-    if verb_parser is None:
-        return parser.parse_args(argv)
-    args, extras = verb_parser.parse_known_args(argv[1:])
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
-    args.verb = argv[0]
-    return args
+    parser = _build_parser()
+    args = _read(parser, argv)
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

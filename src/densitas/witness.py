@@ -350,8 +350,11 @@ def check_witness_invariants(w: WitnessFamily, horizon: int = 10 ** 6,
     bisection of the members listed there, and at geometrically spaced
     probes up to the top modulus, using O(1) progression counting.
     The report is computed once per family and (horizon, probes); the
-    certificates that need it read the same report.
+    certificates that need it read the same report. A horizon below 1
+    checks no breakpoint, so it is refused with ValueError.
     """
+    if horizon < 1:
+        raise ValueError(f"the witness horizon must be >= 1, got {horizon}")
     memo = w._invariants
     if (horizon, probes) not in memo:
         memo[horizon, probes] = _invariant_report(w, horizon, probes)

@@ -14,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import densitas
 from densitas import cli, exhaust
@@ -751,6 +753,17 @@ def test_witness_verify_rejects_tampered_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("horizon", ["0", "-5"])
+def test_witness_verify_refuses_a_horizon_below_one(horizon, tmp_path, capsys):
+    out = tmp_path / "family.json"
+    assert main(["witness", "build", "--depth", "2", "--format", "json",
+                 "--out", str(out)]) == 0
+    assert main(["witness", "verify", str(out), "--horizon", horizon]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: the witness horizon must be >= 1, got {horizon}\n"
+
+
 def test_probe_verb_finds_divergence(capsys):
     assert main(["probe", "norm:phi-infty-trunc:a=4", "norm:psi-dyadic",
                  "--depth", "4", "--targets", "1,2", "--format", "json"]) == 0
@@ -856,12 +869,25 @@ def test_the_parser_is_built_once_per_process(capsys):
     capsys.readouterr()
 
 
-# argv that parse: abbreviated and `=` options, options before positionals,
-# `--`; then argv that print help or fail: no verb, an unknown verb, `-h` at
-# the top and per verb, `eval --version`, an extra positional, a bad choice,
-# a missing or unknown witness subverb
+# argv that parse: the benchmark's shapes, a repeated option (the last one
+# wins), a repeated flag, an empty positional, a choice after a positional,
+# values `int` reads its own way; abbreviated and `=` options, options
+# before positionals, `--`; then argv that print help or fail: no verb, an
+# unknown verb, `-h` at the top and per verb, `eval --version`, an extra or
+# missing positional, a bad choice, a negative or bad int, a missing or
+# unknown witness subverb
 _ARGV_CASES = [
     ["eval", "d-star", "fin{1}"],
+    ["limit", "cauchy", "multiples", "--measure", "norm:phi-prefix", "--depth", "7",
+     "--format", "json"],
+    ["witness", "verify", "w.json", "--horizon", "1000", "--format", "json"],
+    ["witness", "build", "--kappa", "1/3", "--depth", "2", "--format", "json"],
+    ["eval", "d-star", "fin{1}", "--format", "json", "--format", "csv"],
+    ["witness", "build", "--demo", "--demo"],
+    ["eval", "", "fin{1}"],
+    ["limit", "cauchy", "evens", "--format", "csv"],
+    ["limit", "sigma", "evens", "--depth", "1_0"],
+    ["limit", "sigma", "evens", "--depth", " 5"],
     ["eval", "--form", "json", "d-star", "fin{1}"],
     ["eval", "--format=json", "d-star", "fin{1}"],
     ["eval", "--out", "x.json", "--format", "csv", "buck", "fin{1}"],
@@ -870,6 +896,7 @@ _ARGV_CASES = [
     ["norm", "psi-dyadic", "fin{1}", "--format", "text"],
     ["axioms", "--samples", "3", "lscsm", "counting", "--seed=2"],
     ["limit", "sigma", "evens", "--depth", "4", "--measure", "d-star"],
+    ["limit", "sigma", "evens", "--depth", "-3"],
     ["witness", "build", "--kappa", "1/3", "--demo"],
     ["witness", "verify", "w.json", "--horizon", "10"],
     ["probe", "d-star", "bd-star", "--targets", "1,2", "--bounds", "0,1"],
@@ -877,14 +904,15 @@ _ARGV_CASES = [
     ["eval", "-h"], ["witness", "build", "-h"], ["eval", "--version"],
     ["eval", "d-star", "fin{1}", "junk"], ["eval", "d-star", "fin{1}", "--", "junk", "--zz"],
     ["eval", "d-star"], ["eval", "--format", "xml", "d-star", "fin{1}"],
+    ["eval", "d-star", "fin{1}", "--format", "xml"], ["limit", "sigma", "evens", "--depth", "x"],
     ["axioms", "nonesuch", "d-star"], ["axioms", "lscsm", "counting", "--samples", "x"],
-    ["witness"], ["witness", "frob"],
+    ["witness"], ["witness", "frob"], ["witness", "build", "extra"],
 ]
 
 
 def _parsed(parse, argv, capsys):
     try:
-        got = parse(argv)
+        got = repr(parse(argv))  # the repr tells True from 1 and shows the order
     except SystemExit as e:  # usage errors, help and --version
         got = e.code
     out, err = capsys.readouterr()
@@ -893,15 +921,89 @@ def _parsed(parse, argv, capsys):
 
 @pytest.mark.parametrize("argv", _ARGV_CASES, ids=lambda a: " ".join(a) or "no-args")
 def test_argv_parse_like_the_full_parser(argv, monkeypatch, capsys):
-    """Handing argv to its verb's parser gives the Namespace, or the exit
-    code, help and error text, of the top-level parser."""
+    """Reading argv straight from the parser's actions gives the Namespace,
+    or the exit code, help and error text, of the full parser."""
     monkeypatch.setenv("COLUMNS", "80")
     got = _parsed(_parse_argv, argv, capsys)
     assert got == _parsed(_build_parser().parse_args, argv, capsys)
-    if isinstance(got[0], argparse.Namespace):
-        assert got[1:] == ("", "")
+    if isinstance(got[0], str):
+        assert got[0].startswith("Namespace(") and got[1:] == ("", "")
     else:
         assert _parsed(main, argv, capsys) == got
+
+
+def _actions(parser, positional):
+    return [a for a in parser._actions if bool(a.option_strings) != positional]
+
+
+# words argparse reads its own way: empty, spaced, signed and underscored
+# numbers, lone dashes, help, abbreviated, `=` and unknown options
+_ODD_WORDS = ["", "x y", "-3", "1_0", " 5", "-", "--", "-h", "--help", "--version",
+              "--form", "--format=json", "--dep", "-x", "junk"]
+
+
+@st.composite
+def _drawn_argv(draw):
+    """An argv drawn from the actions of one verb's parser (and of the
+    witness subverb's): its positionals' choices or words, its options with
+    valid and invalid values, in any order, now and then an odd word."""
+    words, parser = [], _build_parser()
+    while (sub := next((a for a in parser._actions if a.nargs == argparse.PARSER),
+                       None)) is not None:
+        name = draw(st.sampled_from(sorted(sub.choices) + ["nonesuch"]))
+        words.append(name)
+        if name not in sub.choices:
+            return words
+        parser = sub.choices[name]
+    items = []
+    for a in _actions(parser, positional=True):
+        if draw(st.integers(0, 9)):  # now and then a positional is missing
+            items.append([draw(st.sampled_from(list(a.choices or ["d-star", "fin{1}"])
+                                               + ["xml", ""]))])
+    for _ in range(draw(st.integers(0, 4))):
+        a = draw(st.sampled_from(_actions(parser, positional=False)))
+        flag = draw(st.sampled_from(a.option_strings))
+        if a.nargs == 0:
+            items.append([flag])
+            continue
+        good = list(a.choices or (["0", "7", "12"] if a.type is int else ["1/3", "c.cfg"]))
+        odd = not draw(st.integers(0, 3))
+        items.append([flag, draw(st.sampled_from(_ODD_WORDS + ["xml"] if odd else good))])
+    items = draw(st.permutations(items))
+    for _ in range(draw(st.integers(0, 1))):
+        items.insert(draw(st.integers(0, len(items))), [draw(st.sampled_from(_ODD_WORDS))])
+    return words + [w for item in items for w in item]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_drawn_argv())
+def test_drawn_argv_parse_like_the_full_parser(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _parsed(_parse_argv, argv, capsys)
+    assert got == _parsed(_build_parser().parse_args, argv, capsys)
+
+
+def test_well_formed_argv_never_reach_argparse(tmp_path, monkeypatch, capsys):
+    """The benchmark's argv shapes answer through `main` with argparse's
+    parsing switched off: the reader reads them itself."""
+    def refuse(*args, **kw):
+        raise AssertionError("argparse parsed a well-formed argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    w = str(tmp_path / "w.json")
+    assert main(["witness", "build", "--kappa", "1/2", "--depth", "2",
+                 "--format", "json", "--out", w]) == 0
+    for argv in (["limit", "cauchy", "multiples", "--measure", "norm:phi-prefix",
+                  "--depth", "7", "--format", "json"],
+                 ["witness", "verify", w, "--horizon", "1000", "--format", "json"],
+                 ["witness", "build", "--kappa", "1/3", "--depth", "2", "--format", "json"],
+                 ["eval", "d-star", "per m=6 R={1,3}"],
+                 ["norm", "phi-alpha:a=2", "blocks f(n)=1/3", "--format", "csv"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+    with pytest.raises(AssertionError, match="argparse parsed"):
+        main(["eval", "--form", "json", "d-star", "fin{1}"])
 
 
 def test_one_process_answers_like_fresh_ones(tmp_path, monkeypatch, capsys):

@@ -265,6 +265,18 @@ def test_tampered_residues_fail_disjointness(family):
         divergence_certificate(tampered, horizon=10 ** 4)
 
 
+@pytest.mark.parametrize("horizon", [0, -5])
+def test_a_horizon_below_one_is_refused(params, horizon):
+    # a horizon below 1 checks no breakpoint: it certifies nothing
+    w = build_witness(params, 1)
+    for check in (check_witness_invariants, divergence_certificate,
+                  banach_gap_certificate):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            check(w, horizon=horizon)
+    assert vars(w)["_invariants"] == {}
+    assert check_witness_invariants(w, horizon=1).passed
+
+
 def _count_invariant_reports(monkeypatch) -> Counter:
     calls: Counter = Counter()
     body = witness._invariant_report
