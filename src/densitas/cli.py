@@ -286,7 +286,7 @@ def _witness_verify(doc: dict, horizon: int, config: Config):
             gap = banach_gap_certificate(w, horizon=horizon)
             payload["gap"] = gap
         prof = cauchy_profile("bd-star", witness_sequence(w),
-                              depth=depth + 1, config=config)
+                              depth=depth + 1, config=config, full_table=False)
         payload["cauchy_certified"] = prof.certified
         ok = prof.certified
     return payload, ok

@@ -30,7 +30,14 @@ from .exceptions import (
     OracleContractViolated,
 )
 from .exhaust import exhaustive_norm, get_lscsm, tail_value
-from .metric import SetSequence, _clamp_unit, cauchy_profile, dist, evaluate_measure
+from .metric import (
+    SetSequence,
+    _clamp_unit,
+    _verified_nested,
+    cauchy_profile,
+    dist,
+    evaluate_measure,
+)
 from .natset import (
     FiniteSet,
     NatSet,
@@ -39,6 +46,7 @@ from .natset import (
     boolean_op,
     complement,
     drop_below,
+    least_member,
 )
 from .values import ExtValue, exact
 
@@ -168,7 +176,7 @@ def _union_candidate(nu: str, seq: SetSequence, depth: Optional[int],
     outside = []
     for n, a in enumerate(items):
         out_part = boolean_op(a, limit, "difference", config)
-        if not out_part.is_empty_surely() and out_part.elements_in(0, 1 << 16):
+        if least_member(out_part) is not None:
             raise NotMonotone(
                 f"stage {n} is not contained in the limit candidate")
         outside.append(out_part)
@@ -354,24 +362,24 @@ def cauchy_to_limit(nu: str, seq: SetSequence, oracle: Ap0Oracle,
     stage.
     """
     depth = _observed_depth(seq, depth)
-    profile = cauchy_profile(nu, seq, depth, config)
+    profile = cauchy_profile(nu, seq, depth, config, full_table=False)
     if not profile.certified:
         raise NotCauchy(
             "the sequence has no certified Cauchy modulus: " + profile.note)
-    levels = dict(profile.modulus)
-    sub = []
-    for i in range(depth):
-        if i not in levels:
-            break
-        sub.append(seq.item(levels[i]))
+    # the modulus levels run k = 0, 1, ...: level i picks the i-th stage
+    indices = [idx for _, idx in profile.modulus[:depth]]
+    sub = [seq.item(j) for j in indices]
     if len(sub) < 2:
         raise NotCauchy("modulus extraction produced fewer than two stages")
 
-    # B_i from the oracle on the increasing complement chains
+    # B_i from the oracle on the increasing complement chains of the nested
+    # intersections of sub[i:]; on a verified nested sub-sequence (the
+    # modulus indices ascend) each of those intersections is sub[i] itself
+    nested = _verified_nested(seq, indices, sub, config)
     b_sets = []
     for i in range(len(sub)):
-        nested = _running(sub[i:], "intersection", config)
-        e_i = _resolve_audited(nu, oracle, [complement(x, config) for x in nested],
+        chain = [sub[i]] if nested else _running(sub[i:], "intersection", config)
+        e_i = _resolve_audited(nu, oracle, [complement(x, config) for x in chain],
                                "stage {}", f"its level-{i} answer", config)
         b_sets.append(complement(e_i, config))
     # C_i = union of the B_k so far, then one more oracle call for A

@@ -14,6 +14,16 @@ Sequences are finitely presented: an explicit prefix plus an optional
 closed-form rule. Tail claims (certified moduli, declared limits) are only
 honoured when a rule and a certified tail bound accompany the prefix;
 prefix-only sequences always yield observed-only reports.
+
+A Cauchy certificate reads only each member's largest distance to a later
+member. On a nested chain A_0 ⊆ A_1 ⊆ ... ⊆ A_{d-1} that is the distance
+to the last member: for i <= j < d, A_i △ A_j = A_j ∖ A_i lies inside
+A_{d-1} ∖ A_i, and every submeasure and upper density is monotone. So d
+distances stand in for the d(d+1)/2 pairs. A chain counts as nested only
+when it is verified: the monotone flag checks the prefix exactly, and a
+rule-built member past it is checked by the same test. Any other sequence,
+and any chain with an inexact distance to its last member, gets the full
+pairwise table.
 """
 
 from __future__ import annotations
@@ -26,13 +36,14 @@ from typing import Callable, Optional, Sequence
 from .config import Config, DEFAULT_CONFIG
 from .density import get_functional
 from .exceptions import (
+    DensitasError,
     IncompatibleBackends,
     InsufficientPrefix,
     NotMonotone,
     SampleNotExact,
 )
 from .exhaust import exhaustive_norm, get_lscsm, tail_value
-from .natset import NatSet, boolean_op
+from .natset import NatSet, boolean_op, least_member
 from .reports import AxiomReport, CheckRecord
 from .values import ExtValue, bracket, exact, observational
 
@@ -84,16 +95,12 @@ class SetSequence:
                     raise ValueError(f"rule and prefix disagree at index {i}")
         if self.monotone:
             for i in range(len(self.prefix) - 1):
-                diff = boolean_op(self.prefix[i], self.prefix[i + 1],
-                                  "difference")
-                if diff.is_empty_surely():
-                    continue
-                window = min(1 << 16, getattr(diff, "horizon", 1 << 16))
-                stray = diff.elements_in(0, window)
-                if stray:
+                stray = least_member(
+                    boolean_op(self.prefix[i], self.prefix[i + 1], "difference"))
+                if stray is not None:
                     raise NotMonotone(
                         f"A_{i} is not contained in A_{i + 1}: "
-                        f"element {stray[0]} drops out")
+                        f"element {stray} drops out")
 
     def __len__(self) -> int:
         return len(self.prefix)
@@ -212,7 +219,9 @@ def check_pseudometric(nu: str, samples: Sequence[tuple[NatSet, NatSet, NatSet]]
 class CauchyReport:
     """Pairwise distances of a sequence prefix with a modulus extraction.
 
-    The table is symmetric with a zero diagonal. `modulus` lists pairs
+    The table is symmetric with a zero diagonal, or, from
+    `cauchy_profile(..., full_table=False)` on a verified nested chain, the
+    one row d(A_i, A_{d-1}) for i < d. `modulus` lists pairs
     (k, index) meaning every distance between members at or beyond the index
     is below 2^-k; `certified` marks moduli backed by a rule plus a declared
     summable tail bound rather than by the observed table alone.
@@ -236,8 +245,41 @@ class CauchyReport:
         return best
 
 
+def _verified_nested(seq: SetSequence, indices: Sequence[int],
+                     items: Sequence[NatSet], config: Config) -> bool:
+    """Whether `items`, the members of seq at the ascending `indices`, form
+    a verified chain A ⊆ A' ⊆ ...: the monotone flag verified the prefix,
+    and each step that reaches past it is checked here, by the same exact
+    test. A step that cannot be decided counts as not nested."""
+    if not seq.monotone:
+        return False
+    past = len(seq.prefix)
+    try:
+        return all(least_member(boolean_op(items[j - 1], items[j], "difference",
+                                           config)) is None
+                   for j in range(1, len(items)) if indices[j] >= past)
+    except DensitasError:
+        return False
+
+
+def _last_column(nu: str, seq: SetSequence, items: Sequence[NatSet],
+                 config: Config) -> Optional[tuple[ExtValue, ...]]:
+    """d(A_i, A_{d-1}) for every i < d, when the chain is verified nested
+    and each of those distances is exact; None sends the caller to the
+    table, as does any error a distance raises, so that the table raises
+    it where it always has."""
+    if not _verified_nested(seq, range(len(items)), items, config):
+        return None
+    try:
+        column = tuple(dist(nu, a, items[-1], config) for a in items)
+    except DensitasError:
+        return None
+    return column if all(v.status == "exact" for v in column) else None
+
+
 def cauchy_profile(nu: str, seq: SetSequence, depth: int,
-                   config: Config = DEFAULT_CONFIG) -> CauchyReport:
+                   config: Config = DEFAULT_CONFIG,
+                   full_table: bool = True) -> CauchyReport:
     """Pairwise distance table for the first `depth` members plus a Cauchy
     modulus at the levels k < 16.
 
@@ -247,6 +289,12 @@ def cauchy_profile(nu: str, seq: SetSequence, depth: int,
     from the bound instead (subadditivity chains d(A_i, A_j) through the
     increments), and the report is marked certified; the observed table must
     respect the bound or the certificate is withheld.
+
+    `full_table=False` asks for the certificate and the modulus only. On a
+    verified nested chain (see the module docstring) it reads the d
+    distances to the last member instead of the d(d+1)/2 pairs, and the
+    report's table is that one column, as a single row; on any other
+    sequence, or when a column distance is inexact, it fills the table.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
@@ -254,20 +302,28 @@ def cauchy_profile(nu: str, seq: SetSequence, depth: int,
         raise InsufficientPrefix(
             f"depth {depth} exceeds the prefix ({len(seq.prefix)}) and no rule given")
     items = [seq.item(i) for i in range(depth)]
-    table: list[list[ExtValue]] = [[exact(0)] * depth for _ in range(depth)]
     # row[i]: the largest d(A_i, A_j) over j >= i; worst[i]: the largest
     # distance among the members >= i; either None once a distance is inexact
-    row: list[Optional[Fraction]] = []
-    for i in range(depth):
-        for j in range(i, depth):
-            table[i][j] = table[j][i] = dist(nu, items[i], items[j], config)
-        r = table[i][i:]
-        row.append(max(v.value for v in r) if all(v.status == "exact" for v in r) else None)
+    column = None if full_table else _last_column(nu, seq, items, config)
+    if column is not None:
+        table: tuple[tuple[ExtValue, ...], ...] = (column,)
+        row: list[Optional[Fraction]] = [v.value for v in column]
+        diagonal = (column[-1],)
+    else:
+        grid: list[list[ExtValue]] = [[exact(0)] * depth for _ in range(depth)]
+        row = []
+        for i in range(depth):
+            for j in range(i, depth):
+                grid[i][j] = grid[j][i] = dist(nu, items[i], items[j], config)
+            r = grid[i][i:]
+            row.append(max(v.value for v in r) if all(v.status == "exact" for v in r) else None)
+        table = tuple(map(tuple, grid))
+        diagonal = tuple(grid[i][i] for i in range(depth))
     worst: list[Optional[Fraction]] = [Fraction(0)] * (depth + 1)
     for i in reversed(range(depth)):
         worst[i] = None if row[i] is None or worst[i + 1] is None \
             else max(row[i], worst[i + 1])
-    all_exact = worst[0] is not None and all(table[i][i].value == 0 for i in range(depth))
+    all_exact = worst[0] is not None and all(v.value == 0 for v in diagonal)
 
     note = ""
     certified = False
@@ -300,8 +356,7 @@ def cauchy_profile(nu: str, seq: SetSequence, depth: int,
             break
         modulus.append((k, idx))
 
-    return CauchyReport(nu, depth, tuple(tuple(r) for r in table),
-                        tuple(modulus), certified, note)
+    return CauchyReport(nu, depth, table, tuple(modulus), certified, note)
 
 
 # ---------------------------------------------------------------------------

@@ -1015,6 +1015,41 @@ def finite_part(a: NatSet) -> Optional[FiniteSet]:
     return None
 
 
+def least_member(a: NatSet) -> Optional[int]:
+    """The least member of A, or None when A is empty, decided exactly: the
+    containment test B ⊆ C of monotone sequences and limit candidates is
+    `least_member(B ∖ C) is None`.
+
+    Past the finite and horizon cases, a set has a rule part with
+    infinitely many members (residues, progression terms, a cycle fill with
+    a positive value) and finitely many exceptions, so it has a member, and
+    the least one is bisected by `count_range`. A block set with a
+    vanishing fill is the exception: its emptiness is not decidable, so it
+    raises UnsupportedBackend unless a member lies below 2^64.
+    """
+    if a.is_empty_surely():
+        return None
+    fin = finite_part(a)
+    if fin is not None:
+        return fin.elements[0] if fin.elements else None
+    if isinstance(a, HorizonSet):
+        return (a._word & -a._word).bit_length() - 1 if a._word else None
+    hi = 1
+    while not a.count_range(0, hi):
+        if hi >> 64 and isinstance(a, DyadicBlockSet) and a.fill.structure == "vanishing":
+            raise UnsupportedBackend(
+                "emptiness of a block set with a vanishing fill is not decidable")
+        hi <<= 1
+    lo = hi >> 1  # |A ∩ [0, lo)| = 0 < |A ∩ [0, hi)|
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a.count_range(0, mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 # ---------------------------------------------------------------------------
 # boolean algebra
 

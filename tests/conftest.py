@@ -304,3 +304,26 @@ def random_structured_set(rng: random.Random):
 @pytest.fixture
 def rng():
     return random.Random(0xD5)
+
+
+def assert_column_matches_table(nu, seq, depth):
+    """The column profile of a nested chain against the full pairwise
+    table, which stays the reference. Either the column fell back to the
+    table, and the reports are equal, or it holds one row, with the same
+    certificate, note and modulus, and each member's largest distance to a
+    later member is its distance to the last one. Returns whether the
+    column path was taken."""
+    from densitas.metric import cauchy_profile
+
+    table = cauchy_profile(nu, seq, depth)
+    column = cauchy_profile(nu, seq, depth, full_table=False)
+    if len(column.table) == depth > 1:
+        assert column == table
+        return False
+    assert len(column.table) == 1
+    assert (column.certified, column.note, column.modulus) \
+        == (table.certified, table.note, table.modulus)
+    maxima = [max(v.value for v in row[i:]) for i, row in enumerate(table.table)]
+    assert [v.value for v in column.table[0]] == maxima
+    assert column.observed_max == table.observed_max
+    return True

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from densitas import limits, metric
 from densitas.cli import _FAMILIES
 from densitas.config import DEFAULT_CONFIG
 from densitas.exceptions import (
@@ -117,6 +118,16 @@ def test_sigma_limit_reports_when_the_upper_density_breaks_the_tail_bound():
 def test_sigma_limit_requires_the_monotone_flag():
     with pytest.raises(NotMonotone):
         sigma_limit("geometric", SetSequence(prefix=(EMPTY, EVENS)))
+
+
+@pytest.mark.parametrize("nu", ["d-star", "counting", "geometric"])
+@pytest.mark.parametrize("member", [5, 100000])
+def test_a_stage_outside_the_declared_limit_is_refused(nu, member):
+    # containment in the limit candidate is decided exactly, also for an
+    # element past 2^16
+    seq = SetSequence(prefix=(FiniteSet((member,)),), monotone=True, limit=EMPTY)
+    with pytest.raises(NotMonotone, match="stage 0 is not contained"):
+        sigma_limit(nu, seq)
 
 
 def test_sigma_limit_rejects_infinite_increments():
@@ -321,6 +332,37 @@ def test_the_audit_hands_over_a_run_of_equal_stages_once():
                          "its answer", DEFAULT_CONFIG)
     assert [len(prefix) for prefix in seen] == [2]
     assert seen[0][0] is one and seen[0][1] == both
+
+
+def test_pipeline_on_a_nested_chain_matches_the_general_loop():
+    # on a verified nested chain each level's nested intersection is its
+    # first stage; without the monotone flag the pipeline folds them all
+    for rule, tail_bound, limit, _ in _FAMILIES.values():
+        for nu in ("geometric", "counting", "d-star", "bd-star", "norm:phi-prefix"):
+            for depth in (2, 5, 12):
+                kw = dict(prefix=tuple(rule(n) for n in range(depth)), rule=rule,
+                          tail_bound=tail_bound, limit=limit)
+                nested = _limit_or_raise(lambda: cauchy_to_limit(
+                    nu, SetSequence(monotone=True, **kw), sigma_union_oracle(nu)))
+                general = _limit_or_raise(lambda: cauchy_to_limit(
+                    nu, SetSequence(**kw), sigma_union_oracle(nu)))
+                assert nested == general and repr(nested) == repr(general), (nu, depth)
+
+
+def test_pipeline_reads_two_distances_per_stage(monkeypatch):
+    # one per stage for the Cauchy profile, one per stage for its audit of
+    # C_i against the limit; the pairwise table took 78 at depth 12
+    calls = []
+    for module in (metric, limits):
+        body = module.dist
+        monkeypatch.setattr(module, "dist",
+                            lambda *a, body=body: calls.append(a) or body(*a))
+    rule, tail_bound, limit, _ = _FAMILIES["multiples"]
+    seq = SetSequence(prefix=tuple(rule(n) for n in range(12)), rule=rule,
+                      monotone=True, tail_bound=tail_bound, limit=limit)
+    cert = cauchy_to_limit("geometric", seq, sigma_union_oracle("geometric"))
+    assert cert.verdict == "certified"
+    assert len(calls) <= 2 * 12
 
 
 def test_pipeline_limit_feeds_back_with_zero_residuals():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from densitas.cli import _FAMILIES
 from densitas.exceptions import (
     InsufficientPrefix,
     NotMonotone,
@@ -36,9 +37,10 @@ from densitas.natset import (
     boolean_op,
     parse_set,
 )
+from densitas import metric
 from densitas.values import bracket, exact, observational
 
-from conftest import brute_members, brute_prefix_ratios
+from conftest import assert_column_matches_table, brute_members, brute_prefix_ratios
 
 THIRDS = PeriodicSet(3, (0,))
 
@@ -233,6 +235,18 @@ def test_sequence_monotone_flag_is_verified():
         SetSequence(prefix=(EVENS, ODDS), monotone=True)
 
 
+@pytest.mark.parametrize("prefix", [
+    ("fin{100000}", "fin{}"),
+    ("fin{1,100000}", "fin{1}", "fin{1,2}"),
+    ("per m=2 R={0}", "per m=2 R={0} t=100002 rm={100000}"),
+])
+def test_monotone_flag_is_decided_past_any_window(prefix):
+    # the element that drops out lies past 2^16; containment is decided
+    # exactly, not on a window
+    with pytest.raises(NotMonotone, match="element 100000 drops out"):
+        SetSequence(prefix=tuple(map(parse_set, prefix)), monotone=True)
+
+
 def test_sequence_needs_prefix_or_rule():
     with pytest.raises(ValueError):
         SetSequence(prefix=())
@@ -319,6 +333,49 @@ def test_cauchy_profile_depth_checks():
         cauchy_profile("d-star", seq, 3)
     with pytest.raises(ValueError):
         cauchy_profile("d-star", seq, 0)
+
+
+def test_column_profile_matches_the_table_on_limit_families():
+    paths = []
+    for rule, tail_bound, limit, _ in _FAMILIES.values():
+        seq = SetSequence(prefix=tuple(rule(n) for n in range(12)), rule=rule,
+                          monotone=True, tail_bound=tail_bound, limit=limit)
+        for nu in ("geometric", "counting", "d-star", "bd-star", "norm:phi-prefix"):
+            for depth in (1, 2, 5, 12, 16):  # 16 reaches past the prefix
+                paths.append(assert_column_matches_table(nu, seq, depth))
+    # the geometric measure of a power from 2^14 on is a bracket, which
+    # sends that one chain to the table; every other chain takes the column
+    assert paths.count(False) == 1
+
+
+def test_column_profile_reads_one_distance_per_member(monkeypatch):
+    rule, tail_bound, limit, _ = _FAMILIES["multiples"]
+    seq = SetSequence(prefix=tuple(rule(n) for n in range(8)), rule=rule,
+                      monotone=True, tail_bound=tail_bound, limit=limit)
+    calls = []
+    body = metric.dist
+    monkeypatch.setattr(metric, "dist", lambda *a: calls.append(a) or body(*a))
+    rep = cauchy_profile("geometric", seq, 8, full_table=False)
+    assert rep.certified
+    assert [a[1:3] for a in calls] == [(seq.item(i), seq.item(7)) for i in range(8)]
+
+
+def test_column_profile_falls_back_to_the_table():
+    grow = [FiniteSet(tuple(range(n))) for n in range(4)]
+    cases = [
+        # not marked monotone, though nested
+        SetSequence(prefix=tuple(grow)),
+        # a rule stage past the prefix that drops a member
+        SetSequence(prefix=tuple(grow[:3]), monotone=True,
+                    rule=lambda n: grow[n] if n < 3 else FiniteSet((7,))),
+        # nested, but no column distance is exact
+        SetSequence(prefix=tuple(HorizonSet.from_members(64, range(n))
+                                 for n in range(4)), monotone=True),
+    ]
+    for seq in cases:
+        column = cauchy_profile("d-star", seq, 4, full_table=False)
+        assert column == cauchy_profile("d-star", seq, 4)
+        assert len(column.table) == 4
 
 
 def test_cauchy_table_is_symmetric_with_zero_diagonal():

@@ -39,6 +39,7 @@ from densitas.natset import (
     complement,
     drop_below,
     format_set,
+    least_member,
     normalize_periodic,
     parse_set,
     round_half_up,
@@ -1518,3 +1519,30 @@ def test_finite_minus_infinite_stays_finite():
     assert d.elements == (1, 3, 5)
     i = boolean_op(f, e, "intersection")
     assert i.elements == (0, 2, 4)
+
+
+@pytest.mark.parametrize("text, least", [
+    ("fin{}", None),
+    ("fin{9,3,100000}", 3),
+    ("per m=6 R={0,2} t=12 add={1} rm={0}", 1),
+    ("per m=2 R={}", None),
+    ("ap a=5040 h=3 j0=100", 504003),
+    ("blocks f(n)=2^-20", 1 << 19),
+    ("blocks f(n)=cycle{0}@3", None),
+    ("blocks f(n)=1/n", 2),
+])
+def test_least_member_is_decided_exactly(text, least):
+    a = parse_set(text)
+    assert least_member(a) == least
+    if least is not None:
+        assert a.member(least) and brute_count(a, 0, min(least, 1 << 12)) == 0
+        assert a.count_range(0, least) == 0
+
+
+def test_least_member_of_horizon_sets_and_undecidable_fills():
+    assert least_member(HorizonSet.from_members(1 << 17, [70000, 99999])) == 70000
+    assert least_member(HorizonSet.from_members(64, [])) is None
+    never = DyadicBlockSet(FillRule.vanishing(lambda n: Fraction(0), "0",
+                                              slice_growth="bounded"))
+    with pytest.raises(UnsupportedBackend, match="not decidable"):
+        least_member(never)

@@ -15,7 +15,7 @@ from densitas.exceptions import (
     KappaMismatch,
     ScheduleTooShort,
 )
-from densitas import witness
+from densitas import metric, witness
 from densitas.cli import main
 from densitas.metric import cauchy_profile, evaluate_measure
 from densitas.natset import APTerm, APUnionSet
@@ -32,6 +32,8 @@ from densitas.witness import (
     validate_params,
     witness_sequence,
 )
+
+from conftest import assert_column_matches_table
 
 HALF = Fraction(1, 2)
 
@@ -469,6 +471,28 @@ def test_witness_sequence_profile_is_certified(family):
     # bound already sits far below 2^-15
     assert dict(prof.modulus)[15] == 0
     assert increment_tail_bound(family.params, 2) < Fraction(1, 2 ** 15)
+
+
+@pytest.mark.parametrize("kappa", [HALF, Fraction(1, 3), Fraction(2, 3)])
+def test_column_profile_matches_the_table_on_witness_stages(kappa):
+    # `witness verify` at depth d profiles the d + 1 stages A_0..A_d
+    seq = witness_sequence(build_witness(derive_params(kappa, levels=22), 20))
+    for depth in range(1, 22):
+        assert assert_column_matches_table("bd-star", seq, depth)
+
+
+def test_verify_reads_one_distance_per_stage(tmp_path, monkeypatch, capsys):
+    # the nested stages need their distances to the last stage only: 13 at
+    # depth 12, where the pairwise table took 91
+    out = tmp_path / "family.json"
+    assert main(["witness", "build", "--kappa", "1/2", "--depth", "12",
+                 "--format", "json", "--out", str(out)]) == 0
+    calls = []
+    body = metric.dist
+    monkeypatch.setattr(metric, "dist", lambda *a: calls.append(a) or body(*a))
+    assert main(["witness", "verify", str(out), "--format", "json"]) == 0
+    assert '"cauchy_certified": true' in capsys.readouterr().out
+    assert len(calls) == 13 <= 2 * 12
 
 
 def test_witness_sequence_rule_extends_then_runs_out(family):
