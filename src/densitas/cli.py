@@ -36,16 +36,17 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import __version__
+# exhaust, limits and witness are bound as modules, not names, so their
+# bodies run on the first verb that calls into them (see densitas/__init__)
+from . import __version__, exhaust, limits, witness
 from .config import Config, DEFAULT_CONFIG, load_config
 from .density import (
     FUNCTIONAL_NAMES,
+    LSCSM_NAMES,
     check_submeasure_axioms,
     check_upper_density_axioms,
 )
 from .exceptions import DensitasError, OracleContractViolated, ParseError
-from .exhaust import LSCSM_NAMES, check_lscsm_axioms, exhaustive_norm
-from .limits import cauchy_to_limit, lscsm_limit, sigma_limit, sigma_union_oracle
 from .metric import (
     SetSequence,
     cauchy_profile,
@@ -59,15 +60,6 @@ from .reports import (AxiomReport, CheckRecord, format_fraction, format_int, to_
                       to_payload)
 from .samples import chunked, pool_battery, thinning_blocks
 from .values import ExtValue
-from .witness import (
-    WitnessParams,
-    banach_gap_certificate,
-    build_witness,
-    check_witness_invariants,
-    derive_params,
-    divergence_certificate,
-    witness_sequence,
-)
 
 __all__ = ["parse_set_literal", "format_set_literal", "emit_report", "main"]
 
@@ -194,7 +186,7 @@ def _axioms_report(battery: str, functional: str, samples: int, seed: int,
         return _merged_battery(check_submeasure_axioms, functional, sets,
                                config)
     if battery == "lscsm":
-        return check_lscsm_axioms(functional, sets[:min(samples, 40)], config)
+        return exhaust.check_lscsm_axioms(functional, sets[:min(samples, 40)], config)
     raise ValueError(f"unknown battery {battery!r}; have pseudometric, "
                      "upper-density, submeasure, lscsm")
 
@@ -225,15 +217,15 @@ def _limit_report(method: str, family: str, measure: Optional[str],
                       monotone=True, tail_bound=tail_bound, limit=limit, label=family)
     nu = measure or default_measure
     if method == "sigma":
-        return sigma_limit(nu, seq, config=config)
+        return limits.sigma_limit(nu, seq, config=config)
     if method == "tail-cut":
         if not nu.startswith("norm:"):
             raise ValueError("tail-cut works on submeasure norms; pass "
                              "--measure norm:<lscsm>")
-        return lscsm_limit(nu.partition(":")[2], seq, config=config)
+        return limits.lscsm_limit(nu.partition(":")[2], seq, config=config)
     if method == "cauchy":
-        oracle = sigma_union_oracle(nu, config)
-        return cauchy_to_limit(nu, seq, oracle, config=config)
+        oracle = limits.sigma_union_oracle(nu, config)
+        return limits.cauchy_to_limit(nu, seq, oracle, config=config)
     raise ValueError(f"unknown method {method!r}; have sigma, tail-cut, cauchy")
 
 
@@ -241,18 +233,44 @@ def _limit_report(method: str, family: str, measure: Optional[str],
 # witness pipeline
 
 
-def _witness_build_payload(kappa: Fraction, depth: int, demo: bool) -> dict:
-    p = derive_params(kappa, levels=max(6, depth + 2))
-    w = build_witness(p, depth, demo=demo)
+def _witness_levels(w) -> dict:
+    """The levels and increments of a witness family as a report stores
+    them: `witness build` writes them and `witness verify` compares them."""
     return {
-        "params": p,
-        "depth": depth,
-        "demo": demo,
         "levels": [{"index": lev.index, "entry": lev.entry,
-                    "residues": lev.residues, "span": lev.span}
+                    "residues": list(lev.residues), "span": lev.span}
                    for lev in w.levels],
-        "increments": [lev.increment_density for lev in w.levels],
+        "increments": [format_fraction(lev.increment_density) for lev in w.levels],
     }
+
+
+def _witness_build_payload(kappa: Fraction, depth: int, demo: bool) -> dict:
+    p = witness.derive_params(kappa, levels=max(6, depth + 2))
+    w = witness.build_witness(p, depth, demo=demo)
+    return {"params": p, "depth": depth, "demo": demo, **_witness_levels(w)}
+
+
+def _check_stored_levels(w, doc: dict) -> None:
+    """OracleContractViolated, naming the level and field, unless the stored
+    levels and increments are exactly the ones the construction gives."""
+    want = _witness_levels(w)
+    for key in ("levels", "increments"):
+        if not isinstance(doc[key], list):
+            raise OracleContractViolated(f"stored {key} is not a list")
+        if len(doc[key]) != len(want[key]):
+            raise OracleContractViolated(
+                f"len({key}) is {len(doc[key])} in the report, "
+                f"{len(want[key])} in the deterministic construction")
+    for i, (lev, stored) in enumerate(zip(want["levels"], doc["levels"])):
+        for field in lev:
+            if not isinstance(stored, dict) or stored.get(field) != lev[field]:
+                raise OracleContractViolated(
+                    f"level {i}: stored field {field!r} does not match the "
+                    "deterministic construction")
+        if doc["increments"][i] != want["increments"][i]:
+            raise OracleContractViolated(
+                f"level {i}: stored increment does not match the "
+                "deterministic construction")
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -263,29 +281,25 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _witness_verify(doc: dict, horizon: int, config: Config):
-    params = WitnessParams(
+    params = witness.WitnessParams(
         kappa=_parse_fraction(doc["params"]["kappa"]),
         scale=int(doc["params"]["scale"]),
         cover=int(doc["params"]["cover"]),
         schedule=tuple(int(x) for x in doc["params"]["schedule"]))
     depth = int(doc["depth"])
     demo = bool(doc.get("demo", False))
-    w = build_witness(params, depth, demo=demo)
-    for lev, stored in zip(w.levels, doc["levels"]):
-        if list(lev.residues) != [int(r) for r in stored["residues"]]:
-            raise OracleContractViolated(
-                f"stored residues at level {lev.index} do not match "
-                "the deterministic construction")
-    inv = check_witness_invariants(w, horizon=horizon)
+    w = witness.build_witness(params, depth, demo=demo)
+    _check_stored_levels(w, doc)
+    inv = witness.check_witness_invariants(w, horizon=horizon)
     payload: dict = {"invariants": inv, "invariants_passed": inv.passed}
     ok = inv.passed
     if ok:
-        div = divergence_certificate(w, horizon=horizon)
+        div = witness.divergence_certificate(w, horizon=horizon)
         payload["divergence"] = div
         if params.kappa == Fraction(1, 2) and depth >= 1:
-            gap = banach_gap_certificate(w, horizon=horizon)
+            gap = witness.banach_gap_certificate(w, horizon=horizon)
             payload["gap"] = gap
-        prof = cauchy_profile("bd-star", witness_sequence(w),
+        prof = cauchy_profile("bd-star", witness.witness_sequence(w),
                               depth=depth + 1, config=config, full_table=False)
         payload["cauchy_certified"] = prof.certified
         ok = prof.certified
@@ -395,8 +409,8 @@ def _dispatch(args, config: Config, bare: bool) -> tuple[object, bool]:
                  parse_set_literal(args.set_b), config)
         return (_format_value(v) if bare else v), True
     if args.verb == "norm":
-        est = exhaustive_norm(args.lscsm, parse_set_literal(args.set), config,
-                              profile_cuts=() if bare else None)
+        est = exhaust.exhaustive_norm(args.lscsm, parse_set_literal(args.set), config,
+                                      profile_cuts=() if bare else None)
         return (_format_value(est.value) if bare else est), True
     if args.verb == "axioms":
         rep = _axioms_report(args.battery, args.functional, args.samples,

@@ -81,6 +81,7 @@ __all__ = [
     "FunctionalDescriptor",
     "get_functional",
     "FUNCTIONAL_NAMES",
+    "LSCSM_NAMES",
 ]
 
 
@@ -688,6 +689,11 @@ def _weighted_eval(wname: str):
 
 FUNCTIONAL_NAMES = ("d-star", "bd-star", "buck", "weighted:f=harmonic",
                     "weighted:f=constant", "counting", "geometric")
+# The names exhaust.get_lscsm resolves. They live here so the CLI's help can
+# list them without loading exhaust; exhaust re-exports this tuple.
+LSCSM_NAMES = ("phi-prefix", "psi-dyadic", "phi-alpha:a=<int>", "phi-infty:eps=<rat>",
+               "phi-infty-trunc:a=<int>", "counting", "harmonic", "geometric",
+               "weighted:f=<name>")
 
 
 def get_functional(name: str) -> FunctionalDescriptor:

@@ -66,6 +66,7 @@ from typing import Callable, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .density import (
+    LSCSM_NAMES,
     _alpha_block_phase_limits,
     _geo_below,
     _geo_partial,
@@ -195,11 +196,6 @@ class NormEstimate:
     value: ExtValue
     profile: tuple[tuple[int, Fraction], ...] = ()
     exact: bool = False
-
-
-LSCSM_NAMES = ("phi-prefix", "psi-dyadic", "phi-alpha:a=<int>", "phi-infty:eps=<rat>",
-               "phi-infty-trunc:a=<int>", "counting", "harmonic", "geometric",
-               "weighted:f=<name>")
 
 
 def get_lscsm(name: str) -> LscsmDescriptor:

@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional, Sequence
 
+from . import exhaust  # a module reference: its body runs on the first norm
 from .config import Config, DEFAULT_CONFIG
 from .density import get_functional
 from .exceptions import (
@@ -42,7 +43,6 @@ from .exceptions import (
     NotMonotone,
     SampleNotExact,
 )
-from .exhaust import exhaustive_norm, get_lscsm, tail_value
 from .natset import NatSet, boolean_op, least_member
 from .reports import AxiomReport, CheckRecord
 from .values import ExtValue, bracket, exact, observational
@@ -133,11 +133,11 @@ def evaluate_measure(nu: str, a: NatSet, config: Config = DEFAULT_CONFIG) -> Ext
     exhaustive norm instead of the total.
     """
     if nu.startswith("norm:"):
-        return exhaustive_norm(nu[len("norm:"):], a, config, profile_cuts=()).value
+        return exhaust.exhaustive_norm(nu[len("norm:"):], a, config, profile_cuts=()).value
     try:
         fd = get_functional(nu)
     except KeyError:
-        return tail_value(get_lscsm(nu), a, 0, config)
+        return exhaust.tail_value(exhaust.get_lscsm(nu), a, 0, config)
     return fd.evaluate(a, config)
 
 
@@ -519,7 +519,7 @@ def topological_coconvergence_probe(phi1: str, phi2: str,
         for i in range(d):
             sym = boolean_op(seq.limit, seq.item(i), "symdiff", config)
             for phi, out in ((phi1, vals1), (phi2, vals2)):
-                est = exhaustive_norm(phi, sym, config, profile_cuts=())
+                est = exhaust.exhaustive_norm(phi, sym, config, profile_cuts=())
                 if est.value.status != "exact":
                     raise SampleNotExact(
                         f"norm of the stage-{i} symmetric difference is not exact "

@@ -1354,7 +1354,11 @@ def _ap_pair_op(a: APUnionSet, b: APUnionSet, op: str, config: Config) -> NatSet
         return a.member(x) and not b.member(x)
 
     added, removed = _exceptions(points, wanted, APUnionSet(terms).rule_member)
-    return APUnionSet(terms, tuple(added), tuple(removed))
+    out = APUnionSet(terms, tuple(added), tuple(removed))
+    if op == "difference" and a._disjoint_cache:
+        # a difference keeps a subset of the minuend's terms
+        object.__setattr__(out, "_disjoint_cache", True)
+    return out
 
 
 def normalize_periodic(a: NatSet, config: Config = DEFAULT_CONFIG) -> PeriodicSet:

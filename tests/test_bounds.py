@@ -1,15 +1,12 @@
 """Certified interval brackets for exp and log, and the comparison ladder.
 
 mpmath's interval arithmetic is the independent oracle for the integer
-kernel; the package itself never imports it.
+kernel; the package itself never imports it (tests/test_loading.py checks
+that in fresh processes).
 """
 
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +14,6 @@ from hypothesis import strategies as st
 from mpmath import iv
 from mpmath.libmp import to_rational
 
-import densitas
 from densitas import bounds
 from densitas.bounds import _LADDER, decide_less, exp_bounds, log_bounds
 from densitas.exceptions import DensitasError
@@ -132,18 +128,6 @@ def test_log_bounds_at_the_reduction_edges(x):
         m_lo, m_hi = _mpmath_bracket("log", x, 2 * bits)
         assert lo <= m_lo <= m_hi <= hi
         assert hi - lo <= Fraction(1, 2 ** bits)
-
-
-def test_import_leaves_mpmath_out():
-    """A fresh `import densitas.cli` loads no mpmath module."""
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(Path(densitas.__file__).parents[1]),
-                                           os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import densitas.cli, sys; sys.exit('mpmath' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
 
 
 def _scaled(lo: Fraction, hi: Fraction, w: int) -> tuple[Fraction, Fraction]:

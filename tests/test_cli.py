@@ -524,6 +524,55 @@ def test_schedule_shortfall_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _cut_levels(n):
+    def edit(rep):
+        rep["levels"] = rep["levels"][:n]
+    return edit
+
+
+def _extra_level(rep):
+    rep["levels"].append(dict(rep["levels"][-1], index=len(rep["levels"])))
+
+
+def _half_increments(rep):
+    rep["increments"] = ["1/2"] * len(rep["increments"])
+
+
+def _set_field(field, value):
+    def edit(rep):
+        rep["levels"][1][field] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_cut_levels(0), "len(levels) is 0 in the report, 5 in the deterministic construction"),
+    (_cut_levels(1), "len(levels) is 1 in the report, 5 in the deterministic construction"),
+    (_extra_level, "len(levels) is 6 in the report, 5 in the deterministic construction"),
+    (_half_increments, "level 0: stored increment does not match"),
+    (_set_field("entry", 999), "level 1: stored field 'entry' does not match"),
+    (_set_field("span", 12345), "level 1: stored field 'span' does not match"),
+    (_set_field("index", 7), "level 1: stored field 'index' does not match"),
+    (_set_field("residues", [1]), "level 1: stored field 'residues' does not match"),
+    (lambda rep: rep.__setitem__("levels", 5), "stored levels is not a list"),
+    (lambda rep: rep.__setitem__("levels", [1, 2, 3, 4, 5]),
+     "level 0: stored field 'index' does not match"),
+], ids=["no-levels", "one-level", "extra-level", "half-increments", "entry", "span",
+        "index", "residues", "levels-no-list", "level-no-object"])
+def test_a_tampered_report_is_a_contract_violation(edit, message, tmp_path, capsys):
+    out = tmp_path / "family.json"
+    assert main(["witness", "build", "--kappa", "1/2", "--depth", "3", "--format", "json",
+                 "--out", str(out)]) == 0
+    assert main(["witness", "verify", str(out), "--format", "json"]) == 0
+    doc = json.loads(out.read_text())
+    edit(doc["report"])
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["witness", "verify", str(out), "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("contract violation: " + message)
+
+
 def test_axioms_battery_passes(capsys):
     assert main(["axioms", "pseudometric", "d-star",
                  "--samples", "24", "--seed", "7"]) == 0
@@ -858,6 +907,12 @@ _SESSION = [
     ["witness", "build", "--kappa", "1/2", "--depth", "2", "--format", "json",
      "--out", "w.json"],
     ["witness", "verify", "w.json", "--format", "json"],
+    # the paths that load exhaust and limits on their first call
+    ["norm", "phi-prefix", "per m=3 R={0}"],
+    ["eval", "phi-prefix", "per m=3 R={0}", "--format", "json"],
+    ["dist", "norm:phi-prefix", "per m=3 R={0}", "fin{1}"],
+    ["limit", "cauchy", "multiples", "--depth", "4", "--format", "json"],
+    ["axioms", "lscsm", "counting", "--samples", "6", "--seed", "2"],
 ]
 
 
@@ -1032,6 +1087,6 @@ def test_one_process_answers_like_fresh_ones(tmp_path, monkeypatch, capsys):
         done = subprocess.run([sys.executable, "-c", entry, *argv], cwd=fresh,
                               env=env, capture_output=True, text=True, timeout=120)
         separate.append((done.returncode, done.stdout, done.stderr))
-    assert [c for c, _, _ in shared] == [2, 0, 0, 0, 0, 0, 0]
+    assert [c for c, _, _ in shared] == [2] + [0] * (len(_SESSION) - 1)
     assert shared == separate
     assert (here / "w.json").read_bytes() == (fresh / "w.json").read_bytes()

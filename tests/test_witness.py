@@ -15,10 +15,10 @@ from densitas.exceptions import (
     KappaMismatch,
     ScheduleTooShort,
 )
-from densitas import metric, witness
+from densitas import metric, natset, witness
 from densitas.cli import main
 from densitas.metric import cauchy_profile, evaluate_measure
-from densitas.natset import APTerm, APUnionSet
+from densitas.natset import APTerm, APUnionSet, boolean_op
 from densitas.reports import to_payload
 from densitas.witness import (
     WitnessParams,
@@ -493,6 +493,34 @@ def test_verify_reads_one_distance_per_stage(tmp_path, monkeypatch, capsys):
     assert main(["witness", "verify", str(out), "--format", "json"]) == 0
     assert '"cauchy_certified": true' in capsys.readouterr().out
     assert len(calls) == 13 <= 2 * 12
+
+
+def test_a_difference_inherits_proven_disjointness(tmp_path, monkeypatch, capsys):
+    # the Cauchy column's differences keep a subset of a stage's terms, so
+    # they take the stage's proof: 26 disjointness tests at depth 12, 38
+    # when every difference proved its own
+    out = tmp_path / "family.json"
+    assert main(["witness", "build", "--kappa", "1/2", "--depth", "12",
+                 "--format", "json", "--out", str(out)]) == 0
+    calls = []
+    body = natset._pairwise_disjoint
+    monkeypatch.setattr(natset, "_pairwise_disjoint",
+                        lambda terms: calls.append(terms) or body(terms))
+    assert main(["witness", "verify", str(out), "--format", "json"]) == 0
+    assert '"cauchy_certified": true' in capsys.readouterr().out
+    assert len(calls) == 26
+
+
+def test_a_difference_of_disjoint_terms_is_marked_disjoint():
+    a = APUnionSet((APTerm(4, 0), APTerm(4, 1), APTerm(8, 2)))
+    assert a._disjoint
+    for b in (APUnionSet((APTerm(4, 1),)), APUnionSet((APTerm(8, 6),))):
+        got = boolean_op(a, b, "difference")
+        assert got._disjoint_cache is True
+        assert natset._pairwise_disjoint(got.terms)
+    # a minuend not yet proven disjoint passes nothing on
+    fresh = APUnionSet((APTerm(4, 0), APTerm(4, 1)))
+    assert boolean_op(fresh, APUnionSet((APTerm(8, 6),)), "difference")._disjoint_cache is None
 
 
 def test_witness_sequence_rule_extends_then_runs_out(family):
