@@ -59,7 +59,7 @@ from .natset import FiniteSet, NatSet, PeriodicSet, format_set, parse_set
 from .reports import (AxiomReport, CheckRecord, format_fraction, format_int, to_json,
                       to_payload)
 from .samples import chunked, pool_battery, thinning_blocks
-from .values import ExtValue
+from .values import ExtValue, _rational
 
 __all__ = ["parse_set_literal", "format_set_literal", "emit_report", "main"]
 
@@ -273,16 +273,9 @@ def _check_stored_levels(w, doc: dict) -> None:
                 "deterministic construction")
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValueError(f"bad rational {text!r}: {e}")
-
-
 def _witness_verify(doc: dict, horizon: int, config: Config):
     params = witness.WitnessParams(
-        kappa=_parse_fraction(doc["params"]["kappa"]),
+        kappa=_rational(doc["params"]["kappa"]),
         scale=int(doc["params"]["scale"]),
         cover=int(doc["params"]["cover"]),
         schedule=tuple(int(x) for x in doc["params"]["schedule"]))
@@ -422,7 +415,7 @@ def _dispatch(args, config: Config, bare: bool) -> tuple[object, bool]:
         return cert, cert.verdict == "certified"
     if args.verb == "witness":
         if args.wverb == "build":
-            payload = _witness_build_payload(_parse_fraction(args.kappa),
+            payload = _witness_build_payload(_rational(args.kappa),
                                              args.depth, args.demo)
             return payload, True
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -434,14 +427,14 @@ def _dispatch(args, config: Config, bare: bool) -> tuple[object, bool]:
     if args.verb == "probe":
         family = SetSequence(prefix=thinning_blocks(args.depth),
                              label="thinning")
-        targets = tuple(_parse_fraction(t)
+        targets = tuple(_rational(t)
                         for t in (args.targets or "").split(",") if t)
         bounds = None
         if args.bounds:
             parts = args.bounds.split(",")
             if len(parts) != 2:
                 raise ValueError("--bounds wants `lo,hi`")
-            bounds = (_parse_fraction(parts[0]), _parse_fraction(parts[1]))
+            bounds = (_rational(parts[0]), _rational(parts[1]))
         rep = metric_equivalence_probe(args.measure_1, args.measure_2,
                                        family, claimed_bounds=bounds,
                                        targets=targets, config=config)

@@ -26,10 +26,16 @@ pins the value down exactly:
 - horizon sets: no tail, no theorem. Results are observational point
   estimates with profiles, never certificates. The cover density is refused
   outright because finite evidence bounds no cover.
+
+The σ-additive measures counting, harmonic and geometric have one
+evaluator, _additive(kind, A, lo) = mu(A ∖ lo): the functionals counting and
+geometric are its value at lo = 0, and exhaust reads the three lscsm tails
+and norms from it, so `eval` and `dist` on a measure execute no exhaust.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -50,6 +56,7 @@ from .natset import (
     as_ap_union,
     boolean_op,
     complement,
+    drop_below,
     finite_part,
     transform,
 )
@@ -399,7 +406,7 @@ def get_weight(name: str) -> WeightFunction:
         raise KeyError(f"unknown weight {name!r}; have {sorted(_WEIGHTS)}") from None
 
 
-def validate_weight(w: WeightFunction, config: Config = DEFAULT_CONFIG) -> AxiomReport:
+def validate_weight(w: WeightFunction) -> AxiomReport:
     """Checks the divergent-weight axioms: nonnegativity, eventual positivity,
     divergent partial sums, vanishing term-to-sum ratio, finite rational values."""
     probes = list(range(0, 64)) + [255, 1024, 4095]
@@ -443,11 +450,11 @@ def _registered_report(name: str) -> AxiomReport:
     return validate_weight(_WEIGHTS[name])
 
 
-def _require_erdos_ulam(w: WeightFunction, config: Config):
+def _require_erdos_ulam(w: WeightFunction):
     # a weight compares equal to a registered one by name alone, so only
     # the registry's own object reads the kept report
     registered = _WEIGHTS.get(w.name) is w
-    report = _registered_report(w.name) if registered else validate_weight(w, config)
+    report = _registered_report(w.name) if registered else validate_weight(w)
     if not report.passed:
         bad = ", ".join(r.name for r in report.failures)
         raise NotErdosUlam(f"weight {w.name} fails: {bad}")
@@ -485,7 +492,7 @@ def weighted_prefix_profile(a: NatSet, w: WeightFunction,
 def weighted_upper(a: NatSet, weight: WeightFunction | str = "harmonic",
                    config: Config = DEFAULT_CONFIG) -> DensityEstimate:
     w = get_weight(weight) if isinstance(weight, str) else weight
-    _require_erdos_ulam(w, config)
+    _require_erdos_ulam(w)
     name = f"weighted:f={w.name}"
     if w.name == "constant":
         inner = upper_asymptotic(a, config)
@@ -581,37 +588,16 @@ def dom_membership(a: NatSet, functional: str = "d-star",
 
 
 # ---------------------------------------------------------------------------
-# counting and geometric measures (companions for the metric layer)
+# the σ-additive measures: counting, harmonic and geometric
 
 
-def counting_measure(a: NatSet, config: Config = DEFAULT_CONFIG) -> ExtValue:
-    fin = finite_part(a)
-    if fin is not None:
-        return exact(len(fin.elements))
-    if isinstance(a, HorizonSet):
-        n = a.count_range(0, a.horizon)
-        return bracket(n, None, "count within the horizon; tail unknown")
-    if isinstance(a, (PeriodicSet, APUnionSet)):
-        return infinite()  # a nonempty rule part recurs in every period
-    if isinstance(a, DyadicBlockSet):
-        if a.fill.structure == "cycle" or a.fill.slice_growth == "unbounded":
-            return infinite()  # a positive cycle value or growing slices recur forever
-        lo = a.count_range(0, 1 << 16)
-        return bracket(lo, None, "vanishing fill: tail slice occupancy undetermined")
-    raise UnsupportedBackend(f"counting measure undefined for backend {a.kind}")
+# A geometric bracket of an infinite set reads the positions below the cap
+# and adds their residual mass 2^-cap; an exact periodic series needs its
+# moduli, its threshold or term starts, and the cut below the cap too.
+_GEO_CAP = 4096
 
-
-_GEO_EXP_BUDGET = 4096
-
-
-def _geo_partial(xs: Sequence[int]) -> Fraction:
-    """sum of 2^-(x+1) over the sorted naturals xs, as one integer over
-    2^(max xs + 1)."""
-    bits = xs[-1] + 1 if xs else 0
-    num = 0
-    for x in xs:
-        num += 1 << (bits - x - 1)
-    return Fraction(num, 1 << bits)
+_HORIZON_NOTES = {"counting": "count within the horizon; tail unknown",
+                  "harmonic": "membership beyond the horizon is unknown"}
 
 
 def _geo_signed(entries: Iterable[tuple[int, int]]) -> tuple[int, int]:
@@ -622,52 +608,96 @@ def _geo_signed(entries: Iterable[tuple[int, int]]) -> tuple[int, int]:
     return sum(sign << (bits - x - 1) for x, sign in entries), 1 << bits
 
 
-def _geo_below(a: NatSet, bound: int, reason: str, lo: int = 0) -> ExtValue:
+def _mass(kind: str, xs: Sequence[int]) -> Fraction:
+    """The measure of the finite set xs under kind (see _additive), exactly."""
+    if kind == "counting":
+        return Fraction(len(xs))
+    if kind == "harmonic":
+        return sum((Fraction(1, x + 1) for x in xs), Fraction(0))
+    return Fraction(*_geo_signed((x, 1) for x in xs))
+
+
+def _geo_below(a: NatSet, bound: int, lo: int, reason: str) -> ExtValue:
     """The exact geometric sum over the members of a in [lo, bound),
     bracketed up to the residual mass 2^-bound of every position from bound
     on."""
-    p = _geo_partial(a.elements_in(lo, bound))
-    return bracket(p, p + Fraction(1, 2 ** bound), reason)
+    p = _mass("geometric", a.elements_in(lo, bound) if lo < bound else ())
+    return bracket(p, p + Fraction(1, 1 << bound), reason)
+
+
+def _additive(kind: str, a: NatSet, lo: int = 0) -> ExtValue:
+    """mu(A ∖ lo) for the measure mu named by kind: counting, harmonic
+    (1/(x+1) per member x) or geometric (2^-(x+1) per member x). A set
+    natset.finite_part finds finite is summed exactly, geometric sums while
+    their members lie below the grammar's own bound _DYADIC_EXP_MAX (2^14000
+    has 4,215 digits, which still print); past it only the members below it
+    are read, so a member near 10^12 builds no 10^12-bit sum."""
+    fin = finite_part(a)
+    if fin is not None:
+        xs = fin.elements[bisect_left(fin.elements, lo):]
+        if kind != "geometric" or not xs or xs[-1] < _DYADIC_EXP_MAX:
+            return exact(_mass(kind, xs))
+        return _geo_below(fin, _DYADIC_EXP_MAX, lo,
+                          "members beyond the exponent bound; tail bounded by residual mass")
+    if isinstance(a, HorizonSet):
+        if kind == "geometric":
+            return _geo_below(a, min(a.horizon, _GEO_CAP), lo, "tail bounded by residual mass")
+        return bracket(_mass(kind, a.elements_in(min(lo, a.horizon), a.horizon)), None,
+                       _HORIZON_NOTES[kind])
+    if isinstance(a, (PeriodicSet, APUnionSet)):
+        if kind != "geometric":
+            return infinite()  # a nonempty rule part recurs in every period
+        u = as_ap_union(a)
+        big = max((t.modulus for t in u.terms), default=0)
+        start = a.threshold if isinstance(a, PeriodicSet) else \
+            max((t.min_element for t in u.terms), default=0)
+        if max(big, start, lo) > _GEO_CAP:
+            return _geo_below(a, _GEO_CAP, lo,
+                              "moduli beyond the exponent budget; tail bounded by residual mass")
+        # exact: each residue class r (mod M) from its first element x0
+        # contributes 2^-(x0+1) / (1 - 2^-M); inclusion-exclusion handles
+        # overlaps between terms. The entries of one modulus add up as one
+        # shifted integer, and so do the exceptions
+        u = drop_below(u, lo)
+        firsts: dict[int, list[tuple[int, int]]] = {}
+        for M, c, mn, sign in u._intersections:
+            x0 = c if c >= mn else c + M * (-((mn - c) // -M))
+            firsts.setdefault(M, []).append((x0, sign))
+        total = Fraction(*_geo_signed(_signed_exceptions(u, 0, u.threshold)))
+        for M, entries in firsts.items():
+            num, den = _geo_signed(entries)
+            total += Fraction(num << M, den * ((1 << M) - 1))
+        return exact(total)
+    if isinstance(a, DyadicBlockSet):
+        if kind == "geometric":
+            return _geo_below(a, _GEO_CAP, lo, "tail bounded by residual mass")
+        if a.fill.structure == "cycle" or (kind == "counting"
+                                           and a.fill.slice_growth == "unbounded"):
+            return infinite()  # a positive cycle value or growing slices recur forever
+        if kind == "counting":
+            return bracket(a.count_range(lo, lo + (1 << 16)), None,
+                           "vanishing fill: tail slice occupancy undetermined")
+        if a.fill.slice_growth == "unbounded":
+            return bracket(0, None, "tail divergence undetermined for vanishing fill")
+        # at most B members per block at height 2^j: the tail beyond block J
+        # sums below 2B 2^-J; B combines the scanned maximum with the
+        # declared boundedness of the slice lengths
+        j_hi = max(lo, 1).bit_length() + 19
+        b = max(a.slice_len(j) for j in range(j_hi + 17)) + 1
+        partial = _mass(kind, a.elements_in(lo, 1 << j_hi))
+        return bracket(partial, partial + Fraction(2 * b, 2 ** j_hi),
+                       "bounded slices; geometric tail bound")
+    raise UnsupportedBackend(f"{kind} measure undefined for backend {a.kind}")
+
+
+def counting_measure(a: NatSet, config: Config = DEFAULT_CONFIG) -> ExtValue:
+    """The number of members of A; infinite unless A is finite."""
+    return _additive("counting", a)
 
 
 def geometric_measure(a: NatSet, config: Config = DEFAULT_CONFIG) -> ExtValue:
     """nu(A) = sum over A of 2^-(a+1); a genuine finite measure on all of P(omega)."""
-    if isinstance(a, FiniteSet):
-        # exact up to the grammar's own 2^-k bound, not _GEO_EXP_BUDGET, so
-        # the values that print stay exact (2^14000 has 4,215 digits, under
-        # Python's 4,300-digit int-to-str limit); past it a member near 10^12
-        # would ask for a 10^12-bit sum
-        if not a.elements or a.elements[-1] < _DYADIC_EXP_MAX:
-            return exact(_geo_partial(a.elements))
-        return _geo_below(a, _DYADIC_EXP_MAX,
-                          "members beyond the exponent bound; tail bounded by residual mass")
-    if isinstance(a, HorizonSet):
-        return _geo_below(a, min(a.horizon, _GEO_EXP_BUDGET), "tail bounded by residual mass")
-    if isinstance(a, (PeriodicSet, APUnionSet)):
-        big = max((t.modulus for t in a.terms), default=0) if isinstance(a, APUnionSet) \
-            else a.modulus
-        start = max((t.min_element for t in a.terms), default=0) if isinstance(a, APUnionSet) \
-            else a.threshold
-        if big <= _GEO_EXP_BUDGET and start <= _GEO_EXP_BUDGET:
-            # exact: each residue class r (mod M) from its first element x0
-            # contributes 2^-(x0+1) / (1 - 2^-M); inclusion-exclusion handles
-            # overlaps between terms. The entries of one modulus add up as
-            # one shifted integer, and so do the exceptions
-            u = as_ap_union(a)
-            firsts: dict[int, list[tuple[int, int]]] = {}
-            for M, c, mn, sign in u._intersections:
-                x0 = c if c >= mn else c + M * (-((mn - c) // -M))
-                firsts.setdefault(M, []).append((x0, sign))
-            total = Fraction(*_geo_signed(_signed_exceptions(u, 0, u.threshold)))
-            for M, entries in firsts.items():
-                num, den = _geo_signed(entries)
-                total += Fraction(num << M, den * ((1 << M) - 1))
-            return exact(total)
-        return _geo_below(a, _GEO_EXP_BUDGET,
-                          "moduli beyond the exponent budget; tail bounded by residual mass")
-    if isinstance(a, DyadicBlockSet):
-        return _geo_below(a, _GEO_EXP_BUDGET, "tail bounded by residual mass")
-    raise UnsupportedBackend(f"geometric measure undefined for backend {a.kind}")
+    return _additive("geometric", a)
 
 
 # ---------------------------------------------------------------------------
@@ -696,25 +726,28 @@ LSCSM_NAMES = ("phi-prefix", "psi-dyadic", "phi-alpha:a=<int>", "phi-infty:eps=<
                "weighted:f=<name>")
 
 
+_FUNCTIONALS = {
+    "d-star": FunctionalDescriptor("d-star", "upper-density",
+                                   lambda a, c: upper_asymptotic(a, c).value),
+    "bd-star": FunctionalDescriptor("bd-star", "upper-density",
+                                    lambda a, c: upper_banach(a, c).value),
+    "buck": FunctionalDescriptor("buck", "upper-density", lambda a, c: upper_buck(a, c).value),
+    "counting": FunctionalDescriptor("counting", "measure", counting_measure),
+    "geometric": FunctionalDescriptor("geometric", "measure", geometric_measure),
+}
+_FUNCTIONALS["geo"] = _FUNCTIONALS["geometric"]
+
+
 def get_functional(name: str) -> FunctionalDescriptor:
-    if name == "d-star":
-        return FunctionalDescriptor(name, "upper-density",
-                                    lambda a, c: upper_asymptotic(a, c).value)
-    if name == "bd-star":
-        return FunctionalDescriptor(name, "upper-density",
-                                    lambda a, c: upper_banach(a, c).value)
-    if name == "buck":
-        return FunctionalDescriptor(name, "upper-density",
-                                    lambda a, c: upper_buck(a, c).value)
-    if name.startswith("weighted"):
-        wname = name.partition("f=")[2] or "harmonic"
-        get_weight(wname)  # fail fast on unknown weights
-        return FunctionalDescriptor(f"weighted:f={wname}", "upper-density",
-                                    _weighted_eval(wname))
-    if name == "counting":
-        return FunctionalDescriptor(name, "measure", counting_measure)
-    if name in ("geometric", "geo"):
-        return FunctionalDescriptor("geometric", "measure", geometric_measure)
+    """The functional a name denotes: a name of FUNCTIONAL_NAMES, `geo`, or
+    `weighted:f=<weight>` for a registered weight. Nothing else is read: no
+    prefix, no default weight."""
+    desc = _FUNCTIONALS.get(name)
+    if desc is not None:
+        return desc
+    family, _, wname = name.partition(":f=")
+    if family == "weighted" and wname in _WEIGHTS:
+        return FunctionalDescriptor(name, "upper-density", _weighted_eval(wname))
     raise KeyError(f"unknown functional {name!r}; have {list(FUNCTIONAL_NAMES)}")
 
 

@@ -31,17 +31,22 @@ except phi-infty: lscsm_eval applies it to the prefix A ∩ n, and tail_value,
 phi-infty's alpha components included, to the tail of every set that
 natset.finite_part finds finite, before any per-backend dispatch. phi-infty
 on a prefix is its tail evaluator on the finite set A ∩ [1, n). So
-finite_part decides every finite shortcut, as it does for
-density.counting_measure, and finite tails are exact under every name, except
-weighted or geometric tails reaching past _FINITE_SCAN_MAX (those scans read
-every position) and nonempty phi-infty tails (their omitted terms), which
-keep their bracket. An empty tail is 0 under every name.
+finite_part decides every finite shortcut, and finite tails are exact under
+every name, except weighted tails reaching past _FINITE_SCAN_MAX (that scan
+reads every position), geometric tails reaching the grammar's 2^-14000 bound
+and nonempty phi-infty tails (their omitted terms), which keep their
+bracket. An empty tail is 0 under every name.
 
-Norms come from closed forms per backend: natural density for eventually
-periodic sets, fill-rule phase formulas for dyadic block sets, zero for
-finite sets. Where no certificate exists (horizon evidence, weights without
-a closed form) the result degrades to a bracket or an observational value,
-never to a silent guess.
+The lscsms counting, harmonic and geometric are measures: tail_value reads
+phi(A ∖ n) from density._additive, and the counting and harmonic norms read
+its value at 0 (infinite gives ∞, a certified upper end 0, anything else
+[0, ∞]). The geometric norm is 0 on every set.
+
+Norms of the ratio functionals come from closed forms per backend: natural
+density for eventually periodic sets, fill-rule phase formulas for dyadic
+block sets, zero for finite sets. Where no certificate exists (horizon
+evidence, weights without a closed form) the result degrades to a bracket
+or an observational value, never to a silent guess.
 
 A norm's profile cuts share one scan of the set (_TailScan), made per call
 and dropped when it returns, so what it holds is bounded by one norm:
@@ -67,9 +72,9 @@ from typing import Callable, Optional, Sequence
 from .config import Config, DEFAULT_CONFIG
 from .density import (
     LSCSM_NAMES,
+    _additive,
     _alpha_block_phase_limits,
-    _geo_below,
-    _geo_partial,
+    _mass,
     _union_pair_records,
     _value_record,
     eventual_density,
@@ -88,7 +93,7 @@ from .natset import (
     finite_part,
 )
 from .reports import AxiomReport, CheckRecord
-from .values import ExtValue, bracket, exact, infinite, observational
+from .values import ExtValue, _rational, bracket, exact, infinite, observational
 
 __all__ = [
     "LscsmDescriptor",
@@ -198,55 +203,63 @@ class NormEstimate:
     exact: bool = False
 
 
+# family -> (kind, the key of its one argument or None, the argument a bare
+# family name takes, None where the argument is required)
+_LSCSM_FAMILIES = {
+    "phi-prefix": ("prefix", None, None),
+    "psi-dyadic": ("psi", None, None),
+    "phi-alpha": ("alpha", "a", None),
+    "phi-infty": ("infty", "eps", "1/1000000"),
+    "phi-infty-trunc": ("infty-trunc", "a", "4"),
+    "counting": ("counting", None, None),
+    "harmonic": ("harmonic", None, None),
+    "geometric": ("geometric", None, None),
+    "weighted": ("weighted", "f", None),
+}
+
+
 def get_lscsm(name: str) -> LscsmDescriptor:
-    if name == "phi-prefix":
-        return LscsmDescriptor(name, "prefix")
-    if name == "psi-dyadic":
-        return LscsmDescriptor(name, "psi")
-    if name.startswith("phi-alpha"):
-        arg = name.partition("a=")[2]
+    """The lscsm a name denotes: a family alone, or the family, `:` and its
+    one `key=value`. Any other name raises KeyError; a bare name whose
+    family has no default argument is one of them."""
+    family, colon, arg = name.partition(":")
+    kind, key, value = _LSCSM_FAMILIES.get(family, (None, None, None))
+    if colon:
+        given, _, value = arg.partition("=")
+        if given != key or not value:
+            kind = None
+    if kind is None or (key is not None and value is None):
+        raise KeyError(f"unknown lscsm {name!r}; have {list(LSCSM_NAMES)}")
+    if kind == "alpha":
         try:
-            a = int(arg)
+            a = int(value)
         except ValueError:
-            raise KeyError(f"phi-alpha needs an integer exponent, got {arg!r}; "
+            raise KeyError(f"phi-alpha needs an integer exponent, got {value!r}; "
                            "non-integer exponents have no exact rational evaluation") from None
         if a < 0 or a > _MAX_EXACT_EXPONENT:
             raise KeyError(f"phi-alpha exponent must lie in [0, {_MAX_EXACT_EXPONENT}]")
-        return LscsmDescriptor(f"phi-alpha:a={a}", "alpha", alpha=a)
-    if name.startswith("phi-infty-trunc"):
-        arg = name.partition("a=")[2]
-        a = int(arg) if arg else 4
-        if a < 0 or 2 ** a > _MAX_EXACT_EXPONENT:
+        return LscsmDescriptor(f"phi-alpha:a={a}", kind, alpha=a)
+    if kind == "infty-trunc":
+        try:
+            a = int(value)
+        except ValueError:
+            raise KeyError(f"phi-infty-trunc needs an integer depth, got {value!r}") from None
+        # 2^a <= _MAX_EXACT_EXPONENT, compared without building 2^a
+        if a < 0 or a >= _MAX_EXACT_EXPONENT.bit_length():
             raise KeyError("phi-infty-trunc depth too large for exact evaluation")
-        return LscsmDescriptor(f"phi-infty-trunc:a={a}", "infty-trunc", trunc=a)
-    if name.startswith("phi-infty"):
-        arg = name.partition("eps=")[2]
-        eps = _parse_rational(arg) if arg else Fraction(1, 10**6)
+        return LscsmDescriptor(f"phi-infty-trunc:a={a}", kind, trunc=a)
+    if kind == "infty":
+        try:
+            eps = _rational(value)
+        except ValueError as e:
+            raise KeyError(str(e)) from None
         if eps <= 0:
             raise KeyError("phi-infty needs eps > 0")
-        return LscsmDescriptor(f"phi-infty:eps={arg or '1/1000000'}", "infty", eps=eps)
-    if name == "counting":
-        return LscsmDescriptor(name, "counting")
-    if name == "harmonic":
-        return LscsmDescriptor(name, "harmonic")
-    if name == "geometric":
-        return LscsmDescriptor(name, "geometric")
-    if name.startswith("weighted"):
-        wname = name.partition("f=")[2] or "constant"
-        get_weight(wname)  # validates the name
-        return LscsmDescriptor(f"weighted:f={wname}", "weighted", weight=wname)
-    raise KeyError(f"unknown lscsm {name!r}; have {list(LSCSM_NAMES)}")
-
-
-def _parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    try:
-        if "/" in text:
-            p, q = text.split("/")
-            return Fraction(int(p), int(q))
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise KeyError(f"bad rational {text!r}") from e
+        return LscsmDescriptor(f"phi-infty:eps={value}", kind, eps=eps)
+    if kind == "weighted":
+        get_weight(value)  # validates the name
+        return LscsmDescriptor(f"weighted:f={value}", kind, weight=value)
+    return LscsmDescriptor(name, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +359,8 @@ def _finite_value(desc: LscsmDescriptor, xs: Sequence[int]) -> Fraction:
         return sum((w * _phi_alpha_elements(xs, e) for w, e in pairs), Fraction(0))
     if desc.kind == "weighted":
         return _weighted_elements(xs, get_weight(desc.weight).func)
-    if desc.kind == "counting":
-        return Fraction(len(xs))
-    if desc.kind == "harmonic":
-        return sum((Fraction(1, x + 1) for x in xs), Fraction(0))
-    if desc.kind == "geometric":
-        return _geo_partial(xs)
+    if desc.kind in ("counting", "harmonic", "geometric"):
+        return _mass(desc.kind, xs)
     raise KeyError(f"no finite evaluation for lscsm kind {desc.kind!r}")
 
 
@@ -840,47 +849,6 @@ def _psi_tail_eventually_periodic(scan: _TailScan, n: int) -> ExtValue:
                    "residue cycle beyond the order cap; deviation-bounded")
 
 
-def _counting_tail(a: NatSet, n: int) -> ExtValue:
-    if isinstance(a, HorizonSet):
-        return bracket(a.count_range(min(n, a.horizon), a.horizon), None,
-                       "membership beyond the horizon is unknown")
-    if isinstance(a, (PeriodicSet, APUnionSet)):
-        return infinite()  # a nonempty rule part recurs in every period
-    if isinstance(a, DyadicBlockSet):
-        if a.fill.structure == "cycle":
-            return infinite()  # a positive cycle value recurs forever
-        if a.fill.slice_growth == "unbounded":
-            return infinite()  # growing slices never stop contributing
-        return bracket(Fraction(a.count_range(n, max(n, 2) * 2)), None,
-                       "tail slice occupancy undetermined for vanishing fill")
-    raise UnsupportedBackend(a.kind)
-
-
-def _harmonic_tail(a: NatSet, n: int) -> ExtValue:
-    if isinstance(a, (PeriodicSet, APUnionSet)):
-        return infinite()  # every infinite progression has a divergent harmonic tail
-    if isinstance(a, DyadicBlockSet):
-        if a.fill.structure == "cycle":
-            return infinite()  # per-block mass is bounded below; the sum diverges
-        if a.fill.slice_growth == "bounded":
-            # at most B members per block at height 2^j: the tail beyond
-            # block J sums below 2B 2^-J; B combines the scanned maximum
-            # with the declared boundedness of the slice lengths
-            j0 = max(n, 1).bit_length() - 1
-            j_hi = j0 + 20
-            b = max(a.slice_len(j) for j in range(j_hi + 17)) + 1
-            partial = sum((Fraction(1, x + 1) for x in a.elements_in(n, 1 << j_hi)),
-                          Fraction(0))
-            return bracket(partial, partial + Fraction(2 * b, 2 ** j_hi),
-                           "bounded slices; geometric tail bound")
-        return bracket(0, None, "tail divergence undetermined for vanishing fill")
-    if isinstance(a, HorizonSet):
-        got = sum((Fraction(1, x + 1) for x in a.elements_in(min(n, a.horizon), a.horizon)),
-                  Fraction(0))
-        return bracket(got, None, "membership beyond the horizon is unknown")
-    raise UnsupportedBackend(a.kind)
-
-
 def _weighted_tail(a: NatSet, n: int) -> ExtValue:
     d = eventual_density(a)
     if d is not None:
@@ -891,9 +859,8 @@ def _weighted_tail(a: NatSet, n: int) -> ExtValue:
 
 _INFTY_EXACT_TAIL_EXPONENT = 16
 
-# The largest member of a finite tail that a weighted or geometric tail reads
-# exactly: a weighted scan of 4096 positions takes about 0.1 s, and 2^-4097
-# still prints in full.
+# The largest member of a finite tail that a weighted tail reads exactly: a
+# weighted scan of 4096 positions takes about 0.1 s.
 _FINITE_SCAN_MAX = 4096
 
 
@@ -938,13 +905,14 @@ def tail_value(desc: LscsmDescriptor | str, a: NatSet, n: int,
 def _tail(desc: LscsmDescriptor, scan: _TailScan, n: int) -> ExtValue:
     """phi(A ∖ n) for the scan's set A: tail_value for one cut of many."""
     a, config = scan.a, scan.config
+    if desc.kind in ("counting", "harmonic", "geometric"):
+        return _additive(desc.kind, a if scan.fin is None else scan.fin, n)
     tail = None if scan.fin is None else drop_below(scan.fin, n).elements
-    reads_positions = desc.kind == "geometric" or (desc.kind == "weighted"
-                                                   and desc.weight != "constant")
     if tail is not None and not tail:
         return exact(0)  # every lscsm, phi-infty too, is 0 on the empty set
     if tail is not None and desc.kind != "infty" and not (
-            reads_positions and tail[-1] > _FINITE_SCAN_MAX):
+            desc.kind == "weighted" and desc.weight != "constant"
+            and tail[-1] > _FINITE_SCAN_MAX):
         return exact(_finite_value(desc, tail))
     e = _prefix_exponent(desc)
     if e is not None:
@@ -966,13 +934,6 @@ def _tail(desc: LscsmDescriptor, scan: _TailScan, n: int) -> ExtValue:
         if desc.kind == "infty-trunc" and all(t.status == "exact" for _, t in parts):
             return exact(lo)
         return bracket(lo, hi, "summed alpha-component tails")
-    if desc.kind == "counting":
-        return _counting_tail(a, n)
-    if desc.kind == "harmonic":
-        return _harmonic_tail(a, n)
-    if desc.kind == "geometric":
-        cap = min(n + 1024, a.horizon) if isinstance(a, HorizonSet) else n + 1024
-        return _geo_below(a, cap, "residual mass beyond the cap is below 2^-cap", lo=n)
     if desc.kind == "weighted":
         return _weighted_tail(a, n)
     raise KeyError(f"unknown lscsm kind {desc.kind!r}")
@@ -995,21 +956,17 @@ def _norm_value(desc: LscsmDescriptor, scan: _TailScan) -> ExtValue:
         if kind in ("counting", "harmonic"):
             return bracket(0, None, "tail behaviour beyond the horizon is unknown")
         t = _tail(desc, scan, a.horizon // 2)
-        v = t.value if t.value is not None else t.upper
-        return observational(v, "horizon evidence cannot certify a limit")
+        if t.status == "bracket":
+            # tails shrink as the cut grows: this one's upper end bounds the
+            # limit, its lower end need not
+            return bracket(0, t.upper, t.note)
+        return observational(t.value, "horizon evidence cannot certify a limit")
 
-    if kind == "counting":
-        if isinstance(a, DyadicBlockSet) and a.fill.structure == "vanishing" \
-                and a.fill.slice_growth == "bounded":
-            return bracket(0, None, "tail membership count undetermined for "
-                                    "a vanishing fill with bounded slices")
-        return infinite()  # every other infinite backend keeps recurring mass
-
-    if kind == "harmonic":
-        t = _harmonic_tail(a, 0)
+    if kind in ("counting", "harmonic"):
+        t = _additive(kind, a)
         if t.status == "infinite":
-            return infinite()  # divergent series: every tail is infinite
-        if t.status == "bracket" and t.upper is not None:
+            return infinite()  # every tail of an infinite total is infinite
+        if t.upper is not None:
             return exact(0)  # certified summable: tails vanish
         return bracket(0, None, t.note)
 
@@ -1069,8 +1026,9 @@ def exhaustive_norm(desc: LscsmDescriptor | str, a: NatSet,
     """||A||_phi = lim_n phi(A ∖ n), with a nonincreasing certified profile.
 
     The value is exact on finite, periodic, progression-union and block
-    backends for the shipped catalog; horizon sets yield observational
-    values and an empty profile, since their tails cannot be certified.
+    backends for the shipped catalog; on horizon sets it is observational,
+    or a bracket where every tail is bracketed, and the profile stops at the
+    horizon.
     """
     if isinstance(desc, str):
         desc = get_lscsm(desc)

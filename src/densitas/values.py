@@ -76,6 +76,15 @@ def infinite(note: str = "") -> ExtValue:
     return ExtValue("infinite", note=note)
 
 
+def _rational(text: str) -> Fraction:
+    """text read by fractions.Fraction (`1/4`, `0.25`; not `1 / 4`): the one
+    reader of lscsm arguments, CLI options and stored witness parameters."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"bad rational {text!r}: {e}") from None
+
+
 def surely_lt(a: ExtValue, b: ExtValue) -> bool:
     """True only when the certificates force a < b."""
     if a.status == "infinite":

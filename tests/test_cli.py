@@ -449,6 +449,31 @@ def test_parse_failure_exits_2(capsys):
     capsys.readouterr()
 
 
+# a name is its family alone or the family, `:` and its one key=value; a
+# name that only starts like a family, or gives a wrong or empty argument,
+# is refused
+_MALFORMED_NAMES = ("phi-alphabeta=3", "phi-infty-truncated", "phi-inftyXeps=1/4", "weightedfoo",
+                    "weighted", "weighted:f=", "weighted:f=harmonic:a=1", "phi-alpha",
+                    "phi-alpha:a=", "phi-alpha:b=3", "phi-infty:eps=", "phi-infty:eps=1 / 4",
+                    "phi-infty-trunc:a=x", "phi-prefix:", "counting:a=1", "geometric:")
+
+
+@pytest.mark.parametrize("name", _MALFORMED_NAMES)
+def test_malformed_measure_names_exit_2(name, capsys):
+    for argv in (["eval", name, "fin{1}"], ["eval", f"norm:{name}", "fin{1}"],
+                 ["norm", name, "per m=3 R={0}"], ["dist", name, "fin{1}", "fin{2}"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("usage error: "), argv
+
+
+def test_one_rational_reader(capsys):
+    # the lscsm argument and the witness option read a rational alike
+    assert main(["witness", "build", "--kappa", "1 / 2", "--depth", "1"]) == 2
+    assert main(["norm", "phi-infty:eps=1 / 4", "fin{1}"]) == 2
+    assert capsys.readouterr().err.count("bad rational") == 2
+    assert main(["norm", "phi-infty:eps=0.25", "fin{1}"]) == 0
+
+
 def test_zero_denominator_exits_2(capsys):
     for text in ("blocks f(n)=1/0", "blocks f(n)=cycle{1/0}"):
         assert main(["eval", "d-star", text]) == 2

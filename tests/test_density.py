@@ -29,6 +29,7 @@ from densitas.density import (
 )
 from densitas.exceptions import ModulusBudgetExceeded, NotErdosUlam, UnsupportedBackend
 from densitas.exhaust import exhaustive_norm, tail_value
+from densitas.metric import evaluate_measure
 from densitas.natset import (
     APTerm,
     APUnionSet,
@@ -38,6 +39,7 @@ from densitas.natset import (
     HorizonSet,
     PeriodicSet,
     complement,
+    drop_below,
     parse_set,
 )
 from densitas.values import bracket, exact
@@ -197,9 +199,9 @@ def test_invalid_weights_are_rejected():
 def test_a_registered_weight_is_validated_once(monkeypatch):
     calls = []
 
-    def counting(w, config=DEFAULT_CONFIG):
+    def counting(w):
         calls.append(w.name)
-        return validate_weight(w, config)
+        return validate_weight(w)
 
     monkeypatch.setattr(density_module, "validate_weight", counting)
     density_module._registered_report.cache_clear()
@@ -345,28 +347,50 @@ def test_counting_measure():
     assert c.status == "bracket" and c.lower == 2 and c.upper is None
 
 
-def test_counting_measure_agrees_with_the_counting_tail(rng):
-    # the counting functional and the counting lscsm at cut 0 are one
-    # quantity; a cycled zero fill with a nonzero head is finite but not empty
+def test_the_three_measures_agree_with_their_tails(rng):
+    # counting, harmonic and geometric are measures: the value eval prints
+    # is the lscsm tail at cut 0, brackets and notes included, and a tail at
+    # cut n is the measure of the set's own tail A ∖ n. A cycled zero fill
+    # with a nonzero head is finite but not empty
     head = DyadicBlockSet(FillRule.cycled([0], threshold=3, head=[0, 1, 1]))
     assert sorted(brute_members(head, 256)) == [2, 3, 4, 5, 6, 7]
-    sets = [random_structured_set(rng) for _ in range(200)] + [
+    specials = [
         head,
         DyadicBlockSet(FillRule.cycled([0], threshold=2, head=[1, 1]),
                        extras=(9,), removals=(2,)),
         DyadicBlockSet(FillRule.cycled([0, Fraction(1, 3)], threshold=1, head=[1])),
         HALF_BLOCKS, CYCLE_BLOCKS, POW2, THIN,
         PeriodicSet(3, (), 5, (1, 2)), APUnionSet((), (3, 7)),
+        HorizonSet.from_members(64, [1, 2]), HorizonSet.from_members(2048, range(0, 2048, 3)),
     ]
-    compared = 0
+    sets = [random_structured_set(rng) for _ in range(200)] + specials
     for a in sets:
-        m, t = counting_measure(a), tail_value("counting", a, 0)
-        if {m.status, t.status} <= {"exact", "infinite"}:
-            assert m == t, a
-            compared += 1
-    assert compared >= 200
+        for name in ("counting", "harmonic", "geometric"):
+            assert evaluate_measure(name, a) == tail_value(name, a, 0), (name, a)
+        if isinstance(a, (DyadicBlockSet, HorizonSet)):
+            continue
+        for n in (1, 5, 17, 64):
+            tail = drop_below(a, n)
+            for name in ("counting", "harmonic", "geometric"):
+                assert tail_value(name, a, n) == evaluate_measure(name, tail), (name, a, n)
+            if isinstance(a, FiniteSet):
+                assert tail_value("counting", a, n) == exact(len(tail.elements))
+                assert tail_value("harmonic", a, n) == exact(
+                    sum((Fraction(1, x + 1) for x in tail.elements), Fraction(0)))
+                assert tail_value("geometric", a, n) == exact(
+                    sum((Fraction(1, 2 ** (x + 1)) for x in tail.elements), Fraction(0)))
+            else:
+                # the tails of eventually periodic sets are exact series
+                assert tail_value("geometric", a, n) == exact(
+                    brute_geometric(field_period(tail))), (a, n)
     assert counting_measure(head) == exact(6)
     assert counting_measure(THIN).status == "infinite"  # slices grow without bound
+    per = parse_set("per m=3 R={0}")
+    assert tail_value("geometric", per, 0) == geometric_measure(per) == exact(Fraction(4, 7))
+    assert tail_value("geometric", per, 1) == exact(Fraction(1, 14))
+    # the lower end is one count for both, the members below 2^16
+    assert counting_measure(POW2) == tail_value("counting", POW2, 0) == bracket(
+        15, None, "vanishing fill: tail slice occupancy undetermined")
 
 
 def test_a_long_zero_head_is_read_quickly():

@@ -36,7 +36,7 @@ from densitas.natset import (
     boolean_op,
     parse_set,
 )
-from densitas.values import exact
+from densitas.values import bracket, exact
 
 from conftest import (
     brute_members,
@@ -96,6 +96,20 @@ def test_registry_round_trips():
     assert get_lscsm("weighted:f=harmonic").weight == "harmonic"
 
 
+def test_well_formed_names_read_as_before():
+    # a family alone or with its one key=value; only the two phi-infty
+    # families have a default argument
+    assert [get_lscsm(n).name for n in ("phi-infty", "phi-infty-trunc", "phi-alpha:a=03")] \
+        == ["phi-infty:eps=1/1000000", "phi-infty-trunc:a=4", "phi-alpha:a=3"]
+    assert get_lscsm("phi-infty").eps == Fraction(1, 10 ** 6)
+    for name in FINITE_NAMES + ("phi-infty:eps=1/8", "phi-infty:eps=0.25", "phi-infty-trunc:a=9",
+                                "phi-alpha:a=512"):
+        assert get_lscsm(name).name == name
+    assert [get_lscsm(n).kind for n in FINITE_NAMES] == [
+        "prefix", "psi", "alpha", "alpha", "alpha", "infty-trunc", "infty-trunc", "counting",
+        "harmonic", "geometric", "weighted", "weighted", "weighted", "weighted"]
+
+
 def test_registry_rejects_bad_names():
     with pytest.raises(KeyError):
         get_lscsm("phi-alpha:a=1/2")  # non-integer exponents are out
@@ -105,6 +119,10 @@ def test_registry_rejects_bad_names():
         get_lscsm("phi-infty:eps=0")
     with pytest.raises(KeyError):
         get_lscsm("phi-infty-trunc:a=12")
+    with pytest.raises(KeyError):
+        get_lscsm("phi-infty-trunc:a=10")  # 2^10 > 512
+    with pytest.raises(KeyError):
+        get_lscsm(f"phi-infty-trunc:a={10 ** 12}")  # refused without building 2^a
     with pytest.raises(KeyError):
         get_lscsm("weighted:f=nope")
     with pytest.raises(KeyError):
@@ -522,12 +540,6 @@ def test_counting_and_harmonic_tails_know_divergence():
     assert fin == exact(2)
 
 
-def test_geometric_tail_is_a_thin_bracket():
-    t = tail_value("geometric", EVENS, 10)
-    assert t.status == "bracket"
-    assert t.upper - t.lower <= Fraction(1, 2 ** 1000)
-
-
 # ---------------------------------------------------------------------------
 # finite evidence: one evaluator for prefixes and finite tails
 
@@ -754,6 +766,16 @@ def test_profiles_are_nonincreasing_certified_uppers():
                 if prev is not None:
                     assert up <= prev
                 prev = up
+
+
+def test_a_bracketed_horizon_tail_gives_a_bracketed_norm():
+    # the weighted tail of a horizon set is the bracket [0, 1], read off no
+    # member; the norm keeps it rather than printing its upper end as evidence
+    h = parse_set("horizon H=16 bits=ff00")
+    est = exhaustive_norm("weighted:f=harmonic", h)
+    assert est.value == bracket(0, 1, "weighted supremum has no closed form on this backend")
+    assert not est.exact
+    assert exhaustive_norm("phi-prefix", h).value.status == "observational"
 
 
 def test_horizon_norms_are_observational_with_empty_profile():
