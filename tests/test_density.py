@@ -347,6 +347,30 @@ def test_counting_measure():
     assert c.status == "bracket" and c.lower == 2 and c.upper is None
 
 
+def test_counting_measure_agrees_with_the_counting_tail(rng):
+    # the counting functional and the counting lscsm at cut 0 are one
+    # quantity; a cycled zero fill with a nonzero head is finite but not empty
+    head = DyadicBlockSet(FillRule.cycled([0], threshold=3, head=[0, 1, 1]))
+    assert sorted(brute_members(head, 256)) == [2, 3, 4, 5, 6, 7]
+    sets = [random_structured_set(rng) for _ in range(200)] + [
+        head,
+        DyadicBlockSet(FillRule.cycled([0], threshold=2, head=[1, 1]),
+                       extras=(9,), removals=(2,)),
+        DyadicBlockSet(FillRule.cycled([0, Fraction(1, 3)], threshold=1, head=[1])),
+        HALF_BLOCKS, CYCLE_BLOCKS, POW2, THIN,
+        PeriodicSet(3, (), 5, (1, 2)), APUnionSet((), (3, 7)),
+    ]
+    compared = 0
+    for a in sets:
+        m, t = counting_measure(a), tail_value("counting", a, 0)
+        if {m.status, t.status} <= {"exact", "infinite"}:
+            assert m == t, a
+            compared += 1
+    assert compared >= 200
+    assert counting_measure(head) == exact(6)
+    assert counting_measure(THIN).status == "infinite"  # slices grow without bound
+
+
 def test_the_three_measures_agree_with_their_tails(rng):
     # counting, harmonic and geometric are measures: the value eval prints
     # is the lscsm tail at cut 0, brackets and notes included, and a tail at

@@ -540,6 +540,14 @@ def test_counting_and_harmonic_tails_know_divergence():
     assert fin == exact(2)
 
 
+def test_geometric_tail_is_a_thin_bracket():
+    # the geometric tail of an eventually periodic set is its exact series,
+    # the bracket of width zero: sum over even x >= 10 of 2^-(x+1)
+    t = tail_value("geometric", EVENS, 10)
+    assert t == exact(Fraction(1, 1536))
+    assert t.upper - t.lower <= Fraction(1, 2 ** 1000)
+
+
 # ---------------------------------------------------------------------------
 # finite evidence: one evaluator for prefixes and finite tails
 
