@@ -51,6 +51,7 @@ from .natset import (
     HorizonSet,
     NatSet,
     PeriodicSet,
+    _DIGITS_MAX,
     _DYADIC_EXP_MAX,
     _signed_exceptions,
     as_ap_union,
@@ -642,23 +643,28 @@ def _additive(kind: str, a: NatSet, lo: int = 0) -> ExtValue:
     if isinstance(a, HorizonSet):
         if kind == "geometric":
             return _geo_below(a, min(a.horizon, _GEO_CAP), lo, "tail bounded by residual mass")
-        return bracket(_mass(kind, a.elements_in(min(lo, a.horizon), a.horizon)), None,
-                       _HORIZON_NOTES[kind])
+        lo = min(lo, a.horizon)
+        seen = a.count_range(lo, a.horizon) if kind == "counting" else \
+            _mass(kind, a.elements_in(lo, a.horizon))
+        return bracket(seen, None, _HORIZON_NOTES[kind])
     if isinstance(a, (PeriodicSet, APUnionSet)):
         if kind != "geometric":
             return infinite()  # a nonempty rule part recurs in every period
-        u = as_ap_union(a)
-        big = max((t.modulus for t in u.terms), default=0)
-        start = a.threshold if isinstance(a, PeriodicSet) else \
-            max((t.min_element for t in u.terms), default=0)
-        if max(big, start, lo) > _GEO_CAP:
+        reach = max(a.modulus, a.threshold) if isinstance(a, PeriodicSet) else \
+            max((max(t.modulus, t.min_element) for t in a.terms), default=0)
+        if max(reach, lo) > _GEO_CAP:
             return _geo_below(a, _GEO_CAP, lo,
                               "moduli beyond the exponent budget; tail bounded by residual mass")
+        # exceptions past 4 bits a digit (2^17200 > 10^4300) give a value that
+        # cannot print; a bracket there spares an extra near 10^12 its sum
+        if a.threshold > 4 * _DIGITS_MAX:
+            return _geo_below(a, _GEO_CAP, lo,
+                              "exceptions beyond the exponent bound; tail bounded by residual mass")
         # exact: each residue class r (mod M) from its first element x0
         # contributes 2^-(x0+1) / (1 - 2^-M); inclusion-exclusion handles
         # overlaps between terms. The entries of one modulus add up as one
         # shifted integer, and so do the exceptions
-        u = drop_below(u, lo)
+        u = drop_below(as_ap_union(a), lo)
         firsts: dict[int, list[tuple[int, int]]] = {}
         for M, c, mn, sign in u._intersections:
             x0 = c if c >= mn else c + M * (-((mn - c) // -M))

@@ -785,6 +785,25 @@ def test_limit_grid_is_pinned(method, family, capsys):
     assert _limit_grid_digest(method, family, capsys) == _LIMIT_GRID[method, family]
 
 
+# sha256 over (argv, exit code, stdout, stderr) of `limit tail-cut` under the
+# norms of the three σ-additive measures at depths 1 to 14, every family; at
+# depth 14 the last increment of powers is {4096}, at the geometric cap
+_ADDITIVE_TAIL_CUT = "f726ae066981a4fb9e04ed38720c38f5dbbebf21941e10b52f7257b71ac3234a"
+
+
+def test_tail_cut_on_the_additive_norms_is_pinned(capsys):
+    h = hashlib.sha256()
+    for family in ("powers", "multiples", "evens"):
+        for measure in ("norm:counting", "norm:harmonic", "norm:geometric"):
+            for depth in range(1, 15):
+                argv = ["limit", "tail-cut", family, "--measure", measure,
+                        "--depth", str(depth), "--format", "json"]
+                code = main(argv)
+                out, err = capsys.readouterr()
+                h.update(json.dumps([argv, code, out, err]).encode())
+    assert h.hexdigest() == _ADDITIVE_TAIL_CUT
+
+
 def test_limit_on_powers_stops_at_the_declared_empty_limit(capsys):
     # the family declares the limit ∅, which no union pipeline can contain
     # its stages in; the raise and its message are part of the contract

@@ -615,6 +615,17 @@ def test_far_finite_tails_keep_the_position_scans_bounded():
     assert tail_value("weighted:f=harmonic", far, 0).status == "bracket"
     assert tail_value("geometric", far, 0).status == "bracket"
     assert tail_value("phi-alpha:a=2", far, 0).status == "exact"
+    # an AP union's extras are held to the same bound: the exact series would
+    # sum its exceptions into one integer as wide as the largest of them
+    thirds = parse_set("ap a=3 h=0")
+    far_ap = boolean_op(thirds, FiniteSet((10 ** 12,)), "union")
+    for n in (0, 7):
+        t = tail_value("geometric", far_ap, n)
+        assert t.status == "bracket" and t.upper - t.lower == Fraction(1, 2 ** 4096)
+    assert exhaustive_norm("geometric", far_ap).value == exact(0)
+    near_ap = boolean_op(thirds, FiniteSet((5000,)), "union")
+    assert tail_value("geometric", near_ap, 7) == exact(
+        Fraction(1, 896) + Fraction(1, 2 ** 5001))
 
 
 def test_phi_infty_of_an_empty_tail_is_exact_zero():
