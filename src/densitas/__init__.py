@@ -89,4 +89,6 @@ def __getattr__(name: str):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    # the public names and the submodules, not this module's own imports;
+    # `cli` is an attribute only once it has been imported
+    return sorted({*__all__, *_MODULES, *({"cli"} & globals().keys())})

@@ -103,26 +103,28 @@ def _exp_fixed(x: Fraction, w: int) -> tuple[int, int]:
     return r_lo, r_hi
 
 
-def exp_bounds(x, bits: int = 128) -> tuple[Fraction, Fraction]:
-    """Rational lo <= e^x <= hi, relatively within about 2^-bits.
+def _exp_scaled(x, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, w) with lo / 2^w <= e^x <= hi / 2^w for rational x >= 0,
+    relatively within about 2^-bits. The scale w grows with the bit length
+    of floor(x), which the squaring multiplies into the relative error."""
+    w = bits + _GUARD + (x.numerator // x.denominator).bit_length()
+    return (*_exp_fixed(x, w), w)
 
-    The scale grows with the bit length of floor(|x|), which the squaring
-    multiplies into the relative error. A negative exponent divides one by
-    the bracket of e^|x| exactly."""
+
+def exp_bounds(x, bits: int = 128) -> tuple[Fraction, Fraction]:
+    """Rational lo <= e^x <= hi, relatively within about 2^-bits. A negative
+    exponent divides one by the bracket of e^|x| exactly."""
     x = Fraction(x)
-    mag = abs(x)
-    w = bits + _GUARD + (mag.numerator // mag.denominator).bit_length()
-    lo, hi = _exp_fixed(mag, w)
+    lo, hi, w = _exp_scaled(abs(x), bits)
     if x < 0:
         return Fraction(1 << w, hi), Fraction(1 << w, lo)
     return Fraction(lo, 1 << w), Fraction(hi, 1 << w)
 
 
-def log_bounds(x, bits: int = 128) -> tuple[Fraction, Fraction]:
-    """Rational lo <= ln(x) <= hi for positive rational x, within about
-    2^-bits absolutely: ln x = k ln 2 + 2 atanh((y-1)/(y+1)) with
-    y = x / 2^k in [1, 2)."""
-    x = Fraction(x)
+def _log_scaled(x: Fraction, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, w) with lo / 2^w <= ln(x) <= hi / 2^w for positive rational
+    x, within about 2^-bits absolutely: ln x = k ln 2 + 2 atanh((y-1)/(y+1))
+    with y = x / 2^k in [1, 2). For x >= 1 both ends are at least 0."""
     if x <= 0:
         raise ValueError("logarithm needs a positive argument")
     p, q = x.numerator, x.denominator
@@ -137,25 +139,47 @@ def log_bounds(x, bits: int = 128) -> tuple[Fraction, Fraction]:
     l_lo, l_hi = _ln2(w)
     if k < 0:
         l_lo, l_hi = l_hi, l_lo
-    return (Fraction(2 * t_lo + k * l_lo, 1 << w),
-            Fraction(2 * t_hi + k * l_hi, 1 << w))
+    return 2 * t_lo + k * l_lo, 2 * t_hi + k * l_hi, w
 
 
-def decide_less(make_interval: Callable[[int], tuple[Fraction, Fraction]],
+def log_bounds(x, bits: int = 128) -> tuple[Fraction, Fraction]:
+    """Rational lo <= ln(x) <= hi for positive rational x, within about
+    2^-bits absolutely."""
+    lo, hi, w = _log_scaled(Fraction(x), bits)
+    return Fraction(lo, 1 << w), Fraction(hi, 1 << w)
+
+
+def decide_less(make_interval: Callable[[int], tuple],
                 threshold: Fraction) -> bool:
     """Whether the bracketed quantity is certainly below the threshold.
 
-    `make_interval(bits)` returns certified rational bounds at the requested
-    precision. Returns True when the upper bound clears the threshold, False
-    when the lower bound does not, and escalates precision while the
-    interval straddles it.
+    `make_interval(bits)` returns certified bounds at the requested
+    precision: rationals (lo, hi), or integers (lo, hi, den) standing for
+    lo / den and hi / den. Returns True when the upper bound clears the
+    threshold, False when the lower bound does not, and escalates precision
+    while the interval straddles it.
+
+    Each rung is decided by cross-multiplication on integers: against
+    p / q, hi / den < p / q is hi * q < p * den, so an integer bracket
+    (the series cores' numerators over 2^w, squared or scaled by the
+    caller) is compared exactly with no rational reduced on the rung, and
+    a rational bracket costs only the products that put it over one
+    denominator.
     """
     threshold = Fraction(threshold)
+    p, q = threshold.numerator, threshold.denominator
     for bits in _LADDER:
-        lo, hi = make_interval(bits)
-        if hi < threshold:
+        bracket = make_interval(bits)
+        if len(bracket) == 3:
+            lo, hi, den = bracket
+        else:
+            f_lo, f_hi = map(Fraction, bracket)
+            lo = f_lo.numerator * f_hi.denominator
+            hi = f_hi.numerator * f_lo.denominator
+            den = f_lo.denominator * f_hi.denominator
+        if hi * q < p * den:
             return True
-        if lo >= threshold:
+        if lo * q >= p * den:
             return False
     raise DensitasError(
         f"interval comparison against {threshold} undecided at {_LADDER[-1]} bits")

@@ -650,11 +650,14 @@ def _additive(kind: str, a: NatSet, lo: int = 0) -> ExtValue:
     if isinstance(a, (PeriodicSet, APUnionSet)):
         if kind != "geometric":
             return infinite()  # a nonempty rule part recurs in every period
-        reach = max(a.modulus, a.threshold) if isinstance(a, PeriodicSet) else \
-            max((max(t.modulus, t.min_element) for t in a.terms), default=0)
-        if max(reach, lo) > _GEO_CAP:
-            return _geo_below(a, _GEO_CAP, lo,
-                              "moduli beyond the exponent budget; tail bounded by residual mass")
+        reach = (("moduli", a.modulus), ("threshold", a.threshold)) \
+            if isinstance(a, PeriodicSet) else \
+            (("moduli", max((t.modulus for t in a.terms), default=0)),
+             ("term starts", max((t.min_element for t in a.terms), default=0)))
+        past = [name for name, x in (*reach, ("cut", lo)) if x > _GEO_CAP]
+        if past:
+            return _geo_below(a, _GEO_CAP, lo, " and ".join(past) + " beyond the "
+                              "exponent budget; tail bounded by residual mass")
         # exceptions past 4 bits a digit (2^17200 > 10^4300) give a value that
         # cannot print; a bracket there spares an extra near 10^12 its sum
         if a.threshold > 4 * _DIGITS_MAX:

@@ -216,9 +216,16 @@ def sigma_limit(nu: str, seq: SetSequence, depth: Optional[int] = None,
 
 
 def _least_cut(desc, b: NatSet, target: Fraction, config: Config) -> int:
-    """The least n with phi(B minus n) at most the target, by exponential
-    probe plus binary refinement (tail values are nonincreasing in the cut);
-    config.cut_search_max bounds the probe."""
+    """The least n with phi(B minus n) at most the target. Tail values are
+    nonincreasing in the cut, so the least cut is found by bisection.
+
+    On a finite B the tail is constant between the cuts e + 1 of its members
+    e, since B minus n loses a member only as n passes e + 1. The least cut
+    is then 0 or one of those cuts, and bisecting over them reads at most
+    ceil(log2 |B|) + 2 tails where bisecting over [0, max B + 1] reads
+    about log2(max B) + 2. Any other B gets an exponential probe first,
+    bounded by config.cut_search_max, and a bisection over [0, probe].
+    """
     def ok(n: int) -> bool:
         t = tail_value(desc, b, n, config)
         if t.status != "exact":
@@ -228,24 +235,27 @@ def _least_cut(desc, b: NatSet, target: Fraction, config: Config) -> int:
     if ok(0):
         return 0
     if isinstance(b, FiniteSet):
-        hi = max(b.elements) + 1 if b.elements else 1
-        if not ok(hi):
+        cuts = [0] + [e + 1 for e in b.elements] if b.elements else [0, 1]
+        hi = len(cuts) - 1
+        if not ok(cuts[hi]):
             raise NoValidCut("finite set keeps positive tail past its maximum")
+        cut = cuts.__getitem__
     else:
+        cut = int
         hi = 1
         while not ok(hi):
             hi *= 2
             if hi > config.cut_search_max:
                 raise NoValidCut(f"no cut below {config.cut_search_max} brings "
                                  f"the tail under {target}")
-    lo = 0  # ok(lo) is False once we get here, ok(hi) True
+    lo = 0  # ok(cut(lo)) is False once we get here, ok(cut(hi)) True
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if ok(mid):
+        if ok(cut(mid)):
             hi = mid
         else:
             lo = mid
-    return hi
+    return cut(hi)
 
 
 def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
@@ -360,6 +370,16 @@ def cauchy_to_limit(nu: str, seq: SetSequence, oracle: Ap0Oracle,
     re-checks the oracle's zero residuals exactly (OracleContractViolated
     otherwise) and audits nu(A_i △ A) < 2^{1-i} + nu(C_i △ A) stage by
     stage.
+
+    What is computed once. The modulus repeats stages (at depth 12 the
+    `multiples` family picks only 4 distinct ones). On a verified nested
+    chain equal indices name one set, so a run of them makes one oracle
+    call and one evaluation of A_i ∖ A, A ∖ A_i and A_i △ A, and each level
+    of the run keeps its own record and cap. Where C_i equals A_i, as it
+    does on every nested chain, nu(C_i △ A) is the nu(A_i △ A) already
+    computed, and no distance is read for it. That reuse is exact, and it
+    shows that the stage check is then vacuous: the cap 2^{1-i} + nu(A_i △ A)
+    always exceeds nu(A_i △ A). The verdict is kept as it is.
     """
     depth = _observed_depth(seq, depth)
     profile = cauchy_profile(nu, seq, depth, config, full_table=False)
@@ -376,8 +396,13 @@ def cauchy_to_limit(nu: str, seq: SetSequence, oracle: Ap0Oracle,
     # intersections of sub[i:]; on a verified nested sub-sequence (the
     # modulus indices ascend) each of those intersections is sub[i] itself
     nested = _verified_nested(seq, indices, sub, config)
-    b_sets = []
+    repeats = [nested and i > 0 and indices[i] == indices[i - 1]
+               for i in range(len(sub))]
+    b_sets: list[NatSet] = []
     for i in range(len(sub)):
+        if repeats[i]:
+            b_sets.append(b_sets[-1])
+            continue
         chain = [sub[i]] if nested else _running(sub[i:], "intersection", config)
         e_i = _resolve_audited(nu, oracle, [complement(x, config) for x in chain],
                                "stage {}", f"its level-{i} answer", config)
@@ -389,15 +414,16 @@ def cauchy_to_limit(nu: str, seq: SetSequence, oracle: Ap0Oracle,
 
     stages = []
     for i, a in enumerate(sub):
-        # A_i ∖ A and A ∖ A_i once each, and A_i △ A from them
-        out = boolean_op(a, limit, "difference", config)
-        inn = boolean_op(limit, a, "difference", config)
-        sym = _sides_union(out, inn, config)
-        measured = evaluate_measure(nu, sym, config)
-        di = _clamp_unit(measured)
-        ci = dist(nu, c_sets[i], limit, config)
-        removed = measured if sym is out else evaluate_measure(nu, out, config)
-        added = measured if sym is inn else evaluate_measure(nu, inn, config)
+        if not repeats[i]:
+            # A_i ∖ A and A ∖ A_i once each, and A_i △ A from them
+            out = boolean_op(a, limit, "difference", config)
+            inn = boolean_op(limit, a, "difference", config)
+            sym = _sides_union(out, inn, config)
+            measured = evaluate_measure(nu, sym, config)
+            di = _clamp_unit(measured)
+            ci = di if c_sets[i] == a else dist(nu, c_sets[i], limit, config)
+            removed = measured if sym is out else evaluate_measure(nu, out, config)
+            added = measured if sym is inn else evaluate_measure(nu, inn, config)
         if di.status != "exact" or ci.status != "exact":
             stages.append(StageRecord(i, removed, added, symdiff=di, ok=False))
             continue

@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import decide_less, exp_bounds, log_bounds
+from .bounds import _exp_scaled, _log_scaled, decide_less
 from .config import Config, DEFAULT_CONFIG
 from .exceptions import (
     InsufficientPrefix,
@@ -142,16 +142,20 @@ class GapCertificate:
 
 
 def _log_sq_over(n: int):
-    def make(bits: int) -> tuple[Fraction, Fraction]:
-        lo, hi = log_bounds(n, bits)
-        return lo * lo / n, hi * hi / n
+    """log^2(n)/n for a natural n >= 1 as an integer bracket (lo, hi, den):
+    the log's numerators at scale w are at least 0 there, so squaring them
+    keeps their order, over the denominator n 4^w."""
+    def make(bits: int) -> tuple[int, int, int]:
+        lo, hi, w = _log_scaled(n, bits)
+        return lo * lo, hi * hi, n << 2 * w
     return make
 
 
 def _scaled_exp(factor: int, exponent: int):
-    def make(bits: int) -> tuple[Fraction, Fraction]:
-        lo, hi = exp_bounds(exponent, bits)
-        return factor * lo, factor * hi
+    """factor * e^exponent for naturals as an integer bracket (lo, hi, 2^w)."""
+    def make(bits: int) -> tuple[int, int, int]:
+        lo, hi, w = _exp_scaled(exponent, bits)
+        return factor * lo, factor * hi, 1 << w
     return make
 
 
@@ -218,7 +222,7 @@ def validate_params(p: WitnessParams) -> AxiomReport:
     records = []
     records.append(CheckRecord(
         "scale-exceeds-e-squared",
-        "pass" if decide_less(lambda b: exp_bounds(2, b), Fraction(p.scale))
+        "pass" if decide_less(_scaled_exp(1, 2), Fraction(p.scale))
         else "fail",
         "N > e^2 under certified interval bounds"))
     target = (1 - p.kappa) / 2
@@ -537,17 +541,24 @@ def increment_tail_bound(p: WitnessParams, start: int) -> Fraction:
     Within the schedule the terms are exact. Beyond it, any strictly
     increasing continuation satisfies a_j >= a_L + (j - L), which gives
     a_j! >= (a_L + 1)! (a_L + 2)^(j-L-1) and a closed geometric bound.
+
+    The sum is formed over integers and reduced once: the schedule's terms
+    as m (a! / a_m!) over the common denominator a! of the largest entry a
+    among them (a_L! on a valid schedule), and the continuation, with
+    b = max(L, start - 1) and c = a_L + (b - L), as
+    (b (c + 1) (c + 2) + (c + 2)^2) / ((c + 1)^2 (c + 1)!), which is
+    (b / (1 - x) + 1 / (1 - x)^2) / (c + 1)! at x = 1 / (c + 2).
     """
     last = len(p.schedule) - 1
-    total = Fraction(0)
-    for m in range(start, last + 1):
-        total += Fraction(m, p.modulus(m))
+    terms = [(m, p.schedule[m]) for m in range(start, last + 1)]
+    top = max((a for _, a in terms), default=0)
+    head = sum(m * math.perm(top, top - a) for m, a in terms)
     base = max(last, start - 1)
-    a_base = p.schedule[last] + (base - last)
-    x = Fraction(1, a_base + 2)
-    cont = (Fraction(base, 1 - x) + Fraction(1, (1 - x) ** 2)) \
-        / math.factorial(a_base + 1)
-    return total + cont
+    c = p.schedule[last] + (base - last)
+    cont_num = base * (c + 1) * (c + 2) + (c + 2) ** 2
+    cont_den = (c + 1) ** 2 * math.factorial(c + 1)
+    f_top = math.factorial(top)
+    return Fraction(head * cont_den + cont_num * f_top, f_top * cont_den)
 
 
 def witness_sequence(w: WitnessFamily) -> SetSequence:

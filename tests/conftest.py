@@ -277,6 +277,65 @@ def brute_prefix_ratios(members, hi):
     return out
 
 
+def brute_tail_modulus(tail_bound, levels):
+    """For each level k < levels, the least i with tail_bound(i) < 2^-k,
+    every i tried from 0 up: the stages a certified modulus picks."""
+    out = []
+    for k in range(levels):
+        i = 0
+        while not tail_bound(i) < Fraction(1, 2 ** k):
+            i += 1
+        out.append(i)
+    return out
+
+
+def counting_oracle(oracle):
+    """The oracle with every resolver call recorded: (wrapped, calls), where
+    calls lists the chain each call was handed."""
+    from densitas.limits import Ap0Oracle
+
+    calls = []
+
+    def resolve(seq):
+        calls.append(seq.prefix)
+        return oracle.resolver(seq)
+
+    return Ap0Oracle(oracle.name, resolve), calls
+
+
+def brute_least_cut(members, weight, target):
+    """The least n in [0, max + 1] whose tail sup ratio (brute_sup_ratio at
+    cut n) is at most the target, every cut tried; None if there is none."""
+    for n in range(max(members, default=0) + 2):
+        if brute_sup_ratio(members, weight, cut=n) <= target:
+            return n
+    return None
+
+
+def brute_increment_tail_bound(schedule, start):
+    """sum of Fraction(m, a_m!) over start <= m <= L, term by term, plus the
+    geometric continuation (b/(1-x) + 1/(1-x)^2) / (c+1)! with x = 1/(c+2),
+    b = max(L, start - 1) and c = a_L + (b - L), each step a Fraction."""
+    last = len(schedule) - 1
+    total = Fraction(0)
+    for m in range(start, last + 1):
+        total += Fraction(m, math.factorial(schedule[m]))
+    b = max(last, start - 1)
+    c = schedule[last] + (b - last)
+    x = Fraction(1, c + 2)
+    return total + (Fraction(b) / (1 - x) + 1 / (1 - x) ** 2) / math.factorial(c + 1)
+
+
+def mp_fraction(expr, bits=640):
+    """expr(mpmath) computed at `bits` bits, as the exact rational value of
+    the mpf it returns: within a relative 2^-(bits - 8) of the true value."""
+    import mpmath
+
+    with mpmath.workprec(bits):
+        man, exp = mpmath.mpf(expr(mpmath)).man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
 def random_structured_set(rng: random.Random):
     """A small random set drawn from the exactly-evaluable backends."""
     k = rng.randrange(4)

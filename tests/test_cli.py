@@ -249,6 +249,20 @@ def test_geometric_of_a_far_finite_member_is_a_bracket(capsys):
     assert Fraction(hi) == Fraction(1, 16) + Fraction(1, 2 ** 14000)
 
 
+def test_a_geometric_bracket_names_what_passed_the_exponent_budget(capsys):
+    # the modulus is 3; the threshold 5000 is what the exact series refuses
+    assert main(["eval", "geometric", "per m=3 R={0} t=5000", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["note"] \
+        == "threshold beyond the exponent budget; tail bounded by residual mass"
+    for literal, what in (("per m=5000 R={0}", "moduli"),
+                          ("per m=5000 R={0} t=4097", "moduli and threshold"),
+                          ("ap a=3 h=5000", "term starts"),
+                          ("ap a=6000 h=5000", "moduli and term starts")):
+        assert main(["eval", "geometric", literal, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["note"] \
+            == what + " beyond the exponent budget; tail bounded by residual mass"
+
+
 def test_dist_example(capsys):
     assert main(["dist", "d-star", "per m=1 R={0}", "per m=2 R={0}"]) == 0
     assert capsys.readouterr().out.strip() == "1/2"

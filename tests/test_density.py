@@ -462,6 +462,14 @@ def test_geometric_measure_bracket_on_big_moduli():
     assert g.lower >= Fraction(1, 4)  # element 1 contributes 1/4
 
 
+def test_a_geometric_tail_past_the_budget_names_the_cut():
+    # the set's modulus and threshold are small; the cut 5000 is not
+    t = tail_value("geometric", PeriodicSet(3, (0,)), 5000)
+    assert t.status == "bracket"
+    assert t.note == "cut beyond the exponent budget; tail bounded by residual mass"
+    assert t.upper - t.lower == Fraction(1, 2 ** 4096)
+
+
 def test_upper_density_axiom_reports():
     fam = [EVENS, ODDS, THIRDS, AP_UNION]
     for fn in ("d-star", "bd-star", "buck", "weighted:f=harmonic"):

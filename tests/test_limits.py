@@ -39,6 +39,9 @@ from densitas.natset import (
     PeriodicSet,
     boolean_op,
 )
+from densitas.exhaust import get_lscsm
+
+from conftest import brute_least_cut, brute_sup_ratio, brute_tail_modulus, counting_oracle
 
 
 def growing_evens(n):
@@ -363,6 +366,58 @@ def test_pipeline_reads_two_distances_per_stage(monkeypatch):
     cert = cauchy_to_limit("geometric", seq, sigma_union_oracle("geometric"))
     assert cert.verdict == "certified"
     assert len(calls) <= 2 * 12
+
+
+@pytest.mark.parametrize("family", ["multiples", "evens"])
+def test_the_pipeline_resolves_each_distinct_stage_once(family, monkeypatch):
+    # on a verified nested chain a run of equal modulus indices is one set:
+    # one oracle call per distinct stage plus one for the final answer, and
+    # C_i is A_i there, so no distance is read for it
+    dists = []
+    body = limits.dist
+    monkeypatch.setattr(limits, "dist", lambda *a: dists.append(a) or body(*a))
+    rule, tail_bound, limit, nu = _FAMILIES[family]
+    for depth in range(4, 13):
+        seq = SetSequence(prefix=tuple(rule(n) for n in range(depth)), rule=rule,
+                          monotone=True, tail_bound=tail_bound, limit=limit)
+        oracle, calls = counting_oracle(sigma_union_oracle(nu))
+        cert = cauchy_to_limit(nu, seq, oracle)
+        stages = brute_tail_modulus(tail_bound, depth)
+        assert len(calls) == len(set(stages)) + 1, depth
+        assert cert.verdict == "certified"
+        # one record per level, each with its own cap
+        assert [s.index for s in cert.stages] == list(range(depth))
+        for s in cert.stages:
+            assert s.bound == Fraction(2, 2 ** s.index) + s.symdiff.value
+    assert len(set(stages)) == {"multiples": 4, "evens": 6}[family]
+    assert dists == []
+
+
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_least_cut_of_a_finite_set_matches_a_scan_of_every_cut(e, rng, monkeypatch):
+    calls = []
+    body = limits.tail_value
+    monkeypatch.setattr(limits, "tail_value", lambda *a: calls.append(a) or body(*a))
+    desc = get_lscsm(f"phi-alpha:a={e}")
+    weight = lambda i: Fraction(i ** e)
+    for _ in range(25):
+        members = sorted(rng.sample(range(1, 90), rng.randint(0, 14)))
+        cut = rng.randint(0, (members[-1] if members else 0) + 1)
+        # a target a tail reaches exactly, and one in between
+        for target in (brute_sup_ratio(members, weight, cut),
+                       Fraction(rng.randint(0, 40), 41)):
+            calls.clear()
+            got = limits._least_cut(desc, FiniteSet(tuple(members)), target,
+                                    DEFAULT_CONFIG)
+            assert got == brute_least_cut(members, weight, target), (members, target)
+            # ceil(log2(|B| + 1)) + 2 tails at most
+            assert len(calls) <= len(members).bit_length() + 2
+    # a one-member increment of the powers chain: the tails at 0 and 2^j + 1
+    for j in range(40):
+        calls.clear()
+        assert limits._least_cut(get_lscsm("phi-prefix"), FiniteSet((2 ** j,)),
+                                 Fraction(0), DEFAULT_CONFIG) == 2 ** j + 1
+        assert len(calls) == 2
 
 
 def test_pipeline_limit_feeds_back_with_zero_residuals():

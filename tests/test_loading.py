@@ -107,3 +107,15 @@ def test_public_names_resolve_to_their_modules():
     assert densitas.LSCSM_NAMES is densitas.density.LSCSM_NAMES
     with pytest.raises(AttributeError):
         densitas.nonesuch  # noqa: B018
+
+
+def test_dir_lists_the_public_names_and_the_submodules():
+    # not the package's own imports, importlib and sys
+    names = set(dir(densitas))
+    assert names - {"cli"} == set(densitas.__all__) | _LIBRARY
+    assert not {"importlib", "sys"} & names
+    for name in names:
+        getattr(densitas, name)
+    # listing the names executes no module
+    got = _fresh("import densitas; dir(densitas)")
+    assert got["ran"] == []

@@ -16,6 +16,7 @@ from densitas.exceptions import (
     ScheduleTooShort,
 )
 from densitas import metric, natset, witness
+from densitas.bounds import decide_less, exp_bounds, log_bounds
 from densitas.cli import main
 from densitas.metric import cauchy_profile, evaluate_measure
 from densitas.natset import APTerm, APUnionSet, boolean_op
@@ -33,7 +34,7 @@ from densitas.witness import (
     witness_sequence,
 )
 
-from conftest import assert_column_matches_table
+from conftest import assert_column_matches_table, brute_increment_tail_bound, mp_fraction
 
 HALF = Fraction(1, 2)
 
@@ -528,3 +529,47 @@ def test_witness_sequence_rule_extends_then_runs_out(family):
     assert seq.item(4) == family.stages[4]
     with pytest.raises(InsufficientPrefix):
         seq.item(5)
+
+
+def test_increment_tail_bound_matches_the_plain_fraction_sum(rng):
+    for _ in range(300):
+        schedule = tuple(sorted(rng.sample(range(1, 40), rng.randint(1, 9))))
+        p = WitnessParams(Fraction(1, 2), 8, 2, schedule)
+        for start in range(len(schedule) + 3):
+            assert increment_tail_bound(p, start) \
+                == brute_increment_tail_bound(schedule, start), (schedule, start)
+
+
+def _decides_like_mpmath(make, value, fraction_make):
+    """Both integer and rational brackets put value -+ 2^-100 on the side
+    mpmath's value puts them, and every rung's integer bracket holds that
+    value: at 2,400 bits it is correct far below the top rung's 2^-1024."""
+    for side in (-1, 1):
+        t = value + side * Fraction(1, 2 ** 100)
+        assert decide_less(make, t) is (side > 0)
+        assert decide_less(fraction_make, t) is (side > 0)
+    for bits in (128, 256, 512, 1024):
+        lo, hi, den = make(bits)
+        assert all(isinstance(x, int) for x in (lo, hi, den))
+        assert Fraction(lo, den) <= value <= Fraction(hi, den)
+
+
+@pytest.mark.parametrize("n", [8, 33, 42, 74, 75, 152, 10 ** 6])
+def test_log_squared_comparisons_agree_with_mpmath(n):
+    def fraction_make(bits):
+        lo, hi = log_bounds(n, bits)
+        return lo * lo / n, hi * hi / n
+
+    value = mp_fraction(lambda mp: mp.log(n) ** 2 / n, bits=2400)
+    _decides_like_mpmath(witness._log_sq_over(n), value, fraction_make)
+
+
+@pytest.mark.parametrize("cover", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 4, 9])
+def test_scaled_exp_comparisons_agree_with_mpmath(cover, n):
+    def fraction_make(bits):
+        lo, hi = exp_bounds(2 * (n + 1), bits)
+        return cover * lo, cover * hi
+
+    value = mp_fraction(lambda mp: cover * mp.exp(2 * (n + 1)), bits=2400)
+    _decides_like_mpmath(witness._scaled_exp(cover, 2 * (n + 1)), value, fraction_make)
