@@ -56,8 +56,7 @@ from .metric import (
     metric_equivalence_probe,
 )
 from .natset import FiniteSet, NatSet, PeriodicSet, format_set, parse_set
-from .reports import (AxiomReport, CheckRecord, format_fraction, format_int, to_json,
-                      to_payload)
+from .reports import AxiomReport, CheckRecord, _rows, format_fraction, to_json
 from .samples import chunked, pool_battery, thinning_blocks
 from .values import ExtValue, _rational
 
@@ -93,26 +92,6 @@ def _format_value(v: ExtValue) -> str:
         hi = "infinity" if v.upper is None else format_fraction(v.upper)
         return f"[{lo}, {hi}]"
     return f"~{format_fraction(v.value)} (observational)"
-
-
-def _flatten(prefix: str, obj, rows: list):
-    if isinstance(obj, dict):
-        for k in obj:
-            _flatten(f"{prefix}.{k}" if prefix else str(k), obj[k], rows)
-    elif isinstance(obj, list):
-        for i, x in enumerate(obj):
-            _flatten(f"{prefix}[{i}]", x, rows)
-    else:
-        rows.append((prefix, "" if obj is None
-                     else format_int(obj) if type(obj) is int else str(obj)))
-
-
-def _rows(report) -> list[tuple[str, str]]:
-    """(key, value) for every leaf of the report's payload, in payload order:
-    the one walk csv and text render every report but an AxiomReport from."""
-    rows: list = []
-    _flatten("", to_payload(report), rows)
-    return rows
 
 
 def _csv_rows(report) -> tuple[list[str], list]:

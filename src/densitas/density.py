@@ -7,22 +7,24 @@ Four functionals are implemented:
   max_k |A ∩ [k, k+n)| / n (the limit exists by subadditivity and equals the
   infimum, so doubling-length profiles are nonincreasing);
 - the cover density: inf over covers of A by finite unions of infinite
-  arithmetic progressions of the upper asymptotic density of the cover;
+  arithmetic progressions of the upper asymptotic density of the cover; it
+  equals bd* on every backend with a tail, so upper_buck reads the bd*
+  evaluator, _banach;
 - weighted upper density for a divergent weight sequence f: limsup of
   (Σ_{i∈A, i≤n} f(i)) / (Σ_{i≤n} f(i)).
 
 The evaluation strategy is closed-form per backend wherever the structure
 pins the value down exactly:
 
-- finite sets: everything is 0;
+- finite sets, whatever their backend, as natset.finite_part finds them:
+  everything is 0;
 - eventually periodic sets (PeriodicSet, APUnionSet): all four functionals
   equal the natural density |R|/m (windows of length qm hold exactly q|R|
-  rule elements; the set covers itself; slowly varying weights average to the
-  same limit);
+  rule elements; slowly varying weights average to the same limit);
 - dyadic block sets: prefix ratios have their local maxima exactly at slice
   ends, which gives a rational closed form for cyclic fills; unbounded slices
-  are runs of consecutive members, which force both the window and cover
-  densities to 1, while bounded-slice vanishing fills force them to 0;
+  are runs of consecutive members, which force the window density to 1,
+  while bounded-slice vanishing fills force it to 0;
 - horizon sets: no tail, no theorem. Results are observational point
   estimates with profiles, never certificates. The cover density is refused
   outright because finite evidence bounds no cover.
@@ -113,14 +115,12 @@ class DensityEstimate:
 
 
 def eventual_density(a: NatSet) -> Optional[Fraction]:
-    """Exact natural density when the backend structure guarantees it exists."""
-    if isinstance(a, FiniteSet):
-        return Fraction(0)
-    if isinstance(a, PeriodicSet):
+    """Exact natural density when the backend structure guarantees it exists:
+    0 exactly on the sets natset.finite_part finds finite, since a nonempty
+    rule part of a periodic set or an AP union has positive density."""
+    if isinstance(a, (PeriodicSet, APUnionSet)):
         return a.density()
-    if isinstance(a, APUnionSet):
-        return a.density()
-    return None
+    return Fraction(0) if finite_part(a) is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +216,9 @@ def _max_window_in_elements(elems: Sequence[int], n: int,
 
 def _window_max(a: NatSet, n: int, config: Config) -> tuple[int, bool]:
     """(max_k |A ∩ [k, k+n)|, exact?) over all admissible window starts."""
-    if isinstance(a, FiniteSet):
-        return _max_window_in_elements(a.elements, n), True
+    fin = finite_part(a)
+    if fin is not None:
+        return _max_window_in_elements(fin.elements, n), True
     if isinstance(a, HorizonSet):
         elems = a.elements_in(0, a.horizon)
         return _max_window_in_elements(elems, n, hard_end=a.horizon), True
@@ -283,8 +284,7 @@ def _asymptotic(a: NatSet, config: Config, name: str, side: int) -> DensityEstim
     """limsup (side 0) or liminf (side 1) of the prefix ratios |A ∩ [1,n]| / n."""
     d = eventual_density(a)
     if d is not None:
-        return DensityEstimate(name, exact(d),
-                               "finite" if isinstance(a, FiniteSet) else "eventual-period")
+        return DensityEstimate(name, exact(d), "eventual-period" if d else "finite")
     if isinstance(a, DyadicBlockSet):
         return DensityEstimate(name, exact(_block_asymptotic(a)[side]), "block-fill")
     if isinstance(a, HorizonSet):
@@ -307,14 +307,29 @@ def lower_asymptotic(a: NatSet, config: Config = DEFAULT_CONFIG) -> DensityEstim
 
 
 def upper_banach(a: NatSet, config: Config = DEFAULT_CONFIG) -> DensityEstimate:
-    name = "bd-star"
+    return _banach(a, config, "bd-star")
+
+
+def upper_buck(a: NatSet, config: Config = DEFAULT_CONFIG) -> DensityEstimate:
+    """The cover density, bd* wherever a tail exists: a finite set has
+    covers of vanishing density, an eventually periodic set covers itself,
+    and unbounded runs swallow any periodic cover (one periodic mod M holds
+    each run of M members whole), while bounded clusters embed in unions of
+    progressions of vanishing density. Horizon evidence bounds no cover."""
+    if isinstance(a, HorizonSet):
+        raise UnsupportedBackend(
+            "cover density needs tail structure; horizon evidence bounds no cover")
+    return _banach(a, config, "buck")
+
+
+def _banach(a: NatSet, config: Config, name: str) -> DensityEstimate:
+    """The upper Banach density, reported under `name`."""
     d = eventual_density(a)
     if d is not None:
         # beyond the exceptional prefix every window of length q*m holds
         # exactly q rule elements per residue, so the window limit is the
         # natural density
-        method = "finite" if isinstance(a, FiniteSet) else "eventual-period"
-        return DensityEstimate(name, exact(d), method)
+        return DensityEstimate(name, exact(d), "eventual-period" if d else "finite")
     if isinstance(a, DyadicBlockSet):
         if a.slices_unbounded():
             val, why = Fraction(1), "unbounded runs of consecutive members"
@@ -329,32 +344,6 @@ def upper_banach(a: NatSet, config: Config = DEFAULT_CONFIG) -> DensityEstimate:
             observational(val, "max window ratio within the horizon; no tail information"),
             "observational", prof)
     raise UnsupportedBackend(f"upper Banach density undefined for backend {a.kind}")
-
-
-def upper_buck(a: NatSet, config: Config = DEFAULT_CONFIG) -> DensityEstimate:
-    name = "buck"
-    if isinstance(a, FiniteSet):
-        return DensityEstimate(
-            name, exact(0),
-            "each point sits on a progression of arbitrarily large modulus")
-    d = eventual_density(a)
-    if d is not None:
-        # the rule part covers itself; sparse progressions absorb the finite
-        # exceptions, so the infimum meets the monotone lower bound d
-        return DensityEstimate(name, exact(d), "self-cover")
-    if isinstance(a, DyadicBlockSet):
-        if a.slices_unbounded():
-            # a cover that is periodic mod M swallows any run of length M
-            # whole, so unbounded runs force every cover to density 1
-            return DensityEstimate(name, exact(1), "runs exhaust every residue system")
-        return DensityEstimate(
-            name, exact(0),
-            "clusters of bounded size embed in unions of progressions with "
-            "vanishing total density")
-    if isinstance(a, HorizonSet):
-        raise UnsupportedBackend(
-            "cover density needs tail structure; horizon evidence bounds no cover")
-    raise UnsupportedBackend(f"cover density undefined for backend {a.kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +487,7 @@ def weighted_upper(a: NatSet, weight: WeightFunction | str = "harmonic",
     if w.name == "constant":
         inner = upper_asymptotic(a, config)
         return DensityEstimate(name, inner.value, inner.method, inner.profile)
-    if isinstance(a, FiniteSet):
+    if finite_part(a) is not None:
         return DensityEstimate(name, exact(0), "finite weighted mass against divergent totals")
     d = eventual_density(a)
     if d is not None and w.slowly_varying:
@@ -670,8 +659,8 @@ def _additive(kind: str, a: NatSet, lo: int = 0) -> ExtValue:
         u = drop_below(as_ap_union(a), lo)
         firsts: dict[int, list[tuple[int, int]]] = {}
         for M, c, mn, sign in u._intersections:
-            x0 = c if c >= mn else c + M * (-((mn - c) // -M))
-            firsts.setdefault(M, []).append((x0, sign))
+            x0 = max(mn, c)
+            firsts.setdefault(M, []).append((x0 + (c - x0) % M, sign))
         total = Fraction(*_geo_signed(_signed_exceptions(u, 0, u.threshold)))
         for M, entries in firsts.items():
             num, den = _geo_signed(entries)

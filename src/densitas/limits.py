@@ -41,11 +41,13 @@ from .metric import (
 from .natset import (
     FiniteSet,
     NatSet,
+    _bisect,
     _running,
     _sides_union,
     boolean_op,
     complement,
     drop_below,
+    finite_part,
     least_member,
 )
 from .values import ExtValue, exact
@@ -219,12 +221,13 @@ def _least_cut(desc, b: NatSet, target: Fraction, config: Config) -> int:
     """The least n with phi(B minus n) at most the target. Tail values are
     nonincreasing in the cut, so the least cut is found by bisection.
 
-    On a finite B the tail is constant between the cuts e + 1 of its members
-    e, since B minus n loses a member only as n passes e + 1. The least cut
-    is then 0 or one of those cuts, and bisecting over them reads at most
-    ceil(log2 |B|) + 2 tails where bisecting over [0, max B + 1] reads
-    about log2(max B) + 2. Any other B gets an exponential probe first,
-    bounded by config.cut_search_max, and a bisection over [0, probe].
+    On a B that natset.finite_part finds finite, the tail is constant
+    between the cuts e + 1 of its members e, since B minus n loses a member
+    only as n passes e + 1. The least cut is then 0 or one of those cuts,
+    and bisecting over them reads at most ceil(log2 |B|) + 2 tails where
+    bisecting over [0, max B + 1] reads about log2(max B) + 2. Any other B
+    gets an exponential probe first, bounded by config.cut_search_max, and a
+    bisection over [0, probe].
     """
     def ok(n: int) -> bool:
         t = tail_value(desc, b, n, config)
@@ -234,8 +237,9 @@ def _least_cut(desc, b: NatSet, target: Fraction, config: Config) -> int:
 
     if ok(0):
         return 0
-    if isinstance(b, FiniteSet):
-        cuts = [0] + [e + 1 for e in b.elements] if b.elements else [0, 1]
+    fin = finite_part(b)
+    if fin is not None:
+        cuts = [0] + [e + 1 for e in fin.elements] if fin.elements else [0, 1]
         hi = len(cuts) - 1
         if not ok(cuts[hi]):
             raise NoValidCut("finite set keeps positive tail past its maximum")
@@ -248,14 +252,7 @@ def _least_cut(desc, b: NatSet, target: Fraction, config: Config) -> int:
             if hi > config.cut_search_max:
                 raise NoValidCut(f"no cut below {config.cut_search_max} brings "
                                  f"the tail under {target}")
-    lo = 0  # ok(cut(lo)) is False once we get here, ok(cut(hi)) True
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(cut(mid)):
-            hi = mid
-        else:
-            lo = mid
-    return cut(hi)
+    return cut(_bisect(lambda i: ok(cut(i)), 0, hi))
 
 
 def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,

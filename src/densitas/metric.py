@@ -371,7 +371,9 @@ class RatioReport:
     claimed constants; the constants are the cited ones, never inferred
     from samples), "ratio-diverges" (each requested target was exceeded;
     witnesses record where), or "inconclusive". Pairs with both values zero
-    carry no ratio and cannot violate two-sided bounds.
+    carry no ratio and cannot violate two-sided bounds. An infinite ratio
+    (only the second value zero) is stored as -1: `min_ratio` skips it, and
+    `max_ratio` is None once there is one.
     """
 
     name1: str
@@ -386,11 +388,11 @@ class RatioReport:
     @property
     def max_ratio(self) -> Optional[Fraction]:
         vals = [r for r in self.ratios if r is not None]
-        return max(vals) if vals else None
+        return max(vals) if vals and min(vals) >= 0 else None
 
     @property
     def min_ratio(self) -> Optional[Fraction]:
-        vals = [r for r in self.ratios if r is not None]
+        vals = [r for r in self.ratios if r is not None and r >= 0]
         return min(vals) if vals else None
 
 
@@ -427,8 +429,8 @@ def metric_equivalence_probe(nu1: str, nu2: str, family: SetSequence,
     infinite_at = [i for i, r in enumerate(ratios) if r == Fraction(-1)]
     clean = [(i, r) for i, r in enumerate(ratios) if r is not None and r >= 0]
 
+    bounds, witnesses = None, []
     if targets:
-        witnesses = []
         missing = []
         for c in targets:
             c = Fraction(c)
@@ -440,25 +442,22 @@ def metric_equivalence_probe(nu1: str, nu2: str, family: SetSequence,
             else:
                 witnesses.append((c, idx))
         if missing:
-            return RatioReport(nu1, nu2, tuple(values), tuple(ratios),
-                               "inconclusive", witnesses=tuple(witnesses),
-                               note=f"no sample exceeds target {missing[0]}")
-        return RatioReport(nu1, nu2, tuple(values), tuple(ratios),
-                           "ratio-diverges", witnesses=tuple(witnesses))
-
-    if claimed_bounds is not None:
+            verdict, note = "inconclusive", f"no sample exceeds target {missing[0]}"
+        else:
+            verdict, note = "ratio-diverges", ""
+    elif claimed_bounds is not None:
         c1, c2 = Fraction(claimed_bounds[0]), Fraction(claimed_bounds[1])
+        bounds = (c1, c2)
         bad = next((i for i, r in clean if not c1 <= r <= c2), None)
         if bad is None and not infinite_at:
-            return RatioReport(nu1, nu2, tuple(values), tuple(ratios),
-                               "two-sided-bounded", bounds=(c1, c2))
-        at = bad if bad is not None else infinite_at[0]
-        return RatioReport(nu1, nu2, tuple(values), tuple(ratios),
-                           "inconclusive", bounds=(c1, c2),
-                           note=f"sample {at} violates the claimed bounds")
-
-    return RatioReport(nu1, nu2, tuple(values), tuple(ratios), "inconclusive",
-                       note="no claimed bounds and no divergence targets")
+            verdict, note = "two-sided-bounded", ""
+        else:
+            at = bad if bad is not None else infinite_at[0]
+            verdict, note = "inconclusive", f"sample {at} violates the claimed bounds"
+    else:
+        verdict, note = "inconclusive", "no claimed bounds and no divergence targets"
+    return RatioReport(nu1, nu2, tuple(values), tuple(ratios), verdict,
+                       bounds=bounds, witnesses=tuple(witnesses), note=note)
 
 
 # ---------------------------------------------------------------------------

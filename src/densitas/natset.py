@@ -90,7 +90,7 @@ past the modulus. A literal's table is built on its first table op, after l (or 
 ``config.modulus_budget``; a kernel result keeps the table it was built
 from. ``per m=1000! R={0}`` never builds one.
 
-Three rules live here once, for every module that needs them:
+Five rules live here once, for every module that needs them:
 
 - ``_signed_exceptions(a, lo, hi)``: the AP-union or block exceptions that
   change membership, an extra off the rule as +1 and a removal on it as -1;
@@ -100,6 +100,9 @@ Three rules live here once, for every module that needs them:
   ``count_range`` and ``elements_in`` use it.
 - ``period(budget)`` of an eventually periodic set: a ``PeriodicSet``'s
   modulus, or an ``APUnionSet``'s lcm of term moduli (None above the budget).
+- ``_bisect(ok, lo, hi)``: the least n in (lo, hi] passing a monotone
+  test, for ``least_member``, the tail cuts of ``limits`` and the witness scale.
+- the class start, the least x >= lo with x ≡ r (mod m): ``lo + (r - lo) % m``.
 
 The one set-literal grammar lives here (``parse_set``/``format_set``); the
 CLI parses and prints through it:
@@ -493,9 +496,9 @@ class PeriodicSet(NatSet):
 
     def elements_in(self, lo: int, hi: int) -> list[int]:
         out = []
+        start = max(lo, 0)
         for r in self.residues:
-            first = r + self.modulus * (-((max(lo, 0) - r) // -self.modulus)) if max(lo, 0) > r else r
-            out.extend(range(max(first, r), hi, self.modulus))
+            out.extend(range(start + (r - start) % self.modulus, hi, self.modulus))
         out = set(out)
         out.update(x for x in self.added if lo <= x < hi)
         out.difference_update(self.removed)
@@ -738,10 +741,7 @@ class APUnionSet(NatSet):
         out = set()
         for t in self.terms:
             first = max(lo, t.min_element)
-            rem = (first - t.offset) % t.modulus
-            if rem:
-                first += t.modulus - rem
-            out.update(range(first, hi, t.modulus))
+            out.update(range(first + (t.offset - first) % t.modulus, hi, t.modulus))
         out.update(x for x in self.extras if lo <= x < hi)
         out.difference_update(self.removals)
         return sorted(out)
@@ -1006,7 +1006,7 @@ def finite_part(a: NatSet) -> Optional[FiniteSet]:
     if isinstance(a, APUnionSet) and not a.terms:
         return FiniteSet(tuple(x for x in a.extras if x not in a.removals))
     if isinstance(a, DyadicBlockSet) and a.fill.structure == "cycle" \
-            and all(c == 0 for c in a.fill.cycle):
+            and not any(a.fill.cycle):
         # read up to the last nonempty head block only: a zero head can be
         # 2^20 blocks long, and each block's slice costs time linear in j
         top = max([x.bit_length() for x in a.extras]
@@ -1040,14 +1040,20 @@ def least_member(a: NatSet) -> Optional[int]:
             raise UnsupportedBackend(
                 "emptiness of a block set with a vanishing fill is not decidable")
         hi <<= 1
-    lo = hi >> 1  # |A ∩ [0, lo)| = 0 < |A ∩ [0, hi)|
+    # |A ∩ [0, hi/2)| = 0 < |A ∩ [0, hi)|
+    return _bisect(lambda n: a.count_range(0, n) > 0, hi >> 1, hi) - 1
+
+
+def _bisect(ok: Callable[[int], bool], lo: int, hi: int) -> int:
+    """The least n in (lo, hi] with ok(n), for an ok that turns from False
+    to True once, False at lo and True at hi; neither end is read."""
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if a.count_range(0, mid):
+        if ok(mid):
             hi = mid
         else:
             lo = mid
-    return lo
+    return hi
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ a stable convention: rationals render as "p/q" strings (integers as "p"),
 mappings get sorted keys downstream, and no timestamps or machine identifiers
 ever appear, so byte-identical reruns stay byte-identical. The json writer
 `to_json` prints the same text as json.dumps of that payload with sorted keys
-and an indent of 2, straight from the objects; both read their leaf rules
-from `_leaf`.
+and an indent of 2, straight from the objects, and `_rows` gives the csv and
+text rows of the payload's leaves the same way. All three walks read a
+node's children from `_children` and a leaf from `_leaf`.
 """
 
 from __future__ import annotations
@@ -71,18 +72,13 @@ def format_fraction(q: Fraction) -> str:
 
 
 @functools.cache
-def _public_fields(cls: type) -> Optional[tuple[str, ...]]:
+def _public_fields(cls: type, sort: bool) -> Optional[tuple[str, ...]]:
     """The field names of a dataclass not starting with `_`, in declaration
-    order; None for any other class."""
+    order or sorted; None for any other class."""
     if not dataclasses.is_dataclass(cls):
         return None
-    return tuple(f.name for f in dataclasses.fields(cls) if not f.name.startswith("_"))
-
-
-@functools.cache
-def _sorted_fields(cls: type) -> Optional[tuple[str, ...]]:
-    names = _public_fields(cls)
-    return None if names is None else tuple(sorted(names))
+    names = tuple(f.name for f in dataclasses.fields(cls) if not f.name.startswith("_"))
+    return tuple(sorted(names)) if sort else names
 
 
 def _leaf(obj: Any) -> Any:
@@ -104,20 +100,33 @@ def _leaf(obj: Any) -> Any:
     return repr(obj)
 
 
+def _children(obj: Any, sort_keys: bool = False) -> Optional[tuple[bool, Any]]:
+    """A node's children as every payload walk reads them, None for a leaf:
+    (True, (key, child) pairs) for a dataclass's public fields in declaration
+    order or a mapping's items under string keys, keys sorted if asked;
+    (False, children) for a sequence or a set, a set sorted."""
+    names = _public_fields(type(obj), sort_keys)
+    if names is not None:
+        return True, [(name, getattr(obj, name)) for name in names]
+    if isinstance(obj, dict):
+        items = {str(k): v for k, v in obj.items()}.items()
+        return True, sorted(items) if sort_keys else items
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return False, sorted(obj) if isinstance(obj, (set, frozenset)) else obj
+    return None
+
+
 def to_payload(obj: Any) -> Any:
     """Recursively encode for JSON/CSV emission (exact rationals stay exact):
     a dataclass becomes a dict of its public fields in declaration order, a
     mapping a dict with string keys, a sequence or set a list (a set
     sorted), and everything else its `_leaf`."""
-    names = _public_fields(type(obj))
-    if names is not None:
-        return {name: to_payload(getattr(obj, name)) for name in names}
-    if isinstance(obj, dict):
-        return {str(k): to_payload(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [to_payload(x) for x in seq]
-    return _leaf(obj)
+    node = _children(obj)
+    if node is None:
+        return _leaf(obj)
+    if node[0]:
+        return {k: to_payload(v) for k, v in node[1]}
+    return [to_payload(x) for x in node[1]]
 
 
 def to_json(obj: Any) -> str:
@@ -130,54 +139,70 @@ def to_json(obj: Any) -> str:
     return "".join(out)
 
 
-# the JSON text of the values that are their own payload, by exact type;
-# the walk writes these inline and hands every other leaf to `_leaf`
+# the JSON text of the commonest leaves, by exact type, which the walk
+# writes inline (a Fraction's "p/q" needs no escaping); every other leaf
+# goes through `_leaf`
 _SELF_JSON = {str: _escape, int: format_int, type(None): lambda _: "null",
-              bool: lambda b: "true" if b else "false"}
+              bool: lambda b: "true" if b else "false",
+              Fraction: lambda q: '"' + format_fraction(q) + '"'}
 
 
 def _write(obj: Any, out: list[str], nl: str) -> None:
     """Append obj's JSON text to out; `nl` is a newline and the indent of
     the line obj starts on."""
-    names = _sorted_fields(type(obj))
-    if names is not None:
-        items = [(name, getattr(obj, name)) for name in names]
-    elif isinstance(obj, dict):
-        items = sorted({str(k): v for k, v in obj.items()}.items())
-    elif isinstance(obj, (list, tuple, set, frozenset)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for x in sorted(obj) if isinstance(obj, (set, frozenset)) else obj:
-            enc = _SELF_JSON.get(type(x))
-            if enc is None:
-                out.append(sep)
-                _write(x, out, inner)
-            else:
-                out.append(sep + enc(x))
-            sep = "," + inner
-        out.append(nl + "]")
-        return
-    else:
+    node = _children(obj, sort_keys=True)
+    if node is None:
         enc = _SELF_JSON.get(type(obj))
         if enc is None:
             obj = _leaf(obj)  # a str or int subclass stays as it is
             enc = _escape if isinstance(obj, str) else format_int
         out.append(enc(obj))
         return
+    is_map, items = node
     if not items:
-        out.append("{}")
+        out.append("{}" if is_map else "[]")
         return
     inner = nl + "  "
-    sep = "{" + inner
-    for k, v in items:
-        enc = _SELF_JSON.get(type(v))
+    sep = ("{" if is_map else "[") + inner
+    for x in items:
+        if is_map:
+            k, x = x
+            sep += _escape(k) + ": "
+        enc = _SELF_JSON.get(type(x))
         if enc is None:
-            out.append(sep + _escape(k) + ": ")
-            _write(v, out, inner)
+            out.append(sep)
+            _write(x, out, inner)
         else:
-            out.append(sep + _escape(k) + ": " + enc(v))
+            out.append(sep + enc(x))
         sep = "," + inner
-    out.append(nl + "}")
+    out.append(nl + ("}" if is_map else "]"))
+
+
+# the row text of the leaves `_SELF_JSON` writes inline
+_SELF_TEXT = {str: str, int: format_int, type(None): lambda _: "", bool: str,
+              Fraction: format_fraction}
+
+
+def _rows(obj: Any) -> list[tuple[str, str]]:
+    """(key, value) for every leaf of obj's payload, in payload order, read
+    from obj itself as `to_json` reads it: the rows csv and text print. A
+    key joins field names and mapping keys by dots, with indices in brackets."""
+    rows: list[tuple[str, str]] = []
+
+    def walk(key: str, x: Any) -> None:
+        enc = _SELF_TEXT.get(type(x))
+        if enc is not None:
+            rows.append((key, enc(x)))
+            return
+        node = _children(x)
+        if node is None:
+            rows.append((key, str(_leaf(x))))  # a str or int subclass, or a leaf's text
+        elif node[0]:
+            for k, y in node[1]:
+                walk(f"{key}.{k}" if key else k, y)
+        else:
+            for i, y in enumerate(node[1]):
+                walk(f"{key}[{i}]", y)
+
+    walk("", obj)
+    return rows

@@ -33,7 +33,7 @@ from .exceptions import (
     ScheduleTooShort,
 )
 from .metric import SetSequence
-from .natset import APTerm, APUnionSet, NatSet, _running, factorial_label
+from .natset import APTerm, APUnionSet, NatSet, _bisect, _running, factorial_label
 from .reports import AxiomReport, CheckRecord
 
 __all__ = [
@@ -161,21 +161,17 @@ def _scaled_exp(factor: int, exponent: int):
 
 def _minimal_scale(kappa: Fraction) -> int:
     """Least N > e^2 with log^2(N)/N < (1-kappa)/2. The ratio is strictly
-    decreasing past e^2, so a doubling probe plus binary search is exact."""
+    decreasing past e^2, so a doubling probe from 16 plus binary search is
+    exact, and decides each value at most once."""
     target = (1 - kappa) / 2
+    ok = lambda n: decide_less(_log_sq_over(n), target)
     lo = 8  # first integer past e^2
-    if decide_less(_log_sq_over(lo), target):
+    if ok(lo):
         return lo
-    hi = lo
-    while not decide_less(_log_sq_over(hi), target):
+    hi = 2 * lo
+    while not ok(hi):
         hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if decide_less(_log_sq_over(mid), target):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(ok, lo, hi)
 
 
 def _clears_thresholds(a: int, n: int, kappa: Fraction, cover: int,

@@ -235,6 +235,18 @@ def brute_sup_ratio(members, weight, cut=0):
     return best
 
 
+def brute_block_ratio(members, cut=0):
+    """max over the dyadic blocks I_j = [2^j, 2^(j+1)) of |{i in members :
+    i >= cut} ∩ I_j| / 2^j, each member placed in its block one by one (0
+    lies in no block; 0 when no block holds a member)."""
+    counts = {}
+    for i in members:
+        if i >= max(cut, 1):
+            j = i.bit_length() - 1
+            counts[j] = counts.get(j, 0) + 1
+    return max((Fraction(c, 2 ** j) for j, c in counts.items()), default=Fraction(0))
+
+
 def brute_window_max(s, n, starts):
     """max over the starts k of |A ∩ [k, k+n)|, membership read point by
     point."""

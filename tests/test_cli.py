@@ -46,7 +46,7 @@ from densitas.natset import (
     complement,
     parse_set,
 )
-from densitas.reports import AxiomReport, CheckRecord, to_json, to_payload
+from densitas.reports import AxiomReport, CheckRecord, _rows, to_json, to_payload
 from densitas.samples import thinning_blocks
 from densitas.values import bracket, exact, infinite, observational
 from densitas.witness import build_witness, derive_params, witness_sequence
@@ -227,6 +227,37 @@ def test_json_writer_matches_the_payload_encoding(tmp_path):
                "config": dataclasses.asdict(DEFAULT_CONFIG),
                "report": to_payload(report)}
         assert emit_report(report, "json") == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+
+def _payload_rows(report) -> list[tuple[str, str]]:
+    """The csv and text rows as the payload tree gives them: to_payload's
+    dicts and lists flattened, keys joined by dots and indices in brackets."""
+    rows = []
+
+    def walk(prefix, obj):
+        if isinstance(obj, dict):
+            for k in obj:
+                walk(f"{prefix}.{k}" if prefix else str(k), obj[k])
+        elif isinstance(obj, list):
+            for i, x in enumerate(obj):
+                walk(f"{prefix}[{i}]", x)
+        else:
+            rows.append((prefix, "" if obj is None else str(obj)))
+
+    walk("", to_payload(report))
+    return rows
+
+
+def test_csv_and_text_rows_are_the_flattened_payload(tmp_path):
+    for report in _emitted_reports(tmp_path):
+        rows = _payload_rows(report)
+        assert _rows(report) == rows
+        if isinstance(report, AxiomReport):
+            continue  # csv and text print its records instead
+        body = "".join(",".join(cell.replace(",", ";") for cell in row) + "\n" for row in rows)
+        assert emit_report(report, "csv").decode().endswith("\nkey,value\n" + body)
+        assert emit_report(report, "text").decode() == (
+            f"densitas {densitas.__version__}\n" + "".join(f"{k} = {v}\n" for k, v in rows))
 
 
 # ---------------------------------------------------------------------------

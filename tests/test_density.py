@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from densitas.natset import (
     drop_below,
     parse_set,
 )
+from densitas.samples import block_battery
 from densitas.values import bracket, exact
 
 from conftest import (
@@ -143,6 +145,16 @@ def test_buck_dominates_banach_dominates_asymptotic():
         db = upper_banach(s).value.value
         du = upper_buck(s).value.value
         assert da <= db <= du
+
+
+def test_buck_is_banach_on_every_backend_with_a_tail():
+    rng = random.Random(0xB0C)
+    sets = [random_structured_set(rng) for _ in range(300)] + list(block_battery(80, seed=5))
+    for s in sets:
+        assert upper_buck(s).value == upper_banach(s).value, s
+    with pytest.raises(UnsupportedBackend, match="^cover density needs tail structure; "
+                                                 "horizon evidence bounds no cover$"):
+        upper_buck(HorizonSet.from_members(16, range(8, 16)))
 
 
 def test_horizon_estimates_are_observational_only():

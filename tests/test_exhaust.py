@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from densitas import exhaust
 from densitas.exceptions import QueryBeyondHorizon, UnsupportedBackend
-from densitas.density import get_weight
+from densitas.density import FUNCTIONAL_NAMES, get_weight
 from densitas.exhaust import (
     _MAX_EXACT_EXPONENT,
     LSCSM_NAMES,
@@ -34,11 +34,13 @@ from densitas.natset import (
     HorizonSet,
     PeriodicSet,
     boolean_op,
+    finite_part,
     parse_set,
 )
 from densitas.values import bracket, exact
 
 from conftest import (
+    brute_block_ratio,
     brute_members,
     brute_pow2_ratio_sums,
     brute_power_sum,
@@ -574,10 +576,17 @@ def test_prefix_value_is_the_tail_value_of_the_prefix(seed, n):
 
 
 def _finite_forms(members):
-    """The same finite set as each backend that natset.finite_part reads."""
+    """The same finite set as each backend that natset.finite_part reads:
+    a periodic set without residues, an AP union without terms, and block
+    sets with an all-zero cycle, without a head and with one (its block 3,
+    {8..15}, filled, then corrected by extras and removals)."""
     xs = tuple(sorted(members))
     t = xs[-1] + 1 if xs else 0
-    return (FiniteSet(xs), PeriodicSet(7, (), t, xs), APUnionSet((), extras=xs))
+    head = FillRule.cycled([Fraction(0)], threshold=4, head=(0, 0, 0, 1))
+    return (FiniteSet(xs), PeriodicSet(7, (), t, xs), APUnionSet((), extras=xs),
+            DyadicBlockSet(FillRule.cycled([Fraction(0), Fraction(0)]), extras=xs),
+            DyadicBlockSet(head, extras=tuple(x for x in xs if not 8 <= x < 16),
+                           removals=tuple(x for x in range(8, 16) if x not in members)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -587,6 +596,21 @@ def test_weighted_tails_of_finite_sets_match_the_brute_supremum(members, n, wnam
     want = brute_sup_ratio(members, get_weight(wname).func, cut=n)
     for a in _finite_forms(members):
         assert tail_value(f"weighted:f={wname}", a, n) == exact(want), a
+
+
+# every norm family, phi-infty included
+_NORMS = FINITE_NAMES + ("phi-infty:eps=1/8",)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sets(st.integers(0, 40), max_size=8))
+def test_every_functional_reads_a_disguised_finite_set_as_its_finite_part(members):
+    plain, *disguised = _finite_forms(members)
+    for name in FUNCTIONAL_NAMES + tuple(f"norm:{n}" for n in _NORMS):
+        want = evaluate_measure(name, plain)
+        for a in disguised:
+            assert finite_part(a) == plain
+            assert evaluate_measure(name, a) == want, (name, a)
 
 
 def test_finite_tails_are_exact_inside_the_old_brackets():
@@ -626,6 +650,25 @@ def test_far_finite_tails_keep_the_position_scans_bounded():
     near_ap = boolean_op(thirds, FiniteSet((5000,)), "union")
     assert tail_value("geometric", near_ap, 7) == exact(
         Fraction(1, 896) + Fraction(1, 2 ** 5001))
+
+
+_PREFIX_NOTE = "window scan plus deviation envelope (moduli beyond the sweep budget)"
+
+
+@pytest.mark.parametrize("name, literal, cut, note, brute", [
+    ("phi-prefix", "ap a=9! h=1", 5, _PREFIX_NOTE,
+     lambda xs, n: brute_sup_ratio(xs, lambda i: Fraction(1), cut=n)),
+    ("psi-dyadic", "per m=10007 R={0}", 3,
+     "residue cycle beyond the order cap; deviation-bounded", brute_block_ratio),
+    ("psi-dyadic", "blocks f(n)=cycle{1/10007}", 2, "rounding period beyond the order cap",
+     brute_block_ratio),
+], ids=("prefix-factorial-modulus", "psi-periodic-order-cap", "psi-block-order-cap"))
+def test_tails_past_the_scan_caps_bracket_the_brute_supremum(name, literal, cut, note, brute):
+    a = parse_set(literal)
+    t = tail_value(name, a, cut)
+    assert (t.status, t.note) == ("bracket", note)
+    assert t.lower <= t.upper
+    assert t.upper >= brute(brute_members(a, 1 << 16), cut)
 
 
 def test_phi_infty_of_an_empty_tail_is_exact_zero():

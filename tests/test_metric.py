@@ -399,6 +399,16 @@ def test_identity_probe_is_two_sided_with_unit_constants():
     assert rep.max_ratio == rep.min_ratio == 1
 
 
+def test_the_ratio_range_reads_the_infinite_sentinel_as_no_number():
+    # bd* of the 1/n fill is 1 and its d* is 0: the second ratio is 1/0
+    fam = SetSequence(prefix=(parse_set("per m=4 R={1}"), parse_set("blocks f(n)=1/n")))
+    rep = metric_equivalence_probe("bd-star", "d-star", fam)
+    assert rep.ratios == (1, -1)
+    assert rep.min_ratio == 1 and rep.max_ratio is None
+    head = metric_equivalence_probe("bd-star", "d-star", SetSequence(prefix=fam.prefix[:1]))
+    assert head.min_ratio == head.max_ratio == 1
+
+
 def test_density_and_dyadic_norm_ratios_sit_inside_the_cited_bounds():
     members = [EVENS, THIRDS, ODDS, OMEGA,
                PeriodicSet(7, (0, 1, 2)), PeriodicSet(12, (0, 5)),
