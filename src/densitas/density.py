@@ -40,8 +40,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import combinations
+from functools import cache, partial
+from itertools import accumulate, combinations, count
+from operator import sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
@@ -55,6 +56,7 @@ from .natset import (
     PeriodicSet,
     _DIGITS_MAX,
     _DYADIC_EXP_MAX,
+    _bit_table,
     _signed_exceptions,
     as_ap_union,
     boolean_op,
@@ -187,64 +189,74 @@ def _default_prefix_lengths(a: NatSet, cap: int) -> list[int]:
     return out
 
 
+def _checked_lengths(lengths: Sequence[int]) -> list[int]:
+    """The requested profile lengths, each at least 1."""
+    ns = list(lengths)
+    for n in ns:
+        if n < 1:
+            raise ValueError(f"profile length {n} is below 1")
+    return ns
+
+
 def prefix_profile(a: NatSet, config: Config = DEFAULT_CONFIG,
                    lengths: Optional[Sequence[int]] = None) -> Profile:
     """Exact prefix ratios |A ∩ [1,n]| / n at the requested lengths."""
-    ns = (list(lengths) if lengths is not None
+    ns = (_checked_lengths(lengths) if lengths is not None
           else _default_prefix_lengths(a, config.prefix_horizon))
     entries = tuple((n, Fraction(a.count_range(1, n + 1), n)) for n in ns)
     return Profile("prefix", entries, "exact")
 
 
-def _max_window_in_elements(elems: Sequence[int], n: int,
-                            hard_end: Optional[int] = None) -> int:
-    """Max #elements in any length-n window; windows must end by hard_end."""
-    best = 0
-    j = 0
-    for i, e in enumerate(elems):
-        if hard_end is not None and e + n > hard_end:
-            break
-        while j < len(elems) and elems[j] < e + n:
-            j += 1
-        best = max(best, j - i)
-    if hard_end is not None and elems:
-        k = hard_end - n
-        cnt = sum(1 for e in elems if k <= e < hard_end)
-        best = max(best, cnt)
-    return best
+def _most_in_window(members: Sequence[int], n: int, k: Optional[int] = None) -> int:
+    """max over i < k (default: every i) of |E ∩ [E[i], E[i] + n)| for the
+    ascending members E: the window at E[i] holds bisect_left(E, E[i] + n) − i
+    of them, so one C-level pass over the starts finds the maximum."""
+    return max(map(sub, map(partial(bisect_left, members), map(n.__add__, members[:k])),
+                   count()), default=0)
 
 
-def _window_max(a: NatSet, n: int, config: Config) -> tuple[int, bool]:
-    """(max_k |A ∩ [k, k+n)|, exact?) over all admissible window starts."""
+def _window_max(a: NatSet, ns: Sequence[int], config: Config) -> tuple[list[int], bool]:
+    """([max_k |A ∩ [k, k+n)| for n in ns], exact?) over all admissible
+    window starts, the members read once for all lengths."""
     fin = finite_part(a)
     if fin is not None:
-        return _max_window_in_elements(fin.elements, n), True
+        return [_most_in_window(fin.elements, n) for n in ns], True
     if isinstance(a, HorizonSet):
-        elems = a.elements_in(0, a.horizon)
-        return _max_window_in_elements(elems, n, hard_end=a.horizon), True
-    if isinstance(a, PeriodicSet):
-        sweep = a.threshold + a.modulus
-        if sweep <= config.window_sweep_budget:
-            return max(a.count_range(k, k + n) for k in range(sweep)), True
-        ks = list(range(0, min(a.threshold, 64))) + [a.threshold + j for j in range(64)]
-        return max(a.count_range(k, k + n) for k in ks), False
-    if isinstance(a, APUnionSet):
-        l = a.period(config.window_sweep_budget)
-        t0 = a.threshold
-        if l is not None and t0 + l <= 4 * config.window_sweep_budget:
-            return max(a.count_range(k, k + n) for k in range(t0 + l)), True
-        cands = {0, t0} | {t.min_element for t in a.terms} | set(a.extras)
-        return max(a.count_range(k, k + n) for k in sorted(cands)), False
+        # each window inside the horizon is a difference of two prefix
+        # counts, one C-level pass per length (a bisection per member start
+        # costs several times more on a dense bit table); once n > H the
+        # window holds every member
+        run = list(accumulate(_bit_table(a._word, a.horizon)[:a.horizon], initial=0))
+        return [max(map(sub, run[n:], run), default=run[-1]) for n in ns], True
+    if isinstance(a, (PeriodicSet, APUnionSet)):
+        t, budget = a.threshold, config.window_sweep_budget
+        l = a.period(budget)
+        if isinstance(a, PeriodicSet) and t + l > budget:
+            ks = list(range(0, min(t, 64))) + [t + j for j in range(64)]
+            return [max(a.count_range(k, k + n) for k in ks) for n in ns], False
+        if isinstance(a, APUnionSet) and (l is None or t + l > 4 * budget):
+            ks = sorted({0, t} | {u.min_element for u in a.terms} | set(a.extras))
+            return [max(a.count_range(k, k + n) for k in ks) for n in ns], False
+        sweep = t + l
+        elems = a.elements_in(0, sweep + min(max(ns, default=0), sweep))
+        k = bisect_left(elems, sweep)
+        per_period = k - bisect_left(elems, t)
+        # a window of length n >= t + l ends in one whole period past t, so
+        # it holds the members of the one of length n − l plus per_period
+        qs = [max(0, (n - sweep) // l + 1) for n in ns]
+        return [_most_in_window(elems, n - q * l, k) + q * per_period
+                for n, q in zip(ns, qs)], True
     if isinstance(a, DyadicBlockSet):
-        if a.slices_unbounded():
-            # find a slice at least n long: the window inside it is all members
-            blk = a.fill.threshold
-            for m in range(blk, blk + 4 * max(len(a.fill.cycle), 1) + n.bit_length() + 64):
-                if a.slice_len(m) >= n:
-                    return n, True
-        span = max(4 * n, 64)
-        elems = a.elements_in(0, span)
-        return _max_window_in_elements(elems, n), False
+        # a slice at least n long among the first blocks past the fill
+        # threshold holds a window of n members; else probe the members
+        # below max(4n, 64), all read at once
+        blk, unbounded = a.fill.threshold, a.slices_unbounded()
+        runs = [unbounded and any(a.slice_len(m) >= n for m in range(
+            blk, blk + 4 * max(len(a.fill.cycle), 1) + n.bit_length() + 64)) for n in ns]
+        elems = a.elements_in(0, max([max(4 * n, 64) for n, run in zip(ns, runs) if not run],
+                                     default=0))
+        return [n if run else _most_in_window(elems[:bisect_left(elems, max(4 * n, 64))], n)
+                for n, run in zip(ns, runs)], all(runs)
     raise UnsupportedBackend(f"window scan not supported for backend {a.kind}")
 
 
@@ -255,6 +267,15 @@ def window_profile(a: NatSet, config: Config = DEFAULT_CONFIG,
     Doubling the length never increases the ratio (subadditivity of the
     window maximum), so power-of-two profiles are nonincreasing whenever the
     scan is exact.
+
+    A window that starts off the set holds no more members than the one at
+    the next member, so only member starts are read. On an eventually
+    periodic set with threshold t and period l, the window at a member
+    e >= t + l holds exactly as many members as the one at e − l, since
+    both lie past t; so the members below t + l are every start the exact
+    sweep needs, and a window of length n >= t + l holds the members of
+    the one of length n − l plus one whole period. Past the sweep budget,
+    candidate starts give a lower bound ("candidate-probe").
     """
     if lengths is None:
         cap = config.window_max
@@ -265,14 +286,9 @@ def window_profile(a: NatSet, config: Config = DEFAULT_CONFIG,
             ns.append(n)
             n *= 2
     else:
-        ns = list(lengths)
-    entries = []
-    all_exact = True
-    for n in ns:
-        cnt, is_exact = _window_max(a, n, config)
-        all_exact = all_exact and is_exact
-        entries.append((n, Fraction(cnt, n)))
-    return Profile("window-max", tuple(entries),
+        ns = _checked_lengths(lengths)
+    counts, all_exact = _window_max(a, ns, config)
+    return Profile("window-max", tuple(zip(ns, map(Fraction, counts, ns))),
                    "exact-sweep" if all_exact else "candidate-probe")
 
 

@@ -43,7 +43,7 @@ from .exceptions import (
     NotMonotone,
     SampleNotExact,
 )
-from .natset import NatSet, boolean_op, least_member
+from .natset import NatSet, boolean_op, finite_part, least_member
 from .reports import AxiomReport, CheckRecord
 from .values import ExtValue, bracket, exact, observational
 
@@ -157,8 +157,16 @@ def _clamp_unit(v: ExtValue) -> ExtValue:
 
 def dist(nu: str, a: NatSet, b: NatSet, config: Config = DEFAULT_CONFIG) -> ExtValue:
     """d_nu(A, B) = min{1, nu(A △ B)}, exact whenever nu is exact on the
-    symmetric difference's backend. Always lands in [0, 1]."""
-    sym = boolean_op(a, b, "symdiff", config)
+    symmetric difference's backend. Always lands in [0, 1]. An operand whose
+    rule part is empty enters as its natset.finite_part where the two
+    backends do not combine, so it is at the distance of its finite twin."""
+    try:
+        sym = boolean_op(a, b, "symdiff", config)
+    except IncompatibleBackends:
+        fa, fb = finite_part(a), finite_part(b)
+        if fa is None and fb is None:
+            raise
+        sym = boolean_op(a if fa is None else fa, b if fb is None else fb, "symdiff", config)
     return _clamp_unit(evaluate_measure(nu, sym, config))
 
 

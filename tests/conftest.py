@@ -253,6 +253,57 @@ def brute_window_max(s, n, starts):
     return max(brute_count(s, k, k + n) for k in starts)
 
 
+def _run_window_max(elems, n, hard_end=None):
+    """The longest-window count of ascending members, one start at a time;
+    with hard_end, windows end by it, and the last one is [hard_end − n,
+    hard_end)."""
+    best, j = 0, 0
+    for i, e in enumerate(elems):
+        if hard_end is not None and e + n > hard_end:
+            break
+        while j < len(elems) and elems[j] < e + n:
+            j += 1
+        best = max(best, j - i)
+    if hard_end is not None:
+        best = max([best] + [sum(1 for e in elems if hard_end - n <= e < hard_end)])
+    return best
+
+
+def reference_window_max(a, n, config):
+    """(max window count, exact?) by the per-start scan window_profile made
+    before its member kernel: a two-pointer walk over the members, and one
+    count_range per start over a whole period (t + m ≤ budget for a periodic
+    set, t0 + l ≤ 4 × budget for an AP union) or over candidate starts past
+    the budget. Kept as the reference the kernel must match, entry for entry
+    and method for method."""
+    from densitas.natset import finite_part
+
+    fin = finite_part(a)
+    if fin is not None:
+        return _run_window_max(fin.elements, n), True
+    if isinstance(a, HorizonSet):
+        return _run_window_max(a.elements_in(0, a.horizon), n, a.horizon), True
+    budget = config.window_sweep_budget
+    if isinstance(a, PeriodicSet):
+        t = a.threshold
+        if t + a.modulus <= budget:
+            return max(a.count_range(k, k + n) for k in range(t + a.modulus)), True
+        ks = list(range(0, min(t, 64))) + [t + j for j in range(64)]
+        return max(a.count_range(k, k + n) for k in ks), False
+    if isinstance(a, APUnionSet):
+        l, t0 = a.period(budget), a.threshold
+        if l is not None and t0 + l <= 4 * budget:
+            return max(a.count_range(k, k + n) for k in range(t0 + l)), True
+        ks = {0, t0} | {t.min_element for t in a.terms} | set(a.extras)
+        return max(a.count_range(k, k + n) for k in ks), False
+    if a.slices_unbounded():
+        blk = a.fill.threshold
+        for m in range(blk, blk + 4 * max(len(a.fill.cycle), 1) + n.bit_length() + 64):
+            if a.slice_len(m) >= n:
+                return n, True
+    return _run_window_max(a.elements_in(0, max(4 * n, 64)), n), False
+
+
 def brute_pow2_ratio_sums(members, a0, bits=512):
     """(lo, hi) around sum over a <= a0 of 2^-a sup_k r_k(2^a), where
     r_k(e) = (sum of i^e over members 1 <= i <= k) / (sum of i^e over

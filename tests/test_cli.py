@@ -44,6 +44,7 @@ from densitas.natset import (
     HorizonSet,
     PeriodicSet,
     complement,
+    finite_part,
     parse_set,
 )
 from densitas.reports import AxiomReport, CheckRecord, _rows, to_json, to_payload
@@ -297,6 +298,30 @@ def test_a_geometric_bracket_names_what_passed_the_exponent_budget(capsys):
 def test_dist_example(capsys):
     assert main(["dist", "d-star", "per m=1 R={0}", "per m=2 R={0}"]) == 0
     assert capsys.readouterr().out.strip() == "1/2"
+
+
+_DISGUISED_FINITE = ("per m=5 R={} t=9 add={1,7}", "per m=2 R={}", "blocks f(n)=0",
+                     "blocks f(n)=cycle{0}@3", "blocks f(n)=cycle{0,0}")
+_PARTNERS = ("blocks f(n)=1/4", "blocks f(n)=1/n", "per m=3 R={0}",
+             "ap a=4 h=1 | ap a=6 h=3", "horizon H=16 bits=ff00", "per m=2 R={}")
+
+
+@pytest.mark.parametrize("lit", _DISGUISED_FINITE)
+def test_a_disguised_finite_operand_combines_as_its_fin_twin(lit, capsys):
+    # an empty rule part leaves a finite set, which combines with every
+    # backend, whatever the literal's own backend
+    twin = "fin{" + ",".join(map(str, finite_part(parse_set(lit)).elements)) + "}"
+    for partner in _PARTNERS:
+        for pair in ((lit, partner), (partner, lit)):
+            for name in ("d-star", "bd-star"):
+                for fmt in ("text", "json"):
+                    argv = ["dist", name, *pair, "--format", fmt]
+                    got = _run(argv, capsys)
+                    assert got[0] == 0, (argv, got)
+                    assert got == _run([twin if x == lit else x for x in argv], capsys), argv
+    assert _run(["dist", "d-star", "per m=5 R={} t=9 add={1,7}", "blocks f(n)=1/4"],
+                capsys) == (0, "2/5\n", "")
+    assert _run(["dist", "d-star", "blocks f(n)=0", "per m=3 R={0}"], capsys) == (0, "1/3\n", "")
 
 
 def test_budget_error_on_a_long_lcm_exits_3(capsys):

@@ -53,6 +53,7 @@ from conftest import (
     brute_window_max,
     field_period,
     random_structured_set,
+    reference_window_max,
 )
 
 
@@ -343,6 +344,102 @@ def test_window_profile_horizon_truncation():
     h = HorizonSet.from_members(512, [k for k in range(100, 140)])
     prof = dict(window_profile(h, lengths=[16]).entries)
     assert prof[16] == Fraction(16, 16)  # a fully packed window exists
+
+
+def _random_horizon(rng):
+    H = rng.randrange(1, 90)
+    density = rng.random()
+    return HorizonSet.from_members(H, [x for x in range(H) if rng.random() < density])
+
+
+def _brute_starts(a, n):
+    """Starts whose windows hold the maximum, read from the fields: every
+    place below the largest member of a finite set, one period past the
+    threshold of an eventually periodic set, and the places whose window
+    ends inside a horizon (None once n passes it: every member counts)."""
+    if isinstance(a, HorizonSet):
+        return range(a.horizon - n + 1) if n <= a.horizon else None
+    if isinstance(a, FiniteSet):
+        return range(max(a.elements, default=0) + 1)
+    t, p, _ = field_period(a)
+    return range(t + p)
+
+
+def test_window_kernel_matches_brute_windows():
+    rng = random.Random(33)
+    for _ in range(120):
+        a = random_structured_set(rng) if rng.random() < 0.6 else _random_horizon(rng)
+        H = a.horizon if isinstance(a, HorizonSet) else 40
+        lengths = sorted({1, 2, 3, rng.randrange(1, H + 1), H, H + 1, H + rng.randrange(1, 30)})
+        prof = window_profile(a, lengths=lengths)
+        assert prof.method == "exact-sweep"
+        for n, r in prof.entries:
+            starts = _brute_starts(a, n)
+            want = (brute_window_max(a, n, starts) if starts is not None
+                    else len(brute_members(a, a.horizon)))
+            assert r == Fraction(want, n), (a, n)
+
+
+@pytest.mark.parametrize("past", [-1, 0, 1])
+def test_window_sweeps_switch_to_candidates_just_past_the_budget(past):
+    # t + m against the budget for a periodic set, t0 + l against four
+    # times the budget for an AP union: exact up to the bound, candidate
+    # starts one past it
+    budget = 40
+    small = dataclasses.replace(DEFAULT_CONFIG, window_sweep_budget=budget)
+    lengths = (1, 2, 5, 12, 30, 64, 200)
+    per = PeriodicSet(7, (0, 3, 4), budget + past - 7, added=(1, 2, 30), removed=(14, 25))
+    union = APUnionSet((APTerm(4, 1, 3), APTerm(6, 2), APTerm(12, 4 * budget + past - 12)),
+                       extras=(5, 6, 7, 50))
+    assert union.threshold + 12 == 4 * budget + past
+    for a, bound, candidates in (
+            (per, budget, [*range(min(per.threshold, 64)),
+                           *range(per.threshold, per.threshold + 64)]),
+            (union, 4 * budget, [0, union.threshold, 5, 6, 7, 50,
+                                 *(u.min_element for u in union.terms)])):
+        prof = window_profile(a, small, lengths)
+        t, p, _ = field_period(a)
+        assert t + p == bound + past
+        exact_sweep = past <= 0
+        assert prof.method == ("exact-sweep" if exact_sweep else "candidate-probe")
+        starts = range(t + p) if exact_sweep else candidates
+        assert prof.entries == tuple(
+            (n, Fraction(brute_window_max(a, n, starts), n)) for n in lengths)
+
+
+def _reference_profile(a, config, lengths):
+    counts = [reference_window_max(a, n, config) for n in lengths]
+    return (tuple((n, Fraction(c, n)) for n, (c, _) in zip(lengths, counts)),
+            "exact-sweep" if all(ok for _, ok in counts) else "candidate-probe")
+
+
+def test_window_profile_keeps_the_per_start_scan_entries_and_method():
+    rng = random.Random(5)
+    small = dataclasses.replace(DEFAULT_CONFIG, window_sweep_budget=24)
+    sparse = DyadicBlockSet(POW2.fill, extras=tuple(range(150, 158)))
+    sets = ([random_structured_set(rng) for _ in range(40)]
+            + [_random_horizon(rng) for _ in range(20)]
+            + list(block_battery(6, 33)) + [POW2, THIN, HALF_BLOCKS, CYCLE_BLOCKS, sparse]
+            + [parse_set(text) for text in (
+                "per m=9973 R={1,5,77,900,4000} t=30", "ap a=9! h=1 | ap a=6 h=1",
+                "per m=5 R={} t=9 add={1,7}", "blocks f(n)=cycle{0}@3",
+                "horizon H=512 bits=" + "5" * 128, "horizon H=9 bits=1ff")])
+    for a in sets:
+        H = a.horizon if isinstance(a, HorizonSet) else 100
+        lengths = [1, 2, 3, 7, 8, 40, 64, 256, H, H + 5]
+        for config in (DEFAULT_CONFIG, small):
+            prof = window_profile(a, config, lengths)
+            assert (prof.entries, prof.method) == _reference_profile(a, config, lengths), a
+        prof = window_profile(a)
+        assert (prof.entries, prof.method) == _reference_profile(
+            a, DEFAULT_CONFIG, [n for n, _ in prof.entries]), a
+
+
+@pytest.mark.parametrize("profile", [window_profile, prefix_profile])
+@pytest.mark.parametrize("bad", [0, -4])
+def test_profiles_refuse_a_length_below_one(profile, bad):
+    with pytest.raises(ValueError, match=f"profile length {bad} is below 1"):
+        profile(EVENS, lengths=[8, bad])
 
 
 def test_prefix_profile_exact_counts():
