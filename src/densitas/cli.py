@@ -56,7 +56,7 @@ from .metric import (
     metric_equivalence_probe,
 )
 from .natset import FiniteSet, NatSet, PeriodicSet, format_set, parse_set
-from .reports import AxiomReport, CheckRecord, _rows, format_fraction, to_json
+from .reports import AxiomReport, CheckRecord, _rows, _write, format_fraction
 from .samples import chunked, pool_battery, thinning_blocks
 from .values import ExtValue, _rational
 
@@ -115,8 +115,15 @@ def emit_report(report, fmt: str = "json",
                 config: Config = DEFAULT_CONFIG) -> bytes:
     """Serialize any report dataclass deterministically."""
     if fmt == "json":
-        doc = {"version": __version__, "config": config, "report": report}
-        return (to_json(doc) + "\n").encode()
+        # the envelope's keys in their sorted order, each value written by
+        # the same walk as the report
+        out = []
+        for head, value in (('{\n  "config": ', config), (',\n  "report": ', report),
+                            (',\n  "version": ', __version__)):
+            out.append(head)
+            _write(value, out, "\n  ")
+        out.append("\n}\n")
+        return "".join(out).encode()
     if fmt == "csv":
         buf = io.StringIO()
         buf.write(f"# version={__version__}\n")

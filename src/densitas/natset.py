@@ -296,8 +296,13 @@ class HorizonSet(NatSet):
             object.__setattr__(self, "bits", self.bits + b"\x00" * (need - len(self.bits)))
         elif len(self.bits) > need:
             object.__setattr__(self, "bits", self.bits[:need])
-        # cache the bit table as one big int; popcounts become O(1)-ish
-        object.__setattr__(self, "_word", int.from_bytes(self.bits, "little"))
+        # cache the bit table as one big int; popcounts become O(1)-ish. Bits
+        # at or past the horizon are dropped, so equal sets have equal bytes
+        word = int.from_bytes(self.bits, "little")
+        if word >> self.horizon:
+            word &= (1 << self.horizon) - 1
+            object.__setattr__(self, "bits", word.to_bytes(need, "little"))
+        object.__setattr__(self, "_word", word)
 
     @classmethod
     def from_members(cls, horizon: int, members: Iterable[int]) -> "HorizonSet":
@@ -312,8 +317,8 @@ class HorizonSet(NatSet):
     @classmethod
     def _from_word(cls, horizon: int, word: int) -> "HorizonSet":
         """The set with member i where bit i of word is set; the word is a
-        natural below 2^(8·ceil(horizon/8)), as the word of a set of this
-        horizon is, and is kept as it is."""
+        natural below 2^horizon, as the word of every set of this horizon
+        is, and is kept as it is."""
         s = object.__new__(cls)
         object.__setattr__(s, "horizon", horizon)
         object.__setattr__(s, "bits", word.to_bytes((horizon + 7) // 8, "little"))
@@ -1359,7 +1364,9 @@ def _ap_pair_op(a: APUnionSet, b: APUnionSet, op: str, config: Config) -> NatSet
             return a.member(x) or b.member(x)
         return a.member(x) and not b.member(x)
 
-    added, removed = _exceptions(points, wanted, APUnionSet(terms).rule_member)
+    # the rule-only set is built just to read exceptions, so not without them
+    added, removed = (_exceptions(points, wanted, APUnionSet(terms).rule_member)
+                      if points else ((), ()))
     out = APUnionSet(terms, tuple(added), tuple(removed))
     if op == "difference" and a._disjoint_cache:
         # a difference keeps a subset of the minuend's terms

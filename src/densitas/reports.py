@@ -7,8 +7,17 @@ mappings get sorted keys downstream, and no timestamps or machine identifiers
 ever appear, so byte-identical reruns stay byte-identical. The json writer
 `to_json` prints the same text as json.dumps of that payload with sorted keys
 and an indent of 2, straight from the objects, and `_rows` gives the csv and
-text rows of the payload's leaves the same way. All three walks read a
-node's children from `_children` and a leaf from `_leaf`.
+text rows of the payload's leaves the same way.
+
+All three walks read a node's children from `_children`. A dataclass is
+read through its class's `_plan`, worked out once per class: its public
+field names in declaration order and sorted, each list with one C-level
+getter of the values, so no walk looks a field up by name per node. The
+json writer and the row walk write str, int, Fraction, None and bool leaves
+in their item loops, by exact type; every other leaf goes through `_leaf`.
+Integer text always comes from `format_int`, so an integer past Python's
+digit limit raises UnprintableValue on every path. No rendered text is kept
+from one call to the next.
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Any, Optional
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Optional
 
 from .exceptions import UnprintableValue
 
@@ -51,11 +61,16 @@ class AxiomReport:
         return f"{self.subject}: {n_pass} passed, {n_fail} failed, {n_skip} skipped"
 
 
+# int's own decimal text, also of an int subclass whose repr is not (an
+# IntEnum's); a module-level name saves the slot lookup per leaf
+_int_text = int.__repr__
+
+
 def format_int(n: int) -> str:
     """The decimal text of the int n; UnprintableValue when n has more
     digits than Python converts to a string."""
     try:
-        return int.__repr__(n)
+        return _int_text(n)
     except ValueError:
         raise UnprintableValue(f"an integer of {n.bit_length()} bits is past "
                                "the int-to-str digit limit") from None
@@ -66,19 +81,32 @@ def format_fraction(q: Fraction) -> str:
     more digits than Python converts to a string."""
     if type(q) is not Fraction:
         q = Fraction(q)
-    if q.denominator == 1:
-        return format_int(q.numerator)
-    return f"{format_int(q.numerator)}/{format_int(q.denominator)}"
+    try:
+        return str(q)  # Fraction's own text is exactly p/q, or p
+    except ValueError:
+        # past the digit limit: spelled through format_int, which names the part
+        n, d = q.as_integer_ratio()
+        return format_int(n) if d == 1 else f"{format_int(n)}/{format_int(d)}"
 
 
 @functools.cache
-def _public_fields(cls: type, sort: bool) -> Optional[tuple[str, ...]]:
-    """The field names of a dataclass not starting with `_`, in declaration
-    order or sorted; None for any other class."""
+def _plan(cls: type) -> Optional[tuple[tuple[tuple[str, ...], Callable[[Any], tuple]], ...]]:
+    """How every walk reads a dataclass, worked out once per class: (names,
+    getter) for its public fields (those not starting with `_`) in
+    declaration order, then for the same names sorted, where the getter
+    reads the values in that order; None for any other class."""
     if not dataclasses.is_dataclass(cls):
         return None
     names = tuple(f.name for f in dataclasses.fields(cls) if not f.name.startswith("_"))
-    return tuple(sorted(names)) if sort else names
+    return tuple((order, _getter(order)) for order in (names, tuple(sorted(names))))
+
+
+def _getter(names: tuple[str, ...]) -> Callable[[Any], tuple]:
+    """One call reading the named attributes as a tuple: attrgetter's C
+    loop for two or more names (it returns one bare value for one name)."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    return lambda obj: tuple(getattr(obj, name) for name in names)
 
 
 def _leaf(obj: Any) -> Any:
@@ -88,8 +116,13 @@ def _leaf(obj: Any) -> Any:
 
     Floats raise TypeError: every value the library reports is exact, so a
     float reaching the encoder is a bug upstream, never a rounding to keep.
+    An int with no decimal text raises UnprintableValue here too, as it
+    does in the writers.
     """
-    if obj is None or isinstance(obj, (bool, int, str)):
+    if obj is None or isinstance(obj, (bool, str)):
+        return obj
+    if isinstance(obj, int):
+        format_int(obj)
         return obj
     if isinstance(obj, float):
         raise TypeError(f"payloads carry exact values only, got float {obj!r}")
@@ -100,14 +133,16 @@ def _leaf(obj: Any) -> Any:
     return repr(obj)
 
 
-def _children(obj: Any, sort_keys: bool = False) -> Optional[tuple[bool, Any]]:
+def _children(obj: Any, sort_keys: bool = False) -> Optional[tuple[bool, Iterable]]:
     """A node's children as every payload walk reads them, None for a leaf:
     (True, (key, child) pairs) for a dataclass's public fields in declaration
-    order or a mapping's items under string keys, keys sorted if asked;
-    (False, children) for a sequence or a set, a set sorted."""
-    names = _public_fields(type(obj), sort_keys)
-    if names is not None:
-        return True, [(name, getattr(obj, name)) for name in names]
+    order, read through its `_plan`, or a mapping's items under string keys,
+    keys sorted if asked; (False, children) for a sequence or a set, a set
+    sorted."""
+    plan = _plan(type(obj))
+    if plan is not None:
+        names, get = plan[sort_keys]
+        return True, zip(names, get(obj))
     if isinstance(obj, dict):
         items = {str(k): v for k, v in obj.items()}.items()
         return True, sorted(items) if sort_keys else items
@@ -131,56 +166,53 @@ def to_payload(obj: Any) -> Any:
 
 def to_json(obj: Any) -> str:
     """``json.dumps(to_payload(obj), sort_keys=True, indent=2)``, written in
-    one walk over obj itself: no payload tree is built, strings go through
-    json's C escaper, and each dataclass's sorted field names are looked up
-    once per class."""
+    one walk over obj itself: no payload tree is built, and strings go
+    through json's C escaper."""
     out: list[str] = []
     _write(obj, out, "\n")
     return "".join(out)
 
 
-# the JSON text of the commonest leaves, by exact type, which the walk
-# writes inline (a Fraction's "p/q" needs no escaping); every other leaf
-# goes through `_leaf`
-_SELF_JSON = {str: _escape, int: format_int, type(None): lambda _: "null",
-              bool: lambda b: "true" if b else "false",
-              Fraction: lambda q: '"' + format_fraction(q) + '"'}
-
-
 def _write(obj: Any, out: list[str], nl: str) -> None:
     """Append obj's JSON text to out; `nl` is a newline and the indent of
-    the line obj starts on."""
+    the line obj starts on. A child whose exact type is str, int, Fraction,
+    None or bool is written in the item loop itself; every other child is
+    a node of its own, and any other leaf goes through `_leaf`."""
     node = _children(obj, sort_keys=True)
     if node is None:
-        enc = _SELF_JSON.get(type(obj))
-        if enc is None:
-            obj = _leaf(obj)  # a str or int subclass stays as it is
-            enc = _escape if isinstance(obj, str) else format_int
-        out.append(enc(obj))
+        leaf = _leaf(obj)  # None, a bool, or an int or str of any subclass
+        if leaf is None or type(leaf) is bool:
+            out.append("null" if leaf is None else "true" if leaf else "false")
+        else:
+            out.append(_escape(leaf) if isinstance(leaf, str) else format_int(leaf))
         return
     is_map, items = node
-    if not items:
-        out.append("{}" if is_map else "[]")
-        return
     inner = nl + "  "
+    comma = "," + inner
     sep = ("{" if is_map else "[") + inner
     for x in items:
         if is_map:
             k, x = x
-            sep += _escape(k) + ": "
-        enc = _SELF_JSON.get(type(x))
-        if enc is None:
+            sep = f"{sep}{_escape(k)}: "
+        t = type(x)
+        if t is Fraction:
+            out.append(f'{sep}"{format_fraction(x)}"')
+        elif t is str:
+            out.append(sep + _escape(x))
+        elif t is int:
+            out.append(sep + format_int(x))
+        elif x is None:
+            out.append(sep + "null")
+        elif t is bool:
+            out.append(sep + ("true" if x else "false"))
+        else:
             out.append(sep)
             _write(x, out, inner)
-        else:
-            out.append(sep + enc(x))
-        sep = "," + inner
-    out.append(nl + ("}" if is_map else "]"))
-
-
-# the row text of the leaves `_SELF_JSON` writes inline
-_SELF_TEXT = {str: str, int: format_int, type(None): lambda _: "", bool: str,
-              Fraction: format_fraction}
+        sep = comma
+    if sep is comma:
+        out.append(nl + ("}" if is_map else "]"))
+    else:
+        out.append("{}" if is_map else "[]")
 
 
 def _rows(obj: Any) -> list[tuple[str, str]]:
@@ -190,19 +222,27 @@ def _rows(obj: Any) -> list[tuple[str, str]]:
     rows: list[tuple[str, str]] = []
 
     def walk(key: str, x: Any) -> None:
-        enc = _SELF_TEXT.get(type(x))
-        if enc is not None:
-            rows.append((key, enc(x)))
-            return
-        node = _children(x)
-        if node is None:
-            rows.append((key, str(_leaf(x))))  # a str or int subclass, or a leaf's text
-        elif node[0]:
-            for k, y in node[1]:
-                walk(f"{key}.{k}" if key else k, y)
+        t = type(x)
+        if t is str:
+            rows.append((key, x))
+        elif t is int:
+            rows.append((key, format_int(x)))
+        elif t is Fraction:
+            rows.append((key, format_fraction(x)))
+        elif x is None:
+            rows.append((key, ""))
+        elif t is bool:
+            rows.append((key, str(x)))
         else:
-            for i, y in enumerate(node[1]):
-                walk(f"{key}[{i}]", y)
+            node = _children(x)
+            if node is None:
+                rows.append((key, str(_leaf(x))))  # a str or int subclass, or a leaf's text
+            elif node[0]:
+                for k, y in node[1]:
+                    walk(f"{key}.{k}" if key else k, y)
+            else:
+                for i, y in enumerate(node[1]):
+                    walk(f"{key}[{i}]", y)
 
     walk("", obj)
     return rows

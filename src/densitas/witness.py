@@ -420,8 +420,8 @@ def _invariant_report(w: WitnessFamily, horizon: int, probes: int) -> AxiomRepor
     for n in range(w.depth + 1):
         bound = stage_density(w, n)
         counts = _prefix_counts(w.stages[n], limit, points)
-        bad = next(((m, str(Fraction(c, m))) for m, c in counts
-                    if c * bound.denominator >= m * bound.numerator), None)
+        p, q = bound.as_integer_ratio()
+        bad = next(((m, str(Fraction(c, m))) for m, c in counts if c * q >= m * p), None)
         records.append(CheckRecord(
             f"prefix-bound[{n}]", "pass" if bad is None else "fail",
             f"|A_{n} ∩ m|/m < {bound} at {len(counts)} checkpoints",

@@ -3,6 +3,7 @@ exit codes."""
 
 import argparse
 import dataclasses
+import enum
 import hashlib
 import json
 import os
@@ -32,8 +33,8 @@ from densitas.cli import (
     main,
     parse_set_literal,
 )
-from densitas.config import DEFAULT_CONFIG
-from densitas.exceptions import DensitasError, ParseError, UnsupportedBackend
+from densitas.config import DEFAULT_CONFIG, load_config
+from densitas.exceptions import DensitasError, ParseError, UnprintableValue, UnsupportedBackend
 from densitas.exhaust import exhaustive_norm
 from densitas.metric import SetSequence, cauchy_profile, metric_equivalence_probe
 from densitas.natset import (
@@ -217,17 +218,55 @@ def _emitted_reports(tmp_path) -> list:
         CheckRecord("é", "fail", 'a "quoted" tab\tand ☃', witness={
             "bytes": b"\x00\xff", "set": {3, 1, 2}, "fractions": frozenset({Fraction(1, 2), Fraction(1, 3)}),
             "empty": [{}, [], (), set(), frozenset(), b""], 7: None, Fraction(1, 2): (True, False)}),
+        # leaves whose type is a subclass of one the writers inline, and a
+        # dataclass with no public field
+        CheckRecord("subclasses", "pass", _Label("sub ☃"), witness={
+            "flag": True, "level": _Level.HIGH, "label": _Label('a "str" subclass'),
+            "levels": [_Level.LOW, False, _Label("")], "private": _Private()}),
+        _Private(),
+        # five levels of nesting: record, mapping, list, tuple, record
+        CheckRecord("deep", "pass", witness={"a": [(CheckRecord(
+            "inner", "skip", witness={"b": [(Fraction(-7, 3), None, _Level.LOW)]}), 2)]}),
     ]
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 12
+
+
+class _Label(str):
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class _Private:
+    _a: int = 1
+    _b: str = "hidden"
+
+
 def test_json_writer_matches_the_payload_encoding(tmp_path):
+    path = tmp_path / "densitas.conf"
+    path.write_text("window_max = 64\nmodulus_budget = 7\nie_subset_budget = 0\n")
+    loaded = load_config(str(path))
+    assert loaded != DEFAULT_CONFIG and loaded.window_max == 64
     for report in _emitted_reports(tmp_path):
         want = json.dumps(to_payload(report), sort_keys=True, indent=2)
         assert to_json(report) == want
-        doc = {"version": densitas.__version__,
-               "config": dataclasses.asdict(DEFAULT_CONFIG),
-               "report": to_payload(report)}
-        assert emit_report(report, "json") == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+        for config in (DEFAULT_CONFIG, loaded):
+            doc = {"version": densitas.__version__,
+                   "config": dataclasses.asdict(config),
+                   "report": to_payload(report)}
+            assert emit_report(report, "json", config) == (
+                json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+
+def test_an_unprintable_integer_deep_in_a_report_raises_on_every_walk():
+    # past the int-to-str digit limit, inside a dataclass inside a mapping
+    report = {"outer": CheckRecord("big", "pass", witness=10 ** 4400)}
+    for walk in (to_json, _rows, to_payload):
+        with pytest.raises(UnprintableValue, match="past the int-to-str digit limit"):
+            walk(report)
 
 
 def _payload_rows(report) -> list[tuple[str, str]]:

@@ -1490,6 +1490,23 @@ def test_horizon_results_equal_their_public_rebuild(case):
         assert got.elements_in(0, got.horizon) == field_elements(got, 0, got.horizon)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 80).flatmap(
+    lambda h: st.tuples(st.just(h), st.binary(min_size=0, max_size=(h + 7) // 8 + 2))))
+@example((9, b"\xff\x01"))
+@example((9, b"\xff\xff"))
+def test_horizon_bytes_with_stray_bits_equal_their_masked_twin(case):
+    # bytes past the horizon's last byte are cut, bits of its last byte at
+    # or past the horizon dropped: the set holds only members below H
+    h, raw = case
+    word = int.from_bytes(raw[:(h + 7) // 8], "little") & ((1 << h) - 1)
+    s = HorizonSet(h, raw)
+    twin = HorizonSet(h, word.to_bytes((h + 7) // 8, "little"))
+    assert s == twin and hash(s) == hash(twin) and s.bits == twin.bits
+    assert s._word == word and s.count_range(0, h) == word.bit_count()
+    assert parse_set(format_set(s)) == s
+
+
 def test_full_horizon_scan_is_linear():
     h = 1 << 20  # the largest horizon the grammar accepts
     s = HorizonSet(h, b"\xff" * (h // 8))
