@@ -291,6 +291,8 @@ class HorizonSet(NatSet):
     kind = "horizon"
 
     def __post_init__(self):
+        if self.horizon < 0:
+            raise ValueError("horizon must be >= 0")
         need = (self.horizon + 7) // 8
         if len(self.bits) < need:
             object.__setattr__(self, "bits", self.bits + b"\x00" * (need - len(self.bits)))

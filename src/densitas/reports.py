@@ -11,8 +11,8 @@ text rows of the payload's leaves the same way.
 
 All three walks read a node's children from `_children`. A dataclass is
 read through its class's `_plan`, worked out once per class: its public
-field names in declaration order and sorted, each list with one C-level
-getter of the values, so no walk looks a field up by name per node. The
+field names in declaration order and sorted, each with one getter of the
+values (an attrgetter), so no walk looks a field up by name per node. The
 json writer and the row walk write str, int, Fraction, None and bool leaves
 in their item loops, by exact type; every other leaf goes through `_leaf`.
 Integer text always comes from `format_int`, so an integer past Python's

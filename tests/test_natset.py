@@ -1505,6 +1505,8 @@ def test_horizon_bytes_with_stray_bits_equal_their_masked_twin(case):
     assert s == twin and hash(s) == hash(twin) and s.bits == twin.bits
     assert s._word == word and s.count_range(0, h) == word.bit_count()
     assert parse_set(format_set(s)) == s
+    with pytest.raises(ValueError, match="horizon must be >= 0"):
+        HorizonSet(-1 - h, raw)
 
 
 def test_full_horizon_scan_is_linear():
