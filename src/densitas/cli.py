@@ -28,7 +28,6 @@ help, and every usage error keep argparse's Namespace, exit and messages.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import io
 import json
@@ -56,7 +55,7 @@ from .metric import (
     metric_equivalence_probe,
 )
 from .natset import FiniteSet, NatSet, PeriodicSet, format_set, parse_set
-from .reports import AxiomReport, CheckRecord, _rows, _write, format_fraction
+from .reports import AxiomReport, CheckRecord, _plan, _rows, _write, format_fraction
 from .samples import chunked, pool_battery, thinning_blocks
 from .values import ExtValue, _rational
 
@@ -127,9 +126,10 @@ def emit_report(report, fmt: str = "json",
     if fmt == "csv":
         buf = io.StringIO()
         buf.write(f"# version={__version__}\n")
+        # sorted, as the json envelope reads the config
+        names, get = _plan(type(config))[1]
         buf.write("# config=" + ",".join(
-            f"{name}:{getattr(config, name)}"
-            for name in sorted(f.name for f in dataclasses.fields(config))) + "\n")
+            f"{name}:{value}" for name, value in zip(names, get(config))) + "\n")
         header, body = _csv_rows(report)
         buf.write(",".join(header) + "\n")
         for row in body:

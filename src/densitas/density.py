@@ -26,7 +26,9 @@ pins the value down exactly:
   are runs of consecutive members, which force the window density to 1,
   while bounded-slice vanishing fills force it to 0;
 - horizon sets: no tail, no theorem. Results are observational point
-  estimates with profiles, never certificates. The cover density is refused
+  estimates with profiles, never certificates. The three profiles read one
+  length rule (_lengths), and each estimate is its profile's last entry, or
+  0 when the profile is empty (_observed). The cover density is refused
   outright because finite evidence bounds no cover.
 
 The σ-additive measures counting, harmonic and geometric have one
@@ -176,33 +178,28 @@ def _block_asymptotic(b: DyadicBlockSet) -> tuple[Fraction, Fraction]:
 # profiles
 
 
-def _default_prefix_lengths(a: NatSet, cap: int) -> list[int]:
+def _lengths(a: NatSet, lengths: Optional[Sequence[int]], cap: int,
+             window: bool = False) -> list[int]:
+    """The lengths a profile reads: the requested ones, each at least 1, or
+    else the powers of two up to cap and, for prefix ratios, cap itself. On
+    a horizon set H the cap falls to H − 1 for prefix ratios, which read
+    the members up to n, and to H // 2 for windows."""
+    if lengths is not None:
+        ns = list(lengths)
+        for n in ns:
+            if n < 1:
+                raise ValueError(f"profile length {n} is below 1")
+        return ns
     if isinstance(a, HorizonSet):
-        cap = min(cap, a.horizon - 1)
-    out = []
-    n = 1
-    while n <= cap:
-        out.append(n)
-        n *= 2
-    if out and out[-1] != cap and cap >= 1:
-        out.append(cap)
-    return out
-
-
-def _checked_lengths(lengths: Sequence[int]) -> list[int]:
-    """The requested profile lengths, each at least 1."""
-    ns = list(lengths)
-    for n in ns:
-        if n < 1:
-            raise ValueError(f"profile length {n} is below 1")
-    return ns
+        cap = min(cap, a.horizon // 2 if window else a.horizon - 1)
+    ns = [1 << j for j in range(max(cap, 0).bit_length())]
+    return ns if window or not ns or ns[-1] == cap else [*ns, cap]
 
 
 def prefix_profile(a: NatSet, config: Config = DEFAULT_CONFIG,
                    lengths: Optional[Sequence[int]] = None) -> Profile:
     """Exact prefix ratios |A ∩ [1,n]| / n at the requested lengths."""
-    ns = (_checked_lengths(lengths) if lengths is not None
-          else _default_prefix_lengths(a, config.prefix_horizon))
+    ns = _lengths(a, lengths, config.prefix_horizon)
     entries = tuple((n, Fraction(a.count_range(1, n + 1), n)) for n in ns)
     return Profile("prefix", entries, "exact")
 
@@ -277,16 +274,7 @@ def window_profile(a: NatSet, config: Config = DEFAULT_CONFIG,
     the one of length n − l plus one whole period. Past the sweep budget,
     candidate starts give a lower bound ("candidate-probe").
     """
-    if lengths is None:
-        cap = config.window_max
-        if isinstance(a, HorizonSet):
-            cap = min(cap, a.horizon // 2)
-        ns, n = [], 1
-        while n <= cap:
-            ns.append(n)
-            n *= 2
-    else:
-        ns = _checked_lengths(lengths)
+    ns = _lengths(a, lengths, config.window_max, window=True)
     counts, all_exact = _window_max(a, ns, config)
     return Profile("window-max", tuple(zip(ns, map(Fraction, counts, ns))),
                    "exact-sweep" if all_exact else "candidate-probe")
@@ -294,6 +282,13 @@ def window_profile(a: NatSet, config: Config = DEFAULT_CONFIG,
 
 # ---------------------------------------------------------------------------
 # the four functionals
+
+
+def _observed(name: str, prof: Profile, note: str) -> DensityEstimate:
+    """The observational estimate a profile gives: its last entry, 0 when
+    it has none, with the profile attached."""
+    val = prof.entries[-1][1] if prof.entries else Fraction(0)
+    return DensityEstimate(name, observational(val, note), "observational", prof)
 
 
 def _asymptotic(a: NatSet, config: Config, name: str, side: int) -> DensityEstimate:
@@ -304,11 +299,8 @@ def _asymptotic(a: NatSet, config: Config, name: str, side: int) -> DensityEstim
     if isinstance(a, DyadicBlockSet):
         return DensityEstimate(name, exact(_block_asymptotic(a)[side]), "block-fill")
     if isinstance(a, HorizonSet):
-        prof = prefix_profile(a, config)
-        val = prof.entries[-1][1] if prof.entries else Fraction(0)
-        return DensityEstimate(
-            name, observational(val, "prefix ratio at the evidence horizon; no tail information"),
-            "observational", prof)
+        return _observed(name, prefix_profile(a, config),
+                         "prefix ratio at the evidence horizon; no tail information")
     raise UnsupportedBackend(f"{('upper', 'lower')[side]} asymptotic density undefined "
                              f"for backend {a.kind}")
 
@@ -353,12 +345,8 @@ def _banach(a: NatSet, config: Config, name: str) -> DensityEstimate:
             val, why = Fraction(0), "bounded clusters separated by doubling gaps"
         return DensityEstimate(name, exact(val), why)
     if isinstance(a, HorizonSet):
-        prof = window_profile(a, config)
-        val = prof.entries[-1][1] if prof.entries else Fraction(0)
-        return DensityEstimate(
-            name,
-            observational(val, "max window ratio within the horizon; no tail information"),
-            "observational", prof)
+        return _observed(name, window_profile(a, config),
+                         "max window ratio within the horizon; no tail information")
     raise UnsupportedBackend(f"upper Banach density undefined for backend {a.kind}")
 
 
@@ -384,12 +372,6 @@ class WeightFunction:
     vanishing_ratio: bool
     slowly_varying: bool
     func: Callable[[int], Fraction] = None  # type: ignore[assignment]
-
-    def __eq__(self, other):
-        return isinstance(other, WeightFunction) and self.name == other.name
-
-    def __hash__(self):
-        return hash(self.name)
 
 
 _WEIGHTS = {
@@ -457,8 +439,8 @@ def _registered_report(name: str) -> AxiomReport:
 
 
 def _require_erdos_ulam(w: WeightFunction):
-    # a weight compares equal to a registered one by name alone, so only
-    # the registry's own object reads the kept report
+    # another weight may carry a registered name, so only the registry's
+    # own object reads the kept report
     registered = _WEIGHTS.get(w.name) is w
     report = _registered_report(w.name) if registered else validate_weight(w)
     if not report.passed:
@@ -476,22 +458,16 @@ def weighted_prefix_profile(a: NatSet, w: WeightFunction,
     not a certificate. The default lengths stop at the smaller of
     ``config.prefix_horizon`` and ``config.weight_horizon``.
     """
-    horizon = min(config.prefix_horizon, config.weight_horizon)
-    ns = list(lengths) if lengths is not None else _default_prefix_lengths(a, horizon)
-    cap = max(ns) + 1
-    num = 0.0
-    den = 0.0
-    marks = sorted(set(ns))
+    marks = sorted(set(_lengths(a, lengths, min(config.prefix_horizon, config.weight_horizon))))
+    num = den = 0.0
     entries = []
-    mi = 0
-    for i in range(cap):
+    for i in range(marks[-1] + 1 if marks else 0):
         fi = float(w.func(i))
         den += fi
         if a.member(i):
             num += fi
-        while mi < len(marks) and i == marks[mi]:
-            entries.append((marks[mi], Fraction(num / den if den else 0.0).limit_denominator(10**12)))
-            mi += 1
+        if i == marks[len(entries)]:
+            entries.append((i, Fraction(num / den if den else 0.0).limit_denominator(10**12)))
     return Profile("weighted-prefix", tuple(entries), "observational")
 
 
@@ -509,12 +485,8 @@ def weighted_upper(a: NatSet, weight: WeightFunction | str = "harmonic",
     if d is not None and w.slowly_varying:
         return DensityEstimate(name, exact(d), "slowly-varying-weights")
     if isinstance(a, (HorizonSet, DyadicBlockSet, PeriodicSet, APUnionSet)):
-        prof = weighted_prefix_profile(a, w, config)
-        val = prof.entries[-1][1] if prof.entries else Fraction(0)
-        return DensityEstimate(
-            name,
-            observational(val, "weighted prefix ratio at the evidence horizon"),
-            "observational", prof)
+        return _observed(name, weighted_prefix_profile(a, w, config),
+                         "weighted prefix ratio at the evidence horizon")
     raise UnsupportedBackend(f"weighted density undefined for backend {a.kind}")
 
 

@@ -517,6 +517,18 @@ def test_open_bracket_sides(capsys):
     assert _format_value(bracket(None, Fraction(1, 2))) == "[-infinity, 1/2]"
 
 
+@pytest.mark.parametrize("literal", ["horizon H=0 bits=0", "horizon H=1 bits=1"])
+def test_weighted_density_of_a_horizon_without_lengths_is_observational_zero(literal, capsys):
+    # no prefix length fits below H - 1, so the weighted profile is empty
+    # and its estimate is 0, as under d-star and bd-star
+    for name in ("weighted:f=harmonic", "d-star", "bd-star"):
+        assert main(["eval", name, literal]) == 0
+        assert capsys.readouterr().out == "~0 (observational)\n"
+    assert main(["eval", "weighted:f=harmonic", literal, "--format", "json"]) == 0
+    value = json.loads(capsys.readouterr().out)["report"]
+    assert (value["status"], value["value"]) == ("observational", "0")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["axioms", "upper-density", "d-star", "--samples", "0"], 0),
     (["axioms", "submeasure", "bd-star", "--samples", "0"], 0),

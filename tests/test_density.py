@@ -3,6 +3,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -435,11 +436,60 @@ def test_window_profile_keeps_the_per_start_scan_entries_and_method():
             a, DEFAULT_CONFIG, [n for n, _ in prof.entries]), a
 
 
-@pytest.mark.parametrize("profile", [window_profile, prefix_profile])
-@pytest.mark.parametrize("bad", [0, -4])
+_PROFILES = [window_profile, prefix_profile,
+             pytest.param(partial(weighted_prefix_profile, w=get_weight("harmonic")),
+                          id="weighted_prefix_profile")]
+
+
+@pytest.mark.parametrize("profile", _PROFILES)
+@pytest.mark.parametrize("bad", [0, -3, -4])
 def test_profiles_refuse_a_length_below_one(profile, bad):
-    with pytest.raises(ValueError, match=f"profile length {bad} is below 1"):
-        profile(EVENS, lengths=[8, bad])
+    for lengths in ([bad], [8, bad]):
+        with pytest.raises(ValueError, match=f"profile length {bad} is below 1"):
+            profile(EVENS, lengths=lengths)
+
+
+@pytest.mark.parametrize("profile", _PROFILES)
+def test_profiles_of_no_lengths_are_empty(profile):
+    for a in (EVENS, HorizonSet.from_members(16, [3, 4])):
+        assert profile(a, lengths=[]).entries == ()
+
+
+_EVENS_64 = "horizon H=64 bits=" + "5" * 16
+# (literal, cap of all three profiles or None for the defaults, prefix
+# lengths, window lengths); the weighted profile reads the prefix lengths
+_DEFAULT_LENGTHS = [
+    ("per m=2 R={0}", None,
+     [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536,
+      100000],
+     [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384]),
+    ("per m=2 R={0}", 0, [], []),
+    ("per m=2 R={0}", 5, [1, 2, 4, 5], [1, 2, 4]),
+    *((f"horizon H={h} bits={h}", cap, [], []) for h in (0, 1) for cap in (None, 0, 5)),
+    ("horizon H=2 bits=2", None, [1], [1]),
+    ("horizon H=2 bits=2", 0, [], []),
+    ("horizon H=2 bits=2", 5, [1], [1]),
+    ("horizon H=3 bits=5", None, [1, 2], [1]),
+    ("horizon H=3 bits=5", 0, [], []),
+    ("horizon H=3 bits=5", 5, [1, 2], [1]),
+    (_EVENS_64, None, [1, 2, 4, 8, 16, 32, 63], [1, 2, 4, 8, 16, 32]),
+    (_EVENS_64, 0, [], []),
+    (_EVENS_64, 5, [1, 2, 4, 5], [1, 2, 4]),
+]
+
+
+@pytest.mark.parametrize("text, cap, prefix, window", [
+    pytest.param(*case, id=f"{case[0]}, cap={case[1]}") for case in _DEFAULT_LENGTHS])
+def test_default_profile_lengths_follow_one_rule(text, cap, prefix, window):
+    # powers of two up to each profile's cap, and the cap itself for the two
+    # prefix profiles; on a horizon H the caps fall to H - 1 and H // 2
+    config = DEFAULT_CONFIG if cap is None else DEFAULT_CONFIG.with_overrides(
+        prefix_horizon=cap, window_max=cap, weight_horizon=cap)
+    a = parse_set(text)
+    assert [n for n, _ in prefix_profile(a, config).entries] == prefix
+    assert [n for n, _ in window_profile(a, config).entries] == window
+    weighted = weighted_prefix_profile(a, get_weight("harmonic"), config)
+    assert [n for n, _ in weighted.entries] == prefix
 
 
 def test_prefix_profile_exact_counts():

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from densitas import exhaust
 from densitas.exceptions import QueryBeyondHorizon, UnsupportedBackend
-from densitas.density import FUNCTIONAL_NAMES, get_weight
+from densitas.config import DEFAULT_CONFIG
+from densitas.density import (
+    FUNCTIONAL_NAMES,
+    get_functional,
+    get_weight,
+    prefix_profile,
+    window_profile,
+)
 from densitas.exhaust import (
     _MAX_EXACT_EXPONENT,
     LSCSM_NAMES,
@@ -33,6 +40,7 @@ from densitas.natset import (
     FiniteSet,
     HorizonSet,
     PeriodicSet,
+    as_ap_union,
     boolean_op,
     finite_part,
     parse_set,
@@ -947,3 +955,39 @@ def test_axiom_battery_flags_non_monotone_evaluation():
     rep = check_lscsm_axioms("phi-prefix", [EVENS], eval_fn=shrinking)
     assert any(r.name.startswith("prefix-monotone") and r.status == "fail"
                for r in rep.records)
+
+
+_TWIN_EQUAL_NORMS = ("phi-prefix", "psi-dyadic", "counting", "harmonic", "geometric",
+                     "weighted:f=harmonic")
+_TWIN_PHI = ("phi-alpha:a=1", "phi-alpha:a=2", "phi-alpha:a=4", "phi-infty-trunc:a=2",
+             "phi-infty:eps=1/4")
+
+
+def test_a_periodic_set_and_its_ap_union_twin_agree(rng):
+    # the twins hold the same members, and every evaluator but the phi_alpha
+    # family's reads them alike. That family's deviation bound B is per
+    # backend (m + exceptions + 1 for a periodic set, 2^terms + exceptions + 2
+    # for an AP union), and B sets its scan window and envelope, so there a
+    # tail may be exact on one side and a bracket on the other; they overlap
+    sets = [parse_set("per m=3 R={0,2}"), parse_set("per m=4 R={0}")]
+    while len(sets) < 27:
+        s = random_structured_set(rng)
+        if isinstance(s, PeriodicSet):
+            sets.append(s)
+    meets = lambda x, y: x.lower is None or y.upper is None or x.lower <= y.upper
+    for s in sets:
+        u = as_ap_union(s)
+        for name in FUNCTIONAL_NAMES:
+            f = get_functional(name).evaluate
+            assert f(s, DEFAULT_CONFIG) == f(u, DEFAULT_CONFIG), (s, name)
+        assert prefix_profile(s) == prefix_profile(u), s
+        assert window_profile(s) == window_profile(u), s
+        for name in _TWIN_EQUAL_NORMS:
+            assert exhaustive_norm(name, s) == exhaustive_norm(name, u), (s, name)
+        for name in _TWIN_PHI:
+            for cut in (0, 1, 5, 17, 64):
+                x, y = tail_value(name, s, cut), tail_value(name, u, cut)
+                if x.status == y.status == "exact":
+                    assert x == y, (s, name, cut)
+                else:
+                    assert meets(x, y) and meets(y, x), (s, name, cut, x, y)
