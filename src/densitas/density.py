@@ -458,17 +458,18 @@ def weighted_prefix_profile(a: NatSet, w: WeightFunction,
     not a certificate. The default lengths stop at the smaller of
     ``config.prefix_horizon`` and ``config.weight_horizon``.
     """
-    marks = sorted(set(_lengths(a, lengths, min(config.prefix_horizon, config.weight_horizon))))
+    ns = _lengths(a, lengths, min(config.prefix_horizon, config.weight_horizon))
+    marks = set(ns)
     num = den = 0.0
-    entries = []
-    for i in range(marks[-1] + 1 if marks else 0):
+    ratio = {}
+    for i in range(max(ns, default=-1) + 1):
         fi = float(w.func(i))
         den += fi
         if a.member(i):
             num += fi
-        if i == marks[len(entries)]:
-            entries.append((i, Fraction(num / den if den else 0.0).limit_denominator(10**12)))
-    return Profile("weighted-prefix", tuple(entries), "observational")
+        if i in marks:
+            ratio[i] = Fraction(num / den if den else 0.0).limit_denominator(10**12)
+    return Profile("weighted-prefix", tuple((n, ratio[n]) for n in ns), "observational")
 
 
 def weighted_upper(a: NatSet, weight: WeightFunction | str = "harmonic",
@@ -484,10 +485,8 @@ def weighted_upper(a: NatSet, weight: WeightFunction | str = "harmonic",
     d = eventual_density(a)
     if d is not None and w.slowly_varying:
         return DensityEstimate(name, exact(d), "slowly-varying-weights")
-    if isinstance(a, (HorizonSet, DyadicBlockSet, PeriodicSet, APUnionSet)):
-        return _observed(name, weighted_prefix_profile(a, w, config),
-                         "weighted prefix ratio at the evidence horizon")
-    raise UnsupportedBackend(f"weighted density undefined for backend {a.kind}")
+    return _observed(name, weighted_prefix_profile(a, w, config),
+                     "weighted prefix ratio at the evidence horizon")
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,15 @@ Three pipelines produce a candidate limit together with a machine-checkable
 certificate: a union limit for increasing sequences under sigma-subadditive
 measures, a tail-cut construction for lower semicontinuous submeasures whose
 increments have summable exhaustive norms, and a general Cauchy-to-limit
-pipeline that delegates the existence step to a pluggable oracle and then
-audits what the oracle returned. That audit, nu(stage minus answer) = 0 at
-every stage of the chain handed to the oracle, is `_resolve_audited`, the
-one place that calls an oracle.
+pipeline that delegates the existence step to a pluggable oracle. The
+oracle's contract has two halves: nu(stage minus answer) = 0 on the chain it
+was handed is audited by `_resolve_audited`, the one place that calls an
+oracle, and the sinking of nu(answer minus stage) by the Cauchy stage rule.
 
-Certificates never promise more than was computed: a verdict of "certified"
-requires rule-backed sequences, exact values throughout, and a declared tail
-bound that the observed data respects. Everything else is "observed-only".
+Certificates never promise more than was computed: `_verdict` says
+"certified" only for rule-backed sequences with exact values throughout and
+a declared tail bound that caps every stage. Everything else is
+"observed-only".
 """
 
 from __future__ import annotations
@@ -102,8 +103,10 @@ class Ap0Oracle:
     The resolver takes an increasing sequence with summable increment
     measures and returns a set A that contains every member up to measure
     zero: nu(A_n minus A) = 0 at all observed n, with nu(A minus A_n)
-    sinking along the profile. The pipeline re-checks the zero residuals
-    and raises OracleContractViolated if the resolver cheats.
+    sinking along the profile. `_resolve_audited` re-checks the zero
+    residuals and raises OracleContractViolated if the resolver cheats;
+    `cauchy_to_limit` certifies a stage only where the sinking half stays
+    within the sequence's declared tail bound.
     """
 
     name: str
@@ -151,15 +154,33 @@ def _increments(seq: SetSequence, depth: Optional[int], who: str, what: str,
 
 
 def _verdict(limit: NatSet, method: str, stages: list[StageRecord],
-             increment_sum: Fraction, seq: SetSequence) -> LimitCertificate:
-    """Certified only when every stage passed (an inexact stage never does)
-    and a rule and a declared tail bound back the observed data."""
-    certified = (all(s.ok for s in stages)
-                 and seq.rule is not None and seq.tail_bound is not None)
-    note = "" if certified else (
-        "prefix-only or unbounded tail; residuals are observed, not certified")
+             increment_sum: Optional[Fraction], seq: SetSequence) -> LimitCertificate:
+    """Certified only when a rule and a declared tail bound back the
+    observed data and every stage passed (an inexact stage never does); the
+    note says which failed, naming the first failed stage."""
+    failed = next((s for s in stages if not s.ok), None)
+    if seq.rule is None or seq.tail_bound is None:
+        why = "prefix-only or unbounded tail"
+    elif failed is not None:
+        why = f"stage {failed.index} " + (
+            "is not exact" if failed.bound is None else "fails its check")
+    else:
+        why = ""
     return LimitCertificate(limit, method, tuple(stages), increment_sum,
-                            "certified" if certified else "observed-only", note)
+                            "observed-only" if why else "certified",
+                            why and why + "; residuals are observed, not certified")
+
+
+def _stage_sizes(a: NatSet, limit: NatSet, size: Callable[[NatSet], ExtValue],
+                 config: Config):
+    """A ∖ limit and the sizes of A ∖ limit, limit ∖ A and A △ limit: each
+    side built once, A △ limit from them, each set sized once."""
+    out = boolean_op(a, limit, "difference", config)
+    inn = boolean_op(limit, a, "difference", config)
+    sym = _sides_union(out, inn, config)
+    whole = size(sym)
+    return (out, whole if sym is out else size(out),
+            whole if sym is inn else size(inn), whole)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +245,7 @@ def _least_cut(desc, b: NatSet, target: Fraction, config: Config) -> int:
     On a B that natset.finite_part finds finite, the tail is constant
     between the cuts e + 1 of its members e, since B minus n loses a member
     only as n passes e + 1. The least cut is then 0 or one of those cuts,
-    and bisecting over them reads at most ceil(log2 |B|) + 2 tails where
+    and bisecting over them reads at most ceil(log2 |B|) + 1 tails where
     bisecting over [0, max B + 1] reads about log2(max B) + 2. Any other B
     gets an exponential probe first, bounded by config.cut_search_max, and a
     bisection over [0, probe].
@@ -239,10 +260,9 @@ def _least_cut(desc, b: NatSet, target: Fraction, config: Config) -> int:
         return 0
     fin = finite_part(b)
     if fin is not None:
-        cuts = [0] + [e + 1 for e in fin.elements] if fin.elements else [0, 1]
+        # B ∖ (max B + 1) is empty, and every lscsm is exactly 0 there
+        cuts = [0] + [e + 1 for e in fin.elements]
         hi = len(cuts) - 1
-        if not ok(cuts[hi]):
-            raise NoValidCut("finite set keeps positive tail past its maximum")
         cut = cuts.__getitem__
     else:
         cut = int
@@ -289,15 +309,9 @@ def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
 
     stages = []
     for k, a in enumerate(items):
-        # A_k ∖ A and A ∖ A_k once each, A_k △ A from them, each normed once
-        out_part = boolean_op(a, limit, "difference", config)
-        inn = boolean_op(limit, a, "difference", config)
-        sym = _sides_union(out_part, inn, config)
+        out_part, removed, added, residual = _stage_sizes(a, limit, norm, config)
         cut_k = cuts[k] if k < len(cuts) else (cuts[-1] + 1 if cuts else 0)
         contained = drop_below(out_part, cut_k, config).is_empty_surely()
-        residual = norm(sym)
-        removed = residual if sym is out_part else norm(out_part)
-        added = residual if sym is inn else norm(inn)
         if removed.status != "exact" or residual.status != "exact":
             stages.append(StageRecord(k, removed, added, symdiff=residual,
                                       cut=cut_k, ok=False))
@@ -360,23 +374,17 @@ def cauchy_to_limit(nu: str, seq: SetSequence, oracle: Ap0Oracle,
                     config: Config = DEFAULT_CONFIG) -> LimitCertificate:
     """Limit of a certified Cauchy sequence through an existence oracle.
 
-    The pipeline extracts a subsequence realizing nu(A_i △ A_j) < 2^-i,
-    forms the nested intersections B_{i,j}, applies the oracle to their
-    complement chains to recover the per-level sets B_i, then applies it
-    once more to the increasing unions C_i to obtain A. The certificate
-    re-checks the oracle's zero residuals exactly (OracleContractViolated
-    otherwise) and audits nu(A_i △ A) < 2^{1-i} + nu(C_i △ A) stage by
-    stage.
+    The pipeline extracts a subsequence A_{n_i} realizing nu(A_i △ A_j) <
+    2^-i and forms the nested intersections B_i of its tails, each recovered
+    by the oracle from its complement chain; one more oracle call on the
+    increasing unions C_i of the B_i gives A. Stage i passes when
+    nu(A_{n_i} △ A) < 2^{1-i} + nu(C_i △ A), the recorded bound, and
+    nu(C_i △ A) <= tail_bound(n_i), the sinking half of the oracle contract.
 
-    What is computed once. The modulus repeats stages (at depth 12 the
-    `multiples` family picks only 4 distinct ones). On a verified nested
-    chain equal indices name one set, so a run of them makes one oracle
-    call and one evaluation of A_i ∖ A, A ∖ A_i and A_i △ A, and each level
-    of the run keeps its own record and cap. Where C_i equals A_i, as it
-    does on every nested chain, nu(C_i △ A) is the nu(A_i △ A) already
-    computed, and no distance is read for it. That reuse is exact, and it
-    shows that the stage check is then vacuous: the cap 2^{1-i} + nu(A_i △ A)
-    always exceeds nu(A_i △ A). The verdict is kept as it is.
+    On a verified nested chain (the modulus indices ascend) B_i and C_i are
+    A_{n_i} itself, so only the final answer goes to the oracle. The modulus
+    repeats stages (4 distinct ones of 12 for `multiples`); a level whose
+    stage is the one before reuses its sizes.
     """
     depth = _observed_depth(seq, depth)
     profile = cauchy_profile(nu, seq, depth, config, full_table=False)
@@ -389,46 +397,34 @@ def cauchy_to_limit(nu: str, seq: SetSequence, oracle: Ap0Oracle,
     if len(sub) < 2:
         raise NotCauchy("modulus extraction produced fewer than two stages")
 
-    # B_i from the oracle on the increasing complement chains of the nested
-    # intersections of sub[i:]; on a verified nested sub-sequence (the
-    # modulus indices ascend) each of those intersections is sub[i] itself
-    nested = _verified_nested(seq, indices, sub, config)
-    repeats = [nested and i > 0 and indices[i] == indices[i - 1]
-               for i in range(len(sub))]
-    b_sets: list[NatSet] = []
-    for i in range(len(sub)):
-        if repeats[i]:
-            b_sets.append(b_sets[-1])
-            continue
-        chain = [sub[i]] if nested else _running(sub[i:], "intersection", config)
-        e_i = _resolve_audited(nu, oracle, [complement(x, config) for x in chain],
-                               "stage {}", f"its level-{i} answer", config)
-        b_sets.append(complement(e_i, config))
+    if _verified_nested(seq, indices, sub, config):
+        b_sets = sub
+    else:
+        # B_i from the oracle on the increasing complement chain of the
+        # nested intersections of sub[i:]
+        b_sets = [complement(_resolve_audited(
+            nu, oracle,
+            [complement(x, config)
+             for x in _running(sub[i:], "intersection", config)],
+            "stage {}", f"its level-{i} answer", config), config)
+            for i in range(len(sub))]
     # C_i = union of the B_k so far, then one more oracle call for A
     c_sets = _running(b_sets, "union", config)
     limit = _resolve_audited(nu, oracle, c_sets, "C_{}", "the final answer", config,
                              seq.limit)
 
     stages = []
-    for i, a in enumerate(sub):
-        if not repeats[i]:
-            # A_i ∖ A and A ∖ A_i once each, and A_i △ A from them
-            out = boolean_op(a, limit, "difference", config)
-            inn = boolean_op(limit, a, "difference", config)
-            sym = _sides_union(out, inn, config)
-            measured = evaluate_measure(nu, sym, config)
+    for i, (a, c) in enumerate(zip(sub, c_sets)):
+        if i == 0 or a is not sub[i - 1]:
+            _, removed, added, measured = _stage_sizes(
+                a, limit, lambda x: evaluate_measure(nu, x, config), config)
             di = _clamp_unit(measured)
-            ci = di if c_sets[i] == a else dist(nu, c_sets[i], limit, config)
-            removed = measured if sym is out else evaluate_measure(nu, out, config)
-            added = measured if sym is inn else evaluate_measure(nu, inn, config)
+        ci = di if c == a else dist(nu, c, limit, config)
         if di.status != "exact" or ci.status != "exact":
             stages.append(StageRecord(i, removed, added, symdiff=di, ok=False))
             continue
         cap = Fraction(2, 2 ** i) + ci.value
-        stages.append(StageRecord(i, removed, added, symdiff=di,
-                                  bound=cap, ok=di.value < cap))
-
-    all_ok = all(s.ok for s in stages)
-    return LimitCertificate(limit, "cauchy-pipeline", tuple(stages), None,
-                            "certified" if all_ok else "observed-only",
-                            "" if all_ok else "a stage misses the pipeline bound")
+        ok = di.value < cap and (seq.tail_bound is None
+                                 or ci.value <= seq.tail_bound(indices[i]))
+        stages.append(StageRecord(i, removed, added, symdiff=di, bound=cap, ok=ok))
+    return _verdict(limit, "cauchy-pipeline", stages, None, seq)

@@ -455,6 +455,15 @@ def test_profiles_of_no_lengths_are_empty(profile):
         assert profile(a, lengths=[]).entries == ()
 
 
+@pytest.mark.parametrize("profile", _PROFILES)
+def test_profiles_keep_the_requested_lengths(profile):
+    # in the order asked, repeats included, each entry the one its length
+    # alone gives
+    a = parse_set("per m=2 R={0}")
+    got = profile(a, lengths=[8, 2, 8]).entries
+    assert got == tuple(profile(a, lengths=[n]).entries[0] for n in (8, 2, 8))
+
+
 _EVENS_64 = "horizon H=64 bits=" + "5" * 16
 # (literal, cap of all three profiles or None for the defaults, prefix
 # lengths, window lengths); the weighted profile reads the prefix lengths

@@ -38,10 +38,18 @@ from densitas.natset import (
     HorizonSet,
     PeriodicSet,
     boolean_op,
+    parse_set,
 )
 from densitas.exhaust import get_lscsm
+from densitas.witness import build_witness, derive_params, witness_sequence
 
-from conftest import brute_least_cut, brute_sup_ratio, brute_tail_modulus, counting_oracle
+from conftest import (
+    brute_geometric,
+    brute_least_cut,
+    brute_sup_ratio,
+    brute_tail_modulus,
+    counting_oracle,
+)
 
 
 def growing_evens(n):
@@ -193,6 +201,15 @@ def test_tail_cut_limit_raises_when_no_cut_tames_a_null_increment():
                     config=DEFAULT_CONFIG.with_overrides(cut_search_max=1 << 12))
 
 
+def test_tail_cut_limit_raises_on_a_bracketed_tail():
+    # the witness stages are AP unions on factorial moduli, whose phi-prefix
+    # tail at cut 0 is a bracket: the least cut cannot be decided, and the
+    # construction stops there until those tails are exact
+    seq = witness_sequence(build_witness(derive_params(Fraction(1, 2)), 2))
+    with pytest.raises(NoExactNorm, match="^tail of ap-union at cut 0 is bracket$"):
+        lscsm_limit("phi-prefix", seq)
+
+
 def test_tail_cut_limit_requires_monotone_and_exact_norms():
     with pytest.raises(NotMonotone):
         lscsm_limit("phi-prefix", SetSequence(prefix=(EVENS, EMPTY)))
@@ -260,6 +277,64 @@ def test_pipeline_on_a_constant_sequence_returns_an_equivalent_set():
     assert dist("d-star", cert.limit, EVENS).value == 0
     for s in cert.stages:
         assert s.symdiff.value == 0 and s.ok
+
+
+def test_pipeline_on_a_constant_block_chain_makes_no_complement():
+    # a block set has no complement; a nested chain's B_i are its stages,
+    # so only the final answer goes to the oracle and none is complemented
+    blocks = parse_set("blocks f(n)=1/2")
+    cert = cauchy_to_limit("d-star", SetSequence.constant(blocks),
+                           sigma_union_oracle("d-star"))
+    assert cert.verdict == "certified" and cert.limit is blocks
+    assert all(s.symdiff.value == 0 for s in cert.stages)
+
+
+def test_pipeline_records_an_inexact_stage_and_names_it():
+    # every stage {1} differs from the declared block limit by a block set,
+    # whose geometric mass is a bracket: no stage can pass, and the note
+    # names the first one
+    one = FiniteSet((1,))
+    blocks = parse_set("blocks f(n)=1/2")
+    seq = SetSequence(prefix=(one,) * 3, rule=lambda n: one, monotone=True,
+                      tail_bound=lambda i: Fraction(0), limit=blocks)
+    cert = cauchy_to_limit("geometric", seq, sigma_union_oracle("geometric"))
+    assert cert.limit is blocks
+    assert cert.verdict == "observed-only"
+    assert cert.note == "stage 0 is not exact; residuals are observed, not certified"
+    for s in cert.stages:
+        assert s.removed.value == 0
+        assert s.symdiff.status == "bracket" and s.bound is None and not s.ok
+
+
+@pytest.mark.parametrize("family", ["multiples", "evens"])
+def test_the_two_union_pipelines_certify_the_same_cases(family):
+    # the Cauchy pipeline through the union oracle builds sigma_limit's
+    # limit, so it certifies exactly where sigma_limit does; each certified
+    # stage lies at the geometric mass of the declared limit's members past
+    # the largest member of its modulus stage, read off the rule
+    rule, tail_bound, limit, _ = _FAMILIES[family]
+    certified = []
+    for nu in _MEASURES:
+        for depth in range(2, 13):
+            seq = SetSequence(prefix=tuple(rule(n) for n in range(depth)), rule=rule,
+                              monotone=True, tail_bound=tail_bound, limit=limit)
+            verdicts = [
+                not isinstance(got, tuple) and got.verdict == "certified"
+                for got in (_limit_or_raise(lambda: sigma_limit(nu, seq)),
+                            _limit_or_raise(lambda: cauchy_to_limit(
+                                nu, seq, sigma_union_oracle(nu))))]
+            assert verdicts[0] == verdicts[1], (nu, depth)
+            if not verdicts[1]:
+                continue
+            certified.append((nu, depth))
+            cert = cauchy_to_limit(nu, seq, sigma_union_oracle(nu))
+            for s, n in zip(cert.stages, brute_tail_modulus(tail_bound, depth)):
+                top = max(rule(n).elements)
+                table = [x > top and x % limit.modulus in limit.residues
+                         for x in range(top + 1 + limit.modulus)]
+                want = brute_geometric((top + 1, limit.modulus, table))
+                assert s.symdiff.value == want, (nu, depth, s.index)
+    assert certified == [("geometric", depth) for depth in range(2, 13)]
 
 
 def test_pipeline_matches_sigma_limit_on_a_monotone_chain():
@@ -370,9 +445,9 @@ def test_pipeline_reads_two_distances_per_stage(monkeypatch):
 
 @pytest.mark.parametrize("family", ["multiples", "evens"])
 def test_the_pipeline_resolves_each_distinct_stage_once(family, monkeypatch):
-    # on a verified nested chain a run of equal modulus indices is one set:
-    # one oracle call per distinct stage plus one for the final answer, and
-    # C_i is A_i there, so no distance is read for it
+    # on a verified nested chain B_i and C_i are A_i: one oracle call, for
+    # the final answer, whose chain holds a run of equal modulus indices as
+    # one set, and no distance is read for C_i
     dists = []
     body = limits.dist
     monkeypatch.setattr(limits, "dist", lambda *a: dists.append(a) or body(*a))
@@ -383,7 +458,7 @@ def test_the_pipeline_resolves_each_distinct_stage_once(family, monkeypatch):
         oracle, calls = counting_oracle(sigma_union_oracle(nu))
         cert = cauchy_to_limit(nu, seq, oracle)
         stages = brute_tail_modulus(tail_bound, depth)
-        assert len(calls) == len(set(stages)) + 1, depth
+        assert [len(chain) for chain in calls] == [len(set(stages))], depth
         assert cert.verdict == "certified"
         # one record per level, each with its own cap
         assert [s.index for s in cert.stages] == list(range(depth))
@@ -410,14 +485,15 @@ def test_least_cut_of_a_finite_set_matches_a_scan_of_every_cut(e, rng, monkeypat
             got = limits._least_cut(desc, FiniteSet(tuple(members)), target,
                                     DEFAULT_CONFIG)
             assert got == brute_least_cut(members, weight, target), (members, target)
-            # ceil(log2(|B| + 1)) + 2 tails at most
-            assert len(calls) <= len(members).bit_length() + 2
-    # a one-member increment of the powers chain: the tails at 0 and 2^j + 1
+            # ceil(log2(|B| + 1)) + 1 tails at most
+            assert len(calls) <= len(members).bit_length() + 1
+    # a one-member increment of the powers chain: the tail at 0 only, since
+    # the tail past the member is the empty set's, exactly 0
     for j in range(40):
         calls.clear()
         assert limits._least_cut(get_lscsm("phi-prefix"), FiniteSet((2 ** j,)),
                                  Fraction(0), DEFAULT_CONFIG) == 2 ** j + 1
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 def test_pipeline_limit_feeds_back_with_zero_residuals():
