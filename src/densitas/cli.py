@@ -54,7 +54,7 @@ from .metric import (
     evaluate_measure,
     metric_equivalence_probe,
 )
-from .natset import FiniteSet, NatSet, PeriodicSet, format_set, parse_set
+from .natset import _SIZE_MAX, FiniteSet, NatSet, PeriodicSet, format_set, parse_set
 from .reports import AxiomReport, CheckRecord, _plan, _rows, _write, format_fraction
 from .samples import chunked, pool_battery, thinning_blocks
 from .values import ExtValue, _rational
@@ -199,8 +199,16 @@ def _limit_report(method: str, family: str, measure: Optional[str],
         raise ValueError(f"unknown family {family!r}; have "
                          + ", ".join(sorted(_FAMILIES)))
     rule, tail_bound, limit, default_measure = _FAMILIES[family]
-    seq = SetSequence(prefix=tuple(rule(n) for n in range(depth)), rule=rule,
-                      monotone=True, tail_bound=tail_bound, limit=limit, label=family)
+    # a depth-d prefix holds about d^2/2 naturals: refuse one past a set's size cap
+    prefix, held = [], 0
+    for n in range(depth):
+        prefix.append(rule(n))
+        held += len(prefix[-1].elements)
+        if held > _SIZE_MAX:
+            raise ValueError(f"--depth {depth} is too deep: the {family} prefix "
+                             f"would hold more than {_SIZE_MAX} naturals")
+    seq = SetSequence(prefix=prefix, rule=rule, monotone=True,
+                      tail_bound=tail_bound, limit=limit, label=family)
     nu = measure or default_measure
     if method == "sigma":
         return limits.sigma_limit(nu, seq, config=config)

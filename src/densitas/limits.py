@@ -1,18 +1,18 @@
 """Constructive limit builders for Cauchy sequences of sets.
 
-Three pipelines produce a candidate limit together with a machine-checkable
-certificate: a union limit for increasing sequences under sigma-subadditive
-measures, a tail-cut construction for lower semicontinuous submeasures whose
-increments have summable exhaustive norms, and a general Cauchy-to-limit
-pipeline that delegates the existence step to a pluggable oracle. The
-oracle's contract has two halves: nu(stage minus answer) = 0 on the chain it
-was handed is audited by `_resolve_audited`, the one place that calls an
-oracle, and the sinking of nu(answer minus stage) by the Cauchy stage rule.
-
-Certificates never promise more than was computed: `_verdict` says
-"certified" only for rule-backed sequences with exact values throughout and
-a declared tail bound that caps every stage. Everything else is
-"observed-only".
+Three pipelines build a candidate limit and a machine-checkable certificate:
+a union limit for increasing sequences under sigma-subadditive measures, a
+tail-cut construction for lower semicontinuous submeasures whose increments
+have summable exhaustive norms, and a Cauchy-to-limit pipeline whose
+existence step is a pluggable oracle. `_resolve_audited`, the one place that
+calls an oracle, takes the increasing chain its caller built (the Cauchy
+pipeline folds its unions once; a verified nested chain needs no fold) and
+audits nu(stage minus answer) = 0; the Cauchy stage rule checks that
+nu(answer minus stage) sinks. Each stage's sets are built once and sized by
+`_stage_sizes`, and one routine, `_judged`, makes every stage record under
+its pipeline's own bound and check. `_verdict` says "certified" only for
+rule-backed sequences with exact values throughout and a declared tail bound
+that caps every stage; everything else is "observed-only".
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .natset import (
     finite_part,
     least_member,
 )
-from .values import ExtValue, exact
+from .values import ExtValue
 
 __all__ = [
     "Ap0Oracle",
@@ -98,16 +98,12 @@ class LimitCertificate:
 
 @dataclass(frozen=True)
 class Ap0Oracle:
-    """Existence step for the Cauchy-to-limit pipeline.
-
-    The resolver takes an increasing sequence with summable increment
-    measures and returns a set A that contains every member up to measure
-    zero: nu(A_n minus A) = 0 at all observed n, with nu(A minus A_n)
-    sinking along the profile. `_resolve_audited` re-checks the zero
-    residuals and raises OracleContractViolated if the resolver cheats;
-    `cauchy_to_limit` certifies a stage only where the sinking half stays
-    within the sequence's declared tail bound.
-    """
+    """Existence step for the Cauchy-to-limit pipeline: the resolver maps an
+    increasing sequence with summable increment measures to a set A with
+    nu(A_n minus A) = 0 at every observed n and nu(A minus A_n) sinking.
+    `_resolve_audited` re-checks the first half and raises
+    OracleContractViolated on a cheat; `cauchy_to_limit` certifies a stage
+    only where the second stays within the declared tail bound."""
 
     name: str
     resolver: Callable[[SetSequence], NatSet]
@@ -127,12 +123,10 @@ def _union(parts, config):
 
 
 def _observed_depth(seq: SetSequence, depth: Optional[int]) -> int:
-    if depth is None:
+    if depth is None or (depth > len(seq.prefix) and seq.rule is None):
         depth = len(seq.prefix)
     if depth < 1:
         raise ValueError("need at least one stage")
-    if depth > len(seq.prefix) and seq.rule is None:
-        depth = len(seq.prefix)
     return depth
 
 
@@ -172,15 +166,37 @@ def _verdict(limit: NatSet, method: str, stages: list[StageRecord],
 
 
 def _stage_sizes(a: NatSet, limit: NatSet, size: Callable[[NatSet], ExtValue],
-                 config: Config):
+                 config: Config, out: Optional[NatSet] = None):
     """A ∖ limit and the sizes of A ∖ limit, limit ∖ A and A △ limit: each
-    side built once, A △ limit from them, each set sized once."""
-    out = boolean_op(a, limit, "difference", config)
+    side built once (A ∖ limit not at all when the caller has it), A △ limit
+    from them, each set sized once."""
+    if out is None:
+        out = boolean_op(a, limit, "difference", config)
     inn = boolean_op(limit, a, "difference", config)
     sym = _sides_union(out, inn, config)
     whole = size(sym)
     return (out, whole if sym is out else size(out),
             whole if sym is inn else size(inn), whole)
+
+
+def _judged(k: int, removed: ExtValue, added: ExtValue, read: tuple[ExtValue, ...],
+            rule: Callable[..., tuple[Fraction, bool]], **shown) -> StageRecord:
+    """Stage k's record from its sizes: `rule` maps the exact values of the
+    sizes in `read` to the stage's (bound, ok); a size there that is not
+    exact leaves the stage with no bound, failed. `shown` holds the record's
+    other fields."""
+    if any(v.status != "exact" for v in read):
+        return StageRecord(k, removed, added, ok=False, **shown)
+    bound, ok = rule(*(v.value for v in read))
+    return StageRecord(k, removed, added, bound=bound, ok=ok, **shown)
+
+
+def _outside(name: str, index: int) -> NotMonotone:
+    """The refusal of a stage outside the union candidate, at `index` of the
+    chain handed over: `_resolve_audited` renames it as its caller names it."""
+    err = NotMonotone(f"{name} is not contained in the limit candidate")
+    err.index = index
+    return err
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +216,7 @@ def _union_candidate(nu: str, seq: SetSequence, depth: Optional[int],
     for n, a in enumerate(items):
         out_part = boolean_op(a, limit, "difference", config)
         if least_member(out_part) is not None:
-            raise NotMonotone(
-                f"stage {n} is not contained in the limit candidate")
+            raise _outside(f"stage {n}", n)
         outside.append(out_part)
     return items, increments, limit, outside
 
@@ -209,28 +224,20 @@ def _union_candidate(nu: str, seq: SetSequence, depth: Optional[int],
 def sigma_limit(nu: str, seq: SetSequence, depth: Optional[int] = None,
                 config: Config = DEFAULT_CONFIG) -> LimitCertificate:
     """Union limit of an increasing sequence under a sigma-subadditive
-    measure.
-
-    The limit is the declared one when the sequence carries it (verified to
-    contain every observed member), otherwise the union of the observed
-    prefix. Residuals nu(A minus A_n) are bounded by the increment tail
-    sums; the verdict is certified only when a rule and a declared tail
-    bound back the observed data.
-    """
+    measure: the declared limit when the sequence carries one (verified to
+    contain every observed member), else the union of the observed prefix.
+    Stage n passes when it lies in the limit and nu(A minus A_n) is at most
+    the larger of the increment tail sum from n and the declared tail bound."""
     items, increments, limit, outside = _union_candidate(nu, seq, depth, config)
     stages = []
     for n, (a, out_part) in enumerate(zip(items, outside)):
-        removed = evaluate_measure(nu, out_part, config)
-        added = evaluate_measure(nu, boolean_op(limit, a, "difference", config),
-                                 config)
-        if removed.status != "exact" or added.status != "exact":
-            stages.append(StageRecord(n, removed, added, ok=False))
-            continue
-        tail = sum(increments[n:], Fraction(0))
-        cap = seq.tail_bound(n) if seq.tail_bound is not None else None
-        bound = max(tail, cap) if cap is not None else tail
-        ok = removed.value == 0 and added.value <= bound
-        stages.append(StageRecord(n, removed, added, bound=bound, ok=ok))
+        _, removed, added, _ = _stage_sizes(
+            a, limit, lambda x: evaluate_measure(nu, x, config), config, out_part)
+        bound = sum(increments[n:], Fraction(0))
+        if seq.tail_bound is not None:
+            bound = max(bound, seq.tail_bound(n))
+        stages.append(_judged(n, removed, added, (removed, added),
+                              lambda r, d: (bound, r == 0 and d <= bound)))
     return _verdict(limit, "sigma-union", stages, sum(increments, Fraction(0)), seq)
 
 
@@ -239,17 +246,13 @@ def sigma_limit(nu: str, seq: SetSequence, depth: Optional[int] = None,
 
 
 def _least_cut(desc, b: NatSet, target: Fraction, config: Config) -> int:
-    """The least n with phi(B minus n) at most the target. Tail values are
-    nonincreasing in the cut, so the least cut is found by bisection.
-
-    On a B that natset.finite_part finds finite, the tail is constant
-    between the cuts e + 1 of its members e, since B minus n loses a member
-    only as n passes e + 1. The least cut is then 0 or one of those cuts,
-    and bisecting over them reads at most ceil(log2 |B|) + 1 tails where
-    bisecting over [0, max B + 1] reads about log2(max B) + 2. Any other B
-    gets an exponential probe first, bounded by config.cut_search_max, and a
-    bisection over [0, probe].
-    """
+    """The least n with phi(B minus n) at most the target, by bisection:
+    tails are nonincreasing in the cut. On a B that natset.finite_part finds
+    finite the tail changes only at the cuts e + 1 of its members e (B minus
+    n loses a member only there), so the bisection runs over 0 and those
+    cuts and reads ceil(log2 |B|) + 1 tails at most. Any other B gets an
+    exponential probe, bounded by config.cut_search_max, and a bisection
+    over [0, probe]."""
     def ok(n: int) -> bool:
         t = tail_value(desc, b, n, config)
         if t.status != "exact":
@@ -298,13 +301,10 @@ def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
 
     cuts: list[int] = []
     trimmed: list[NatSet] = []
-    prev = -1
     for j, b in enumerate(incs):
-        n_j = max(_least_cut(desc, b, 2 * norms[j], config), prev + 1)
-        prev = n_j
-        cuts.append(n_j)
-        trimmed.append(drop_below(b, n_j, config))
-
+        cuts.append(max(_least_cut(desc, b, 2 * norms[j], config),
+                        cuts[-1] + 1 if cuts else 0))
+        trimmed.append(drop_below(b, cuts[-1], config))
     limit = _union([items[0]] + trimmed, config)
 
     stages = []
@@ -312,16 +312,13 @@ def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
         out_part, removed, added, residual = _stage_sizes(a, limit, norm, config)
         cut_k = cuts[k] if k < len(cuts) else (cuts[-1] + 1 if cuts else 0)
         contained = drop_below(out_part, cut_k, config).is_empty_surely()
-        if removed.status != "exact" or residual.status != "exact":
-            stages.append(StageRecord(k, removed, added, symdiff=residual,
-                                      cut=cut_k, ok=False))
-            continue
         tail = 4 * sum(norms[k:], Fraction(0))
         if seq.tail_bound is not None:
             tail = max(tail, 4 * seq.tail_bound(k))
-        ok = contained and removed.value == 0 and residual.value <= tail
-        stages.append(StageRecord(k, removed, added, symdiff=residual, bound=tail,
-                                  cut=cut_k, ok=ok))
+        stages.append(_judged(
+            k, removed, added, (removed, residual),
+            lambda r, s: (tail, contained and r == 0 and s <= tail),
+            symdiff=residual, cut=cut_k))
     return _verdict(limit, "tail-cut", stages, sum(norms, Fraction(0)), seq)
 
 
@@ -330,43 +327,45 @@ def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
 
 
 def sigma_union_oracle(nu: str, config: Config = DEFAULT_CONFIG) -> Ap0Oracle:
-    """The shipped oracle: resolve an increasing sequence by its union
-    limit candidate (the declared limit, else the union of the prefix).
-
-    It runs what sigma_limit runs before its stage records, so it raises
-    where sigma_limit raises: on an inexact or infinite increment measure,
-    and on a stage outside the candidate. It builds no certificate;
-    `_resolve_audited` re-checks nu(stage minus answer) = 0 itself.
-    """
+    """The shipped oracle: an increasing sequence's union limit candidate
+    (the declared limit, else the union of the prefix). It runs what
+    sigma_limit runs before its stage records, so it raises where and as
+    sigma_limit raises, and it builds no certificate."""
     def resolve(seq: SetSequence) -> NatSet:
         return _union_candidate(nu, seq, None, config)[2]
 
     return Ap0Oracle(f"sigma-union[{nu}]", resolve)
 
 
-def _resolve_audited(nu: str, oracle: Ap0Oracle, chain: list[NatSet], stage: str,
-                     answer: str, config: Config,
-                     limit: Optional[NatSet] = None) -> NatSet:
-    """The oracle's answer A for the increasing chain, after checking the
-    contract half nu(stage minus A) = 0 exactly at every stage;
-    OracleContractViolated names the first stage that breaks it, by the
-    template `stage`, and the answer by `answer`."""
-    # the chain's running unions, so that the monotone check of the sequence
-    # cannot trip over representation quirks; a union with an equal operand
-    # is its left operand, so a run of equal stages is one object, handed
-    # over and audited once under the index that starts the run
-    run = _running(chain, "union", config)
-    firsts = [j for j, x in enumerate(run) if j == 0 or x is not run[j - 1]]
-    chain_seq = SetSequence(prefix=tuple(run[j] for j in firsts), monotone=True,
-                            limit=limit)
-    got = oracle.resolver(chain_seq)
-    for j, x in zip(firsts, chain_seq.prefix):
-        r = evaluate_measure(nu, boolean_op(x, got, "difference", config), config)
-        if r.status != "exact" or r.value != 0:
-            raise OracleContractViolated(
-                f"oracle {oracle.name} left measure {r.value if r.status == 'exact' else r.status} "
-                f"of {stage.format(j)} outside {answer}")
-    return got
+def _resolve_audited(nu: str, oracle: Ap0Oracle, chain: list[NatSet],
+                     name: Callable[[int], str], answer: str, config: Config,
+                     limit: Optional[NatSet] = None):
+    """The oracle's answer A for the increasing chain its caller built and
+    each stage minus A, after checking nu(stage minus A) = 0 exactly at
+    every stage. A run of equal stages reaches the oracle and the audit
+    once; a stage that breaks the contract, or that the union oracle finds
+    outside its candidate, is named by `name` of the index its run starts
+    at, and A by `answer`."""
+    firsts = [j for j, x in enumerate(chain) if j == 0 or x != chain[j - 1]]
+    handed = SetSequence(prefix=[chain[j] for j in firsts], monotone=True, limit=limit)
+    try:
+        got = oracle.resolver(handed)
+    except NotMonotone as e:
+        if not hasattr(e, "index"):
+            raise
+        raise _outside(name(firsts[e.index]), firsts[e.index]) from None
+    outs = []
+    for j, x in enumerate(chain):
+        if j in firsts:  # a later stage of a run shares its first's part
+            out = boolean_op(x, got, "difference", config)
+            r = evaluate_measure(nu, out, config)
+            if r.status != "exact" or r.value != 0:
+                raise OracleContractViolated(
+                    f"oracle {oracle.name} left measure "
+                    f"{r.value if r.status == 'exact' else r.status} "
+                    f"of {name(j)} outside {answer}")
+        outs.append(out)
+    return got, outs
 
 
 def cauchy_to_limit(nu: str, seq: SetSequence, oracle: Ap0Oracle,
@@ -381,10 +380,10 @@ def cauchy_to_limit(nu: str, seq: SetSequence, oracle: Ap0Oracle,
     nu(A_{n_i} △ A) < 2^{1-i} + nu(C_i △ A), the recorded bound, and
     nu(C_i △ A) <= tail_bound(n_i), the sinking half of the oracle contract.
 
-    On a verified nested chain (the modulus indices ascend) B_i and C_i are
-    A_{n_i} itself, so only the final answer goes to the oracle. The modulus
+    On a verified nested chain B_i and C_i are A_{n_i} itself: only the
+    final answer goes to the oracle, and no union is built. The modulus
     repeats stages (4 distinct ones of 12 for `multiples`); a level whose
-    stage is the one before reuses its sizes.
+    stage equals the one before reuses its sizes.
     """
     depth = _observed_depth(seq, depth)
     profile = cauchy_profile(nu, seq, depth, config, full_table=False)
@@ -398,33 +397,32 @@ def cauchy_to_limit(nu: str, seq: SetSequence, oracle: Ap0Oracle,
         raise NotCauchy("modulus extraction produced fewer than two stages")
 
     if _verified_nested(seq, indices, sub, config):
-        b_sets = sub
+        c_sets = sub
     else:
         # B_i from the oracle on the increasing complement chain of the
-        # nested intersections of sub[i:]
+        # nested intersections of sub[i:]; C_i = the union of the B_k so far
         b_sets = [complement(_resolve_audited(
             nu, oracle,
             [complement(x, config)
              for x in _running(sub[i:], "intersection", config)],
-            "stage {}", f"its level-{i} answer", config), config)
+            "stage {}".format, f"its level-{i} answer", config)[0], config)
             for i in range(len(sub))]
-    # C_i = union of the B_k so far, then one more oracle call for A
-    c_sets = _running(b_sets, "union", config)
-    limit = _resolve_audited(nu, oracle, c_sets, "C_{}", "the final answer", config,
-                             seq.limit)
+        c_sets = _running(b_sets, "union", config)
+    # C_i stands for the stage A_{n_i} (it is that stage on a nested chain)
+    limit, outs = _resolve_audited(nu, oracle, c_sets, lambda i: f"stage {indices[i]}",
+                                   "the final answer", config, seq.limit)
 
     stages = []
-    for i, (a, c) in enumerate(zip(sub, c_sets)):
-        if i == 0 or a is not sub[i - 1]:
+    for i, (n, a, c, out) in enumerate(zip(indices, sub, c_sets, outs)):
+        if i == 0 or a != sub[i - 1]:
             _, removed, added, measured = _stage_sizes(
-                a, limit, lambda x: evaluate_measure(nu, x, config), config)
+                a, limit, lambda x: evaluate_measure(nu, x, config), config,
+                out if c is a else None)
             di = _clamp_unit(measured)
         ci = di if c == a else dist(nu, c, limit, config)
-        if di.status != "exact" or ci.status != "exact":
-            stages.append(StageRecord(i, removed, added, symdiff=di, ok=False))
-            continue
-        cap = Fraction(2, 2 ** i) + ci.value
-        ok = di.value < cap and (seq.tail_bound is None
-                                 or ci.value <= seq.tail_bound(indices[i]))
-        stages.append(StageRecord(i, removed, added, symdiff=di, bound=cap, ok=ok))
+
+        def rule(d, e):
+            cap = Fraction(2, 2 ** i) + e
+            return cap, d < cap and (seq.tail_bound is None or e <= seq.tail_bound(n))
+        stages.append(_judged(i, removed, added, (di, ci), rule, symdiff=di))
     return _verdict(limit, "cauchy-pipeline", stages, None, seq)

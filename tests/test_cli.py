@@ -2,6 +2,7 @@
 exit codes."""
 
 import argparse
+import collections
 import dataclasses
 import enum
 import hashlib
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import densitas
-from densitas import cli, exhaust
+from densitas import cli, exhaust, limits, metric, natset
 from densitas.cli import (
     _axioms_report,
     _build_parser,
@@ -34,7 +35,13 @@ from densitas.cli import (
     parse_set_literal,
 )
 from densitas.config import DEFAULT_CONFIG, load_config
-from densitas.exceptions import DensitasError, ParseError, UnprintableValue, UnsupportedBackend
+from densitas.exceptions import (
+    DensitasError,
+    NotCauchy,
+    ParseError,
+    UnprintableValue,
+    UnsupportedBackend,
+)
 from densitas.exhaust import exhaustive_norm
 from densitas.metric import SetSequence, cauchy_profile, metric_equivalence_probe
 from densitas.natset import (
@@ -877,7 +884,7 @@ _LIMIT_GRID = {
     ("sigma", "evens"):
         "c5ce04bd804733ed26853881c4ee92a13e33d3d148e273b2ce5672e16f84895f",
     ("cauchy", "powers"):
-        "ae579e0e814ca0b28c1c219025fe226546e9514cc290fffadb45d1e34a0256d7",
+        "bfb2a024eb4e10717c44bb8a8b423c162809ca4c1e344fbabe8e03fe2335fb94",
     ("cauchy", "multiples"):
         "a62e14346eb4a3064c12e82d5ae907ec38619de2a02132d37ef2558d802c7eb6",
     ("cauchy", "evens"):
@@ -931,8 +938,10 @@ def test_tail_cut_on_the_additive_norms_is_pinned(capsys):
 
 def test_limit_on_powers_stops_at_the_declared_empty_limit(capsys):
     # the family declares the limit ∅, which no union pipeline can contain
-    # its stages in; the raise and its message are part of the contract
-    for method, stage in (("sigma", 1), ("cauchy", 0)):
+    # its stages in; the raise and its message are part of the contract, and
+    # both name the stage by its sequence index: the Cauchy modulus starts at
+    # A_2 = {1, 2}
+    for method, stage in (("sigma", 1), ("cauchy", 2)):
         assert main(["limit", method, "powers", "--depth", "6"]) == 3
         assert capsys.readouterr().err == (
             f"NotMonotone: stage {stage} is not contained in the limit candidate\n")
@@ -942,6 +951,64 @@ def test_limit_usage_errors(capsys):
     assert main(["limit", "sigma", "nonesuch"]) == 2
     assert main(["limit", "tail-cut", "powers", "--measure", "d-star"]) == 2
     capsys.readouterr()
+
+
+def test_limit_depth_is_capped_by_the_prefix_size(monkeypatch, capsys):
+    # the evens and multiples prefixes hold d(d+1)/2 naturals at depth d:
+    # 1,047,628 at 1447, under natset's cap of 2^20 on one set's size, and
+    # 1,049,076 at 1448, past it; the pipeline is stubbed out at the cap
+    seen = []
+
+    def stub(nu, seq, depth=None, config=None):
+        seen.append(len(seq.prefix))
+        raise NotCauchy("stub")
+
+    monkeypatch.setattr(limits, "sigma_limit", stub)
+    assert main(["limit", "sigma", "evens", "--depth", "1447"]) == 3
+    assert seen == [1447] and capsys.readouterr().err == "NotCauchy: stub\n"
+    for family in ("evens", "multiples"):
+        assert main(["limit", "sigma", family, "--depth", "1448"]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --depth 1448 is too deep: the {family} prefix would "
+            "hold more than 1048576 naturals\n")
+    assert seen == [1447]
+
+
+# the set algebra of the bench's limit argv at depth 12: the most
+# `boolean_op` calls of each op and `evaluate_measure` calls ("evaluate");
+# an op not listed is not called. A verified nested Cauchy chain is handed
+# to the oracle as it is, so it makes no union.
+_LIMIT_WORK_12 = {
+    ("cauchy", "multiples"):
+        {"difference": 33, "symdiff": 12, "evaluate": 27},
+    ("sigma", "multiples"):
+        {"difference": 46, "evaluate": 35},
+    ("tail-cut", "powers", "--measure", "norm:phi-prefix"):
+        {"difference": 46},
+}
+
+
+@pytest.mark.parametrize("argv", list(_LIMIT_WORK_12))
+def test_limit_set_algebra_is_pinned(argv, monkeypatch, capsys):
+    counts = collections.Counter()
+    op_body, evaluate_body = natset.boolean_op, metric.evaluate_measure
+
+    def op(a, b, kind, *rest, **kw):
+        counts[kind] += 1
+        return op_body(a, b, kind, *rest, **kw)
+
+    def evaluate(*args, **kw):
+        counts["evaluate"] += 1
+        return evaluate_body(*args, **kw)
+
+    for module in (natset, metric, limits):
+        monkeypatch.setattr(module, "boolean_op", op)
+    for module in (metric, limits):
+        monkeypatch.setattr(module, "evaluate_measure", evaluate)
+    assert main(["limit", *argv, "--depth", "12", "--format", "json"]) == 0
+    capsys.readouterr()
+    most = _LIMIT_WORK_12[argv]
+    assert counts and all(n <= most.get(kind, 0) for kind, n in counts.items()), counts
 
 
 def test_witness_build_verify_round_trip(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from densitas import limits, metric
+from densitas import limits, metric, natset
 from densitas.cli import _FAMILIES
 from densitas.config import DEFAULT_CONFIG
 from densitas.exceptions import (
@@ -38,6 +38,7 @@ from densitas.natset import (
     HorizonSet,
     PeriodicSet,
     boolean_op,
+    least_member,
     parse_set,
 )
 from densitas.exhaust import get_lscsm
@@ -391,25 +392,39 @@ def test_pipeline_audits_stages_that_leave_the_limit_on_both_sides():
         assert s.symdiff.value == s.removed.value + s.added.value
 
 
-def test_the_audit_hands_over_a_run_of_equal_stages_once():
-    # the running unions of [{1}, {1}, {1} ∪ evens, {1} ∪ evens] are two runs
-    # of one object each; the oracle sees each once, and the stage that
+def test_the_audit_hands_over_a_run_of_equal_stages_once(monkeypatch):
+    # the caller builds the increasing chain and the audit folds none of it:
+    # the runs [{1}, {1}] (two equal objects) and [{1} ∪ evens] * 2 reach
+    # the oracle and the audit once each, with no union, and the stage that
     # breaks the contract is named by the index its run starts at
     one = FiniteSet((1,))
     both = boolean_op(one, EVENS, "union")
-    seen = []
+    chain = [one, FiniteSet((1,)), both, both]
+    seen, ops = [], []
+    for module in (limits, natset):
+        body = module.boolean_op
+        monkeypatch.setattr(module, "boolean_op",
+                            lambda a, b, op, *r, body=body: ops.append(op) or body(a, b, op, *r))
 
-    def resolve(seq):
-        seen.append(seq.prefix)
-        return one
+    def fixed(answer):
+        def resolve(seq):
+            seen.append(seq.prefix)
+            return answer
+        return Ap0Oracle("fixed", resolve)
 
     with pytest.raises(OracleContractViolated,
                        match=r"left measure 1/2 of stage 2 outside its answer$"):
-        _resolve_audited("d-star", Ap0Oracle("fixed", resolve),
-                         [one, FiniteSet((1,)), both, both], "stage {}",
+        _resolve_audited("d-star", fixed(one), chain, "stage {}".format,
                          "its answer", DEFAULT_CONFIG)
-    assert [len(prefix) for prefix in seen] == [2]
-    assert seen[0][0] is one and seen[0][1] == both
+    assert len(seen) == 1 and seen[0][0] is one and seen[0][1] is both
+    assert ops == ["difference"] * 2
+    got, outs = _resolve_audited("d-star", fixed(both), chain, "C_{}".format,
+                                 "its answer", DEFAULT_CONFIG)
+    assert got is both and [len(prefix) for prefix in seen] == [2, 2]
+    # one stage minus the answer per run, each handed out for every stage
+    assert "union" not in ops and len(ops) == 4
+    assert outs[0] is outs[1] and outs[2] is outs[3]
+    assert all(least_member(out) is None for out in outs)
 
 
 def test_pipeline_on_a_nested_chain_matches_the_general_loop():
