@@ -54,7 +54,8 @@ from .metric import (
     evaluate_measure,
     metric_equivalence_probe,
 )
-from .natset import _SIZE_MAX, FiniteSet, NatSet, PeriodicSet, format_set, parse_set
+from .natset import (
+    _FACTORIAL_MAX, _SIZE_MAX, FiniteSet, NatSet, PeriodicSet, format_set, parse_set)
 from .reports import AxiomReport, CheckRecord, _plan, _rows, _write, format_fraction
 from .samples import chunked, pool_battery, thinning_blocks
 from .values import ExtValue, _rational
@@ -207,8 +208,9 @@ def _limit_report(method: str, family: str, measure: Optional[str],
         if held > _SIZE_MAX:
             raise ValueError(f"--depth {depth} is too deep: the {family} prefix "
                              f"would hold more than {_SIZE_MAX} naturals")
-    seq = SetSequence(prefix=prefix, rule=rule, monotone=True,
-                      tail_bound=tail_bound, limit=limit, label=family)
+    # the rule reads the built prefix, so each stage is built once
+    seq = SetSequence(prefix=prefix, rule=lambda n: prefix[n] if n < depth else rule(n),
+                      monotone=True, tail_bound=tail_bound, limit=limit, label=family)
     nu = measure or default_measure
     if method == "sigma":
         return limits.sigma_limit(nu, seq, config=config)
@@ -267,14 +269,36 @@ def _check_stored_levels(w, doc: dict) -> None:
                 "deterministic construction")
 
 
-def _witness_verify(doc: dict, horizon: int, config: Config):
-    params = witness.WitnessParams(
-        kappa=_rational(doc["params"]["kappa"]),
-        scale=int(doc["params"]["scale"]),
-        cover=int(doc["params"]["cover"]),
-        schedule=tuple(int(x) for x in doc["params"]["schedule"]))
-    depth = int(doc["depth"])
-    demo = bool(doc.get("demo", False))
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               float: "a number", bool: "true or false", type(None): "null"}
+
+
+def _stored(doc: dict, key: str, kind: type):
+    """doc[key] when its JSON type is `kind` (true and false are no
+    integers); else a usage error naming the field. A missing key raises
+    KeyError, a usage error too."""
+    value = doc[key]
+    if type(value) is not kind:
+        raise ValueError(f"stored {key!r} must be {_JSON_KINDS[kind]}, "
+                         f"not {_JSON_KINDS[type(value)]}")
+    return value
+
+
+def _witness_verify(doc, horizon: int, config: Config):
+    if type(doc) is not dict:
+        raise ValueError(f"the stored report must be an object, not {_JSON_KINDS[type(doc)]}")
+    stored = _stored(doc, "params", dict)
+    kappa = _rational(_stored(stored, "kappa", str))
+    scale, cover = _stored(stored, "scale", int), _stored(stored, "cover", int)
+    schedule = _stored(stored, "schedule", list)
+    for i, entry in enumerate(schedule):
+        # refused before any factorial: a_n! of a large entry is unbounded work
+        if type(entry) is not int or entry > _FACTORIAL_MAX:
+            raise ValueError(f"stored 'schedule' entry {i} must be an integer "
+                             f"at most {_FACTORIAL_MAX}")
+    params = witness.WitnessParams(kappa, scale, cover, tuple(schedule))
+    depth = _stored(doc, "depth", int)
+    demo = _stored(doc, "demo", bool) if "demo" in doc else False
     w = witness.build_witness(params, depth, demo=demo)
     _check_stored_levels(w, doc)
     inv = witness.check_witness_invariants(w, horizon=horizon)
@@ -414,7 +438,7 @@ def _dispatch(args, config: Config, bare: bool) -> tuple[object, bool]:
             return payload, True
         with open(args.file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        if "report" in doc:
+        if type(doc) is dict and "report" in doc:
             doc = doc["report"]
         payload, ok = _witness_verify(doc, args.horizon, config)
         return payload, ok

@@ -5,9 +5,10 @@ a union limit for increasing sequences under sigma-subadditive measures, a
 tail-cut construction for lower semicontinuous submeasures whose increments
 have summable exhaustive norms, and a Cauchy-to-limit pipeline whose
 existence step is a pluggable oracle. `_resolve_audited`, the one place that
-calls an oracle, takes the increasing chain its caller built (the Cauchy
-pipeline folds its unions once; a verified nested chain needs no fold) and
-audits nu(stage minus answer) = 0; the Cauchy stage rule checks that
+calls an oracle, hands it the increasing chain its caller built as it is
+(the Cauchy pipeline folds its unions once; a verified nested chain needs no
+fold, and no chain is proved nested twice) and audits
+nu(stage minus answer) = 0; the Cauchy stage rule checks that
 nu(answer minus stage) sinks. Each stage's sets are built once and sized by
 `_stage_sizes`, and one routine, `_judged`, makes every stage record under
 its pipeline's own bound and check. `_verdict` says "certified" only for
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .config import Config, DEFAULT_CONFIG
 from .exceptions import (
@@ -98,15 +99,18 @@ class LimitCertificate:
 
 @dataclass(frozen=True)
 class Ap0Oracle:
-    """Existence step for the Cauchy-to-limit pipeline: the resolver maps an
-    increasing sequence with summable increment measures to a set A with
-    nu(A_n minus A) = 0 at every observed n and nu(A minus A_n) sinking.
-    `_resolve_audited` re-checks the first half and raises
-    OracleContractViolated on a cheat; `cauchy_to_limit` certifies a stage
-    only where the second stays within the declared tail bound."""
+    """Existence step for the Cauchy-to-limit pipeline: `resolver(chain,
+    limit)` maps an increasing chain with summable increment measures and
+    the declared limit (or None) to a set A with nu(stage minus A) = 0 at
+    every stage and nu(A minus stage) sinking. Its caller built the chain
+    increasing (a verified nested chain, a fold of unions, or complements
+    of running intersections), so it is not proved again. `_resolve_audited`
+    re-checks the first half and raises OracleContractViolated on a cheat;
+    `cauchy_to_limit` certifies a stage only where the second stays within
+    the declared tail bound."""
 
     name: str
-    resolver: Callable[[SetSequence], NatSet]
+    resolver: Callable[[Sequence[NatSet], Optional[NatSet]], NatSet]
 
 
 def _exact_or_raise(v: ExtValue, what: str) -> Fraction:
@@ -122,7 +126,10 @@ def _union(parts, config):
     return _running(sets, "union", config)[-1] if sets else FiniteSet(())
 
 
-def _observed_depth(seq: SetSequence, depth: Optional[int]) -> int:
+def _observed_depth(seq: SetSequence, depth: Optional[int], who: str = "") -> int:
+    """The observed depth; a pipeline named `who` first needs the monotone flag."""
+    if who and not seq.monotone:
+        raise NotMonotone(f"{who} needs the monotone flag, verified on the prefix")
     if depth is None or (depth > len(seq.prefix) and seq.rule is None):
         depth = len(seq.prefix)
     if depth < 1:
@@ -130,21 +137,15 @@ def _observed_depth(seq: SetSequence, depth: Optional[int]) -> int:
     return depth
 
 
-def _increments(seq: SetSequence, depth: Optional[int], who: str, what: str,
+def _increments(items: Sequence[NatSet], what: str,
                 size: Callable[[NatSet], ExtValue], config: Config):
-    """The observed stages A_0..A_{d-1} of a monotone sequence, its
-    increments B_j = A_{j+1} minus A_j and their exact sizes, each size read
-    before the next increment is built."""
-    if not seq.monotone:
-        raise NotMonotone(f"{who} needs the monotone flag, verified on the prefix")
-    depth = _observed_depth(seq, depth)
-    items = [seq.item(i) for i in range(depth)]
-    incs: list[NatSet] = []
-    sizes: list[Fraction] = []
-    for j in range(depth - 1):
+    """The increments B_j = A_{j+1} minus A_j of an increasing chain and
+    their exact sizes, each size read before the next increment is built."""
+    incs, sizes = [], []
+    for j in range(len(items) - 1):
         incs.append(boolean_op(items[j + 1], items[j], "difference", config))
         sizes.append(_exact_or_raise(size(incs[-1]), f"{what} {j}"))
-    return items, incs, sizes
+    return incs, sizes
 
 
 def _verdict(limit: NatSet, method: str, stages: list[StageRecord],
@@ -203,22 +204,22 @@ def _outside(name: str, index: int) -> NotMonotone:
 # union limits for increasing sequences
 
 
-def _union_candidate(nu: str, seq: SetSequence, depth: Optional[int],
+def _union_candidate(nu: str, items: Sequence[NatSet], limit: Optional[NatSet],
                      config: Config):
-    """The observed stages, their exact increment measures, the union limit
-    candidate and each stage minus that candidate: every check of the union
-    pipeline that can raise, in its order, and no stage record."""
-    items, _, increments = _increments(
-        seq, depth, "sigma_limit", "increment",
-        lambda d: evaluate_measure(nu, d, config), config)
-    limit = seq.limit if seq.limit is not None else _union(items, config)
+    """The exact increment measures of an increasing chain, its union limit
+    candidate (the declared `limit`, else the union of the chain) and each
+    stage minus that candidate: every check of the union pipeline that can
+    raise past the flag and depth checks, in its order, and no record."""
+    _, increments = _increments(items, "increment",
+                                lambda d: evaluate_measure(nu, d, config), config)
+    limit = _union(items, config) if limit is None else limit
     outside = []
     for n, a in enumerate(items):
         out_part = boolean_op(a, limit, "difference", config)
         if least_member(out_part) is not None:
             raise _outside(f"stage {n}", n)
         outside.append(out_part)
-    return items, increments, limit, outside
+    return increments, limit, outside
 
 
 def sigma_limit(nu: str, seq: SetSequence, depth: Optional[int] = None,
@@ -228,7 +229,8 @@ def sigma_limit(nu: str, seq: SetSequence, depth: Optional[int] = None,
     contain every observed member), else the union of the observed prefix.
     Stage n passes when it lies in the limit and nu(A minus A_n) is at most
     the larger of the increment tail sum from n and the declared tail bound."""
-    items, increments, limit, outside = _union_candidate(nu, seq, depth, config)
+    items = [seq.item(i) for i in range(_observed_depth(seq, depth, "sigma_limit"))]
+    increments, limit, outside = _union_candidate(nu, items, seq.limit, config)
     stages = []
     for n, (a, out_part) in enumerate(zip(items, outside)):
         _, removed, added, _ = _stage_sizes(
@@ -296,8 +298,8 @@ def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
         # the value alone: every norm here is read for it, never for a profile
         return exhaustive_norm(desc, b, config, profile_cuts=()).value
 
-    items, incs, norms = _increments(
-        seq, depth, "lscsm_limit", "increment norm", norm, config)
+    items = [seq.item(i) for i in range(_observed_depth(seq, depth, "lscsm_limit"))]
+    incs, norms = _increments(items, "increment norm", norm, config)
 
     cuts: list[int] = []
     trimmed: list[NatSet] = []
@@ -327,14 +329,12 @@ def lscsm_limit(phi: str, seq: SetSequence, depth: Optional[int] = None,
 
 
 def sigma_union_oracle(nu: str, config: Config = DEFAULT_CONFIG) -> Ap0Oracle:
-    """The shipped oracle: an increasing sequence's union limit candidate
-    (the declared limit, else the union of the prefix). It runs what
-    sigma_limit runs before its stage records, so it raises where and as
-    sigma_limit raises, and it builds no certificate."""
-    def resolve(seq: SetSequence) -> NatSet:
-        return _union_candidate(nu, seq, None, config)[2]
-
-    return Ap0Oracle(f"sigma-union[{nu}]", resolve)
+    """The shipped oracle: the union limit candidate of the increasing chain
+    it is handed (the declared limit, else the union of the chain). It runs
+    what sigma_limit runs on its stages before their records, so it raises
+    where and as sigma_limit raises, and it builds no certificate."""
+    return Ap0Oracle(f"sigma-union[{nu}]",
+                     lambda chain, limit: _union_candidate(nu, chain, limit, config)[1])
 
 
 def _resolve_audited(nu: str, oracle: Ap0Oracle, chain: list[NatSet],
@@ -342,14 +342,14 @@ def _resolve_audited(nu: str, oracle: Ap0Oracle, chain: list[NatSet],
                      limit: Optional[NatSet] = None):
     """The oracle's answer A for the increasing chain its caller built and
     each stage minus A, after checking nu(stage minus A) = 0 exactly at
-    every stage. A run of equal stages reaches the oracle and the audit
-    once; a stage that breaks the contract, or that the union oracle finds
-    outside its candidate, is named by `name` of the index its run starts
-    at, and A by `answer`."""
+    every stage. The chain is increasing by construction, so it goes over
+    as a list, unproved; a run of equal stages reaches the oracle and the
+    audit once. A stage that breaks the contract, or that the union oracle
+    finds outside its candidate, is named by `name` of the index its run
+    starts at, and A by `answer`."""
     firsts = [j for j, x in enumerate(chain) if j == 0 or x != chain[j - 1]]
-    handed = SetSequence(prefix=[chain[j] for j in firsts], monotone=True, limit=limit)
     try:
-        got = oracle.resolver(handed)
+        got = oracle.resolver([chain[j] for j in firsts], limit)
     except NotMonotone as e:
         if not hasattr(e, "index"):
             raise

@@ -21,9 +21,12 @@ to the last member: for i <= j < d, A_i △ A_j = A_j ∖ A_i lies inside
 A_{d-1} ∖ A_i, and every submeasure and upper density is monotone. So d
 distances stand in for the d(d+1)/2 pairs. A chain counts as nested only
 when it is verified: the monotone flag checks the prefix exactly, and a
-rule-built member past it is checked by the same test. Any other sequence,
-and any chain with an inexact distance to its last member, gets the full
-pairwise table.
+rule-built member past it is checked by the same test, `_stray`. Any other
+sequence, and any chain with an inexact distance to its last member, gets
+the full pairwise table. No chain is proved twice: a rule that reads its
+built prefix (the CLI's families, `witness.witness_sequence`) is checked
+against each stage itself, and the limit pipelines hand their oracle a
+list that is increasing by construction, not a `SetSequence`.
 """
 
 from __future__ import annotations
@@ -95,8 +98,7 @@ class SetSequence:
                     raise ValueError(f"rule and prefix disagree at index {i}")
         if self.monotone:
             for i in range(len(self.prefix) - 1):
-                stray = least_member(
-                    boolean_op(self.prefix[i], self.prefix[i + 1], "difference"))
+                stray = _stray(self.prefix[i], self.prefix[i + 1])
                 if stray is not None:
                     raise NotMonotone(
                         f"A_{i} is not contained in A_{i + 1}: "
@@ -118,6 +120,12 @@ class SetSequence:
         return cls(prefix=(a,) * length, rule=lambda n: a, monotone=True,
                    tail_bound=lambda i: Fraction(0),
                    limit=a, label=label or "constant")
+
+
+def _stray(a: NatSet, b: NatSet, config: Config = DEFAULT_CONFIG) -> Optional[int]:
+    """The least member of A ∖ B, None when A ⊆ B: the one exact test of a
+    chain's step, for the prefix and for the members past it."""
+    return least_member(boolean_op(a, b, "difference", config))
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +157,7 @@ def _clamp_unit(v: ExtValue) -> ExtValue:
     if v.status == "bracket":
         lo = min(v.lower, Fraction(1)) if v.lower is not None else Fraction(0)
         hi = min(v.upper, Fraction(1)) if v.upper is not None else Fraction(1)
-        if lo == hi:
-            return exact(lo)
-        return bracket(lo, hi, v.note)
+        return exact(lo) if lo == hi else bracket(lo, hi, v.note)
     return observational(min(v.value, Fraction(1)), v.note)
 
 
@@ -201,21 +207,14 @@ def check_pseudometric(nu: str, samples: Sequence[tuple[NatSet, NatSet, NatSet]]
         if skip_reason:
             records.append(CheckRecord(f"triple[{t}]", "skip", skip_reason))
             continue
-        records.append(CheckRecord(
-            f"identity[{t}]", "pass" if vals["aa"] == 0 else "fail",
-            "d(A,A) = 0", witness=str(vals["aa"])))
-        records.append(CheckRecord(
-            f"symmetry[{t}]", "pass" if vals["ab"] == vals["ba"] else "fail",
-            "d(A,B) = d(B,A)"))
-        records.append(CheckRecord(
-            f"triangle[{t}]",
-            "pass" if vals["ac"] <= vals["ab"] + vals["bc"] else "fail",
-            "d(A,C) <= d(A,B) + d(B,C)",
-            witness=[str(vals["ac"]), str(vals["ab"]), str(vals["bc"])]))
-        records.append(CheckRecord(
-            f"unit-bound[{t}]",
-            "pass" if all(0 <= x <= 1 for x in vals.values()) else "fail",
-            "distances land in [0,1]"))
+        for name, ok, detail, witness in (
+                ("identity", vals["aa"] == 0, "d(A,A) = 0", str(vals["aa"])),
+                ("symmetry", vals["ab"] == vals["ba"], "d(A,B) = d(B,A)", None),
+                ("triangle", vals["ac"] <= vals["ab"] + vals["bc"], "d(A,C) <= d(A,B) + d(B,C)",
+                 [str(vals["ac"]), str(vals["ab"]), str(vals["bc"])]),
+                ("unit-bound", all(0 <= x <= 1 for x in vals.values()),
+                 "distances land in [0,1]", None)):
+            records.append(CheckRecord(f"{name}[{t}]", "pass" if ok else "fail", detail, witness))
     return AxiomReport(f"pseudometric d[{nu}]", tuple(records))
 
 
@@ -263,8 +262,7 @@ def _verified_nested(seq: SetSequence, indices: Sequence[int],
         return False
     past = len(seq.prefix)
     try:
-        return all(least_member(boolean_op(items[j - 1], items[j], "difference",
-                                           config)) is None
+        return all(_stray(items[j - 1], items[j], config) is None
                    for j in range(1, len(items)) if indices[j] >= past)
     except DensitasError:
         return False
@@ -333,23 +331,17 @@ def cauchy_profile(nu: str, seq: SetSequence, depth: int,
             else max(row[i], worst[i + 1])
     all_exact = worst[0] is not None and all(v.value == 0 for v in diagonal)
 
-    note = ""
-    certified = False
     # each bound once per call: every modulus level below scans from i = 0
     tail_bound = cache(lambda i: seq.tail_bound(i))
-    if all_exact and seq.rule is not None and seq.tail_bound is not None:
-        certified = True
-        for i in range(depth):
-            cap = tail_bound(i)
-            if row[i] > cap:
-                certified = False
-                note = (f"declared tail bound violated at index {i}: "
-                        f"observed {row[i]} > bound {cap}")
-                break
-    elif not all_exact:
+    if not all_exact:
         note = "table contains non-exact distances"
-    else:
+    elif seq.rule is None or seq.tail_bound is None:
         note = "no rule or tail bound; modulus is observed-only"
+    else:
+        bad = next((i for i in range(depth) if row[i] > tail_bound(i)), None)
+        note = "" if bad is None else (f"declared tail bound violated at index {bad}: "
+                                       f"observed {row[bad]} > bound {tail_bound(bad)}")
+    certified = not note
 
     modulus: list[tuple[int, int]] = []
     for k in range(16):

@@ -359,9 +359,9 @@ def counting_oracle(oracle):
 
     calls = []
 
-    def resolve(seq):
-        calls.append(seq.prefix)
-        return oracle.resolver(seq)
+    def resolve(chain, limit):
+        calls.append(tuple(chain))
+        return oracle.resolver(chain, limit)
 
     return Ap0Oracle(oracle.name, resolve), calls
 

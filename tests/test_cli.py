@@ -7,6 +7,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -977,10 +978,15 @@ def test_limit_depth_is_capped_by_the_prefix_size(monkeypatch, capsys):
 # the set algebra of the bench's limit argv at depth 12: the most
 # `boolean_op` calls of each op and `evaluate_measure` calls ("evaluate");
 # an op not listed is not called. A verified nested Cauchy chain is handed
-# to the oracle as it is, so it makes no union.
+# to the oracle as it is, so it makes no union, and the oracle gets it as a
+# list, so its containment is proved once, on the prefix: 11 differences,
+# then 3 per distinct stage (4 for multiples, 6 for evens) and one per
+# increment between them.
 _LIMIT_WORK_12 = {
     ("cauchy", "multiples"):
-        {"difference": 33, "symdiff": 12, "evaluate": 27},
+        {"difference": 26, "symdiff": 12, "evaluate": 27},
+    ("cauchy", "evens"):
+        {"difference": 34, "symdiff": 12, "evaluate": 35},
     ("sigma", "multiples"):
         {"difference": 46, "evaluate": 35},
     ("tail-cut", "powers", "--measure", "norm:phi-prefix"):
@@ -1011,6 +1017,21 @@ def test_limit_set_algebra_is_pinned(argv, monkeypatch, capsys):
     assert counts and all(n <= most.get(kind, 0) for kind, n in counts.items()), counts
 
 
+@pytest.mark.parametrize("argv", [
+    ("sigma", "multiples"), ("sigma", "evens"), ("cauchy", "multiples"), ("cauchy", "evens"),
+    ("tail-cut", "powers"), ("tail-cut", "multiples", "--measure", "norm:phi-prefix")])
+def test_limit_builds_each_stage_once(argv, monkeypatch, capsys):
+    # the prefix is built from the family rule stage by stage and the
+    # sequence's rule reads it back, so the rule-prefix check compares each
+    # stage with itself and the family rule runs once per stage
+    rule, *rest = cli._FAMILIES[argv[1]]
+    calls = []
+    monkeypatch.setitem(cli._FAMILIES, argv[1], (lambda n: calls.append(n) or rule(n), *rest))
+    assert main(["limit", *argv, "--depth", "12", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == list(range(12))
+
+
 def test_witness_build_verify_round_trip(tmp_path, capsys):
     out = tmp_path / "family.json"
     assert main(["witness", "build", "--kappa", "1/2", "--depth", "3",
@@ -1036,6 +1057,68 @@ def test_witness_verify_rejects_tampered_file(tmp_path, capsys):
     out.write_text(json.dumps(doc))
     assert main(["witness", "verify", str(out)]) == 3
     capsys.readouterr()
+
+
+def _set(doc: dict, path: str, value) -> None:
+    *outer, key = path.split(".")
+    for name in outer:
+        doc = doc[name]
+    doc[key] = value
+
+
+_MALFORMED_REPORTS = {
+    "a top-level list": (lambda doc: [doc], "usage error: the stored report must be "
+                         "an object, not a list\n"),
+    "params": (lambda doc: _set(doc, "report.params", []),
+               "usage error: stored 'params' must be an object, not a list\n"),
+    "schedule": (lambda doc: _set(doc, "report.params.schedule", 5),
+                 "usage error: stored 'schedule' must be a list, not an integer\n"),
+    "depth": (lambda doc: _set(doc, "report.depth", [1]),
+              "usage error: stored 'depth' must be an integer, not a list\n"),
+    "kappa": (lambda doc: _set(doc, "report.params.kappa", None),
+              "usage error: stored 'kappa' must be a string, not null\n"),
+    "demo": (lambda doc: _set(doc, "report.demo", 1),
+             "usage error: stored 'demo' must be true or false, not an integer\n"),
+    "missing depth": (lambda doc: {"report": {k: v for k, v in doc["report"].items()
+                                              if k != "depth"}},
+                      "usage error: 'depth'\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_REPORTS))
+def test_witness_verify_refuses_a_malformed_report(case, tmp_path, capsys):
+    # each stored field is read with its JSON type checked: a wrong one is a
+    # usage error that names it, not a TypeError traceback; `change` edits
+    # the report in place or returns the document to write
+    out = tmp_path / "family.json"
+    assert main(["witness", "build", "--depth", "2", "--format", "json",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    change, err = _MALFORMED_REPORTS[case]
+    out.write_text(json.dumps(change(doc) or doc))
+    assert main(["witness", "verify", str(out)]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("entry", [1001, 100000])
+def test_witness_verify_refuses_a_schedule_entry_past_the_factorial_cap(
+        entry, tmp_path, capsys, monkeypatch):
+    # the grammar's own N! cap bounds a stored entry before any factorial
+    # is computed: 100000! took seconds and failed on Python's digit limit
+    out = tmp_path / "family.json"
+    assert main(["witness", "build", "--depth", "2", "--format", "json",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["report"]["params"]["schedule"][3] = entry
+    out.write_text(json.dumps(doc))
+
+    def refuse(n):
+        raise AssertionError(f"{n}! computed")
+
+    monkeypatch.setattr(math, "factorial", refuse)
+    assert main(["witness", "verify", str(out)]) == 2
+    assert capsys.readouterr() == ("", "usage error: stored 'schedule' entry 3 must "
+                                   "be an integer at most 1000\n")
 
 
 @pytest.mark.parametrize("horizon", ["0", "-5"])

@@ -264,7 +264,7 @@ def test_the_union_oracle_answers_like_sigma_limit():
         resolve = sigma_union_oracle(nu).resolver
         for seq in seqs:
             want = _limit_or_raise(lambda: sigma_limit(nu, seq).limit)
-            got = _limit_or_raise(lambda: resolve(seq))
+            got = _limit_or_raise(lambda: resolve(seq.prefix, seq.limit))
             assert got == want and repr(got) == repr(want), (nu, seq)
             if isinstance(want, tuple):
                 raised.add(want[0])
@@ -370,7 +370,7 @@ def test_pipeline_rejects_uncertified_sequences():
 
 
 def test_pipeline_catches_a_cheating_oracle():
-    cheat = Ap0Oracle("empty-always", lambda seq: EMPTY)
+    cheat = Ap0Oracle("empty-always", lambda chain, limit: EMPTY)
     with pytest.raises(OracleContractViolated):
         cauchy_to_limit("d-star", SetSequence.constant(EVENS, length=4),
                         cheat)
@@ -407,8 +407,8 @@ def test_the_audit_hands_over_a_run_of_equal_stages_once(monkeypatch):
                             lambda a, b, op, *r, body=body: ops.append(op) or body(a, b, op, *r))
 
     def fixed(answer):
-        def resolve(seq):
-            seen.append(seq.prefix)
+        def resolve(chain, limit):
+            seen.append(chain)
             return answer
         return Ap0Oracle("fixed", resolve)
 
@@ -420,7 +420,7 @@ def test_the_audit_hands_over_a_run_of_equal_stages_once(monkeypatch):
     assert ops == ["difference"] * 2
     got, outs = _resolve_audited("d-star", fixed(both), chain, "C_{}".format,
                                  "its answer", DEFAULT_CONFIG)
-    assert got is both and [len(prefix) for prefix in seen] == [2, 2]
+    assert got is both and [len(handed) for handed in seen] == [2, 2]
     # one stage minus the answer per run, each handed out for every stage
     assert "union" not in ops and len(ops) == 4
     assert outs[0] is outs[1] and outs[2] is outs[3]
