@@ -240,8 +240,20 @@ def _witness_levels(w) -> dict:
     }
 
 
+def _check_schedule(schedule, name: str) -> None:
+    """A usage error naming the first schedule entry that is no integer or
+    whose factorial natset refuses, checked before any a_n! is taken: the
+    factorial of a large entry is unbounded work, and `witness build` would
+    write a report that `witness verify` refuses."""
+    for i, entry in enumerate(schedule):
+        if type(entry) is not int or entry > _FACTORIAL_MAX:
+            raise ValueError(f"{name} entry {i} must be an integer "
+                             f"at most {_FACTORIAL_MAX}")
+
+
 def _witness_build_payload(kappa: Fraction, depth: int, demo: bool) -> dict:
     p = witness.derive_params(kappa, levels=max(6, depth + 2))
+    _check_schedule(p.schedule, "derived 'schedule'")
     w = witness.build_witness(p, depth, demo=demo)
     return {"params": p, "depth": depth, "demo": demo, **_witness_levels(w)}
 
@@ -291,11 +303,7 @@ def _witness_verify(doc, horizon: int, config: Config):
     kappa = _rational(_stored(stored, "kappa", str))
     scale, cover = _stored(stored, "scale", int), _stored(stored, "cover", int)
     schedule = _stored(stored, "schedule", list)
-    for i, entry in enumerate(schedule):
-        # refused before any factorial: a_n! of a large entry is unbounded work
-        if type(entry) is not int or entry > _FACTORIAL_MAX:
-            raise ValueError(f"stored 'schedule' entry {i} must be an integer "
-                             f"at most {_FACTORIAL_MAX}")
+    _check_schedule(schedule, "stored 'schedule'")
     params = witness.WitnessParams(kappa, scale, cover, tuple(schedule))
     depth = _stored(doc, "depth", int)
     demo = _stored(doc, "demo", bool) if "demo" in doc else False

@@ -25,7 +25,7 @@ class Config:
     weight_horizon: int = 100_000
     # Cap on the doubling search for valid cuts in limit construction.
     cut_search_max: int = 1 << 26
-    # Subset cap for inclusion-exclusion recursion over AP-union terms.
+    # Printed with every report but enforced nowhere: nothing reads it.
     ie_subset_budget: int = 1_000_000
     # Start positions swept per window length when maxima need a full period;
     # periods longer than this degrade to candidate-restricted probing.

@@ -49,14 +49,14 @@ evidence, weights without a closed form) the result degrades to a bracket
 or an observational value, never to a silent guess.
 
 A norm's profile cuts share one scan of the set (_TailScan), made per call
-and dropped when it returns, so what it holds is bounded by one norm:
-natset.finite_part of the set; per exponent e, a block set's prefix weights
-P(x) = sum of i^e over A ∩ [1, x] at every slice end (_BlockWeights: each
-faulhaber(k, e) computed once, a cut's tail weight P(k) - P(n - 1)) and its
-phase limits; the counts of the dyadic blocks psi reads whole; and an
-eventually periodic set's members over the windows read so far, with their
-power sums per exponent. tail_value makes a scan for its one cut and runs
-the same code.
+and dropped when it returns, so what it holds is bounded by one norm. Its
+lazy memos (_Memo) make each value on its first read: per exponent e, the
+power sums faulhaber(k, e), each computed once and read by a block set's
+prefix weights P(x) = sum of i^e over A ∩ [1, x] (_BlockWeights; a cut's
+tail weight is P(k) - P(n - 1)) and a periodic set's scans alike, and a
+block set's phase limits; and the counts of the dyadic blocks psi reads
+whole. An eventually periodic set's members over the windows read so far are
+kept too. tail_value makes a scan for its one cut and runs the same code.
 """
 
 from __future__ import annotations
@@ -174,6 +174,19 @@ def faulhaber(k: int, e: int) -> int:
     return total
 
 
+class _Memo(dict):
+    """A dict whose missing key k reads as make(k, *args), made once and kept."""
+
+    __slots__ = ("make", "args")
+
+    def __init__(self, make: Callable, *args):
+        self.make, self.args = make, args
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key, *self.args)
+        return value
+
+
 # ---------------------------------------------------------------------------
 # descriptor and estimate types
 
@@ -281,16 +294,17 @@ def _runs(elements: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def _phi_alpha_elements(elements: Sequence[int], e: int,
-                        power_sum: Optional[Callable[[int], int]] = None) -> Fraction:
+                        power_sum: Optional[_Memo] = None) -> Fraction:
     """sup_k (sum_{i in S, i <= k} i^e) / (sum_{i <= k} i^e), S finite sorted.
-    power_sum(k) stands in for faulhaber(k, e) where a caller keeps them.
+    power_sum[k] stands in for faulhaber(k, e) where a caller keeps a memo.
 
     The ratio climbs inside a run of members and decays in the gaps, so run
     ends are the only candidates for the supremum. e = 0 is the plain prefix
     ratio |S ∩ [1,k]| / k: faulhaber(k, 0) = k, so int serves as F, and
     hi ** 0 = 1.
     """
-    F = power_sum or (int if e == 0 else lambda k: faulhaber(k, e))
+    F = power_sum.__getitem__ if power_sum is not None else \
+        int if e == 0 else lambda k: faulhaber(k, e)
     best_n, best_d = 0, 1
     num = 0
     for lo, hi in _runs(elements):
@@ -431,21 +445,16 @@ class _BlockWeights:
 
     Block j's rule members are its slice [2^j, s_j). The tables hold s_j,
     rule[j] (the rule weight of the blocks below j), last[j] = F(s_j - 1),
-    with F(k) = faulhaber(k, e), or None for an empty slice, and at_end[j] =
-    P(s_j - 1). A point inside a slice weighs rule[j + 1] - last[j] + F(x),
-    so no table keeps F(2^j - 1): it is last[j] less the slice weight. The
-    signed exceptions add their own prefix sums; without them at_end holds
-    the same integers as rule. Each F(k) is computed once: slice ends are in
-    the tables, other points in a memo.
+    or None for an empty slice, and at_end[j] = P(s_j - 1). F is the scan's
+    power-sum memo of e (power_sum[k] = faulhaber(k, e)), so each F(k) is
+    computed once per norm. A point inside a slice weighs rule[j + 1] -
+    last[j] + F(x). The signed exceptions add their own prefix sums; without
+    them at_end holds the same integers as rule.
     """
 
-    def __init__(self, a: DyadicBlockSet, e: int):
-        self.a, self.e = a, e
-        self.ends: list[int] = []
-        self.rule = [0]
-        self.last: list[Optional[int]] = []
-        self.at_end: list[int] = []
-        self._memo: dict[int, int] = {}
+    def __init__(self, a: DyadicBlockSet, e: int, power_sum: _Memo):
+        self.a, self.e, self.power_sum = a, e, power_sum
+        self.ends, self.rule, self.last, self.at_end = [], [0], [], []
         top = max(a.extras[-1:] + a.removals[-1:], default=0)
         exc = sorted(_signed_exceptions(a, 1, top + 1))
         self._exc_at = [x for x, _ in exc]
@@ -453,40 +462,16 @@ class _BlockWeights:
 
     def grow(self, j: int):
         """Extend the tables through block j."""
-        ends, last, rule, memo, e = self.ends, self.last, self.rule, self._memo, self.e
+        ends, last, rule, F = self.ends, self.last, self.rule, self.power_sum
         for i in range(len(ends), j + 1):
             lo = 1 << i
             s = lo + self.a.slice_len(i)
-            top, weight = None, 0
-            if s > lo:
-                # a value read before its block was built moves to the tables
-                top = memo.pop(s - 1, None)
-                if top is None:
-                    top = faulhaber(s - 1, e)
-                # F(2^i - 1) is the slice end below when that slice fills its block
-                below = last[i - 1] if i and ends[i - 1] == lo else memo.pop(lo - 1, None)
-                if below is None:
-                    below = faulhaber(lo - 1, e)
-                weight = top - below
+            top = F[s - 1] if s > lo else None
             ends.append(s)
             last.append(top)
-            rule.append(rule[-1] + weight)
+            rule.append(rule[-1] if top is None else rule[-1] + top - F[lo - 1])
             exc = self.exceptions_to(s - 1)
             self.at_end.append(rule[-1] + exc if exc else rule[-1])
-
-    def power_sum(self, k: int) -> int:
-        """faulhaber(k, e), from the tables where they hold it."""
-        if k < 1:
-            return 0
-        j = k.bit_length() - 1
-        if j < len(self.ends) and k == self.ends[j] - 1:  # k >= 2^j: a slice end
-            return self.last[j]
-        if k + 1 == 2 << j and j + 1 < len(self.ends) and self.last[j + 1] is not None:
-            return self.last[j + 1] - (self.rule[j + 2] - self.rule[j + 1])
-        v = self._memo.get(k)
-        if v is None:
-            v = self._memo[k] = faulhaber(k, self.e)
-        return v
 
     def exceptions_to(self, x: int) -> int:
         """The signed exception weight at points <= x."""
@@ -503,8 +488,21 @@ class _BlockWeights:
         elif x == 1 << j:  # the slice's first member alone
             w = self.rule[j] + (1 << (j * self.e))
         else:
-            w = self.rule[j + 1] - self.last[j] + self.power_sum(x)
+            w = self.rule[j + 1] - self.last[j] + self.power_sum[x]
         return w + self.exceptions_to(x)
+
+
+def _closing(limits: list[Fraction], cycle: Sequence[Fraction],
+             e: int) -> tuple[Fraction, list[Fraction], Fraction]:
+    """The cut-free parts of a cyclic block set's phi_e envelope (see
+    _block_alpha_tail): the top phase limit; per phase q the geometric ideal
+    limits[q] (1+c_q)^{e+1} / (e+1), whose 2^{j(e+1)} multiple is the
+    phase-q slice-end weight G_q + g_q; and the envelope's rounding spread."""
+    max_lim = max(limits)
+    c_e = 6 * 2 ** e
+    spread = (e + 1) * (2 * c_e + 3 * (e + 1) * 4 ** e * max_lim) if e else 3 * max_lim
+    return max_lim, [lim * (1 + c) ** (e + 1) / (e + 1)
+                     for lim, c in zip(limits, cycle)], spread
 
 
 class _TailScan:
@@ -512,72 +510,26 @@ class _TailScan:
 
     exhaustive_norm makes one for its set and reads every profile cut
     through it; tail_value makes one for its single cut, so both run the
-    same code. It lives for one call, so what it holds is bounded by one
-    norm's scan:
-
-    - the finite part of A (natset.finite_part), found once;
-    - per exponent e, a block set's prefix weights (_BlockWeights) and its
-      phase limits (density._alpha_block_phase_limits);
-    - the counts of the dyadic blocks I_j read whole, for psi;
-    - for an eventually periodic set, its members over the windows read so
-      far and, per exponent, the power sums faulhaber(k, e) read so far.
+    same code. It lives for one call and holds fin = natset.finite_part(A),
+    an eventually periodic set's members over the windows read so far, and
+    _Memo tables: power_sums[e][k] = faulhaber(k, e), read by a block set's
+    block_weights[e] (_BlockWeights) and by alpha_ratio; a block set's
+    phase_limits[e] and closing[e] (_closing); and block_count[j] = |A ∩
+    [2^j, 2^{j+1})|. No memo refers to the scan, so reference counting
+    frees it.
     """
 
     def __init__(self, a: NatSet, config: Config):
         self.a, self.config = a, config
         self.fin = finite_part(a)
-        self._weights: dict[int, _BlockWeights] = {}
-        self._limits: dict[int, list[Fraction]] = {}
-        self._closing: dict[int, tuple[Fraction, list[Fraction], Fraction]] = {}
-        self._counts: dict[int, int] = {}
-        self._sums: dict[int, Callable[[int], int]] = {}
+        power_sums = self.power_sums = _Memo(lambda e: _Memo(faulhaber, e))
+        phase_limits = self.phase_limits = _Memo(
+            lambda e: _alpha_block_phase_limits(a.fill, e))
+        self.block_weights = _Memo(lambda e: _BlockWeights(a, e, power_sums[e]))
+        self.closing = _Memo(lambda e: _closing(phase_limits[e], a.fill.cycle, e))
+        self.block_count = _Memo(lambda j: a.count_range(1 << j, 2 << j))
         self._xs: list[int] = []
         self._span = (1, 0)  # the members in [lo, hi] are self._xs
-
-    def block_weights(self, e: int) -> _BlockWeights:
-        if e not in self._weights:
-            self._weights[e] = _BlockWeights(self.a, e)
-        return self._weights[e]
-
-    def phase_limits(self, e: int) -> list[Fraction]:
-        if e not in self._limits:
-            self._limits[e] = _alpha_block_phase_limits(self.a.fill, e)
-        return self._limits[e]
-
-    def closing(self, e: int) -> tuple[Fraction, list[Fraction], Fraction]:
-        """The cut-free parts of a cyclic block set's phi_e envelope (see
-        _block_alpha_tail): the top phase limit; per phase q the geometric
-        ideal limits[q] (1+c_q)^{e+1} / (e+1), whose 2^{j(e+1)} multiple
-        is the phase-q slice-end weight G_q + g_q; and the envelope's
-        rounding spread."""
-        if e not in self._closing:
-            limits = self.phase_limits(e)
-            max_lim = max(limits)
-            c_e = 6 * 2 ** e
-            spread = (e + 1) * (2 * c_e + 3 * (e + 1) * 4 ** e * max_lim) if e else 3 * max_lim
-            self._closing[e] = (max_lim, [lim * (1 + c) ** (e + 1) / (e + 1) for lim, c in
-                                          zip(limits, self.a.fill.cycle)], spread)
-        return self._closing[e]
-
-    def block_count(self, j: int) -> int:
-        """|A ∩ I_j|, I_j = [2^j, 2^{j+1})."""
-        if j not in self._counts:
-            self._counts[j] = self.a.count_range(1 << j, 2 << j)
-        return self._counts[j]
-
-    def power_sums(self, e: int) -> Callable[[int], int]:
-        """k -> faulhaber(k, e), each k computed once."""
-        if e not in self._sums:
-            memo: dict[int, int] = {}
-
-            def power_sum(k: int) -> int:
-                v = memo.get(k)
-                if v is None:
-                    v = memo[k] = faulhaber(k, e)
-                return v
-
-            self._sums[e] = power_sum
-        return self._sums[e]
 
     def members(self, lo: int, hi: int) -> list[int]:
         """The members of A in [lo, hi], 1 <= lo: a window above the one
@@ -595,7 +547,7 @@ class _TailScan:
 
     def alpha_ratio(self, lo: int, hi: int, e: int) -> Fraction:
         """phi_e of the members in [lo, hi], 1 <= lo."""
-        return _phi_alpha_elements(self.members(lo, hi), e, self.power_sums(e) if e else None)
+        return _phi_alpha_elements(self.members(lo, hi), e, self.power_sums[e] if e else None)
 
 
 def _mult_order_2(m: int, cap: int) -> Optional[int]:
@@ -676,7 +628,7 @@ def _block_alpha_tail(scan: _TailScan, n: int, e: int) -> ExtValue:
     """
     a = scan.a
     fill = a.fill
-    w = scan.block_weights(e)
+    w = scan.block_weights[e]
     start = max(n, 1)
     cut_block = start.bit_length() - 1
     exc_top = max([x.bit_length() for x in a.extras]
@@ -706,7 +658,7 @@ def _block_alpha_tail(scan: _TailScan, n: int, e: int) -> ExtValue:
                 if num > 0 and num * bd > bn * den:
                     bn, bd = num, den
         for _, k in others[bisect_left(others, (j_lo,)):bisect_left(others, (j_hi + 1,))]:
-            num, den = w.prefix(k) - base, w.power_sum(k)
+            num, den = w.prefix(k) - base, w.power_sum[k]
             if num > 0 and num * bd > bn * den:
                 bn, bd = num, den
         return bn, bd
@@ -752,7 +704,7 @@ def _block_alpha_tail(scan: _TailScan, n: int, e: int) -> ExtValue:
     j1 = max(cut_block + 1, fill.threshold, exc_top + 1, e.bit_length() + 1, 2)
     m_star = j1 + 44
     best = Fraction(*best_over(cut_block, m_star, (0, 1)))
-    max_lim, ideals, spread = scan.closing(e)
+    max_lim, ideals, spread = scan.closing[e]
     # K absorbs everything below the scan edge exactly; beyond it each slice
     # weight differs from its geometric ideal by at most C_e 2^{je}, C_e = 6*2^e
     q_star = (m_star - fill.threshold) % P
@@ -777,7 +729,7 @@ def _psi_scan(scan: _TailScan, n: int, j_lo: int, j_hi: int) -> Fraction:
     for j in range(j_lo, j_hi + 1):
         lo = max(1 << j, n)
         if lo < 2 << j:
-            c = scan.block_count(j) if lo == 1 << j else scan.a.count_range(lo, 2 << j)
+            c = scan.block_count[j] if lo == 1 << j else scan.a.count_range(lo, 2 << j)
             if c << best_j > best_c << j:
                 best_c, best_j = c, j
     return Fraction(best_c, 1 << best_j)
@@ -991,7 +943,7 @@ def _norm_value(desc: LscsmDescriptor, scan: _TailScan) -> ExtValue:
         return exact(d if d is not None else max(a.fill.cycle))
     e = _prefix_exponent(desc)
     if e is not None:
-        return exact(d if d is not None else max(scan.phase_limits(e)))
+        return exact(d if d is not None else max(scan.phase_limits[e]))
 
     pairs, rest = _components(desc)
     if d is not None:
@@ -1001,7 +953,7 @@ def _norm_value(desc: LscsmDescriptor, scan: _TailScan) -> ExtValue:
     c_min = min(a.fill.cycle)
     for w, e in pairs:
         if e <= 8192:
-            v = max(scan.phase_limits(e))
+            v = max(scan.phase_limits[e])
             lo += w * v
             hi += w * v
         else:

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import densitas
-from densitas import cli, exhaust, limits, metric, natset
+from densitas import cli, exhaust, limits, metric, natset, witness
 from densitas.cli import (
     _axioms_report,
     _build_parser,
@@ -1119,6 +1119,25 @@ def test_witness_verify_refuses_a_schedule_entry_past_the_factorial_cap(
     assert main(["witness", "verify", str(out)]) == 2
     assert capsys.readouterr() == ("", "usage error: stored 'schedule' entry 3 must "
                                    "be an integer at most 1000\n")
+
+
+def test_witness_build_refuses_a_derived_schedule_past_the_factorial_cap(
+        capsys, monkeypatch):
+    # depth 992 derives a schedule ending at 1001, which `witness verify`
+    # would refuse: the build stops before constructing anything
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_witness called")
+
+    monkeypatch.setattr(witness, "build_witness", refuse)
+    assert main(["witness", "build", "--kappa", "1/2", "--depth", "992"]) == 2
+    assert capsys.readouterr() == ("", "usage error: derived 'schedule' entry 993 must "
+                                   "be an integer at most 1000\n")
+
+
+@pytest.mark.parametrize("kappa", [Fraction(1, 2), Fraction(2, 3)])
+def test_the_deepest_buildable_schedule_ends_at_the_factorial_cap(kappa):
+    # depth 991 needs 993 entries; the last is the cap itself
+    assert derive_params(kappa, levels=991 + 2).schedule[-1] == 1000
 
 
 @pytest.mark.parametrize("horizon", ["0", "-5"])

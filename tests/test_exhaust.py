@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densitas import exhaust
+from densitas import cli, exhaust
 from densitas.exceptions import QueryBeyondHorizon, UnsupportedBackend
 from densitas.config import DEFAULT_CONFIG
 from densitas.density import (
@@ -21,7 +23,7 @@ from densitas.exhaust import (
     _MAX_EXACT_EXPONENT,
     LSCSM_NAMES,
     LscsmDescriptor,
-    _BlockWeights,
+    _TailScan,
     check_lscsm_axioms,
     exh_member,
     exhaustive_norm,
@@ -360,7 +362,7 @@ def test_block_tail_weight_matches_brute_members(a):
     ends = {1, 3, 63, 64, 65, 700, 1029, 4095, 4097, 9000, top}
     ends |= {(1 << j) + a.slice_len(j) - 1 for j in range(14) if a.slice_len(j)}
     for e in (0, 1, 2, 4):
-        w = _BlockWeights(a, e)
+        w = _TailScan(a, DEFAULT_CONFIG).block_weights[e]
         for s in sorted(starts):
             for k in sorted(ends):
                 # the weight of the members in [s, k]; for k < s, minus that
@@ -491,6 +493,59 @@ def test_a_norm_computes_each_power_sum_once(monkeypatch, a):
             assert calls, (name, cuts)
             again = [key for key, count in calls.items() if count > 1]
             assert not again, (name, cuts, again[:5])
+
+
+# the power sums a json norm of the benchmark's `queries` workload computes
+FAULHABER_PINS = [
+    ("phi-alpha:a=2", "blocks f(n)=5/12", 120),
+    ("phi-alpha:a=1", "blocks f(n)=2^-3", 117),
+    ("phi-infty-trunc:a=1", "blocks f(n)=7/9", 240),
+    ("phi-alpha:a=3", "per m=240 R={0,7,100,239}", 133),
+]
+
+
+@pytest.mark.parametrize("name, literal, most", FAULHABER_PINS)
+def test_a_json_norm_computes_at_most_its_pinned_power_sums(monkeypatch, capsys,
+                                                            name, literal, most):
+    calls = Counter()
+    real = exhaust.faulhaber
+
+    def counted(k, e):
+        calls[k, e] += 1
+        return real(k, e)
+
+    monkeypatch.setattr(exhaust, "faulhaber", counted)
+    assert cli.main(["norm", name, literal, "--format", "json"]) == 0
+    assert capsys.readouterr().err == ""
+    assert 0 < sum(calls.values()) <= most
+
+
+@pytest.mark.parametrize("name, a", [("phi-alpha:a=2", CYCLE_BLOCKS),
+                                     ("phi-prefix", HALF_BLOCKS),
+                                     ("psi-dyadic", DIRTY_BLOCKS),
+                                     ("phi-alpha:a=1", MESSY),
+                                     ("phi-prefix", AP_UNION),
+                                     ("phi-infty-trunc:a=2", CYCLE_BLOCKS),
+                                     ("phi-infty-trunc:a=2", THIRDS)])
+def test_a_norm_frees_its_scans_without_the_cyclic_gc(monkeypatch, name, a):
+    # a memo that refers to its scan would make a cycle that only the
+    # cyclic collector frees, keeping the scan's tables alive past the call
+    scans = []
+
+    class Watched(exhaust._TailScan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            scans.append(weakref.ref(self))
+
+    monkeypatch.setattr(exhaust, "_TailScan", Watched)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        exhaustive_norm(name, a)
+    finally:
+        if enabled:
+            gc.enable()
+    assert scans and all(ref() is None for ref in scans), (name, a)
 
 
 def test_tails_shrink_toward_the_norm():
